@@ -18,7 +18,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from maxoid.fan import enumerate_maximal_cones, lineality_dimension
 from maxoid.graph import Dag
 from maxoid.linarith import affine_dimension
-from maxoid.polytope import f_vector, polytope_vertices
+from maxoid.polytope import face_lattice, polytope_vertices
 
 
 def complete_dag(n: int) -> Dag:
@@ -38,14 +38,12 @@ def main() -> None:
         t0 = time.time()
         g = complete_dag(n)
         entries = enumerate_maximal_cones(g)
-        coords = [p.coords for _, p in polytope_vertices(g, entries)]
-        dim = affine_dimension(coords)[0]
-        row = (f"{n:>3} {len(g.edges):>4} {dim:>4} {len(coords):>9} "
+        points = [p for _, p in polytope_vertices(g, entries)]
+        dim = affine_dimension([p.coords for p in points])[0]
+        row = (f"{n:>3} {len(g.edges):>4} {dim:>4} {len(points):>9} "
                f"{lineality_dimension(g):>10}")
         if args.f_vectors:
-            from maxoid.polytope import PolytopePoint
-
-            row += f"  {f_vector([PolytopePoint(c) for c in coords])}"
+            row += f"  {face_lattice(points).f_vector()}"
         print(row + f"   ({time.time() - t0:.1f}s)")
 
 

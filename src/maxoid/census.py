@@ -6,8 +6,9 @@ transitively closed graph, so TDAGs carry a complete census up to vertex
 relabeling.  Generic structures come from the maximal cones of each graph's
 fan; tied (non-generic) ones from the faces of each graph's polytope.
 
-Per-graph results can be cached on disk, content-addressed by the graph, so
-large runs are resumable: set MAXOID_CACHE_DIR to enable.
+Per-graph results can be cached on disk, content-addressed by the graph and
+the cache format version, so large runs are resumable: set MAXOID_CACHE_DIR
+to enable.  An unreadable cache file counts as a miss and is rewritten.
 """
 
 from __future__ import annotations
@@ -25,6 +26,9 @@ from .polytope import face_lattice, face_maxoid, polytope_vertices
 from .separation import Maxoid
 
 CACHE_ENV = "MAXOID_CACHE_DIR"
+# Raise whenever what a cache file holds, or how it is computed, changes:
+# files written under another version are then never read.
+CACHE_FORMAT = 1
 
 
 @dataclass
@@ -67,7 +71,8 @@ def all_top_ordered_tdags(n: int) -> TdagFamily:
 
 
 def _graph_key(g: Dag) -> str:
-    blob = json.dumps(dag_to_json(g), sort_keys=True).encode()
+    blob = json.dumps({"dag": dag_to_json(g), "format": CACHE_FORMAT},
+                      sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
 
 
@@ -79,14 +84,24 @@ def _cache_path(g: Dag) -> str | None:
     return os.path.join(root, _graph_key(g) + ".json")
 
 
+def _read_cache(path: str) -> dict:
+    """The cached record at path, or {} when it is missing, does not parse or
+    has no generic list."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, ValueError):
+        return {}
+    if not isinstance(data, dict) or not isinstance(data.get("generic"), list):
+        return {}
+    return data
+
+
 def graph_maxoids(g: Dag, include_faces: bool) -> dict[str, list[list[str]] | None]:
     """Generic (and optionally face) CI structures of one graph, as sorted
     statement lists; reads and refreshes the disk cache when enabled."""
     path = _cache_path(g)
-    data: dict = {}
-    if path and os.path.exists(path):
-        with open(path) as fh:
-            data = json.load(fh)
+    data = _read_cache(path) if path else {}
     if "generic" not in data or (include_faces and data.get("faces") is None):
         entries = enumerate_maximal_cones(g)
         data.setdefault("generic", [e.maxoid.to_json() for e in entries])

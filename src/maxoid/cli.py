@@ -16,8 +16,8 @@ import sys
 from .graph import Dag, dag_from_json, dag_to_json, to_dot
 from .tropical import WeightedDag, kleene_star, weights_from_json, weights_to_list_json
 from .separation import maxoid, parse_ci_statement
-from .fan import cone_adjacency, enumerate_maximal_cones, lineality_dimension
-from .polytope import face_lattice, face_maxoid, hasse_dot, polytope_vertices
+from .fan import enumerate_maximal_cones, lineality_dimension
+from .polytope import cone_adjacency, face_lattice, face_maxoid, hasse_dot, polytope_vertices
 from .implication import decide_implication
 from .axioms import (
     check_amalgamation,
@@ -110,7 +110,7 @@ def _cmd_fan(args) -> None:
         "cones": cones,
     }
     if args.adjacency:
-        data["adjacency"] = [list(p) for p in cone_adjacency(entries)]
+        data["adjacency"] = [list(p) for p in cone_adjacency(g, entries)]
     lines = [f"{len(cones)} maximal cones, lineality dimension {data['lineality_dimension']}"]
     for k, c in enumerate(cones):
         lines.append(f"cone {k}: maxoid {{{'; '.join(c['maxoid'])}}}")
@@ -123,11 +123,7 @@ def _cmd_polytope(args) -> None:
     points = polytope_vertices(g, entries)
     coords = [p for _, p in points]
     lattice = face_lattice(coords)
-    dim = max(f.dim for f in lattice.faces)
-    fvec = [0] * dim
-    for f in lattice.faces:
-        if f.dim < dim:
-            fvec[f.dim] += 1
+    dim, fvec = lattice.dim, list(lattice.f_vector())
     data = {
         "edges": [list(e) for e in g.sorted_edges],
         "dim": dim,

@@ -200,33 +200,6 @@ def enumerate_maximal_cones(g: Dag) -> list[FanEntry]:
     return entries
 
 
-def cone_adjacency(entries: list[FanEntry]) -> list[tuple[int, int]]:
-    """Pairs of cone indices whose closures share a facet.
-
-    Two cones are adjacent when some inequality of the first, flipped to an
-    equality, admits a point that satisfies the first cone's remaining rows
-    strictly and the second cone's rows non-strictly: such a point lies in
-    the relative interior of a shared facet.
-    """
-    edges = []
-    for a in range(len(entries)):
-        rows_a = entries[a].cone.strict
-        nvars = entries[a].cone.nvars
-        for b in range(a + 1, len(entries)):
-            rows_b = entries[b].cone.strict
-            found = False
-            for flip in rows_a:
-                system = [Constraint(flip.expr, "==")]
-                system += [r for r in rows_a if r != flip]
-                system += [Constraint(r.expr, ">=") for r in rows_b]
-                if feasible(system, nvars) is not None:
-                    found = True
-                    break
-            if found:
-                edges.append((a, b))
-    return edges
-
-
 def lineality_dimension(g: Dag) -> int:
     """Dimension of the common linear subspace of all cones: |E| minus the
     rank of the internally-disjoint path-comparison normals."""

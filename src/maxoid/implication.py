@@ -20,8 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+from .fan import _path_comparison
 from .graph import Dag, enumerate_paths, transitive_closure
-from .linarith import Constraint, LinExpr, Witness, feasible
+from .linarith import Constraint, Witness, feasible
 from .separation import CiStatement, maxoid
 from .tropical import WeightedDag, is_generic
 
@@ -149,14 +150,10 @@ def evaluate(f: Formula, point) -> bool:
 
 
 def _weight_atom(index, winner, loser) -> Formula:
-    coeffs: dict[int, int] = {}
-    for e in zip(winner, winner[1:]):
-        coeffs[index[e]] = coeffs.get(index[e], 0) + 1
-    for e in zip(loser, loser[1:]):
-        coeffs[index[e]] = coeffs.get(index[e], 0) - 1
-    if not any(coeffs.values()):
+    row = _path_comparison(index, winner, loser)
+    if not row.expr.terms:
         return FALSE  # identical weight, never strictly larger
-    return Atom(Constraint(LinExpr.build(coeffs), ">").normalized())
+    return Atom(row)
 
 
 def _edge_presence(g: Dag, index, K: frozenset[int], cache: dict, k: int, l: int) -> Formula:

@@ -308,28 +308,11 @@ def rank_of(rows: Sequence[Sequence[Fraction]]) -> int:
 
 
 def _echelon(rows):
-    """Fraction row echelon form; returns (echelon rows, pivot column list)."""
+    """Fraction row echelon form, built greedily row by row: (echelon rows,
+    their pivot columns, indices of the input rows that contributed them)."""
     E: list[list[Fraction]] = []
     pivots: list[int] = []
-    for row in rows:
-        v = [Fraction(x) for x in row]
-        for erow, p in zip(E, pivots):
-            if v[p] != 0:
-                f = v[p]
-                v = [a - f * b for a, b in zip(v, erow)]
-        p = next((j for j, x in enumerate(v) if x != 0), None)
-        if p is not None:
-            f = v[p]
-            E.append([x / f for x in v])
-            pivots.append(p)
-    return E, pivots
-
-
-def independent_rows(rows: Sequence[Sequence[Fraction]]) -> list[int]:
-    """Indices of a greedily chosen maximal linearly independent subset."""
-    E: list[list[Fraction]] = []
-    pivots: list[int] = []
-    chosen = []
+    chosen: list[int] = []
     for idx, row in enumerate(rows):
         v = [Fraction(x) for x in row]
         for erow, p in zip(E, pivots):
@@ -342,7 +325,13 @@ def independent_rows(rows: Sequence[Sequence[Fraction]]) -> list[int]:
             E.append([x / f for x in v])
             pivots.append(p)
             chosen.append(idx)
-    return chosen
+    return E, pivots, chosen
+
+
+def independent_rows(rows: Sequence[Sequence[Fraction]]) -> list[int]:
+    """Indices of a greedily chosen maximal linearly independent subset."""
+    return _echelon(rows)[2]
+
 
 def pivot_columns(rows: Sequence[Sequence[Fraction]]) -> list[int]:
     """Column indices carrying the pivots of the row echelon form."""
@@ -362,7 +351,7 @@ def affine_dimension(points: Sequence[Sequence[Fraction]]) -> tuple[int, list[li
 
 def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[list[Fraction]]:
     """Basis of the solution space of the homogeneous system rows . x = 0."""
-    E, pivots = _echelon(rows)
+    E, pivots, _ = _echelon(rows)
     free = [j for j in range(ncols) if j not in pivots]
     basis = []
     for fcol in free:

@@ -9,7 +9,11 @@ vectors of faces realize the CI structures of tied weight vectors.
 The convex hull is computed exactly: points are projected to affine-hull
 coordinates, translated so the origin is interior, and the facets are read
 off as the extreme rays of the cone of valid inequalities via the double
-description method with the combinatorial adjacency test.
+description method with the combinatorial adjacency test.  The facet normals
+then answer the fan's questions without further LPs: the sum of the normals
+of the facets containing a face lies in the relative interior of the face's
+normal cone, and two maximal cones are adjacent exactly when their vertices
+span an edge.
 """
 
 from __future__ import annotations
@@ -19,14 +23,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .graph import Dag
-from .linarith import (
-    Constraint,
-    LinExpr,
-    affine_dimension,
-    feasible,
-    nullspace,
-    pivot_columns,
-)
+from .linarith import affine_dimension, independent_rows, pivot_columns
 from .separation import Maxoid, maxoid
 from .fan import FanEntry, CriticalSystem, enumerate_maximal_cones
 from .tropical import WeightedDag
@@ -42,16 +39,32 @@ class PolytopePoint:
 
 @dataclass(frozen=True)
 class Face:
-    """A face identified by the set of polytope vertices it contains."""
+    """A face identified by the set of polytope vertices it contains; normal
+    is an integer outer normal vector in the relative interior of its normal
+    cone (zero for the whole polytope), set by face_lattice."""
 
     vertices: frozenset[int]
     dim: int
+    normal: tuple[int, ...] | None = None
 
 
 @dataclass(frozen=True)
 class FaceLattice:
     faces: tuple[Face, ...]
     covers: tuple[tuple[int, int], ...]  # (smaller face index, larger face index)
+
+    @property
+    def dim(self) -> int:
+        return max(f.dim for f in self.faces)
+
+    def f_vector(self) -> tuple[int, ...]:
+        """Face counts by dimension 0..dim-1 (proper faces only)."""
+        d = self.dim
+        counts = [0] * d
+        for f in self.faces:
+            if f.dim < d:
+                counts[f.dim] += 1
+        return tuple(counts)
 
 
 def polytope_vertices(g: Dag, entries: list[FanEntry] | None = None
@@ -84,8 +97,6 @@ def _primitive(vec: list[Fraction]) -> tuple[int, ...]:
 def _dd_extreme_rays(rows: list[tuple[int, ...]], dim: int) -> list[tuple[int, ...]]:
     """Extreme rays of {y : row . y >= 0 for all rows}; the cone must be
     pointed and the rows of full rank dim."""
-    from .linarith import independent_rows
-
     init = independent_rows(rows)
     if len(init) != dim:
         raise ValueError("row system is not full-dimensional")
@@ -151,8 +162,15 @@ def _dd_extreme_rays(rows: list[tuple[int, ...]], dim: int) -> list[tuple[int, .
     return rays
 
 
-def _facet_incidences(points: list[tuple[Fraction, ...]]) -> tuple[int, list[frozenset[int]]]:
-    """Affine dimension and, for each facet, the set of incident point indices."""
+def _facet_incidences(points: list[tuple[Fraction, ...]]
+                      ) -> tuple[int, list[tuple[frozenset[int], tuple[int, ...]]]]:
+    """Affine dimension and, for each facet, the set of incident point indices
+    and an integer outer normal in the points' own coordinates.
+
+    The normal found in pivot-column coordinates is lifted by zeros off the
+    pivot columns; the projection is injective on the affine hull, so the
+    lifted vector scores every point exactly as the projected one does.
+    """
     m = len(points)
     dim, _ = affine_dimension(points)
     if dim == 0:
@@ -174,14 +192,21 @@ def _facet_incidences(points: list[tuple[Fraction, ...]]) -> tuple[int, list[fro
             i for i, p in enumerate(shifted)
             if sum(c * x for c, x in zip(a, p)) == a0
         )
-        facets.append(incident)
+        normal = [0] * len(base)
+        for c, x in zip(cols, a):
+            normal[c] = x
+        facets.append((incident, tuple(normal)))
     return dim, facets
 
 
 def face_lattice(points: list[PolytopePoint]) -> FaceLattice:
-    """All faces of conv(points) with their vertex sets, dimensions and the
-    covering relation; the polytope itself is included as the top face, the
-    empty face is not."""
+    """All faces of conv(points) with their vertex sets, dimensions, normal
+    vectors and the covering relation; the polytope itself is included as
+    the top face, the empty face is not.
+
+    A face's normal is the sum of the outer normals of the facets that
+    contain it: their maxima meet exactly on the face.
+    """
     coords = [tuple(map(Fraction, p.coords)) for p in points]
     if not coords:
         raise ValueError("need at least one point")
@@ -192,7 +217,7 @@ def face_lattice(points: list[PolytopePoint]) -> FaceLattice:
     while frontier:
         nxt = set()
         for face in frontier:
-            for facet in facets:
+            for facet, _ in facets:
                 cut = face & facet
                 if cut and cut != face and cut not in sets:
                     sets.add(cut)
@@ -202,7 +227,14 @@ def face_lattice(points: list[PolytopePoint]) -> FaceLattice:
     def face_dim(s: frozenset[int]) -> int:
         return affine_dimension([coords[i] for i in sorted(s)])[0]
 
-    faces = sorted((Face(s, face_dim(s)) for s in sets),
+    def normal(s: frozenset[int]) -> tuple[int, ...]:
+        total = [0] * len(coords[0])
+        for facet, a in facets:
+            if s <= facet:
+                total = [x + y for x, y in zip(total, a)]
+        return tuple(total)
+
+    faces = sorted((Face(s, face_dim(s), normal(s)) for s in sets),
                    key=lambda f: (f.dim, sorted(f.vertices)))
     covers = []
     for a, fa in enumerate(faces):
@@ -214,63 +246,36 @@ def face_lattice(points: list[PolytopePoint]) -> FaceLattice:
 
 def f_vector(points: list[PolytopePoint]) -> tuple[int, ...]:
     """Face counts of conv(points) by dimension 0..d-1 (proper faces only)."""
-    lattice = face_lattice(points)
-    d = max(f.dim for f in lattice.faces)
-    counts = [0] * d
-    for f in lattice.faces:
-        if f.dim < d:
-            counts[f.dim] += 1
-    return tuple(counts)
+    return face_lattice(points).f_vector()
 
 
 def face_maxoid(g: Dag, face: Face, entries: list[FanEntry],
                 points: list[tuple[CriticalSystem, PolytopePoint]] | None = None) -> Maxoid:
-    """CI structure attached to a face: a rational functional in the relative
-    interior of the face's normal cone (equal on the face's vertices, larger
-    on all others, slack-maximized) interpreted as a weight vector.
+    """CI structure attached to a face: its normal vector, which lies in the
+    relative interior of the face's normal cone, interpreted as a weight
+    vector.
 
-    Valid for tied weights, since separation needs no genericity.  Raises
-    when the vertex set is not actually a face.
+    Valid for tied weights, since separation needs no genericity.  The
+    normal is re-verified exactly (equal on the face's vertices, smaller on
+    all others); raises when it fails or the face carries no normal.
     """
+    if face.normal is None:
+        raise ValueError("face has no normal vector; take faces from face_lattice")
     if points is None:
         points = polytope_vertices(g, entries)
-    coords = [p.coords for _, p in points]
-    nvars = len(g.sorted_edges)
-    members = sorted(face.vertices)
-    if not members or any(v >= len(coords) for v in members):
-        raise ValueError("face references unknown vertices")
-    base = coords[members[0]]
-    # substitute the equal-value conditions out: work in a basis of the
-    # subspace where all face vertices score alike
-    equal_rows = [[Fraction(coords[s][k] - base[k]) for k in range(nvars)]
-                  for s in members[1:]]
-    span = nullspace(equal_rows, nvars) if equal_rows else [
-        [Fraction(int(k == j)) for k in range(nvars)] for j in range(nvars)]
-    reduced: list[Constraint] = []
-    seen = set()
-    for u in range(len(coords)):
-        if u in face.vertices:
-            continue
-        diff = [Fraction(base[k] - coords[u][k]) for k in range(nvars)]
-        row = {j: sum(b * d for b, d in zip(vec, diff)) for j, vec in enumerate(span)}
-        if not any(row.values()):
-            raise ValueError("vertex set is not a face of the polytope")
-        con = Constraint(LinExpr.build(row), ">").normalized()
-        if con not in seen:
-            seen.add(con)
-            reduced.append(con)
-    y = feasible(reduced, len(span))
-    if y is None:
+    scores = [sum(c * x for c, x in zip(face.normal, p.coords)) for _, p in points]
+    best = max(scores)
+    if frozenset(u for u, v in enumerate(scores) if v == best) != face.vertices:
         raise ValueError("vertex set is not a face of the polytope")
-    c = [sum(y.point[j] * span[j][k] for j in range(len(span))) for k in range(nvars)]
-    score = sum(ci * xi for ci, xi in zip(c, base))
-    for u in range(len(coords)):
-        val = sum(ci * xi for ci, xi in zip(c, coords[u]))
-        ok = val == score if u in face.vertices else val < score
-        if not ok:
-            raise AssertionError("normal-cone functional failed exact re-verification")
-    wd = WeightedDag(g, dict(zip(g.sorted_edges, c)))
-    return maxoid(wd)
+    return maxoid(WeightedDag(g, dict(zip(g.sorted_edges, face.normal))))
+
+
+def cone_adjacency(g: Dag, entries: list[FanEntry]) -> list[tuple[int, int]]:
+    """Pairs of cone indices whose closures share a facet, in lexicographic
+    order.  The fan is the normal fan of the polytope, so these are the
+    vertex pairs of the polytope's edges."""
+    lattice = face_lattice([p for _, p in polytope_vertices(g, entries)])
+    return sorted(tuple(sorted(f.vertices)) for f in lattice.faces if f.dim == 1)
 
 
 def hasse_dot(lattice: FaceLattice, name: str = "faces") -> str:

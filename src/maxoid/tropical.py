@@ -9,7 +9,7 @@ is destroyed by rounding, so floats are rejected everywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .graph import Dag, Edge, Path, enumerate_paths
 
@@ -145,25 +145,6 @@ class TropicalMatrix:
         return [[format_extended_rational(x) for x in row] for row in self.rows]
 
 
-def tropical_matmul(a: TropicalMatrix, b: TropicalMatrix) -> TropicalMatrix:
-    """Max-plus matrix product: entry (i,j) = max_k a_ik + b_kj."""
-    if a.n != b.n:
-        raise ValueError("dimension mismatch")
-    n = a.n
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            best: ExtRational = NEG_INF
-            for k in range(n):
-                cand = a.rows[i][k] + b.rows[k][j]
-                if best < cand:
-                    best = cand
-            row.append(best)
-        rows.append(row)
-    return TropicalMatrix(rows)
-
-
 def path_weight(wd: WeightedDag, p: Path) -> Fraction:
     """Exact sum of edge weights along p; every step must be an edge of wd."""
     if len(p) < 2:
@@ -219,15 +200,6 @@ def critical_paths(wd: WeightedDag, i: int, j: int) -> list[Path]:
     weights = [path_weight(wd, p) for p in paths]
     best = max(weights)
     return [p for p, w in zip(paths, weights) if w == best]
-
-
-def _parallel_path_pairs(g: Dag) -> Iterable[tuple[int, int, Path, Path]]:
-    for i in g.nodes:
-        for j in sorted(g.descendants(i)):
-            paths = enumerate_paths(g, i, j)
-            for a in range(len(paths)):
-                for b in range(a + 1, len(paths)):
-                    yield i, j, paths[a], paths[b]
 
 
 def genericity_witness(wd: WeightedDag) -> tuple[Path, Path] | None:

@@ -1,7 +1,8 @@
 """Independent test oracles.
 
 Everything here recomputes results from first principles (definitional path
-enumeration, textbook d-separation, Fourier-Motzkin elimination) and stays
+enumeration, textbook d-separation, Fourier-Motzkin elimination, max-plus
+matrix products, one exact LP per face or per pair of cones) and stays
 independent of the code paths it cross-checks.
 """
 
@@ -12,8 +13,9 @@ from fractions import Fraction
 from itertools import combinations
 
 from maxoid.graph import Dag, enumerate_paths
-from maxoid.linarith import Constraint
-from maxoid.tropical import WeightedDag, path_weight
+from maxoid.linarith import Constraint, LinExpr, feasible, nullspace
+from maxoid.separation import Maxoid, maxoid
+from maxoid.tropical import NEG_INF, TropicalMatrix, WeightedDag, path_weight
 
 
 def critical_dag_by_paths(wd: WeightedDag, L: frozenset[int]) -> set[tuple[int, int]]:
@@ -160,3 +162,87 @@ def random_weighted_dag(rng: random.Random, max_n: int = 5,
 
 def complete_dag(n: int) -> Dag:
     return Dag(n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)])
+
+
+def tropical_matmul(a: TropicalMatrix, b: TropicalMatrix) -> TropicalMatrix:
+    """Max-plus matrix product: entry (i,j) = max_k a_ik + b_kj."""
+    if a.n != b.n:
+        raise ValueError("dimension mismatch")
+    n = a.n
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            best = NEG_INF
+            for k in range(n):
+                cand = a.rows[i][k] + b.rows[k][j]
+                if best < cand:
+                    best = cand
+            row.append(best)
+        rows.append(row)
+    return TropicalMatrix(rows)
+
+
+def lp_face_maxoid(g: Dag, face, points) -> Maxoid:
+    """CI structure attached to a face by one exact LP: a rational functional
+    in the relative interior of the face's normal cone (equal on the face's
+    vertices, larger on all others, slack-maximized) interpreted as a weight
+    vector.  points are polytope_vertices(g); raises ValueError when the
+    vertex set is not a face."""
+    coords = [p.coords for _, p in points]
+    nvars = len(g.sorted_edges)
+    members = sorted(face.vertices)
+    if not members or any(v >= len(coords) for v in members):
+        raise ValueError("face references unknown vertices")
+    base = coords[members[0]]
+    # substitute the equal-value conditions out: work in a basis of the
+    # subspace where all face vertices score alike
+    equal_rows = [[Fraction(coords[s][k] - base[k]) for k in range(nvars)]
+                  for s in members[1:]]
+    span = nullspace(equal_rows, nvars) if equal_rows else [
+        [Fraction(int(k == j)) for k in range(nvars)] for j in range(nvars)]
+    reduced: list[Constraint] = []
+    seen = set()
+    for u in range(len(coords)):
+        if u in face.vertices:
+            continue
+        diff = [Fraction(base[k] - coords[u][k]) for k in range(nvars)]
+        row = {j: sum(b * d for b, d in zip(vec, diff)) for j, vec in enumerate(span)}
+        if not any(row.values()):
+            raise ValueError("vertex set is not a face of the polytope")
+        con = Constraint(LinExpr.build(row), ">").normalized()
+        if con not in seen:
+            seen.add(con)
+            reduced.append(con)
+    y = feasible(reduced, len(span))
+    if y is None:
+        raise ValueError("vertex set is not a face of the polytope")
+    c = [sum(y.point[j] * span[j][k] for j in range(len(span))) for k in range(nvars)]
+    score = sum(ci * xi for ci, xi in zip(c, base))
+    for u in range(len(coords)):
+        val = sum(ci * xi for ci, xi in zip(c, coords[u]))
+        ok = val == score if u in face.vertices else val < score
+        if not ok:
+            raise AssertionError("normal-cone functional failed exact re-verification")
+    return maxoid(WeightedDag(g, dict(zip(g.sorted_edges, c))))
+
+
+def lp_cone_adjacency(entries) -> list[tuple[int, int]]:
+    """Pairs of cone indices whose closures share a facet: some inequality of
+    the first cone, flipped to an equality, admits a point that satisfies its
+    other rows strictly and the second cone's rows non-strictly, found by one
+    exact LP per pair of cones and flipped row."""
+    edges = []
+    for a in range(len(entries)):
+        rows_a = entries[a].cone.strict
+        nvars = entries[a].cone.nvars
+        for b in range(a + 1, len(entries)):
+            rows_b = entries[b].cone.strict
+            for flip in rows_a:
+                system = [Constraint(flip.expr, "==")]
+                system += [r for r in rows_a if r != flip]
+                system += [Constraint(r.expr, ">=") for r in rows_b]
+                if feasible(system, nvars) is not None:
+                    edges.append((a, b))
+                    break
+    return edges

@@ -41,8 +41,8 @@ from maxoid.separation import (
     parse_ci_statement,
     weighted_transitive_reduction,
 )
-from maxoid.tropical import kleene_star, tropical_matmul, weighted_dag_from_list, WeightedDag
-from oracles import critical_dag_by_paths, d_separated, random_weighted_dag
+from maxoid.tropical import kleene_star, weighted_dag_from_list, WeightedDag
+from oracles import critical_dag_by_paths, d_separated, random_weighted_dag, tropical_matmul
 
 LONG = os.environ.get("MAXOID_LONG_TESTS") == "1"
 

@@ -1,6 +1,7 @@
 import json
 
 from maxoid.axioms import check_amalgamation, check_compositional_graphoid, check_strong_spohn
+from maxoid import census
 from maxoid.census import all_maxoids, all_top_ordered_tdags, graph_maxoids
 from maxoid.graph import Dag, transitive_closure
 from maxoid.implication import all_dags
@@ -80,6 +81,26 @@ def test_cache_round_trip(tmp_path, monkeypatch):
     assert first == again
     cached = json.loads(files[0].read_text())
     assert cached["generic"] == first["generic"]
+
+
+def test_cache_file_that_does_not_parse_is_a_miss(tmp_path, monkeypatch):
+    monkeypatch.setenv("MAXOID_CACHE_DIR", str(tmp_path))
+    g = Dag(3, [(1, 2), (1, 3), (2, 3)])
+    first = graph_maxoids(g, include_faces=True)
+    (path,) = tmp_path.iterdir()
+    for bad in (path.read_text()[:-7], "", '{"faces": []}', "[]"):
+        path.write_text(bad)
+        assert graph_maxoids(g, include_faces=True) == first
+        assert json.loads(path.read_text()) == first
+
+
+def test_cache_files_of_another_format_version_are_not_read(tmp_path, monkeypatch):
+    monkeypatch.setenv("MAXOID_CACHE_DIR", str(tmp_path))
+    g = Dag(3, [(1, 2), (1, 3), (2, 3)])
+    graph_maxoids(g, include_faces=False)
+    monkeypatch.setattr(census, "CACHE_FORMAT", census.CACHE_FORMAT + 1)
+    graph_maxoids(g, include_faces=False)
+    assert len(list(tmp_path.iterdir())) == 2
 
 
 def test_parallel_census_matches_serial():

@@ -5,13 +5,13 @@ import pytest
 
 from maxoid.fan import (
     NonGenericError,
-    cone_adjacency,
     cone_of,
     enumerate_maximal_cones,
     lineality_dimension,
 )
 from maxoid.graph import Dag
 from maxoid.linarith import feasible
+from maxoid.polytope import cone_adjacency
 from maxoid.separation import maxoid, parse_ci_statement
 from maxoid.tropical import WeightedDag, weighted_dag_from_list
 from oracles import complete_dag
@@ -79,7 +79,7 @@ def test_diamond_fan():
         frozenset(stmts("2,3|1", "1,4|2,3", "1,4|2")),
         frozenset(stmts("2,3|1", "1,4|2,3", "1,4|3")),
     }
-    assert cone_adjacency(entries) == [(0, 1)]
+    assert cone_adjacency(DIAMOND, entries) == [(0, 1)]
     assert lineality_dimension(DIAMOND) == 3
 
 
@@ -93,14 +93,14 @@ def test_chain_fan_single_cone():
     entries = enumerate_maximal_cones(CHAIN)
     assert len(entries) == 1
     assert entries[0].cone.strict == ()
-    assert cone_adjacency(entries) == []
+    assert cone_adjacency(CHAIN, entries) == []
     assert lineality_dimension(CHAIN) == 2
 
 
 def test_complete_dag_4_fan():
     entries = enumerate_maximal_cones(complete_dag(4))
     assert len(entries) == 9
-    assert len(cone_adjacency(entries)) == 14
+    assert len(cone_adjacency(complete_dag(4), entries)) == 14
     assert lineality_dimension(complete_dag(4)) == 3
 
 

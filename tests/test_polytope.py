@@ -1,12 +1,14 @@
 import itertools
+import random
 
 import pytest
 
-from maxoid.fan import cone_adjacency, enumerate_maximal_cones
+from maxoid.fan import enumerate_maximal_cones
 from maxoid.graph import Dag
 from maxoid.polytope import (
     Face,
     PolytopePoint,
+    cone_adjacency,
     f_vector,
     face_lattice,
     face_maxoid,
@@ -14,7 +16,7 @@ from maxoid.polytope import (
     polytope_vertices,
 )
 from maxoid.separation import parse_ci_statement
-from oracles import complete_dag
+from oracles import complete_dag, lp_cone_adjacency, lp_face_maxoid
 
 DIAMOND = Dag(4, [(1, 2), (1, 3), (2, 4), (3, 4)])
 
@@ -91,7 +93,7 @@ def test_polytope_edge_count_matches_cone_adjacency():
         pts = [p for _, p in polytope_vertices(g, entries)]
         lat = face_lattice(pts)
         edges = sum(1 for f in lat.faces if f.dim == 1)
-        assert edges == len(cone_adjacency(entries))
+        assert edges == len(cone_adjacency(g, entries))
 
 
 def test_face_maxoid_diamond_shared_facet():
@@ -168,3 +170,42 @@ def test_hasse_dot_output():
     lat = face_lattice([PolytopePoint(p) for p in ((0,), (2,))])
     dot = hasse_dot(lat)
     assert dot.startswith("digraph") and "->" in dot
+
+
+def _random_dags_on_4_nodes(count: int, seed: int) -> list[Dag]:
+    """Distinct seeded random DAGs on 4 nodes with at least 4 edges, edges
+    oriented by a random node order."""
+    rng = random.Random(seed)
+    graphs: list[Dag] = []
+    while len(graphs) < count:
+        order = rng.sample(range(1, 5), 4)
+        edges = [(order[a], order[b]) for a, b in itertools.combinations(range(4), 2)
+                 if rng.random() < 0.75]
+        g = Dag(4, edges)
+        if len(edges) >= 4 and g not in graphs:
+            graphs.append(g)
+    return graphs
+
+
+def test_face_normals_and_edges_agree_with_the_lp_oracles():
+    # every face of the small graphs, and the first faces of each dimension
+    # of complete-5 minus 3->4, get the same maxoid from the summed facet
+    # normals as from one LP per face; the polytope's edges are the cone
+    # pairs that one LP per pair of cones finds adjacent
+    k5_minus = Dag(5, [e for e in complete_dag(5).edges if e != (3, 4)])
+    cases = [(g, None) for g in (complete_dag(3), complete_dag(4), DIAMOND)]
+    cases += [(g, None) for g in _random_dags_on_4_nodes(15, seed=2718)]
+    cases.append((k5_minus, 5))
+    for g, per_dim in cases:
+        entries = enumerate_maximal_cones(g)
+        pts = polytope_vertices(g, entries)
+        lat = face_lattice([p for _, p in pts])
+        faces = lat.faces
+        if per_dim is not None:  # faces come sorted by dimension
+            faces = [f for _, same_dim in itertools.groupby(faces, key=lambda f: f.dim)
+                     for f in itertools.islice(same_dim, per_dim)]
+        for f in faces:
+            assert face_maxoid(g, f, entries, pts) == lp_face_maxoid(g, f, pts), (
+                g.sorted_edges, sorted(f.vertices))
+        if per_dim is None:
+            assert cone_adjacency(g, entries) == lp_cone_adjacency(entries), g.sorted_edges

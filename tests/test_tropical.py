@@ -13,7 +13,6 @@ from maxoid.tropical import (
     kleene_star,
     parse_extended_rational,
     path_weight,
-    tropical_matmul,
     weighted_dag_from_list,
     weighted_dag_from_matrix,
     weights_from_json,
@@ -21,7 +20,7 @@ from maxoid.tropical import (
     weights_to_matrix_json,
     WeightedDag,
 )
-from oracles import random_weighted_dag
+from oracles import random_weighted_dag, tropical_matmul
 
 
 FIG2 = Dag(4, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)])
