@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
 import os
 from dataclasses import dataclass
 from itertools import combinations
-from multiprocessing import Pool
 
 from .graph import Dag, dag_to_json, transitive_closure
 from .fan import enumerate_maximal_cones
@@ -125,7 +125,11 @@ def _worker(args) -> tuple[dict, dict]:
     graph_json, include_faces = args
     from .graph import dag_from_json
 
-    return graph_json, graph_maxoids(dag_from_json(graph_json), include_faces)
+    try:
+        return graph_json, graph_maxoids(dag_from_json(graph_json), include_faces)
+    except Exception as exc:
+        graph = json.dumps(graph_json, sort_keys=True)
+        raise RuntimeError(f"census failed on graph {graph}: {exc!r}") from exc
 
 
 def census_structures(family: TdagFamily, include_faces: bool = True,
@@ -138,7 +142,9 @@ def census_structures(family: TdagFamily, include_faces: bool = True,
     """
     tasks = [(dag_to_json(g), include_faces) for g in family.graphs]
     if jobs > 1:
-        with Pool(jobs) as pool:
+        # spawn, not fork: a fork taken while another thread holds a lock
+        # copies that lock into the child held, and nobody releases it there
+        with multiprocessing.get_context("spawn").Pool(jobs) as pool:
             results = pool.map(_worker, tasks)
     else:
         results = [_worker(t) for t in tasks]

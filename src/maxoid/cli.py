@@ -175,6 +175,9 @@ def _cmd_implies(args) -> None:
         raise SystemExit(_error("exactly one of --graph or --nodes is required"))
     if args.all_dags and args.posets:
         raise SystemExit(_error("--all-dags and --posets are mutually exclusive"))
+    if args.nodes is not None and args.nodes >= 6 and not args.unbounded:
+        raise SystemExit(_error(f"implication over all graphs on {args.nodes} nodes "
+                                f"is long-running; {LONG_RUN_HINT}"))
     scope = dag_from_json(_load_json(args.graph)) if args.graph else args.nodes
     n = scope.n if isinstance(scope, Dag) else scope
     premises, conclusions = _parse_query(args.query, n)
@@ -267,6 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all-dags", action="store_true", help="global search over all DAGs")
     p.add_argument("--posets", action="store_true",
                    help="global search over transitively closed DAGs only")
+    p.add_argument("--unbounded", action="store_true", help="allow long-running sizes")
     p.set_defaults(func=_cmd_implies)
 
     p = sub.add_parser("axioms", help="closure-property report for a weighted DAG")

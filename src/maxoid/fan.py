@@ -6,7 +6,9 @@ realizable by some generic weight vector spans a full-dimensional open cone;
 the closures of these cones tile R^E and are in bijection with the CI
 structures of generic weights.  Cones are enumerated by a depth-first search
 over per-pair path choices with subpath-consistency and exact feasibility
-pruning, so only realizable systems are ever completed.
+pruning, so only realizable systems are ever completed.  A child node whose
+new rows its parent's witness already satisfies strictly keeps that witness
+and solves no LP.
 """
 
 from __future__ import annotations
@@ -187,7 +189,10 @@ def enumerate_maximal_cones(g: Dag) -> list[FanEntry]:
                 continue
             new_rows = [r for r in _system_rows(g, index, choices, forced, minimal=False)
                         if r not in seen]
-            w = feasible(rows + new_rows, nvars)
+            if witness is not None and all(r.holds_at(witness.point) for r in new_rows):
+                w = witness  # the parent's point lies strictly inside the child too
+            else:
+                w = feasible(rows + new_rows, nvars)
             if w is not None:
                 rows.extend(new_rows)
                 seen.update(new_rows)
@@ -196,7 +201,12 @@ def enumerate_maximal_cones(g: Dag) -> list[FanEntry]:
                 seen.difference_update(new_rows)
             undo(choices, forced)
 
-    dfs(0, {}, [], set(), None)
+    try:
+        dfs(0, {}, [], set(), None)
+    finally:
+        # dfs refers to itself; breaking that cycle frees the search state
+        # on return instead of at the next garbage collection
+        del dfs
     return entries
 
 

@@ -6,6 +6,19 @@ handled by maximizing a shared slack t (capped at 1): the system is strictly
 feasible exactly when the optimum is positive, and the optimal basic solution
 is a reusable interior point.  The simplex uses Bland's rule throughout, so
 it terminates and is deterministic for a fixed input ordering.
+
+The tableau is integer.  Each input row is scaled by the lcm of its
+denominators, a positive factor that keeps its half-space.  The tableau then
+holds Python ints A over one positive common denominator d and stands for the
+rational tableau A/d.  A pivot on p = A[r][j] replaces every other row a, the
+cost row included, by (a*p - a[j]*A[r]) / d and sets d to p, after negating
+row r if p < 0 (integer-preserving pivoting: Edmonds 1967; Bareiss 1968).
+Exactness invariant: every entry of A is, up to sign, a minor of the
+starting integer tableau and d is the absolute determinant of the current
+basis, so each division is exact and no gcd is ever taken.  Since d > 0,
+A/d has the signs of A and ratio tests cross-multiply, so on integer input
+the pivots, and the witness, are those of the same simplex on a Fraction
+tableau.  Fractions appear only in the witness, as z = A[r][-1] / d.
 """
 
 from __future__ import annotations
@@ -110,36 +123,57 @@ class Witness:
         return w
 
 
-def _pivot(T, cost, basis, r, j):
-    piv = T[r][j]
-    T[r] = [x / piv for x in T[r]]
+def _pivot(T, cost, basis, d, r, j):
+    """Integer-preserving pivot on T[r][j] over the common denominator d.
+
+    Every other row a (the cost row too) becomes (a*piv - a[j]*T[r]) // d,
+    an exact division, and piv becomes the new denominator; T[r] itself is
+    kept.  A negative pivot negates the pivot row first, so the denominator
+    stays positive.  Returns the new denominator."""
+    prow = T[r]
+    piv = prow[j]
+    if piv < 0:
+        piv = -piv
+        prow = T[r] = [-x for x in prow]
     for i, row in enumerate(T):
-        if i != r and row[j] != 0:
-            f = row[j]
-            T[i] = [a - f * b for a, b in zip(row, T[r])]
-    if cost[j] != 0:
-        f = cost[j]
-        for k in range(len(cost)):
-            cost[k] -= f * T[r][k]
+        if i != r:
+            T[i] = _combine(row, prow, piv, d, j)
+    cost[:] = _combine(cost, prow, piv, d, j)
     basis[r] = j
+    return piv
 
 
-def _run_simplex(T, cost, basis, allowed_cols):
-    """Minimize, Bland's rule.  Returns True when optimal, False when unbounded."""
+def _combine(row, prow, piv, d, j):
+    """One row of a pivot: (row*piv - row[j]*prow) // d."""
+    f = row[j]
+    if f:
+        return [(a * piv - f * b) // d for a, b in zip(row, prow)]
+    if piv == d:
+        return row
+    return [a * piv // d for a in row]
+
+
+def _run_simplex(T, cost, basis, d, allowed_cols):
+    """Minimize, Bland's rule.  Returns (optimal, denominator); not optimal
+    means unbounded."""
     while True:
         enter = next((j for j in allowed_cols if cost[j] < 0), None)
         if enter is None:
-            return True
-        best_r, best_ratio = None, None
+            return True, d
+        best_r = None
         for r, row in enumerate(T):
-            if row[enter] > 0:
-                ratio = row[-1] / row[enter]
-                if (best_ratio is None or ratio < best_ratio
-                        or (ratio == best_ratio and basis[r] < basis[best_r])):
-                    best_r, best_ratio = r, ratio
+            a = row[enter]
+            if a > 0:
+                if best_r is None:
+                    best_r = r
+                    continue
+                # ratio row[-1]/a against the best ratio, cross-multiplied
+                lhs, rhs = row[-1] * T[best_r][enter], T[best_r][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[r] < basis[best_r]):
+                    best_r = r
         if best_r is None:
-            return False
-        _pivot(T, cost, basis, best_r, enter)
+            return False, d
+        d = _pivot(T, cost, basis, d, best_r, enter)
 
 
 def _direct_basis(rows, rhs, ncols):
@@ -160,9 +194,9 @@ def _direct_basis(rows, rhs, ncols):
     for r in range(m):
         for j in range(ncols):
             if (count[j] == 1 and where[j] == r and j not in used
-                    and abs(rows[r][j]) == 1 and rhs[r] / rows[r][j] >= 0):
+                    and abs(rows[r][j]) == 1 and rhs[r] * rows[r][j] >= 0):
                 s = rows[r][j]
-                T[r] = [x / s for x in rows[r]] + [rhs[r] / s]
+                T[r] = [x * s for x in rows[r]] + [rhs[r] * s]
                 basis[r] = j
                 used.add(j)
                 break
@@ -172,13 +206,15 @@ def _direct_basis(rows, rhs, ncols):
 
 
 def _solve_standard(rows, rhs, objective, ncols):
-    """min objective.z s.t. rows.z = rhs, z >= 0.  Exact two-phase simplex.
+    """min objective.z s.t. rows.z = rhs, z >= 0, all integer.  Exact
+    two-phase simplex on an integer tableau.
 
     Returns (status, z): status "optimal" | "infeasible" | "unbounded".
     """
     m = len(rows)
     if m == 0:
         return "optimal", [ZERO] * ncols
+    d = 1
     direct = _direct_basis(rows, rhs, ncols)
     if direct is not None:
         T, basis = direct
@@ -186,17 +222,17 @@ def _solve_standard(rows, rhs, objective, ncols):
         # phase 1: artificial basis
         T = []
         for r in range(m):
-            row = list(rows[r]) + [ZERO] * m + [rhs[r]]
+            row = list(rows[r]) + [0] * m + [rhs[r]]
             if rhs[r] < 0:
                 row = [-x for x in row]
-            row[ncols + r] = Fraction(1)
+            row[ncols + r] = 1
             T.append(row)
-        cost = [ZERO] * (ncols + m + 1)
+        cost = [0] * (ncols + m + 1)
         for j in range(ncols):
             cost[j] = -sum(row[j] for row in T)
         cost[-1] = -sum(row[-1] for row in T)
         basis = [ncols + r for r in range(m)]
-        _run_simplex(T, cost, basis, range(ncols))
+        _, d = _run_simplex(T, cost, basis, d, range(ncols))
         if cost[-1] != 0:
             return "infeasible", None
         # drive leftover artificials out of the basis, dropping redundant rows
@@ -207,22 +243,22 @@ def _solve_standard(rows, rhs, objective, ncols):
                 if j is None:
                     drop.append(r)
                 else:
-                    _pivot(T, cost, basis, r, j)
+                    d = _pivot(T, cost, basis, d, r, j)
         for r in sorted(drop, reverse=True):
             del T[r], basis[r]
         T = [row[:ncols] + [row[-1]] for row in T]
-    # phase 2
-    cost = list(objective) + [ZERO]
+    # phase 2: reduced costs d*objective - sum of objective[basis[r]] * T[r]
+    cost = [c * d for c in objective] + [0]
     for r, row in enumerate(T):
-        if cost[basis[r]] != 0:
-            f = cost[basis[r]]
-            for k in range(ncols + 1):
-                cost[k] -= f * row[k]
-    if not _run_simplex(T, cost, basis, range(ncols)):
+        f = objective[basis[r]]
+        if f:
+            cost = [a - f * b for a, b in zip(cost, row)]
+    optimal, d = _run_simplex(T, cost, basis, d, range(ncols))
+    if not optimal:
         return "unbounded", None
     z = [ZERO] * ncols
     for r, bv in enumerate(basis):
-        z[bv] = T[r][-1]
+        z[bv] = Fraction(T[r][-1], d)
     return "optimal", z
 
 
@@ -242,34 +278,38 @@ def feasible(system: Sequence[Constraint], nvars: int) -> Witness | None:
     t_pos, t_neg = 2 * nvars, 2 * nvars + 1
     rows, rhs = [], []  # rows hold (coefficients, slack sign); sign 0 means equality
     for con in system:
-        row = [ZERO] * ncols
+        # scale by the lcm of the row's denominators: integer, same half-space
+        const = con.expr.const
+        mult = lcm(const.denominator, *(c.denominator for _, c in con.expr.terms))
+        row = [0] * ncols
         for v, c in con.expr.terms:
-            row[2 * v] += c
-            row[2 * v + 1] -= c
+            a = c.numerator * (mult // c.denominator)
+            row[2 * v] += a
+            row[2 * v + 1] -= a
         if con.rel == ">":
             row[t_pos] -= 1
             row[t_neg] += 1
         rows.append((row, 0 if con.rel == "==" else -1))
-        rhs.append(-con.expr.const)
+        rhs.append(-const.numerator * (mult // const.denominator))
     if strict:
-        cap = [ZERO] * ncols
+        cap = [0] * ncols
         cap[t_pos] += 1
         cap[t_neg] -= 1
         rows.append((cap, 1))
-        rhs.append(Fraction(1))
+        rhs.append(1)
     nslack = sum(1 for _, sign in rows if sign)
     full = []
     k = 0
     for row, sign in rows:
-        ext = row + [ZERO] * nslack
+        ext = row + [0] * nslack
         if sign:
-            ext[ncols + k] = Fraction(sign)
+            ext[ncols + k] = sign
             k += 1
         full.append(ext)
     total = ncols + nslack
-    objective = [ZERO] * total
+    objective = [0] * total
     if strict:
-        objective[t_pos], objective[t_neg] = Fraction(-1), Fraction(1)
+        objective[t_pos], objective[t_neg] = -1, 1
     status, z = _solve_standard(full, rhs, objective, total)
     if status != "optimal":
         return None

@@ -1,9 +1,10 @@
 """Independent test oracles.
 
 Everything here recomputes results from first principles (definitional path
-enumeration, textbook d-separation, Fourier-Motzkin elimination, max-plus
-matrix products, one exact LP per face or per pair of cones) and stays
-independent of the code paths it cross-checks.
+enumeration, textbook d-separation, Fourier-Motzkin elimination, the
+replaced Fraction simplex, max-plus matrix products, one exact LP per face
+or per pair of cones) and stays independent of the code paths it
+cross-checks.
 """
 
 from __future__ import annotations
@@ -11,9 +12,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from typing import Sequence
 
 from maxoid.graph import Dag, enumerate_paths
-from maxoid.linarith import Constraint, LinExpr, feasible, nullspace
+from maxoid.linarith import Constraint, LinExpr, Witness, feasible, nullspace
 from maxoid.separation import Maxoid, maxoid
 from maxoid.tropical import NEG_INF, TropicalMatrix, WeightedDag, path_weight
 
@@ -144,6 +146,173 @@ def fm_feasible(system: list[Constraint], nvars: int) -> bool:
                 rest.append((coeffs, scale_p * bp + scale_n * bn, sp or sn))
         rows = rest
     return tightest(rows) is not None
+
+
+def _fr_pivot(T, cost, basis, r, j):
+    piv = T[r][j]
+    T[r] = [x / piv for x in T[r]]
+    for i, row in enumerate(T):
+        if i != r and row[j] != 0:
+            f = row[j]
+            T[i] = [a - f * b for a, b in zip(row, T[r])]
+    if cost[j] != 0:
+        f = cost[j]
+        for k in range(len(cost)):
+            cost[k] -= f * T[r][k]
+    basis[r] = j
+
+
+def _fr_run_simplex(T, cost, basis, allowed_cols):
+    """Minimize, Bland's rule.  Returns True when optimal, False when unbounded."""
+    while True:
+        enter = next((j for j in allowed_cols if cost[j] < 0), None)
+        if enter is None:
+            return True
+        best_r, best_ratio = None, None
+        for r, row in enumerate(T):
+            if row[enter] > 0:
+                ratio = row[-1] / row[enter]
+                if (best_ratio is None or ratio < best_ratio
+                        or (ratio == best_ratio and basis[r] < basis[best_r])):
+                    best_r, best_ratio = r, ratio
+        if best_r is None:
+            return False
+        _fr_pivot(T, cost, basis, best_r, enter)
+
+
+def _fr_direct_basis(rows, rhs, ncols):
+    """A starting identity basis among +-1 singleton columns, if one exists
+    (always the case for pure inequality systems, whose slack columns
+    qualify); avoids the artificial-variable phase."""
+    m = len(rows)
+    count = [0] * ncols
+    where = [0] * ncols
+    for r in range(m):
+        for j in range(ncols):
+            if rows[r][j] != 0:
+                count[j] += 1
+                where[j] = r
+    T = [None] * m
+    basis = [None] * m
+    used = set()
+    for r in range(m):
+        for j in range(ncols):
+            if (count[j] == 1 and where[j] == r and j not in used
+                    and abs(rows[r][j]) == 1 and rhs[r] / rows[r][j] >= 0):
+                s = rows[r][j]
+                T[r] = [x / s for x in rows[r]] + [rhs[r] / s]
+                basis[r] = j
+                used.add(j)
+                break
+        else:
+            return None
+    return T, basis
+
+
+def _fr_solve_standard(rows, rhs, objective, ncols):
+    """min objective.z s.t. rows.z = rhs, z >= 0.  Exact two-phase simplex.
+
+    Returns (status, z): status "optimal" | "infeasible" | "unbounded".
+    """
+    m = len(rows)
+    if m == 0:
+        return "optimal", [Fraction(0)] * ncols
+    direct = _fr_direct_basis(rows, rhs, ncols)
+    if direct is not None:
+        T, basis = direct
+    else:
+        # phase 1: artificial basis
+        T = []
+        for r in range(m):
+            row = list(rows[r]) + [Fraction(0)] * m + [rhs[r]]
+            if rhs[r] < 0:
+                row = [-x for x in row]
+            row[ncols + r] = Fraction(1)
+            T.append(row)
+        cost = [Fraction(0)] * (ncols + m + 1)
+        for j in range(ncols):
+            cost[j] = -sum(row[j] for row in T)
+        cost[-1] = -sum(row[-1] for row in T)
+        basis = [ncols + r for r in range(m)]
+        _fr_run_simplex(T, cost, basis, range(ncols))
+        if cost[-1] != 0:
+            return "infeasible", None
+        # drive leftover artificials out of the basis, dropping redundant rows
+        drop = []
+        for r in range(m):
+            if basis[r] >= ncols:
+                j = next((j for j in range(ncols) if T[r][j] != 0), None)
+                if j is None:
+                    drop.append(r)
+                else:
+                    _fr_pivot(T, cost, basis, r, j)
+        for r in sorted(drop, reverse=True):
+            del T[r], basis[r]
+        T = [row[:ncols] + [row[-1]] for row in T]
+    # phase 2
+    cost = list(objective) + [Fraction(0)]
+    for r, row in enumerate(T):
+        if cost[basis[r]] != 0:
+            f = cost[basis[r]]
+            for k in range(ncols + 1):
+                cost[k] -= f * row[k]
+    if not _fr_run_simplex(T, cost, basis, range(ncols)):
+        return "unbounded", None
+    z = [Fraction(0)] * ncols
+    for r, bv in enumerate(basis):
+        z[bv] = T[r][-1]
+    return "optimal", z
+
+
+def fraction_feasible(system: Sequence[Constraint], nvars: int) -> Witness | None:
+    """The rational Bland's-rule simplex that linarith.feasible replaced:
+    the same two-phase method on a Fraction tableau.  On integer systems it
+    pivots exactly as feasible does and returns the identical witness."""
+    system = list(system)
+    for con in system:
+        if any(v >= nvars or v < 0 for v, _ in con.expr.terms):
+            raise ValueError(f"constraint {con} references a variable >= nvars={nvars}")
+    strict = any(con.rel == ">" for con in system)
+    # columns: x_v = z[2v] - z[2v+1]; then (t+, t-) if needed; then slacks
+    ncols = 2 * nvars + (2 if strict else 0)
+    t_pos, t_neg = 2 * nvars, 2 * nvars + 1
+    rows, rhs = [], []  # rows hold (coefficients, slack sign); sign 0 means equality
+    for con in system:
+        row = [Fraction(0)] * ncols
+        for v, c in con.expr.terms:
+            row[2 * v] += c
+            row[2 * v + 1] -= c
+        if con.rel == ">":
+            row[t_pos] -= 1
+            row[t_neg] += 1
+        rows.append((row, 0 if con.rel == "==" else -1))
+        rhs.append(-con.expr.const)
+    if strict:
+        cap = [Fraction(0)] * ncols
+        cap[t_pos] += 1
+        cap[t_neg] -= 1
+        rows.append((cap, 1))
+        rhs.append(Fraction(1))
+    nslack = sum(1 for _, sign in rows if sign)
+    full = []
+    k = 0
+    for row, sign in rows:
+        ext = row + [Fraction(0)] * nslack
+        if sign:
+            ext[ncols + k] = Fraction(sign)
+            k += 1
+        full.append(ext)
+    total = ncols + nslack
+    objective = [Fraction(0)] * total
+    if strict:
+        objective[t_pos], objective[t_neg] = Fraction(-1), Fraction(1)
+    status, z = _fr_solve_standard(full, rhs, objective, total)
+    if status != "optimal":
+        return None
+    if strict and z[t_pos] - z[t_neg] <= 0:
+        return None
+    point = [z[2 * v] - z[2 * v + 1] for v in range(nvars)]
+    return Witness.checked(point, system)
 
 
 def random_weighted_dag(rng: random.Random, max_n: int = 5,

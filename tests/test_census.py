@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from maxoid.axioms import check_amalgamation, check_compositional_graphoid, check_strong_spohn
 from maxoid import census
 from maxoid.census import all_maxoids, all_top_ordered_tdags, graph_maxoids
@@ -106,3 +108,13 @@ def test_cache_files_of_another_format_version_are_not_read(tmp_path, monkeypatc
 def test_parallel_census_matches_serial():
     fam = all_top_ordered_tdags(3)
     assert all_maxoids(fam, jobs=2) == all_maxoids(fam, jobs=1)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_failing_graph_is_named(tmp_path, monkeypatch, jobs):
+    # a cache directory that is a regular file makes every graph fail
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("")
+    monkeypatch.setenv("MAXOID_CACHE_DIR", str(blocker))
+    with pytest.raises(RuntimeError, match=r'census failed on graph \{"edges": \[\['):
+        all_maxoids(all_top_ordered_tdags(3), jobs=jobs)

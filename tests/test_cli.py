@@ -91,6 +91,12 @@ def test_census_long_sizes_guarded(files, capsys):
     assert "error" in json.loads(out)
 
 
+def test_implies_long_sizes_guarded(files, capsys):
+    code, out = invoke(capsys, "implies", "--nodes", "6", "1,2|3 => 1,2|3,4")
+    assert code == 2
+    assert "--unbounded" in json.loads(out)["error"]["message"]
+
+
 def test_tdags_command(files, capsys):
     code, out = invoke(capsys, "tdags", "--nodes", "3")
     data = json.loads(out)

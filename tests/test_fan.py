@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -203,3 +205,18 @@ def test_fan_matches_direct_maxoid_on_random_weights():
 
         if is_generic(wd):
             assert maxoid(wd) in enumerated
+
+
+def test_search_state_is_freed_on_return():
+    # without the cyclic garbage collector, the entries are freed as soon as
+    # the caller drops them: nothing of the search keeps them alive
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        entries = enumerate_maximal_cones(complete_dag(4))
+        ref = weakref.ref(entries[0])
+        del entries
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()

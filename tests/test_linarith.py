@@ -14,7 +14,7 @@ from maxoid.linarith import (
     pivot_columns,
     rank_of,
 )
-from oracles import fm_feasible
+from oracles import fm_feasible, fraction_feasible
 
 
 def expr(coeffs, const=0):
@@ -99,16 +99,21 @@ def test_negated():
 
 
 @st.composite
-def small_systems(draw):
+def small_systems(draw, rational=False, relations=(">", ">=", "==")):
+    """Systems of up to 6 rows in up to 4 variables with small integer
+    entries, or small rational ones when rational is set."""
     nvars = draw(st.integers(min_value=1, max_value=4))
     nrows = draw(st.integers(min_value=1, max_value=6))
+
+    def entry(bound):
+        num = draw(st.integers(min_value=-bound, max_value=bound))
+        return Fraction(num, draw(st.sampled_from([1, 2, 3, 6]))) if rational else num
+
     rows = []
     for _ in range(nrows):
-        coeffs = {
-            v: draw(st.integers(min_value=-3, max_value=3)) for v in range(nvars)
-        }
-        const = draw(st.integers(min_value=-4, max_value=4))
-        rel = draw(st.sampled_from([">", ">=", "=="]))
+        coeffs = {v: entry(3) for v in range(nvars)}
+        const = entry(4)
+        rel = draw(st.sampled_from(list(relations)))
         rows.append(Constraint(LinExpr.build(coeffs, const), rel))
     return rows, nvars
 
@@ -121,6 +126,67 @@ def test_agrees_with_fourier_motzkin(case):
     assert (w is not None) == fm_feasible(system, nvars)
     if w is not None:
         assert all(con.holds_at(w.point) for con in system)
+
+
+@given(small_systems())
+@settings(max_examples=200, deadline=None)
+def test_integer_systems_match_the_fraction_simplex(case):
+    # the integer tableau takes the same pivots, so the witness is identical
+    system, nvars = case
+    assert feasible(system, nvars) == fraction_feasible(system, nvars)
+
+
+@given(small_systems(relations=("==", "==", ">=")))
+@settings(max_examples=150, deadline=None)
+def test_equality_systems_match_the_fraction_simplex(case):
+    # equality rows have no slack column, so these take the artificial phase
+    system, nvars = case
+    assert feasible(system, nvars) == fraction_feasible(system, nvars)
+
+
+@given(small_systems(rational=True))
+@settings(max_examples=150, deadline=None)
+def test_rational_systems_agree_with_the_fraction_simplex(case):
+    system, nvars = case
+    w = feasible(system, nvars)
+    assert (w is None) == (fraction_feasible(system, nvars) is None)
+    if w is not None:
+        assert all(con.holds_at(w.point) for con in system)
+
+
+@pytest.mark.parametrize("system, nvars", [
+    # an artificial left basic at level zero leaves on a negative pivot
+    ([eq({0: -1}), ge({0: 2})], 1),
+    ([eq({0: 1}), eq({0: -1, 1: 2}, -2), ge({0: 2}), ge({1: 1})], 2),
+    ([gt({0: -2, 1: -2}, -2), ge({1: 1}), eq({1: -1})], 2),
+    ([eq({0: -2}, 1), gt({0: -2}, -2), ge({0: 2}, -1)], 1),
+    # a redundant equality row is dropped after phase 1
+    ([eq({0: 1, 1: 1}, -2), eq({0: 2, 1: 2}, -4), gt({0: 1, 1: -1})], 2),
+    ([eq({}, 0), gt({0: 1})], 1),
+    # inconsistent equalities
+    ([eq({0: 1, 1: -1}, 3), eq({0: -1, 1: 1}, 3)], 2),
+    # a solution with denominator 3
+    ([eq({0: 3}, -2), gt({0: 1})], 1),
+    # ties in the ratio test, broken by Bland's rule
+    ([gt({0: 2, 1: 1}), gt({0: 1, 1: 1})], 2),
+    ([gt({1: -1}), gt({0: 2, 1: -2})], 2),
+])
+def test_fraction_simplex_cases(system, nvars):
+    w = feasible(system, nvars)
+    assert w == fraction_feasible(system, nvars)
+    assert (w is not None) == fm_feasible(system, nvars)
+
+
+def test_fan_cone_systems_match_the_fraction_simplex():
+    # homogeneous path-comparison rows tie often in the ratio test
+    from maxoid.fan import enumerate_maximal_cones
+    from maxoid.graph import Dag
+    from oracles import complete_dag
+
+    for g in (complete_dag(4), Dag(5, [(1, 2), (1, 3), (1, 5), (2, 4), (2, 5), (3, 4), (4, 5)])):
+        for e in enumerate_maximal_cones(g):
+            system = e.cone.strict
+            assert feasible(system, e.cone.nvars) == fraction_feasible(system, e.cone.nvars)
 
 
 def test_rank_and_affine_dimension():
