@@ -28,7 +28,7 @@ from .separation import Maxoid
 CACHE_ENV = "MAXOID_CACHE_DIR"
 # Raise whenever what a cache file holds, or how it is computed, changes:
 # files written under another version are then never read.
-CACHE_FORMAT = 1
+CACHE_FORMAT = 2
 
 
 @dataclass

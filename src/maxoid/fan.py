@@ -8,17 +8,19 @@ structures of generic weights.  Cones are enumerated by a depth-first search
 over per-pair path choices with subpath-consistency and exact feasibility
 pruning, so only realizable systems are ever completed.  A child node whose
 new rows its parent's witness already satisfies strictly keeps that witness
-and solves no LP.
+and solves no LP.  A cone's CI structure is read off its chosen paths, which
+are the critical paths of every weight vector in it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .graph import Dag, Path, enumerate_paths
 from .linarith import Constraint, LinExpr, Witness, feasible, rank_of
-from .separation import Maxoid, maxoid
+from .separation import Maxoid, interior_mask, maxoid_from_blockers
 from .tropical import WeightedDag, critical_paths, is_generic
 
 
@@ -43,6 +45,13 @@ class CriticalSystem:
 
     def path(self, i: int, j: int) -> Path:
         return self.as_dict()[(i, j)]
+
+    @cached_property
+    def blockers(self) -> dict[tuple[int, int], int]:
+        """interior_mask of each chosen path: under weights of the open cone
+        the critical k->l path is the chosen one, so these are the blocker
+        sets of separation.maxoid_from_blockers."""
+        return {key: interior_mask(path) for key, path in self.choices}
 
 
 @dataclass(frozen=True)
@@ -106,29 +115,18 @@ def cone_of(wd: WeightedDag, minimal: bool = False) -> ConeDescription:
     seen = set()
     for i, j in _connected_pairs(g):
         crit = critical_paths(wd, i, j)[0]
-        for p in enumerate_paths(g, i, j):
-            if p == crit:
-                continue
-            if minimal and not _internally_disjoint(crit, p):
-                continue
-            row = _path_comparison(index, crit, p)
+        for row in _pair_rows(g, index, (i, j), crit, minimal):
             if row not in seen:
                 seen.add(row)
                 rows.append(row)
     return ConeDescription(tuple(rows), len(index))
 
 
-def _system_rows(g: Dag, index, choices: dict, keys, minimal: bool) -> list[Constraint]:
-    rows = []
-    for key in keys:
-        chosen = choices[key]
-        for p in enumerate_paths(g, *key):
-            if p == chosen:
-                continue
-            if minimal and not _internally_disjoint(chosen, p):
-                continue
-            rows.append(_path_comparison(index, chosen, p))
-    return rows
+def _pair_rows(g: Dag, index, key, chosen: Path, minimal: bool) -> list[Constraint]:
+    """One strict row per key path other than chosen that chosen must beat;
+    with minimal=True only the internally disjoint ones."""
+    return [_path_comparison(index, chosen, p) for p in enumerate_paths(g, *key)
+            if p != chosen and (not minimal or _internally_disjoint(chosen, p))]
 
 
 def enumerate_maximal_cones(g: Dag) -> list[FanEntry]:
@@ -141,6 +139,16 @@ def enumerate_maximal_cones(g: Dag) -> list[FanEntry]:
     pairs = _connected_pairs(g)
     path_lists = {pq: enumerate_paths(g, *pq) for pq in pairs}
     entries: list[FanEntry] = []
+    row_memo: dict[tuple, list[Constraint]] = {}
+
+    def system_rows(choices: dict, keys, minimal: bool) -> list[Constraint]:
+        rows = []
+        for key in keys:
+            memo_key = (key, choices[key], minimal)
+            if memo_key not in row_memo:
+                row_memo[memo_key] = _pair_rows(g, index, key, choices[key], minimal)
+            rows.extend(row_memo[memo_key])
+        return rows
 
     def propagate(choices: dict, key, path: Path):
         """Assign path to key and force all sub-pair choices; None on clash."""
@@ -166,16 +174,12 @@ def enumerate_maximal_cones(g: Dag) -> list[FanEntry]:
         if idx == len(pairs):
             if witness is None:
                 witness = feasible([], nvars)
-            minimal = _system_rows(g, index, choices, pairs, minimal=True)
-            dedup: list[Constraint] = []
-            for r in minimal:
-                if r not in dedup:
-                    dedup.append(r)
-            wd = WeightedDag(g, dict(zip(g.sorted_edges, witness.point)))
+            minimal = dict.fromkeys(system_rows(choices, pairs, minimal=True))
+            system = CriticalSystem.from_dict(choices)
             entries.append(FanEntry(
-                system=CriticalSystem.from_dict(choices),
-                cone=ConeDescription(tuple(dedup), nvars),
-                maxoid=maxoid(wd),
+                system=system,
+                cone=ConeDescription(tuple(minimal), nvars),
+                maxoid=maxoid_from_blockers(g.n, system.blockers),
                 witness=witness,
             ))
             return
@@ -187,7 +191,7 @@ def enumerate_maximal_cones(g: Dag) -> list[FanEntry]:
             forced = propagate(choices, key, path)
             if forced is None:
                 continue
-            new_rows = [r for r in _system_rows(g, index, choices, forced, minimal=False)
+            new_rows = [r for r in system_rows(choices, forced, minimal=False)
                         if r not in seen]
             if witness is not None and all(r.holds_at(witness.point) for r in new_rows):
                 w = witness  # the parent's point lies strictly inside the child too

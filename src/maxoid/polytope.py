@@ -24,9 +24,8 @@ from math import gcd, lcm
 
 from .graph import Dag
 from .linarith import affine_dimension, independent_rows, pivot_columns
-from .separation import Maxoid, maxoid
+from .separation import Maxoid, maxoid_from_blockers
 from .fan import FanEntry, CriticalSystem, enumerate_maximal_cones
-from .tropical import WeightedDag
 
 
 @dataclass(frozen=True)
@@ -251,13 +250,16 @@ def f_vector(points: list[PolytopePoint]) -> tuple[int, ...]:
 
 def face_maxoid(g: Dag, face: Face, entries: list[FanEntry],
                 points: list[tuple[CriticalSystem, PolytopePoint]] | None = None) -> Maxoid:
-    """CI structure attached to a face: its normal vector, which lies in the
-    relative interior of the face's normal cone, interpreted as a weight
-    vector.
+    """CI structure attached to a face: that of its normal vector, which lies
+    in the relative interior of the face's normal cone, as a weight vector.
 
-    Valid for tied weights, since separation needs no genericity.  The
-    normal is re-verified exactly (equal on the face's vertices, smaller on
-    all others); raises when it fails or the face carries no normal.
+    The polytope is the Minkowski sum of one path polytope per connected
+    pair, so the critical k->l paths under the normal are exactly the paths
+    the face's vertices choose for (k, l): the blocker sets are the unions of
+    the vertices' ones.  Valid for tied weights, since separation needs no
+    genericity.  The normal is re-verified exactly (equal on the face's
+    vertices, smaller on all others); raises when it fails or the face
+    carries no normal.
     """
     if face.normal is None:
         raise ValueError("face has no normal vector; take faces from face_lattice")
@@ -267,7 +269,11 @@ def face_maxoid(g: Dag, face: Face, entries: list[FanEntry],
     best = max(scores)
     if frozenset(u for u, v in enumerate(scores) if v == best) != face.vertices:
         raise ValueError("vertex set is not a face of the polytope")
-    return maxoid(WeightedDag(g, dict(zip(g.sorted_edges, face.normal))))
+    blockers: dict[tuple[int, int], int] = {}
+    for u in face.vertices:
+        for key, mask in points[u][0].blockers.items():
+            blockers[key] = blockers.get(key, 0) | mask
+    return maxoid_from_blockers(g.n, blockers)
 
 
 def cone_adjacency(g: Dag, entries: list[FanEntry]) -> list[tuple[int, int]]:

@@ -1,11 +1,17 @@
 """Separation in weighted DAGs via critical paths.
 
-The critical DAG of (G, C) given a blocking set L keeps an edge i->j exactly
-when some directed i->j path exists and no maximum-weight i->j path passes
-through L (interior nodes only).  Two nodes are separated given L when the
-critical DAG contains none of five short connecting shapes between them; the
-set of all such separation statements is the CI structure of the weighted
-DAG.  Everything here is exact and valid for arbitrary (also tied) weights.
+The critical DAG of (G, C) given a blocking set L keeps an edge k->l exactly
+when some directed k->l path exists and no maximum-weight k->l path passes
+through L (interior nodes only).  So it depends on the weights only through
+the blocker sets B_kl, the interior nodes of the critical k->l paths: k->l
+is kept exactly when L misses B_kl.  Two nodes are separated given L when
+the critical DAG contains none of five short connecting shapes between
+them; the set of all such separation statements is the CI structure of the
+weighted DAG.  maxoid_from_blockers computes it from the sets B_kl held as
+int bitmasks.  maxoid reads them off the Kleene star once; the fan and the
+polytope pass a cone's chosen paths or the union of a face's vertices'
+paths.  Everything here is exact and valid for arbitrary (also tied)
+weights.
 """
 
 from __future__ import annotations
@@ -13,8 +19,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 from .graph import Dag, Path, enumerate_paths, transitive_closure
 from .tropical import (
@@ -129,17 +136,94 @@ class Maxoid:
         return cls(n, (parse_ci_statement(t, n) for t in items))
 
 
-def _critical_edges(g: Dag, star_proper, L: frozenset[int]) -> set[tuple[int, int]]:
-    """Edges of the critical DAG: reachability plus the interior-blocking test
-    A_il + A_lj < A_ij for every l in L off the endpoints."""
-    edges = set()
-    a = star_proper
-    for i in g.nodes:
-        for j in g.descendants(i):
-            aij = a.entry(i, j)
-            if all(a.entry(i, l) + a.entry(l, j) < aij for l in L if l != i and l != j):
-                edges.add((i, j))
-    return edges
+def interior_mask(path: Path) -> int:
+    """Bitmask of a path's interior nodes: bit v set for node v."""
+    mask = 0
+    for v in path[1:-1]:
+        mask |= 1 << v
+    return mask
+
+
+def _blocker_sets(wd: WeightedDag) -> dict[tuple[int, int], int]:
+    """B_kl for every connected pair k->l, as an interior_mask: the nodes m
+    with A_km + A_ml = A_kl, A the proper Kleene star, i.e. the interior
+    nodes of the critical k->l paths (the star's -inf diagonal leaves k and
+    l out)."""
+    a = kleene_star(wd, proper=True)
+    nodes = wd.g.nodes
+    blockers = {}
+    for k in nodes:
+        for l in wd.g.descendants(k):
+            akl = a.entry(k, l)
+            blockers[(k, l)] = sum(1 << m for m in nodes
+                                   if a.entry(k, m) + a.entry(m, l) == akl)
+    return blockers
+
+
+def _mask(nodes: Iterable[int]) -> int:
+    return sum(1 << v for v in nodes)
+
+
+@lru_cache(maxsize=None)
+def _statements_by_subset(n: int) -> tuple[tuple[int, tuple[CiStatement, ...]], ...]:
+    """Per subset L of 1..n: its bitmask and every statement (i, j | L)."""
+    nodes = range(1, n + 1)
+    table = []
+    for size in range(n + 1):
+        for L in combinations(nodes, size):
+            Ls = frozenset(L)
+            rest = [v for v in nodes if v not in Ls]
+            table.append((_mask(L), tuple(CiStatement(i, j, Ls)
+                                          for i, j in combinations(rest, 2))))
+    return tuple(table)
+
+
+def _separated(n: int, blockers, L: int, statements) -> Iterator[CiStatement]:
+    """The statements, all conditioned on the bitmask L, whose endpoints no
+    connecting shape joins in the critical DAG given L.
+
+    The five shapes: (a) an edge between i and j; (b) a common parent p;
+    (c) a common child l; (d) p -> i, p -> l <- j or its mirror image;
+    (e) p -> i, p -> l <- q, q -> j.  Colliders l lie in L, the outer
+    parents p, q do not.  The shapes' distinctness conditions need no test:
+    i, j and the parents lie outside L and the colliders inside it, p = j or
+    q = i would be shape (a), and p = q shape (b).
+    """
+    # critical edges given L with their tail outside L: no shape uses others
+    edges = [(k, l) for (k, l), b in blockers.items() if not (b | 1 << k) & L]
+    children = [0] * (n + 1)
+    parents = [0] * (n + 1)
+    for k, l in edges:
+        children[k] |= 1 << l
+        parents[l] |= 1 << k
+    # colliders in L below each node, and below any of its parents
+    below = [c & L for c in children]
+    via = [0] * (n + 1)
+    for k, l in edges:
+        via[l] |= below[k]
+    for s in statements:
+        i, j = s.i, s.j
+        if (children[i] >> j | children[j] >> i) & 1:  # (a)
+            continue
+        if parents[i] & parents[j]:  # (b)
+            continue
+        if below[i] & below[j]:  # (c)
+            continue
+        if via[i] & below[j] or below[i] & via[j]:  # (d)
+            continue
+        if via[i] & via[j]:  # (e)
+            continue
+        yield s
+
+
+def maxoid_from_blockers(n: int, blockers: Mapping[tuple[int, int], int]) -> Maxoid:
+    """All separation statements on 1..n of the critical DAGs whose edges
+    k->l are the keys of blockers, each kept given L exactly when L misses
+    the bitmask blockers[(k, l)]."""
+    stmts = []
+    for L, statements in _statements_by_subset(n):
+        stmts.extend(_separated(n, blockers, L, statements))
+    return Maxoid(n, stmts)
 
 
 def critical_dag(wd: WeightedDag, L: Iterable[int]) -> Dag:
@@ -147,81 +231,19 @@ def critical_dag(wd: WeightedDag, L: Iterable[int]) -> Dag:
     Ls = frozenset(L)
     if not Ls <= set(wd.g.nodes):
         raise ValueError("blocking set must consist of graph nodes")
-    return Dag(wd.g.n, _critical_edges(wd.g, kleene_star(wd, proper=True), Ls))
-
-
-def _star_connected(children: dict[int, set[int]], parents: dict[int, set[int]],
-                    i: int, j: int, L: frozenset[int]) -> bool:
-    """Search the five connecting shapes between i and j in a critical DAG.
-
-    Colliders must lie in L, the outer parents p, q must not; all shape nodes
-    are pairwise distinct and distinct from i and j.
-    """
-    # (a) direct edge, either direction
-    if j in children[i] or i in children[j]:
-        return True
-    # (b) common parent p outside L
-    for p in parents[i] & parents[j]:
-        if p not in L:
-            return True
-    # (c) common collider l inside L
-    for l in children[i] & children[j]:
-        if l in L:
-            return True
-    # (d) p -> i, p -> l <- j and the mirror image
-    for x, y in ((i, j), (j, i)):
-        for p in parents[x]:
-            if p in L or p == y:
-                continue
-            for l in children[p] & children[y]:
-                if l in L and l != x:
-                    return True
-    # (e) p -> i, p -> l <- q, q -> j
-    for p in parents[i]:
-        if p in L or p == j:
-            continue
-        for q in parents[j]:
-            if q in L or q == i or q == p:
-                continue
-            for l in children[p] & children[q]:
-                if l in L and l != i and l != j:
-                    return True
-    return False
-
-
-def _adjacency(n: int, edges: set[tuple[int, int]]):
-    children: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
-    parents: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
-    for u, v in edges:
-        children[u].add(v)
-        parents[v].add(u)
-    return children, parents
+    mask = _mask(Ls)
+    return Dag(wd.g.n, [e for e, b in _blocker_sets(wd).items() if not b & mask])
 
 
 def c_star_separated(wd: WeightedDag, s: CiStatement) -> bool:
     """Whether the statement's endpoints are separated given s.L in (G, C)."""
-    edges = _critical_edges(wd.g, kleene_star(wd, proper=True), s.L)
-    children, parents = _adjacency(wd.g.n, edges)
-    return not _star_connected(children, parents, s.i, s.j, s.L)
+    return any(_separated(wd.g.n, _blocker_sets(wd), _mask(s.L), [s]))
 
 
 def maxoid(wd: WeightedDag) -> Maxoid:
     """All separation statements of the weighted DAG, over every pair and
     every conditioning subset."""
-    g = wd.g
-    star = kleene_star(wd, proper=True)
-    nodes = list(g.nodes)
-    stmts = []
-    for size in range(0, g.n + 1):
-        for L in combinations(nodes, size):
-            Ls = frozenset(L)
-            edges = _critical_edges(g, star, Ls)
-            children, parents = _adjacency(g.n, edges)
-            rest = [v for v in nodes if v not in Ls]
-            for i, j in combinations(rest, 2):
-                if not _star_connected(children, parents, i, j, Ls):
-                    stmts.append(CiStatement(i, j, Ls))
-    return Maxoid(g.n, stmts)
+    return maxoid_from_blockers(wd.g.n, _blocker_sets(wd))
 
 
 def derive_set_statement(m: Maxoid, I: Iterable[int], J: Iterable[int],

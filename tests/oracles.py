@@ -2,8 +2,8 @@
 
 Everything here recomputes results from first principles (definitional path
 enumeration, textbook d-separation, Fourier-Motzkin elimination, the
-replaced Fraction simplex, max-plus matrix products, one exact LP per face
-or per pair of cones) and stays independent of the code paths it
+replaced Fraction simplex, the replaced per-subset Kleene-star separation,
+max-plus matrix products, one exact LP per face or per pair of cones) and stays independent of the code paths it
 cross-checks.
 """
 
@@ -16,8 +16,8 @@ from typing import Sequence
 
 from maxoid.graph import Dag, enumerate_paths
 from maxoid.linarith import Constraint, LinExpr, Witness, feasible, nullspace
-from maxoid.separation import Maxoid, maxoid
-from maxoid.tropical import NEG_INF, TropicalMatrix, WeightedDag, path_weight
+from maxoid.separation import CiStatement, Maxoid
+from maxoid.tropical import NEG_INF, TropicalMatrix, WeightedDag, kleene_star, path_weight
 
 
 def critical_dag_by_paths(wd: WeightedDag, L: frozenset[int]) -> set[tuple[int, int]]:
@@ -41,6 +41,92 @@ def critical_dag_by_paths(wd: WeightedDag, L: frozenset[int]) -> set[tuple[int, 
             if not blocked:
                 edges.add((i, j))
     return edges
+
+
+def kleene_critical_edges(wd: WeightedDag, L: frozenset[int]) -> set[tuple[int, int]]:
+    """Edges of the critical DAG from the proper Kleene star A: reachability
+    plus the interior-blocking test A_il + A_lj < A_ij for every l in L off
+    the endpoints."""
+    edges = set()
+    a = kleene_star(wd, proper=True)
+    for i in wd.g.nodes:
+        for j in wd.g.descendants(i):
+            aij = a.entry(i, j)
+            if all(a.entry(i, l) + a.entry(l, j) < aij for l in L if l != i and l != j):
+                edges.add((i, j))
+    return edges
+
+
+def _star_connected(children: dict[int, set[int]], parents: dict[int, set[int]],
+                    i: int, j: int, L: frozenset[int]) -> bool:
+    """Search the five connecting shapes between i and j in a critical DAG.
+
+    Colliders must lie in L, the outer parents p, q must not; all shape nodes
+    are pairwise distinct and distinct from i and j.
+    """
+    # (a) direct edge, either direction
+    if j in children[i] or i in children[j]:
+        return True
+    # (b) common parent p outside L
+    for p in parents[i] & parents[j]:
+        if p not in L:
+            return True
+    # (c) common collider l inside L
+    for l in children[i] & children[j]:
+        if l in L:
+            return True
+    # (d) p -> i, p -> l <- j and the mirror image
+    for x, y in ((i, j), (j, i)):
+        for p in parents[x]:
+            if p in L or p == y:
+                continue
+            for l in children[p] & children[y]:
+                if l in L and l != x:
+                    return True
+    # (e) p -> i, p -> l <- q, q -> j
+    for p in parents[i]:
+        if p in L or p == j:
+            continue
+        for q in parents[j]:
+            if q in L or q == i or q == p:
+                continue
+            for l in children[p] & children[q]:
+                if l in L and l != i and l != j:
+                    return True
+    return False
+
+
+def _adjacency(n: int, edges: set[tuple[int, int]]):
+    children: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
+    parents: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
+    for u, v in edges:
+        children[u].add(v)
+        parents[v].add(u)
+    return children, parents
+
+
+def kleene_separated(wd: WeightedDag, s: CiStatement) -> bool:
+    """Separation of s's endpoints given s.L by the replaced engine: the
+    critical DAG from kleene_critical_edges, then a set-based shape search."""
+    children, parents = _adjacency(wd.g.n, kleene_critical_edges(wd, s.L))
+    return not _star_connected(children, parents, s.i, s.j, s.L)
+
+
+def kleene_maxoid(wd: WeightedDag) -> Maxoid:
+    """The replaced maxoid engine: one Fraction critical DAG per conditioning
+    subset L, then the set-based shape search on every pair outside L."""
+    g = wd.g
+    nodes = list(g.nodes)
+    stmts = []
+    for size in range(0, g.n + 1):
+        for L in combinations(nodes, size):
+            Ls = frozenset(L)
+            children, parents = _adjacency(g.n, kleene_critical_edges(wd, Ls))
+            rest = [v for v in nodes if v not in Ls]
+            for i, j in combinations(rest, 2):
+                if not _star_connected(children, parents, i, j, Ls):
+                    stmts.append(CiStatement(i, j, Ls))
+    return Maxoid(g.n, stmts)
 
 
 def _undirected_simple_paths(g: Dag, i: int, j: int):
@@ -393,7 +479,7 @@ def lp_face_maxoid(g: Dag, face, points) -> Maxoid:
         ok = val == score if u in face.vertices else val < score
         if not ok:
             raise AssertionError("normal-cone functional failed exact re-verification")
-    return maxoid(WeightedDag(g, dict(zip(g.sorted_edges, c))))
+    return kleene_maxoid(WeightedDag(g, dict(zip(g.sorted_edges, c))))
 
 
 def lp_cone_adjacency(entries) -> list[tuple[int, int]]:

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import maxoid
 from maxoid.cli import run
 
 
@@ -164,3 +168,16 @@ def test_dot_export(files, capsys, tmp_path):
     code, _ = invoke(capsys, "maxoid", files["dag"], files["weights"], "--dot", str(dot))
     assert code == 0
     assert "1 -> 2;" in dot.read_text()
+
+
+@pytest.mark.parametrize("module", ["maxoid", "maxoid.cli"])
+def test_python_dash_m_prints_what_run_prints(capsys, module):
+    _, expected = invoke(capsys, "tdags", "--nodes", "3")
+    src = os.path.dirname(os.path.dirname(maxoid.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-m", module, "tdags", "--nodes", "3"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected
+    assert json.loads(proc.stdout)["count"] == 3

@@ -1,11 +1,15 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maxoid.census import all_top_ordered_tdags
+from maxoid.fan import enumerate_maximal_cones
 from maxoid.graph import Dag
+from maxoid.polytope import face_lattice, face_maxoid, polytope_vertices
 from maxoid.separation import (
     CiStatement,
     Maxoid,
@@ -19,7 +23,15 @@ from maxoid.separation import (
     weighted_transitive_reduction,
 )
 from maxoid.tropical import WeightedDag, critical_paths, is_generic, weighted_dag_from_list
-from oracles import critical_dag_by_paths, d_separated, random_weighted_dag
+from oracles import (
+    complete_dag,
+    critical_dag_by_paths,
+    d_separated,
+    kleene_critical_edges,
+    kleene_maxoid,
+    kleene_separated,
+    random_weighted_dag,
+)
 
 DIAMOND = Dag(4, [(1, 2), (1, 3), (2, 4), (3, 4)])
 FIG2 = Dag(4, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)])
@@ -248,8 +260,6 @@ def test_maxoid_contains_all_d_separations(seed):
 
 
 def _all_statements(nodes):
-    from itertools import combinations
-
     for i, j in combinations(nodes, 2):
         rest = [v for v in nodes if v != i and v != j]
         for size in range(len(rest) + 1):
@@ -260,3 +270,55 @@ def _all_statements(nodes):
 def test_maxoid_json_round_trip():
     m = maxoid(diamond_wd(True))
     assert Maxoid.from_json(4, m.to_json()) == m
+
+
+def _cone_and_face_structures(g):
+    """(structure, oracle structure) for every maximal cone, read off its
+    chosen paths, and every face, read off its vertices' paths; the oracle
+    runs on the cone's witness or the face's normal as weights."""
+    entries = enumerate_maximal_cones(g)
+    pts = polytope_vertices(g, entries)
+    for e in entries:
+        yield e.maxoid, kleene_maxoid(weighted_dag_from_list(g, e.witness.point))
+    for f in face_lattice([p for _, p in pts]).faces:
+        yield (face_maxoid(g, f, entries, pts),
+               kleene_maxoid(weighted_dag_from_list(g, f.normal)))
+
+
+def test_cone_and_face_structures_match_oracle_on_four_node_tdags():
+    graphs = all_top_ordered_tdags(4).graphs
+    assert len(graphs) == 18
+    for g in graphs:
+        for got, expected in _cone_and_face_structures(g):
+            assert got == expected, g.sorted_edges
+
+
+def test_cone_and_face_structures_match_oracle_on_complete_5():
+    count = 0
+    for got, expected in _cone_and_face_structures(complete_dag(5)):
+        assert got == expected
+        count += 1
+    assert count == 103 + 1317
+
+
+def test_maxoid_matches_oracle_on_random_tied_weights():
+    rng = random.Random(20)
+    tied = 0
+    for _ in range(500):
+        wd = random_weighted_dag(rng, max_n=6)
+        assert maxoid(wd) == kleene_maxoid(wd), wd
+        tied += not is_generic(wd)
+    assert tied > 50
+
+
+def test_critical_dag_and_separation_match_oracle_on_random_tied_weights():
+    rng = random.Random(21)
+    for _ in range(120):
+        wd = random_weighted_dag(rng, max_n=6)
+        nodes = list(wd.g.nodes)
+        m = maxoid(wd)
+        for size in range(len(nodes) + 1):
+            for L in map(frozenset, combinations(nodes, size)):
+                assert critical_dag(wd, L).edges == kleene_critical_edges(wd, L), (wd, L)
+        for s in _all_statements(nodes):
+            assert c_star_separated(wd, s) == kleene_separated(wd, s) == (s in m), (wd, s)
