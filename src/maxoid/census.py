@@ -20,7 +20,7 @@ import os
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graph import Dag, dag_to_json, transitive_closure
+from .graph import Dag, acyclic_edge_sets, dag_to_json
 from .fan import enumerate_maximal_cones
 from .polytope import face_lattice, face_maxoid, polytope_vertices
 from .separation import Maxoid
@@ -59,14 +59,8 @@ def all_top_ordered_tdags(n: int) -> TdagFamily:
     if n < 1:
         raise ValueError("need at least one node")
     pairs = list(combinations(range(1, n + 1), 2))
-    graphs = []
-    for mask in range(1 << len(pairs)):
-        edges = [pairs[k] for k in range(len(pairs)) if mask >> k & 1]
-        if not _weakly_connected(n, edges):
-            continue
-        g = Dag(n, edges)
-        if transitive_closure(g) == g:
-            graphs.append(g)
+    graphs = [Dag(n, edges) for edges, closure in acyclic_edge_sets(n, pairs)
+              if len(edges) == len(closure) and _weakly_connected(n, edges)]
     return TdagFamily(n, graphs)
 
 
@@ -109,8 +103,9 @@ def graph_maxoids(g: Dag, include_faces: bool) -> dict[str, list[list[str]] | No
             points = polytope_vertices(g, entries)
             lattice = face_lattice([p for _, p in points])
             # dimension-0 faces duplicate the generic structures, skip them
+            memo: dict = {}
             data["faces"] = [
-                face_maxoid(g, f, entries, points).to_json()
+                face_maxoid(g, f, entries, points, memo).to_json()
                 for f in lattice.faces if f.dim >= 1
             ]
         if path:

@@ -132,8 +132,9 @@ def _cmd_polytope(args) -> None:
         "faces": [{"dim": f.dim, "vertices": sorted(f.vertices)} for f in lattice.faces],
     }
     if args.face_maxoids:
+        memo: dict = {}
         data["face_maxoids"] = [
-            face_maxoid(g, f, entries, points).to_json() for f in lattice.faces
+            face_maxoid(g, f, entries, points, memo).to_json() for f in lattice.faces
         ]
     if args.hasse_dot:
         with open(args.hasse_dot, "w") as fh:

@@ -9,7 +9,7 @@ of nodes.
 from __future__ import annotations
 
 import json
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 Edge = tuple[int, int]
 Path = tuple[int, ...]
@@ -156,6 +156,44 @@ def transitive_closure(g: Dag) -> Dag:
     """The DAG with an edge (i,j) exactly when a directed i->j path exists in g."""
     edges = [(u, v) for u in g.nodes for v in g.descendants(u)]
     return Dag(g.n, edges)
+
+
+def add_reach(reach: tuple[int, ...], u: int, v: int) -> tuple[int, ...] | None:
+    """Reachability after adding the edge u->v, or None when it closes a
+    cycle.  reach[x] is the int bitmask (bit y for node y) of the nodes
+    reachable from x by a nonempty path; index 0 is unused."""
+    if reach[v] >> u & 1:
+        return None
+    gain = 1 << v | reach[v]
+    return tuple(r | gain if x == u or r >> u & 1 else r for x, r in enumerate(reach))
+
+
+def acyclic_edge_sets(n: int, pairs: Sequence[Edge]
+                      ) -> Iterator[tuple[tuple[Edge, ...], tuple[Edge, ...]]]:
+    """Every acyclic subset of pairs, as (its edges, its transitive
+    closure's edges), both in sorted order when pairs is sorted.
+
+    Subsets come in increasing order of their bitmask, bit k standing for
+    pairs[k]: a depth-first walk decides the bits from the highest down,
+    absent before present, and carries the reachability bitmasks of
+    add_reach, so an edge that would close a cycle is pruned together with
+    every subset below it.
+    """
+    successors = [tuple(y for y in range(n + 1) if mask >> y & 1)
+                  for mask in range(1 << (n + 1))]
+    stack: list[tuple[int, tuple[int, ...], tuple[Edge, ...]]] = [
+        (len(pairs), (0,) * (n + 1), ())]
+    while stack:
+        k, reach, edges = stack.pop()
+        if not k:
+            yield edges, tuple((x, y) for x in range(1, n + 1) for y in successors[reach[x]])
+            continue
+        k -= 1
+        u, v = pairs[k]
+        grown = add_reach(reach, u, v)
+        if grown is not None:
+            stack.append((k, grown, (pairs[k],) + edges))
+        stack.append((k, reach, edges))
 
 
 def to_dot(g: Dag, name: str = "G") -> str:

@@ -12,7 +12,13 @@ is satisfiable; the satisfying weight vector is the counterexample, and it is
 re-verified through the separation machinery before being returned.  The
 negation of a strict atom is the reversed non-strict atom, so counterexamples
 may lie on weight ties; the generic modes add an explicit tie-exclusion
-conjunct.  Global modes quantify over graphs on a fixed labeled node set.
+conjunct.  The conjuncts of a local query are built lazily, premises first,
+so a premise that no weight vector of the graph satisfies ends the query
+before any conclusion or tie exclusion is built.
+
+Global modes quantify over graphs on a fixed labeled node set.  Since every
+CI structure of a graph also arises on its transitive closure, a graph is
+decided only when its closure, decided once per query, fails.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .fan import _path_comparison
-from .graph import Dag, enumerate_paths, transitive_closure
+from .graph import Dag, Edge, acyclic_edge_sets, enumerate_paths
 from .linarith import Constraint, Witness, feasible
 from .separation import CiStatement, maxoid
 from .tropical import WeightedDag, is_generic
@@ -188,24 +194,33 @@ def polyci_formula(g: Dag, s: CiStatement) -> Formula:
     def edge(a: int, b: int) -> Formula:
         return _edge_presence(g, index, K, cache, a, b)
 
+    def shape(*pairs: Edge) -> Formula:
+        return f_and(edge(a, b) for a, b in pairs)
+
     i, j = s.i, s.j
     outside = [p for p in g.nodes if p not in K and p != i and p != j]
-    shapes: list[Formula] = [edge(i, j), edge(j, i)]
-    for p in outside:
-        shapes.append(f_and([edge(p, i), edge(p, j)]))
-    for l in sorted(K):
-        shapes.append(f_and([edge(i, l), edge(j, l)]))
-    for x, y in ((i, j), (j, i)):
+    conditioned = sorted(K)
+
+    def shapes() -> Iterator[Formula]:
+        yield edge(i, j)
+        yield edge(j, i)
         for p in outside:
-            for l in sorted(K):
-                shapes.append(f_and([edge(p, x), edge(p, l), edge(y, l)]))
-    for p in outside:
-        for q in outside:
-            if p == q:
-                continue
-            for l in sorted(K):
-                shapes.append(f_and([edge(p, i), edge(p, l), edge(q, l), edge(q, j)]))
-    return negate(f_or(shapes))
+            yield shape((p, i), (p, j))
+        for l in conditioned:
+            yield shape((i, l), (j, l))
+        for x, y in ((i, j), (j, i)):
+            for p in outside:
+                for l in conditioned:
+                    yield shape((p, x), (p, l), (y, l))
+        for p in outside:
+            for q in outside:
+                if p == q:
+                    continue
+                for l in conditioned:
+                    yield shape((p, i), (p, l), (q, l), (q, j))
+
+    # lazy: the first shape present at every weight ends the disjunction
+    return negate(f_or(shapes()))
 
 
 def genericity_formula(g: Dag) -> Formula:
@@ -268,29 +283,41 @@ class Verdict:
     counterexample: WeightedDag | None = None
 
 
+def _dag_family(n: int, graph_family: str
+                ) -> Iterator[tuple[tuple[Edge, ...], tuple[Edge, ...]]]:
+    """(edges, closure edges) of every DAG on nodes 1..n ("all") or of every
+    transitively closed one ("posets"), in increasing order of the edge
+    bitmask over the ordered node pairs."""
+    if graph_family not in ("all", "posets"):
+        raise ValueError(f"unknown graph family {graph_family!r}")
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    for edges, closure in acyclic_edge_sets(n, pairs):
+        if graph_family == "all" or len(edges) == len(closure):
+            yield edges, closure
+
+
 def all_dags(n: int) -> Iterator[Dag]:
     """Every labeled DAG on nodes 1..n, in a fixed enumeration order."""
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-    for mask in range(1 << len(pairs)):
-        edges = [pairs[k] for k in range(len(pairs)) if mask >> k & 1]
-        try:
-            yield Dag(n, edges)
-        except ValueError:
-            continue
+    return (Dag(n, edges) for edges, _ in _dag_family(n, "all"))
 
 
 def all_transitively_closed_dags(n: int) -> Iterator[Dag]:
-    for g in all_dags(n):
-        if transitive_closure(g) == g:
-            yield g
+    return (Dag(n, edges) for edges, _ in _dag_family(n, "posets"))
 
 
 def _local_formula(g: Dag, premises, conclusions, generic: bool) -> Formula:
-    parts = [polyci_formula(g, p) for p in premises]
-    parts += [negate(polyci_formula(g, q)) for q in conclusions]
-    if generic:
-        parts.append(genericity_formula(g))
-    return f_and(parts)
+    """The conjunction of all premises, every negated conclusion and, in
+    generic mode, tie exclusion; built lazily in that order, so nothing is
+    built after the first conjunct that is FALSE."""
+    def parts() -> Iterator[Formula]:
+        for p in premises:
+            yield polyci_formula(g, p)
+        for q in conclusions:
+            yield negate(polyci_formula(g, q))
+        if generic:
+            yield genericity_formula(g)
+
+    return f_and(parts())
 
 
 def _verify_counterexample(wd: WeightedDag, premises, conclusions, generic: bool) -> None:
@@ -315,11 +342,17 @@ def decide_implication(scope, premises: Sequence[CiStatement],
     integer node count quantifies over all graphs on 1..n (global modes).
     generic=True restricts to tie-free weight vectors.
 
-    Global modes iterate graphs and return the first counterexample.  It is
-    enough to search transitively closed DAGs, since every CI structure also
-    arises on the transitive closure of its graph; graph_family picks the
-    space: "posets" (transitively closed only), "all", or "auto" (all DAGs
-    up to 4 nodes for smaller counterexamples, posets beyond).
+    Global modes scan graphs in the order of all_dags and return the first
+    counterexample, the one the local mode finds on the first graph that has
+    one.  Every CI structure of a graph g also arises on its transitive
+    closure: give each added edge a weight below every g-path between its
+    ends, and no critical path changes; with distinct such weights far
+    enough below, a generic weighting stays generic.  So a graph can only
+    fail where its closure fails, and the scan decides each closure once per
+    query (memoized by its edge set) and decides a graph itself only when its
+    closure fails.  graph_family picks the space: "posets" (transitively
+    closed only), "all", or "auto" (all DAGs up to 4 nodes for smaller
+    counterexamples, posets beyond).
     """
     premises = list(premises)
     conclusions = list(conclusions)
@@ -339,14 +372,18 @@ def decide_implication(scope, premises: Sequence[CiStatement],
     _check_nodes(n, premises, conclusions)
     if graph_family == "auto":
         graph_family = "all" if n <= 4 else "posets"
-    if graph_family == "all":
-        graphs: Iterable[Dag] = all_dags(n)
-    elif graph_family == "posets":
-        graphs = all_transitively_closed_dags(n)
-    else:
-        raise ValueError(f"unknown graph family {graph_family!r}")
-    for g in graphs:
-        verdict = decide_implication(g, premises, conclusions, generic=generic)
+    closures: dict[tuple[Edge, ...], Verdict] = {}
+    for edges, closure in _dag_family(n, graph_family):
+        verdict = closures.get(closure)
+        if verdict is None:
+            verdict = decide_implication(Dag(n, closure), premises, conclusions,
+                                         generic=generic)
+            closures[closure] = verdict
+        if verdict.holds:
+            continue
+        if len(edges) != len(closure):
+            verdict = decide_implication(Dag(n, edges), premises, conclusions,
+                                         generic=generic)
         if not verdict.holds:
             return verdict
     return Verdict(True)

@@ -249,7 +249,8 @@ def f_vector(points: list[PolytopePoint]) -> tuple[int, ...]:
 
 
 def face_maxoid(g: Dag, face: Face, entries: list[FanEntry],
-                points: list[tuple[CriticalSystem, PolytopePoint]] | None = None) -> Maxoid:
+                points: list[tuple[CriticalSystem, PolytopePoint]] | None = None,
+                memo: dict | None = None) -> Maxoid:
     """CI structure attached to a face: that of its normal vector, which lies
     in the relative interior of the face's normal cone, as a weight vector.
 
@@ -260,6 +261,10 @@ def face_maxoid(g: Dag, face: Face, entries: list[FanEntry],
     genericity.  The normal is re-verified exactly (equal on the face's
     vertices, smaller on all others); raises when it fails or the face
     carries no normal.
+
+    Many faces share one blocker collection.  Pass the same dict as memo to
+    a batch of calls and each distinct collection's structure is computed
+    once; the normal is still re-verified on every face.
     """
     if face.normal is None:
         raise ValueError("face has no normal vector; take faces from face_lattice")
@@ -273,7 +278,11 @@ def face_maxoid(g: Dag, face: Face, entries: list[FanEntry],
     for u in face.vertices:
         for key, mask in points[u][0].blockers.items():
             blockers[key] = blockers.get(key, 0) | mask
-    return maxoid_from_blockers(g.n, blockers)
+    memo = {} if memo is None else memo
+    key = (g.n, frozenset(blockers.items()))
+    if key not in memo:
+        memo[key] = maxoid_from_blockers(g.n, blockers)
+    return memo[key]
 
 
 def cone_adjacency(g: Dag, entries: list[FanEntry]) -> list[tuple[int, int]]:

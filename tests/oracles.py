@@ -3,8 +3,9 @@
 Everything here recomputes results from first principles (definitional path
 enumeration, textbook d-separation, Fourier-Motzkin elimination, the
 replaced Fraction simplex, the replaced per-subset Kleene-star separation,
-max-plus matrix products, one exact LP per face or per pair of cones) and stays independent of the code paths it
-cross-checks.
+max-plus matrix products, one exact LP per face or per pair of cones, the
+replaced edge-mask graph loop and global implication scan) and stays
+independent of the code paths it cross-checks.
 """
 
 from __future__ import annotations
@@ -12,9 +13,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from maxoid.graph import Dag, enumerate_paths
+from maxoid.graph import Dag, enumerate_paths, transitive_closure
+from maxoid.implication import Verdict, decide_implication
 from maxoid.linarith import Constraint, LinExpr, Witness, feasible, nullspace
 from maxoid.separation import CiStatement, Maxoid
 from maxoid.tropical import NEG_INF, TropicalMatrix, WeightedDag, kleene_star, path_weight
@@ -501,3 +503,31 @@ def lp_cone_adjacency(entries) -> list[tuple[int, int]]:
                     edges.append((a, b))
                     break
     return edges
+
+
+def mask_loop_dags(n: int, pairs: Sequence[tuple[int, int]],
+                   closed_only: bool = False) -> Iterator[Dag]:
+    """One Dag per edge mask over pairs (bit k for pairs[k]) in increasing
+    mask order, masks with a cycle skipped and, when closed_only, graphs
+    that differ from their transitive closure too: the replaced loop."""
+    for mask in range(1 << len(pairs)):
+        try:
+            g = Dag(n, [pairs[k] for k in range(len(pairs)) if mask >> k & 1])
+        except ValueError:
+            continue
+        if not closed_only or transitive_closure(g) == g:
+            yield g
+
+
+def scan_implication(n: int, premises, conclusions, generic: bool = False,
+                     graph_family: str = "auto") -> Verdict:
+    """The replaced global scan: decide every graph of the family with the
+    local engine, in mask order, and return the first counterexample."""
+    if graph_family == "auto":
+        graph_family = "all" if n <= 4 else "posets"
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    for g in mask_loop_dags(n, pairs, closed_only=graph_family == "posets"):
+        verdict = decide_implication(g, premises, conclusions, generic=generic)
+        if not verdict.holds:
+            return verdict
+    return Verdict(True)

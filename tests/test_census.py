@@ -1,4 +1,5 @@
 import json
+from itertools import combinations
 
 import pytest
 
@@ -10,11 +11,31 @@ from maxoid.implication import all_dags
 from maxoid.separation import maxoid
 from maxoid.tropical import WeightedDag
 from fractions import Fraction
+from oracles import mask_loop_dags
 
 
 def test_tdag_family_counts():
     assert len(all_top_ordered_tdags(3).graphs) == 3
     assert len(all_top_ordered_tdags(4).graphs) == 18
+
+
+def _weakly_connected(g):
+    seen, todo = {1}, [1]
+    while todo:
+        v = todo.pop()
+        for u in (*g.children(v), *g.parents(v)):
+            if u not in seen:
+                seen.add(u)
+                todo.append(u)
+    return len(seen) == g.n
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_tdag_family_keeps_the_mask_loop_order(n):
+    pairs = list(combinations(range(1, n + 1), 2))
+    expected = [g for g in mask_loop_dags(n, pairs, closed_only=True) if _weakly_connected(g)]
+    assert all_top_ordered_tdags(n).graphs == expected
+    assert len(expected) == {3: 3, 4: 18, 5: 181}[n]
 
 
 def test_tdag_family_invariants():

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 from maxoid.graph import (
     CycleError,
     Dag,
+    acyclic_edge_sets,
+    add_reach,
     dag_from_edges,
     dag_from_json,
     dag_to_json,
@@ -109,6 +111,23 @@ def test_reversed_paths_never_exist(g):
             for p in enumerate_paths(g, i, j):
                 back = tuple(reversed(p))
                 assert not all(g.has_edge(u, v) for u, v in zip(back, back[1:]))
+
+
+def test_add_reach_tracks_paths_and_refuses_cycles():
+    reach = add_reach(add_reach((0,) * 4, 2, 3), 1, 2)
+    assert reach == (0, 1 << 2 | 1 << 3, 1 << 3, 0)
+    assert add_reach(reach, 3, 1) is None
+    assert add_reach(reach, 3, 2) is None
+    assert add_reach(reach, 1, 3) == reach
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_acyclic_edge_sets_carry_the_closure(n):
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    for edges, closure in acyclic_edge_sets(n, pairs):
+        g = Dag(n, edges)
+        assert list(edges) == g.sorted_edges
+        assert list(closure) == transitive_closure(g).sorted_edges
 
 
 def test_json_round_trip():

@@ -1,10 +1,11 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from maxoid.fan import enumerate_maximal_cones
-from maxoid.graph import Dag
+from maxoid.graph import Dag, transitive_closure
 from maxoid.implication import (
     FALSE,
     TRUE,
@@ -22,9 +23,9 @@ from maxoid.implication import (
     satisfiable,
 )
 from maxoid.linarith import Constraint, LinExpr
-from maxoid.separation import c_star_separated, maxoid, parse_ci_statement
-from maxoid.tropical import is_generic
-from oracles import complete_dag, random_weighted_dag
+from maxoid.separation import CiStatement, c_star_separated, maxoid, parse_ci_statement
+from maxoid.tropical import WeightedDag, is_generic, weights_to_list_json
+from oracles import complete_dag, mask_loop_dags, random_weighted_dag, scan_implication
 
 K4 = complete_dag(4)
 
@@ -177,8 +178,79 @@ def test_genericity_formula_excludes_ties():
 def test_graph_family_enumeration_counts():
     assert sum(1 for _ in all_dags(3)) == 25
     assert sum(1 for _ in all_dags(4)) == 543
+    assert sum(1 for _ in all_dags(5)) == 29281
     assert sum(1 for _ in all_transitively_closed_dags(3)) == 19
     assert sum(1 for _ in all_transitively_closed_dags(4)) == 219
+    assert sum(1 for _ in all_transitively_closed_dags(5)) == 4231
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_graph_families_keep_the_mask_loop_order(n):
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    assert list(all_dags(n)) == list(mask_loop_dags(n, pairs))
+    assert (list(all_transitively_closed_dags(n))
+            == list(mask_loop_dags(n, pairs, closed_only=True)))
+
+
+def _lift_to_closure(wd: WeightedDag) -> WeightedDag:
+    """The closure of wd's graph, each added edge weighted below every path
+    between its ends, with distinct powers of two keeping a generic
+    weighting generic: two closure paths with the same added edges differ
+    on g-paths alone, two with different ones by more than any g-path."""
+    bound = sum(abs(x) for x in wd.w.values()) + 1
+    added = sorted(transitive_closure(wd.g).edges - wd.g.edges)
+    w = dict(wd.w)
+    for t, e in enumerate(added):
+        w[e] = -bound * 2 ** (t + 1)
+    return WeightedDag(transitive_closure(wd.g), w)
+
+
+def test_structures_lift_to_the_transitive_closure():
+    # the closure theorem the global scan's skip rests on
+    rng = random.Random(1729)
+    seen = Counter()
+    while min(seen[True], seen[False]) < 40:
+        generic_draw = rng.random() < 0.5
+        denominators = (1, 3, 7, 11, 13) if generic_draw else (1, 1, 2)
+        wd = random_weighted_dag(rng, max_n=5, denominators=denominators)
+        if generic_draw:
+            wd = WeightedDag(wd.g, {e: x * rng.randint(1, 97) for e, x in wd.w.items()})
+        if transitive_closure(wd.g) == wd.g:
+            continue
+        lifted = _lift_to_closure(wd)
+        assert maxoid(lifted) == maxoid(wd), wd
+        generic = is_generic(wd)
+        if generic:
+            assert is_generic(lifted), wd
+        seen[generic] += 1
+
+
+def _witness(verdict):
+    wd = verdict.counterexample
+    return None if wd is None else (wd.g.sorted_edges, weights_to_list_json(wd))
+
+
+def test_global_scan_matches_the_mask_loop_oracle():
+    rng = random.Random(5151)
+
+    def statement(n):
+        i, j = sorted(rng.sample(range(1, n + 1), 2))
+        rest = [v for v in range(1, n + 1) if v not in (i, j)]
+        return CiStatement(i, j, frozenset(v for v in rest if rng.random() < 0.4))
+
+    seen = Counter()
+    for q in range(300):
+        n = 3 if q % 3 else 4
+        premises = list(dict.fromkeys(statement(n) for _ in range(rng.randint(1, 3))))
+        conclusions = [statement(n)]
+        generic = rng.random() < 0.4
+        family = rng.choice(["auto", "all", "posets"])
+        got = decide_implication(n, premises, conclusions, generic, family)
+        want = scan_implication(n, premises, conclusions, generic, family)
+        assert (got.holds, _witness(got)) == (want.holds, _witness(want)), (
+            n, premises, conclusions, generic, family)
+        seen[family, generic, got.holds] += 1
+    assert len(seen) == 12, seen
 
 
 def test_holding_global_implication_scans_the_whole_family():

@@ -141,6 +141,22 @@ def test_face_maxoid_rejects_non_face():
         face_maxoid(g, Face(fake, 1), entries, pts)
 
 
+def test_face_maxoid_memo_shares_structures_and_still_verifies():
+    g = complete_dag(4)
+    entries = enumerate_maximal_cones(g)
+    pts = polytope_vertices(g, entries)
+    lat = face_lattice([p for _, p in pts])
+    memo = {}
+    shared = [face_maxoid(g, f, entries, pts, memo) for f in lat.faces]
+    assert shared == [face_maxoid(g, f, entries, pts) for f in lat.faces]
+    assert len(set(shared)) <= len(memo) < len(lat.faces)
+    edge = next(f for f in lat.faces if f.dim == 1)
+    wrong = Face(edge.vertices | {next(iter(lat.faces[-1].vertices - edge.vertices))},
+                 edge.dim, edge.normal)
+    with pytest.raises(ValueError):
+        face_maxoid(g, wrong, entries, pts, memo)
+
+
 def test_face_maxoid_monotone_under_inclusion():
     for g in (DIAMOND, complete_dag(3), complete_dag(4)):
         entries = enumerate_maximal_cones(g)
