@@ -29,7 +29,7 @@ def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--up-to", type=int, default=5)
     ap.add_argument("--f-vectors", action="store_true",
-                    help="also compute f-vectors (slow beyond 4 nodes)")
+                    help="also compute f-vectors (about a second at 5 nodes)")
     args = ap.parse_args()
 
     print(f"{'n':>3} {'|E|':>4} {'dim':>4} {'vertices':>9} {'lineality':>10}"

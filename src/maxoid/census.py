@@ -133,13 +133,15 @@ def census_structures(family: TdagFamily, include_faces: bool = True,
 
     Generic structures come from every graph's maximal cones; the full set
     additionally contains the face structures of every graph's polytope
-    (when include_faces is false, the two sets coincide).
+    (when include_faces is false, the two sets coincide).  Runs on
+    min(jobs, number of graphs) worker processes, serially when that is 1.
     """
     tasks = [(dag_to_json(g), include_faces) for g in family.graphs]
-    if jobs > 1:
+    workers = min(jobs, len(tasks))
+    if workers > 1:
         # spawn, not fork: a fork taken while another thread holds a lock
         # copies that lock into the child held, and nobody releases it there
-        with multiprocessing.get_context("spawn").Pool(jobs) as pool:
+        with multiprocessing.get_context("spawn").Pool(workers) as pool:
             results = pool.map(_worker, tasks)
     else:
         results = [_worker(t) for t in tasks]

@@ -10,6 +10,7 @@ All text formats are documented in FORMATS.md.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -224,7 +225,10 @@ def _error(message: str, kind: str = "usage") -> int:
     return 2
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls, so run reuses it."""
     ap = argparse.ArgumentParser(
         prog="maxoid",
         description="CI structures of weighted DAGs under max-plus arithmetic")

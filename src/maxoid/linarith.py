@@ -320,31 +320,8 @@ def feasible(system: Sequence[Constraint], nvars: int) -> Witness | None:
 
 
 def rank_of(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Exact rank by fraction-free (Bareiss) elimination."""
-    if not rows:
-        return 0
-    m, k = len(rows), len(rows[0])
-    M = []
-    for row in rows:
-        fr = [Fraction(x) for x in row]
-        mult = lcm(*(x.denominator for x in fr)) if fr else 1
-        M.append([int(x * mult) for x in fr])
-    prev = 1
-    r = 0
-    for col in range(k):
-        p = next((i for i in range(r, m) if M[i][col] != 0), None)
-        if p is None:
-            continue
-        M[r], M[p] = M[p], M[r]
-        for i in range(r + 1, m):
-            for j in range(col + 1, k):
-                M[i][j] = (M[r][col] * M[i][j] - M[i][col] * M[r][j]) // prev
-            M[i][col] = 0
-        prev = M[r][col]
-        r += 1
-        if r == m:
-            break
-    return r
+    """Exact rank: the size of a maximal linearly independent subset."""
+    return len(independent_rows(rows))
 
 
 def _echelon(rows):

@@ -9,11 +9,14 @@ vectors of faces realize the CI structures of tied weight vectors.
 The convex hull is computed exactly: points are projected to affine-hull
 coordinates, translated so the origin is interior, and the facets are read
 off as the extreme rays of the cone of valid inequalities via the double
-description method with the combinatorial adjacency test.  The facet normals
-then answer the fan's questions without further LPs: the sum of the normals
-of the facets containing a face lies in the relative interior of the face's
-normal cone, and two maximal cones are adjacent exactly when their vertices
-span an edge.
+description method with the combinatorial adjacency test.  The face lattice
+comes from the vertex-facet incidences alone: the faces covered by a face are
+the inclusion-maximal cuts of it with facets, and dimensions are lattice
+ranks (Kaibel & Pfetsch, "Computing the face lattice of a polytope from its
+vertex-facet incidences", CGTA 23, 2002).  The facet normals then answer the
+fan's questions without further LPs: the sum of the normals of the facets
+containing a face lies in the relative interior of the face's normal cone,
+and two maximal cones are adjacent exactly when their vertices span an edge.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .graph import Dag
-from .linarith import affine_dimension, independent_rows, pivot_columns
+from .linarith import independent_rows, nullspace, pivot_columns
 from .separation import Maxoid, maxoid_from_blockers
 from .fan import FanEntry, CriticalSystem, enumerate_maximal_cones
 
@@ -99,21 +102,15 @@ def _dd_extreme_rays(rows: list[tuple[int, ...]], dim: int) -> list[tuple[int, .
     init = independent_rows(rows)
     if len(init) != dim:
         raise ValueError("row system is not full-dimensional")
-    # rays of the initial simplicial cone: columns of the inverse of the
-    # chosen row matrix
-    M = [list(map(Fraction, rows[i])) for i in init]
-    aug = [row + [Fraction(int(i == j)) for j in range(dim)] for i, row in enumerate(M)]
-    for col in range(dim):
-        p = next(r for r in range(col, dim) if aug[r][col] != 0)
-        aug[col], aug[p] = aug[p], aug[col]
-        f = aug[col][col]
-        aug[col] = [x / f for x in aug[col]]
-        for r in range(dim):
-            if r != col and aug[r][col] != 0:
-                fr = aug[r][col]
-                aug[r] = [a - fr * b for a, b in zip(aug[r], aug[col])]
-    inverse = [[aug[r][dim + c] for c in range(dim)] for r in range(dim)]
-    rays = [_primitive([inverse[r][c] for r in range(dim)]) for c in range(dim)]
+    # rays of the initial simplicial cone: ray c spans the null line of the
+    # other chosen rows and is signed so that row c is positive on it
+    rays = []
+    for c in init:
+        (line,) = nullspace([rows[i] for i in init if i != c], dim)
+        ray = _primitive(line)
+        if sum(a * b for a, b in zip(rows[c], ray)) < 0:
+            ray = tuple(-x for x in ray)
+        rays.append(ray)
 
     processed = [rows[i] for i in init]
 
@@ -162,21 +159,21 @@ def _dd_extreme_rays(rows: list[tuple[int, ...]], dim: int) -> list[tuple[int, .
 
 
 def _facet_incidences(points: list[tuple[Fraction, ...]]
-                      ) -> tuple[int, list[tuple[frozenset[int], tuple[int, ...]]]]:
-    """Affine dimension and, for each facet, the set of incident point indices
-    and an integer outer normal in the points' own coordinates.
+                      ) -> list[tuple[frozenset[int], tuple[int, ...]]]:
+    """For each facet, the set of incident point indices and an integer
+    outer normal in the points' own coordinates (none for a single point).
 
     The normal found in pivot-column coordinates is lifted by zeros off the
     pivot columns; the projection is injective on the affine hull, so the
     lifted vector scores every point exactly as the projected one does.
     """
     m = len(points)
-    dim, _ = affine_dimension(points)
-    if dim == 0:
-        return 0, []
     base = points[0]
     diffs = [[x - y for x, y in zip(p, base)] for p in points[1:]]
     cols = pivot_columns(diffs)
+    dim = len(cols)
+    if dim == 0:
+        return []
     proj = [tuple(p[c] for c in cols) for p in points]
     center = tuple(sum(p[k] for p in proj) / m for k in range(dim))
     shifted = [tuple(x - c for x, c in zip(p, center)) for p in proj]
@@ -195,7 +192,7 @@ def _facet_incidences(points: list[tuple[Fraction, ...]]
         for c, x in zip(cols, a):
             normal[c] = x
         facets.append((incident, tuple(normal)))
-    return dim, facets
+    return facets
 
 
 def face_lattice(points: list[PolytopePoint]) -> FaceLattice:
@@ -203,44 +200,51 @@ def face_lattice(points: list[PolytopePoint]) -> FaceLattice:
     vectors and the covering relation; the polytope itself is included as
     the top face, the empty face is not.
 
-    A face's normal is the sum of the outer normals of the facets that
-    contain it: their maxima meet exactly on the face.
+    Faces are int bitmasks of vertex indices, walked down from the top.  The
+    faces a face covers are the inclusion-maximal nonempty cuts face & facet
+    other than the face itself, and a face's dimension is its rank: 0 with
+    nothing below it, else one more than any face below it.  A face's normal
+    is the sum of the outer normals of the facets that contain it: their
+    maxima meet exactly on the face.
     """
     coords = [tuple(map(Fraction, p.coords)) for p in points]
     if not coords:
         raise ValueError("need at least one point")
-    dim, facets = _facet_incidences(coords)
-    top = frozenset(range(len(points)))
-    sets = {top}
-    frontier = {top}
-    while frontier:
-        nxt = set()
-        for face in frontier:
-            for facet, _ in facets:
-                cut = face & facet
-                if cut and cut != face and cut not in sets:
-                    sets.add(cut)
-                    nxt.add(cut)
-        frontier = nxt
+    facets = [(sum(1 << i for i in incident), a) for incident, a in _facet_incidences(coords)]
+    below: dict[int, list[int]] = {}
+    stack = [(1 << len(coords)) - 1]
+    while stack:
+        face = stack.pop()
+        if face in below:
+            continue
+        # a cut inside a kept one comes after it, having fewer vertices
+        cuts = sorted({face & m for m, _ in facets} - {0, face},
+                      key=int.bit_count, reverse=True)
+        kept = below[face] = []
+        for cut in cuts:
+            if all(cut & k != cut for k in kept):
+                kept.append(cut)
+        stack.extend(kept)
+    dims: dict[int, int] = {}
+    # a face below another has fewer vertices, so its rank is set first
+    for face in sorted(below, key=int.bit_count):
+        dims[face] = dims[below[face][0]] + 1 if below[face] else 0
 
-    def face_dim(s: frozenset[int]) -> int:
-        return affine_dimension([coords[i] for i in sorted(s)])[0]
-
-    def normal(s: frozenset[int]) -> tuple[int, ...]:
+    def normal(face: int) -> tuple[int, ...]:
         total = [0] * len(coords[0])
-        for facet, a in facets:
-            if s <= facet:
+        for m, a in facets:
+            if face & m == face:
                 total = [x + y for x, y in zip(total, a)]
         return tuple(total)
 
-    faces = sorted((Face(s, face_dim(s), normal(s)) for s in sets),
-                   key=lambda f: (f.dim, sorted(f.vertices)))
-    covers = []
-    for a, fa in enumerate(faces):
-        for b, fb in enumerate(faces):
-            if fb.dim == fa.dim + 1 and fa.vertices < fb.vertices:
-                covers.append((a, b))
-    return FaceLattice(tuple(faces), tuple(covers))
+    def vertices(face: int) -> frozenset[int]:
+        return frozenset(i for i in range(len(coords)) if face >> i & 1)
+
+    order = sorted(below, key=lambda face: (dims[face], sorted(vertices(face))))
+    index = {face: k for k, face in enumerate(order)}
+    faces = tuple(Face(vertices(face), dims[face], normal(face)) for face in order)
+    covers = sorted((index[k], index[face]) for face in order for k in below[face])
+    return FaceLattice(faces, tuple(covers))
 
 
 def f_vector(points: list[PolytopePoint]) -> tuple[int, ...]:

@@ -4,8 +4,8 @@ Everything here recomputes results from first principles (definitional path
 enumeration, textbook d-separation, Fourier-Motzkin elimination, the
 replaced Fraction simplex, the replaced per-subset Kleene-star separation,
 max-plus matrix products, one exact LP per face or per pair of cones, the
-replaced edge-mask graph loop and global implication scan) and stays
-independent of the code paths it cross-checks.
+replaced pairwise face lattice, the replaced edge-mask graph loop and global
+implication scan) and stays independent of the code paths it cross-checks.
 """
 
 from __future__ import annotations
@@ -17,7 +17,9 @@ from typing import Iterator, Sequence
 
 from maxoid.graph import Dag, enumerate_paths, transitive_closure
 from maxoid.implication import Verdict, decide_implication
-from maxoid.linarith import Constraint, LinExpr, Witness, feasible, nullspace
+from maxoid.linarith import (Constraint, LinExpr, Witness, affine_dimension, feasible,
+                             nullspace)
+from maxoid.polytope import Face, FaceLattice, PolytopePoint, _facet_incidences
 from maxoid.separation import CiStatement, Maxoid
 from maxoid.tropical import NEG_INF, TropicalMatrix, WeightedDag, kleene_star, path_weight
 
@@ -482,6 +484,49 @@ def lp_face_maxoid(g: Dag, face, points) -> Maxoid:
         if not ok:
             raise AssertionError("normal-cone functional failed exact re-verification")
     return kleene_maxoid(WeightedDag(g, dict(zip(g.sorted_edges, c))))
+
+
+def pairwise_face_lattice(points: list[PolytopePoint]) -> FaceLattice:
+    """The replaced face lattice: every nonempty intersection of facets found
+    by a frontier walk over frozensets, one Fraction affine_dimension per face
+    and a test of every pair of faces for a cover (one dimension apart, the
+    smaller vertex set strictly inside the larger).  It shares only the hull,
+    polytope._facet_incidences, with the code it checks."""
+    coords = [tuple(map(Fraction, p.coords)) for p in points]
+    if not coords:
+        raise ValueError("need at least one point")
+    facets = _facet_incidences(coords)
+    top = frozenset(range(len(points)))
+    sets = {top}
+    frontier = {top}
+    while frontier:
+        nxt = set()
+        for face in frontier:
+            for facet, _ in facets:
+                cut = face & facet
+                if cut and cut != face and cut not in sets:
+                    sets.add(cut)
+                    nxt.add(cut)
+        frontier = nxt
+
+    def face_dim(s: frozenset[int]) -> int:
+        return affine_dimension([coords[i] for i in sorted(s)])[0]
+
+    def normal(s: frozenset[int]) -> tuple[int, ...]:
+        total = [0] * len(coords[0])
+        for facet, a in facets:
+            if s <= facet:
+                total = [x + y for x, y in zip(total, a)]
+        return tuple(total)
+
+    faces = sorted((Face(s, face_dim(s), normal(s)) for s in sets),
+                   key=lambda f: (f.dim, sorted(f.vertices)))
+    covers = []
+    for a, fa in enumerate(faces):
+        for b, fb in enumerate(faces):
+            if fb.dim == fa.dim + 1 and fa.vertices < fb.vertices:
+                covers.append((a, b))
+    return FaceLattice(tuple(faces), tuple(covers))
 
 
 def lp_cone_adjacency(entries) -> list[tuple[int, int]]:

@@ -1,11 +1,12 @@
 import json
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
 from maxoid.axioms import check_amalgamation, check_compositional_graphoid, check_strong_spohn
 from maxoid import census
-from maxoid.census import all_maxoids, all_top_ordered_tdags, graph_maxoids
+from maxoid.census import TdagFamily, all_maxoids, all_top_ordered_tdags, graph_maxoids
 from maxoid.graph import Dag, transitive_closure
 from maxoid.implication import all_dags
 from maxoid.separation import maxoid
@@ -129,6 +130,39 @@ def test_cache_files_of_another_format_version_are_not_read(tmp_path, monkeypatc
 def test_parallel_census_matches_serial():
     fam = all_top_ordered_tdags(3)
     assert all_maxoids(fam, jobs=2) == all_maxoids(fam, jobs=1)
+
+
+def test_census_pool_is_capped_at_the_graph_count(monkeypatch):
+    # a fake spawn context records each pool's size and maps serially, so
+    # no process is started
+    sizes = []
+
+    class FakePool:
+        def __init__(self, size):
+            sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(t) for t in tasks]
+
+    def get_context(method):
+        assert method == "spawn"
+        return SimpleNamespace(Pool=FakePool)
+
+    monkeypatch.setattr(census.multiprocessing, "get_context", get_context)
+    fam = all_top_ordered_tdags(3)
+    serial = all_maxoids(fam, jobs=1)
+    assert all_maxoids(fam, jobs=8) == serial
+    assert all_maxoids(fam, jobs=2) == serial
+    assert sizes == [3, 2]
+    single = TdagFamily(3, fam.graphs[:1])
+    assert all_maxoids(single, jobs=8) == all_maxoids(single, jobs=1)
+    assert sizes == [3, 2]
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

@@ -2,11 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import maxoid
-from maxoid.cli import run
+from maxoid.cli import build_parser, run
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -161,6 +164,27 @@ def test_pretty_mode(files, capsys):
     code, out = invoke(capsys, "--pretty", "census", "--nodes", "3")
     assert code == 0
     assert "tdags: 3" in out
+
+
+def test_parser_is_built_once_and_keeps_no_state(files, capsys):
+    assert build_parser() is build_parser()
+    code, pretty = invoke(capsys, "--pretty", "maxoid", files["dag"], files["weights"])
+    assert code == 0 and pretty.startswith("4 statements:")
+    code, plain = invoke(capsys, "maxoid", files["dag"], files["weights"])
+    assert code == 0
+    assert json.loads(plain) == ["1,3|2", "1,3|2,4", "1,4|2", "1,4|2,3"]
+
+
+@pytest.mark.parametrize("name", ["complete4", "diamond"])
+def test_polytope_output_matches_the_golden_files(capsys, tmp_path, name):
+    # recorded with the pairwise face lattice this one replaced; neither file
+    # holds an LP witness, so only the lattice and the face maxoids show here
+    dot = tmp_path / "hasse.dot"
+    code, out = invoke(capsys, "polytope", str(DATA / f"{name}.json"),
+                       "--face-maxoids", "--hasse-dot", str(dot))
+    assert code == 0
+    assert out.encode() == (DATA / f"{name}_polytope.json").read_bytes()
+    assert dot.read_bytes() == (DATA / f"{name}_hasse.dot").read_bytes()
 
 
 def test_dot_export(files, capsys, tmp_path):

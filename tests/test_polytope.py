@@ -16,7 +16,7 @@ from maxoid.polytope import (
     polytope_vertices,
 )
 from maxoid.separation import parse_ci_statement
-from oracles import complete_dag, lp_cone_adjacency, lp_face_maxoid
+from oracles import complete_dag, lp_cone_adjacency, lp_face_maxoid, pairwise_face_lattice
 
 DIAMOND = Dag(4, [(1, 2), (1, 3), (2, 4), (3, 4)])
 
@@ -188,17 +188,17 @@ def test_hasse_dot_output():
     assert dot.startswith("digraph") and "->" in dot
 
 
-def _random_dags_on_4_nodes(count: int, seed: int) -> list[Dag]:
-    """Distinct seeded random DAGs on 4 nodes with at least 4 edges, edges
+def _random_dags(n: int, count: int, seed: int) -> list[Dag]:
+    """Distinct seeded random DAGs on n nodes with at least n edges, edges
     oriented by a random node order."""
     rng = random.Random(seed)
     graphs: list[Dag] = []
     while len(graphs) < count:
-        order = rng.sample(range(1, 5), 4)
-        edges = [(order[a], order[b]) for a, b in itertools.combinations(range(4), 2)
+        order = rng.sample(range(1, n + 1), n)
+        edges = [(order[a], order[b]) for a, b in itertools.combinations(range(n), 2)
                  if rng.random() < 0.75]
-        g = Dag(4, edges)
-        if len(edges) >= 4 and g not in graphs:
+        g = Dag(n, edges)
+        if len(edges) >= n and g not in graphs:
             graphs.append(g)
     return graphs
 
@@ -210,7 +210,7 @@ def test_face_normals_and_edges_agree_with_the_lp_oracles():
     # pairs that one LP per pair of cones finds adjacent
     k5_minus = Dag(5, [e for e in complete_dag(5).edges if e != (3, 4)])
     cases = [(g, None) for g in (complete_dag(3), complete_dag(4), DIAMOND)]
-    cases += [(g, None) for g in _random_dags_on_4_nodes(15, seed=2718)]
+    cases += [(g, None) for g in _random_dags(4, 15, seed=2718)]
     cases.append((k5_minus, 5))
     for g, per_dim in cases:
         entries = enumerate_maximal_cones(g)
@@ -225,3 +225,31 @@ def test_face_normals_and_edges_agree_with_the_lp_oracles():
                 g.sorted_edges, sorted(f.vertices))
         if per_dim is None:
             assert cone_adjacency(g, entries) == lp_cone_adjacency(entries), g.sorted_edges
+
+
+def test_face_lattice_matches_the_pairwise_oracle():
+    # faces, dimensions, normals and covers all equal the replaced lattice,
+    # on standard shapes (the octahedron is not simple: each vertex lies on
+    # 4 facets, so cuts of a facet by other facets include non-covers) and
+    # on the polytopes of small and random 5-node graphs
+    shapes = {
+        "point": [(3, 1)],
+        "segment": [(0,), (2,)],
+        "triangle": [(0, 0), (1, 0), (0, 1)],
+        "square": [(0, 0), (1, 0), (0, 1), (1, 1)],
+        "cube": list(itertools.product((0, 1), repeat=3)),
+        "octahedron": [tuple(s * int(k == axis) for k in range(3))
+                       for axis in range(3) for s in (1, -1)],
+    }
+    cases = {name: [PolytopePoint(p) for p in pts] for name, pts in shapes.items()}
+    k5_minus = Dag(5, [e for e in complete_dag(5).edges if e != (3, 4)])
+    graphs = [complete_dag(3), complete_dag(4), DIAMOND, complete_dag(5), k5_minus]
+    graphs += _random_dags(5, 15, seed=1729)
+    for k, g in enumerate(graphs):
+        cases[f"graph {k} {g.sorted_edges}"] = [p for _, p in polytope_vertices(g)]
+    for name, pts in cases.items():
+        assert face_lattice(pts) == pairwise_face_lattice(pts), name
+    octahedron = face_lattice(cases["octahedron"])
+    assert octahedron.f_vector() == (6, 12, 8)
+    facets = [f.vertices for f in octahedron.faces if f.dim == 2]
+    assert all(sum(v in f for f in facets) == 4 for v in range(6))
