@@ -96,8 +96,8 @@ def _cmd_fan(args) -> None:
     for e in entries:
         rows = []
         for con in e.cone.strict:
-            coeffs = con.expr.coeff_dict()
-            rows.append([int(coeffs.get(k, 0)) for k in range(len(edges))])
+            coeffs = dict(con.terms)
+            rows.append([coeffs.get(k, 0) for k in range(len(edges))])
         cones.append({
             "critical_paths": [{"pair": list(pq), "path": list(p)}
                                for pq, p in e.system.choices],

@@ -15,11 +15,10 @@ are the critical paths of every weight vector in it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .graph import Dag, Path, enumerate_paths
-from .linarith import Constraint, LinExpr, Witness, feasible, rank_of
+from .linarith import Constraint, Witness, feasible, rank_of
 from .separation import Maxoid, interior_mask, maxoid_from_blockers
 from .tropical import WeightedDag, critical_paths, is_generic
 
@@ -57,7 +56,7 @@ class CriticalSystem:
 @dataclass(frozen=True)
 class ConeDescription:
     """An open cone {c : every row > 0} in R^E; rows are homogeneous and
-    normalized to primitive integer form."""
+    primitive."""
 
     strict: tuple[Constraint, ...]
     nvars: int
@@ -82,7 +81,7 @@ def _path_comparison(index, winner: Path, loser: Path) -> Constraint:
         coeffs[index[e]] = coeffs.get(index[e], 0) + 1
     for e in zip(loser, loser[1:]):
         coeffs[index[e]] = coeffs.get(index[e], 0) - 1
-    return Constraint(LinExpr.build(coeffs), ">").normalized()
+    return Constraint.build(coeffs, ">")
 
 
 def _internally_disjoint(p: Path, q: Path) -> bool:
@@ -224,9 +223,8 @@ def lineality_dimension(g: Dag) -> int:
         for a in range(len(paths)):
             for b in range(a + 1, len(paths)):
                 if _internally_disjoint(paths[a], paths[b]):
-                    expr = _path_comparison(index, paths[a], paths[b]).expr
-                    row = [Fraction(0)] * len(index)
-                    for v, c in expr.terms:
+                    row = [0] * len(index)
+                    for v, c in _path_comparison(index, paths[a], paths[b]).terms:
                         row[v] = c
                     normals.append(row)
     if not normals:

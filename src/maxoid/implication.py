@@ -79,14 +79,6 @@ class Or(Formula):
         return "(" + " | ".join(map(repr, self.parts)) + ")"
 
 
-@dataclass(frozen=True)
-class Not(Formula):
-    inner: Formula
-
-    def __repr__(self):
-        return f"~{self.inner!r}"
-
-
 def f_and(parts: Iterable[Formula]) -> Formula:
     kept = []
     for p in parts:
@@ -123,19 +115,7 @@ def negate(f: Formula) -> Formula:
         return f_or(negate(p) for p in f.parts)
     if isinstance(f, Or):
         return f_and(negate(p) for p in f.parts)
-    if isinstance(f, Not):
-        return _strip_not(f.inner)
     raise TypeError(f"not a formula: {f!r}")
-
-
-def _strip_not(f: Formula) -> Formula:
-    if isinstance(f, And):
-        return f_and(_strip_not(p) for p in f.parts)
-    if isinstance(f, Or):
-        return f_or(_strip_not(p) for p in f.parts)
-    if isinstance(f, Not):
-        return negate(f.inner)
-    return f
 
 
 def evaluate(f: Formula, point) -> bool:
@@ -150,14 +130,12 @@ def evaluate(f: Formula, point) -> bool:
         return all(evaluate(p, point) for p in f.parts)
     if isinstance(f, Or):
         return any(evaluate(p, point) for p in f.parts)
-    if isinstance(f, Not):
-        return not evaluate(f.inner, point)
     raise TypeError(f"not a formula: {f!r}")
 
 
 def _weight_atom(index, winner, loser) -> Formula:
     row = _path_comparison(index, winner, loser)
-    if not row.expr.terms:
+    if not row.terms:
         return FALSE  # identical weight, never strictly larger
     return Atom(row)
 
@@ -240,10 +218,10 @@ def genericity_formula(g: Dag) -> Formula:
 
 
 def satisfiable(f: Formula, nvars: int) -> Witness | None:
-    """Lazy DNF search: negations pushed to atoms, OR nodes branched in
-    order, the running conjunction pruned by exact feasibility before every
-    branch.  Returns the first witness found; deterministic."""
-    f = _strip_not(f)
+    """Lazy DNF search over a formula in negation normal form, as negate
+    leaves it: OR nodes branched in order, the running conjunction pruned by
+    exact feasibility before every branch.  Returns the first witness found;
+    deterministic."""
 
     def search(pending: list[Formula], system: list[Constraint]) -> Witness | None:
         pending = list(pending)

@@ -7,18 +7,21 @@ feasible exactly when the optimum is positive, and the optimal basic solution
 is a reusable interior point.  The simplex uses Bland's rule throughout, so
 it terminates and is deterministic for a fixed input ordering.
 
-The tableau is integer.  Each input row is scaled by the lcm of its
-denominators, a positive factor that keeps its half-space.  The tableau then
-holds Python ints A over one positive common denominator d and stands for the
-rational tableau A/d.  A pivot on p = A[r][j] replaces every other row a, the
-cost row included, by (a*p - a[j]*A[r]) / d and sets d to p, after negating
-row r if p < 0 (integer-preserving pivoting: Edmonds 1967; Bareiss 1968).
-Exactness invariant: every entry of A is, up to sign, a minor of the
-starting integer tableau and d is the absolute determinant of the current
-basis, so each division is exact and no gcd is ever taken.  Since d > 0,
-A/d has the signs of A and ratio tests cross-multiply, so on integer input
-the pivots, and the witness, are those of the same simplex on a Fraction
-tableau.  Fractions appear only in the witness, as z = A[r][-1] / d.
+Every row is a primitive integer vector from the moment it is built:
+Constraint.build scales its coefficients and constant by the positive factor
+that makes them integers with gcd 1, which keeps the half-space.  So the
+tableau holds Python ints A over one positive common denominator d and
+stands for the rational tableau A/d.  A pivot on p = A[r][j] replaces every
+other row a, the cost row included, by (a*p - a[j]*A[r]) / d and sets d to p,
+after negating row r if p < 0 (integer-preserving pivoting: Edmonds 1967;
+Bareiss 1968).  Exactness invariant: every entry of A is, up to sign, a minor
+of the starting integer tableau and d is the absolute determinant of the
+current basis, so each division is exact and no gcd is ever taken.  Since
+d > 0, A/d has the signs of A and ratio tests cross-multiply, so the pivots,
+and the witness, are those of the same simplex on a Fraction tableau.  The
+witness is re-verified against every row in integers, as
+sum(c_v * num_v) + const * d over its numerators num and the tableau
+denominator d, before Fractions appear in it as num_v / d.
 """
 
 from __future__ import annotations
@@ -31,53 +34,40 @@ from typing import Iterable, Mapping, Sequence
 ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class LinExpr:
-    """A linear form sum(coeff_v * x_v) + const with sparse exact coefficients."""
-
-    terms: tuple[tuple[int, Fraction], ...]
-    const: Fraction = ZERO
-
-    @staticmethod
-    def build(coeffs: Mapping[int, Fraction | int], const=0) -> "LinExpr":
-        terms = tuple(sorted((v, Fraction(c)) for v, c in coeffs.items() if c != 0))
-        return LinExpr(terms, Fraction(const))
-
-    def coeff_dict(self) -> dict[int, Fraction]:
-        return dict(self.terms)
-
-    def evaluate(self, point: Sequence[Fraction]) -> Fraction:
-        return sum((c * point[v] for v, c in self.terms), self.const)
-
-    def __neg__(self) -> "LinExpr":
-        return LinExpr(tuple((v, -c) for v, c in self.terms), -self.const)
-
-    def __sub__(self, other: "LinExpr") -> "LinExpr":
-        coeffs = self.coeff_dict()
-        for v, c in other.terms:
-            coeffs[v] = coeffs.get(v, ZERO) - c
-        return LinExpr.build(coeffs, self.const - other.const)
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return str(self.const)
-        body = " + ".join(f"{c}*x{v}" for v, c in self.terms)
-        return body if self.const == 0 else f"{body} + {self.const}"
+def _primitive(vec: Sequence[Fraction | int]) -> tuple[int, ...]:
+    """The positive multiple of a rational or integer vector with coprime
+    integer entries (the zero vector stays zero)."""
+    mult = lcm(*(x.denominator for x in vec)) if vec else 1
+    ints = [x.numerator * (mult // x.denominator) for x in vec]
+    g = gcd(*ints) or 1
+    return tuple(v // g for v in ints)
 
 
 @dataclass(frozen=True)
 class Constraint:
-    """expr REL 0 with REL one of '>', '>=', '=='."""
+    """sum(c_v * x_v) + const REL 0 with REL one of '>', '>=', '=='.
 
-    expr: LinExpr
+    The row is primitive: integer coefficients and constant with gcd 1."""
+
+    terms: tuple[tuple[int, int], ...]
+    const: int
     rel: str
 
     def __post_init__(self):
         if self.rel not in (">", ">=", "=="):
             raise ValueError(f"unknown relation {self.rel!r}")
 
-    def holds_at(self, point: Sequence[Fraction]) -> bool:
-        val = self.expr.evaluate(point)
+    @staticmethod
+    def build(coeffs: Mapping[int, Fraction | int], rel: str, const=0) -> "Constraint":
+        """The row scaled by the positive factor that makes it primitive, so
+        the half-space (or hyperplane) is unchanged."""
+        terms = sorted((v, c) for v, c in coeffs.items() if c != 0)
+        *ints, const = _primitive([c for _, c in terms] + [const])
+        return Constraint(tuple((v, a) for (v, _), a in zip(terms, ints)), const, rel)
+
+    def holds_at(self, point: Sequence[Fraction | int], den: int = 1) -> bool:
+        """Whether the row holds at point / den, for a positive den."""
+        val = sum(c * point[v] for v, c in self.terms) + self.const * den
         if self.rel == ">":
             return val > 0
         if self.rel == ">=":
@@ -86,26 +76,16 @@ class Constraint:
 
     def negated(self) -> "Constraint":
         """Complement within closed/open half-spaces; '==' has no single negation."""
-        if self.rel == ">":
-            return Constraint(-self.expr, ">=")
-        if self.rel == ">=":
-            return Constraint(-self.expr, ">")
-        raise ValueError("negation of an equality is a disjunction")
-
-    def normalized(self) -> "Constraint":
-        """Scale to integral coefficients with gcd 1 (positive scaling only)."""
-        values = [c for _, c in self.expr.terms] + ([self.expr.const] if self.expr.const else [])
-        if not values:
-            return Constraint(LinExpr((), ZERO), self.rel)
-        mult = lcm(*(v.denominator for v in values))
-        ints = [v * mult for v in values]
-        g = gcd(*(int(v) for v in ints))
-        scale = Fraction(mult, g if g else 1)
-        terms = tuple((v, c * scale) for v, c in self.expr.terms)
-        return Constraint(LinExpr(terms, self.expr.const * scale), self.rel)
+        if self.rel == "==":
+            raise ValueError("negation of an equality is a disjunction")
+        terms = tuple((v, -c) for v, c in self.terms)
+        return Constraint(terms, -self.const, ">=" if self.rel == ">" else ">")
 
     def __str__(self) -> str:
-        return f"{self.expr} {self.rel} 0"
+        parts = [f"{c}*x{v}" for v, c in self.terms]
+        if self.const or not parts:
+            parts.append(str(self.const))
+        return f"{' + '.join(parts)} {self.rel} 0"
 
 
 @dataclass(frozen=True)
@@ -115,12 +95,13 @@ class Witness:
     point: tuple[Fraction, ...]
 
     @classmethod
-    def checked(cls, point: Sequence[Fraction], system: Iterable[Constraint]) -> "Witness":
-        w = cls(tuple(point))
+    def checked(cls, point: Sequence[Fraction | int], system: Iterable[Constraint],
+                den: int = 1) -> "Witness":
+        """The witness point / den, after checking every row at it."""
         for con in system:
-            if not con.holds_at(w.point):
-                raise AssertionError(f"witness {w.point} violates {con}")
-        return w
+            if not con.holds_at(point, den):
+                raise AssertionError(f"witness {tuple(point)} / {den} violates {con}")
+        return cls(tuple(Fraction(x, den) for x in point))
 
 
 def _pivot(T, cost, basis, d, r, j):
@@ -209,11 +190,12 @@ def _solve_standard(rows, rhs, objective, ncols):
     """min objective.z s.t. rows.z = rhs, z >= 0, all integer.  Exact
     two-phase simplex on an integer tableau.
 
-    Returns (status, z): status "optimal" | "infeasible" | "unbounded".
+    Returns (status, z, d): status "optimal" | "infeasible" | "unbounded";
+    an optimal solution is the integer vector z over the denominator d > 0.
     """
     m = len(rows)
     if m == 0:
-        return "optimal", [ZERO] * ncols
+        return "optimal", [0] * ncols, 1
     d = 1
     direct = _direct_basis(rows, rhs, ncols)
     if direct is not None:
@@ -234,7 +216,7 @@ def _solve_standard(rows, rhs, objective, ncols):
         basis = [ncols + r for r in range(m)]
         _, d = _run_simplex(T, cost, basis, d, range(ncols))
         if cost[-1] != 0:
-            return "infeasible", None
+            return "infeasible", None, d
         # drive leftover artificials out of the basis, dropping redundant rows
         drop = []
         for r in range(m):
@@ -255,11 +237,11 @@ def _solve_standard(rows, rhs, objective, ncols):
             cost = [a - f * b for a, b in zip(cost, row)]
     optimal, d = _run_simplex(T, cost, basis, d, range(ncols))
     if not optimal:
-        return "unbounded", None
-    z = [ZERO] * ncols
+        return "unbounded", None, d
+    z = [0] * ncols
     for r, bv in enumerate(basis):
-        z[bv] = Fraction(T[r][-1], d)
-    return "optimal", z
+        z[bv] = T[r][-1]
+    return "optimal", z, d
 
 
 def feasible(system: Sequence[Constraint], nvars: int) -> Witness | None:
@@ -270,7 +252,7 @@ def feasible(system: Sequence[Constraint], nvars: int) -> Witness | None:
     """
     system = list(system)
     for con in system:
-        if any(v >= nvars or v < 0 for v, _ in con.expr.terms):
+        if any(v >= nvars or v < 0 for v, _ in con.terms):
             raise ValueError(f"constraint {con} references a variable >= nvars={nvars}")
     strict = any(con.rel == ">" for con in system)
     # columns: x_v = z[2v] - z[2v+1]; then (t+, t-) if needed; then slacks
@@ -278,19 +260,15 @@ def feasible(system: Sequence[Constraint], nvars: int) -> Witness | None:
     t_pos, t_neg = 2 * nvars, 2 * nvars + 1
     rows, rhs = [], []  # rows hold (coefficients, slack sign); sign 0 means equality
     for con in system:
-        # scale by the lcm of the row's denominators: integer, same half-space
-        const = con.expr.const
-        mult = lcm(const.denominator, *(c.denominator for _, c in con.expr.terms))
         row = [0] * ncols
-        for v, c in con.expr.terms:
-            a = c.numerator * (mult // c.denominator)
-            row[2 * v] += a
-            row[2 * v + 1] -= a
+        for v, c in con.terms:
+            row[2 * v] += c
+            row[2 * v + 1] -= c
         if con.rel == ">":
             row[t_pos] -= 1
             row[t_neg] += 1
         rows.append((row, 0 if con.rel == "==" else -1))
-        rhs.append(-const.numerator * (mult // const.denominator))
+        rhs.append(-con.const)
     if strict:
         cap = [0] * ncols
         cap[t_pos] += 1
@@ -310,13 +288,13 @@ def feasible(system: Sequence[Constraint], nvars: int) -> Witness | None:
     objective = [0] * total
     if strict:
         objective[t_pos], objective[t_neg] = -1, 1
-    status, z = _solve_standard(full, rhs, objective, total)
+    status, z, d = _solve_standard(full, rhs, objective, total)
     if status != "optimal":
         return None
     if strict and z[t_pos] - z[t_neg] <= 0:
         return None
     point = [z[2 * v] - z[2 * v + 1] for v in range(nvars)]
-    return Witness.checked(point, system)
+    return Witness.checked(point, system, d)
 
 
 def rank_of(rows: Sequence[Sequence[Fraction]]) -> int:

@@ -6,13 +6,14 @@ are the vertices of a polytope whose (outer) normal fan is the weight-space
 fan, so its face lattice is dual to the fan and relative-interior normal
 vectors of faces realize the CI structures of tied weight vectors.
 
-The convex hull is computed exactly: points are projected to affine-hull
-coordinates, translated so the origin is interior, and the facets are read
-off as the extreme rays of the cone of valid inequalities via the double
-description method with the combinatorial adjacency test.  The face lattice
-comes from the vertex-facet incidences alone: the faces covered by a face are
-the inclusion-maximal cuts of it with facets, and dimensions are lattice
-ranks (Kaibel & Pfetsch, "Computing the face lattice of a polytope from its
+The convex hull is computed exactly and in integers: points are projected to
+affine-hull coordinates and shifted by the centroid scaled by the point
+count m (p becomes m*p - sum of all points), so the origin is interior, and
+the facets are read off as the extreme rays of the cone of valid
+inequalities via the double description method with the combinatorial
+adjacency test.  The face lattice comes from the vertex-facet incidences
+alone: the faces covered by a face are the inclusion-maximal cuts of it with
+facets, and dimensions are lattice ranks (Kaibel & Pfetsch, "Computing the face lattice of a polytope from its
 vertex-facet incidences", CGTA 23, 2002).  The facet normals then answer the
 fan's questions without further LPs: the sum of the normals of the facets
 containing a face lies in the relative interior of the face's normal cone,
@@ -22,11 +23,9 @@ and two maximal cones are adjacent exactly when their vertices span an edge.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
 
 from .graph import Dag
-from .linarith import independent_rows, nullspace, pivot_columns
+from .linarith import _primitive, independent_rows, nullspace, pivot_columns
 from .separation import Maxoid, maxoid_from_blockers
 from .fan import FanEntry, CriticalSystem, enumerate_maximal_cones
 
@@ -89,13 +88,6 @@ def polytope_vertices(g: Dag, entries: list[FanEntry] | None = None
     return out
 
 
-def _primitive(vec: list[Fraction]) -> tuple[int, ...]:
-    mult = lcm(*(x.denominator for x in vec)) if vec else 1
-    ints = [int(x * mult) for x in vec]
-    g = gcd(*ints) if any(ints) else 1
-    return tuple(v // g for v in ints)
-
-
 def _dd_extreme_rays(rows: list[tuple[int, ...]], dim: int) -> list[tuple[int, ...]]:
     """Extreme rays of {y : row . y >= 0 for all rows}; the cone must be
     pointed and the rows of full rank dim."""
@@ -142,7 +134,7 @@ def _dd_extreme_rays(rows: list[tuple[int, ...]], dim: int) -> list[tuple[int, .
                 if any(masks[r] & common == common for r in rays if r != rp and r != rm):
                     continue
                 combo = [vals[rp] * b - vals[rm] * a for a, b in zip(rp, rm)]
-                newly.append(_primitive([Fraction(x) for x in combo]))
+                newly.append(_primitive(combo))
         processed.append(row)
         bit = 1 << (len(processed) - 1)
         kept = {}
@@ -158,10 +150,14 @@ def _dd_extreme_rays(rows: list[tuple[int, ...]], dim: int) -> list[tuple[int, .
     return rays
 
 
-def _facet_incidences(points: list[tuple[Fraction, ...]]
+def _facet_incidences(points: list[tuple[int, ...]]
                       ) -> list[tuple[frozenset[int], tuple[int, ...]]]:
     """For each facet, the set of incident point indices and an integer
     outer normal in the points' own coordinates (none for a single point).
+
+    With m points, each projected point p is shifted to m*p - sum of all
+    points, m times its offset from the centroid, so the shift stays in
+    integers: facet a.(p - centroid) <= a0 reads a.shifted <= m*a0.
 
     The normal found in pivot-column coordinates is lifted by zeros off the
     pivot columns; the projection is injective on the affine hull, so the
@@ -175,9 +171,9 @@ def _facet_incidences(points: list[tuple[Fraction, ...]]
     if dim == 0:
         return []
     proj = [tuple(p[c] for c in cols) for p in points]
-    center = tuple(sum(p[k] for p in proj) / m for k in range(dim))
-    shifted = [tuple(x - c for x, c in zip(p, center)) for p in proj]
-    rows = [_primitive([Fraction(1)] + [-x for x in p]) for p in shifted]
+    total = [sum(p[k] for p in proj) for k in range(dim)]
+    shifted = [tuple(m * x - t for x, t in zip(p, total)) for p in proj]
+    rows = [_primitive([m] + [-x for x in p]) for p in shifted]
     rays = _dd_extreme_rays(rows, dim + 1)
     facets = []
     for ray in rays:
@@ -186,7 +182,7 @@ def _facet_incidences(points: list[tuple[Fraction, ...]]
             raise AssertionError("facet inequality with nonpositive offset")
         incident = frozenset(
             i for i, p in enumerate(shifted)
-            if sum(c * x for c, x in zip(a, p)) == a0
+            if sum(c * x for c, x in zip(a, p)) == m * a0
         )
         normal = [0] * len(base)
         for c, x in zip(cols, a):
@@ -207,7 +203,7 @@ def face_lattice(points: list[PolytopePoint]) -> FaceLattice:
     is the sum of the outer normals of the facets that contain it: their
     maxima meet exactly on the face.
     """
-    coords = [tuple(map(Fraction, p.coords)) for p in points]
+    coords = [p.coords for p in points]
     if not coords:
         raise ValueError("need at least one point")
     facets = [(sum(1 << i for i in incident), a) for incident, a in _facet_incidences(coords)]

@@ -17,8 +17,7 @@ from typing import Iterator, Sequence
 
 from maxoid.graph import Dag, enumerate_paths, transitive_closure
 from maxoid.implication import Verdict, decide_implication
-from maxoid.linarith import (Constraint, LinExpr, Witness, affine_dimension, feasible,
-                             nullspace)
+from maxoid.linarith import Constraint, Witness, affine_dimension, feasible, nullspace
 from maxoid.polytope import Face, FaceLattice, PolytopePoint, _facet_incidences
 from maxoid.separation import CiStatement, Maxoid
 from maxoid.tropical import NEG_INF, TropicalMatrix, WeightedDag, kleene_star, path_weight
@@ -180,9 +179,9 @@ def fm_feasible(system: list[Constraint], nvars: int) -> bool:
     equalities: list[tuple[list[Fraction], Fraction]] = []
     for con in system:
         coeffs = [Fraction(0)] * nvars
-        for v, c in con.expr.terms:
+        for v, c in con.terms:
             coeffs[v] = Fraction(c)
-        const = Fraction(con.expr.const)
+        const = Fraction(con.const)
         if con.rel == "==":
             equalities.append((coeffs, const))
         else:
@@ -360,7 +359,7 @@ def fraction_feasible(system: Sequence[Constraint], nvars: int) -> Witness | Non
     pivots exactly as feasible does and returns the identical witness."""
     system = list(system)
     for con in system:
-        if any(v >= nvars or v < 0 for v, _ in con.expr.terms):
+        if any(v >= nvars or v < 0 for v, _ in con.terms):
             raise ValueError(f"constraint {con} references a variable >= nvars={nvars}")
     strict = any(con.rel == ">" for con in system)
     # columns: x_v = z[2v] - z[2v+1]; then (t+, t-) if needed; then slacks
@@ -369,14 +368,14 @@ def fraction_feasible(system: Sequence[Constraint], nvars: int) -> Witness | Non
     rows, rhs = [], []  # rows hold (coefficients, slack sign); sign 0 means equality
     for con in system:
         row = [Fraction(0)] * ncols
-        for v, c in con.expr.terms:
+        for v, c in con.terms:
             row[2 * v] += c
             row[2 * v + 1] -= c
         if con.rel == ">":
             row[t_pos] -= 1
             row[t_neg] += 1
         rows.append((row, 0 if con.rel == "==" else -1))
-        rhs.append(-con.expr.const)
+        rhs.append(Fraction(-con.const))
     if strict:
         cap = [Fraction(0)] * ncols
         cap[t_pos] += 1
@@ -469,7 +468,7 @@ def lp_face_maxoid(g: Dag, face, points) -> Maxoid:
         row = {j: sum(b * d for b, d in zip(vec, diff)) for j, vec in enumerate(span)}
         if not any(row.values()):
             raise ValueError("vertex set is not a face of the polytope")
-        con = Constraint(LinExpr.build(row), ">").normalized()
+        con = Constraint.build(row, ">")
         if con not in seen:
             seen.add(con)
             reduced.append(con)
@@ -492,7 +491,7 @@ def pairwise_face_lattice(points: list[PolytopePoint]) -> FaceLattice:
     and a test of every pair of faces for a cover (one dimension apart, the
     smaller vertex set strictly inside the larger).  It shares only the hull,
     polytope._facet_incidences, with the code it checks."""
-    coords = [tuple(map(Fraction, p.coords)) for p in points]
+    coords = [p.coords for p in points]
     if not coords:
         raise ValueError("need at least one point")
     facets = _facet_incidences(coords)
@@ -541,9 +540,9 @@ def lp_cone_adjacency(entries) -> list[tuple[int, int]]:
         for b in range(a + 1, len(entries)):
             rows_b = entries[b].cone.strict
             for flip in rows_a:
-                system = [Constraint(flip.expr, "==")]
+                system = [Constraint(flip.terms, flip.const, "==")]
                 system += [r for r in rows_a if r != flip]
-                system += [Constraint(r.expr, ">=") for r in rows_b]
+                system += [Constraint(r.terms, r.const, ">=") for r in rows_b]
                 if feasible(system, nvars) is not None:
                     edges.append((a, b))
                     break

@@ -187,6 +187,15 @@ def test_polytope_output_matches_the_golden_files(capsys, tmp_path, name):
     assert dot.read_bytes() == (DATA / f"{name}_hasse.dot").read_bytes()
 
 
+@pytest.mark.parametrize("name", ["complete4", "diamond"])
+def test_fan_output_matches_the_golden_files(capsys, name):
+    # recorded before constraint rows became primitive integer vectors at
+    # build: pins the inequality rows, the LP witnesses and the adjacency
+    code, out = invoke(capsys, "fan", "--adjacency", str(DATA / f"{name}.json"))
+    assert code == 0
+    assert out.encode() == (DATA / f"{name}_fan.json").read_bytes()
+
+
 def test_dot_export(files, capsys, tmp_path):
     dot = tmp_path / "g.dot"
     code, _ = invoke(capsys, "maxoid", files["dag"], files["weights"], "--dot", str(dot))

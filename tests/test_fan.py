@@ -34,14 +34,14 @@ def test_cone_of_diamond_minimal():
     row = cone.strict[0]
     assert row.rel == ">"
     # c12 + c24 - c13 - c34 > 0 over lexicographic edges
-    assert row.expr.coeff_dict() == {0: 1, 1: -1, 2: 1, 3: -1}
+    assert dict(row.terms) == {0: 1, 1: -1, 2: 1, 3: -1}
 
 
 def test_cone_of_k3():
     wd = weighted_dag_from_list(K3, [1, 1, 1])  # c13 < c12 + c23
     cone = cone_of(wd)
     assert len(cone.strict) == 1
-    assert cone.strict[0].expr.coeff_dict() == {0: 1, 1: -1, 2: 1}
+    assert dict(cone.strict[0].terms) == {0: 1, 1: -1, 2: 1}
 
 
 def test_cone_of_chain_is_whole_space():

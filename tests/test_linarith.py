@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,6 @@ from hypothesis import strategies as st
 
 from maxoid.linarith import (
     Constraint,
-    LinExpr,
     Witness,
     affine_dimension,
     feasible,
@@ -17,20 +18,16 @@ from maxoid.linarith import (
 from oracles import fm_feasible, fraction_feasible
 
 
-def expr(coeffs, const=0):
-    return LinExpr.build(coeffs, const)
-
-
 def gt(coeffs, const=0):
-    return Constraint(expr(coeffs, const), ">")
+    return Constraint.build(coeffs, ">", const)
 
 
 def ge(coeffs, const=0):
-    return Constraint(expr(coeffs, const), ">=")
+    return Constraint.build(coeffs, ">=", const)
 
 
 def eq(coeffs, const=0):
-    return Constraint(expr(coeffs, const), "==")
+    return Constraint.build(coeffs, "==", const)
 
 
 def test_open_interval():
@@ -85,10 +82,10 @@ def test_determinism():
 
 
 def test_normalized_constraint():
-    c = gt({0: Fraction(2, 3), 1: Fraction(-4, 3)}).normalized()
-    assert c.expr.terms == ((0, Fraction(1)), (1, Fraction(-2)))
-    c2 = Constraint(expr({0: Fraction(1, 2)}, Fraction(3, 2)), ">=").normalized()
-    assert c2.expr.terms == ((0, Fraction(1)),) and c2.expr.const == 3
+    c = gt({0: Fraction(2, 3), 1: Fraction(-4, 3)})
+    assert c.terms == ((0, 1), (1, -2))
+    c2 = ge({0: Fraction(1, 2)}, Fraction(3, 2))
+    assert c2.terms == ((0, 1),) and c2.const == 3
 
 
 def test_negated():
@@ -99,9 +96,10 @@ def test_negated():
 
 
 @st.composite
-def small_systems(draw, rational=False, relations=(">", ">=", "==")):
-    """Systems of up to 6 rows in up to 4 variables with small integer
-    entries, or small rational ones when rational is set."""
+def small_rows(draw, rational=False, relations=(">", ">=", "==")):
+    """Up to 6 raw rows (coefficients, constant, relation) in up to 4
+    variables with small integer entries, or small rational ones when
+    rational is set."""
     nvars = draw(st.integers(min_value=1, max_value=4))
     nrows = draw(st.integers(min_value=1, max_value=6))
 
@@ -114,8 +112,47 @@ def small_systems(draw, rational=False, relations=(">", ">=", "==")):
         coeffs = {v: entry(3) for v in range(nvars)}
         const = entry(4)
         rel = draw(st.sampled_from(list(relations)))
-        rows.append(Constraint(LinExpr.build(coeffs, const), rel))
+        rows.append((coeffs, const, rel))
     return rows, nvars
+
+
+def small_systems(rational=False, relations=(">", ">=", "==")):
+    """The rows of small_rows, built into constraints."""
+    return small_rows(rational, relations).map(
+        lambda case: ([Constraint.build(c, rel, k) for c, k, rel in case[0]], case[1]))
+
+
+def _holds_directly(coeffs, const, rel, point) -> bool:
+    val = sum(Fraction(c) * point[v] for v, c in coeffs.items()) + const
+    return val > 0 if rel == ">" else val >= 0 if rel == ">=" else val == 0
+
+
+@given(small_rows(rational=True), st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=150, deadline=None)
+def test_build_stores_the_primitive_row_of_the_same_half_space(case, seed):
+    rows, nvars = case
+    rng = random.Random(seed)
+    for coeffs, const, rel in rows:
+        con = Constraint.build(coeffs, rel, const)
+        values = [c for _, c in con.terms] + [con.const]
+        assert all(type(x) is int for x in values)
+        assert gcd(*values) == (1 if any(coeffs.values()) or const else 0)
+        scale = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        scaled = {v: c * scale for v, c in coeffs.items()}
+        assert Constraint.build(scaled, rel, const * scale) == con
+        points = [[Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(nvars)]
+                  for _ in range(4)]
+        # points solved onto the hyperplane, where '>' and '>=' part
+        for v in (v for v, c in coeffs.items() if c != 0):
+            p = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(nvars)]
+            p[v] = 0
+            p[v] = -(sum(c * p[u] for u, c in coeffs.items()) + const) / coeffs[v]
+            points.append(p)
+        for p in points:
+            expected = _holds_directly(coeffs, const, rel, p)
+            assert con.holds_at(p) == expected
+            den = lcm(*(x.denominator for x in p))
+            assert con.holds_at([int(x * den) for x in p], den) == expected
 
 
 @given(small_systems())
