@@ -23,7 +23,7 @@ from itertools import combinations
 from .graph import Dag, acyclic_edge_sets, dag_to_json
 from .fan import enumerate_maximal_cones
 from .polytope import face_lattice, face_maxoid, polytope_vertices
-from .separation import Maxoid
+from .separation import CiStatement, Maxoid, parse_ci_statement
 
 CACHE_ENV = "MAXOID_CACHE_DIR"
 # Raise whenever what a cache file holds, or how it is computed, changes:
@@ -145,16 +145,25 @@ def census_structures(family: TdagFamily, include_faces: bool = True,
             results = pool.map(_worker, tasks)
     else:
         results = [_worker(t) for t in tasks]
+    # the same few statement strings recur across graphs: parse each once
+    parsed: dict[str, CiStatement] = {}
+
+    def structure(stmts: list[str]) -> Maxoid:
+        for t in stmts:
+            if t not in parsed:
+                parsed[t] = parse_ci_statement(t, family.n)
+        return Maxoid(family.n, (parsed[t] for t in stmts))
+
     generic: set[Maxoid] = set()
     everything: set[Maxoid] = set()
     for _, data in results:
         for stmts in data["generic"]:
-            m = Maxoid.from_json(family.n, stmts)
+            m = structure(stmts)
             generic.add(m)
             everything.add(m)
         if include_faces:
             for stmts in data["faces"]:
-                everything.add(Maxoid.from_json(family.n, stmts))
+                everything.add(structure(stmts))
     return generic, everything
 
 

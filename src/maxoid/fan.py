@@ -6,10 +6,13 @@ realizable by some generic weight vector spans a full-dimensional open cone;
 the closures of these cones tile R^E and are in bijection with the CI
 structures of generic weights.  Cones are enumerated by a depth-first search
 over per-pair path choices with subpath-consistency and exact feasibility
-pruning, so only realizable systems are ever completed.  A child node whose
-new rows its parent's witness already satisfies strictly keeps that witness
-and solves no LP.  A cone's CI structure is read off its chosen paths, which
-are the critical paths of every weight vector in it.
+pruning, so only realizable systems are ever completed.  The search carries
+an optimal StrictTableau down next to its rows.  A child node whose new rows
+its parent's witness already satisfies strictly keeps that witness and
+solves no LP; any other child appends the rows its tableau has not absorbed
+yet to a copy of it and repairs that by dual simplex, so siblings still
+share the parent's tableau.  A cone's CI structure is read off its chosen
+paths, which are the critical paths of every weight vector in it.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .graph import Dag, Path, enumerate_paths
-from .linarith import Constraint, Witness, feasible, rank_of
+from .linarith import Constraint, StrictTableau, Witness, rank_of
 from .separation import Maxoid, interior_mask, maxoid_from_blockers
 from .tropical import WeightedDag, critical_paths, is_generic
 
@@ -169,22 +172,20 @@ def enumerate_maximal_cones(g: Dag) -> list[FanEntry]:
             del choices[k]
 
     def dfs(idx: int, choices: dict, rows: list[Constraint], seen: set,
-            witness: Witness | None):
+            tab: StrictTableau):
         if idx == len(pairs):
-            if witness is None:
-                witness = feasible([], nvars)
             minimal = dict.fromkeys(system_rows(choices, pairs, minimal=True))
             system = CriticalSystem.from_dict(choices)
             entries.append(FanEntry(
                 system=system,
                 cone=ConeDescription(tuple(minimal), nvars),
                 maxoid=maxoid_from_blockers(g.n, system.blockers),
-                witness=witness,
+                witness=tab.witness,
             ))
             return
         key = pairs[idx]
         if key in choices:
-            dfs(idx + 1, choices, rows, seen, witness)
+            dfs(idx + 1, choices, rows, seen, tab)
             return
         for path in path_lists[key]:
             forced = propagate(choices, key, path)
@@ -192,20 +193,20 @@ def enumerate_maximal_cones(g: Dag) -> list[FanEntry]:
                 continue
             new_rows = [r for r in system_rows(choices, forced, minimal=False)
                         if r not in seen]
-            if witness is not None and all(r.holds_at(witness.point) for r in new_rows):
-                w = witness  # the parent's point lies strictly inside the child too
+            if all(r.holds_at(tab.point, tab.d) for r in new_rows):
+                child = tab  # the parent's point lies strictly inside the child too
             else:
-                w = feasible(rows + new_rows, nvars)
-            if w is not None:
+                child = tab.extended(rows[len(tab.rows):] + new_rows)
+            if child is not None:
                 rows.extend(new_rows)
                 seen.update(new_rows)
-                dfs(idx + 1, choices, rows, seen, w)
+                dfs(idx + 1, choices, rows, seen, child)
                 del rows[len(rows) - len(new_rows):]
                 seen.difference_update(new_rows)
             undo(choices, forced)
 
     try:
-        dfs(0, {}, [], set(), None)
+        dfs(0, {}, [], set(), StrictTableau(nvars))
     finally:
         # dfs refers to itself; breaking that cycle frees the search state
         # on return instead of at the next garbage collection

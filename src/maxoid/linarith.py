@@ -22,6 +22,18 @@ and the witness, are those of the same simplex on a Fraction tableau.  The
 witness is re-verified against every row in integers, as
 sum(c_v * num_v) + const * d over its numerators num and the tableau
 denominator d, before Fractions appear in it as num_v / d.
+
+StrictTableau keeps such an optimal tableau for strict rows alone so that a
+search can append rows to it instead of solving from scratch.  An appended
+row enters with its own slack basic, and the current basic columns are
+eliminated from it as row*d - sum(row[b_r] * T[r]) over the basic rows r:
+this is the row the pivots so far would have made of it, over the same d,
+so the exactness invariant holds.  A row whose slack is negative at the
+current point has a negative right-hand side while the reduced costs stay
+optimal, and dual simplex (Lemke 1954) repairs them with Bland's rule: the
+basic variable of smallest index with a negative right-hand side leaves,
+and the column j with T[r][j] < 0 of least ratio cost[j] / |T[r][j]|,
+cross-multiplied, enters, the smallest j on ties.
 """
 
 from __future__ import annotations
@@ -157,38 +169,42 @@ def _run_simplex(T, cost, basis, d, allowed_cols):
         d = _pivot(T, cost, basis, d, best_r, enter)
 
 
-def _direct_basis(rows, rhs, ncols):
-    """A starting identity basis among +-1 singleton columns, if one exists
-    (always the case for pure inequality systems, whose slack columns
-    qualify); avoids the artificial-variable phase."""
-    m = len(rows)
-    count = [0] * ncols
-    where = [0] * ncols
-    for r in range(m):
-        for j in range(ncols):
-            if rows[r][j] != 0:
-                count[j] += 1
-                where[j] = r
-    T = [None] * m
-    basis = [None] * m
-    used = set()
-    for r in range(m):
-        for j in range(ncols):
-            if (count[j] == 1 and where[j] == r and j not in used
-                    and abs(rows[r][j]) == 1 and rhs[r] * rows[r][j] >= 0):
-                s = rows[r][j]
-                T[r] = [x * s for x in rows[r]] + [rhs[r] * s]
-                basis[r] = j
-                used.add(j)
-                break
-        else:
+def _direct_basis(system, rhs, full, nvars):
+    """A starting identity basis among +-1 singleton columns of feasible's
+    standard form, if one exists (always the case for pure inequality
+    systems, whose slack columns qualify); avoids the artificial-variable
+    phase.  Read off the sparse rows: the columns of x_v = z[2v] - z[2v+1]
+    are singletons when v occurs in one row only, t+- never are (the cap row
+    and a strict row both hold them), and a slack column always is.  Each
+    row takes its lowest qualifying column."""
+    count = [0] * nvars
+    for con in system:
+        for v, _ in con.terms:
+            count[v] += 1
+    capped = len(full) > len(system)
+    slack = 2 * nvars + (2 if capped else 0)
+    basis = []
+    for con, b in zip(system, rhs):
+        # terms are sorted by variable, so the first hit is the lowest column
+        j = next((2 * v if b * c >= 0 else 2 * v + 1
+                  for v, c in con.terms if count[v] == 1 and abs(c) == 1), None)
+        if con.rel != "==":
+            if j is None and b <= 0:  # the row's slack column holds -1
+                j = slack
+            slack += 1
+        if j is None:
             return None
+        basis.append(j)
+    if capped:
+        basis.append(slack)  # t+ - t- + slack = 1
+    T = [[x * row[j] for x in row] + [b * row[j]] for row, b, j in zip(full, rhs, basis)]
     return T, basis
 
 
-def _solve_standard(rows, rhs, objective, ncols):
+def _solve_standard(rows, rhs, objective, ncols, direct):
     """min objective.z s.t. rows.z = rhs, z >= 0, all integer.  Exact
-    two-phase simplex on an integer tableau.
+    two-phase simplex on an integer tableau, started from the direct basis
+    (T, basis) when there is one and from an artificial one otherwise.
 
     Returns (status, z, d): status "optimal" | "infeasible" | "unbounded";
     an optimal solution is the integer vector z over the denominator d > 0.
@@ -197,7 +213,6 @@ def _solve_standard(rows, rhs, objective, ncols):
     if m == 0:
         return "optimal", [0] * ncols, 1
     d = 1
-    direct = _direct_basis(rows, rhs, ncols)
     if direct is not None:
         T, basis = direct
     else:
@@ -288,13 +303,101 @@ def feasible(system: Sequence[Constraint], nvars: int) -> Witness | None:
     objective = [0] * total
     if strict:
         objective[t_pos], objective[t_neg] = -1, 1
-    status, z, d = _solve_standard(full, rhs, objective, total)
+    direct = _direct_basis(system, rhs, full, nvars)
+    status, z, d = _solve_standard(full, rhs, objective, total, direct)
     if status != "optimal":
         return None
     if strict and z[t_pos] - z[t_neg] <= 0:
         return None
     point = [z[2 * v] - z[2 * v + 1] for v in range(nvars)]
     return Witness.checked(point, system, d)
+
+
+class StrictTableau:
+    """An optimal tableau of max t s.t. every absorbed strict row minus t
+    stays >= 0 and t <= 1, kept so that rows can be appended to it.
+
+    Columns are z+ and z- for x (x_v = z[v] - z[nvars + v]), t+ and t- for
+    t, the cap row's slack, then one slack per absorbed row, then the
+    right-hand side.  T holds the integer rows over the common denominator
+    d, and cost the reduced costs of min -t, so cost[-1] is d * t.  point
+    holds the integer numerators of the witness over d.  The root holds the
+    cap row alone, at x = 0 and t = 1.  extended() copies the tableau and
+    never changes it, so a search can hand one tableau to every child.
+    """
+
+    __slots__ = ("nvars", "rows", "T", "cost", "basis", "d", "point", "witness")
+
+    def __init__(self, nvars: int):
+        self.nvars = nvars
+        self.rows: tuple[Constraint, ...] = ()
+        t = 2 * nvars
+        self.T = [[0] * t + [1, -1, 1, 1]]
+        self.cost = [0] * t + [-1, 1, 0, 0]
+        self.basis = [t + 2]
+        self.d = _pivot(self.T, self.cost, self.basis, 1, 0, t)
+        self.point = [0] * nvars
+        self.witness = Witness.checked(self.point, ())
+
+    def extended(self, rows: Sequence[Constraint]) -> "StrictTableau | None":
+        """A new optimal tableau with rows appended, or None when the strict
+        system of all rows so far is infeasible (optimal t <= 0).
+
+        Each row sum(c_v x_v) + const > 0 enters as -a.x + t + s = const
+        with its slack s basic, eliminated against the current basis; then
+        dual simplex restores primal feasibility (see the module docstring).
+        The witness is re-verified against every absorbed row."""
+        for con in rows:
+            if con.rel != ">" or any(v >= self.nvars or v < 0 for v, _ in con.terms):
+                raise ValueError(f"{con} is not a strict row over {self.nvars} variables")
+        new = StrictTableau.__new__(StrictTableau)
+        new.nvars, new.rows = self.nvars, self.rows + tuple(rows)
+        k, width, d = len(rows), len(self.cost) - 1, self.d
+        pad = [0] * k
+        T = [row[:-1] + pad + row[-1:] for row in self.T]
+        cost = self.cost[:-1] + pad + self.cost[-1:]
+        basis = list(self.basis)
+        t = 2 * self.nvars
+        for i, con in enumerate(rows):
+            row = [0] * (width + k + 1)
+            for v, c in con.terms:
+                row[v], row[self.nvars + v] = -c, c
+            row[t], row[t + 1], row[width + i], row[-1] = 1, -1, 1, con.const
+            elim = [x * d for x in row]
+            for r, b in enumerate(basis):
+                f = row[b]
+                if f:
+                    elim = [a - f * x for a, x in zip(elim, T[r])]
+            T.append(elim)
+            basis.append(width + i)
+        while True:
+            # dual simplex, Bland's rule: leave on the smallest basic index
+            # with a negative right-hand side, enter by the least ratio
+            # cost[j] / -T[r][j] over T[r][j] < 0, smallest j on ties
+            leave = None
+            for r, row in enumerate(T):
+                if row[-1] < 0 and (leave is None or basis[r] < basis[leave]):
+                    leave = r
+            if leave is None:
+                break
+            # some T[leave][j] < 0: a lower t meets any row, so the LP is
+            # feasible and the row's equation has a solution z >= 0
+            prow = T[leave]
+            enter = None
+            for j, a in enumerate(prow[:-1]):
+                if a < 0 and (enter is None or cost[j] * prow[enter] > cost[enter] * a):
+                    enter = j
+            d = _pivot(T, cost, basis, d, leave, enter)
+        if cost[-1] <= 0:
+            return None
+        z = [0] * t
+        for r, b in enumerate(basis):
+            if b < t:
+                z[b] = T[r][-1]
+        new.T, new.cost, new.basis, new.d = T, cost, basis, d
+        new.point = [z[v] - z[self.nvars + v] for v in range(self.nvars)]
+        new.witness = Witness.checked(new.point, new.rows, d)
+        return new
 
 
 def rank_of(rows: Sequence[Sequence[Fraction]]) -> int:

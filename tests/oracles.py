@@ -5,7 +5,7 @@ enumeration, textbook d-separation, Fourier-Motzkin elimination, the
 replaced Fraction simplex, the replaced per-subset Kleene-star separation,
 max-plus matrix products, one exact LP per face or per pair of cones, the
 replaced pairwise face lattice, the replaced edge-mask graph loop and global
-implication scan) and stays independent of the code paths it cross-checks.
+implication scan, the replaced fan search with one cold LP per node) and stays independent of the code paths it cross-checks.
 """
 
 from __future__ import annotations
@@ -15,11 +15,19 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Sequence
 
+from maxoid.fan import (
+    ConeDescription,
+    CriticalSystem,
+    FanEntry,
+    _connected_pairs,
+    _edge_index,
+    _pair_rows,
+)
 from maxoid.graph import Dag, enumerate_paths, transitive_closure
 from maxoid.implication import Verdict, decide_implication
 from maxoid.linarith import Constraint, Witness, affine_dimension, feasible, nullspace
 from maxoid.polytope import Face, FaceLattice, PolytopePoint, _facet_incidences
-from maxoid.separation import CiStatement, Maxoid
+from maxoid.separation import CiStatement, Maxoid, maxoid_from_blockers
 from maxoid.tropical import NEG_INF, TropicalMatrix, WeightedDag, kleene_star, path_weight
 
 
@@ -404,6 +412,60 @@ def fraction_feasible(system: Sequence[Constraint], nvars: int) -> Witness | Non
     return Witness.checked(point, system)
 
 
+def fraction_strict_tableau(chunks: Sequence[Sequence[Constraint]],
+                            nvars: int) -> list[Witness | None]:
+    """The dual-simplex warm start on a Fraction tableau: the same columns,
+    rows and Bland's rule as linarith.StrictTableau, with every pivot row
+    divided through.  Appends the chunks one after another and returns the
+    witness after each, None from the first infeasible chunk on."""
+    t = 2 * nvars
+    T = [[Fraction(x) for x in [0] * t + [1, -1, 1, 1]]]
+    cost = [Fraction(x) for x in [0] * t + [-1, 1, 0, 0]]
+    basis = [t + 2]
+    _fr_pivot(T, cost, basis, 0, t)
+    rows: list[Constraint] = []
+    out: list[Witness | None] = []
+    for chunk in chunks:
+        if out and out[-1] is None:
+            out.append(None)
+            continue
+        width = len(cost) - 1
+        pad = [Fraction(0)] * len(chunk)
+        T = [row[:-1] + pad + row[-1:] for row in T]
+        cost = cost[:-1] + pad + cost[-1:]
+        for i, con in enumerate(chunk):
+            row = [Fraction(0)] * (width + len(chunk) + 1)
+            for v, c in con.terms:
+                row[v], row[nvars + v] = Fraction(-c), Fraction(c)
+            row[t], row[t + 1], row[width + i], row[-1] = 1, -1, 1, Fraction(con.const)
+            for r, b in enumerate(basis):
+                f = row[b]
+                if f:
+                    row = [a - f * x for a, x in zip(row, T[r])]
+            T.append(row)
+            basis.append(width + i)
+        rows.extend(chunk)
+        feasible_lp = True
+        while True:
+            negative = [r for r, row in enumerate(T) if row[-1] < 0]
+            if not negative:
+                break
+            leave = min(negative, key=lambda r: basis[r])
+            ratios = [(cost[j] / -a, j) for j, a in enumerate(T[leave][:-1]) if a < 0]
+            if not ratios:
+                feasible_lp = False
+                break
+            _fr_pivot(T, cost, basis, leave, min(ratios)[1])
+        if not feasible_lp or cost[-1] <= 0:
+            out.append(None)
+            continue
+        z = [Fraction(0)] * (len(cost) - 1)
+        for r, b in enumerate(basis):
+            z[b] = T[r][-1]
+        out.append(Witness.checked([z[v] - z[nvars + v] for v in range(nvars)], rows))
+    return out
+
+
 def random_weighted_dag(rng: random.Random, max_n: int = 5,
                         denominators=(1, 1, 2)) -> WeightedDag:
     """A random upper-triangular DAG with small rational weights; small
@@ -575,3 +637,63 @@ def scan_implication(n: int, premises, conclusions, generic: bool = False,
         if not verdict.holds:
             return verdict
     return Verdict(True)
+
+
+def cold_lp_maximal_cones(g: Dag) -> list[FanEntry]:
+    """The replaced fan search: the same depth-first search over per-pair
+    path choices, where a child whose new rows the parent's witness fails
+    solves its whole system from scratch with the two-phase feasible."""
+    index = _edge_index(g)
+    nvars = len(index)
+    pairs = _connected_pairs(g)
+    path_lists = {pq: enumerate_paths(g, *pq) for pq in pairs}
+    entries: list[FanEntry] = []
+
+    def system_rows(choices, keys, minimal):
+        return [row for key in keys
+                for row in _pair_rows(g, index, key, choices[key], minimal)]
+
+    def propagate(choices, key, path):
+        forced = []
+        for a in range(len(path)):
+            for b in range(a + 1, len(path)):
+                sub, subkey = path[a:b + 1], (path[a], path[b])
+                if subkey in choices:
+                    if choices[subkey] != sub:
+                        for k in forced:
+                            del choices[k]
+                        return None
+                else:
+                    choices[subkey] = sub
+                    forced.append(subkey)
+        return forced
+
+    def dfs(idx, choices, rows, witness):
+        if idx == len(pairs):
+            if witness is None:
+                witness = feasible([], nvars)
+            minimal = dict.fromkeys(system_rows(choices, pairs, minimal=True))
+            system = CriticalSystem.from_dict(choices)
+            entries.append(FanEntry(system, ConeDescription(tuple(minimal), nvars),
+                                    maxoid_from_blockers(g.n, system.blockers), witness))
+            return
+        key = pairs[idx]
+        if key in choices:
+            dfs(idx + 1, choices, rows, witness)
+            return
+        for path in path_lists[key]:
+            forced = propagate(choices, key, path)
+            if forced is None:
+                continue
+            new_rows = [r for r in system_rows(choices, forced, False) if r not in rows]
+            if witness is not None and all(r.holds_at(witness.point) for r in new_rows):
+                w = witness
+            else:
+                w = feasible(rows + new_rows, nvars)
+            if w is not None:
+                dfs(idx + 1, choices, rows + new_rows, w)
+            for k in forced:
+                del choices[k]
+
+    dfs(0, {}, [], None)
+    return entries

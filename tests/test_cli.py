@@ -189,8 +189,9 @@ def test_polytope_output_matches_the_golden_files(capsys, tmp_path, name):
 
 @pytest.mark.parametrize("name", ["complete4", "diamond"])
 def test_fan_output_matches_the_golden_files(capsys, name):
-    # recorded before constraint rows became primitive integer vectors at
-    # build: pins the inequality rows, the LP witnesses and the adjacency
+    # pins the inequality rows, the LP witnesses and the adjacency; recorded
+    # when the fan search began to warm-start its LPs, which moved only the
+    # witness fields (8 of 9 on complete-4, 1 of 2 on the diamond)
     code, out = invoke(capsys, "fan", "--adjacency", str(DATA / f"{name}.json"))
     assert code == 0
     assert out.encode() == (DATA / f"{name}_fan.json").read_bytes()

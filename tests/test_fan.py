@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from maxoid.census import all_top_ordered_tdags
 from maxoid.fan import (
     NonGenericError,
     cone_of,
@@ -16,7 +17,7 @@ from maxoid.linarith import feasible
 from maxoid.polytope import cone_adjacency
 from maxoid.separation import maxoid, parse_ci_statement
 from maxoid.tropical import WeightedDag, weighted_dag_from_list
-from oracles import complete_dag
+from oracles import cold_lp_maximal_cones, complete_dag, kleene_maxoid
 
 DIAMOND = Dag(4, [(1, 2), (1, 3), (2, 4), (3, 4)])
 K3 = Dag(3, [(1, 2), (1, 3), (2, 3)])
@@ -220,3 +221,22 @@ def test_search_state_is_freed_on_return():
     finally:
         if enabled:
             gc.enable()
+
+
+@pytest.mark.parametrize("graphs", [
+    pytest.param(lambda: all_top_ordered_tdags(4).graphs, id="tdags-4"),
+    pytest.param(lambda: all_top_ordered_tdags(5).graphs, id="tdags-5"),
+    pytest.param(lambda: [complete_dag(5)], id="complete-5"),
+])
+def test_warm_started_search_matches_the_cold_lp_search(graphs):
+    # the tableau carried down the search finds the same cones in the same
+    # order as one cold LP per node; only the interior witnesses may differ
+    for g in graphs():
+        entries = enumerate_maximal_cones(g)
+        expected = cold_lp_maximal_cones(g)
+        assert [(e.system, e.cone, e.maxoid) for e in entries] == \
+            [(e.system, e.cone, e.maxoid) for e in expected]
+        for e in entries:
+            assert all(c.holds_at(e.witness.point) for c in e.cone.strict)
+            wd = WeightedDag(g, dict(zip(g.sorted_edges, e.witness.point)))
+            assert kleene_maxoid(wd) == e.maxoid

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from maxoid.linarith import (
     Constraint,
+    StrictTableau,
     Witness,
     affine_dimension,
     feasible,
@@ -15,7 +16,7 @@ from maxoid.linarith import (
     pivot_columns,
     rank_of,
 )
-from oracles import fm_feasible, fraction_feasible
+from oracles import fm_feasible, fraction_feasible, fraction_strict_tableau
 
 
 def gt(coeffs, const=0):
@@ -224,6 +225,90 @@ def test_fan_cone_systems_match_the_fraction_simplex():
         for e in enumerate_maximal_cones(g):
             system = e.cone.strict
             assert feasible(system, e.cone.nvars) == fraction_feasible(system, e.cone.nvars)
+
+
+def test_sparse_direct_basis_is_the_dense_scan(monkeypatch):
+    # the basis read off the sparse rows is the one the replaced scan of the
+    # dense standard form picks, so feasible pivots as before
+    import maxoid.linarith as linarith
+    from oracles import _fr_direct_basis
+
+    calls = []
+
+    def recording(system, rhs, full, nvars):
+        # compared at once: the simplex pivots the returned tableau in place
+        got = direct(system, rhs, full, nvars)
+        expected = _fr_direct_basis(full, rhs, len(full[0]) if full else 0)
+        calls.append((got is None, got == expected))
+        return got
+
+    direct = linarith._direct_basis
+    monkeypatch.setattr(linarith, "_direct_basis", recording)
+    rng = random.Random("direct-basis")
+    for _ in range(300):
+        nvars = rng.randint(1, 4)
+        system = [Constraint.build({v: rng.choice((-2, -1, -1, 1, 1, 2)) for v in
+                                    rng.sample(range(nvars), rng.randint(0, nvars))},
+                                   rng.choice((">", ">=", "==")), rng.randint(-2, 2))
+                  for _ in range(rng.randint(1, 4))]
+        feasible(system, nvars)
+    assert len(calls) == 300
+    assert {missing for missing, _ in calls} == {True, False}
+    assert all(same for _, same in calls)
+
+
+def _random_strict_chunks(rng):
+    """Up to 4 chunks of up to 4 strict rows in up to 4 variables, half the
+    time homogeneous like the fan's rows; zero rows and opposite rows make
+    some systems infeasible."""
+    nvars = rng.randint(1, 4)
+    homogeneous = rng.random() < 0.5
+    chunks = []
+    for _ in range(rng.randint(1, 4)):
+        chunks.append([gt({v: rng.randint(-3, 3) for v in range(nvars)},
+                          0 if homogeneous else rng.randint(-4, 4))
+                       for _ in range(rng.randint(1, 4))])
+    return chunks, nvars
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_strict_tableau_in_chunks_matches_the_fraction_simplex(seed):
+    # the integer dual simplex takes the pivots of the Fraction one, so each
+    # witness is identical; the final verdict is that of a cold solve
+    rng = random.Random(f"strict-tableau/{seed}")
+    verdicts = set()
+    for _ in range(100):
+        chunks, nvars = _random_strict_chunks(rng)
+        expected = fraction_strict_tableau(chunks, nvars)
+        tab, rows = StrictTableau(nvars), []
+        for chunk, want in zip(chunks, expected):
+            rows += chunk
+            tab = tab and tab.extended(chunk)
+            assert (tab and tab.witness) == want
+            assert tab is None or tab.rows == tuple(rows)
+        assert (tab is None) == (fraction_feasible(rows, nvars) is None)
+        verdicts.add(tab is None)
+    assert verdicts == {True, False}
+
+
+def test_strict_tableau_leaves_the_parent_unchanged():
+    root = StrictTableau(2)
+    assert root.witness.point == (0, 0) and root.extended([]).witness == root.witness
+    parent = root.extended([gt({0: 1, 1: -1})])
+    state = ([row[:] for row in parent.T], parent.cost[:], parent.basis[:], parent.d)
+    left = parent.extended([gt({1: 1}), gt({0: -1}, 3)])
+    assert parent.extended([gt({1: -1})]) is not None
+    assert state == (parent.T, parent.cost, parent.basis, parent.d)
+    assert left.rows == parent.rows + (gt({1: 1}), gt({0: -1}, 3))
+    assert left.extended([gt({0: 1, 1: 1}, -8)]) is None
+
+
+def test_strict_tableau_takes_strict_rows_in_range_only():
+    tab = StrictTableau(2)
+    with pytest.raises(ValueError):
+        tab.extended([ge({0: 1})])
+    with pytest.raises(ValueError):
+        tab.extended([gt({2: 1})])
 
 
 def test_rank_and_affine_dimension():
