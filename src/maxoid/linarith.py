@@ -380,8 +380,9 @@ class StrictTableau:
                     leave = r
             if leave is None:
                 break
-            # some T[leave][j] < 0: a lower t meets any row, so the LP is
-            # feasible and the row's equation has a solution z >= 0
+            # a low enough t meets every row, so the LP is feasible and the
+            # row sum(T[leave][j] z_j) = rhs < 0 has a solution z >= 0: some
+            # T[leave][j] is negative and enter is found
             prow = T[leave]
             enter = None
             for j, a in enumerate(prow[:-1]):

@@ -5,7 +5,9 @@ enumeration, textbook d-separation, Fourier-Motzkin elimination, the
 replaced Fraction simplex, the replaced per-subset Kleene-star separation,
 max-plus matrix products, one exact LP per face or per pair of cones, the
 replaced pairwise face lattice, the replaced edge-mask graph loop and global
-implication scan, the replaced fan search with one cold LP per node) and stays independent of the code paths it cross-checks.
+implication scan, the replaced fan search with one cold LP per node, the
+dual simplex on a Fraction tableau) and stays independent of the code paths
+it cross-checks.
 """
 
 from __future__ import annotations
