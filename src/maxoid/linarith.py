@@ -169,42 +169,38 @@ def _run_simplex(T, cost, basis, d, allowed_cols):
         d = _pivot(T, cost, basis, d, best_r, enter)
 
 
-def _direct_basis(system, rhs, full, nvars):
-    """A starting identity basis among +-1 singleton columns of feasible's
-    standard form, if one exists (always the case for pure inequality
-    systems, whose slack columns qualify); avoids the artificial-variable
-    phase.  Read off the sparse rows: the columns of x_v = z[2v] - z[2v+1]
-    are singletons when v occurs in one row only, t+- never are (the cap row
-    and a strict row both hold them), and a slack column always is.  Each
-    row takes its lowest qualifying column."""
-    count = [0] * nvars
-    for con in system:
-        for v, _ in con.terms:
-            count[v] += 1
-    capped = len(full) > len(system)
-    slack = 2 * nvars + (2 if capped else 0)
-    basis = []
-    for con, b in zip(system, rhs):
-        # terms are sorted by variable, so the first hit is the lowest column
-        j = next((2 * v if b * c >= 0 else 2 * v + 1
-                  for v, c in con.terms if count[v] == 1 and abs(c) == 1), None)
-        if con.rel != "==":
-            if j is None and b <= 0:  # the row's slack column holds -1
-                j = slack
-            slack += 1
-        if j is None:
+def _direct_basis(rows, rhs, ncols):
+    """A starting identity basis among +-1 singleton columns, if one exists
+    (always the case for pure inequality systems, whose slack columns
+    qualify); avoids the artificial-variable phase."""
+    m = len(rows)
+    count = [0] * ncols
+    where = [0] * ncols
+    for r in range(m):
+        for j in range(ncols):
+            if rows[r][j] != 0:
+                count[j] += 1
+                where[j] = r
+    T = [None] * m
+    basis = [None] * m
+    used = set()
+    for r in range(m):
+        for j in range(ncols):
+            if (count[j] == 1 and where[j] == r and j not in used
+                    and abs(rows[r][j]) == 1 and rhs[r] * rows[r][j] >= 0):
+                s = rows[r][j]
+                T[r] = [x * s for x in rows[r]] + [rhs[r] * s]
+                basis[r] = j
+                used.add(j)
+                break
+        else:
             return None
-        basis.append(j)
-    if capped:
-        basis.append(slack)  # t+ - t- + slack = 1
-    T = [[x * row[j] for x in row] + [b * row[j]] for row, b, j in zip(full, rhs, basis)]
     return T, basis
 
 
-def _solve_standard(rows, rhs, objective, ncols, direct):
+def _solve_standard(rows, rhs, objective, ncols):
     """min objective.z s.t. rows.z = rhs, z >= 0, all integer.  Exact
-    two-phase simplex on an integer tableau, started from the direct basis
-    (T, basis) when there is one and from an artificial one otherwise.
+    two-phase simplex on an integer tableau.
 
     Returns (status, z, d): status "optimal" | "infeasible" | "unbounded";
     an optimal solution is the integer vector z over the denominator d > 0.
@@ -213,6 +209,7 @@ def _solve_standard(rows, rhs, objective, ncols, direct):
     if m == 0:
         return "optimal", [0] * ncols, 1
     d = 1
+    direct = _direct_basis(rows, rhs, ncols)
     if direct is not None:
         T, basis = direct
     else:
@@ -303,8 +300,7 @@ def feasible(system: Sequence[Constraint], nvars: int) -> Witness | None:
     objective = [0] * total
     if strict:
         objective[t_pos], objective[t_neg] = -1, 1
-    direct = _direct_basis(system, rhs, full, nvars)
-    status, z, d = _solve_standard(full, rhs, objective, total, direct)
+    status, z, d = _solve_standard(full, rhs, objective, total)
     if status != "optimal":
         return None
     if strict and z[t_pos] - z[t_neg] <= 0:
@@ -324,6 +320,11 @@ class StrictTableau:
     holds the integer numerators of the witness over d.  The root holds the
     cap row alone, at x = 0 and t = 1.  extended() copies the tableau and
     never changes it, so a search can hand one tableau to every child.
+
+    The split differs from feasible's interleaved x_v = z[2v] - z[2v+1] on
+    purpose: on a tie, Bland's smallest-index rule then prefers any z+
+    column to any z- column, and the complete-5 fan takes 251 dual pivots
+    this way against 324 with the interleaved order.
     """
 
     __slots__ = ("nvars", "rows", "T", "cost", "basis", "d", "point", "witness")

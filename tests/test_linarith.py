@@ -227,36 +227,6 @@ def test_fan_cone_systems_match_the_fraction_simplex():
             assert feasible(system, e.cone.nvars) == fraction_feasible(system, e.cone.nvars)
 
 
-def test_sparse_direct_basis_is_the_dense_scan(monkeypatch):
-    # the basis read off the sparse rows is the one the replaced scan of the
-    # dense standard form picks, so feasible pivots as before
-    import maxoid.linarith as linarith
-    from oracles import _fr_direct_basis
-
-    calls = []
-
-    def recording(system, rhs, full, nvars):
-        # compared at once: the simplex pivots the returned tableau in place
-        got = direct(system, rhs, full, nvars)
-        expected = _fr_direct_basis(full, rhs, len(full[0]) if full else 0)
-        calls.append((got is None, got == expected))
-        return got
-
-    direct = linarith._direct_basis
-    monkeypatch.setattr(linarith, "_direct_basis", recording)
-    rng = random.Random("direct-basis")
-    for _ in range(300):
-        nvars = rng.randint(1, 4)
-        system = [Constraint.build({v: rng.choice((-2, -1, -1, 1, 1, 2)) for v in
-                                    rng.sample(range(nvars), rng.randint(0, nvars))},
-                                   rng.choice((">", ">=", "==")), rng.randint(-2, 2))
-                  for _ in range(rng.randint(1, 4))]
-        feasible(system, nvars)
-    assert len(calls) == 300
-    assert {missing for missing, _ in calls} == {True, False}
-    assert all(same for _, same in calls)
-
-
 def _random_strict_chunks(rng):
     """Up to 4 chunks of up to 4 strict rows in up to 4 variables, half the
     time homogeneous like the fan's rows; zero rows and opposite rows make
