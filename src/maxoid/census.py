@@ -18,11 +18,9 @@ import json
 import multiprocessing
 import os
 from dataclasses import dataclass
-from itertools import combinations
 
-from .graph import Dag, acyclic_edge_sets, dag_to_json
-from .fan import enumerate_maximal_cones
-from .polytope import face_lattice, face_maxoid, polytope_vertices
+from .graph import Dag, dag_to_json, top_ordered_closed_dags
+from .polytope import graph_structures
 from .separation import CiStatement, Maxoid, parse_ci_statement
 
 CACHE_ENV = "MAXOID_CACHE_DIR"
@@ -58,9 +56,7 @@ def all_top_ordered_tdags(n: int) -> TdagFamily:
     (3, 18, 181 for n = 3, 4, 5) pin down."""
     if n < 1:
         raise ValueError("need at least one node")
-    pairs = list(combinations(range(1, n + 1), 2))
-    graphs = [Dag(n, edges) for edges, closure in acyclic_edge_sets(n, pairs)
-              if len(edges) == len(closure) and _weakly_connected(n, edges)]
+    graphs = [g for g in top_ordered_closed_dags(n) if _weakly_connected(n, g.edges)]
     return TdagFamily(n, graphs)
 
 
@@ -97,17 +93,11 @@ def graph_maxoids(g: Dag, include_faces: bool) -> dict[str, list[list[str]] | No
     path = _cache_path(g)
     data = _read_cache(path) if path else {}
     if "generic" not in data or (include_faces and data.get("faces") is None):
-        entries = enumerate_maximal_cones(g)
-        data.setdefault("generic", [e.maxoid.to_json() for e in entries])
-        if include_faces and data.get("faces") is None:
-            points = polytope_vertices(g, entries)
-            lattice = face_lattice([p for _, p in points])
-            # dimension-0 faces duplicate the generic structures, skip them
-            memo: dict = {}
-            data["faces"] = [
-                face_maxoid(g, f, entries, points, memo).to_json()
-                for f in lattice.faces if f.dim >= 1
-            ]
+        want_faces = include_faces and data.get("faces") is None
+        cones, faces = graph_structures(g, want_faces)
+        data.setdefault("generic", [m.to_json() for m, _ in cones])
+        if want_faces:
+            data["faces"] = [m.to_json() for m, _ in faces]
         if path:
             tmp = path + ".tmp"
             with open(tmp, "w") as fh:

@@ -9,6 +9,7 @@ of nodes.
 from __future__ import annotations
 
 import json
+from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 Edge = tuple[int, int]
@@ -194,6 +195,16 @@ def acyclic_edge_sets(n: int, pairs: Sequence[Edge]
         if grown is not None:
             stack.append((k, grown, (pairs[k],) + edges))
         stack.append((k, reach, edges))
+
+
+def top_ordered_closed_dags(n: int) -> Iterator[Dag]:
+    """Every transitively closed DAG on 1..n whose edges all point from a
+    smaller to a larger label, disconnected ones included, in the order of
+    acyclic_edge_sets.  Every transitively closed DAG on 1..n is a
+    relabeling of one of them."""
+    pairs = list(combinations(range(1, n + 1), 2))
+    return (Dag(n, edges) for edges, closure in acyclic_edge_sets(n, pairs)
+            if len(edges) == len(closure))
 
 
 def to_dot(g: Dag, name: str = "G") -> str:

@@ -1,11 +1,12 @@
-"""Exact rational linear feasibility.
+"""Exact rational linear algebra: strict feasibility and echelon forms.
 
-Decides conjunctions of strict/non-strict linear constraints over free
+StrictTableau decides conjunctions of strict linear rows over free
 variables and produces a verified interior witness.  Strict inequalities are
 handled by maximizing a shared slack t (capped at 1): the system is strictly
 feasible exactly when the optimum is positive, and the optimal basic solution
 is a reusable interior point.  The simplex uses Bland's rule throughout, so
-it terminates and is deterministic for a fixed input ordering.
+it terminates and is deterministic for a fixed input ordering.  It is the
+package's only simplex.
 
 Every row is a primitive integer vector from the moment it is built:
 Constraint.build scales its coefficients and constant by the positive factor
@@ -23,8 +24,8 @@ witness is re-verified against every row in integers, as
 sum(c_v * num_v) + const * d over its numerators num and the tableau
 denominator d, before Fractions appear in it as num_v / d.
 
-StrictTableau keeps such an optimal tableau for strict rows alone so that a
-search can append rows to it instead of solving from scratch.  An appended
+StrictTableau keeps such an optimal tableau so that a search can append
+rows to it instead of solving from scratch.  An appended
 row enters with its own slack basic, and the current basic columns are
 eliminated from it as row*d - sum(row[b_r] * T[r]) over the basic rows r:
 this is the row the pivots so far would have made of it, over the same d,
@@ -146,169 +147,6 @@ def _combine(row, prow, piv, d, j):
     return [a * piv // d for a in row]
 
 
-def _run_simplex(T, cost, basis, d, allowed_cols):
-    """Minimize, Bland's rule.  Returns (optimal, denominator); not optimal
-    means unbounded."""
-    while True:
-        enter = next((j for j in allowed_cols if cost[j] < 0), None)
-        if enter is None:
-            return True, d
-        best_r = None
-        for r, row in enumerate(T):
-            a = row[enter]
-            if a > 0:
-                if best_r is None:
-                    best_r = r
-                    continue
-                # ratio row[-1]/a against the best ratio, cross-multiplied
-                lhs, rhs = row[-1] * T[best_r][enter], T[best_r][-1] * a
-                if lhs < rhs or (lhs == rhs and basis[r] < basis[best_r]):
-                    best_r = r
-        if best_r is None:
-            return False, d
-        d = _pivot(T, cost, basis, d, best_r, enter)
-
-
-def _direct_basis(rows, rhs, ncols):
-    """A starting identity basis among +-1 singleton columns, if one exists
-    (always the case for pure inequality systems, whose slack columns
-    qualify); avoids the artificial-variable phase."""
-    m = len(rows)
-    count = [0] * ncols
-    where = [0] * ncols
-    for r in range(m):
-        for j in range(ncols):
-            if rows[r][j] != 0:
-                count[j] += 1
-                where[j] = r
-    T = [None] * m
-    basis = [None] * m
-    used = set()
-    for r in range(m):
-        for j in range(ncols):
-            if (count[j] == 1 and where[j] == r and j not in used
-                    and abs(rows[r][j]) == 1 and rhs[r] * rows[r][j] >= 0):
-                s = rows[r][j]
-                T[r] = [x * s for x in rows[r]] + [rhs[r] * s]
-                basis[r] = j
-                used.add(j)
-                break
-        else:
-            return None
-    return T, basis
-
-
-def _solve_standard(rows, rhs, objective, ncols):
-    """min objective.z s.t. rows.z = rhs, z >= 0, all integer.  Exact
-    two-phase simplex on an integer tableau.
-
-    Returns (status, z, d): status "optimal" | "infeasible" | "unbounded";
-    an optimal solution is the integer vector z over the denominator d > 0.
-    """
-    m = len(rows)
-    if m == 0:
-        return "optimal", [0] * ncols, 1
-    d = 1
-    direct = _direct_basis(rows, rhs, ncols)
-    if direct is not None:
-        T, basis = direct
-    else:
-        # phase 1: artificial basis
-        T = []
-        for r in range(m):
-            row = list(rows[r]) + [0] * m + [rhs[r]]
-            if rhs[r] < 0:
-                row = [-x for x in row]
-            row[ncols + r] = 1
-            T.append(row)
-        cost = [0] * (ncols + m + 1)
-        for j in range(ncols):
-            cost[j] = -sum(row[j] for row in T)
-        cost[-1] = -sum(row[-1] for row in T)
-        basis = [ncols + r for r in range(m)]
-        _, d = _run_simplex(T, cost, basis, d, range(ncols))
-        if cost[-1] != 0:
-            return "infeasible", None, d
-        # drive leftover artificials out of the basis, dropping redundant rows
-        drop = []
-        for r in range(m):
-            if basis[r] >= ncols:
-                j = next((j for j in range(ncols) if T[r][j] != 0), None)
-                if j is None:
-                    drop.append(r)
-                else:
-                    d = _pivot(T, cost, basis, d, r, j)
-        for r in sorted(drop, reverse=True):
-            del T[r], basis[r]
-        T = [row[:ncols] + [row[-1]] for row in T]
-    # phase 2: reduced costs d*objective - sum of objective[basis[r]] * T[r]
-    cost = [c * d for c in objective] + [0]
-    for r, row in enumerate(T):
-        f = objective[basis[r]]
-        if f:
-            cost = [a - f * b for a, b in zip(cost, row)]
-    optimal, d = _run_simplex(T, cost, basis, d, range(ncols))
-    if not optimal:
-        return "unbounded", None, d
-    z = [0] * ncols
-    for r, bv in enumerate(basis):
-        z[bv] = T[r][-1]
-    return "optimal", z, d
-
-
-def feasible(system: Sequence[Constraint], nvars: int) -> Witness | None:
-    """Decide the conjunction of constraints over nvars free variables.
-
-    Returns a checked interior Witness when satisfiable (strictly, for the
-    strict rows), else None.
-    """
-    system = list(system)
-    for con in system:
-        if any(v >= nvars or v < 0 for v, _ in con.terms):
-            raise ValueError(f"constraint {con} references a variable >= nvars={nvars}")
-    strict = any(con.rel == ">" for con in system)
-    # columns: x_v = z[2v] - z[2v+1]; then (t+, t-) if needed; then slacks
-    ncols = 2 * nvars + (2 if strict else 0)
-    t_pos, t_neg = 2 * nvars, 2 * nvars + 1
-    rows, rhs = [], []  # rows hold (coefficients, slack sign); sign 0 means equality
-    for con in system:
-        row = [0] * ncols
-        for v, c in con.terms:
-            row[2 * v] += c
-            row[2 * v + 1] -= c
-        if con.rel == ">":
-            row[t_pos] -= 1
-            row[t_neg] += 1
-        rows.append((row, 0 if con.rel == "==" else -1))
-        rhs.append(-con.const)
-    if strict:
-        cap = [0] * ncols
-        cap[t_pos] += 1
-        cap[t_neg] -= 1
-        rows.append((cap, 1))
-        rhs.append(1)
-    nslack = sum(1 for _, sign in rows if sign)
-    full = []
-    k = 0
-    for row, sign in rows:
-        ext = row + [0] * nslack
-        if sign:
-            ext[ncols + k] = sign
-            k += 1
-        full.append(ext)
-    total = ncols + nslack
-    objective = [0] * total
-    if strict:
-        objective[t_pos], objective[t_neg] = -1, 1
-    status, z, d = _solve_standard(full, rhs, objective, total)
-    if status != "optimal":
-        return None
-    if strict and z[t_pos] - z[t_neg] <= 0:
-        return None
-    point = [z[2 * v] - z[2 * v + 1] for v in range(nvars)]
-    return Witness.checked(point, system, d)
-
-
 class StrictTableau:
     """An optimal tableau of max t s.t. every absorbed strict row minus t
     stays >= 0 and t <= 1, kept so that rows can be appended to it.
@@ -321,10 +159,11 @@ class StrictTableau:
     cap row alone, at x = 0 and t = 1.  extended() copies the tableau and
     never changes it, so a search can hand one tableau to every child.
 
-    The split differs from feasible's interleaved x_v = z[2v] - z[2v+1] on
-    purpose: on a tie, Bland's smallest-index rule then prefers any z+
-    column to any z- column, and the complete-5 fan takes 251 dual pivots
-    this way against 324 with the interleaved order.
+    The z+ block comes before the whole z- block, rather than interleaved
+    as x_v = z[2v] - z[2v+1], on purpose: on a tie, Bland's smallest-index
+    rule then prefers any z+ column to any z- column, and the complete-5
+    fan takes 251 dual pivots this way against 324 with the interleaved
+    order.
     """
 
     __slots__ = ("nvars", "rows", "T", "cost", "basis", "d", "point", "witness")

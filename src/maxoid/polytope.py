@@ -285,6 +285,34 @@ def face_maxoid(g: Dag, face: Face, entries: list[FanEntry],
     return memo[key]
 
 
+# a structure with weights over the sorted edges that realize it
+Realized = tuple[Maxoid, tuple]
+
+
+def graph_structures(g: Dag, include_faces: bool
+                     ) -> tuple[tuple[Realized, ...], tuple[Realized, ...]]:
+    """The CI structures of a graph, each with weights over its sorted edges
+    that realize it: (cone structures, face structures).
+
+    Each maximal cone gives its maxoid and its interior witness.  With
+    include_faces, each face of dimension at least 1 also gives its
+    face_maxoid and its integer normal; the dimension-0 faces are the cones
+    again.  The normal fan is complete, so these are all the structures of
+    the graph, and the cones' are its generic ones.  Without include_faces
+    no faces are listed.
+    """
+    entries = enumerate_maximal_cones(g)
+    cones = tuple((e.maxoid, e.witness.point) for e in entries)
+    if not include_faces:
+        return cones, ()
+    points = polytope_vertices(g, entries)
+    lattice = face_lattice([p for _, p in points])
+    memo: dict = {}
+    faces = tuple((face_maxoid(g, f, entries, points, memo), f.normal)
+                  for f in lattice.faces if f.dim >= 1)
+    return cones, faces
+
+
 def cone_adjacency(g: Dag, entries: list[FanEntry]) -> list[tuple[int, int]]:
     """Pairs of cone indices whose closures share a facet, in lexicographic
     order.  The fan is the normal fan of the polytope, so these are the

@@ -314,16 +314,34 @@ def perturb_across_facet(wd: WeightedDag, target: Path) -> WeightedDag:
     bump = next((e for e in zip(target, target[1:]) if e not in other_edges), None)
     if bump is None:
         raise ValueError("every edge of target lies on another tied critical path")
-    diffs = []
-    for u in wd.g.nodes:
-        for v in sorted(wd.g.descendants(u)):
-            weights = [path_weight(wd, p) for p in enumerate_paths(wd.g, u, v)]
-            for a in range(len(weights)):
-                for b in range(a + 1, len(weights)):
-                    d = abs(weights[a] - weights[b])
-                    if d != 0:
-                        diffs.append(d)
-    eps = min(diffs) / 2 if diffs else Fraction(1)
+    gap = _smallest_gap(wd)
     w = dict(wd.w)
-    w[bump] += eps
+    w[bump] += Fraction(1) if gap is None else gap / 2
     return WeightedDag(wd.g, w)
+
+
+def _smallest_gap(wd: WeightedDag) -> Fraction | None:
+    """The least nonzero difference between the weights of two parallel
+    paths, None when every two parallel paths tie."""
+    gaps = []
+    for u in wd.g.nodes:
+        for v in wd.g.descendants(u):
+            weights = sorted({path_weight(wd, p) for p in enumerate_paths(wd.g, u, v)})
+            gaps.extend(b - a for a, b in zip(weights, weights[1:]))
+    return min(gaps, default=None)
+
+
+def break_ties(wd: WeightedDag) -> WeightedDag:
+    """Tie-free weights with the same strict comparisons as wd: edge k of
+    the sorted edges gains eps * 2**k, eps the smallest nonzero gap between
+    parallel-path weights (1 if there is none) over 2**(|E|+1).
+
+    Any two paths' gains differ by less than eps * 2**|E|, half that gap, so
+    every strict comparison between parallel paths keeps its sign, and with
+    it every critical path of a weighting whose critical paths are unique.
+    Two distinct parallel paths have distinct edge sets, so their gains,
+    sums of distinct powers of two times eps, differ: no tie is left.
+    """
+    edges = wd.g.sorted_edges
+    eps = (_smallest_gap(wd) or Fraction(1)) / 2 ** (len(edges) + 1)
+    return WeightedDag(wd.g, {e: wd.w[e] + eps * 2 ** k for k, e in enumerate(edges)})

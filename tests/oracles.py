@@ -2,20 +2,24 @@
 
 Everything here recomputes results from first principles (definitional path
 enumeration, textbook d-separation, Fourier-Motzkin elimination, the
-replaced Fraction simplex, the replaced per-subset Kleene-star separation,
+two-phase Fraction simplex, the replaced per-subset Kleene-star separation,
 max-plus matrix products, one exact LP per face or per pair of cones, the
-replaced pairwise face lattice, the replaced edge-mask graph loop and global
-implication scan, the replaced fan search with one cold LP per node, the
-dual simplex on a Fraction tableau) and stays independent of the code paths
-it cross-checks.
+replaced pairwise face lattice, the replaced edge-mask graph loop, the
+replaced fan search with one cold LP per node, the dual simplex on a
+Fraction tableau, and the replaced formula engine for implication: Boolean
+formulas over strict path comparisons, polyci_formula, genericity_formula
+and satisfiable on the Fraction simplex, with the local engine
+formula_implication and the global mask-loop scan scan_implication) and
+stays independent of the code paths it cross-checks.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from maxoid.fan import (
     ConeDescription,
@@ -24,10 +28,11 @@ from maxoid.fan import (
     _connected_pairs,
     _edge_index,
     _pair_rows,
+    _path_comparison,
 )
-from maxoid.graph import Dag, enumerate_paths, transitive_closure
-from maxoid.implication import Verdict, decide_implication
-from maxoid.linarith import Constraint, Witness, affine_dimension, feasible, nullspace
+from maxoid.graph import Dag, Edge, enumerate_paths, transitive_closure
+from maxoid.implication import Verdict, _verify_counterexample
+from maxoid.linarith import Constraint, Witness, affine_dimension, nullspace
 from maxoid.polytope import Face, FaceLattice, PolytopePoint, _facet_incidences
 from maxoid.separation import CiStatement, Maxoid, maxoid_from_blockers
 from maxoid.tropical import NEG_INF, TropicalMatrix, WeightedDag, kleene_star, path_weight
@@ -249,15 +254,16 @@ def fm_feasible(system: list[Constraint], nvars: int) -> bool:
 
 def _fr_pivot(T, cost, basis, r, j):
     piv = T[r][j]
-    T[r] = [x / piv for x in T[r]]
+    prow = T[r] if piv == 1 else [x / piv if x else x for x in T[r]]
+    T[r] = prow
+    # the tableau is sparse: entries against a zero of the pivot row stay
     for i, row in enumerate(T):
         if i != r and row[j] != 0:
             f = row[j]
-            T[i] = [a - f * b for a, b in zip(row, T[r])]
+            T[i] = [a - f * b if b else a for a, b in zip(row, prow)]
     if cost[j] != 0:
         f = cost[j]
-        for k in range(len(cost)):
-            cost[k] -= f * T[r][k]
+        cost[:] = [a - f * b if b else a for a, b in zip(cost, prow)]
     basis[r] = j
 
 
@@ -297,9 +303,9 @@ def _fr_direct_basis(rows, rhs, ncols):
     for r in range(m):
         for j in range(ncols):
             if (count[j] == 1 and where[j] == r and j not in used
-                    and abs(rows[r][j]) == 1 and rhs[r] / rows[r][j] >= 0):
-                s = rows[r][j]
-                T[r] = [x / s for x in rows[r]] + [rhs[r] / s]
+                    and abs(rows[r][j]) == 1 and rhs[r] * rows[r][j] >= 0):
+                s = rows[r][j]  # +-1, so dividing by s multiplies by it
+                T[r] = [x * s if x else x for x in rows[r]] + [rhs[r] * s]
                 basis[r] = j
                 used.add(j)
                 break
@@ -364,9 +370,10 @@ def _fr_solve_standard(rows, rhs, objective, ncols):
 
 
 def fraction_feasible(system: Sequence[Constraint], nvars: int) -> Witness | None:
-    """The rational Bland's-rule simplex that linarith.feasible replaced:
-    the same two-phase method on a Fraction tableau.  On integer systems it
-    pivots exactly as feasible does and returns the identical witness."""
+    """Decide a conjunction of strict, non-strict and equality rows over
+    nvars free variables: the two-phase Bland's-rule simplex on a Fraction
+    tableau, maximizing a shared slack t <= 1 of the strict rows.  Returns a
+    checked interior witness, or None when the system is infeasible."""
     system = list(system)
     for con in system:
         if any(v >= nvars or v < 0 for v, _ in con.terms):
@@ -536,7 +543,7 @@ def lp_face_maxoid(g: Dag, face, points) -> Maxoid:
         if con not in seen:
             seen.add(con)
             reduced.append(con)
-    y = feasible(reduced, len(span))
+    y = fraction_feasible(reduced, len(span))
     if y is None:
         raise ValueError("vertex set is not a face of the polytope")
     c = [sum(y.point[j] * span[j][k] for j in range(len(span))) for k in range(nvars)]
@@ -607,7 +614,7 @@ def lp_cone_adjacency(entries) -> list[tuple[int, int]]:
                 system = [Constraint(flip.terms, flip.const, "==")]
                 system += [r for r in rows_a if r != flip]
                 system += [Constraint(r.terms, r.const, ">=") for r in rows_b]
-                if feasible(system, nvars) is not None:
+                if fraction_feasible(system, nvars) is not None:
                     edges.append((a, b))
                     break
     return edges
@@ -627,24 +634,10 @@ def mask_loop_dags(n: int, pairs: Sequence[tuple[int, int]],
             yield g
 
 
-def scan_implication(n: int, premises, conclusions, generic: bool = False,
-                     graph_family: str = "auto") -> Verdict:
-    """The replaced global scan: decide every graph of the family with the
-    local engine, in mask order, and return the first counterexample."""
-    if graph_family == "auto":
-        graph_family = "all" if n <= 4 else "posets"
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-    for g in mask_loop_dags(n, pairs, closed_only=graph_family == "posets"):
-        verdict = decide_implication(g, premises, conclusions, generic=generic)
-        if not verdict.holds:
-            return verdict
-    return Verdict(True)
-
-
 def cold_lp_maximal_cones(g: Dag) -> list[FanEntry]:
     """The replaced fan search: the same depth-first search over per-pair
     path choices, where a child whose new rows the parent's witness fails
-    solves its whole system from scratch with the two-phase feasible."""
+    solves its whole system from scratch with the two-phase simplex."""
     index = _edge_index(g)
     nvars = len(index)
     pairs = _connected_pairs(g)
@@ -673,7 +666,7 @@ def cold_lp_maximal_cones(g: Dag) -> list[FanEntry]:
     def dfs(idx, choices, rows, witness):
         if idx == len(pairs):
             if witness is None:
-                witness = feasible([], nvars)
+                witness = fraction_feasible([], nvars)
             minimal = dict.fromkeys(system_rows(choices, pairs, minimal=True))
             system = CriticalSystem.from_dict(choices)
             entries.append(FanEntry(system, ConeDescription(tuple(minimal), nvars),
@@ -691,7 +684,7 @@ def cold_lp_maximal_cones(g: Dag) -> list[FanEntry]:
             if witness is not None and all(r.holds_at(witness.point) for r in new_rows):
                 w = witness
             else:
-                w = feasible(rows + new_rows, nvars)
+                w = fraction_feasible(rows + new_rows, nvars)
             if w is not None:
                 dfs(idx + 1, choices, rows + new_rows, w)
             for k in forced:
@@ -699,3 +692,272 @@ def cold_lp_maximal_cones(g: Dag) -> list[FanEntry]:
 
     dfs(0, {}, [], None)
     return entries
+
+
+# ---------------------------------------------------------------------------
+# The replaced formula engine.  For a fixed graph, the weight vectors whose CI
+# structure contains a statement form a finite union of polyhedra, described
+# by a Boolean formula over strict homogeneous inequalities: the absence of
+# every connecting shape, where the presence of a critical-DAG edge k->l
+# given K is
+#
+#     AND over blocked k->l paths pi of  OR over unblocked pi' of  w(pi') > w(pi).
+#
+# An implication fails exactly when "all premises and some negated
+# conclusion" is satisfiable.  The negation of a strict atom is the reversed
+# non-strict atom, so counterexamples may lie on ties; the generic mode adds
+# an explicit tie-exclusion conjunct.
+
+
+class Formula:
+    __slots__ = ()
+
+
+class _TrueFormula(Formula):
+    __slots__ = ()
+
+    def __repr__(self):
+        return "TRUE"
+
+
+class _FalseFormula(Formula):
+    __slots__ = ()
+
+    def __repr__(self):
+        return "FALSE"
+
+
+TRUE = _TrueFormula()
+FALSE = _FalseFormula()
+
+
+@dataclass(frozen=True)
+class Atom(Formula):
+    constraint: Constraint
+
+    def __repr__(self):
+        return f"[{self.constraint}]"
+
+
+@dataclass(frozen=True)
+class And(Formula):
+    parts: tuple[Formula, ...]
+
+    def __repr__(self):
+        return "(" + " & ".join(map(repr, self.parts)) + ")"
+
+
+@dataclass(frozen=True)
+class Or(Formula):
+    parts: tuple[Formula, ...]
+
+    def __repr__(self):
+        return "(" + " | ".join(map(repr, self.parts)) + ")"
+
+
+def f_and(parts: Iterable[Formula]) -> Formula:
+    kept = []
+    for p in parts:
+        if p is FALSE:
+            return FALSE
+        if p is not TRUE:
+            kept.append(p)
+    if not kept:
+        return TRUE
+    return kept[0] if len(kept) == 1 else And(tuple(kept))
+
+
+def f_or(parts: Iterable[Formula]) -> Formula:
+    kept = []
+    for p in parts:
+        if p is TRUE:
+            return TRUE
+        if p is not FALSE:
+            kept.append(p)
+    if not kept:
+        return FALSE
+    return kept[0] if len(kept) == 1 else Or(tuple(kept))
+
+
+def negate(f: Formula) -> Formula:
+    """Negation normal form; strict atoms close to reversed non-strict ones."""
+    if f is TRUE:
+        return FALSE
+    if f is FALSE:
+        return TRUE
+    if isinstance(f, Atom):
+        return Atom(f.constraint.negated())
+    if isinstance(f, And):
+        return f_or(negate(p) for p in f.parts)
+    if isinstance(f, Or):
+        return f_and(negate(p) for p in f.parts)
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def evaluate(f: Formula, point) -> bool:
+    """Truth value of a formula at a concrete weight vector."""
+    if f is TRUE:
+        return True
+    if f is FALSE:
+        return False
+    if isinstance(f, Atom):
+        return f.constraint.holds_at(point)
+    if isinstance(f, And):
+        return all(evaluate(p, point) for p in f.parts)
+    if isinstance(f, Or):
+        return any(evaluate(p, point) for p in f.parts)
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def _weight_atom(index, winner, loser) -> Formula:
+    row = _path_comparison(index, winner, loser)
+    if not row.terms:
+        return FALSE  # identical weight, never strictly larger
+    return Atom(row)
+
+
+def _edge_presence(g: Dag, index, K: frozenset[int], cache: dict, k: int, l: int) -> Formula:
+    """Formula for "k->l is an edge of the critical DAG given K"."""
+    key = (k, l)
+    if key in cache:
+        return cache[key]
+    paths = enumerate_paths(g, k, l) if k != l else []
+    if not paths:
+        result: Formula = FALSE
+    else:
+        blocked = [p for p in paths if set(p[1:-1]) & K]
+        free = [p for p in paths if not set(p[1:-1]) & K]
+        result = f_and(
+            f_or(_weight_atom(index, winner, loser) for winner in free)
+            for loser in blocked
+        )
+    cache[key] = result
+    return result
+
+
+def polyci_formula(g: Dag, s: CiStatement) -> Formula:
+    """Formula true exactly on the weight vectors whose CI structure contains
+    s: the negated disjunction over all concrete instantiations of the five
+    connecting shapes, with structural conditions resolved at build time."""
+    if s.j > g.n:
+        raise ValueError(f"statement {s} exceeds the graph's node set")
+    index = {e: k for k, e in enumerate(g.sorted_edges)}
+    K = s.L
+    cache: dict = {}
+
+    def edge(a: int, b: int) -> Formula:
+        return _edge_presence(g, index, K, cache, a, b)
+
+    def shape(*pairs: Edge) -> Formula:
+        return f_and(edge(a, b) for a, b in pairs)
+
+    i, j = s.i, s.j
+    outside = [p for p in g.nodes if p not in K and p != i and p != j]
+    conditioned = sorted(K)
+
+    def shapes() -> Iterator[Formula]:
+        yield edge(i, j)
+        yield edge(j, i)
+        for p in outside:
+            yield shape((p, i), (p, j))
+        for l in conditioned:
+            yield shape((i, l), (j, l))
+        for x, y in ((i, j), (j, i)):
+            for p in outside:
+                for l in conditioned:
+                    yield shape((p, x), (p, l), (y, l))
+        for p in outside:
+            for q in outside:
+                if p == q:
+                    continue
+                for l in conditioned:
+                    yield shape((p, i), (p, l), (q, l), (q, j))
+
+    # lazy: the first shape present at every weight ends the disjunction
+    return negate(f_or(shapes()))
+
+
+def genericity_formula(g: Dag) -> Formula:
+    """Tie exclusion: every two distinct parallel paths differ in weight."""
+    index = {e: k for k, e in enumerate(g.sorted_edges)}
+    parts = []
+    for i in g.nodes:
+        for j in sorted(g.descendants(i)):
+            paths = enumerate_paths(g, i, j)
+            for a in range(len(paths)):
+                for b in range(a + 1, len(paths)):
+                    parts.append(f_or([
+                        _weight_atom(index, paths[a], paths[b]),
+                        _weight_atom(index, paths[b], paths[a]),
+                    ]))
+    return f_and(parts)
+
+
+def satisfiable(f: Formula, nvars: int) -> Witness | None:
+    """Lazy DNF search over a formula in negation normal form, as negate
+    leaves it: OR nodes branched in order, the running conjunction pruned by
+    exact feasibility (fraction_feasible) before every branch.  Returns the
+    first witness found; deterministic."""
+
+    def search(pending: list[Formula], system: list[Constraint]) -> Witness | None:
+        pending = list(pending)
+        system = list(system)
+        while pending:
+            item = pending.pop(0)
+            if item is TRUE:
+                continue
+            if item is FALSE:
+                return None
+            if isinstance(item, Atom):
+                system.append(item.constraint)
+                continue
+            if isinstance(item, And):
+                pending[0:0] = item.parts
+                continue
+            if isinstance(item, Or):
+                if fraction_feasible(system, nvars) is None:
+                    return None
+                for part in item.parts:
+                    result = search([part] + pending, system)
+                    if result is not None:
+                        return result
+                return None
+            raise TypeError(f"not a formula: {item!r}")
+        return fraction_feasible(system, nvars)
+
+    return search([f], [])
+
+
+def formula_implication(g: Dag, premises, conclusions, generic: bool = False) -> Verdict:
+    """The replaced local engine: AND(premises) => OR(conclusions) over the
+    structures of g decided by satisfiability of all premises, every
+    negated conclusion and, in generic mode, tie exclusion, conjoined
+    lazily in that order.  A counterexample is re-verified."""
+
+    def parts() -> Iterator[Formula]:
+        for p in premises:
+            yield polyci_formula(g, p)
+        for q in conclusions:
+            yield negate(polyci_formula(g, q))
+        if generic:
+            yield genericity_formula(g)
+
+    w = satisfiable(f_and(parts()), len(g.sorted_edges))
+    if w is None:
+        return Verdict(True)
+    wd = WeightedDag(g, dict(zip(g.sorted_edges, w.point)))
+    _verify_counterexample(wd, premises, conclusions, generic)
+    return Verdict(False, wd)
+
+
+def scan_implication(n: int, premises, conclusions, generic: bool = False,
+                     closed_only: bool = False) -> Verdict:
+    """The replaced global scan: decide every DAG on 1..n (every transitively
+    closed one, with closed_only) with the formula engine, in mask order, and
+    return the first counterexample."""
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    for g in mask_loop_dags(n, pairs, closed_only=closed_only):
+        verdict = formula_implication(g, premises, conclusions, generic)
+        if not verdict.holds:
+            return verdict
+    return Verdict(True)

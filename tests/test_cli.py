@@ -104,6 +104,29 @@ def test_implies_long_sizes_guarded(files, capsys):
     assert "--unbounded" in json.loads(out)["error"]["message"]
 
 
+@pytest.mark.parametrize("nodes, edges, generic", [
+    # complete-6 less one edge: 14 edges, over the 13 allowed with ties
+    (6, [[i, j] for i in range(1, 7) for j in range(i + 1, 7) if (i, j) != (5, 6)], False),
+    # complete-6 and one more edge: 16 edges, over the 15 allowed generically
+    (7, [[i, j] for i in range(1, 7) for j in range(i + 1, 7)] + [[6, 7]], True),
+])
+def test_implies_graph_sizes_guarded(files, capsys, nodes, edges, generic):
+    dag = files["dir"] / "big.json"
+    dag.write_text(json.dumps({"n": nodes, "edges": edges}))
+    code, out = invoke(capsys, "implies", "--graph", str(dag), "1,2|3 => 1,2|3,4",
+                       *["--generic"] * generic)
+    assert code == 2
+    assert "--unbounded" in json.loads(out)["error"]["message"]
+
+
+def test_implies_global_family_includes_the_edgeless_graph(files, capsys):
+    # only a disconnected graph separates every pair given the empty set
+    code, out = invoke(capsys, "implies", "--nodes", "3", "1,2|; 1,3|; 2,3| =>")
+    assert code == 0
+    assert json.loads(out) == {"holds": False,
+                               "counterexample": {"n": 3, "edges": [], "weights": []}}
+
+
 def test_tdags_command(files, capsys):
     code, out = invoke(capsys, "tdags", "--nodes", "3")
     data = json.loads(out)

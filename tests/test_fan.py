@@ -13,11 +13,10 @@ from maxoid.fan import (
     lineality_dimension,
 )
 from maxoid.graph import Dag
-from maxoid.linarith import feasible
 from maxoid.polytope import cone_adjacency
 from maxoid.separation import maxoid, parse_ci_statement
 from maxoid.tropical import WeightedDag, weighted_dag_from_list
-from oracles import cold_lp_maximal_cones, complete_dag, kleene_maxoid
+from oracles import cold_lp_maximal_cones, complete_dag, fraction_feasible, kleene_maxoid
 
 DIAMOND = Dag(4, [(1, 2), (1, 3), (2, 4), (3, 4)])
 K3 = Dag(3, [(1, 2), (1, 3), (2, 3)])
@@ -71,7 +70,7 @@ def test_minimal_description_equivalent_to_full():
             # every full row is implied by the minimal system
             for row in full.strict:
                 system = list(mini.strict) + [row.negated()]
-                assert feasible(system, full.nvars) is None
+                assert fraction_feasible(system, full.nvars) is None
 
 
 def test_diamond_fan():

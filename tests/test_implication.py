@@ -1,30 +1,35 @@
+import os
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from maxoid.fan import enumerate_maximal_cones
-from maxoid.graph import Dag, transitive_closure
-from maxoid.implication import (
+from maxoid.graph import Dag, acyclic_edge_sets, top_ordered_closed_dags, transitive_closure
+from maxoid.implication import _verify_counterexample, decide_implication
+from maxoid.linarith import Constraint
+from maxoid.polytope import graph_structures
+from maxoid.separation import CiStatement, c_star_separated, maxoid, parse_ci_statement
+from maxoid.tropical import WeightedDag, is_generic
+from oracles import (
     FALSE,
     TRUE,
-    all_dags,
-    all_transitively_closed_dags,
     Atom,
-    decide_implication,
+    complete_dag,
     evaluate,
     f_and,
     f_or,
+    formula_implication,
     genericity_formula,
+    mask_loop_dags,
     negate,
     polyci_formula,
+    random_weighted_dag,
     satisfiable,
+    scan_implication,
 )
-from maxoid.linarith import Constraint
-from maxoid.separation import CiStatement, c_star_separated, maxoid, parse_ci_statement
-from maxoid.tropical import WeightedDag, is_generic, weights_to_list_json
-from oracles import complete_dag, mask_loop_dags, random_weighted_dag, scan_implication
 
 K4 = complete_dag(4)
 
@@ -174,21 +179,32 @@ def test_genericity_formula_excludes_ties():
     assert evaluate(f, split)
 
 
+def _ordered_pairs(n):
+    return [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+
+
 def test_graph_family_enumeration_counts():
-    assert sum(1 for _ in all_dags(3)) == 25
-    assert sum(1 for _ in all_dags(4)) == 543
-    assert sum(1 for _ in all_dags(5)) == 29281
-    assert sum(1 for _ in all_transitively_closed_dags(3)) == 19
-    assert sum(1 for _ in all_transitively_closed_dags(4)) == 219
-    assert sum(1 for _ in all_transitively_closed_dags(5)) == 4231
+    def counts(n):
+        sets = list(acyclic_edge_sets(n, _ordered_pairs(n)))
+        return len(sets), sum(len(edges) == len(closure) for edges, closure in sets)
+
+    assert counts(3) == (25, 19)
+    assert counts(4) == (543, 219)
+    assert counts(5) == (29281, 4231)
+    # the family of global implication queries, disconnected graphs included
+    assert [sum(1 for _ in top_ordered_closed_dags(n)) for n in (3, 4, 5)] == [7, 40, 357]
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
 def test_graph_families_keep_the_mask_loop_order(n):
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-    assert list(all_dags(n)) == list(mask_loop_dags(n, pairs))
-    assert (list(all_transitively_closed_dags(n))
+    pairs = _ordered_pairs(n)
+    sets = list(acyclic_edge_sets(n, pairs))
+    assert [Dag(n, edges) for edges, _ in sets] == list(mask_loop_dags(n, pairs))
+    assert ([Dag(n, edges) for edges, closure in sets if len(edges) == len(closure)]
             == list(mask_loop_dags(n, pairs, closed_only=True)))
+    forward = list(combinations(range(1, n + 1), 2))
+    assert (list(top_ordered_closed_dags(n))
+            == list(mask_loop_dags(n, forward, closed_only=True)))
 
 
 def _lift_to_closure(wd: WeightedDag) -> WeightedDag:
@@ -224,32 +240,81 @@ def test_structures_lift_to_the_transitive_closure():
         seen[generic] += 1
 
 
-def _witness(verdict):
-    wd = verdict.counterexample
-    return None if wd is None else (wd.g.sorted_edges, weights_to_list_json(wd))
+def _random_statement(rng, n):
+    i, j = sorted(rng.sample(range(1, n + 1), 2))
+    rest = [v for v in range(1, n + 1) if v not in (i, j)]
+    return CiStatement(i, j, frozenset(v for v in rest if rng.random() < 0.4))
+
+
+def _random_query(rng, n):
+    premises = list(dict.fromkeys(_random_statement(rng, n) for _ in range(rng.randint(1, 3))))
+    return premises, [_random_statement(rng, n)]
+
+
+def _check_verdict(got, want, premises, conclusions, generic, n):
+    """Equal verdicts, and a counterexample on n nodes that re-verifies."""
+    assert got.holds == want.holds
+    if not got.holds:
+        assert got.counterexample.g.n == n
+        _verify_counterexample(got.counterexample, premises, conclusions, generic)
 
 
 def test_global_scan_matches_the_mask_loop_oracle():
+    # verdicts only: the counterexample is the first match in the lookup's
+    # scan order, which need not be the graph the mask loop meets first
     rng = random.Random(5151)
-
-    def statement(n):
-        i, j = sorted(rng.sample(range(1, n + 1), 2))
-        rest = [v for v in range(1, n + 1) if v not in (i, j)]
-        return CiStatement(i, j, frozenset(v for v in rest if rng.random() < 0.4))
-
     seen = Counter()
     for q in range(300):
         n = 3 if q % 3 else 4
-        premises = list(dict.fromkeys(statement(n) for _ in range(rng.randint(1, 3))))
-        conclusions = [statement(n)]
+        premises, conclusions = _random_query(rng, n)
         generic = rng.random() < 0.4
-        family = rng.choice(["auto", "all", "posets"])
-        got = decide_implication(n, premises, conclusions, generic, family)
-        want = scan_implication(n, premises, conclusions, generic, family)
-        assert (got.holds, _witness(got)) == (want.holds, _witness(want)), (
-            n, premises, conclusions, generic, family)
-        seen[family, generic, got.holds] += 1
-    assert len(seen) == 12, seen
+        closed_only = rng.random() < 0.5
+        got = decide_implication(n, premises, conclusions, generic)
+        want = scan_implication(n, premises, conclusions, generic, closed_only)
+        _check_verdict(got, want, premises, conclusions, generic, n)
+        seen[closed_only, generic, got.holds] += 1
+    assert len(seen) == 8, seen
+
+
+def _differential(rng, queries, local_n):
+    """Lookup against the formula oracle on seeded queries, half generic:
+    local ones on randomly labeled graphs with up to local_n nodes, global ones on 3
+    or 4 nodes against the mask loop over transitively closed DAGs.
+    Returns the counts by (scope, generic, holds)."""
+    seen = Counter()
+    for q in range(queries):
+        generic = q % 4 < 2
+        if q % 2:
+            g = random_weighted_dag(rng, max_n=local_n).g
+            label = [0, *rng.sample(g.nodes, g.n)]  # not top-ordered in general
+            g = Dag(g.n, [(label[u], label[v]) for u, v in g.edges])
+            premises, conclusions = _random_query(rng, g.n)
+            got = decide_implication(g, premises, conclusions, generic)
+            want = formula_implication(g, premises, conclusions, generic)
+            scope, n = "local", g.n
+        else:
+            n = rng.randint(3, 4)
+            premises, conclusions = _random_query(rng, n)
+            got = decide_implication(n, premises, conclusions, generic)
+            want = scan_implication(n, premises, conclusions, generic, closed_only=True)
+            scope = "global"
+        _check_verdict(got, want, premises, conclusions, generic, n)
+        seen[scope, generic, got.holds] += 1
+    return seen
+
+
+def test_lookup_matches_the_formula_oracle():
+    seen = _differential(random.Random(8080), 240, 4)
+    assert len(seen) == 8, seen
+
+
+@pytest.mark.skipif(os.environ.get("MAXOID_LONG_TESTS") != "1",
+                    reason="set MAXOID_LONG_TESTS=1 for 5-node differential queries")
+def test_lookup_matches_the_formula_oracle_long():
+    # global 5-node queries are left out: the mask loop's formula engine
+    # takes minutes on one that holds
+    seen = _differential(random.Random(9090), 520, 5)
+    assert len(seen) == 8, seen
 
 
 def test_holding_global_implication_scans_the_whole_family():
@@ -275,13 +340,19 @@ def test_generic_and_plain_modes_differ_on_a_tie():
     assert decide_implication(d, prem, conc, generic=True).holds
 
 
-def test_global_modes_agree_between_families():
-    # a failing implication fails over posets too (closure realizes every
-    # structure); the witnesses may differ
-    q = ([ci("14|3")], [ci("24|13")])
-    v_all = decide_implication(4, *q, graph_family="all")
-    v_posets = decide_implication(4, *q, graph_family="posets")
-    assert not v_all.holds and not v_posets.holds
+def test_generic_counterexample_breaks_the_cone_witness_ties():
+    # the first cone of complete-4 with 2,4|1,3 and without 1,4|3 has a
+    # witness with tied non-critical parallel paths; the counterexample keeps
+    # its structure and has no tie
+    prem, conc = [ci("24|13")], [ci("14|3")]
+    cones, _ = graph_structures(K4, include_faces=False)
+    m, witness = next((m, w) for m, w in cones if prem[0] in m and conc[0] not in m)
+    raw = WeightedDag(K4, dict(zip(K4.sorted_edges, witness)))
+    assert maxoid(raw) == m and not is_generic(raw)
+    v = decide_implication(K4, prem, conc, generic=True)
+    assert not v.holds
+    assert v.counterexample.g == K4
+    assert is_generic(v.counterexample) and maxoid(v.counterexample) == m
 
 
 def test_statement_outside_scope_rejected():

@@ -11,7 +11,6 @@ from maxoid.linarith import (
     StrictTableau,
     Witness,
     affine_dimension,
-    feasible,
     nullspace,
     pivot_columns,
     rank_of,
@@ -31,21 +30,28 @@ def eq(coeffs, const=0):
     return Constraint.build(coeffs, "==", const)
 
 
+def strict_witness(system, nvars):
+    """The StrictTableau witness of a strict system, None when infeasible."""
+    tab = StrictTableau(nvars).extended(system)
+    return None if tab is None else tab.witness
+
+
 def test_open_interval():
-    w = feasible([gt({0: 1}), gt({0: -1}, 1)], 1)
+    w = strict_witness([gt({0: 1}), gt({0: -1}, 1)], 1)
     assert w is not None and 0 < w.point[0] < 1
 
 
 def test_contradiction():
-    assert feasible([gt({0: 1}), gt({0: -1})], 1) is None
+    assert strict_witness([gt({0: 1}), gt({0: -1})], 1) is None
 
 
 def test_strict_versus_nonstrict_boundary():
+    # the oracle simplex, which the formula oracle runs on negated atoms:
     # x >= 0 and -x >= 0 admit only x = 0 ...
-    w = feasible([ge({0: 1}), ge({0: -1})], 1)
+    w = fraction_feasible([ge({0: 1}), ge({0: -1})], 1)
     assert w is not None and w.point[0] == 0
     # ... so making one side strict kills it
-    assert feasible([gt({0: 1}), ge({0: -1})], 1) is None
+    assert fraction_feasible([gt({0: 1}), ge({0: -1})], 1) is None
 
 
 def test_diamond_cone_witness_reproduces_maxoid():
@@ -54,22 +60,23 @@ def test_diamond_cone_witness_reproduces_maxoid():
     from maxoid.tropical import WeightedDag
 
     cone = gt({0: 1, 2: 1, 1: -1, 3: -1})  # edges (1,2),(1,3),(2,4),(3,4)
-    w = feasible([cone], 4)
+    w = strict_witness([cone], 4)
     d = Dag(4, [(1, 2), (1, 3), (2, 4), (3, 4)])
     wd = WeightedDag(d, dict(zip(d.sorted_edges, w.point)))
     assert maxoid(wd).stmts == {parse_ci_statement(t) for t in ("2,3|1", "1,4|2,3", "1,4|2")}
 
 
 def test_equalities():
-    w = feasible([eq({0: 1, 1: 1}, -2), ge({0: 1, 1: -1})], 2)
+    # the oracle simplex's artificial phase
+    w = fraction_feasible([eq({0: 1, 1: 1}, -2), ge({0: 1, 1: -1})], 2)
     assert w.point[0] + w.point[1] == 2 and w.point[0] >= w.point[1]
-    assert feasible([eq({0: 1}, -1), eq({0: 1}, -2)], 1) is None
+    assert fraction_feasible([eq({0: 1}, -1), eq({0: 1}, -2)], 1) is None
 
 
 def test_empty_system_and_out_of_range():
-    assert feasible([], 2).point == (Fraction(0), Fraction(0))
+    assert strict_witness([], 2).point == (Fraction(0), Fraction(0))
     with pytest.raises(ValueError):
-        feasible([gt({5: 1})], 2)
+        strict_witness([gt({5: 1})], 2)
 
 
 def test_witness_checked_raises_on_violation():
@@ -78,8 +85,8 @@ def test_witness_checked_raises_on_violation():
 
 
 def test_determinism():
-    system = [gt({0: 1, 1: -1}), gt({1: 1, 2: -1}), ge({2: 1}, 5)]
-    assert feasible(system, 3) == feasible(system, 3)
+    system = [gt({0: 1, 1: -1}), gt({1: 1, 2: -1}), gt({2: 1}, 5)]
+    assert strict_witness(system, 3) == strict_witness(system, 3)
 
 
 def test_normalized_constraint():
@@ -159,34 +166,20 @@ def test_build_stores_the_primitive_row_of_the_same_half_space(case, seed):
 @given(small_systems())
 @settings(max_examples=120, deadline=None)
 def test_agrees_with_fourier_motzkin(case):
+    # the oracle simplex against Fourier-Motzkin elimination
     system, nvars = case
-    w = feasible(system, nvars)
+    w = fraction_feasible(system, nvars)
     assert (w is not None) == fm_feasible(system, nvars)
     if w is not None:
         assert all(con.holds_at(w.point) for con in system)
 
 
-@given(small_systems())
-@settings(max_examples=200, deadline=None)
-def test_integer_systems_match_the_fraction_simplex(case):
-    # the integer tableau takes the same pivots, so the witness is identical
-    system, nvars = case
-    assert feasible(system, nvars) == fraction_feasible(system, nvars)
-
-
-@given(small_systems(relations=("==", "==", ">=")))
-@settings(max_examples=150, deadline=None)
-def test_equality_systems_match_the_fraction_simplex(case):
-    # equality rows have no slack column, so these take the artificial phase
-    system, nvars = case
-    assert feasible(system, nvars) == fraction_feasible(system, nvars)
-
-
-@given(small_systems(rational=True))
+@given(small_systems(rational=True, relations=(">",)))
 @settings(max_examples=150, deadline=None)
 def test_rational_systems_agree_with_the_fraction_simplex(case):
+    # rational rows enter the integer tableau as their primitive rows
     system, nvars = case
-    w = feasible(system, nvars)
+    w = strict_witness(system, nvars)
     assert (w is None) == (fraction_feasible(system, nvars) is None)
     if w is not None:
         assert all(con.holds_at(w.point) for con in system)
@@ -210,8 +203,7 @@ def test_rational_systems_agree_with_the_fraction_simplex(case):
     ([gt({1: -1}), gt({0: 2, 1: -2})], 2),
 ])
 def test_fraction_simplex_cases(system, nvars):
-    w = feasible(system, nvars)
-    assert w == fraction_feasible(system, nvars)
+    w = fraction_feasible(system, nvars)
     assert (w is not None) == fm_feasible(system, nvars)
 
 
@@ -221,10 +213,13 @@ def test_fan_cone_systems_match_the_fraction_simplex():
     from maxoid.graph import Dag
     from oracles import complete_dag
 
+    # in one batch from the root
     for g in (complete_dag(4), Dag(5, [(1, 2), (1, 3), (1, 5), (2, 4), (2, 5), (3, 4), (4, 5)])):
         for e in enumerate_maximal_cones(g):
             system = e.cone.strict
-            assert feasible(system, e.cone.nvars) == fraction_feasible(system, e.cone.nvars)
+            w = strict_witness(system, e.cone.nvars)
+            assert w is not None and all(r.holds_at(w.point) for r in system)
+            assert fraction_feasible(system, e.cone.nvars) is not None
 
 
 def _random_strict_chunks(rng):

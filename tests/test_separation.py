@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 
 from maxoid.census import all_top_ordered_tdags
 from maxoid.fan import enumerate_maximal_cones
-from maxoid.graph import Dag
+from maxoid.graph import Dag, enumerate_paths
 from maxoid.polytope import face_lattice, face_maxoid, polytope_vertices
 from maxoid.separation import (
     CiStatement,
     Maxoid,
+    break_ties,
     c_star_separated,
     closure_weights,
     critical_dag,
@@ -22,7 +23,13 @@ from maxoid.separation import (
     perturb_across_facet,
     weighted_transitive_reduction,
 )
-from maxoid.tropical import WeightedDag, critical_paths, is_generic, weighted_dag_from_list
+from maxoid.tropical import (
+    WeightedDag,
+    critical_paths,
+    is_generic,
+    path_weight,
+    weighted_dag_from_list,
+)
 from oracles import (
     complete_dag,
     critical_dag_by_paths,
@@ -205,6 +212,21 @@ def test_perturb_preserves_strict_relations():
     bumped = perturb_across_facet(wd, (1, 3, 4))
     assert critical_paths(bumped, 1, 4) == [(1, 3, 4)]
     assert critical_paths(bumped, 1, 5) == [(1, 5)]  # strict relation kept
+
+
+def test_break_ties_keeps_every_strict_comparison():
+    rng = random.Random(4242)
+    for _ in range(60):
+        wd = random_weighted_dag(rng, max_n=5)  # small weights: ties are common
+        broken = break_ties(wd)
+        assert is_generic(broken)
+        for i in wd.g.nodes:
+            for j in wd.g.descendants(i):
+                paths = enumerate_paths(wd.g, i, j)
+                for p, q in combinations(paths, 2):
+                    before = path_weight(wd, p) - path_weight(wd, q)
+                    after = path_weight(broken, p) - path_weight(broken, q)
+                    assert before == 0 or (before > 0) == (after > 0)
 
 
 def test_symmetry_of_separation():
