@@ -74,15 +74,34 @@ def _cache_path(g: Dag) -> str | None:
     return os.path.join(root, _graph_key(g) + ".json")
 
 
-def _read_cache(path: str) -> dict:
+def _structure_list(value, n: int) -> bool:
+    """Whether value is a list of structures, each a list of statement
+    strings on 1..n."""
+
+    def statement(t) -> bool:
+        if not isinstance(t, str):
+            return False
+        try:
+            parse_ci_statement(t, n)
+        except ValueError:
+            return False
+        return True
+
+    return isinstance(value, list) and all(
+        isinstance(m, list) and all(statement(t) for t in m) for m in value)
+
+
+def _read_cache(path: str, n: int) -> dict:
     """The cached record at path, or {} when it is missing, does not parse or
-    has no generic list."""
+    is not a record of structures on 1..n: a generic list, and a faces list
+    unless that is absent or null."""
     try:
         with open(path) as fh:
             data = json.load(fh)
     except (OSError, ValueError):
         return {}
-    if not isinstance(data, dict) or not isinstance(data.get("generic"), list):
+    if not (isinstance(data, dict) and _structure_list(data.get("generic"), n)
+            and (data.get("faces") is None or _structure_list(data["faces"], n))):
         return {}
     return data
 
@@ -91,7 +110,7 @@ def graph_maxoids(g: Dag, include_faces: bool) -> dict[str, list[list[str]] | No
     """Generic (and optionally face) CI structures of one graph, as sorted
     statement lists; reads and refreshes the disk cache when enabled."""
     path = _cache_path(g)
-    data = _read_cache(path) if path else {}
+    data = _read_cache(path, g.n) if path else {}
     if "generic" not in data or (include_faces and data.get("faces") is None):
         want_faces = include_faces and data.get("faces") is None
         cones, faces = graph_structures(g, want_faces)

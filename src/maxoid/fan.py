@@ -7,12 +7,14 @@ the closures of these cones tile R^E and are in bijection with the CI
 structures of generic weights.  Cones are enumerated by a depth-first search
 over per-pair path choices with subpath-consistency and exact feasibility
 pruning, so only realizable systems are ever completed.  The search carries
-an optimal StrictTableau down next to its rows.  A child node whose new rows
-its parent's witness already satisfies strictly keeps that witness and
-solves no LP; any other child appends the rows its tableau has not absorbed
-yet to a copy of it and repairs that by dual simplex, so siblings still
-share the parent's tableau.  A cone's CI structure is read off its chosen
-paths, which are the critical paths of every weight vector in it.
+down, next to its rows, a StrictTableau: a feasible tableau of
+{c : every row >= 1}, which is nonempty exactly when the open cone of the
+rows is.  A child node whose new rows its parent's witness already
+satisfies strictly keeps that witness and solves no LP; any other child
+appends the rows its tableau has not absorbed yet to a copy of it and
+repairs that by dual simplex, so siblings still share the parent's
+tableau.  A cone's CI structure is read off its chosen paths, which are the
+critical paths of every weight vector in it.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from functools import cached_property
 
 from .graph import Dag, Path, enumerate_paths
 from .linarith import Constraint, StrictTableau, Witness, rank_of
-from .separation import Maxoid, interior_mask, maxoid_from_blockers
+from .separation import Maxoid, maxoid_from_blockers, node_mask
 from .tropical import WeightedDag, critical_paths, is_generic
 
 
@@ -50,10 +52,10 @@ class CriticalSystem:
 
     @cached_property
     def blockers(self) -> dict[tuple[int, int], int]:
-        """interior_mask of each chosen path: under weights of the open cone
-        the critical k->l path is the chosen one, so these are the blocker
-        sets of separation.maxoid_from_blockers."""
-        return {key: interior_mask(path) for key, path in self.choices}
+        """node_mask of each chosen path's interior: under weights of the
+        open cone the critical k->l path is the chosen one, so these are the
+        blocker sets of separation.maxoid_from_blockers."""
+        return {key: node_mask(path[1:-1]) for key, path in self.choices}
 
 
 @dataclass(frozen=True)

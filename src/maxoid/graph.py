@@ -226,4 +226,12 @@ def dag_from_json(data) -> Dag:
         data = json.loads(data)
     if not isinstance(data, dict) or "n" not in data or "edges" not in data:
         raise ValueError('expected an object {"n": ..., "edges": [[u,v], ...]}')
-    return Dag(int(data["n"]), [tuple(e) for e in data["edges"]])
+    n, edges = data["n"], data["edges"]
+    # type() rather than isinstance(): JSON true and false are Python bools
+    if type(n) is not int:
+        raise ValueError(f'"n" must be a JSON integer, got {json.dumps(n, default=repr)}')
+    if not isinstance(edges, list) or not all(
+            isinstance(e, (list, tuple)) and len(e) == 2 and all(type(v) is int for v in e)
+            for e in edges):
+        raise ValueError('"edges" must be a list of [u, v] pairs of JSON integers')
+    return Dag(n, [tuple(e) for e in edges])

@@ -1,40 +1,37 @@
-"""Exact rational linear algebra: strict feasibility and echelon forms.
+"""Exact rational linear algebra: open-cone feasibility and echelon forms.
 
-StrictTableau decides conjunctions of strict linear rows over free
-variables and produces a verified interior witness.  Strict inequalities are
-handled by maximizing a shared slack t (capped at 1): the system is strictly
-feasible exactly when the optimum is positive, and the optimal basic solution
-is a reusable interior point.  The simplex uses Bland's rule throughout, so
-it terminates and is deterministic for a fixed input ordering.  It is the
-package's only simplex.
+StrictTableau decides whether the open cone {x : every row > 0} of some
+homogeneous strict rows is nonempty and produces a verified interior
+witness.  By scaling, it is nonempty exactly when {x : every row >= 1} is,
+so the tableau solves that feasibility problem and has no objective.  The
+simplex uses Bland's rule throughout, so it terminates and is deterministic
+for a fixed input ordering.  It is the package's only simplex.
 
 Every row is a primitive integer vector from the moment it is built:
 Constraint.build scales its coefficients and constant by the positive factor
 that makes them integers with gcd 1, which keeps the half-space.  So the
 tableau holds Python ints A over one positive common denominator d and
 stands for the rational tableau A/d.  A pivot on p = A[r][j] replaces every
-other row a, the cost row included, by (a*p - a[j]*A[r]) / d and sets d to p,
-after negating row r if p < 0 (integer-preserving pivoting: Edmonds 1967;
-Bareiss 1968).  Exactness invariant: every entry of A is, up to sign, a minor
-of the starting integer tableau and d is the absolute determinant of the
-current basis, so each division is exact and no gcd is ever taken.  Since
-d > 0, A/d has the signs of A and ratio tests cross-multiply, so the pivots,
-and the witness, are those of the same simplex on a Fraction tableau.  The
-witness is re-verified against every row in integers, as
-sum(c_v * num_v) + const * d over its numerators num and the tableau
-denominator d, before Fractions appear in it as num_v / d.
+other row a by (a*p - a[j]*A[r]) / d and sets d to p, after negating row r
+if p < 0 (integer-preserving pivoting: Edmonds 1967; Bareiss 1968).
+Exactness invariant: every entry of A is, up to sign, a minor of the
+starting integer tableau and d is the absolute determinant of the current
+basis, so each division is exact and no gcd is ever taken.  Since d > 0,
+A/d has the signs of A, so the pivots, and the witness, are those of the
+same simplex on a Fraction tableau.  The witness is re-verified against
+every row in integers over d before Fractions appear in it as num_v / d.
 
-StrictTableau keeps such an optimal tableau so that a search can append
-rows to it instead of solving from scratch.  An appended
-row enters with its own slack basic, and the current basic columns are
-eliminated from it as row*d - sum(row[b_r] * T[r]) over the basic rows r:
-this is the row the pivots so far would have made of it, over the same d,
-so the exactness invariant holds.  A row whose slack is negative at the
-current point has a negative right-hand side while the reduced costs stay
-optimal, and dual simplex (Lemke 1954) repairs them with Bland's rule: the
-basic variable of smallest index with a negative right-hand side leaves,
-and the column j with T[r][j] < 0 of least ratio cost[j] / |T[r][j]|,
-cross-multiplied, enters, the smallest j on ties.
+StrictTableau keeps such a feasible tableau so that a search can append
+rows to it instead of solving from scratch.  An appended row enters with
+its own slack basic, and the current basic columns are eliminated from it
+as row*d - sum(row[b_r] * T[r]) over the basic rows r: this is the row the
+pivots so far would have made of it, over the same d, so the exactness
+invariant holds.  Dual simplex (Lemke 1954) with zero costs then repairs
+the negative right-hand sides by Bland's rule: the basic variable of
+smallest index with a negative right-hand side leaves, and the smallest
+column with a negative entry in its row enters.  A leaving row with no
+negative entry certifies infeasibility, as sum(T[r][j] y_j) = T[r][-1] < 0
+has no solution y >= 0.
 """
 
 from __future__ import annotations
@@ -117,13 +114,13 @@ class Witness:
         return cls(tuple(Fraction(x, den) for x in point))
 
 
-def _pivot(T, cost, basis, d, r, j):
+def _pivot(T, basis, d, r, j):
     """Integer-preserving pivot on T[r][j] over the common denominator d.
 
-    Every other row a (the cost row too) becomes (a*piv - a[j]*T[r]) // d,
-    an exact division, and piv becomes the new denominator; T[r] itself is
-    kept.  A negative pivot negates the pivot row first, so the denominator
-    stays positive.  Returns the new denominator."""
+    Every other row a becomes (a*piv - a[j]*T[r]) // d, an exact division,
+    and piv becomes the new denominator; T[r] itself is kept.  A negative
+    pivot negates the pivot row first, so the denominator stays positive.
+    Returns the new denominator."""
     prow = T[r]
     piv = prow[j]
     if piv < 0:
@@ -132,7 +129,6 @@ def _pivot(T, cost, basis, d, r, j):
     for i, row in enumerate(T):
         if i != r:
             T[i] = _combine(row, prow, piv, d, j)
-    cost[:] = _combine(cost, prow, piv, d, j)
     basis[r] = j
     return piv
 
@@ -148,16 +144,16 @@ def _combine(row, prow, piv, d, j):
 
 
 class StrictTableau:
-    """An optimal tableau of max t s.t. every absorbed strict row minus t
-    stays >= 0 and t <= 1, kept so that rows can be appended to it.
+    """A feasible tableau of {x : every absorbed row is >= 1}, kept so that
+    rows can be appended to it.  The absorbed rows are homogeneous, so this
+    set is nonempty exactly when their open cone {x : every row > 0} is.
 
-    Columns are z+ and z- for x (x_v = z[v] - z[nvars + v]), t+ and t- for
-    t, the cap row's slack, then one slack per absorbed row, then the
-    right-hand side.  T holds the integer rows over the common denominator
-    d, and cost the reduced costs of min -t, so cost[-1] is d * t.  point
-    holds the integer numerators of the witness over d.  The root holds the
-    cap row alone, at x = 0 and t = 1.  extended() copies the tableau and
-    never changes it, so a search can hand one tableau to every child.
+    Columns are z+ and z- for x (x_v = z[v] - z[nvars + v]), then one slack
+    per absorbed row, then the right-hand side.  T holds the integer rows
+    over the common denominator d, and point the integer numerators of the
+    witness over d.  The root has no rows and its witness is x = 0.
+    extended() copies the tableau and never changes it, so a search can
+    hand one tableau to every child.
 
     The z+ block comes before the whole z- block, rather than interleaved
     as x_v = z[2v] - z[2v+1], on purpose: on a tie, Bland's smallest-index
@@ -166,43 +162,37 @@ class StrictTableau:
     order.
     """
 
-    __slots__ = ("nvars", "rows", "T", "cost", "basis", "d", "point", "witness")
+    __slots__ = ("nvars", "rows", "T", "basis", "d", "point", "witness")
 
     def __init__(self, nvars: int):
         self.nvars = nvars
         self.rows: tuple[Constraint, ...] = ()
-        t = 2 * nvars
-        self.T = [[0] * t + [1, -1, 1, 1]]
-        self.cost = [0] * t + [-1, 1, 0, 0]
-        self.basis = [t + 2]
-        self.d = _pivot(self.T, self.cost, self.basis, 1, 0, t)
+        self.T, self.basis, self.d = [], [], 1
         self.point = [0] * nvars
         self.witness = Witness.checked(self.point, ())
 
     def extended(self, rows: Sequence[Constraint]) -> "StrictTableau | None":
-        """A new optimal tableau with rows appended, or None when the strict
-        system of all rows so far is infeasible (optimal t <= 0).
+        """A new feasible tableau with rows appended, or None when the open
+        cone of all rows so far is empty.
 
-        Each row sum(c_v x_v) + const > 0 enters as -a.x + t + s = const
-        with its slack s basic, eliminated against the current basis; then
-        dual simplex restores primal feasibility (see the module docstring).
-        The witness is re-verified against every absorbed row."""
+        Each row sum(c_v x_v) > 0 enters as -c.x + s = -1 with its slack s
+        basic, eliminated against the current basis; then dual simplex
+        restores feasibility (see the module docstring).  The witness is
+        re-verified against every absorbed row."""
         for con in rows:
-            if con.rel != ">" or any(v >= self.nvars or v < 0 for v, _ in con.terms):
-                raise ValueError(f"{con} is not a strict row over {self.nvars} variables")
+            if con.rel != ">" or con.const or any(not 0 <= v < self.nvars for v, _ in con.terms):
+                raise ValueError(f"{con} is not a homogeneous strict row over {self.nvars} variables")
         new = StrictTableau.__new__(StrictTableau)
         new.nvars, new.rows = self.nvars, self.rows + tuple(rows)
-        k, width, d = len(rows), len(self.cost) - 1, self.d
+        k, d, width = len(rows), self.d, 2 * self.nvars + len(self.rows)
         pad = [0] * k
         T = [row[:-1] + pad + row[-1:] for row in self.T]
-        cost = self.cost[:-1] + pad + self.cost[-1:]
         basis = list(self.basis)
-        t = 2 * self.nvars
         for i, con in enumerate(rows):
             row = [0] * (width + k + 1)
             for v, c in con.terms:
                 row[v], row[self.nvars + v] = -c, c
-            row[t], row[t + 1], row[width + i], row[-1] = 1, -1, 1, con.const
+            row[width + i], row[-1] = 1, -1
             elim = [x * d for x in row]
             for r, b in enumerate(basis):
                 f = row[b]
@@ -212,30 +202,25 @@ class StrictTableau:
             basis.append(width + i)
         while True:
             # dual simplex, Bland's rule: leave on the smallest basic index
-            # with a negative right-hand side, enter by the least ratio
-            # cost[j] / -T[r][j] over T[r][j] < 0, smallest j on ties
+            # with a negative right-hand side, enter on the smallest column
+            # with a negative entry in the leaving row
             leave = None
             for r, row in enumerate(T):
                 if row[-1] < 0 and (leave is None or basis[r] < basis[leave]):
                     leave = r
             if leave is None:
                 break
-            # a low enough t meets every row, so the LP is feasible and the
-            # row sum(T[leave][j] z_j) = rhs < 0 has a solution z >= 0: some
-            # T[leave][j] is negative and enter is found
             prow = T[leave]
-            enter = None
-            for j, a in enumerate(prow[:-1]):
-                if a < 0 and (enter is None or cost[j] * prow[enter] > cost[enter] * a):
-                    enter = j
-            d = _pivot(T, cost, basis, d, leave, enter)
-        if cost[-1] <= 0:
-            return None
-        z = [0] * t
+            enter = next((j for j, a in enumerate(prow[:-1]) if a < 0), None)
+            if enter is None:
+                # sum(prow[j] y_j) = prow[-1] < 0 has no solution y >= 0
+                return None
+            d = _pivot(T, basis, d, leave, enter)
+        z = [0] * (2 * self.nvars)
         for r, b in enumerate(basis):
-            if b < t:
+            if b < len(z):
                 z[b] = T[r][-1]
-        new.T, new.cost, new.basis, new.d = T, cost, basis, d
+        new.T, new.basis, new.d = T, basis, d
         new.point = [z[v] - z[self.nvars + v] for v in range(self.nvars)]
         new.witness = Witness.checked(new.point, new.rows, d)
         return new

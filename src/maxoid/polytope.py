@@ -243,11 +243,6 @@ def face_lattice(points: list[PolytopePoint]) -> FaceLattice:
     return FaceLattice(faces, tuple(covers))
 
 
-def f_vector(points: list[PolytopePoint]) -> tuple[int, ...]:
-    """Face counts of conv(points) by dimension 0..d-1 (proper faces only)."""
-    return face_lattice(points).f_vector()
-
-
 def face_maxoid(g: Dag, face: Face, entries: list[FanEntry],
                 points: list[tuple[CriticalSystem, PolytopePoint]] | None = None,
                 memo: dict | None = None) -> Maxoid:

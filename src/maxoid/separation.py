@@ -136,16 +136,13 @@ class Maxoid:
         return cls(n, (parse_ci_statement(t, n) for t in items))
 
 
-def interior_mask(path: Path) -> int:
-    """Bitmask of a path's interior nodes: bit v set for node v."""
-    mask = 0
-    for v in path[1:-1]:
-        mask |= 1 << v
-    return mask
+def node_mask(nodes: Iterable[int]) -> int:
+    """Bitmask of a node set: bit v set for node v."""
+    return sum(1 << v for v in nodes)
 
 
 def _blocker_sets(wd: WeightedDag) -> dict[tuple[int, int], int]:
-    """B_kl for every connected pair k->l, as an interior_mask: the nodes m
+    """B_kl for every connected pair k->l, as a node_mask: the nodes m
     with A_km + A_ml = A_kl, A the proper Kleene star, i.e. the interior
     nodes of the critical k->l paths (the star's -inf diagonal leaves k and
     l out)."""
@@ -155,13 +152,9 @@ def _blocker_sets(wd: WeightedDag) -> dict[tuple[int, int], int]:
     for k in nodes:
         for l in wd.g.descendants(k):
             akl = a.entry(k, l)
-            blockers[(k, l)] = sum(1 << m for m in nodes
-                                   if a.entry(k, m) + a.entry(m, l) == akl)
+            blockers[(k, l)] = node_mask(m for m in nodes
+                                         if a.entry(k, m) + a.entry(m, l) == akl)
     return blockers
-
-
-def _mask(nodes: Iterable[int]) -> int:
-    return sum(1 << v for v in nodes)
 
 
 @lru_cache(maxsize=None)
@@ -173,8 +166,8 @@ def _statements_by_subset(n: int) -> tuple[tuple[int, tuple[CiStatement, ...]], 
         for L in combinations(nodes, size):
             Ls = frozenset(L)
             rest = [v for v in nodes if v not in Ls]
-            table.append((_mask(L), tuple(CiStatement(i, j, Ls)
-                                          for i, j in combinations(rest, 2))))
+            table.append((node_mask(L), tuple(CiStatement(i, j, Ls)
+                                              for i, j in combinations(rest, 2))))
     return tuple(table)
 
 
@@ -231,13 +224,13 @@ def critical_dag(wd: WeightedDag, L: Iterable[int]) -> Dag:
     Ls = frozenset(L)
     if not Ls <= set(wd.g.nodes):
         raise ValueError("blocking set must consist of graph nodes")
-    mask = _mask(Ls)
+    mask = node_mask(Ls)
     return Dag(wd.g.n, [e for e, b in _blocker_sets(wd).items() if not b & mask])
 
 
 def c_star_separated(wd: WeightedDag, s: CiStatement) -> bool:
     """Whether the statement's endpoints are separated given s.L in (G, C)."""
-    return any(_separated(wd.g.n, _blocker_sets(wd), _mask(s.L), [s]))
+    return any(_separated(wd.g.n, _blocker_sets(wd), node_mask(s.L), [s]))
 
 
 def maxoid(wd: WeightedDag) -> Maxoid:

@@ -8,6 +8,7 @@ is destroyed by rounding, so floats are rejected everywhere.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
@@ -69,7 +70,10 @@ def parse_extended_rational(value) -> ExtRational:
     if isinstance(value, str):
         if value.strip() == "-inf":
             return NEG_INF
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     return as_fraction(value)
 
 
@@ -238,13 +242,27 @@ def weighted_dag_from_matrix(g: Dag, matrix: Sequence[Sequence]) -> WeightedDag:
     return WeightedDag(g, w)
 
 
+def _check_json_weights(values) -> None:
+    """Reject weights that JSON gives as anything but integers and strings."""
+    for x in values:
+        if type(x) not in (int, str):  # JSON true and false are Python bools
+            raise ValueError("weights must be JSON integers or strings, got "
+                             + json.dumps(x, default=repr))
+
+
 def weights_from_json(g: Dag, data) -> WeightedDag:
-    """Accept either the n x n matrix form or the edge-ordered list form."""
+    """Accept either the n x n matrix form or the edge-ordered list form,
+    whose weights are finite."""
     if not isinstance(data, list):
         raise ValueError("weights must be a JSON array")
     if data and all(isinstance(r, list) for r in data):
+        _check_json_weights(x for r in data for x in r)
         return weighted_dag_from_matrix(g, data)
-    return weighted_dag_from_list(g, [parse_extended_rational(v) for v in data])
+    _check_json_weights(data)
+    values = [parse_extended_rational(v) for v in data]
+    if any(v is NEG_INF for v in values):
+        raise ValueError("edge-list weights must be finite")
+    return weighted_dag_from_list(g, values)
 
 
 def weights_to_matrix_json(wd: WeightedDag) -> list[list[str]]:

@@ -423,10 +423,14 @@ def fraction_feasible(system: Sequence[Constraint], nvars: int) -> Witness | Non
 
 def fraction_strict_tableau(chunks: Sequence[Sequence[Constraint]],
                             nvars: int) -> list[Witness | None]:
-    """The dual-simplex warm start on a Fraction tableau: the same columns,
-    rows and Bland's rule as linarith.StrictTableau, with every pivot row
-    divided through.  Appends the chunks one after another and returns the
-    witness after each, None from the first infeasible chunk on."""
+    """The dual-simplex warm start of the strict LP max t s.t. every row
+    minus t >= 0 and t <= 1, on a Fraction tableau with every pivot row
+    divided through: linarith.StrictTableau before it became a feasibility
+    tableau.  Its columns are z+, z-, t+, t-, the cap row's slack and one
+    slack per row.  On homogeneous rows it pivots where StrictTableau does
+    while the system stays feasible, so their witnesses agree.  Appends the
+    chunks one after another and returns the witness after each, None from
+    the first infeasible chunk on."""
     t = 2 * nvars
     T = [[Fraction(x) for x in [0] * t + [1, -1, 1, 1]]]
     cost = [Fraction(x) for x in [0] * t + [-1, 1, 0, 0]]

@@ -33,7 +33,7 @@ from maxoid.fan import enumerate_maximal_cones, lineality_dimension
 from maxoid.graph import Dag
 from maxoid.implication import decide_implication
 from maxoid.linarith import affine_dimension
-from maxoid.polytope import f_vector, face_lattice, face_maxoid, polytope_vertices
+from maxoid.polytope import face_lattice, face_maxoid, polytope_vertices
 from maxoid.separation import (
     CiStatement,
     closure_weights,
@@ -106,7 +106,7 @@ def test_criterion_3_complete_dag_table():
         seen[n] = (affine_dimension(coords)[0], len(coords))
     k4 = complete_dag(4)
     e4 = enumerate_maximal_cones(k4)
-    fvec = f_vector([p for _, p in polytope_vertices(k4, e4)])
+    fvec = face_lattice([p for _, p in polytope_vertices(k4, e4)]).f_vector()
     lin = lineality_dimension(k4)
     small_elapsed = time.monotonic() - t0
     g5 = complete_dag(5)

@@ -112,7 +112,10 @@ def test_cache_file_that_does_not_parse_is_a_miss(tmp_path, monkeypatch):
     g = Dag(3, [(1, 2), (1, 3), (2, 3)])
     first = graph_maxoids(g, include_faces=True)
     (path,) = tmp_path.iterdir()
-    for bad in (path.read_text()[:-7], "", '{"faces": []}', "[]"):
+    for bad in (path.read_text()[:-7], "", '{"faces": []}', "[]",
+                # records of the wrong shape
+                '{"generic": [5], "faces": [[1]]}', '{"generic": [], "faces": 5}',
+                '{"generic": [["bogus"]]}', '{"generic": [["1,2|"]], "faces": [["1,9|"]]}'):
         path.write_text(bad)
         assert graph_maxoids(g, include_faces=True) == first
         assert json.loads(path.read_text()) == first

@@ -183,6 +183,32 @@ def test_parse_errors_exit_nonzero(files, capsys):
     assert json.loads(out2)["error"]["type"] == "io"
 
 
+K2 = '{"n": 2, "edges": [[1, 2]]}'
+
+
+@pytest.mark.parametrize("dag, weights", [
+    # n and the edge endpoints are JSON integers, and every edge is a pair
+    ('{"n": 2, "edges": [[1, 2.7]]}', "[1]"),
+    ('{"n": 2.9, "edges": [[1, 2]]}', "[1]"),
+    ('{"n": true, "edges": []}', "[]"),
+    ('{"n": 2, "edges": [[true, 2]]}', "[1]"),
+    ('{"n": 2, "edges": [12]}', "[1]"),
+    ('{"n": 2, "edges": [[1, 2, 2]]}', "[1]"),
+    # weights are JSON integers or strings, finite in the edge-list form
+    (K2, "[1.5]"),
+    (K2, "[true]"),
+    (K2, '["-inf"]'),
+    (K2, '["1/0"]'),
+    (K2, '[["-inf", 0.5], ["-inf", "-inf"]]'),
+])
+def test_malformed_dag_or_weights_prints_the_error_object(tmp_path, capsys, dag, weights):
+    (tmp_path / "dag.json").write_text(dag)
+    (tmp_path / "w.json").write_text(weights)
+    code, out = invoke(capsys, "maxoid", str(tmp_path / "dag.json"), str(tmp_path / "w.json"))
+    assert code != 0
+    assert json.loads(out)["error"]["type"] == "ValueError"
+
+
 def test_pretty_mode(files, capsys):
     code, out = invoke(capsys, "--pretty", "census", "--nodes", "3")
     assert code == 0

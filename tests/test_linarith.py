@@ -37,8 +37,8 @@ def strict_witness(system, nvars):
 
 
 def test_open_interval():
-    w = strict_witness([gt({0: 1}), gt({0: -1}, 1)], 1)
-    assert w is not None and 0 < w.point[0] < 1
+    w = strict_witness([gt({0: 1}), gt({0: -1, 1: 1})], 2)
+    assert w is not None and 0 < w.point[0] < w.point[1]
 
 
 def test_contradiction():
@@ -85,8 +85,9 @@ def test_witness_checked_raises_on_violation():
 
 
 def test_determinism():
-    system = [gt({0: 1, 1: -1}), gt({1: 1, 2: -1}), gt({2: 1}, 5)]
-    assert strict_witness(system, 3) == strict_witness(system, 3)
+    system = [gt({0: 1, 1: -1}), gt({1: 1, 2: -1}), gt({2: 1, 0: -5})]
+    w = strict_witness(system, 3)
+    assert w is not None and w == strict_witness(system, 3)
 
 
 def test_normalized_constraint():
@@ -104,10 +105,10 @@ def test_negated():
 
 
 @st.composite
-def small_rows(draw, rational=False, relations=(">", ">=", "==")):
+def small_rows(draw, rational=False, relations=(">", ">=", "=="), homogeneous=False):
     """Up to 6 raw rows (coefficients, constant, relation) in up to 4
     variables with small integer entries, or small rational ones when
-    rational is set."""
+    rational is set; every constant is 0 when homogeneous is set."""
     nvars = draw(st.integers(min_value=1, max_value=4))
     nrows = draw(st.integers(min_value=1, max_value=6))
 
@@ -118,15 +119,15 @@ def small_rows(draw, rational=False, relations=(">", ">=", "==")):
     rows = []
     for _ in range(nrows):
         coeffs = {v: entry(3) for v in range(nvars)}
-        const = entry(4)
+        const = 0 if homogeneous else entry(4)
         rel = draw(st.sampled_from(list(relations)))
         rows.append((coeffs, const, rel))
     return rows, nvars
 
 
-def small_systems(rational=False, relations=(">", ">=", "==")):
+def small_systems(rational=False, relations=(">", ">=", "=="), homogeneous=False):
     """The rows of small_rows, built into constraints."""
-    return small_rows(rational, relations).map(
+    return small_rows(rational, relations, homogeneous).map(
         lambda case: ([Constraint.build(c, rel, k) for c, k, rel in case[0]], case[1]))
 
 
@@ -174,10 +175,11 @@ def test_agrees_with_fourier_motzkin(case):
         assert all(con.holds_at(w.point) for con in system)
 
 
-@given(small_systems(rational=True, relations=(">",)))
+@given(small_systems(rational=True, relations=(">",), homogeneous=True))
 @settings(max_examples=150, deadline=None)
 def test_rational_systems_agree_with_the_fraction_simplex(case):
-    # rational rows enter the integer tableau as their primitive rows
+    # rational rows enter the integer tableau as their primitive rows, and
+    # the tableau's cone is empty exactly when the strict system is
     system, nvars = case
     w = strict_witness(system, nvars)
     assert (w is None) == (fraction_feasible(system, nvars) is None)
@@ -208,7 +210,7 @@ def test_fraction_simplex_cases(system, nvars):
 
 
 def test_fan_cone_systems_match_the_fraction_simplex():
-    # homogeneous path-comparison rows tie often in the ratio test
+    # the fan's homogeneous path-comparison rows, solved in one batch
     from maxoid.fan import enumerate_maximal_cones
     from maxoid.graph import Dag
     from oracles import complete_dag
@@ -223,23 +225,23 @@ def test_fan_cone_systems_match_the_fraction_simplex():
 
 
 def _random_strict_chunks(rng):
-    """Up to 4 chunks of up to 4 strict rows in up to 4 variables, half the
-    time homogeneous like the fan's rows; zero rows and opposite rows make
-    some systems infeasible."""
+    """Up to 4 chunks of up to 4 homogeneous strict rows in up to 4
+    variables, like the fan's rows; zero rows and opposite rows make some
+    systems infeasible."""
     nvars = rng.randint(1, 4)
-    homogeneous = rng.random() < 0.5
     chunks = []
     for _ in range(rng.randint(1, 4)):
-        chunks.append([gt({v: rng.randint(-3, 3) for v in range(nvars)},
-                          0 if homogeneous else rng.randint(-4, 4))
+        chunks.append([gt({v: rng.randint(-3, 3) for v in range(nvars)})
                        for _ in range(rng.randint(1, 4))])
     return chunks, nvars
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_strict_tableau_in_chunks_matches_the_fraction_simplex(seed):
-    # the integer dual simplex takes the pivots of the Fraction one, so each
-    # witness is identical; the final verdict is that of a cold solve
+    # the feasibility tableau against the t-capped Fraction simplex it
+    # replaced: on homogeneous rows the two pivot alike while the system is
+    # feasible, so each witness is identical; the final verdict is that of
+    # a cold solve
     rng = random.Random(f"strict-tableau/{seed}")
     verdicts = set()
     for _ in range(100):
@@ -260,12 +262,12 @@ def test_strict_tableau_leaves_the_parent_unchanged():
     root = StrictTableau(2)
     assert root.witness.point == (0, 0) and root.extended([]).witness == root.witness
     parent = root.extended([gt({0: 1, 1: -1})])
-    state = ([row[:] for row in parent.T], parent.cost[:], parent.basis[:], parent.d)
-    left = parent.extended([gt({1: 1}), gt({0: -1}, 3)])
+    state = ([row[:] for row in parent.T], parent.basis[:], parent.d)
+    left = parent.extended([gt({1: 1}), gt({0: -1, 1: 3})])
     assert parent.extended([gt({1: -1})]) is not None
-    assert state == (parent.T, parent.cost, parent.basis, parent.d)
-    assert left.rows == parent.rows + (gt({1: 1}), gt({0: -1}, 3))
-    assert left.extended([gt({0: 1, 1: 1}, -8)]) is None
+    assert state == (parent.T, parent.basis, parent.d)
+    assert left.rows == parent.rows + (gt({1: 1}), gt({0: -1, 1: 3}))
+    assert left.extended([gt({0: -1, 1: 1})]) is None
 
 
 def test_strict_tableau_takes_strict_rows_in_range_only():
@@ -274,6 +276,29 @@ def test_strict_tableau_takes_strict_rows_in_range_only():
         tab.extended([ge({0: 1})])
     with pytest.raises(ValueError):
         tab.extended([gt({2: 1})])
+    with pytest.raises(ValueError):
+        tab.extended([gt({0: 1}, 1)])
+
+
+@pytest.mark.parametrize("n, pivots", [(4, 17), (5, 251)])
+def test_complete_dag_fans_take_the_pinned_pivot_counts(n, pivots, monkeypatch):
+    # Bland's rule fixes every pivot, so a change of their number is a
+    # change of the simplex
+    from maxoid import linarith
+    from maxoid.fan import enumerate_maximal_cones
+    from oracles import complete_dag
+
+    count = 0
+    pivot = linarith._pivot
+
+    def counting_pivot(*args):
+        nonlocal count
+        count += 1
+        return pivot(*args)
+
+    monkeypatch.setattr(linarith, "_pivot", counting_pivot)
+    enumerate_maximal_cones(complete_dag(n))
+    assert count == pivots
 
 
 def test_rank_and_affine_dimension():

@@ -9,7 +9,6 @@ from maxoid.polytope import (
     Face,
     PolytopePoint,
     cone_adjacency,
-    f_vector,
     face_lattice,
     face_maxoid,
     hasse_dot,
@@ -27,13 +26,13 @@ def stmts(*texts):
 
 def test_f_vector_of_standard_shapes():
     square = [PolytopePoint(p) for p in ((0, 0), (1, 0), (0, 1), (1, 1))]
-    assert f_vector(square) == (4, 4)
+    assert face_lattice(square).f_vector() == (4, 4)
     triangle = [PolytopePoint(p) for p in ((0, 0), (1, 0), (0, 1))]
-    assert f_vector(triangle) == (3, 3)
+    assert face_lattice(triangle).f_vector() == (3, 3)
     segment = [PolytopePoint(p) for p in ((0,), (2,))]
-    assert f_vector(segment) == (2,)
+    assert face_lattice(segment).f_vector() == (2,)
     cube = [PolytopePoint(p) for p in itertools.product((0, 1), repeat=3)]
-    assert f_vector(cube) == (8, 12, 6)
+    assert face_lattice(cube).f_vector() == (8, 12, 6)
 
 
 def test_face_lattice_of_segment_and_triangle():
@@ -51,7 +50,7 @@ def test_face_lattice_of_segment_and_triangle():
 def test_single_point_polytope():
     lat = face_lattice([PolytopePoint((3, 1))])
     assert len(lat.faces) == 1 and lat.faces[0].dim == 0
-    assert f_vector([PolytopePoint((3, 1))]) == ()
+    assert face_lattice([PolytopePoint((3, 1))]).f_vector() == ()
 
 
 def test_vertices_k3():
@@ -82,8 +81,8 @@ def test_complete_dag_4_polytope():
     from maxoid.linarith import affine_dimension
 
     assert affine_dimension([p.coords for p in coords])[0] == 3
-    assert f_vector(coords) == (9, 14, 7)
     lat = face_lattice(coords)
+    assert lat.f_vector() == (9, 14, 7)
     assert len(lat.faces) == 9 + 14 + 7 + 1
 
 
