@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .graph import Dag, dag_to_json, top_ordered_closed_dags
 from .polytope import graph_structures
-from .separation import CiStatement, Maxoid, parse_ci_statement
+from .separation import Maxoid, parse_ci_statement
 
 CACHE_ENV = "MAXOID_CACHE_DIR"
 # Raise whenever what a cache file holds, or how it is computed, changes:
@@ -125,12 +125,12 @@ def graph_maxoids(g: Dag, include_faces: bool) -> dict[str, list[list[str]] | No
     return data
 
 
-def _worker(args) -> tuple[dict, dict]:
+def _worker(args) -> dict:
     graph_json, include_faces = args
     from .graph import dag_from_json
 
     try:
-        return graph_json, graph_maxoids(dag_from_json(graph_json), include_faces)
+        return graph_maxoids(dag_from_json(graph_json), include_faces)
     except Exception as exc:
         graph = json.dumps(graph_json, sort_keys=True)
         raise RuntimeError(f"census failed on graph {graph}: {exc!r}") from exc
@@ -144,35 +144,31 @@ def census_structures(family: TdagFamily, include_faces: bool = True,
     additionally contains the face structures of every graph's polytope
     (when include_faces is false, the two sets coincide).  Runs on
     min(jobs, number of graphs) worker processes, serially when that is 1.
+    Each graph's statement lists become bitmask Maxoids as its result
+    arrives, so no graph's strings are held until the end.
     """
     tasks = [(dag_to_json(g), include_faces) for g in family.graphs]
+    generic: set[Maxoid] = set()
+    everything: set[Maxoid] = set()
+
+    def collect(results) -> None:
+        for data in results:
+            for stmts in data["generic"]:
+                m = Maxoid.from_json(family.n, stmts)
+                generic.add(m)
+                everything.add(m)
+            if include_faces:
+                for stmts in data["faces"]:
+                    everything.add(Maxoid.from_json(family.n, stmts))
+
     workers = min(jobs, len(tasks))
     if workers > 1:
         # spawn, not fork: a fork taken while another thread holds a lock
         # copies that lock into the child held, and nobody releases it there
         with multiprocessing.get_context("spawn").Pool(workers) as pool:
-            results = pool.map(_worker, tasks)
+            collect(pool.imap(_worker, tasks))
     else:
-        results = [_worker(t) for t in tasks]
-    # the same few statement strings recur across graphs: parse each once
-    parsed: dict[str, CiStatement] = {}
-
-    def structure(stmts: list[str]) -> Maxoid:
-        for t in stmts:
-            if t not in parsed:
-                parsed[t] = parse_ci_statement(t, family.n)
-        return Maxoid(family.n, (parsed[t] for t in stmts))
-
-    generic: set[Maxoid] = set()
-    everything: set[Maxoid] = set()
-    for _, data in results:
-        for stmts in data["generic"]:
-            m = structure(stmts)
-            generic.add(m)
-            everything.add(m)
-        if include_faces:
-            for stmts in data["faces"]:
-                everything.add(structure(stmts))
+        collect(_worker(t) for t in tasks)
     return generic, everything
 
 

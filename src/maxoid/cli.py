@@ -29,11 +29,13 @@ from .axioms import (
 from .census import all_top_ordered_tdags, census_structures
 
 LONG_RUN_HINT = "pass --unbounded to run sizes beyond the quick default"
-# most edges of an implies --graph run without --unbounded, by --generic: a
-# local query costs the graph's face lattice with ties (a 14-edge one takes
-# minutes, complete-6's hull did not finish in 23 min), or its fan in
-# generic mode
-IMPLIES_GRAPH_EDGES = {False: 13, True: 15}
+# most edges of a graph whose face lattice (polytope, fan --adjacency,
+# implies --graph with ties) or whose fan alone (fan, implies --graph
+# --generic) is computed without --unbounded: a 14-edge 6-node lattice takes
+# 93 s and complete-6's hull did not finish in 23 min; complete-6's fan (15
+# edges) takes seconds and complete-7's (21 edges) over 800 s
+LATTICE_EDGES = 13
+FAN_EDGES = 15
 
 
 def _emit(data, pretty_lines=None, pretty=False) -> None:
@@ -93,8 +95,19 @@ def _cmd_kleene(args) -> None:
           pretty=args.pretty)
 
 
+def _check_edges(g: Dag, most: int, what: str, args) -> None:
+    """Refuse with the usage error when g has more than most edges and
+    --unbounded is not given."""
+    if len(g.edges) > most and not args.unbounded:
+        raise SystemExit(_error(f"{what} on a graph with more than {most} edges "
+                                f"is long-running; {LONG_RUN_HINT}"))
+
+
 def _cmd_fan(args) -> None:
     g = dag_from_json(_load_json(args.dag))
+    if args.adjacency:
+        _check_edges(g, LATTICE_EDGES, "fan --adjacency", args)
+    _check_edges(g, FAN_EDGES, "fan", args)
     entries = enumerate_maximal_cones(g)
     edges = g.sorted_edges
     cones = []
@@ -125,6 +138,7 @@ def _cmd_fan(args) -> None:
 
 def _cmd_polytope(args) -> None:
     g = dag_from_json(_load_json(args.dag))
+    _check_edges(g, LATTICE_EDGES, "polytope", args)
     entries = enumerate_maximal_cones(g)
     points = polytope_vertices(g, entries)
     coords = [p for _, p in points]
@@ -184,11 +198,8 @@ def _cmd_implies(args) -> None:
         raise SystemExit(_error(f"implication over all graphs on {args.nodes} nodes "
                                 f"is long-running; {LONG_RUN_HINT}"))
     scope = dag_from_json(_load_json(args.graph)) if args.graph else args.nodes
-    if isinstance(scope, Dag) and not args.unbounded:
-        most = IMPLIES_GRAPH_EDGES[args.generic]
-        if len(scope.edges) > most:
-            raise SystemExit(_error(f"implication on a graph with more than {most} edges "
-                                    f"is long-running; {LONG_RUN_HINT}"))
+    if isinstance(scope, Dag):
+        _check_edges(scope, FAN_EDGES if args.generic else LATTICE_EDGES, "implication", args)
     n = scope.n if isinstance(scope, Dag) else scope
     premises, conclusions = _parse_query(args.query, n)
     verdict = decide_implication(scope, premises, conclusions, generic=args.generic)
@@ -256,6 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fan", help="maximal cones of the weight-space fan")
     p.add_argument("dag")
     p.add_argument("--adjacency", action="store_true", help="also compute facet adjacency")
+    p.add_argument("--unbounded", action="store_true", help="allow long-running sizes")
     p.set_defaults(func=_cmd_fan)
 
     p = sub.add_parser("polytope", help="vertices, f-vector and face lattice")
@@ -263,6 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--face-maxoids", action="store_true",
                    help="also compute the CI structure of every face")
     p.add_argument("--hasse-dot", metavar="FILE", help="write the face lattice in DOT format")
+    p.add_argument("--unbounded", action="store_true", help="allow long-running sizes")
     p.set_defaults(func=_cmd_polytope)
 
     p = sub.add_parser("census", help="count distinct CI structures over TDAGs")

@@ -27,7 +27,7 @@ from typing import Sequence
 
 from .graph import Dag, top_ordered_closed_dags
 from .polytope import graph_structures
-from .separation import CiStatement, break_ties, maxoid, weighted_transitive_reduction
+from .separation import CiStatement, Maxoid, break_ties, maxoid, weighted_transitive_reduction
 from .tropical import WeightedDag, is_generic
 
 # per-process memo of each graph's (structure, weights) pairs, keyed by
@@ -76,11 +76,13 @@ def decide_implication(scope, premises: Sequence[CiStatement],
     order, then its faces of dimension at least 1 in lattice order.  Global
     modes take the graphs of top_ordered_closed_dags, the edgeless one
     first, and try each structure under every relabeling in the order of
-    itertools.permutations, the identity first.  The first match gives the
-    counterexample: its weights, relabeled and, in global modes, shrunk to
-    the weighted transitive reduction, which keeps the Kleene star and so
-    the structure.  In generic mode, ties between non-critical parallel
-    paths that a cone witness may have are then broken (break_ties).
+    itertools.permutations, the identity first; a structure matches when
+    its bits hold every premise bit and no conclusion bit.  The first match
+    gives the counterexample: its weights, relabeled and, in global modes,
+    shrunk to the weighted transitive reduction, which keeps the Kleene
+    star and so the structure.  In generic mode, ties between non-critical
+    parallel paths that a cone witness may have are then broken
+    (break_ties).
     """
     premises = list(premises)
     conclusions = list(conclusions)
@@ -93,19 +95,21 @@ def decide_implication(scope, premises: Sequence[CiStatement],
         graphs = top_ordered_closed_dags(n)
         labels = [(0, *p) for p in permutations(range(1, n + 1))]
     _check_nodes(n, premises, conclusions)
-    # under label, the query on the relabeled graph is this query on the graph
+    # under label, the query on the relabeled graph is this query on the
+    # graph: its premise and conclusion statements as bitmasks
     queries = []
     for label in labels:
         back = [0] * (n + 1)
         for v, x in enumerate(label):
             back[x] = v
-        queries.append((label, frozenset(_relabeled(p, back) for p in premises),
-                        frozenset(_relabeled(q, back) for q in conclusions)))
+        queries.append((label, Maxoid(n, (_relabeled(p, back) for p in premises)).bits,
+                        Maxoid(n, (_relabeled(q, back) for q in conclusions)).bits))
     for g in graphs:
         cones, faces = _structures(g, not generic)
         for m, weights in cones + faces:
+            bits = m.bits
             for label, prem, conc in queries:
-                if prem <= m.stmts and m.stmts.isdisjoint(conc):
+                if bits & prem == prem and not bits & conc:
                     return Verdict(False, _counterexample(
                         g, weights, label, isinstance(scope, Dag), generic,
                         premises, conclusions))

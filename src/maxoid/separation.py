@@ -4,11 +4,37 @@ The critical DAG of (G, C) given a blocking set L keeps an edge k->l exactly
 when some directed k->l path exists and no maximum-weight k->l path passes
 through L (interior nodes only).  So it depends on the weights only through
 the blocker sets B_kl, the interior nodes of the critical k->l paths: k->l
-is kept exactly when L misses B_kl.  Two nodes are separated given L when
-the critical DAG contains none of five short connecting shapes between
-them; the set of all such separation statements is the CI structure of the
-weighted DAG.  maxoid_from_blockers computes it from the sets B_kl held as
-int bitmasks.  maxoid reads them off the Kleene star once; the fan and the
+is kept exactly when L misses B_kl.  Two nodes i, j outside L are separated
+given L when the critical DAG contains none of five connecting shapes
+between them, all through edges whose tail lies outside L: (a) an edge
+between i and j; (b) a common parent p; (c) a common child l in L;
+(d) p -> i, p -> l <- j with l in L, or its mirror image; (e) p -> i,
+p -> l <- q, q -> j with l in L.  The set of all such statements (i, j | L)
+is the CI structure of the weighted DAG, a Maxoid: one int with a bit per
+statement on 1..n in sort_key order.
+
+maxoid_from_blockers decides every L at once.  A family of subsets L of
+1..n is a 2^n-bit int, and each quantity below is such a family:
+
+    K_kl = the sets that miss B_kl | {k}   (k -> l kept, its tail outside L)
+    I_l  = the sets that contain l
+    R_il = I_l & (K_il | OR_p K_pi & K_pl)
+
+R_il holds the sets in which l is a collider in L below i or below a parent
+of i.  The pair (i, j) is then separated exactly on the sets that miss i
+and j and avoid
+
+    K_ij | K_ji | OR_p K_pi & K_pj | OR_l R_il & R_jl:
+
+the first two terms are shape (a), the third (b), and R_il & R_jl covers
+(c), (d) and its mirror, and (e), as each side of the collider l is a child
+of i (j) or of a parent of i (j).  The shapes' distinctness conditions need
+no test: i, j and the parents lie outside L and the colliders inside it,
+p = j or q = i would be shape (a), and p = q shape (b).  That is O(n^3)
+operations on 2^n-bit ints per structure, and the separated families go
+into the statement bits through one byte table per pair.
+
+maxoid reads the blocker sets off the Kleene star once; the fan and the
 polytope pass a cone's chosen paths or the union of a face's vertices'
 paths.  Everything here is exact and valid for arbitrary (also tied)
 weights.
@@ -93,47 +119,106 @@ def parse_ci_statement(text: str, n: int | None = None) -> CiStatement:
     return CiStatement(i, j, frozenset(L))
 
 
-class Maxoid:
-    """A canonical, deduplicated set of pairwise CI statements on 1..n."""
+class _StatementTable:
+    """Every statement on 1..n in sort_key order: statement k is bit k of a
+    Maxoid's int, so ascending bits walk the statements in that order.
+    Built on first use, one per n (see _statement_table)."""
 
-    __slots__ = ("n", "stmts")
+    __slots__ = ("statements", "texts", "bit", "bit_of_text")
+
+    def __init__(self, n: int):
+        nodes = range(1, n + 1)
+        statements = []
+        for i, j in combinations(nodes, 2):
+            rest = [v for v in nodes if v != i and v != j]
+            subsets = sorted(L for size in range(len(rest) + 1)
+                             for L in combinations(rest, size))
+            statements.extend(CiStatement(i, j, frozenset(L)) for L in subsets)
+        self.statements = tuple(statements)
+        self.texts = tuple(map(str, statements))
+        self.bit = {s: k for k, s in enumerate(statements)}
+        self.bit_of_text = {t: k for k, t in enumerate(self.texts)}
+
+
+_statement_table = lru_cache(maxsize=None)(_StatementTable)
+
+
+class Maxoid:
+    """A set of pairwise CI statements on 1..n, held as one int with a bit
+    per statement on 1..n in sort_key order (see _statement_table)."""
+
+    __slots__ = ("n", "bits")
 
     def __init__(self, n: int, statements: Iterable[CiStatement]):
-        self.n = n
-        self.stmts = frozenset(statements)
-        for s in self.stmts:
-            if s.j > n or any(k > n for k in s.L):
+        bit = _statement_table(n).bit
+        bits = 0
+        for s in statements:
+            k = bit.get(s)
+            if k is None:
                 raise ValueError(f"statement {s} exceeds ground set 1..{n}")
+            bits |= 1 << k
+        self.n = n
+        self.bits = bits
+
+    @classmethod
+    def from_bits(cls, n: int, bits: int) -> "Maxoid":
+        """The structure whose statements are the set bits of bits."""
+        m = cls.__new__(cls)
+        m.n = n
+        m.bits = bits
+        return m
+
+    @property
+    def stmts(self) -> frozenset[CiStatement]:
+        """The statements as a frozenset."""
+        return frozenset(self)
+
+    def _indices(self) -> Iterator[int]:
+        bits = self.bits
+        while bits:
+            low = bits & -bits
+            yield low.bit_length() - 1
+            bits ^= low
 
     def __contains__(self, s: CiStatement) -> bool:
-        return s in self.stmts
+        k = _statement_table(self.n).bit.get(s)
+        return k is not None and self.bits >> k & 1 == 1
 
     def __iter__(self) -> Iterator[CiStatement]:
-        return iter(sorted(self.stmts, key=lambda s: s.sort_key))
+        statements = _statement_table(self.n).statements
+        return (statements[k] for k in self._indices())
 
     def __len__(self) -> int:
-        return len(self.stmts)
+        return self.bits.bit_count()
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Maxoid) and self.n == other.n and self.stmts == other.stmts
+        return isinstance(other, Maxoid) and self.n == other.n and self.bits == other.bits
 
     def __hash__(self) -> int:
-        return hash((self.n, self.stmts))
+        return hash((self.n, self.bits))
 
     def __or__(self, other: "Maxoid") -> "Maxoid":
         if self.n != other.n:
             raise ValueError("ground sets differ")
-        return Maxoid(self.n, self.stmts | other.stmts)
+        return Maxoid.from_bits(self.n, self.bits | other.bits)
 
     def __repr__(self) -> str:
         return f"Maxoid(n={self.n}, {{{', '.join(str(s) for s in self)}}})"
 
     def to_json(self) -> list[str]:
-        return [str(s) for s in self]
+        texts = _statement_table(self.n).texts
+        return [texts[k] for k in self._indices()]
 
     @classmethod
     def from_json(cls, n: int, items: Iterable[str]) -> "Maxoid":
-        return cls(n, (parse_ci_statement(t, n) for t in items))
+        table = _statement_table(n)
+        bits = 0
+        for text in items:
+            k = table.bit_of_text.get(text)
+            if k is None:
+                k = table.bit[parse_ci_statement(text, n)]
+            bits |= 1 << k
+        return cls.from_bits(n, bits)
 
 
 def node_mask(nodes: Iterable[int]) -> int:
@@ -157,66 +242,90 @@ def _blocker_sets(wd: WeightedDag) -> dict[tuple[int, int], int]:
     return blockers
 
 
-@lru_cache(maxsize=None)
-def _statements_by_subset(n: int) -> tuple[tuple[int, tuple[CiStatement, ...]], ...]:
-    """Per subset L of 1..n: its bitmask and every statement (i, j | L)."""
-    nodes = range(1, n + 1)
-    table = []
-    for size in range(n + 1):
-        for L in combinations(nodes, size):
-            Ls = frozenset(L)
-            rest = [v for v in nodes if v not in Ls]
-            table.append((node_mask(L), tuple(CiStatement(i, j, Ls)
-                                              for i, j in combinations(rest, 2))))
-    return tuple(table)
+class _SubsetTables:
+    """Tables of the all-subsets engine on 1..n, built on first use, one per
+    n (see _subset_tables).  A family of subsets L of 1..n is a 2^n-bit int,
+    with bit node_mask(L) >> 1 standing for L.
 
-
-def _separated(n: int, blockers, L: int, statements) -> Iterator[CiStatement]:
-    """The statements, all conditioned on the bitmask L, whose endpoints no
-    connecting shape joins in the critical DAG given L.
-
-    The five shapes: (a) an edge between i and j; (b) a common parent p;
-    (c) a common child l; (d) p -> i, p -> l <- j or its mirror image;
-    (e) p -> i, p -> l <- q, q -> j.  Colliders l lie in L, the outer
-    parents p, q do not.  The shapes' distinctness conditions need no test:
-    i, j and the parents lie outside L and the colliders inside it, p = j or
-    q = i would be shape (a), and p = q shape (b).
+    member[v]: the sets that contain v (member[0] = 0).
+    missing[b >> 1]: the sets that miss the node_mask b.
+    pairs: per pair (i, j) in statement order, (i, j, the sets that miss i
+    and j, spread), where spread[c << 8 | x] holds the statement bits of
+    (i, j | L) for the sets L of byte c of a family whose value is x.
     """
-    # critical edges given L with their tail outside L: no shape uses others
-    edges = [(k, l) for (k, l), b in blockers.items() if not (b | 1 << k) & L]
-    children = [0] * (n + 1)
-    parents = [0] * (n + 1)
-    for k, l in edges:
-        children[k] |= 1 << l
-        parents[l] |= 1 << k
-    # colliders in L below each node, and below any of its parents
-    below = [c & L for c in children]
-    via = [0] * (n + 1)
-    for k, l in edges:
-        via[l] |= below[k]
-    for s in statements:
-        i, j = s.i, s.j
-        if (children[i] >> j | children[j] >> i) & 1:  # (a)
-            continue
-        if parents[i] & parents[j]:  # (b)
-            continue
-        if below[i] & below[j]:  # (c)
-            continue
-        if via[i] & below[j] or below[i] & via[j]:  # (d)
-            continue
-        if via[i] & via[j]:  # (e)
-            continue
-        yield s
+
+    __slots__ = ("member", "missing", "nbytes", "pairs")
+
+    def __init__(self, n: int):
+        size = 1 << n
+        member = [0] * (n + 1)
+        for v in range(1, n + 1):
+            member[v] = sum(1 << s for s in range(size) if s >> (v - 1) & 1)
+        missing = [(1 << size) - 1] * size
+        for b in range(1, size):
+            missing[b] = missing[b & (b - 1)] & ~member[(b & -b).bit_length()]
+        bit = _statement_table(n).bit
+        nbytes = max(1, size >> 3)
+        pairs = []
+        for i, j in combinations(range(1, n + 1), 2):
+            outside = missing[(1 << i | 1 << j) >> 1]
+            spread = [0] * (nbytes << 8)
+            for c in range(nbytes):
+                unit = [0] * 8
+                for t in range(8):
+                    s = c << 3 | t
+                    if outside >> s & 1:
+                        L = frozenset(v for v in range(1, n + 1) if s >> (v - 1) & 1)
+                        unit[t] = 1 << bit[CiStatement(i, j, L)]
+                for x in range(1, 256):
+                    low = x & -x
+                    spread[c << 8 | x] = spread[c << 8 | x ^ low] | unit[low.bit_length() - 1]
+            pairs.append((i, j, outside, spread))
+        self.member = member
+        self.missing = missing
+        self.nbytes = nbytes
+        self.pairs = pairs
+
+
+_subset_tables = lru_cache(maxsize=None)(_SubsetTables)
 
 
 def maxoid_from_blockers(n: int, blockers: Mapping[tuple[int, int], int]) -> Maxoid:
     """All separation statements on 1..n of the critical DAGs whose edges
     k->l are the keys of blockers, each kept given L exactly when L misses
-    the bitmask blockers[(k, l)]."""
-    stmts = []
-    for L, statements in _statements_by_subset(n):
-        stmts.extend(_separated(n, blockers, L, statements))
-    return Maxoid(n, stmts)
+    the bitmask blockers[(k, l)]; every L at once, as in the module
+    docstring."""
+    tables = _subset_tables(n)
+    member, missing, nbytes = tables.member, tables.missing, tables.nbytes
+    # kept[k][l] = K_kl: the sets L given which k -> l is a critical edge
+    # with its tail outside L
+    kept = [[0] * (n + 1) for _ in range(n + 1)]
+    children = [[] for _ in range(n + 1)]
+    for (k, l), b in blockers.items():
+        kept[k][l] = missing[(b | 1 << k) >> 1]
+        children[k].append(l)
+    # near[i][l] = K_il | OR_p K_pi & K_pl: l is a child of i or of a parent
+    # of i; collide[i][l] = R_il, the sets that also contain l
+    near = [row[:] for row in kept]
+    for p, below in enumerate(children):
+        kp = kept[p]
+        for i in below:
+            kpi = kp[i]
+            row = near[i]
+            for l in below:
+                row[l] |= kpi & kp[l]
+    collide = [[a & b for a, b in zip(member, row)] for row in near]
+    bits = 0
+    for i, j, outside, spread in tables.pairs:
+        joined = near[i][j] | kept[j][i]
+        for a, b in zip(collide[i], collide[j]):
+            joined |= a & b
+        separated = outside & ~joined
+        if separated:
+            for c, x in enumerate(separated.to_bytes(nbytes, "little")):
+                if x:
+                    bits |= spread[c << 8 | x]
+    return Maxoid.from_bits(n, bits)
 
 
 def critical_dag(wd: WeightedDag, L: Iterable[int]) -> Dag:
@@ -230,7 +339,7 @@ def critical_dag(wd: WeightedDag, L: Iterable[int]) -> Dag:
 
 def c_star_separated(wd: WeightedDag, s: CiStatement) -> bool:
     """Whether the statement's endpoints are separated given s.L in (G, C)."""
-    return any(_separated(wd.g.n, _blocker_sets(wd), node_mask(s.L), [s]))
+    return s in maxoid(wd)
 
 
 def maxoid(wd: WeightedDag) -> Maxoid:

@@ -3,6 +3,7 @@
 Everything here recomputes results from first principles (definitional path
 enumeration, textbook d-separation, Fourier-Motzkin elimination, the
 two-phase Fraction simplex, the replaced per-subset Kleene-star separation,
+the replaced per-subset shape search on blocker bitmasks,
 max-plus matrix products, one exact LP per face or per pair of cones, the
 replaced pairwise face lattice, the replaced edge-mask graph loop, the
 replaced fan search with one cold LP per node, the dual simplex on a
@@ -18,8 +19,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from maxoid.fan import (
     ConeDescription,
@@ -34,7 +36,7 @@ from maxoid.graph import Dag, Edge, enumerate_paths, transitive_closure
 from maxoid.implication import Verdict, _verify_counterexample
 from maxoid.linarith import Constraint, Witness, affine_dimension, nullspace
 from maxoid.polytope import Face, FaceLattice, PolytopePoint, _facet_incidences
-from maxoid.separation import CiStatement, Maxoid, maxoid_from_blockers
+from maxoid.separation import CiStatement, Maxoid, maxoid_from_blockers, node_mask
 from maxoid.tropical import NEG_INF, TropicalMatrix, WeightedDag, kleene_star, path_weight
 
 
@@ -145,6 +147,68 @@ def kleene_maxoid(wd: WeightedDag) -> Maxoid:
                 if not _star_connected(children, parents, i, j, Ls):
                     stmts.append(CiStatement(i, j, Ls))
     return Maxoid(g.n, stmts)
+
+
+@lru_cache(maxsize=None)
+def _statements_by_subset(n: int) -> tuple[tuple[int, tuple[CiStatement, ...]], ...]:
+    """Per subset L of 1..n: its bitmask and every statement (i, j | L)."""
+    nodes = range(1, n + 1)
+    table = []
+    for size in range(n + 1):
+        for L in combinations(nodes, size):
+            Ls = frozenset(L)
+            rest = [v for v in nodes if v not in Ls]
+            table.append((node_mask(L), tuple(CiStatement(i, j, Ls)
+                                              for i, j in combinations(rest, 2))))
+    return tuple(table)
+
+
+def _separated(n: int, blockers, L: int, statements) -> Iterator[CiStatement]:
+    """The statements, all conditioned on the bitmask L, whose endpoints no
+    connecting shape joins in the critical DAG given L.
+
+    The five shapes: (a) an edge between i and j; (b) a common parent p;
+    (c) a common child l; (d) p -> i, p -> l <- j or its mirror image;
+    (e) p -> i, p -> l <- q, q -> j.  Colliders l lie in L, the outer
+    parents p, q do not.  The shapes' distinctness conditions need no test:
+    i, j and the parents lie outside L and the colliders inside it, p = j or
+    q = i would be shape (a), and p = q shape (b).
+    """
+    # critical edges given L with their tail outside L: no shape uses others
+    edges = [(k, l) for (k, l), b in blockers.items() if not (b | 1 << k) & L]
+    children = [0] * (n + 1)
+    parents = [0] * (n + 1)
+    for k, l in edges:
+        children[k] |= 1 << l
+        parents[l] |= 1 << k
+    # colliders in L below each node, and below any of its parents
+    below = [c & L for c in children]
+    via = [0] * (n + 1)
+    for k, l in edges:
+        via[l] |= below[k]
+    for s in statements:
+        i, j = s.i, s.j
+        if (children[i] >> j | children[j] >> i) & 1:  # (a)
+            continue
+        if parents[i] & parents[j]:  # (b)
+            continue
+        if below[i] & below[j]:  # (c)
+            continue
+        if via[i] & below[j] or below[i] & via[j]:  # (d)
+            continue
+        if via[i] & via[j]:  # (e)
+            continue
+        yield s
+
+
+def per_subset_maxoid_from_blockers(n: int, blockers: Mapping[tuple[int, int], int]) -> Maxoid:
+    """The replaced maxoid_from_blockers: all separation statements on 1..n of the critical DAGs whose edges
+    k->l are the keys of blockers, each kept given L exactly when L misses
+    the bitmask blockers[(k, l)]."""
+    stmts = []
+    for L, statements in _statements_by_subset(n):
+        stmts.extend(_separated(n, blockers, L, statements))
+    return Maxoid(n, stmts)
 
 
 def _undirected_simple_paths(g: Dag, i: int, j: int):

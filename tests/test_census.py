@@ -150,8 +150,8 @@ def test_census_pool_is_capped_at_the_graph_count(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
-            return [fn(t) for t in tasks]
+        def imap(self, fn, tasks):
+            return (fn(t) for t in tasks)
 
     def get_context(method):
         assert method == "spawn"

@@ -119,6 +119,44 @@ def test_implies_graph_sizes_guarded(files, capsys, nodes, edges, generic):
     assert "--unbounded" in json.loads(out)["error"]["message"]
 
 
+def _complete_edges(n, drop=()):
+    return [[i, j] for i in range(1, n + 1) for j in range(i + 1, n + 1) if (i, j) not in drop]
+
+
+@pytest.mark.parametrize("nodes, edges, argv", [
+    # complete-6 less one edge: 14 edges, over the 13 allowed for a lattice
+    (6, _complete_edges(6, [(5, 6)]), ["polytope"]),
+    (6, _complete_edges(6, [(5, 6)]), ["polytope", "--face-maxoids"]),
+    (6, _complete_edges(6, [(5, 6)]), ["fan", "--adjacency"]),
+    # complete-6 and one more edge: 16 edges, over the 15 allowed for a fan
+    (7, _complete_edges(6) + [[6, 7]], ["fan"]),
+])
+def test_fan_and_polytope_sizes_guarded(files, capsys, monkeypatch, nodes, edges, argv):
+    def started(*args, **kwargs):
+        raise RuntimeError("fan started")
+
+    monkeypatch.setattr("maxoid.cli.enumerate_maximal_cones", started)
+    dag = files["dir"] / "big.json"
+    dag.write_text(json.dumps({"n": nodes, "edges": edges}))
+    code, out = invoke(capsys, *argv, str(dag))
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "usage" and "--unbounded" in error["message"]
+    # --unbounded lets the run through to the work
+    code, out = invoke(capsys, *argv, str(dag), "--unbounded")
+    assert json.loads(out)["error"]["message"] == "fan started"
+
+
+def test_fan_guard_allows_complete_6_and_adjacency_at_13_edges(files, capsys, monkeypatch):
+    monkeypatch.setattr("maxoid.cli.enumerate_maximal_cones", lambda g: [])
+    monkeypatch.setattr("maxoid.cli.cone_adjacency", lambda g, entries: [])
+    dag = files["dir"] / "k6.json"
+    dag.write_text(json.dumps({"n": 6, "edges": _complete_edges(6)}))
+    assert invoke(capsys, "fan", str(dag))[0] == 0
+    dag.write_text(json.dumps({"n": 6, "edges": _complete_edges(6, [(4, 6), (5, 6)])}))
+    assert invoke(capsys, "fan", "--adjacency", str(dag))[0] == 0
+
+
 def test_implies_global_family_includes_the_edgeless_graph(files, capsys):
     # only a disconnected graph separates every pair given the empty set
     code, out = invoke(capsys, "implies", "--nodes", "3", "1,2|; 1,3|; 2,3| =>")

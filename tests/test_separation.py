@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -19,6 +22,7 @@ from maxoid.separation import (
     critical_dag,
     derive_set_statement,
     maxoid,
+    maxoid_from_blockers,
     parse_ci_statement,
     perturb_across_facet,
     weighted_transitive_reduction,
@@ -37,8 +41,11 @@ from oracles import (
     kleene_critical_edges,
     kleene_maxoid,
     kleene_separated,
+    per_subset_maxoid_from_blockers,
     random_weighted_dag,
 )
+
+LONG = os.environ.get("MAXOID_LONG_TESTS") == "1"
 
 DIAMOND = Dag(4, [(1, 2), (1, 3), (2, 4), (3, 4)])
 FIG2 = Dag(4, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)])
@@ -344,3 +351,106 @@ def test_critical_dag_and_separation_match_oracle_on_random_tied_weights():
                 assert critical_dag(wd, L).edges == kleene_critical_edges(wd, L), (wd, L)
         for s in _all_statements(nodes):
             assert c_star_separated(wd, s) == kleene_separated(wd, s) == (s in m), (wd, s)
+
+
+def test_maxoid_bits_follow_the_statement_order():
+    for n in range(1, 6):
+        every = sorted(_all_statements(range(1, n + 1)), key=lambda s: s.sort_key)
+        full = Maxoid(n, every)
+        assert full.bits == (1 << len(every)) - 1
+        assert list(full) == every
+        assert full.to_json() == [str(s) for s in every]
+        assert full.stmts == frozenset(every)
+        for k, s in enumerate(every):
+            single = Maxoid(n, [s])
+            assert single.bits == 1 << k and s in single and len(single) == 1
+
+
+def test_maxoid_set_operations_on_bits():
+    a = Maxoid(4, stmts("1,4|2", "2,3|1"))
+    b = Maxoid(4, stmts("2,3|1", "1,4|2,3"))
+    assert (a | b).stmts == a.stmts | b.stmts
+    assert len(a | b) == 3
+    assert a == Maxoid(4, reversed(list(a))) and hash(a) == hash(Maxoid(4, a.stmts))
+    assert a != Maxoid(5, a.stmts) and a != a.stmts
+    # a statement on more nodes than the structure's is never in it
+    assert ci("1,4|2") in a and ci("1,4|3") not in a and ci("1,5|2") not in a
+    with pytest.raises(ValueError, match="exceeds ground set"):
+        Maxoid(4, [ci("1,5|2")])
+    with pytest.raises(ValueError):
+        a | Maxoid(5, [])
+
+
+def test_maxoid_from_json_takes_compact_and_canonical_forms():
+    m = Maxoid(4, stmts("1,4|2,3", "2,3|"))
+    assert Maxoid.from_json(4, ["14|23", "2,3|"]) == m
+    assert Maxoid.from_json(4, m.to_json()) == m
+    with pytest.raises(ValueError):
+        Maxoid.from_json(4, ["1,5|2"])
+
+
+def test_statement_tables_are_not_built_at_import():
+    code = ("import maxoid.cli, maxoid.separation as s; "
+            "print(s._statement_table.cache_info().currsize, "
+            "s._subset_tables.cache_info().currsize)")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+    assert out.split() == ["0", "0"]
+
+
+def test_all_subsets_engine_matches_the_per_subset_engine_on_random_blockers():
+    # arbitrary blocker masks, cyclic pairs included: the engine needs no
+    # graph behind them
+    rng = random.Random(22)
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        blockers = {}
+        for k in range(1, n + 1):
+            for l in range(1, n + 1):
+                if k != l and rng.random() < 0.5:
+                    blockers[(k, l)] = sum(1 << v for v in range(1, n + 1)
+                                           if v not in (k, l) and rng.random() < 0.3)
+        assert (maxoid_from_blockers(n, blockers)
+                == per_subset_maxoid_from_blockers(n, blockers)), (n, blockers)
+
+
+def _cone_blockers(g):
+    return [e.system.blockers for e in enumerate_maximal_cones(g)]
+
+
+def test_all_subsets_engine_matches_the_per_subset_engine_on_tdag_cones():
+    cones = 0
+    for n in (3, 4, 5):
+        for g in all_top_ordered_tdags(n).graphs:
+            for blockers in _cone_blockers(g):
+                assert (maxoid_from_blockers(n, blockers)
+                        == per_subset_maxoid_from_blockers(n, blockers)), g.sorted_edges
+                cones += 1
+    assert cones > 892
+
+
+def test_all_subsets_engine_matches_the_per_subset_engine_on_tied_face_blockers():
+    # complete-5 minus 3->4: every face's union of its vertices' blockers
+    g = Dag(5, [e for e in complete_dag(5).sorted_edges if e != (3, 4)])
+    entries = enumerate_maximal_cones(g)
+    points = polytope_vertices(g, entries)
+    unions = set()
+    for f in face_lattice([p for _, p in points]).faces:
+        union: dict = {}
+        for u in f.vertices:
+            for key, mask in points[u][0].blockers.items():
+                union[key] = union.get(key, 0) | mask
+        unions.add(frozenset(union.items()))
+    assert len(unions) > len(entries)
+    for union in unions:
+        blockers = dict(union)
+        assert maxoid_from_blockers(5, blockers) == per_subset_maxoid_from_blockers(5, blockers)
+
+
+@pytest.mark.skipif(not LONG, reason="long-running size; set MAXOID_LONG_TESTS=1")
+def test_all_subsets_engine_matches_the_per_subset_engine_on_complete_6_cones():
+    cones = _cone_blockers(complete_dag(6))
+    assert len(cones) == 3324
+    for blockers in cones:
+        assert maxoid_from_blockers(6, blockers) == per_subset_maxoid_from_blockers(6, blockers)
