@@ -6,11 +6,14 @@ present but whose conclusion is not.  Set-valued statements are evaluated
 through the pairwise reduction (valid for the structures produced here,
 which are closed under composition and decomposition); instantiation is
 exponential in the node count and bounded to 6 nodes unless forced.
+Each statement is looked up as a bit of the Maxoid's int by its (i, j, L)
+triple; CiStatements are built only for the reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
 
 from .separation import CiStatement, Maxoid
@@ -51,9 +54,30 @@ def _check_bound(m: Maxoid, force: bool) -> None:
             f"exhaustive instantiation over {m.n} nodes; pass force=True to run anyway")
 
 
-def _pairwise(m: Maxoid, I: frozenset[int], J: frozenset[int], L: frozenset[int]) -> bool:
+@lru_cache(maxsize=None)
+def _statement_bits(n: int) -> dict[tuple[int, int, frozenset[int]], int]:
+    """(i, j, L) -> the bit of (i, j | L) in a Maxoid on 1..n, with the
+    endpoints in either order."""
+    count = n * (n - 1) // 2 << max(n - 2, 0)
+    index = {}
+    for k, s in enumerate(Maxoid.from_bits(n, (1 << count) - 1)):
+        index[s.i, s.j, s.L] = index[s.j, s.i, s.L] = k
+    return index
+
+
+def _membership(m: Maxoid):
+    """holds(i, j, L): whether (i, j | L) is in m, for a frozenset L."""
+    index, bits = _statement_bits(m.n), m.bits
+
+    def holds(i: int, j: int, L: frozenset[int]) -> bool:
+        return bits >> index[i, j, L] & 1 == 1
+
+    return holds
+
+
+def _pairwise(holds, I: frozenset[int], J: frozenset[int], L: frozenset[int]) -> bool:
     """Set statement (I, J | L) via the pairwise reduction; empty sides hold."""
-    return all(CiStatement(i, j, L) in m for i in I for j in J)
+    return all(holds(i, j, L) for i in I for j in J)
 
 
 def _role_assignments(nodes, roles: int):
@@ -68,17 +92,18 @@ def check_compositional_graphoid(m: Maxoid, force: bool = False) -> list[Violati
     """Semigraphoid (both directions of its equivalence), Intersection and
     Composition, instantiated over all disjoint sets I, J, K, L."""
     _check_bound(m, force)
+    holds = _membership(m)
     nodes = list(range(1, m.n + 1))
     out: list[ViolationReport] = []
     for I, J, K, L in _role_assignments(nodes, 4):
         if not I or not J or not K:
             continue
         inst = (("I", I), ("J", J), ("K", K), ("L", L))
-        ij_l = _pairwise(m, I, J, L)
-        ik_jl = _pairwise(m, I, K, J | L)
-        ijk_l = _pairwise(m, I, J | K, L)
-        ik_l = _pairwise(m, I, K, L)
-        ij_kl = _pairwise(m, I, J, K | L)
+        ij_l = _pairwise(holds, I, J, L)
+        ik_jl = _pairwise(holds, I, K, J | L)
+        ijk_l = _pairwise(holds, I, J | K, L)
+        ik_l = _pairwise(holds, I, K, L)
+        ij_kl = _pairwise(holds, I, J, K | L)
         if ij_l and ik_jl and not ijk_l:
             out.append(_report("semigraphoid-forward", inst, m, I, J, K, L,
                                premises=_stmts(I, J, L) + _stmts(I, K, J | L),
@@ -112,6 +137,7 @@ def _report(rule, inst, m, I, J, K, L, premises, conclusion) -> ViolationReport:
 def check_amalgamation(m: Maxoid, force: bool = False) -> list[ViolationReport]:
     """(i,j|KM) and (i,j|LM) imply (i,j|KLM), over disjoint K, L, M."""
     _check_bound(m, force)
+    holds = _membership(m)
     nodes = list(range(1, m.n + 1))
     out = []
     for i, j in combinations(nodes, 2):
@@ -119,14 +145,12 @@ def check_amalgamation(m: Maxoid, force: bool = False) -> list[ViolationReport]:
         for K, L, M in _role_assignments(rest, 3):
             if sorted(L) < sorted(K):  # the rule is K/L-symmetric
                 continue
-            s1 = CiStatement(i, j, K | M)
-            s2 = CiStatement(i, j, L | M)
-            s3 = CiStatement(i, j, K | L | M)
-            if s1 in m and s2 in m and s3 not in m:
+            if holds(i, j, K | M) and holds(i, j, L | M) and not holds(i, j, K | L | M):
                 out.append(ViolationReport(
                     "amalgamation",
                     (("i", i), ("j", j), ("K", K), ("L", L), ("M", M)),
-                    (s1, s2), (s3,)))
+                    (CiStatement(i, j, K | M), CiStatement(i, j, L | M)),
+                    (CiStatement(i, j, K | L | M),)))
     return out
 
 
@@ -145,6 +169,7 @@ def check_strong_spohn(m: Maxoid, force: bool = False,
     sound property.
     """
     _check_bound(m, force)
+    holds = _membership(m)
     nodes = list(range(1, m.n + 1))
     out = []
     for quad in combinations(nodes, 4):
@@ -156,36 +181,38 @@ def check_strong_spohn(m: Maxoid, force: bool = False,
                     ij = [v for v in quad if v != k and v != l]
                     # rule 1: symmetric in i, j
                     i, j = ij
-                    p1 = CiStatement(i, j, {k, l} | M)
-                    p2 = CiStatement(k, l, {i} | M)
-                    p3 = CiStatement(k, l, {j} | M)
-                    c = CiStatement(k, l, M)
-                    if p1 in m and p2 in m and p3 in m and c not in m:
+                    p1 = (i, j, M | {k, l})
+                    p2 = (k, l, M | {i})
+                    p3 = (k, l, M | {j})
+                    c = (k, l, M)
+                    if holds(*p1) and holds(*p2) and holds(*p3) and not holds(*c):
                         out.append(ViolationReport(
                             "strong-spohn-1",
                             (("i", i), ("j", j), ("k", k), ("l", l), ("M", M)),
-                            (p1, p2, p3), (c,)))
+                            _from_triples(p1, p2, p3), _from_triples(c)))
                     # rule 2: i and j play different parts
                     for i, j in ((ij[0], ij[1]), (ij[1], ij[0])):
-                        q1 = CiStatement(i, j, {k, l} | M)
-                        q2 = CiStatement(k, l, {i} | M)
-                        q3 = CiStatement(k, l, M)
-                        c2 = CiStatement(k, l, {j} | M)
-                        premises = [q1, q2, q3]
+                        premises = [(i, j, M | {k, l}), (k, l, M | {i}), (k, l, M)]
                         if original_premise:
-                            premises.append(CiStatement(k, l, {i, j} | M))
-                        if all(p in m for p in premises) and c2 not in m:
+                            premises.append((k, l, M | {i, j}))
+                        c2 = (k, l, M | {j})
+                        if all(holds(*p) for p in premises) and not holds(*c2):
                             out.append(ViolationReport(
                                 "strong-spohn-2",
                                 (("i", i), ("j", j), ("k", k), ("l", l), ("M", M)),
-                                tuple(premises), (c2,)))
+                                _from_triples(*premises), _from_triples(c2)))
     return out
+
+
+def _from_triples(*triples) -> tuple[CiStatement, ...]:
+    return tuple(CiStatement(*t) for t in triples)
 
 
 def check_weak_transitivity(m: Maxoid, force: bool = False) -> list[ViolationReport]:
     """(i,j|L) and (i,j|kL) versus (i,k|L) or (j,k|L): both directions of the
     equivalence are checked and reported separately."""
     _check_bound(m, force)
+    holds = _membership(m)
     nodes = list(range(1, m.n + 1))
     out = []
     for i, j in combinations(nodes, 2):
@@ -196,17 +223,18 @@ def check_weak_transitivity(m: Maxoid, force: bool = False) -> list[ViolationRep
             for size in range(len(rest) + 1):
                 for L_tuple in combinations(rest, size):
                     L = frozenset(L_tuple)
-                    p1 = CiStatement(i, j, L)
-                    p2 = CiStatement(i, j, {k} | L)
-                    d1 = CiStatement(i, k, L)
-                    d2 = CiStatement(j, k, L)
+                    p1, p2 = (i, j, L), (i, j, L | {k})
+                    d1, d2 = (i, k, L), (j, k, L)
+                    h1, h2, g1, g2 = holds(*p1), holds(*p2), holds(*d1), holds(*d2)
                     inst = (("i", i), ("j", j), ("k", k), ("L", L))
-                    if p1 in m and p2 in m and d1 not in m and d2 not in m:
+                    if h1 and h2 and not g1 and not g2:
                         out.append(ViolationReport(
-                            "weak-transitivity-forward", inst, (p1, p2), (d1, d2)))
-                    if (d1 in m or d2 in m) and not (p1 in m and p2 in m):
-                        present = tuple(s for s in (d1, d2) if s in m)
-                        absent = tuple(s for s in (p1, p2) if s not in m)
+                            "weak-transitivity-forward", inst,
+                            _from_triples(p1, p2), _from_triples(d1, d2)))
+                    if (g1 or g2) and not (h1 and h2):
+                        present = [d for d, g in ((d1, g1), (d2, g2)) if g]
+                        absent = [p for p, h in ((p1, h1), (p2, h2)) if not h]
                         out.append(ViolationReport(
-                            "weak-transitivity-backward", inst, present, absent))
+                            "weak-transitivity-backward", inst,
+                            _from_triples(*present), _from_triples(*absent)))
     return out

@@ -31,8 +31,8 @@ the first two terms are shape (a), the third (b), and R_il & R_jl covers
 of i (j) or of a parent of i (j).  The shapes' distinctness conditions need
 no test: i, j and the parents lie outside L and the colliders inside it,
 p = j or q = i would be shape (a), and p = q shape (b).  That is O(n^3)
-operations on 2^n-bit ints per structure, and the separated families go
-into the statement bits through one byte table per pair.
+operations on 2^n-bit ints per structure; each set bit of a separated
+family then becomes one statement bit through the pair's rank list.
 
 maxoid reads the blocker sets off the Kleene star once; the fan and the
 polytope pass a cone's chosen paths or the union of a face's vertices'
@@ -45,7 +45,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping
 
@@ -119,38 +118,56 @@ def parse_ci_statement(text: str, n: int | None = None) -> CiStatement:
     return CiStatement(i, j, frozenset(L))
 
 
+def _pair_subsets(n: int, i: int, j: int) -> list[tuple[int, ...]]:
+    """The sets L of 1..n that miss i and j, as sorted tuples in the order
+    of the statements (i, j | L)."""
+    rest = [v for v in range(1, n + 1) if v != i and v != j]
+    return sorted(L for size in range(len(rest) + 1) for L in combinations(rest, size))
+
+
 class _StatementTable:
     """Every statement on 1..n in sort_key order: statement k is bit k of a
     Maxoid's int, so ascending bits walk the statements in that order.
-    Built on first use, one per n (see _statement_table)."""
+    Built on first use, one per n (see _statement_tables)."""
 
     __slots__ = ("statements", "texts", "bit", "bit_of_text")
 
     def __init__(self, n: int):
-        nodes = range(1, n + 1)
-        statements = []
-        for i, j in combinations(nodes, 2):
-            rest = [v for v in nodes if v != i and v != j]
-            subsets = sorted(L for size in range(len(rest) + 1)
-                             for L in combinations(rest, size))
-            statements.extend(CiStatement(i, j, frozenset(L)) for L in subsets)
+        statements = [CiStatement(i, j, frozenset(L))
+                      for i, j in combinations(range(1, n + 1), 2)
+                      for L in _pair_subsets(n, i, j)]
         self.statements = tuple(statements)
         self.texts = tuple(map(str, statements))
         self.bit = {s: k for k, s in enumerate(statements)}
         self.bit_of_text = {t: k for k, t in enumerate(self.texts)}
 
 
-_statement_table = lru_cache(maxsize=None)(_StatementTable)
+class _PerN(dict):
+    """n -> table(n), each table built on its first lookup; a dict, so a
+    lookup in Maxoid.__contains__ makes no function call."""
+
+    __slots__ = ("table",)
+
+    def __init__(self, table):
+        super().__init__()
+        self.table = table
+
+    def __missing__(self, n: int):
+        built = self[n] = self.table(n)
+        return built
+
+
+_statement_tables = _PerN(_StatementTable)
 
 
 class Maxoid:
     """A set of pairwise CI statements on 1..n, held as one int with a bit
-    per statement on 1..n in sort_key order (see _statement_table)."""
+    per statement on 1..n in sort_key order (see _statement_tables)."""
 
     __slots__ = ("n", "bits")
 
     def __init__(self, n: int, statements: Iterable[CiStatement]):
-        bit = _statement_table(n).bit
+        bit = _statement_tables[n].bit
         bits = 0
         for s in statements:
             k = bit.get(s)
@@ -181,11 +198,11 @@ class Maxoid:
             bits ^= low
 
     def __contains__(self, s: CiStatement) -> bool:
-        k = _statement_table(self.n).bit.get(s)
+        k = _statement_tables[self.n].bit.get(s)
         return k is not None and self.bits >> k & 1 == 1
 
     def __iter__(self) -> Iterator[CiStatement]:
-        statements = _statement_table(self.n).statements
+        statements = _statement_tables[self.n].statements
         return (statements[k] for k in self._indices())
 
     def __len__(self) -> int:
@@ -206,12 +223,12 @@ class Maxoid:
         return f"Maxoid(n={self.n}, {{{', '.join(str(s) for s in self)}}})"
 
     def to_json(self) -> list[str]:
-        texts = _statement_table(self.n).texts
+        texts = _statement_tables[self.n].texts
         return [texts[k] for k in self._indices()]
 
     @classmethod
     def from_json(cls, n: int, items: Iterable[str]) -> "Maxoid":
-        table = _statement_table(n)
+        table = _statement_tables[n]
         bits = 0
         for text in items:
             k = table.bit_of_text.get(text)
@@ -250,11 +267,11 @@ class _SubsetTables:
     member[v]: the sets that contain v (member[0] = 0).
     missing[b >> 1]: the sets that miss the node_mask b.
     pairs: per pair (i, j) in statement order, (i, j, the sets that miss i
-    and j, spread), where spread[c << 8 | x] holds the statement bits of
-    (i, j | L) for the sets L of byte c of a family whose value is x.
+    and j, the pair's first statement bit, rank), where (i, j | L) is
+    statement rank[node_mask(L) >> 1] of the pair.
     """
 
-    __slots__ = ("member", "missing", "nbytes", "pairs")
+    __slots__ = ("member", "missing", "pairs")
 
     def __init__(self, n: int):
         size = 1 << n
@@ -264,30 +281,19 @@ class _SubsetTables:
         missing = [(1 << size) - 1] * size
         for b in range(1, size):
             missing[b] = missing[b & (b - 1)] & ~member[(b & -b).bit_length()]
-        bit = _statement_table(n).bit
-        nbytes = max(1, size >> 3)
         pairs = []
         for i, j in combinations(range(1, n + 1), 2):
-            outside = missing[(1 << i | 1 << j) >> 1]
-            spread = [0] * (nbytes << 8)
-            for c in range(nbytes):
-                unit = [0] * 8
-                for t in range(8):
-                    s = c << 3 | t
-                    if outside >> s & 1:
-                        L = frozenset(v for v in range(1, n + 1) if s >> (v - 1) & 1)
-                        unit[t] = 1 << bit[CiStatement(i, j, L)]
-                for x in range(1, 256):
-                    low = x & -x
-                    spread[c << 8 | x] = spread[c << 8 | x ^ low] | unit[low.bit_length() - 1]
-            pairs.append((i, j, outside, spread))
+            rank = [0] * size
+            for r, L in enumerate(_pair_subsets(n, i, j)):
+                rank[node_mask(L) >> 1] = r
+            pairs.append((i, j, missing[(1 << i | 1 << j) >> 1],
+                          len(pairs) << max(n - 2, 0), rank))
         self.member = member
         self.missing = missing
-        self.nbytes = nbytes
         self.pairs = pairs
 
 
-_subset_tables = lru_cache(maxsize=None)(_SubsetTables)
+_subset_tables = _PerN(_SubsetTables)
 
 
 def maxoid_from_blockers(n: int, blockers: Mapping[tuple[int, int], int]) -> Maxoid:
@@ -295,8 +301,8 @@ def maxoid_from_blockers(n: int, blockers: Mapping[tuple[int, int], int]) -> Max
     k->l are the keys of blockers, each kept given L exactly when L misses
     the bitmask blockers[(k, l)]; every L at once, as in the module
     docstring."""
-    tables = _subset_tables(n)
-    member, missing, nbytes = tables.member, tables.missing, tables.nbytes
+    tables = _subset_tables[n]
+    member, missing = tables.member, tables.missing
     # kept[k][l] = K_kl: the sets L given which k -> l is a critical edge
     # with its tail outside L
     kept = [[0] * (n + 1) for _ in range(n + 1)]
@@ -316,15 +322,17 @@ def maxoid_from_blockers(n: int, blockers: Mapping[tuple[int, int], int]) -> Max
                 row[l] |= kpi & kp[l]
     collide = [[a & b for a, b in zip(member, row)] for row in near]
     bits = 0
-    for i, j, outside, spread in tables.pairs:
+    for i, j, outside, first, rank in tables.pairs:
         joined = near[i][j] | kept[j][i]
         for a, b in zip(collide[i], collide[j]):
             joined |= a & b
         separated = outside & ~joined
-        if separated:
-            for c, x in enumerate(separated.to_bytes(nbytes, "little")):
-                if x:
-                    bits |= spread[c << 8 | x]
+        pair_bits = 0
+        while separated:
+            low = separated & -separated
+            pair_bits |= 1 << rank[low.bit_length() - 1]
+            separated ^= low
+        bits |= pair_bits << first
     return Maxoid.from_bits(n, bits)
 
 
@@ -338,8 +346,29 @@ def critical_dag(wd: WeightedDag, L: Iterable[int]) -> Dag:
 
 
 def c_star_separated(wd: WeightedDag, s: CiStatement) -> bool:
-    """Whether the statement's endpoints are separated given s.L in (G, C)."""
-    return s in maxoid(wd)
+    """Whether the statement's endpoints are separated given s.L in (G, C):
+    the engine's formulas for the one set s.L, on its critical edges whose
+    tail lies outside s.L."""
+    n, L = wd.g.n, node_mask(s.L)
+    children = [0] * (n + 1)
+    parents = [0] * (n + 1)
+    for (k, l), b in _blocker_sets(wd).items():
+        if not (b | 1 << k) & L:
+            children[k] |= 1 << l
+            parents[l] |= 1 << k
+
+    def colliders(v: int) -> int:
+        # R_vl for this L: the nodes of L below v or below a parent of v
+        below = children[v]
+        for p in range(1, n + 1):
+            if parents[v] >> p & 1:
+                below |= children[p]
+        return below & L
+
+    i, j = s.i, s.j
+    return not ((children[i] >> j | children[j] >> i) & 1  # (a)
+                or parents[i] & parents[j]  # (b)
+                or colliders(i) & colliders(j))  # (c), (d), (e)
 
 
 def maxoid(wd: WeightedDag) -> Maxoid:

@@ -2,13 +2,15 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maxoid import separation
 from maxoid.census import all_top_ordered_tdags
 from maxoid.fan import enumerate_maximal_cones
 from maxoid.graph import Dag, enumerate_paths
@@ -391,8 +393,7 @@ def test_maxoid_from_json_takes_compact_and_canonical_forms():
 
 def test_statement_tables_are_not_built_at_import():
     code = ("import maxoid.cli, maxoid.separation as s; "
-            "print(s._statement_table.cache_info().currsize, "
-            "s._subset_tables.cache_info().currsize)")
+            "print(len(s._statement_tables), len(s._subset_tables))")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True).stdout
@@ -401,10 +402,10 @@ def test_statement_tables_are_not_built_at_import():
 
 def test_all_subsets_engine_matches_the_per_subset_engine_on_random_blockers():
     # arbitrary blocker masks, cyclic pairs included: the engine needs no
-    # graph behind them
+    # graph behind them; 7 to 9 nodes give families of several machine words
     rng = random.Random(22)
-    for _ in range(400):
-        n = rng.randint(1, 6)
+    sizes = chain((rng.randint(1, 6) for _ in range(400)), [7, 8, 9] * 6)
+    for n in sizes:
         blockers = {}
         for k in range(1, n + 1):
             for l in range(1, n + 1):
@@ -413,6 +414,26 @@ def test_all_subsets_engine_matches_the_per_subset_engine_on_random_blockers():
                                            if v not in (k, l) and rng.random() < 0.3)
         assert (maxoid_from_blockers(n, blockers)
                 == per_subset_maxoid_from_blockers(n, blockers)), (n, blockers)
+
+
+def test_maxoid_on_a_10_node_chain_stays_small():
+    # the engine's tables hold 2^n families of 2^n bits and C(n,2) * 2^n
+    # small ints, under 1 MB at n = 10; they are built afresh here
+    n = 10
+    g = Dag(n, [(v, v + 1) for v in range(1, n)])
+    wd = WeightedDag(g, {e: 1 for e in g.edges})
+    separation._subset_tables.pop(n, None)
+    tracemalloc.start()
+    try:
+        m = maxoid(wd)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        separation._subset_tables.pop(n, None)
+    assert peak < 8 * 2**20
+    # (i, j | L) holds exactly when L holds a node between i and j
+    assert len(m) == sum(2 ** (n - 2) - 2 ** (n - 1 - j + i)
+                         for i, j in combinations(range(1, n + 1), 2))
 
 
 def _cone_blockers(g):
