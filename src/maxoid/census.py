@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .graph import Dag, dag_to_json, top_ordered_closed_dags
 from .polytope import graph_structures
-from .separation import Maxoid, parse_ci_statement
+from .separation import Maxoid, _statement_tables
 
 CACHE_ENV = "MAXOID_CACHE_DIR"
 # Raise whenever what a cache file holds, or how it is computed, changes:
@@ -76,25 +76,18 @@ def _cache_path(g: Dag) -> str | None:
 
 def _structure_list(value, n: int) -> bool:
     """Whether value is a list of structures, each a list of statement
-    strings on 1..n."""
-
-    def statement(t) -> bool:
-        if not isinstance(t, str):
-            return False
-        try:
-            parse_ci_statement(t, n)
-        except ValueError:
-            return False
-        return True
-
+    strings on 1..n in the canonical form Maxoid.to_json writes."""
+    texts = _statement_tables[n].bit_of_text
     return isinstance(value, list) and all(
-        isinstance(m, list) and all(statement(t) for t in m) for m in value)
+        isinstance(m, list) and all(isinstance(t, str) and t in texts for t in m)
+        for m in value)
 
 
 def _read_cache(path: str, n: int) -> dict:
     """The cached record at path, or {} when it is missing, does not parse or
     is not a record of structures on 1..n: a generic list, and a faces list
-    unless that is absent or null."""
+    unless that is absent or null.  A statement string that is not canonical
+    or leaves 1..n makes the record a miss."""
     try:
         with open(path) as fh:
             data = json.load(fh)

@@ -2,11 +2,11 @@
 
 The normal fan of a graph's polytope is complete, so every CI structure of
 the graph is the structure of exactly one face of the polytope, and the
-generic ones are those of its maximal cones; polytope.graph_structures
-lists them with weights that realize them.  AND(premises) => OR(conclusions)
-fails on a graph exactly when one of these structures contains every
-premise and no conclusion, and its weights are then a counterexample, which
-is re-verified through the separation machinery before it is returned.
+generic ones are those of its maximal cones.  AND(premises) =>
+OR(conclusions) fails on a graph exactly when one of these structures
+contains every premise and no conclusion, and the weights that realize it
+are then a counterexample, which is re-verified through the separation
+machinery before it is returned.
 
 Global modes quantify over all graphs on the labeled node set 1..n.  Every
 CI structure of a graph also arises on its transitive closure: give each
@@ -16,24 +16,38 @@ stays generic.  Every transitively closed DAG is a relabeling of one whose
 edges point from smaller to larger labels, so the scan covers those,
 disconnected ones included, under all n! relabelings.  It relabels the
 query, not the structures.
+
+Each process keeps one structure index per scope and mode: a list of
+(bits, graph, weights) in scan order, graphs in top_ordered_closed_dags
+order (the one graph in local modes), then each graph's cones in fan order,
+then its faces of dimension at least 1 in lattice order.  A structure is
+listed once, where the scan first meets it: a later copy matches under
+exactly the labels the first one does, so it is never the first match.
+The index grows one graph at a time and only as far as a scan reaches, and
+a graph's faces are built only when a scan moves past its last cone; until
+then its fan entries are kept.  A query becomes one premise and one
+conclusion mask per relabeling, read off per-n tables that give each
+statement's bit under every relabeling, built a statement at a time.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import permutations
-from typing import Sequence
+from itertools import islice, permutations
+from typing import Iterator, Sequence
 
+from .fan import FanEntry, enumerate_maximal_cones
 from .graph import Dag, top_ordered_closed_dags
-from .polytope import graph_structures
-from .separation import CiStatement, Maxoid, break_ties, maxoid, weighted_transitive_reduction
+from .polytope import face_structures
+from .separation import (
+    CiStatement,
+    _statement_tables,
+    break_ties,
+    maxoid,
+    weighted_transitive_reduction,
+)
 from .tropical import WeightedDag, is_generic
-
-# per-process memo of each graph's (structure, weights) pairs, keyed by
-# (graph, include_faces); repeated queries look structures up instead of
-# enumerating them again
-_structures = functools.cache(graph_structures)
 
 
 @dataclass(frozen=True)
@@ -72,48 +86,145 @@ def decide_implication(scope, premises: Sequence[CiStatement],
     generic=True restricts to tie-free weight vectors, that is to the cone
     structures.
 
-    Structures are scanned graph by graph: the cones of a graph in fan
-    order, then its faces of dimension at least 1 in lattice order.  Global
-    modes take the graphs of top_ordered_closed_dags, the edgeless one
-    first, and try each structure under every relabeling in the order of
-    itertools.permutations, the identity first; a structure matches when
-    its bits hold every premise bit and no conclusion bit.  The first match
-    gives the counterexample: its weights, relabeled and, in global modes,
-    shrunk to the weighted transitive reduction, which keeps the Kleene
-    star and so the structure.  In generic mode, ties between non-critical
-    parallel paths that a cone witness may have are then broken
-    (break_ties).
+    The scope's structure index is scanned in order (see the module
+    docstring), and global modes try each structure under every relabeling
+    in the order of itertools.permutations, the identity first; a structure
+    matches when its bits hold every premise bit and no conclusion bit.  The
+    first match gives the counterexample: its weights, relabeled and, in
+    global modes, shrunk to the weighted transitive reduction, which keeps
+    the Kleene star and so the structure.  In generic mode, ties between
+    non-critical parallel paths that a cone witness may have are then
+    broken (break_ties).
     """
     premises = list(premises)
     conclusions = list(conclusions)
     if not premises and not conclusions:
         raise ValueError("nothing to decide")
-    if isinstance(scope, Dag):
-        n, graphs, labels = scope.n, [scope], [tuple(range(scope.n + 1))]
-    else:
-        n = int(scope)
-        graphs = top_ordered_closed_dags(n)
-        labels = [(0, *p) for p in permutations(range(1, n + 1))]
+    local = isinstance(scope, Dag)
+    n = scope.n if local else int(scope)
     _check_nodes(n, premises, conclusions)
-    # under label, the query on the relabeled graph is this query on the
-    # graph: its premise and conclusion statements as bitmasks
-    queries = []
-    for label in labels:
+    key = (scope if local else n, not generic)
+    index = _indexes.get(key)
+    if index is None:
+        graphs = iter([scope]) if local else top_ordered_closed_dags(n)
+        index = _indexes[key] = _Index(graphs, not generic)
+    try:
+        match = _first_match(index, _queries(n, premises, conclusions, local))
+    except BaseException:
+        # a graph taken from the scope but not yet listed would be skipped
+        _indexes.pop(key, None)
+        raise
+    if match is None:
+        return Verdict(True)
+    g, weights, label = match
+    return Verdict(False, _counterexample(g, weights, label, local, generic,
+                                          premises, conclusions))
+
+
+class _Index:
+    """The distinct structures of one scope and mode in scan order, as
+    (bits, graph, weights), grown on demand by grow."""
+
+    __slots__ = ("entries", "_seen", "_graphs", "_include_faces", "_fan")
+
+    def __init__(self, graphs: Iterator[Dag], include_faces: bool):
+        self.entries: list[tuple[int, Dag, tuple]] = []
+        self._seen: set[int] = set()
+        self._graphs = graphs
+        self._include_faces = include_faces
+        # the graph whose cones were listed last while its faces are due
+        self._fan: tuple[Dag, list[FanEntry]] | None = None
+
+    def _add(self, g: Dag, realized) -> None:
+        for m, weights in realized:
+            if m.bits not in self._seen:
+                self._seen.add(m.bits)
+                self.entries.append((m.bits, g, weights))
+
+    def grow(self) -> bool:
+        """List the faces that are due, or else the next graph's cones;
+        False once every structure of the scope is listed."""
+        if self._fan is not None:
+            g, fan = self._fan
+            self._add(g, face_structures(g, fan))
+            self._fan = None
+            return True
+        g = next(self._graphs, None)
+        if g is None:
+            return False
+        fan = enumerate_maximal_cones(g)
+        self._add(g, ((e.maxoid, e.witness.point) for e in fan))
+        if self._include_faces:
+            self._fan = (g, fan)
+        return True
+
+
+# per-process structure indexes, keyed by (graph or node count, include_faces)
+_indexes: dict[tuple[object, bool], _Index] = {}
+
+
+def _first_match(index: _Index, queries):
+    """(graph, weights, label) of the first index entry that matches one of
+    queries, ((premise mask, conclusion mask), label) pairs tried in order,
+    growing the index as far as the scan reaches; None when none does."""
+    entries = index.entries
+    done = 0
+    while True:
+        for bits, g, weights in islice(entries, done, None):
+            for (prem, conc), label in queries:
+                if bits & prem == prem and not bits & conc:
+                    return g, weights, label
+        done = len(entries)
+        if not index.grow():
+            return None
+
+
+@functools.cache
+def _labels(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """(label, inverse) of every relabeling of 1..n, as tuples indexed by
+    node with node 0 fixed, in the order of itertools.permutations."""
+    out = []
+    for p in permutations(range(1, n + 1)):
+        label = (0, *p)
         back = [0] * (n + 1)
         for v, x in enumerate(label):
             back[x] = v
-        queries.append((label, Maxoid(n, (_relabeled(p, back) for p in premises)).bits,
-                        Maxoid(n, (_relabeled(q, back) for q in conclusions)).bits))
-    for g in graphs:
-        cones, faces = _structures(g, not generic)
-        for m, weights in cones + faces:
-            bits = m.bits
-            for label, prem, conc in queries:
-                if bits & prem == prem and not bits & conc:
-                    return Verdict(False, _counterexample(
-                        g, weights, label, isinstance(scope, Dag), generic,
-                        premises, conclusions))
-    return Verdict(True)
+        out.append((label, tuple(back)))
+    return tuple(out)
+
+
+@functools.cache
+def _relabeled_bits(n: int, k: int) -> tuple[int, ...]:
+    """For each relabeling of _labels(n), the bit of statement k of the
+    relabeled graph as a statement of the graph: under label, statement s
+    of the relabeled graph is statement _relabeled(s, inverse) of the
+    graph.  One column of the per-n table, built on first use."""
+    table = _statement_tables[n]
+    s = table.statements[k]
+    return tuple(table.bit[_relabeled(s, back)] for _, back in _labels(n))
+
+
+def _queries(n: int, premises, conclusions, local: bool):
+    """The query as ((premise mask, conclusion mask), label) pairs to try in
+    order: the identity alone in local modes, else one pair per relabeling.
+    Labels that give the same masks match the same structures, so only the
+    first of them is kept."""
+    bit = _statement_tables[n].bit
+    if local:
+        masks = tuple(sum({1 << bit[s] for s in side}) for side in (premises, conclusions))
+        return [(masks, tuple(range(n + 1)))]
+    labels = _labels(n)
+    masks = []
+    for side in (premises, conclusions):
+        mask = [0] * len(labels)
+        for k in {bit[s] for s in side}:
+            for t, b in enumerate(_relabeled_bits(n, k)):
+                mask[t] |= 1 << b
+        masks.append(mask)
+    first: dict[tuple[int, int], tuple[int, ...]] = {}
+    for (label, _), pair in zip(labels, zip(*masks)):
+        first.setdefault(pair, label)
+    return list(first.items())
 
 
 def _counterexample(g: Dag, weights, label, local: bool, generic: bool,
@@ -132,5 +243,5 @@ def _counterexample(g: Dag, weights, label, local: bool, generic: bool,
 
 def _check_nodes(n: int, premises, conclusions) -> None:
     for s in (*premises, *conclusions):
-        if s.j > n or any(k > n for k in s.L):
+        if not all(1 <= v <= n for v in (s.i, s.j, *s.L)):
             raise ValueError(f"statement {s} references nodes outside 1..{n}")

@@ -298,14 +298,17 @@ def graph_structures(g: Dag, include_faces: bool
     """
     entries = enumerate_maximal_cones(g)
     cones = tuple((e.maxoid, e.witness.point) for e in entries)
-    if not include_faces:
-        return cones, ()
+    return cones, face_structures(g, entries) if include_faces else ()
+
+
+def face_structures(g: Dag, entries: list[FanEntry]) -> tuple[Realized, ...]:
+    """Each face of dimension at least 1 of g's polytope, in lattice order,
+    as its face_maxoid and its integer normal; entries is g's fan."""
     points = polytope_vertices(g, entries)
     lattice = face_lattice([p for _, p in points])
     memo: dict = {}
-    faces = tuple((face_maxoid(g, f, entries, points, memo), f.normal)
-                  for f in lattice.faces if f.dim >= 1)
-    return cones, faces
+    return tuple((face_maxoid(g, f, entries, points, memo), f.normal)
+                 for f in lattice.faces if f.dim >= 1)
 
 
 def cone_adjacency(g: Dag, entries: list[FanEntry]) -> list[tuple[int, int]]:

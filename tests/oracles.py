@@ -10,7 +10,8 @@ replaced fan search with one cold LP per node, the dual simplex on a
 Fraction tableau, and the replaced formula engine for implication: Boolean
 formulas over strict path comparisons, polyci_formula, genericity_formula
 and satisfiable on the Fraction simplex, with the local engine
-formula_implication and the global mask-loop scan scan_implication) and
+formula_implication and the global mask-loop scan scan_implication, and
+the replaced per-graph structure scan per_graph_scan_implication) and
 stays independent of the code paths it cross-checks.
 """
 
@@ -19,8 +20,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations
+from functools import cache, lru_cache
+from itertools import combinations, permutations
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from maxoid.fan import (
@@ -32,10 +33,16 @@ from maxoid.fan import (
     _pair_rows,
     _path_comparison,
 )
-from maxoid.graph import Dag, Edge, enumerate_paths, transitive_closure
-from maxoid.implication import Verdict, _verify_counterexample
+from maxoid.graph import Dag, Edge, enumerate_paths, top_ordered_closed_dags, transitive_closure
+from maxoid.implication import (
+    Verdict,
+    _check_nodes,
+    _counterexample,
+    _relabeled,
+    _verify_counterexample,
+)
 from maxoid.linarith import Constraint, Witness, affine_dimension, nullspace
-from maxoid.polytope import Face, FaceLattice, PolytopePoint, _facet_incidences
+from maxoid.polytope import Face, FaceLattice, PolytopePoint, _facet_incidences, graph_structures
 from maxoid.separation import CiStatement, Maxoid, maxoid_from_blockers, node_mask
 from maxoid.tropical import NEG_INF, TropicalMatrix, WeightedDag, kleene_star, path_weight
 
@@ -1028,4 +1035,47 @@ def scan_implication(n: int, premises, conclusions, generic: bool = False,
         verdict = formula_implication(g, premises, conclusions, generic)
         if not verdict.holds:
             return verdict
+    return Verdict(True)
+
+
+# per-process memo of each graph's (structure, weights) pairs, keyed by
+# (graph, include_faces)
+_structures = cache(graph_structures)
+
+
+def per_graph_scan_implication(scope, premises: Sequence[CiStatement],
+                               conclusions: Sequence[CiStatement],
+                               generic: bool = False) -> Verdict:
+    """The replaced lookup: every graph's cone and face structures, graph by
+    graph, each tried under every relabeling of the query's statement masks,
+    duplicates included; the first match gives the counterexample."""
+    premises = list(premises)
+    conclusions = list(conclusions)
+    if not premises and not conclusions:
+        raise ValueError("nothing to decide")
+    if isinstance(scope, Dag):
+        n, graphs, labels = scope.n, [scope], [tuple(range(scope.n + 1))]
+    else:
+        n = int(scope)
+        graphs = top_ordered_closed_dags(n)
+        labels = [(0, *p) for p in permutations(range(1, n + 1))]
+    _check_nodes(n, premises, conclusions)
+    # under label, the query on the relabeled graph is this query on the
+    # graph: its premise and conclusion statements as bitmasks
+    queries = []
+    for label in labels:
+        back = [0] * (n + 1)
+        for v, x in enumerate(label):
+            back[x] = v
+        queries.append((label, Maxoid(n, (_relabeled(p, back) for p in premises)).bits,
+                        Maxoid(n, (_relabeled(q, back) for q in conclusions)).bits))
+    for g in graphs:
+        cones, faces = _structures(g, not generic)
+        for m, weights in cones + faces:
+            bits = m.bits
+            for label, prem, conc in queries:
+                if bits & prem == prem and not bits & conc:
+                    return Verdict(False, _counterexample(
+                        g, weights, label, isinstance(scope, Dag), generic,
+                        premises, conclusions))
     return Verdict(True)

@@ -121,6 +121,19 @@ def test_cache_file_that_does_not_parse_is_a_miss(tmp_path, monkeypatch):
         assert json.loads(path.read_text()) == first
 
 
+def test_cache_record_with_a_statement_not_in_canonical_form_is_rewritten(tmp_path, monkeypatch):
+    monkeypatch.setenv("MAXOID_CACHE_DIR", str(tmp_path))
+    g = Dag(5, [(1, 2), (2, 3), (3, 4), (4, 5)])
+    first = graph_maxoids(g, include_faces=False)
+    (path,) = tmp_path.iterdir()
+    # compact digits, a node outside 1..5, spaces, an unsorted or a
+    # reversed statement
+    for text in ("12|3", "1,6|", "1, 2|", "1,2|4,3", "2,1|"):
+        path.write_text(json.dumps({"generic": [[text]]}))
+        assert graph_maxoids(g, include_faces=False) == first
+        assert json.loads(path.read_text()) == first
+
+
 def test_cache_files_of_another_format_version_are_not_read(tmp_path, monkeypatch):
     monkeypatch.setenv("MAXOID_CACHE_DIR", str(tmp_path))
     g = Dag(3, [(1, 2), (1, 3), (2, 3)])

@@ -1,17 +1,32 @@
+import json
 import os
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
+from maxoid import implication, polytope
+from maxoid.cli import _witness_json
 from maxoid.fan import enumerate_maximal_cones
 from maxoid.graph import Dag, acyclic_edge_sets, top_ordered_closed_dags, transitive_closure
-from maxoid.implication import _verify_counterexample, decide_implication
+from maxoid.implication import (
+    _labels,
+    _relabeled,
+    _relabeled_bits,
+    _verify_counterexample,
+    decide_implication,
+)
 from maxoid.linarith import Constraint
 from maxoid.polytope import graph_structures
-from maxoid.separation import CiStatement, c_star_separated, maxoid, parse_ci_statement
+from maxoid.separation import (
+    CiStatement,
+    _statement_tables,
+    c_star_separated,
+    maxoid,
+    parse_ci_statement,
+)
 from maxoid.tropical import WeightedDag, is_generic
 from oracles import (
     FALSE,
@@ -25,6 +40,7 @@ from oracles import (
     genericity_formula,
     mask_loop_dags,
     negate,
+    per_graph_scan_implication,
     polyci_formula,
     random_weighted_dag,
     satisfiable,
@@ -360,3 +376,102 @@ def test_statement_outside_scope_rejected():
         decide_implication(K4, [ci("1,5|")], [ci("14|3")])
     with pytest.raises(ValueError):
         decide_implication(3, [ci("1,2|")], [ci("1,4|")])
+    # node 0 and node n + 1, as premise and as conclusion, local and global
+    for scope in (K4, 4):
+        for text in ("0,1|", "1,2|0", "1,5|", "1,2|3,5"):
+            with pytest.raises(ValueError, match=r"outside 1\.\.4"):
+                decide_implication(scope, [ci(text)], [ci("1,2|3")])
+            with pytest.raises(ValueError, match=r"outside 1\.\.4"):
+                decide_implication(scope, [ci("1,2|3")], [ci(text)])
+
+
+def _witness(v):
+    return None if v.holds else json.dumps(_witness_json(v.counterexample), sort_keys=True)
+
+
+def test_index_scan_matches_the_per_graph_scan():
+    # equal verdicts and byte-identical counterexamples: dropping repeated
+    # structures and building faces late keep the first match
+    rng = random.Random(6161)
+    seen = Counter()
+    for q in range(160):
+        generic = q % 4 < 2
+        if q % 2:
+            g = random_weighted_dag(rng, max_n=5).g
+            label = [0, *rng.sample(g.nodes, g.n)]
+            scope, n = Dag(g.n, [(label[u], label[v]) for u, v in g.edges]), g.n
+        else:
+            scope = n = rng.randint(3, 4)
+        premises, conclusions = _random_query(rng, n)
+        got = decide_implication(scope, premises, conclusions, generic)
+        want = per_graph_scan_implication(scope, premises, conclusions, generic)
+        assert (got.holds, _witness(got)) == (want.holds, _witness(want)), (scope, premises)
+        seen[isinstance(scope, Dag), generic, got.holds] += 1
+    assert len(seen) == 8, seen
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_relabeling_bit_tables_permute_the_statements_as_relabeled_does(n):
+    table = _statement_tables[n]
+    columns = [_relabeled_bits(n, k) for k in range(len(table.statements))]
+    labels = _labels(n)
+    assert [label for label, _ in labels] == [(0, *p) for p in permutations(range(1, n + 1))]
+    for t, (label, back) in enumerate(labels):
+        assert [back[x] for x in label] == list(range(n + 1))
+        row = [column[t] for column in columns]
+        assert sorted(row) == list(range(len(table.statements)))
+        assert [table.statements[b] for b in row] == [_relabeled(s, back)
+                                                      for s in table.statements]
+
+
+def test_query_a_cone_answers_builds_no_face_lattice(monkeypatch):
+    monkeypatch.setattr(implication, "_indexes", {})
+    lattices = []
+    face_lattice = polytope.face_lattice
+    monkeypatch.setattr(polytope, "face_lattice",
+                        lambda points: lattices.append(points) or face_lattice(points))
+    v = decide_implication(complete_dag(5), [ci("2,4|1,3")], [ci("1,4|3")])
+    assert not v.holds and lattices == []
+    # the spy sees the lattice of a graph whose last cone a scan moves past
+    assert decide_implication(K4, [ci("14|3")], [ci("24|13")]).holds
+    assert len(lattices) == 1
+
+
+def _counting_fans(monkeypatch, fail_at=None):
+    """The graphs whose fans the index enumerates, from a fresh index; the
+    fail_at-th enumeration raises instead."""
+    monkeypatch.setattr(implication, "_indexes", {})
+    graphs = []
+    enumerate_fan = implication.enumerate_maximal_cones
+
+    def spy(g):
+        graphs.append(g)
+        if len(graphs) == fail_at:
+            raise RuntimeError("interrupted")
+        return enumerate_fan(g)
+
+    monkeypatch.setattr(implication, "enumerate_maximal_cones", spy)
+    return graphs
+
+
+def test_failing_global_query_grows_the_index_only_as_far_as_it_scans(monkeypatch):
+    graphs = _counting_fans(monkeypatch)
+    query = [ci("1,4|3")], [ci("2,4|1,3")]
+    assert not decide_implication(5, *query).holds
+    assert 0 < len(graphs) < 357
+    reached = len(graphs)
+    assert _witness(decide_implication(5, *query)) == _witness(
+        per_graph_scan_implication(5, *query))
+    assert len(graphs) == reached
+
+
+def test_index_that_fails_to_grow_is_dropped(monkeypatch):
+    # a graph taken from the scope but never listed must not be skipped by
+    # the next query
+    graphs = _counting_fans(monkeypatch, fail_at=3)
+    query = [ci("1,2|"), ci("1,3|2")], [ci("1,3|")]
+    with pytest.raises(RuntimeError, match="interrupted"):
+        decide_implication(4, *query, generic=True)
+    assert implication._indexes == {}
+    assert decide_implication(4, *query, generic=True).holds
+    assert len(graphs) == 3 + 40
