@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from itertools import islice, permutations
 from typing import Iterator, Sequence
 
-from .fan import FanEntry, enumerate_maximal_cones
+from .fan import enumerate_maximal_cones
 from .graph import Dag, top_ordered_closed_dags
 from .polytope import face_structures
 from .separation import (
@@ -111,7 +111,8 @@ def decide_implication(scope, premises: Sequence[CiStatement],
     try:
         match = _first_match(index, _queries(n, premises, conclusions, local))
     except BaseException:
-        # a graph taken from the scope but not yet listed would be skipped
+        # a raising generator is finished, and the graphs it had yet to
+        # list would be skipped
         _indexes.pop(key, None)
         raise
     if match is None:
@@ -121,41 +122,38 @@ def decide_implication(scope, premises: Sequence[CiStatement],
                                           premises, conclusions))
 
 
+def _structure_batches(graphs: Iterator[Dag], include_faces: bool):
+    """(graph, realized structures) in scan order: each graph's cones, then,
+    with include_faces, its faces, built from the fan kept until then."""
+    for g in graphs:
+        fan = enumerate_maximal_cones(g)
+        yield g, [(e.maxoid, e.witness.point) for e in fan]
+        if include_faces:
+            yield g, face_structures(g, fan)
+
+
 class _Index:
     """The distinct structures of one scope and mode in scan order, as
-    (bits, graph, weights), grown on demand by grow."""
+    (bits, graph, weights), grown a batch at a time by grow."""
 
-    __slots__ = ("entries", "_seen", "_graphs", "_include_faces", "_fan")
+    __slots__ = ("entries", "_seen", "_batches")
 
     def __init__(self, graphs: Iterator[Dag], include_faces: bool):
         self.entries: list[tuple[int, Dag, tuple]] = []
         self._seen: set[int] = set()
-        self._graphs = graphs
-        self._include_faces = include_faces
-        # the graph whose cones were listed last while its faces are due
-        self._fan: tuple[Dag, list[FanEntry]] | None = None
+        self._batches = _structure_batches(graphs, include_faces)
 
-    def _add(self, g: Dag, realized) -> None:
+    def grow(self) -> bool:
+        """List the structures of the next batch that are not listed yet;
+        False once every structure of the scope is listed."""
+        batch = next(self._batches, None)
+        if batch is None:
+            return False
+        g, realized = batch
         for m, weights in realized:
             if m.bits not in self._seen:
                 self._seen.add(m.bits)
                 self.entries.append((m.bits, g, weights))
-
-    def grow(self) -> bool:
-        """List the faces that are due, or else the next graph's cones;
-        False once every structure of the scope is listed."""
-        if self._fan is not None:
-            g, fan = self._fan
-            self._add(g, face_structures(g, fan))
-            self._fan = None
-            return True
-        g = next(self._graphs, None)
-        if g is None:
-            return False
-        fan = enumerate_maximal_cones(g)
-        self._add(g, ((e.maxoid, e.witness.point) for e in fan))
-        if self._include_faces:
-            self._fan = (g, fan)
         return True
 
 
