@@ -6,9 +6,18 @@ transitively closed graph, so TDAGs carry a complete census up to vertex
 relabeling.  Generic structures come from the maximal cones of each graph's
 fan; tied (non-generic) ones from the faces of each graph's polytope.
 
+Separation does not depend on node names, so a graph's structures under a
+relabeling are its structures relabeled.  The census therefore computes one
+fan (and face lattice) per isomorphism class of the family, on the class's
+first member (graph.isomorphism_classes: 44 classes for the 181 TDAGs on
+five nodes, 238 for the 2792 on six), and renames each structure to every
+member of the class by walking its set bits through that member's bit
+table (separation._relabelings).
+
 Per-graph results can be cached on disk, content-addressed by the graph and
 the cache format version, so large runs are resumable: set MAXOID_CACHE_DIR
-to enable.  An unreadable cache file counts as a miss and is rewritten.
+to enable.  The census caches one file per class representative.  An
+unreadable cache file counts as a miss and is rewritten.
 """
 
 from __future__ import annotations
@@ -18,10 +27,11 @@ import json
 import multiprocessing
 import os
 from dataclasses import dataclass
+from typing import Iterator
 
-from .graph import Dag, dag_to_json, top_ordered_closed_dags
+from .graph import Dag, dag_to_json, isomorphism_classes, top_ordered_closed_dags
 from .polytope import graph_structures
-from .separation import Maxoid, _statement_tables
+from .separation import Maxoid, _relabelings, _statement_tables
 
 CACHE_ENV = "MAXOID_CACHE_DIR"
 # Raise whenever what a cache file holds, or how it is computed, changes:
@@ -135,24 +145,41 @@ def census_structures(family: TdagFamily, include_faces: bool = True,
 
     Generic structures come from every graph's maximal cones; the full set
     additionally contains the face structures of every graph's polytope
-    (when include_faces is false, the two sets coincide).  Runs on
-    min(jobs, number of graphs) worker processes, serially when that is 1.
-    Each graph's statement lists become bitmask Maxoids as its result
-    arrives, so no graph's strings are held until the end.
+    (when include_faces is false, the two sets coincide).  A graph's
+    structures under a relabeling are its structures relabeled, so each
+    isomorphism class of the family (graph.isomorphism_classes) is computed
+    once, on its representative, and each of its structures is renamed to
+    every member of the class through that member's bit table.  Runs the
+    representatives on min(jobs, number of classes) worker processes,
+    serially when that is 1.  Each class's statement lists become bits as
+    its result arrives, so no class's strings are held until the end.
     """
-    tasks = [(dag_to_json(g), include_faces) for g in family.graphs]
-    generic: set[Maxoid] = set()
-    everything: set[Maxoid] = set()
+    n = family.n
+    classes = list(isomorphism_classes(family.graphs))
+    assert sum(len(labels) for _, labels in classes) == len(family.graphs)
+    tasks = [(dag_to_json(g), include_faces) for g, _ in classes]
+    generic: set[int] = set()
+    everything: set[int] = set()
+
+    def renamed(structures: list[int], labels) -> Iterator[int]:
+        yield from structures
+        for label in labels[1:]:
+            table = _relabelings[n, label]
+            for bits in structures:
+                out = 0
+                while bits:
+                    low = bits & -bits
+                    out |= 1 << table[low.bit_length() - 1]
+                    bits ^= low
+                yield out
 
     def collect(results) -> None:
-        for data in results:
-            for stmts in data["generic"]:
-                m = Maxoid.from_json(family.n, stmts)
-                generic.add(m)
-                everything.add(m)
+        for data, (_, labels) in zip(results, classes):
+            cones = [Maxoid.from_json(n, stmts).bits for stmts in data["generic"]]
+            generic.update(renamed(cones, labels))
             if include_faces:
-                for stmts in data["faces"]:
-                    everything.add(Maxoid.from_json(family.n, stmts))
+                faces = [Maxoid.from_json(n, stmts).bits for stmts in data["faces"]]
+                everything.update(renamed(faces, labels))
 
     workers = min(jobs, len(tasks))
     if workers > 1:
@@ -162,7 +189,9 @@ def census_structures(family: TdagFamily, include_faces: bool = True,
             collect(pool.imap(_worker, tasks))
     else:
         collect(_worker(t) for t in tasks)
-    return generic, everything
+    everything |= generic
+    return ({Maxoid.from_bits(n, b) for b in generic},
+            {Maxoid.from_bits(n, b) for b in everything})
 
 
 def all_maxoids(family: TdagFamily, generic_only: bool = False,

@@ -218,18 +218,16 @@ def enumerate_maximal_cones(g: Dag) -> list[FanEntry]:
 
 def lineality_dimension(g: Dag) -> int:
     """Dimension of the common linear subspace of all cones: |E| minus the
-    rank of the internally-disjoint path-comparison normals."""
+    rank of the minimal rows of one maximal cone, the one in which edge k
+    of the sorted edges weighs 2^k.  Two distinct parallel paths have
+    distinct edge sets, so these weights tie nowhere, and all maximal cones
+    of the complete fan share one lineality space."""
     index = _edge_index(g)
-    normals = []
-    for i, j in _connected_pairs(g):
-        paths = enumerate_paths(g, i, j)
-        for a in range(len(paths)):
-            for b in range(a + 1, len(paths)):
-                if _internally_disjoint(paths[a], paths[b]):
-                    row = [0] * len(index)
-                    for v, c in _path_comparison(index, paths[a], paths[b]).terms:
-                        row[v] = c
-                    normals.append(row)
-    if not normals:
-        return len(index)
-    return len(index) - rank_of(normals)
+    rows = []
+    for constraint in cone_of(WeightedDag(g, {e: 2 ** k for e, k in index.items()}),
+                              minimal=True).strict:
+        row = [0] * len(index)
+        for v, c in constraint.terms:
+            row[v] = c
+        rows.append(row)
+    return len(index) - rank_of(rows)

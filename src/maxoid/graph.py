@@ -207,6 +207,57 @@ def top_ordered_closed_dags(n: int) -> Iterator[Dag]:
             if len(edges) == len(closure))
 
 
+def linear_extensions(g: Dag) -> Iterator[tuple[int, ...]]:
+    """Every topological order of g, in lexicographic order."""
+    parents = [0] * (g.n + 1)
+    for u, v in g.edges:
+        parents[v] |= 1 << u
+    every = sum(1 << v for v in g.nodes)
+
+    def extend(placed: int, order: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        if placed == every:
+            yield order
+            return
+        for v in g.nodes:
+            if not placed >> v & 1 and parents[v] & placed == parents[v]:
+                yield from extend(placed | 1 << v, order + (v,))
+
+    return extend(0, ())
+
+
+def isomorphism_classes(graphs: Iterable[Dag]
+                        ) -> Iterator[tuple[Dag, list[tuple[int, ...]]]]:
+    """The graphs, DAGs on one node set whose edges point from a smaller to
+    a larger label, grouped by isomorphism: (representative, labels) per
+    class, in input order of the representatives, each the first member of
+    its class.
+
+    A label is a tuple indexed by node, node 0 fixed, and renames node v of
+    the representative to label[v]; labels[0] is the identity.  Renaming the
+    nodes of a topological order to 1, 2, ... in turn gives a graph whose
+    edges point up, and every such graph isomorphic to the representative
+    arises so: the labels are those of its linear extensions that land on an
+    input graph, the first per graph, so every input graph is reached by
+    exactly one label of one class.  Classes are found as they are yielded.
+    """
+    graphs = list(graphs)
+    place = {g.edges: k for k, g in enumerate(graphs)}
+    reached = [False] * len(graphs)
+    for k, g in enumerate(graphs):
+        if reached[k]:
+            continue
+        labels = []
+        for order in linear_extensions(g):
+            label = [0] * (g.n + 1)
+            for new, v in enumerate(order, 1):
+                label[v] = new
+            member = place.get(frozenset((label[u], label[v]) for u, v in g.edges))
+            if member is not None and not reached[member]:
+                reached[member] = True
+                labels.append(tuple(label))
+        yield g, labels
+
+
 def to_dot(g: Dag, name: str = "G") -> str:
     """Render the DAG in DOT format for inspection."""
     lines = [f"digraph {name} {{"]

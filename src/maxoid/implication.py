@@ -15,19 +15,28 @@ changes; with distinct such weights far enough below, a generic weighting
 stays generic.  Every transitively closed DAG is a relabeling of one whose
 edges point from smaller to larger labels, so the scan covers those,
 disconnected ones included, under all n! relabelings.  It relabels the
-query, not the structures.
+query, not the structures, and so needs one graph per isomorphism class
+(graph.isomorphism_classes: 16 of the 40 such graphs on four nodes, 63 of
+the 357 on five), the first in top_ordered_closed_dags order: if a
+structure of a later member pi(G) of G's class matches under a label, the
+same structure of G matches under that label composed with pi, and G comes
+first, so the first match is never at a later member.
 
 Each process keeps one structure index per scope and mode: a list of
 (bits, graph, weights) in scan order, graphs in top_ordered_closed_dags
-order (the one graph in local modes), then each graph's cones in fan order,
-then its faces of dimension at least 1 in lattice order.  A structure is
-listed once, where the scan first meets it: a later copy matches under
-exactly the labels the first one does, so it is never the first match.
-The index grows one graph at a time and only as far as a scan reaches, and
-a graph's faces are built only when a scan moves past its last cone; until
-then its fan entries are kept.  A query becomes one premise and one
-conclusion mask per relabeling, read off per-n tables that give each
-statement's bit under every relabeling, built a statement at a time.
+order (the class representatives in global modes, the one graph in local
+modes), then each graph's cones in fan order, then its faces of dimension
+at least 1 in lattice order.  A structure is listed once, where the scan
+first meets it: a later copy matches under exactly the labels the first
+one does, so it is never the first match.  The index grows one graph at a
+time and only as far as a scan reaches, and a graph's faces are built only
+when a scan moves past its last cone; until then its fan entries are kept.
+A query becomes one premise and one conclusion mask per relabeling, read
+off a column per statement of the per-label bit tables of
+separation._relabelings, built the first time a query names it.  The
+index also keeps the counterexample weights of every (entry, label) match
+it has answered, so a repeated failing query only builds a fresh weighted
+DAG from them and re-verifies it.
 """
 
 from __future__ import annotations
@@ -38,10 +47,11 @@ from itertools import islice, permutations
 from typing import Iterator, Sequence
 
 from .fan import enumerate_maximal_cones
-from .graph import Dag, top_ordered_closed_dags
+from .graph import Dag, isomorphism_classes, top_ordered_closed_dags
 from .polytope import face_structures
 from .separation import (
     CiStatement,
+    _relabelings,
     _statement_tables,
     break_ties,
     maxoid,
@@ -57,11 +67,6 @@ class Verdict:
 
     holds: bool
     counterexample: WeightedDag | None = None
-
-
-def _relabeled(s: CiStatement, label: Sequence[int]) -> CiStatement:
-    """s with node v renamed label[v]."""
-    return CiStatement(label[s.i], label[s.j], frozenset(label[k] for k in s.L))
 
 
 def _verify_counterexample(wd: WeightedDag, premises, conclusions, generic: bool) -> None:
@@ -106,7 +111,8 @@ def decide_implication(scope, premises: Sequence[CiStatement],
     key = (scope if local else n, not generic)
     index = _indexes.get(key)
     if index is None:
-        graphs = iter([scope]) if local else top_ordered_closed_dags(n)
+        graphs = iter([scope]) if local else (
+            g for g, _ in isomorphism_classes(top_ordered_closed_dags(n)))
         index = _indexes[key] = _Index(graphs, not generic)
     try:
         match = _first_match(index, _queries(n, premises, conclusions, local))
@@ -117,9 +123,15 @@ def decide_implication(scope, premises: Sequence[CiStatement],
         raise
     if match is None:
         return Verdict(True)
-    g, weights, label = match
-    return Verdict(False, _counterexample(g, weights, label, local, generic,
-                                          premises, conclusions))
+    w = index.counterexamples.get(match)
+    if w is None:
+        place, label = match
+        _, g, weights = index.entries[place]
+        w = index.counterexamples[match] = _counterexample_weights(
+            g, weights, label, local, generic)
+    wd = WeightedDag(Dag(n, w), w)
+    _verify_counterexample(wd, premises, conclusions, generic)
+    return Verdict(False, wd)
 
 
 def _structure_batches(graphs: Iterator[Dag], include_faces: bool):
@@ -134,12 +146,14 @@ def _structure_batches(graphs: Iterator[Dag], include_faces: bool):
 
 class _Index:
     """The distinct structures of one scope and mode in scan order, as
-    (bits, graph, weights), grown a batch at a time by grow."""
+    (bits, graph, weights), grown a batch at a time by grow, and the
+    counterexample weights of the (entry, label) matches met so far."""
 
-    __slots__ = ("entries", "_seen", "_batches")
+    __slots__ = ("entries", "counterexamples", "_seen", "_batches")
 
     def __init__(self, graphs: Iterator[Dag], include_faces: bool):
         self.entries: list[tuple[int, Dag, tuple]] = []
+        self.counterexamples: dict[tuple[int, tuple[int, ...]], dict] = {}
         self._seen: set[int] = set()
         self._batches = _structure_batches(graphs, include_faces)
 
@@ -162,16 +176,17 @@ _indexes: dict[tuple[object, bool], _Index] = {}
 
 
 def _first_match(index: _Index, queries):
-    """(graph, weights, label) of the first index entry that matches one of
-    queries, ((premise mask, conclusion mask), label) pairs tried in order,
-    growing the index as far as the scan reaches; None when none does."""
+    """(place in the index, label) of the first index entry that matches one
+    of queries, ((premise mask, conclusion mask), label) pairs tried in
+    order, growing the index as far as the scan reaches; None when none
+    does."""
     entries = index.entries
     done = 0
     while True:
-        for bits, g, weights in islice(entries, done, None):
+        for place, (bits, _, _) in enumerate(islice(entries, done, None), done):
             for (prem, conc), label in queries:
                 if bits & prem == prem and not bits & conc:
-                    return g, weights, label
+                    return place, label
         done = len(entries)
         if not index.grow():
             return None
@@ -195,11 +210,9 @@ def _labels(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
 def _relabeled_bits(n: int, k: int) -> tuple[int, ...]:
     """For each relabeling of _labels(n), the bit of statement k of the
     relabeled graph as a statement of the graph: under label, statement s
-    of the relabeled graph is statement _relabeled(s, inverse) of the
-    graph.  One column of the per-n table, built on first use."""
-    table = _statement_tables[n]
-    s = table.statements[k]
-    return tuple(table.bit[_relabeled(s, back)] for _, back in _labels(n))
+    of the relabeled graph is, on the graph, s renamed by the inverse of
+    label.  One column of the per-n table, built on first use."""
+    return tuple(_relabelings[n, back][k] for _, back in _labels(n))
 
 
 def _queries(n: int, premises, conclusions, local: bool):
@@ -225,18 +238,16 @@ def _queries(n: int, premises, conclusions, local: bool):
     return list(first.items())
 
 
-def _counterexample(g: Dag, weights, label, local: bool, generic: bool,
-                    premises, conclusions) -> WeightedDag:
-    """The weights on g renamed by label, reduced unless local, tie-broken
-    in generic mode, and re-verified."""
+def _counterexample_weights(g: Dag, weights, label, local: bool, generic: bool) -> dict:
+    """The weights on g renamed by label, reduced unless local and
+    tie-broken in generic mode, as an edge -> weight map."""
     w = {(label[u], label[v]): x for (u, v), x in zip(g.sorted_edges, weights)}
     wd = WeightedDag(Dag(g.n, w), w)
     if not local:
         wd = weighted_transitive_reduction(wd)
     if generic and not is_generic(wd):
         wd = break_ties(wd)
-    _verify_counterexample(wd, premises, conclusions, generic)
-    return wd
+    return wd.w
 
 
 def _check_nodes(n: int, premises, conclusions) -> None:

@@ -143,8 +143,8 @@ class _StatementTable:
 
 
 class _PerN(dict):
-    """n -> table(n), each table built on its first lookup; a dict, so a
-    lookup in Maxoid.__contains__ makes no function call."""
+    """key -> table(key), each table built on its first lookup; a dict, so
+    a lookup in Maxoid.__contains__ makes no function call."""
 
     __slots__ = ("table",)
 
@@ -152,8 +152,8 @@ class _PerN(dict):
         super().__init__()
         self.table = table
 
-    def __missing__(self, n: int):
-        built = self[n] = self.table(n)
+    def __missing__(self, key):
+        built = self[key] = self.table(key)
         return built
 
 
@@ -294,6 +294,34 @@ class _SubsetTables:
 
 
 _subset_tables = _PerN(_SubsetTables)
+
+
+def _relabeling(key: tuple[int, tuple[int, ...]]) -> tuple[int, ...]:
+    """For key (n, label), label a tuple indexed by node with node 0 fixed:
+    entry k is the bit of statement k on 1..n with every node v renamed
+    label[v].  Read off the subset tables' rank lists."""
+    n, label = key
+    tables = _subset_tables[n]
+    # moved[node_mask(L) >> 1] = node_mask of L renamed, >> 1
+    moved = [0] * (1 << n)
+    for s in range(1, 1 << n):
+        low = s & -s
+        moved[s] = moved[s ^ low] | 1 << label[low.bit_length()] - 1
+    place = {(i, j): (first, rank) for i, j, _, first, rank in tables.pairs}
+    out = [0] * (len(tables.pairs) << max(n - 2, 0))
+    for i, j, outside, first, rank in tables.pairs:
+        a, b = label[i], label[j]
+        to_first, to_rank = place[(a, b) if a < b else (b, a)]
+        while outside:
+            low = outside & -outside
+            s = low.bit_length() - 1
+            out[first + rank[s]] = to_first + to_rank[moved[s]]
+            outside ^= low
+    return tuple(out)
+
+
+# (n, label) -> _relabeling((n, label)), built on first use
+_relabelings = _PerN(_relabeling)
 
 
 def maxoid_from_blockers(n: int, blockers: Mapping[tuple[int, int], int]) -> Maxoid:

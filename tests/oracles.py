@@ -11,8 +11,10 @@ Fraction tableau, and the replaced formula engine for implication: Boolean
 formulas over strict path comparisons, polyci_formula, genericity_formula
 and satisfiable on the Fraction simplex, with the local engine
 formula_implication and the global mask-loop scan scan_implication, and
-the replaced per-graph structure scan per_graph_scan_implication) and
-stays independent of the code paths it cross-checks.
+the replaced per-graph structure scan per_graph_scan_implication, the
+replaced per-graph census loop per_graph_census, and the replaced
+echelon_lineality_dimension over every disjoint path pair) and stays
+independent of the code paths it cross-checks.
 """
 
 from __future__ import annotations
@@ -30,18 +32,19 @@ from maxoid.fan import (
     FanEntry,
     _connected_pairs,
     _edge_index,
+    _internally_disjoint,
     _pair_rows,
     _path_comparison,
 )
 from maxoid.graph import Dag, Edge, enumerate_paths, top_ordered_closed_dags, transitive_closure
+from maxoid.census import TdagFamily, graph_maxoids
 from maxoid.implication import (
     Verdict,
     _check_nodes,
-    _counterexample,
-    _relabeled,
+    _counterexample_weights,
     _verify_counterexample,
 )
-from maxoid.linarith import Constraint, Witness, affine_dimension, nullspace
+from maxoid.linarith import Constraint, Witness, affine_dimension, nullspace, rank_of
 from maxoid.polytope import Face, FaceLattice, PolytopePoint, _facet_incidences, graph_structures
 from maxoid.separation import CiStatement, Maxoid, maxoid_from_blockers, node_mask
 from maxoid.tropical import NEG_INF, TropicalMatrix, WeightedDag, kleene_star, path_weight
@@ -1067,15 +1070,59 @@ def per_graph_scan_implication(scope, premises: Sequence[CiStatement],
         back = [0] * (n + 1)
         for v, x in enumerate(label):
             back[x] = v
-        queries.append((label, Maxoid(n, (_relabeled(p, back) for p in premises)).bits,
-                        Maxoid(n, (_relabeled(q, back) for q in conclusions)).bits))
+        queries.append((label, Maxoid(n, (relabeled_statement(p, back) for p in premises)).bits,
+                        Maxoid(n, (relabeled_statement(q, back) for q in conclusions)).bits))
     for g in graphs:
         cones, faces = _structures(g, not generic)
         for m, weights in cones + faces:
             bits = m.bits
             for label, prem, conc in queries:
                 if bits & prem == prem and not bits & conc:
-                    return Verdict(False, _counterexample(
-                        g, weights, label, isinstance(scope, Dag), generic,
-                        premises, conclusions))
+                    w = _counterexample_weights(g, weights, label, isinstance(scope, Dag),
+                                                generic)
+                    wd = WeightedDag(Dag(n, w), w)
+                    _verify_counterexample(wd, premises, conclusions, generic)
+                    return Verdict(False, wd)
     return Verdict(True)
+
+
+def relabeled_statement(s: CiStatement, label: Sequence[int]) -> CiStatement:
+    """s with node v renamed label[v]."""
+    return CiStatement(label[s.i], label[s.j], frozenset(label[k] for k in s.L))
+
+
+def per_graph_census(family: TdagFamily, include_faces: bool
+                     ) -> tuple[set[Maxoid], set[Maxoid]]:
+    """The replaced census loop: (generic structures, all structures) with
+    one fan search, and with include_faces one face lattice, per graph of
+    the family."""
+    generic: set[Maxoid] = set()
+    everything: set[Maxoid] = set()
+    for g in family.graphs:
+        data = graph_maxoids(g, include_faces)
+        for stmts in data["generic"]:
+            m = Maxoid.from_json(family.n, stmts)
+            generic.add(m)
+            everything.add(m)
+        if include_faces:
+            everything.update(Maxoid.from_json(family.n, stmts) for stmts in data["faces"])
+    return generic, everything
+
+
+def echelon_lineality_dimension(g: Dag) -> int:
+    """The replaced lineality dimension: |E| minus the rank of the
+    comparison rows of every internally disjoint pair of parallel paths."""
+    index = _edge_index(g)
+    normals = []
+    for i, j in _connected_pairs(g):
+        paths = enumerate_paths(g, i, j)
+        for a in range(len(paths)):
+            for b in range(a + 1, len(paths)):
+                if _internally_disjoint(paths[a], paths[b]):
+                    row = [0] * len(index)
+                    for v, c in _path_comparison(index, paths[a], paths[b]).terms:
+                        row[v] = c
+                    normals.append(row)
+    if not normals:
+        return len(index)
+    return len(index) - rank_of(normals)

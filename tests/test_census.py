@@ -1,4 +1,5 @@
 import json
+import os
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -11,7 +12,7 @@ from maxoid.graph import Dag, acyclic_edge_sets, transitive_closure
 from maxoid.separation import maxoid
 from maxoid.tropical import WeightedDag
 from fractions import Fraction
-from oracles import mask_loop_dags
+from oracles import mask_loop_dags, per_graph_census
 
 
 def test_tdag_family_counts():
@@ -93,6 +94,31 @@ def test_census_equals_brute_force_over_identity_ordered_dags_n3():
                     wd = WeightedDag(g, dict(zip(g.sorted_edges, map(Fraction, weights))))
                     seen.add(maxoid(wd))
     assert seen <= census
+
+
+@pytest.mark.parametrize("family, include_faces", [
+    (all_top_ordered_tdags(3), True),
+    (all_top_ordered_tdags(4), True),
+    (all_top_ordered_tdags(5), False),
+    (TdagFamily(5, all_top_ordered_tdags(5).graphs[::5]), True),
+], ids=["3", "4", "5-generic", "5-strided"])
+def test_class_census_matches_the_per_graph_census(family, include_faces):
+    assert (census.census_structures(family, include_faces)
+            == per_graph_census(family, include_faces))
+
+
+@pytest.mark.skipif(os.environ.get("MAXOID_LONG_TESTS") != "1",
+                    reason="long-running size; set MAXOID_LONG_TESTS=1")
+def test_class_census_matches_the_per_graph_census_with_faces_on_5_nodes():
+    family = all_top_ordered_tdags(5)
+    assert census.census_structures(family) == per_graph_census(family, True)
+
+
+def test_cache_holds_one_file_per_class(tmp_path, monkeypatch):
+    monkeypatch.setenv("MAXOID_CACHE_DIR", str(tmp_path))
+    everything = all_maxoids(all_top_ordered_tdags(4))
+    assert len(list(tmp_path.iterdir())) == 10
+    assert all_maxoids(all_top_ordered_tdags(4)) == everything
 
 
 def test_cache_round_trip(tmp_path, monkeypatch):

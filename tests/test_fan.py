@@ -12,11 +12,18 @@ from maxoid.fan import (
     enumerate_maximal_cones,
     lineality_dimension,
 )
-from maxoid.graph import Dag
+from maxoid.graph import Dag, top_ordered_closed_dags
 from maxoid.polytope import cone_adjacency
 from maxoid.separation import maxoid, parse_ci_statement
 from maxoid.tropical import WeightedDag, weighted_dag_from_list
-from oracles import cold_lp_maximal_cones, complete_dag, fraction_feasible, kleene_maxoid
+from oracles import (
+    cold_lp_maximal_cones,
+    complete_dag,
+    echelon_lineality_dimension,
+    fraction_feasible,
+    kleene_maxoid,
+    random_weighted_dag,
+)
 
 DIAMOND = Dag(4, [(1, 2), (1, 3), (2, 4), (3, 4)])
 K3 = Dag(3, [(1, 2), (1, 3), (2, 3)])
@@ -239,3 +246,14 @@ def test_warm_started_search_matches_the_cold_lp_search(graphs):
             assert all(c.holds_at(e.witness.point) for c in e.cone.strict)
             wd = WeightedDag(g, dict(zip(g.sorted_edges, e.witness.point)))
             assert kleene_maxoid(wd) == e.maxoid
+
+
+def test_lineality_of_one_cone_matches_the_echelon_over_every_path_pair():
+    rng = random.Random(2718)
+    graphs = list(top_ordered_closed_dags(5))
+    for _ in range(150):
+        g = random_weighted_dag(rng, max_n=6).g
+        label = [0, *rng.sample(g.nodes, g.n)]
+        graphs.append(Dag(g.n, [(label[u], label[v]) for u, v in g.edges]))
+    for g in graphs:
+        assert lineality_dimension(g) == echelon_lineality_dimension(g), g

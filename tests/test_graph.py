@@ -11,9 +11,13 @@ from maxoid.graph import (
     dag_from_json,
     dag_to_json,
     enumerate_paths,
+    isomorphism_classes,
+    linear_extensions,
     to_dot,
+    top_ordered_closed_dags,
     transitive_closure,
 )
+from maxoid.census import all_top_ordered_tdags
 from oracles import complete_dag
 
 
@@ -142,3 +146,40 @@ def test_dot_export_mentions_all_parts():
     g = dag_from_edges(3, [(1, 2)])
     dot = to_dot(g)
     assert "1 -> 2;" in dot and "3;" in dot
+
+
+def test_linear_extensions_of_the_diamond():
+    g = Dag(4, [(1, 2), (1, 3), (2, 4), (3, 4)])
+    assert list(linear_extensions(g)) == [(1, 2, 3, 4), (1, 3, 2, 4)]
+    assert len(list(linear_extensions(Dag(4, [])))) == 24
+
+
+def _check_classes(graphs):
+    classes = list(isomorphism_classes(graphs))
+    place = {g: k for k, g in enumerate(graphs)}
+    reached = []
+    for rep, labels in classes:
+        assert labels[0] == tuple(range(rep.n + 1))
+        for label in labels:
+            member = Dag(rep.n, [(label[u], label[v]) for u, v in rep.edges])
+            assert place[member] >= place[rep]
+            reached.append(member)
+    assert sorted(map(place.get, reached)) == list(range(len(graphs)))
+    return classes
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_isomorphism_classes_are_the_posets(n):
+    # OEIS A000112 (posets) and A000608 (connected posets)
+    closed = _check_classes(list(top_ordered_closed_dags(n)))
+    assert len(closed) == [1, 2, 5, 16, 63, 318][n - 1]
+    connected = _check_classes(all_top_ordered_tdags(n).graphs)
+    assert len(connected) == [1, 1, 3, 10, 44, 238][n - 1]
+
+
+def test_isomorphism_classes_of_a_sub_family_count_only_its_members():
+    graphs = all_top_ordered_tdags(5).graphs[::7]
+    classes = _check_classes(graphs)
+    assert len(classes) < len(graphs)
+    (rep, labels), = isomorphism_classes(graphs[:1])
+    assert rep == graphs[0] and labels == [tuple(range(6))]

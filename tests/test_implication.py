@@ -13,7 +13,6 @@ from maxoid.fan import enumerate_maximal_cones
 from maxoid.graph import Dag, acyclic_edge_sets, top_ordered_closed_dags, transitive_closure
 from maxoid.implication import (
     _labels,
-    _relabeled,
     _relabeled_bits,
     _verify_counterexample,
     decide_implication,
@@ -43,6 +42,7 @@ from oracles import (
     per_graph_scan_implication,
     polyci_formula,
     random_weighted_dag,
+    relabeled_statement,
     satisfiable,
     scan_implication,
 )
@@ -420,7 +420,7 @@ def test_relabeling_bit_tables_permute_the_statements_as_relabeled_does(n):
         assert [back[x] for x in label] == list(range(n + 1))
         row = [column[t] for column in columns]
         assert sorted(row) == list(range(len(table.statements)))
-        assert [table.statements[b] for b in row] == [_relabeled(s, back)
+        assert [table.statements[b] for b in row] == [relabeled_statement(s, back)
                                                       for s in table.statements]
 
 
@@ -458,7 +458,7 @@ def test_failing_global_query_grows_the_index_only_as_far_as_it_scans(monkeypatc
     graphs = _counting_fans(monkeypatch)
     query = [ci("1,4|3")], [ci("2,4|1,3")]
     assert not decide_implication(5, *query).holds
-    assert 0 < len(graphs) < 357
+    assert 0 < len(graphs) < 63
     reached = len(graphs)
     assert _witness(decide_implication(5, *query)) == _witness(
         per_graph_scan_implication(5, *query))
@@ -474,4 +474,20 @@ def test_index_that_fails_to_grow_is_dropped(monkeypatch):
         decide_implication(4, *query, generic=True)
     assert implication._indexes == {}
     assert decide_implication(4, *query, generic=True).holds
-    assert len(graphs) == 3 + 40
+    assert len(graphs) == 3 + 16
+
+
+def test_repeated_failing_query_reuses_its_counterexample_weights(monkeypatch):
+    monkeypatch.setattr(implication, "_indexes", {})
+    calls = Counter()
+    for name in ("weighted_transitive_reduction", "_verify_counterexample"):
+        spied = getattr(implication, name)
+        monkeypatch.setattr(implication, name,
+                            lambda *a, _f=spied, _n=name: calls.update([_n]) or _f(*a))
+    query = [ci("1,4|3")], [ci("2,4|1,3")]
+    first = decide_implication(4, *query)
+    again = decide_implication(4, *query)
+    assert calls == {"weighted_transitive_reduction": 1, "_verify_counterexample": 2}
+    assert first.counterexample == again.counterexample
+    assert first.counterexample is not again.counterexample
+    assert _witness(first) == _witness(per_graph_scan_implication(4, *query))

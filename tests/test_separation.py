@@ -393,11 +393,11 @@ def test_maxoid_from_json_takes_compact_and_canonical_forms():
 
 def test_statement_tables_are_not_built_at_import():
     code = ("import maxoid.cli, maxoid.separation as s; "
-            "print(len(s._statement_tables), len(s._subset_tables))")
+            "print(len(s._statement_tables), len(s._subset_tables), len(s._relabelings))")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True).stdout
-    assert out.split() == ["0", "0"]
+    assert out.split() == ["0", "0", "0"]
 
 
 def test_all_subsets_engine_matches_the_per_subset_engine_on_random_blockers():
