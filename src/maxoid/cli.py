@@ -112,14 +112,10 @@ def _cmd_fan(args) -> None:
     edges = g.sorted_edges
     cones = []
     for e in entries:
-        rows = []
-        for con in e.cone.strict:
-            coeffs = dict(con.terms)
-            rows.append([coeffs.get(k, 0) for k in range(len(edges))])
         cones.append({
             "critical_paths": [{"pair": list(pq), "path": list(p)}
                                for pq, p in e.system.choices],
-            "inequalities": rows,
+            "inequalities": [list(row) for row in e.cone.strict],
             "witness": [str(x) for x in e.witness.point],
             "maxoid": e.maxoid.to_json(),
         })
@@ -165,6 +161,8 @@ def _cmd_polytope(args) -> None:
 
 
 def _cmd_census(args) -> None:
+    if args.jobs < 1:
+        raise SystemExit(_error(f"--jobs must be at least 1, got {args.jobs}"))
     if args.nodes >= 5 and not args.unbounded:
         raise SystemExit(_error(f"census on {args.nodes} nodes is long-running; {LONG_RUN_HINT}"))
     family = all_top_ordered_tdags(args.nodes)

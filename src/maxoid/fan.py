@@ -6,24 +6,30 @@ realizable by some generic weight vector spans a full-dimensional open cone;
 the closures of these cones tile R^E and are in bijection with the CI
 structures of generic weights.  Cones are enumerated by a depth-first search
 over per-pair path choices with subpath-consistency and exact feasibility
-pruning, so only realizable systems are ever completed.  The search carries
-down, next to its rows, a StrictTableau: a feasible tableau of
-{c : every row >= 1}, which is nonempty exactly when the open cone of the
-rows is.  A child node whose new rows its parent's witness already
-satisfies strictly keeps that witness and solves no LP; any other child
-appends the rows its tableau has not absorbed yet to a copy of it and
+pruning, so only realizable systems are ever completed.  A row is a
+path comparison weight(winner) - weight(loser) > 0 as a tuple of ints over
+the sorted edges; its entries are -1, 0 and 1, so it is primitive.  The
+search carries down, next to its rows, a StrictTableau: a feasible compact
+dictionary of {c : every row >= 1}, which is nonempty exactly when the open
+cone of the rows is.  A child node whose new rows its parent's point
+already satisfies strictly keeps that tableau and solves no LP; any other
+child appends the rows its tableau has not absorbed yet to a copy of it and
 repairs that by dual simplex, so siblings still share the parent's
-tableau.  A cone's CI structure is read off its chosen paths, which are the
-critical paths of every weight vector in it.
+tableau.  The point stays in integers over the tableau's denominator during
+the search: only at a leaf is it checked, in integers, against every row of
+the cone's full system, and only then made into the Fractions of the
+entry's witness.  A cone's CI structure is read off its chosen paths, which
+are the critical paths of every weight vector in it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 
 from .graph import Dag, Path, enumerate_paths
-from .linarith import Constraint, StrictTableau, Witness, rank_of
+from .linarith import StrictTableau, Witness, rank_of
 from .separation import Maxoid, maxoid_from_blockers, node_mask
 from .tropical import WeightedDag, critical_paths, is_generic
 
@@ -60,10 +66,10 @@ class CriticalSystem:
 
 @dataclass(frozen=True)
 class ConeDescription:
-    """An open cone {c : every row > 0} in R^E; rows are homogeneous and
-    primitive."""
+    """An open cone {c : every row > 0} in R^E; each row is a primitive
+    tuple of ints over the sorted edges."""
 
-    strict: tuple[Constraint, ...]
+    strict: tuple[tuple[int, ...], ...]
     nvars: int
 
 
@@ -79,14 +85,14 @@ def _edge_index(g: Dag) -> dict[tuple[int, int], int]:
     return {e: k for k, e in enumerate(g.sorted_edges)}
 
 
-def _path_comparison(index, winner: Path, loser: Path) -> Constraint:
-    """weight(winner) - weight(loser) > 0 over edge coordinates."""
-    coeffs: dict[int, int] = {}
+def _path_comparison(index, winner: Path, loser: Path) -> tuple[int, ...]:
+    """The row of weight(winner) - weight(loser) > 0 over edge coordinates."""
+    row = [0] * len(index)
     for e in zip(winner, winner[1:]):
-        coeffs[index[e]] = coeffs.get(index[e], 0) + 1
+        row[index[e]] += 1
     for e in zip(loser, loser[1:]):
-        coeffs[index[e]] = coeffs.get(index[e], 0) - 1
-    return Constraint.build(coeffs, ">")
+        row[index[e]] -= 1
+    return tuple(row)
 
 
 def _internally_disjoint(p: Path, q: Path) -> bool:
@@ -115,7 +121,7 @@ def cone_of(wd: WeightedDag, minimal: bool = False) -> ConeDescription:
         raise NonGenericError("cone description requires tie-free weights")
     g = wd.g
     index = _edge_index(g)
-    rows: list[Constraint] = []
+    rows: list[tuple[int, ...]] = []
     seen = set()
     for i, j in _connected_pairs(g):
         crit = critical_paths(wd, i, j)[0]
@@ -126,7 +132,7 @@ def cone_of(wd: WeightedDag, minimal: bool = False) -> ConeDescription:
     return ConeDescription(tuple(rows), len(index))
 
 
-def _pair_rows(g: Dag, index, key, chosen: Path, minimal: bool) -> list[Constraint]:
+def _pair_rows(g: Dag, index, key, chosen: Path, minimal: bool) -> list[tuple[int, ...]]:
     """One strict row per key path other than chosen that chosen must beat;
     with minimal=True only the internally disjoint ones."""
     return [_path_comparison(index, chosen, p) for p in enumerate_paths(g, *key)
@@ -143,9 +149,9 @@ def enumerate_maximal_cones(g: Dag) -> list[FanEntry]:
     pairs = _connected_pairs(g)
     path_lists = {pq: enumerate_paths(g, *pq) for pq in pairs}
     entries: list[FanEntry] = []
-    row_memo: dict[tuple, list[Constraint]] = {}
+    row_memo: dict[tuple, list[tuple[int, ...]]] = {}
 
-    def system_rows(choices: dict, keys, minimal: bool) -> list[Constraint]:
+    def system_rows(choices: dict, keys, minimal: bool) -> list[tuple[int, ...]]:
         rows = []
         for key in keys:
             memo_key = (key, choices[key], minimal)
@@ -173,16 +179,18 @@ def enumerate_maximal_cones(g: Dag) -> list[FanEntry]:
         for k in forced:
             del choices[k]
 
-    def dfs(idx: int, choices: dict, rows: list[Constraint], seen: set,
+    def dfs(idx: int, choices: dict, rows: list[tuple[int, ...]], seen: set,
             tab: StrictTableau):
         if idx == len(pairs):
+            # rows is the cone's whole system, the minimal rows among them
+            witness = Witness.checked(tab.point, rows, tab.d)
             minimal = dict.fromkeys(system_rows(choices, pairs, minimal=True))
             system = CriticalSystem.from_dict(choices)
             entries.append(FanEntry(
                 system=system,
                 cone=ConeDescription(tuple(minimal), nvars),
                 maxoid=maxoid_from_blockers(g.n, system.blockers),
-                witness=tab.witness,
+                witness=witness,
             ))
             return
         key = pairs[idx]
@@ -195,10 +203,11 @@ def enumerate_maximal_cones(g: Dag) -> list[FanEntry]:
                 continue
             new_rows = [r for r in system_rows(choices, forced, minimal=False)
                         if r not in seen]
-            if all(r.holds_at(tab.point, tab.d) for r in new_rows):
+            if all(sum(map(mul, r, tab.point)) > 0 for r in new_rows):
                 child = tab  # the parent's point lies strictly inside the child too
             else:
-                child = tab.extended(rows[len(tab.rows):] + new_rows)
+                # the tableau has absorbed rows[:len(tab.T)], one row of T each
+                child = tab.extended(rows[len(tab.T):] + new_rows)
             if child is not None:
                 rows.extend(new_rows)
                 seen.update(new_rows)
@@ -223,11 +232,5 @@ def lineality_dimension(g: Dag) -> int:
     distinct edge sets, so these weights tie nowhere, and all maximal cones
     of the complete fan share one lineality space."""
     index = _edge_index(g)
-    rows = []
-    for constraint in cone_of(WeightedDag(g, {e: 2 ** k for e, k in index.items()}),
-                              minimal=True).strict:
-        row = [0] * len(index)
-        for v, c in constraint.terms:
-            row[v] = c
-        rows.append(row)
-    return len(index) - rank_of(rows)
+    cone = cone_of(WeightedDag(g, {e: 2 ** k for e, k in index.items()}), minimal=True)
+    return len(index) - rank_of(cone.strict)

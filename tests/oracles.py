@@ -7,7 +7,10 @@ the replaced per-subset shape search on blocker bitmasks,
 max-plus matrix products, one exact LP per face or per pair of cones, the
 replaced pairwise face lattice, the replaced edge-mask graph loop, the
 replaced fan search with one cold LP per node, the dual simplex on a
-Fraction tableau, and the replaced formula engine for implication: Boolean
+Fraction tableau, the replaced full-width integer tableau FullStrictTableau
+with one column per variable, the sparse row type Constraint with
+relations '>', '>=' and '==', and the replaced formula engine for
+implication: Boolean
 formulas over strict path comparisons, polyci_formula, genericity_formula
 and satisfiable on the Fraction simplex, with the local engine
 formula_implication and the global mask-loop scan scan_implication, and
@@ -24,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import combinations, permutations
+from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from maxoid.fan import (
@@ -44,7 +48,7 @@ from maxoid.implication import (
     _counterexample_weights,
     _verify_counterexample,
 )
-from maxoid.linarith import Constraint, Witness, affine_dimension, nullspace, rank_of
+from maxoid.linarith import Witness, _primitive, affine_dimension, nullspace, rank_of
 from maxoid.polytope import Face, FaceLattice, PolytopePoint, _facet_incidences, graph_structures
 from maxoid.separation import CiStatement, Maxoid, maxoid_from_blockers, node_mask
 from maxoid.tropical import NEG_INF, TropicalMatrix, WeightedDag, kleene_star, path_weight
@@ -255,6 +259,159 @@ def d_separated(g: Dag, i: int, j: int, L: frozenset[int]) -> bool:
         if active:
             return False
     return True
+
+
+@dataclass(frozen=True)
+class Constraint:
+    """sum(c_v * x_v) + const REL 0 with REL one of '>', '>=', '=='.
+
+    The row is primitive: integer coefficients and constant with gcd 1."""
+
+    terms: tuple[tuple[int, int], ...]
+    const: int
+    rel: str
+
+    def __post_init__(self):
+        if self.rel not in (">", ">=", "=="):
+            raise ValueError(f"unknown relation {self.rel!r}")
+
+    @staticmethod
+    def build(coeffs: Mapping[int, Fraction | int], rel: str, const=0) -> "Constraint":
+        """The row scaled by the positive factor that makes it primitive, so
+        the half-space (or hyperplane) is unchanged."""
+        terms = sorted((v, c) for v, c in coeffs.items() if c != 0)
+        *ints, const = _primitive([c for _, c in terms] + [const])
+        return Constraint(tuple((v, a) for (v, _), a in zip(terms, ints)), const, rel)
+
+    def holds_at(self, point: Sequence[Fraction | int], den: int = 1) -> bool:
+        """Whether the row holds at point / den, for a positive den."""
+        val = sum(c * point[v] for v, c in self.terms) + self.const * den
+        if self.rel == ">":
+            return val > 0
+        if self.rel == ">=":
+            return val >= 0
+        return val == 0
+
+    def negated(self) -> "Constraint":
+        """Complement within closed/open half-spaces; '==' has no single negation."""
+        if self.rel == "==":
+            raise ValueError("negation of an equality is a disjunction")
+        terms = tuple((v, -c) for v, c in self.terms)
+        return Constraint(terms, -self.const, ">=" if self.rel == ">" else ">")
+
+    def __str__(self) -> str:
+        parts = [f"{c}*x{v}" for v, c in self.terms]
+        if self.const or not parts:
+            parts.append(str(self.const))
+        return f"{' + '.join(parts)} {self.rel} 0"
+
+
+def as_constraint(row: Sequence[int], rel: str = ">") -> Constraint:
+    """The Constraint sum(row[v] * x_v) REL 0 of a dense homogeneous row."""
+    return Constraint.build(dict(enumerate(row)), rel)
+
+
+def in_open_cone(rows: Iterable[Sequence[int]], point: Sequence[Fraction | int]) -> bool:
+    """Whether every dense homogeneous row is positive at point."""
+    return all(sum(map(mul, row, point)) > 0 for row in rows)
+
+
+def checked_witness(point: Sequence[Fraction | int], system: Iterable[Constraint]) -> Witness:
+    """The witness point after checking every Constraint of system at it."""
+    for con in system:
+        if not con.holds_at(point):
+            raise AssertionError(f"witness {tuple(point)} violates {con}")
+    return Witness(tuple(Fraction(x) for x in point))
+
+
+def _full_pivot(T, basis, d, r, j):
+    """Integer-preserving pivot on T[r][j] over the common denominator d.
+
+    Every other row a becomes (a*piv - a[j]*T[r]) // d, an exact division,
+    and piv becomes the new denominator; T[r] itself is kept.  A negative
+    pivot negates the pivot row first, so the denominator stays positive.
+    Returns the new denominator."""
+    prow = T[r]
+    piv = prow[j]
+    if piv < 0:
+        piv = -piv
+        prow = T[r] = [-x for x in prow]
+    for i, row in enumerate(T):
+        if i != r:
+            T[i] = _full_combine(row, prow, piv, d, j)
+    basis[r] = j
+    return piv
+
+
+def _full_combine(row, prow, piv, d, j):
+    """One row of a pivot: (row*piv - row[j]*prow) // d."""
+    f = row[j]
+    if f:
+        return [(a * piv - f * b) // d for a, b in zip(row, prow)]
+    if piv == d:
+        return row
+    return [a * piv // d for a in row]
+
+
+class FullStrictTableau:
+    """The replaced StrictTableau: the same dual simplex on a tableau with
+    one column per variable, z+ and z- for x, then one slack per absorbed
+    row, then the right-hand side, over the common denominator d.  Rows are
+    dense tuples of ints, as in linarith.  Every extension copies every row,
+    pads it with the new slack columns and re-verifies its witness against
+    every absorbed row; point holds the integer numerators over d."""
+
+    __slots__ = ("nvars", "rows", "T", "basis", "d", "point", "witness")
+
+    def __init__(self, nvars: int):
+        self.nvars = nvars
+        self.rows: tuple[tuple[int, ...], ...] = ()
+        self.T, self.basis, self.d = [], [], 1
+        self.point = [0] * nvars
+        self.witness = Witness.checked(self.point, ())
+
+    def extended(self, rows: Sequence[Sequence[int]]) -> "FullStrictTableau | None":
+        for row in rows:
+            if len(row) != self.nvars:
+                raise ValueError(f"{tuple(row)} is not a row over {self.nvars} variables")
+        new = FullStrictTableau.__new__(FullStrictTableau)
+        new.nvars, new.rows = self.nvars, self.rows + tuple(map(tuple, rows))
+        k, d, width = len(rows), self.d, 2 * self.nvars + len(self.rows)
+        pad = [0] * k
+        T = [row[:-1] + pad + row[-1:] for row in self.T]
+        basis = list(self.basis)
+        for i, con in enumerate(rows):
+            row = [0] * (width + k + 1)
+            for v, c in enumerate(con):
+                row[v], row[self.nvars + v] = -c, c
+            row[width + i], row[-1] = 1, -1
+            elim = [x * d for x in row]
+            for r, b in enumerate(basis):
+                f = row[b]
+                if f:
+                    elim = [a - f * x for a, x in zip(elim, T[r])]
+            T.append(elim)
+            basis.append(width + i)
+        while True:
+            leave = None
+            for r, row in enumerate(T):
+                if row[-1] < 0 and (leave is None or basis[r] < basis[leave]):
+                    leave = r
+            if leave is None:
+                break
+            prow = T[leave]
+            enter = next((j for j, a in enumerate(prow[:-1]) if a < 0), None)
+            if enter is None:
+                return None
+            d = _full_pivot(T, basis, d, leave, enter)
+        z = [0] * (2 * self.nvars)
+        for r, b in enumerate(basis):
+            if b < len(z):
+                z[b] = T[r][-1]
+        new.T, new.basis, new.d = T, basis, d
+        new.point = [z[v] - z[self.nvars + v] for v in range(self.nvars)]
+        new.witness = Witness.checked(new.point, new.rows, d)
+        return new
 
 
 def fm_feasible(system: list[Constraint], nvars: int) -> bool:
@@ -492,10 +649,10 @@ def fraction_feasible(system: Sequence[Constraint], nvars: int) -> Witness | Non
     if strict and z[t_pos] - z[t_neg] <= 0:
         return None
     point = [z[2 * v] - z[2 * v + 1] for v in range(nvars)]
-    return Witness.checked(point, system)
+    return checked_witness(point, system)
 
 
-def fraction_strict_tableau(chunks: Sequence[Sequence[Constraint]],
+def fraction_strict_tableau(chunks: Sequence[Sequence[Sequence[int]]],
                             nvars: int) -> list[Witness | None]:
     """The dual-simplex warm start of the strict LP max t s.t. every row
     minus t >= 0 and t <= 1, on a Fraction tableau with every pivot row
@@ -503,14 +660,14 @@ def fraction_strict_tableau(chunks: Sequence[Sequence[Constraint]],
     tableau.  Its columns are z+, z-, t+, t-, the cap row's slack and one
     slack per row.  On homogeneous rows it pivots where StrictTableau does
     while the system stays feasible, so their witnesses agree.  Appends the
-    chunks one after another and returns the witness after each, None from
-    the first infeasible chunk on."""
+    chunks of dense homogeneous rows one after another and returns the
+    witness after each, None from the first infeasible chunk on."""
     t = 2 * nvars
     T = [[Fraction(x) for x in [0] * t + [1, -1, 1, 1]]]
     cost = [Fraction(x) for x in [0] * t + [-1, 1, 0, 0]]
     basis = [t + 2]
     _fr_pivot(T, cost, basis, 0, t)
-    rows: list[Constraint] = []
+    rows: list[Sequence[int]] = []
     out: list[Witness | None] = []
     for chunk in chunks:
         if out and out[-1] is None:
@@ -522,9 +679,9 @@ def fraction_strict_tableau(chunks: Sequence[Sequence[Constraint]],
         cost = cost[:-1] + pad + cost[-1:]
         for i, con in enumerate(chunk):
             row = [Fraction(0)] * (width + len(chunk) + 1)
-            for v, c in con.terms:
+            for v, c in enumerate(con):
                 row[v], row[nvars + v] = Fraction(-c), Fraction(c)
-            row[t], row[t + 1], row[width + i], row[-1] = 1, -1, 1, Fraction(con.const)
+            row[t], row[t + 1], row[width + i] = 1, -1, 1
             for r, b in enumerate(basis):
                 f = row[b]
                 if f:
@@ -689,9 +846,9 @@ def lp_cone_adjacency(entries) -> list[tuple[int, int]]:
         for b in range(a + 1, len(entries)):
             rows_b = entries[b].cone.strict
             for flip in rows_a:
-                system = [Constraint(flip.terms, flip.const, "==")]
-                system += [r for r in rows_a if r != flip]
-                system += [Constraint(r.terms, r.const, ">=") for r in rows_b]
+                system = [as_constraint(flip, "==")]
+                system += [as_constraint(r) for r in rows_a if r != flip]
+                system += [as_constraint(r, ">=") for r in rows_b]
                 if fraction_feasible(system, nvars) is not None:
                     edges.append((a, b))
                     break
@@ -759,10 +916,10 @@ def cold_lp_maximal_cones(g: Dag) -> list[FanEntry]:
             if forced is None:
                 continue
             new_rows = [r for r in system_rows(choices, forced, False) if r not in rows]
-            if witness is not None and all(r.holds_at(witness.point) for r in new_rows):
+            if witness is not None and in_open_cone(new_rows, witness.point):
                 w = witness
             else:
-                w = fraction_feasible(rows + new_rows, nvars)
+                w = fraction_feasible([as_constraint(r) for r in rows + new_rows], nvars)
             if w is not None:
                 dfs(idx + 1, choices, rows + new_rows, w)
             for k in forced:
@@ -889,9 +1046,9 @@ def evaluate(f: Formula, point) -> bool:
 
 def _weight_atom(index, winner, loser) -> Formula:
     row = _path_comparison(index, winner, loser)
-    if not row.terms:
+    if not any(row):
         return FALSE  # identical weight, never strictly larger
-    return Atom(row)
+    return Atom(as_constraint(row))
 
 
 def _edge_presence(g: Dag, index, K: frozenset[int], cache: dict, k: int, l: int) -> Formula:
@@ -1119,10 +1276,7 @@ def echelon_lineality_dimension(g: Dag) -> int:
         for a in range(len(paths)):
             for b in range(a + 1, len(paths)):
                 if _internally_disjoint(paths[a], paths[b]):
-                    row = [0] * len(index)
-                    for v, c in _path_comparison(index, paths[a], paths[b]).terms:
-                        row[v] = c
-                    normals.append(row)
+                    normals.append(_path_comparison(index, paths[a], paths[b]))
     if not normals:
         return len(index)
     return len(index) - rank_of(normals)

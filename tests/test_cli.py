@@ -98,6 +98,14 @@ def test_census_long_sizes_guarded(files, capsys):
     assert "error" in json.loads(out)
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_census_refuses_fewer_than_one_job(files, capsys, jobs):
+    code, out = invoke(capsys, "census", "--nodes", "3", "--jobs", jobs)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "usage" and "--jobs" in error["message"]
+
+
 def test_implies_long_sizes_guarded(files, capsys):
     code, out = invoke(capsys, "implies", "--nodes", "6", "1,2|3 => 1,2|3,4")
     assert code == 2

@@ -15,12 +15,14 @@ from maxoid.fan import (
 from maxoid.graph import Dag, top_ordered_closed_dags
 from maxoid.polytope import cone_adjacency
 from maxoid.separation import maxoid, parse_ci_statement
-from maxoid.tropical import WeightedDag, weighted_dag_from_list
+from maxoid.tropical import WeightedDag, critical_paths, weighted_dag_from_list
 from oracles import (
+    as_constraint,
     cold_lp_maximal_cones,
     complete_dag,
     echelon_lineality_dimension,
     fraction_feasible,
+    in_open_cone,
     kleene_maxoid,
     random_weighted_dag,
 )
@@ -37,18 +39,14 @@ def stmts(*texts):
 def test_cone_of_diamond_minimal():
     wd = weighted_dag_from_list(DIAMOND, [2, 1, 2, 1])
     cone = cone_of(wd, minimal=True)
-    assert len(cone.strict) == 1
-    row = cone.strict[0]
-    assert row.rel == ">"
     # c12 + c24 - c13 - c34 > 0 over lexicographic edges
-    assert dict(row.terms) == {0: 1, 1: -1, 2: 1, 3: -1}
+    assert cone.strict == ((1, -1, 1, -1),)
 
 
 def test_cone_of_k3():
     wd = weighted_dag_from_list(K3, [1, 1, 1])  # c13 < c12 + c23
     cone = cone_of(wd)
-    assert len(cone.strict) == 1
-    assert dict(cone.strict[0].terms) == {0: 1, 1: -1, 2: 1}
+    assert cone.strict == ((1, -1, 1),)
 
 
 def test_cone_of_chain_is_whole_space():
@@ -76,7 +74,8 @@ def test_minimal_description_equivalent_to_full():
             assert set(mini.strict) <= set(full.strict)
             # every full row is implied by the minimal system
             for row in full.strict:
-                system = list(mini.strict) + [row.negated()]
+                system = [as_constraint(r) for r in mini.strict]
+                system.append(as_constraint([-c for c in row], ">="))
                 assert fraction_feasible(system, full.nvars) is None
 
 
@@ -128,7 +127,7 @@ def test_cone_to_maxoid_injective_and_systems_subpath_closed():
 def test_witnesses_lie_in_their_cone_and_reproduce_maxoid():
     for g in (DIAMOND, K3, complete_dag(4)):
         for e in enumerate_maximal_cones(g):
-            assert all(c.holds_at(e.witness.point) for c in e.cone.strict)
+            assert in_open_cone(e.cone.strict, e.witness.point)
             wd = WeightedDag(g, dict(zip(g.sorted_edges, e.witness.point)))
             assert maxoid(wd) == e.maxoid
 
@@ -140,7 +139,7 @@ def _sample_in_cone(rng, cone, witness):
         cand = tuple(
             x + Fraction(rng.randint(-3, 3), denom) for x in witness.point
         )
-        if all(c.holds_at(cand) for c in cone.strict):
+        if in_open_cone(cone.strict, cand):
             return cand
     raise AssertionError("no nearby sample found")
 
@@ -165,7 +164,7 @@ def test_random_generic_vector_lies_in_exactly_one_cone():
             wd = WeightedDag(g, dict(zip(g.sorted_edges, point)))
             inside = [
                 e for e in entries
-                if all(c.holds_at(point) for c in e.cone.strict)
+                if in_open_cone(e.cone.strict, point)
             ]
             from maxoid.tropical import is_generic
 
@@ -243,9 +242,24 @@ def test_warm_started_search_matches_the_cold_lp_search(graphs):
         assert [(e.system, e.cone, e.maxoid) for e in entries] == \
             [(e.system, e.cone, e.maxoid) for e in expected]
         for e in entries:
-            assert all(c.holds_at(e.witness.point) for c in e.cone.strict)
+            assert in_open_cone(e.cone.strict, e.witness.point)
             wd = WeightedDag(g, dict(zip(g.sorted_edges, e.witness.point)))
             assert kleene_maxoid(wd) == e.maxoid
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_every_returned_witness_picks_every_chosen_path(seed):
+    # each witness, checked once at its leaf, makes every pair's chosen path
+    # its unique critical path, which is more than its minimal rows say
+    rng = random.Random(f"leaf-check/{seed}")
+    label = [0, *rng.sample(range(1, 6), 5)]
+    g = Dag(5, [(label[u], label[v]) for u, v in complete_dag(5).edges])
+    entries = enumerate_maximal_cones(g)
+    assert len(entries) == 103
+    for e in entries:
+        wd = WeightedDag(g, dict(zip(g.sorted_edges, e.witness.point)))
+        for pair, path in e.system.choices:
+            assert critical_paths(wd, *pair) == [path]
 
 
 def test_lineality_of_one_cone_matches_the_echelon_over_every_path_pair():

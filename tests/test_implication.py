@@ -17,7 +17,6 @@ from maxoid.implication import (
     _verify_counterexample,
     decide_implication,
 )
-from maxoid.linarith import Constraint
 from maxoid.polytope import graph_structures
 from maxoid.separation import (
     CiStatement,
@@ -31,6 +30,7 @@ from oracles import (
     FALSE,
     TRUE,
     Atom,
+    Constraint,
     complete_dag,
     evaluate,
     f_and,

@@ -7,15 +7,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxoid.linarith import (
-    Constraint,
     StrictTableau,
     Witness,
+    _primitive,
     affine_dimension,
     nullspace,
     pivot_columns,
     rank_of,
 )
-from oracles import fm_feasible, fraction_feasible, fraction_strict_tableau
+from oracles import (
+    Constraint,
+    FullStrictTableau,
+    as_constraint,
+    fm_feasible,
+    fraction_feasible,
+    fraction_strict_tableau,
+)
 
 
 def gt(coeffs, const=0):
@@ -30,19 +37,26 @@ def eq(coeffs, const=0):
     return Constraint.build(coeffs, "==", const)
 
 
-def strict_witness(system, nvars):
-    """The StrictTableau witness of a strict system, None when infeasible."""
-    tab = StrictTableau(nvars).extended(system)
-    return None if tab is None else tab.witness
+def strict_witness(rows, nvars):
+    """The checked StrictTableau witness of dense strict rows, None when
+    their open cone is empty."""
+    tab = StrictTableau(nvars).extended(rows)
+    return None if tab is None else Witness.checked(tab.point, rows, tab.d)
+
+
+def dense(con, nvars):
+    """The dense row of a homogeneous Constraint."""
+    coeffs = dict(con.terms)
+    return tuple(coeffs.get(v, 0) for v in range(nvars))
 
 
 def test_open_interval():
-    w = strict_witness([gt({0: 1}), gt({0: -1, 1: 1})], 2)
+    w = strict_witness([(1, 0), (-1, 1)], 2)
     assert w is not None and 0 < w.point[0] < w.point[1]
 
 
 def test_contradiction():
-    assert strict_witness([gt({0: 1}), gt({0: -1})], 1) is None
+    assert strict_witness([(1,), (-1,)], 1) is None
 
 
 def test_strict_versus_nonstrict_boundary():
@@ -59,7 +73,7 @@ def test_diamond_cone_witness_reproduces_maxoid():
     from maxoid.separation import maxoid, parse_ci_statement
     from maxoid.tropical import WeightedDag
 
-    cone = gt({0: 1, 2: 1, 1: -1, 3: -1})  # edges (1,2),(1,3),(2,4),(3,4)
+    cone = (1, -1, 1, -1)  # edges (1,2),(1,3),(2,4),(3,4)
     w = strict_witness([cone], 4)
     d = Dag(4, [(1, 2), (1, 3), (2, 4), (3, 4)])
     wd = WeightedDag(d, dict(zip(d.sorted_edges, w.point)))
@@ -76,16 +90,19 @@ def test_equalities():
 def test_empty_system_and_out_of_range():
     assert strict_witness([], 2).point == (Fraction(0), Fraction(0))
     with pytest.raises(ValueError):
-        strict_witness([gt({5: 1})], 2)
+        strict_witness([(0, 0, 0, 0, 0, 1)], 2)
 
 
 def test_witness_checked_raises_on_violation():
     with pytest.raises(AssertionError):
-        Witness.checked((Fraction(0),), [gt({0: 1})])
+        Witness.checked((Fraction(0),), [(1,)])
+    with pytest.raises(AssertionError):
+        Witness.checked((1, -1), [(1, 1)], 3)
+    assert Witness.checked((1, 2), [(-1, 1)], 4).point == (Fraction(1, 4), Fraction(1, 2))
 
 
 def test_determinism():
-    system = [gt({0: 1, 1: -1}), gt({1: 1, 2: -1}), gt({2: 1, 0: -5})]
+    system = [(1, -1, 0), (0, 1, -1), (-5, 0, 1)]
     w = strict_witness(system, 3)
     assert w is not None and w == strict_witness(system, 3)
 
@@ -181,7 +198,7 @@ def test_rational_systems_agree_with_the_fraction_simplex(case):
     # rational rows enter the integer tableau as their primitive rows, and
     # the tableau's cone is empty exactly when the strict system is
     system, nvars = case
-    w = strict_witness(system, nvars)
+    w = strict_witness([dense(con, nvars) for con in system], nvars)
     assert (w is None) == (fraction_feasible(system, nvars) is None)
     if w is not None:
         assert all(con.holds_at(w.point) for con in system)
@@ -220,20 +237,94 @@ def test_fan_cone_systems_match_the_fraction_simplex():
         for e in enumerate_maximal_cones(g):
             system = e.cone.strict
             w = strict_witness(system, e.cone.nvars)
-            assert w is not None and all(r.holds_at(w.point) for r in system)
-            assert fraction_feasible(system, e.cone.nvars) is not None
+            assert w is not None
+            assert fraction_feasible([as_constraint(r) for r in system], e.cone.nvars) is not None
 
 
 def _random_strict_chunks(rng):
-    """Up to 4 chunks of up to 4 homogeneous strict rows in up to 4
-    variables, like the fan's rows; zero rows and opposite rows make some
-    systems infeasible."""
+    """Up to 4 chunks of up to 4 primitive dense rows in up to 4 variables,
+    like the fan's rows; zero rows and opposite rows make some systems
+    infeasible."""
     nvars = rng.randint(1, 4)
     chunks = []
     for _ in range(rng.randint(1, 4)):
-        chunks.append([gt({v: rng.randint(-3, 3) for v in range(nvars)})
+        chunks.append([_primitive([rng.randint(-3, 3) for v in range(nvars)])
                        for _ in range(rng.randint(1, 4))])
     return chunks, nvars
+
+
+@pytest.fixture
+def pivots(monkeypatch):
+    """Pivot counts of the compact tableau and of the full-width oracle,
+    by module: {"compact": ..., "full": ...}."""
+    import oracles
+    from maxoid import linarith
+
+    counts = {"compact": 0, "full": 0}
+    for module, name, key in ((linarith, "_pivot", "compact"),
+                              (oracles, "_full_pivot", "full")):
+        def counting(*args, _pivot=getattr(module, name), _key=key):
+            counts[_key] += 1
+            return _pivot(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    return counts
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_compact_tableau_matches_the_full_width_tableau(seed, pivots):
+    # the compact dictionary against the full-width tableau it replaced:
+    # after every chunk the same verdict, point and denominator, reached by
+    # the same number of pivots
+    rng = random.Random(f"strict-tableau/{seed}")
+    verdicts = set()
+    for _ in range(100):
+        chunks, nvars = _random_strict_chunks(rng)
+        tab, full = StrictTableau(nvars), FullStrictTableau(nvars)
+        for chunk in chunks:
+            tab, full = tab.extended(chunk), full.extended(chunk)
+            assert (tab is None) == (full is None)
+            assert pivots["compact"] == pivots["full"]
+            if tab is None:
+                break
+            assert (tab.point, tab.d) == (full.point, full.d)
+            assert len(tab.T) == len(full.rows)
+        verdicts.add(tab is None)
+    assert verdicts == {True, False}
+
+
+class _BothTableaus:
+    """A compact tableau and the full-width oracle extended in step, each
+    extension checked for the same verdict, point, denominator and number
+    of pivots; it reads as the compact one."""
+
+    def __init__(self, nvars, pivots, pair=None):
+        self.pivots = pivots
+        self.compact, self.full = pair or (StrictTableau(nvars), FullStrictTableau(nvars))
+        self.T, self.point, self.d = self.compact.T, self.compact.point, self.compact.d
+
+    def extended(self, rows):
+        compact, full = self.compact.extended(rows), self.full.extended(rows)
+        assert (compact is None) == (full is None)
+        assert self.pivots["compact"] == self.pivots["full"]
+        if compact is None:
+            return None
+        assert (compact.point, compact.d) == (full.point, full.d)
+        return _BothTableaus(None, self.pivots, (compact, full))
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_compact_tableau_matches_the_full_width_tableau_on_fans(n, pivots, monkeypatch):
+    # every extension of the complete-4 and complete-5 fan searches, run on
+    # both tableaus at once, and the same cones as with the compact one alone
+    from maxoid import fan
+    from oracles import complete_dag
+
+    expected = fan.enumerate_maximal_cones(complete_dag(n))
+    pivots["compact"] = 0
+    monkeypatch.setattr(fan, "StrictTableau", lambda nvars: _BothTableaus(nvars, pivots))
+    assert fan.enumerate_maximal_cones(complete_dag(n)) == expected
+    assert pivots["compact"] == pivots["full"] > 0
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -251,54 +342,44 @@ def test_strict_tableau_in_chunks_matches_the_fraction_simplex(seed):
         for chunk, want in zip(chunks, expected):
             rows += chunk
             tab = tab and tab.extended(chunk)
-            assert (tab and tab.witness) == want
-            assert tab is None or tab.rows == tuple(rows)
-        assert (tab is None) == (fraction_feasible(rows, nvars) is None)
+            assert (tab and Witness.checked(tab.point, rows, tab.d)) == want
+            assert tab is None or len(tab.T) == len(rows)
+        assert (tab is None) == (fraction_feasible([as_constraint(r) for r in rows],
+                                                   nvars) is None)
         verdicts.add(tab is None)
     assert verdicts == {True, False}
 
 
 def test_strict_tableau_leaves_the_parent_unchanged():
     root = StrictTableau(2)
-    assert root.witness.point == (0, 0) and root.extended([]).witness == root.witness
-    parent = root.extended([gt({0: 1, 1: -1})])
-    state = ([row[:] for row in parent.T], parent.basis[:], parent.d)
-    left = parent.extended([gt({1: 1}), gt({0: -1, 1: 3})])
-    assert parent.extended([gt({1: -1})]) is not None
-    assert state == (parent.T, parent.basis, parent.d)
-    assert left.rows == parent.rows + (gt({1: 1}), gt({0: -1, 1: 3}))
-    assert left.extended([gt({0: -1, 1: 1})]) is None
+    assert root.point == [0, 0] and root.extended([]).point == root.point
+    parent = root.extended([(1, -1)])
+    state = ([row[:] for row in parent.T], parent.basis[:], parent.cols[:], parent.d)
+    left = parent.extended([(0, 1), (-1, 3)])
+    assert parent.extended([(0, -1)]) is not None
+    assert state == (parent.T, parent.basis, parent.cols, parent.d)
+    assert len(left.T) == len(parent.T) + 2
+    Witness.checked(left.point, [(1, -1), (0, 1), (-1, 3)], left.d)
+    assert left.extended([(-1, 1)]) is None
 
 
 def test_strict_tableau_takes_strict_rows_in_range_only():
     tab = StrictTableau(2)
     with pytest.raises(ValueError):
-        tab.extended([ge({0: 1})])
+        tab.extended([(0, 0, 1)])
     with pytest.raises(ValueError):
-        tab.extended([gt({2: 1})])
-    with pytest.raises(ValueError):
-        tab.extended([gt({0: 1}, 1)])
+        tab.extended([(1,)])
 
 
-@pytest.mark.parametrize("n, pivots", [(4, 17), (5, 251)])
-def test_complete_dag_fans_take_the_pinned_pivot_counts(n, pivots, monkeypatch):
+@pytest.mark.parametrize("n, count", [(4, 17), (5, 251)])
+def test_complete_dag_fans_take_the_pinned_pivot_counts(n, count, pivots):
     # Bland's rule fixes every pivot, so a change of their number is a
     # change of the simplex
-    from maxoid import linarith
     from maxoid.fan import enumerate_maximal_cones
     from oracles import complete_dag
 
-    count = 0
-    pivot = linarith._pivot
-
-    def counting_pivot(*args):
-        nonlocal count
-        count += 1
-        return pivot(*args)
-
-    monkeypatch.setattr(linarith, "_pivot", counting_pivot)
     enumerate_maximal_cones(complete_dag(n))
-    assert count == pivots
+    assert pivots["compact"] == count
 
 
 def test_rank_and_affine_dimension():
