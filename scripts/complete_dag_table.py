@@ -17,7 +17,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from maxoid.fan import enumerate_maximal_cones, lineality_dimension
 from maxoid.graph import Dag
-from maxoid.linarith import affine_dimension
+from maxoid.linarith import rank_of
 from maxoid.polytope import face_lattice, polytope_vertices
 
 
@@ -29,7 +29,7 @@ def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--up-to", type=int, default=5)
     ap.add_argument("--f-vectors", action="store_true",
-                    help="also compute f-vectors (about a second at 5 nodes)")
+                    help="also compute f-vectors (about 0.1 s at 5 nodes)")
     args = ap.parse_args()
 
     print(f"{'n':>3} {'|E|':>4} {'dim':>4} {'vertices':>9} {'lineality':>10}"
@@ -39,7 +39,8 @@ def main() -> None:
         g = complete_dag(n)
         entries = enumerate_maximal_cones(g)
         points = [p for _, p in polytope_vertices(g, entries)]
-        dim = affine_dimension([p.coords for p in points])[0]
+        base = points[0].coords
+        dim = rank_of([[x - y for x, y in zip(p.coords, base)] for p in points[1:]])
         row = (f"{n:>3} {len(g.edges):>4} {dim:>4} {len(points):>9} "
                f"{lineality_dimension(g):>10}")
         if args.f_vectors:

@@ -1,4 +1,4 @@
-"""Exact rational linear algebra: open-cone feasibility and echelon forms.
+"""Exact integer linear algebra: open-cone feasibility and echelon forms.
 
 A row is a tuple of Python ints, one per variable, and stands for the
 homogeneous strict inequality sum(row[v] * x_v) > 0.  StrictTableau decides
@@ -43,6 +43,10 @@ The tableau keeps its point as integer numerators over d and checks
 nothing; a caller re-verifies the point it returns with Witness.checked,
 which tests every row in integers before Fractions appear in it as
 num_v / d.
+
+Ranks, independent rows and pivot columns come from one fraction-free row
+echelon form, _echelon: a rational row is first scaled to a primitive
+integer row, and every echelon row stays primitive, so no Fraction is made.
 """
 
 from __future__ import annotations
@@ -52,9 +56,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
-
-ZERO = Fraction(0)
-
 
 def _primitive(vec: Sequence[Fraction | int]) -> tuple[int, ...]:
     """The positive multiple of a rational or integer vector with coprime
@@ -192,62 +193,48 @@ class StrictTableau:
         return new
 
 
-def rank_of(rows: Sequence[Sequence[Fraction]]) -> int:
+def rank_of(rows: Sequence[Sequence[Fraction | int]]) -> int:
     """Exact rank: the size of a maximal linearly independent subset."""
     return len(independent_rows(rows))
 
 
 def _echelon(rows):
-    """Fraction row echelon form, built greedily row by row: (echelon rows,
-    their pivot columns, indices of the input rows that contributed them)."""
-    E: list[list[Fraction]] = []
+    """Fraction-free row echelon form, built greedily row by row: (echelon
+    rows, their pivot columns, indices of the input rows that contributed
+    them).
+
+    Each input row is scaled to a primitive integer row (_primitive), and
+    each echelon row is primitive with a positive pivot.  A row v is
+    reduced against an echelon row e with pivot p as e[p]*v - v[p]*e; the
+    earlier pivots stay 0 in it, since e is 0 on them.  The reduced row is
+    a nonzero multiple of the one that Fraction elimination leaves, so the
+    pivot columns and the chosen rows are the same."""
+    E: list[list[int]] = []
     pivots: list[int] = []
     chosen: list[int] = []
     for idx, row in enumerate(rows):
-        v = [Fraction(x) for x in row]
+        v = _primitive(row)
         for erow, p in zip(E, pivots):
-            if v[p] != 0:
-                f = v[p]
-                v = [a - f * b for a, b in zip(v, erow)]
-        p = next((j for j, x in enumerate(v) if x != 0), None)
-        if p is not None:
             f = v[p]
-            E.append([x / f for x in v])
+            if f:
+                e = erow[p]
+                v = [e * a - f * b for a, b in zip(v, erow)]
+        p = next((j for j, x in enumerate(v) if x), None)
+        if p is not None:
+            g = gcd(*v)
+            if v[p] < 0:
+                g = -g
+            E.append([x // g for x in v])
             pivots.append(p)
             chosen.append(idx)
     return E, pivots, chosen
 
 
-def independent_rows(rows: Sequence[Sequence[Fraction]]) -> list[int]:
+def independent_rows(rows: Sequence[Sequence[Fraction | int]]) -> list[int]:
     """Indices of a greedily chosen maximal linearly independent subset."""
     return _echelon(rows)[2]
 
 
-def pivot_columns(rows: Sequence[Sequence[Fraction]]) -> list[int]:
+def pivot_columns(rows: Sequence[Sequence[Fraction | int]]) -> list[int]:
     """Column indices carrying the pivots of the row echelon form."""
     return _echelon(rows)[1]
-
-
-def affine_dimension(points: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[Fraction]]]:
-    """Dimension of the affine hull of a point set, with a difference basis."""
-    pts = [list(map(Fraction, p)) for p in points]
-    if not pts:
-        raise ValueError("need at least one point")
-    base = pts[0]
-    diffs = [[x - y for x, y in zip(p, base)] for p in pts[1:]]
-    chosen = independent_rows(diffs)
-    return len(chosen), [diffs[i] for i in chosen]
-
-
-def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of the solution space of the homogeneous system rows . x = 0."""
-    E, pivots, _ = _echelon(rows)
-    free = [j for j in range(ncols) if j not in pivots]
-    basis = []
-    for fcol in free:
-        vec = [ZERO] * ncols
-        vec[fcol] = Fraction(1)
-        for erow, p in reversed(list(zip(E, pivots))):
-            vec[p] = -sum(erow[j] * vec[j] for j in range(p + 1, ncols))
-        basis.append(vec)
-    return basis

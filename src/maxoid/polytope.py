@@ -6,26 +6,32 @@ are the vertices of a polytope whose (outer) normal fan is the weight-space
 fan, so its face lattice is dual to the fan and relative-interior normal
 vectors of faces realize the CI structures of tied weight vectors.
 
-The convex hull is computed exactly and in integers: points are projected to
-affine-hull coordinates and shifted by the centroid scaled by the point
-count m (p becomes m*p - sum of all points), so the origin is interior, and
-the facets are read off as the extreme rays of the cone of valid
-inequalities via the double description method with the combinatorial
-adjacency test.  The face lattice comes from the vertex-facet incidences
-alone: the faces covered by a face are the inclusion-maximal cuts of it with
-facets, and dimensions are lattice ranks (Kaibel & Pfetsch, "Computing the face lattice of a polytope from its
-vertex-facet incidences", CGTA 23, 2002).  The facet normals then answer the
-fan's questions without further LPs: the sum of the normals of the facets
-containing a face lies in the relative interior of the face's normal cone,
-and two maximal cones are adjacent exactly when their vertices span an edge.
+The convex hull is computed exactly and in integers, with no Fraction
+anywhere: points are projected to the affine hull's pivot columns (from the
+fraction-free echelon of linarith) and shifted by the centroid scaled by the
+point count m (p becomes m*p - sum of all points), so the origin is
+interior, and the facets are read off as the extreme rays of the cone of
+valid inequalities via the double description method.  It starts from the
+simplicial cone of independent rows, whose rays are the columns of one
+integer Gauss-Jordan inverse, and tests adjacency combinatorially after a
+count of common zero rows.  The face lattice comes from the vertex-facet
+incidences alone: the faces covered by a face are the inclusion-maximal cuts
+of it with facets, and dimensions are lattice ranks (Kaibel & Pfetsch,
+"Computing the face lattice of a polytope from its vertex-facet incidences",
+CGTA 23, 2002).  The facet normals then answer the fan's questions without
+further LPs: the sum of the normals of the facets containing a face lies in
+the relative interior of the face's normal cone, and two maximal cones are
+adjacent exactly when their vertices span an edge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
+from operator import add, mul, or_
 
 from .graph import Dag
-from .linarith import _primitive, independent_rows, nullspace, pivot_columns
+from .linarith import _primitive, independent_rows, pivot_columns
 from .separation import Maxoid, maxoid_from_blockers
 from .fan import FanEntry, CriticalSystem, enumerate_maximal_cones
 
@@ -88,63 +94,79 @@ def polytope_vertices(g: Dag, entries: list[FanEntry] | None = None
     return out
 
 
+def _simplex_rays(init: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Extreme rays of {y : row . y >= 0} for a square nonsingular integer
+    matrix of rows: the columns of its inverse, each primitive.
+
+    One integer Gauss-Jordan elimination of [rows | I] leaves [D | M] with D
+    diagonal and M = D times the inverse.  Scaling row i by L / D[i][i], for
+    the positive L = lcm of the diagonal, gives L times the inverse, whose
+    column c is positive on row c and zero on the others."""
+    dim = len(init)
+    aug = [list(row) + [int(i == k) for k in range(dim)] for i, row in enumerate(init)]
+    for j in range(dim):
+        r = next(r for r in range(j, dim) if aug[r][j])
+        aug[j], aug[r] = aug[r], aug[j]
+        prow = aug[j]
+        p = prow[j]
+        for i, row in enumerate(aug):
+            f = row[j]
+            if i != j and f:
+                new = [p * a - f * b for a, b in zip(row, prow)]
+                g = gcd(*new)
+                aug[i] = [x // g for x in new]
+    big = lcm(*(abs(aug[i][i]) for i in range(dim)))
+    scaled = [[x * (big // row[i]) for x in row[dim:]] for i, row in enumerate(aug)]
+    return [_primitive(col) for col in zip(*scaled)]
+
+
 def _dd_extreme_rays(rows: list[tuple[int, ...]], dim: int) -> list[tuple[int, ...]]:
     """Extreme rays of {y : row . y >= 0 for all rows}; the cone must be
-    pointed and the rows of full rank dim."""
+    pointed and the rows of full rank dim.
+
+    Double description (Fukuda & Prodon, "Double description method
+    revisited", 1996) from the simplicial cone of dim independent rows.  A
+    ray's mask has a bit per processed row that is zero on it.  Two rays are
+    adjacent when no third ray's mask contains their common one; since the
+    common zero rows of adjacent rays have rank dim - 2, pairs sharing fewer
+    zero rows are skipped first.  The new ray of an adjacent pair (plus,
+    minus) is a positive combination of the two, so its processed zero rows
+    are their common ones."""
     init = independent_rows(rows)
     if len(init) != dim:
         raise ValueError("row system is not full-dimensional")
-    # rays of the initial simplicial cone: ray c spans the null line of the
-    # other chosen rows and is signed so that row c is positive on it
-    rays = []
-    for c in init:
-        (line,) = nullspace([rows[i] for i in init if i != c], dim)
-        ray = _primitive(line)
-        if sum(a * b for a, b in zip(rows[c], ray)) < 0:
-            ray = tuple(-x for x in ray)
-        rays.append(ray)
-
-    processed = [rows[i] for i in init]
-
-    def zero_mask(ray) -> int:
-        mask = 0
-        for k, row in enumerate(processed):
-            if sum(a * b for a, b in zip(row, ray)) == 0:
-                mask |= 1 << k
-        return mask
-
-    masks = {r: zero_mask(r) for r in rays}
-    pending = [rows[i] for i in range(len(rows)) if i not in set(init)]
-    for row in pending:
-        vals = {r: sum(a * b for a, b in zip(row, r)) for r in rays}
+    rays = _simplex_rays([rows[i] for i in init])
+    masks = {r: ((1 << dim) - 1) ^ (1 << k) for k, r in enumerate(rays)}
+    chosen = set(init)
+    nprocessed = dim
+    for row in (row for i, row in enumerate(rows) if i not in chosen):
+        vals = {r: sum(map(mul, row, r)) for r in rays}
         plus = [r for r in rays if vals[r] > 0]
         zero = [r for r in rays if vals[r] == 0]
         minus = [r for r in rays if vals[r] < 0]
-        if not minus:
-            processed.append(row)
-            bit = 1 << (len(processed) - 1)
-            rays = plus + zero
-            masks = {r: masks[r] | (bit if vals[r] == 0 else 0) for r in rays}
-            continue
-        newly = []
-        for rp in plus:
-            for rm in minus:
-                common = masks[rp] & masks[rm]
-                # adjacency: no third ray's zero set contains the common one
-                if any(masks[r] & common == common for r in rays if r != rp and r != rm):
-                    continue
-                combo = [vals[rp] * b - vals[rm] * a for a, b in zip(rp, rm)]
-                newly.append(_primitive(combo))
-        processed.append(row)
-        bit = 1 << (len(processed) - 1)
-        kept = {}
-        for r in plus:
-            kept[r] = masks[r]
+        bit = 1 << nprocessed
+        nprocessed += 1
+        kept = {r: masks[r] for r in plus}
         for r in zero:
             kept[r] = masks[r] | bit
-        for r in newly:
-            if r not in kept:
-                kept[r] = zero_mask(r)
+        if minus:
+            least = dim - 2
+            zero_sets = list(masks.values())
+            for rp in plus:
+                mp, vp = masks[rp], vals[rp]
+                for rm in minus:
+                    mm = masks[rm]
+                    common = mp & mm
+                    if common.bit_count() < least:
+                        continue
+                    # adjacency: no third ray's zero set contains the common
+                    # one; distinct extreme rays have distinct zero sets
+                    if any(m & common == common and m != mp and m != mm for m in zero_sets):
+                        continue
+                    vm = vals[rm]
+                    ray = _primitive([vp * b - vm * a for a, b in zip(rp, rm)])
+                    if ray not in kept:
+                        kept[ray] = common | bit
         rays = list(kept)
         masks = kept
     return rays
@@ -180,10 +202,8 @@ def _facet_incidences(points: list[tuple[int, ...]]
         a0, a = ray[0], ray[1:]
         if a0 <= 0:
             raise AssertionError("facet inequality with nonpositive offset")
-        incident = frozenset(
-            i for i, p in enumerate(shifted)
-            if sum(c * x for c, x in zip(a, p)) == m * a0
-        )
+        level = m * a0
+        incident = frozenset(i for i, p in enumerate(shifted) if sum(map(mul, a, p)) == level)
         normal = [0] * len(base)
         for c, x in zip(cols, a):
             normal[c] = x
@@ -230,15 +250,22 @@ def face_lattice(points: list[PolytopePoint]) -> FaceLattice:
         total = [0] * len(coords[0])
         for m, a in facets:
             if face & m == face:
-                total = [x + y for x, y in zip(total, a)]
+                total = list(map(add, total, a))
         return tuple(total)
 
-    def vertices(face: int) -> frozenset[int]:
-        return frozenset(i for i in range(len(coords)) if face >> i & 1)
+    def vertices(face: int) -> list[int]:
+        out = []
+        while face:
+            low = face & -face
+            out.append(low.bit_length() - 1)
+            face ^= low
+        return out
 
-    order = sorted(below, key=lambda face: (dims[face], sorted(vertices(face))))
+    members = {face: vertices(face) for face in below}
+    order = sorted(below, key=lambda face: (dims[face], members[face]))
     index = {face: k for k, face in enumerate(order)}
-    faces = tuple(Face(vertices(face), dims[face], normal(face)) for face in order)
+    # each vertex list is dropped once its frozenset is made
+    faces = tuple(Face(frozenset(members.pop(face)), dims[face], normal(face)) for face in order)
     covers = sorted((index[k], index[face]) for face in order for k in below[face])
     return FaceLattice(faces, tuple(covers))
 
@@ -265,14 +292,17 @@ def face_maxoid(g: Dag, face: Face, entries: list[FanEntry],
         raise ValueError("face has no normal vector; take faces from face_lattice")
     if points is None:
         points = polytope_vertices(g, entries)
-    scores = [sum(c * x for c, x in zip(face.normal, p.coords)) for _, p in points]
+    normal = face.normal
+    scores = [sum(map(mul, normal, p.coords)) for _, p in points]
     best = max(scores)
     if frozenset(u for u, v in enumerate(scores) if v == best) != face.vertices:
         raise ValueError("vertex set is not a face of the polytope")
-    blockers: dict[tuple[int, int], int] = {}
-    for u in face.vertices:
-        for key, mask in points[u][0].blockers.items():
-            blockers[key] = blockers.get(key, 0) | mask
+    # every vertex's blockers are keyed by the same pairs in the same order
+    systems = [points[u][0].blockers for u in face.vertices]
+    union = [0] * len(systems[0])
+    for masks in systems:
+        union = list(map(or_, union, masks.values()))
+    blockers = dict(zip(systems[0], union))
     memo = {} if memo is None else memo
     key = (g.n, frozenset(blockers.items()))
     if key not in memo:

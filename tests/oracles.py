@@ -5,6 +5,9 @@ enumeration, textbook d-separation, Fourier-Motzkin elimination, the
 two-phase Fraction simplex, the replaced per-subset Kleene-star separation,
 the replaced per-subset shape search on blocker bitmasks,
 max-plus matrix products, one exact LP per face or per pair of cones, the
+replaced Fraction echelon fraction_echelon with the nullspace and
+affine_dimension built on it, the replaced vertex hull
+hull_facet_incidences (started from one Fraction null line per ray), the
 replaced pairwise face lattice, the replaced edge-mask graph loop, the
 replaced fan search with one cold LP per node, the dual simplex on a
 Fraction tableau, the replaced full-width integer tableau FullStrictTableau
@@ -48,8 +51,8 @@ from maxoid.implication import (
     _counterexample_weights,
     _verify_counterexample,
 )
-from maxoid.linarith import Witness, _primitive, affine_dimension, nullspace, rank_of
-from maxoid.polytope import Face, FaceLattice, PolytopePoint, _facet_incidences, graph_structures
+from maxoid.linarith import Witness, _primitive, rank_of
+from maxoid.polytope import Face, FaceLattice, PolytopePoint, graph_structures
 from maxoid.separation import CiStatement, Maxoid, maxoid_from_blockers, node_mask
 from maxoid.tropical import NEG_INF, TropicalMatrix, WeightedDag, kleene_star, path_weight
 
@@ -747,6 +750,133 @@ def tropical_matmul(a: TropicalMatrix, b: TropicalMatrix) -> TropicalMatrix:
     return TropicalMatrix(rows)
 
 
+def fraction_echelon(rows):
+    """The replaced Fraction row echelon form, built greedily row by row:
+    (echelon rows with pivot 1, their pivot columns, indices of the input
+    rows that contributed them)."""
+    E: list[list[Fraction]] = []
+    pivots: list[int] = []
+    chosen: list[int] = []
+    for idx, row in enumerate(rows):
+        v = [Fraction(x) for x in row]
+        for erow, p in zip(E, pivots):
+            if v[p] != 0:
+                f = v[p]
+                v = [a - f * b for a, b in zip(v, erow)]
+        p = next((j for j, x in enumerate(v) if x != 0), None)
+        if p is not None:
+            f = v[p]
+            E.append([x / f for x in v])
+            pivots.append(p)
+            chosen.append(idx)
+    return E, pivots, chosen
+
+
+def affine_dimension(points: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[Fraction]]]:
+    """Dimension of the affine hull of a point set, with a difference basis,
+    by the Fraction echelon."""
+    pts = [list(map(Fraction, p)) for p in points]
+    if not pts:
+        raise ValueError("need at least one point")
+    base = pts[0]
+    diffs = [[x - y for x, y in zip(p, base)] for p in pts[1:]]
+    chosen = fraction_echelon(diffs)[2]
+    return len(chosen), [diffs[i] for i in chosen]
+
+
+def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[list[Fraction]]:
+    """Basis of the solution space of the homogeneous system rows . x = 0,
+    by back substitution in the Fraction echelon."""
+    E, pivots, _ = fraction_echelon(rows)
+    free = [j for j in range(ncols) if j not in pivots]
+    basis = []
+    for fcol in free:
+        vec = [Fraction(0)] * ncols
+        vec[fcol] = Fraction(1)
+        for erow, p in reversed(list(zip(E, pivots))):
+            vec[p] = -sum(erow[j] * vec[j] for j in range(p + 1, ncols))
+        basis.append(vec)
+    return basis
+
+
+def hull_dd_extreme_rays(rows: list[tuple[int, ...]], dim: int) -> list[tuple[int, ...]]:
+    """The replaced double description: extreme rays of {y : row . y >= 0}
+    for a pointed cone with rows of full rank dim, started from one Fraction
+    null line per ray of the initial simplicial cone, with the
+    combinatorial adjacency test alone and each new ray's zero set computed
+    from the processed rows."""
+    init = fraction_echelon(rows)[2]
+    if len(init) != dim:
+        raise ValueError("row system is not full-dimensional")
+    rays = []
+    for c in init:
+        (line,) = nullspace([rows[i] for i in init if i != c], dim)
+        ray = _primitive(line)
+        if sum(a * b for a, b in zip(rows[c], ray)) < 0:
+            ray = tuple(-x for x in ray)
+        rays.append(ray)
+    processed = [rows[i] for i in init]
+
+    def zero_mask(ray) -> int:
+        return sum(1 << k for k, row in enumerate(processed)
+                   if sum(a * b for a, b in zip(row, ray)) == 0)
+
+    masks = {r: zero_mask(r) for r in rays}
+    for row in [rows[i] for i in range(len(rows)) if i not in set(init)]:
+        vals = {r: sum(a * b for a, b in zip(row, r)) for r in rays}
+        plus = [r for r in rays if vals[r] > 0]
+        zero = [r for r in rays if vals[r] == 0]
+        minus = [r for r in rays if vals[r] < 0]
+        newly = []
+        for rp in plus:
+            for rm in minus:
+                common = masks[rp] & masks[rm]
+                if any(masks[r] & common == common for r in rays if r != rp and r != rm):
+                    continue
+                newly.append(_primitive([vals[rp] * b - vals[rm] * a for a, b in zip(rp, rm)]))
+        processed.append(row)
+        bit = 1 << (len(processed) - 1)
+        kept = {r: masks[r] for r in plus}
+        for r in zero:
+            kept[r] = masks[r] | bit
+        for r in newly:
+            if r not in kept:
+                kept[r] = zero_mask(r)
+        rays = list(kept)
+        masks = kept
+    return rays
+
+
+def hull_facet_incidences(points: list[tuple[int, ...]]
+                          ) -> list[tuple[frozenset[int], tuple[int, ...]]]:
+    """The replaced vertex hull: for each facet, its incident point indices
+    and an integer outer normal over the points' coordinates, found in the
+    affine hull's Fraction pivot columns, around the centroid scaled by the
+    point count, by hull_dd_extreme_rays."""
+    m = len(points)
+    base = points[0]
+    cols = fraction_echelon([[x - y for x, y in zip(p, base)] for p in points[1:]])[1]
+    dim = len(cols)
+    if dim == 0:
+        return []
+    proj = [tuple(p[c] for c in cols) for p in points]
+    total = [sum(p[k] for p in proj) for k in range(dim)]
+    shifted = [tuple(m * x - t for x, t in zip(p, total)) for p in proj]
+    rays = hull_dd_extreme_rays([_primitive([m] + [-x for x in p]) for p in shifted], dim + 1)
+    facets = []
+    for ray in rays:
+        a0, a = ray[0], ray[1:]
+        if a0 <= 0:
+            raise AssertionError("facet inequality with nonpositive offset")
+        incident = frozenset(i for i, p in enumerate(shifted)
+                             if sum(c * x for c, x in zip(a, p)) == m * a0)
+        normal = [0] * len(base)
+        for c, x in zip(cols, a):
+            normal[c] = x
+        facets.append((incident, tuple(normal)))
+    return facets
+
+
 def lp_face_maxoid(g: Dag, face, points) -> Maxoid:
     """CI structure attached to a face by one exact LP: a rational functional
     in the relative interior of the face's normal cone (equal on the face's
@@ -795,12 +925,12 @@ def pairwise_face_lattice(points: list[PolytopePoint]) -> FaceLattice:
     """The replaced face lattice: every nonempty intersection of facets found
     by a frontier walk over frozensets, one Fraction affine_dimension per face
     and a test of every pair of faces for a cover (one dimension apart, the
-    smaller vertex set strictly inside the larger).  It shares only the hull,
-    polytope._facet_incidences, with the code it checks."""
+    smaller vertex set strictly inside the larger), on the facets of the
+    replaced hull, hull_facet_incidences."""
     coords = [p.coords for p in points]
     if not coords:
         raise ValueError("need at least one point")
-    facets = _facet_incidences(coords)
+    facets = hull_facet_incidences(coords)
     top = frozenset(range(len(points)))
     sets = {top}
     frontier = {top}

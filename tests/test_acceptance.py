@@ -33,7 +33,6 @@ from maxoid.census import all_maxoids, all_top_ordered_tdags
 from maxoid.fan import enumerate_maximal_cones, lineality_dimension
 from maxoid.graph import Dag
 from maxoid.implication import decide_implication
-from maxoid.linarith import affine_dimension
 from maxoid.polytope import face_lattice, face_maxoid, polytope_vertices
 from maxoid.separation import (
     CiStatement,
@@ -45,6 +44,7 @@ from maxoid.separation import (
 )
 from maxoid.tropical import kleene_star, weighted_dag_from_list, WeightedDag
 from oracles import (
+    affine_dimension,
     critical_dag_by_paths,
     d_separated,
     in_open_cone,

@@ -9,19 +9,21 @@ from hypothesis import strategies as st
 from maxoid.linarith import (
     StrictTableau,
     Witness,
+    _echelon,
     _primitive,
-    affine_dimension,
-    nullspace,
     pivot_columns,
     rank_of,
 )
 from oracles import (
     Constraint,
     FullStrictTableau,
+    affine_dimension,
     as_constraint,
     fm_feasible,
+    fraction_echelon,
     fraction_feasible,
     fraction_strict_tableau,
+    nullspace,
 )
 
 
@@ -411,3 +413,48 @@ def test_nullspace_and_pivots():
     for vec in ns:
         assert vec[0] - vec[1] + vec[2] - vec[3] == 0
     assert pivot_columns([[0, 1, 2], [0, 1, 3]]) == [1, 2]
+
+
+def _random_echelon_input(rng: random.Random) -> list[list]:
+    """Rows over up to 16 columns with small integer or Fraction entries,
+    sparse so that many rows depend on earlier ones; zero rows, repeated
+    rows and rows combined from earlier ones are mixed in."""
+    ncols = rng.randint(1, 16)
+    rational = rng.random() < 0.5
+
+    def entry():
+        if rng.random() < 0.6:
+            return 0
+        if rational:
+            return Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+        return rng.randint(-4, 4)
+
+    rows: list[list] = []
+    for _ in range(rng.randint(0, 20)):
+        kind = rng.random()
+        if kind < 0.1:
+            rows.append([0] * ncols)
+        elif kind < 0.35 and rows:
+            a, b = rng.choice(rows), rng.choice(rows)
+            s, t = rng.randint(-3, 3), rng.randint(-3, 3)
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+        else:
+            rows.append([entry() for _ in range(ncols)])
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_integer_echelon_matches_the_fraction_echelon(seed):
+    # same pivots, chosen rows and rank; each integer echelon row is the
+    # primitive multiple, with a positive pivot, of the Fraction one
+    rng = random.Random(seed)
+    for _ in range(100):
+        rows = _random_echelon_input(rng)
+        E, pivots, chosen = _echelon(rows)
+        F, fpivots, fchosen = fraction_echelon(rows)
+        assert (pivots, chosen) == (fpivots, fchosen), rows
+        assert rank_of(rows) == len(fchosen)
+        for erow, frow, p in zip(E, F, pivots):
+            assert all(isinstance(x, int) for x in erow)
+            assert erow[p] > 0 and gcd(*erow) == 1
+            assert [Fraction(x, erow[p]) for x in erow] == frow

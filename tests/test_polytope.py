@@ -1,4 +1,5 @@
 import itertools
+import os
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from maxoid.fan import enumerate_maximal_cones
 from maxoid.graph import Dag
 from maxoid.polytope import (
     Face,
+    _facet_incidences,
     PolytopePoint,
     cone_adjacency,
     face_lattice,
@@ -15,7 +17,14 @@ from maxoid.polytope import (
     polytope_vertices,
 )
 from maxoid.separation import parse_ci_statement
-from oracles import complete_dag, lp_cone_adjacency, lp_face_maxoid, pairwise_face_lattice
+from oracles import (
+    affine_dimension,
+    complete_dag,
+    hull_facet_incidences,
+    lp_cone_adjacency,
+    lp_face_maxoid,
+    pairwise_face_lattice,
+)
 
 DIAMOND = Dag(4, [(1, 2), (1, 3), (2, 4), (3, 4)])
 
@@ -61,8 +70,6 @@ def test_vertices_k3():
     # the two points differ by indicator(1->3) - indicator(1->2->3)
     a, b = sorted(coords)
     assert tuple(x - y for x, y in zip(b, a)) in {(1, -1, 1), (-1, 1, -1)}
-    from maxoid.linarith import affine_dimension
-
     assert affine_dimension(list(coords))[0] == 1
 
 
@@ -78,8 +85,6 @@ def test_complete_dag_4_polytope():
     pts = polytope_vertices(g, entries)
     coords = [p for _, p in pts]
     assert len(coords) == 9
-    from maxoid.linarith import affine_dimension
-
     assert affine_dimension([p.coords for p in coords])[0] == 3
     lat = face_lattice(coords)
     assert lat.f_vector() == (9, 14, 7)
@@ -247,8 +252,26 @@ def test_face_lattice_matches_the_pairwise_oracle():
     for k, g in enumerate(graphs):
         cases[f"graph {k} {g.sorted_edges}"] = [p for _, p in polytope_vertices(g)]
     for name, pts in cases.items():
+        coords = [p.coords for p in pts]
+        assert _facet_incidences(coords) == hull_facet_incidences(coords), name
         assert face_lattice(pts) == pairwise_face_lattice(pts), name
     octahedron = face_lattice(cases["octahedron"])
     assert octahedron.f_vector() == (6, 12, 8)
     facets = [f.vertices for f in octahedron.faces if f.dim == 2]
     assert all(sum(v in f for f in facets) == 4 for v in range(6))
+
+
+@pytest.mark.skipif(os.environ.get("MAXOID_LONG_TESTS") != "1",
+                    reason="long-running size; set MAXOID_LONG_TESTS=1")
+def test_facets_of_the_first_13_edge_6_node_graph_match_the_replaced_hull():
+    # 473 vertices in dimension 8: the double description runs long enough
+    # here for the adjacency pre-filter and the start from one inversion to
+    # matter; the replaced hull takes a few seconds
+    from maxoid.census import all_top_ordered_tdags
+
+    g = next(g for g in all_top_ordered_tdags(6).graphs if len(g.edges) == 13)
+    coords = [p.coords for _, p in polytope_vertices(g)]
+    facets = _facet_incidences(coords)
+    assert len(coords) == 473 and len(facets) == 26
+    assert facets == hull_facet_incidences(coords)
+
