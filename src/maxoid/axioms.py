@@ -48,10 +48,11 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _check_bound(m: Maxoid, force: bool) -> None:
-    if m.n > _DEFAULT_NODE_BOUND and not force:
+def check_node_bound(n: int, force: bool = False) -> None:
+    """ValueError past 6 nodes unless forced; callers may check n first."""
+    if n > _DEFAULT_NODE_BOUND and not force:
         raise ValueError(
-            f"exhaustive instantiation over {m.n} nodes; pass force=True to run anyway")
+            f"exhaustive instantiation over {n} nodes; pass force=True to run anyway")
 
 
 @lru_cache(maxsize=None)
@@ -91,7 +92,7 @@ def _role_assignments(nodes, roles: int):
 def check_compositional_graphoid(m: Maxoid, force: bool = False) -> list[ViolationReport]:
     """Semigraphoid (both directions of its equivalence), Intersection and
     Composition, instantiated over all disjoint sets I, J, K, L."""
-    _check_bound(m, force)
+    check_node_bound(m.n, force)
     holds = _membership(m)
     nodes = list(range(1, m.n + 1))
     out: list[ViolationReport] = []
@@ -136,7 +137,7 @@ def _report(rule, inst, m, I, J, K, L, premises, conclusion) -> ViolationReport:
 
 def check_amalgamation(m: Maxoid, force: bool = False) -> list[ViolationReport]:
     """(i,j|KM) and (i,j|LM) imply (i,j|KLM), over disjoint K, L, M."""
-    _check_bound(m, force)
+    check_node_bound(m.n, force)
     holds = _membership(m)
     nodes = list(range(1, m.n + 1))
     out = []
@@ -168,7 +169,7 @@ def check_strong_spohn(m: Maxoid, force: bool = False,
     fourth premise (k,l|ijM) is added to the second rule, which restores a
     sound property.
     """
-    _check_bound(m, force)
+    check_node_bound(m.n, force)
     holds = _membership(m)
     nodes = list(range(1, m.n + 1))
     out = []
@@ -211,7 +212,7 @@ def _from_triples(*triples) -> tuple[CiStatement, ...]:
 def check_weak_transitivity(m: Maxoid, force: bool = False) -> list[ViolationReport]:
     """(i,j|L) and (i,j|kL) versus (i,k|L) or (j,k|L): both directions of the
     equivalence are checked and reported separately."""
-    _check_bound(m, force)
+    check_node_bound(m.n, force)
     holds = _membership(m)
     nodes = list(range(1, m.n + 1))
     out = []

@@ -23,6 +23,7 @@ from .implication import decide_implication
 from .axioms import (
     check_amalgamation,
     check_compositional_graphoid,
+    check_node_bound,
     check_strong_spohn,
     check_weak_transitivity,
 )
@@ -38,6 +39,10 @@ LONG_RUN_HINT = "pass --unbounded to run sizes beyond the quick default"
 # 800 s
 LATTICE_EDGES = 13
 FAN_EDGES = 15
+# most nodes of a graph given to fan, polytope or implies --graph without
+# --unbounded: the engine's tables grow as 4^n bits, and maxoid() on an
+# edgeless 14-node DAG took 31 s at 475 MB
+MOST_NODES = 12
 
 
 def _emit(data, pretty_lines=None, pretty=False) -> None:
@@ -97,19 +102,20 @@ def _cmd_kleene(args) -> None:
           pretty=args.pretty)
 
 
-def _check_edges(g: Dag, most: int, what: str, args) -> None:
-    """Refuse with the usage error when g has more than most edges and
-    --unbounded is not given."""
-    if len(g.edges) > most and not args.unbounded:
-        raise SystemExit(_error(f"{what} on a graph with more than {most} edges "
-                                f"is long-running; {LONG_RUN_HINT}"))
+def _check_size(g: Dag, most_edges: int, what: str, args) -> None:
+    """Refuse with the usage error when g has more than MOST_NODES nodes or
+    more than most_edges edges and --unbounded is not given."""
+    for count, most, unit in ((g.n, MOST_NODES, "nodes"), (len(g.edges), most_edges, "edges")):
+        if count > most and not args.unbounded:
+            raise SystemExit(_error(f"{what} on a graph with more than {most} {unit} "
+                                    f"is long-running; {LONG_RUN_HINT}"))
 
 
 def _cmd_fan(args) -> None:
     g = dag_from_json(_load_json(args.dag))
     if args.adjacency:
-        _check_edges(g, LATTICE_EDGES, "fan --adjacency", args)
-    _check_edges(g, FAN_EDGES, "fan", args)
+        _check_size(g, LATTICE_EDGES, "fan --adjacency", args)
+    _check_size(g, FAN_EDGES, "fan", args)
     entries = enumerate_maximal_cones(g)
     edges = g.sorted_edges
     cones = []
@@ -136,7 +142,7 @@ def _cmd_fan(args) -> None:
 
 def _cmd_polytope(args) -> None:
     g = dag_from_json(_load_json(args.dag))
-    _check_edges(g, LATTICE_EDGES, "polytope", args)
+    _check_size(g, LATTICE_EDGES, "polytope", args)
     entries = enumerate_maximal_cones(g)
     points = polytope_vertices(g, entries)
     coords = [p for _, p in points]
@@ -199,7 +205,7 @@ def _cmd_implies(args) -> None:
                                 f"is long-running; {LONG_RUN_HINT}"))
     scope = dag_from_json(_load_json(args.graph)) if args.graph else args.nodes
     if isinstance(scope, Dag):
-        _check_edges(scope, FAN_EDGES if args.generic else LATTICE_EDGES, "implication", args)
+        _check_size(scope, FAN_EDGES if args.generic else LATTICE_EDGES, "implication", args)
     n = scope.n if isinstance(scope, Dag) else scope
     premises, conclusions = _parse_query(args.query, n)
     verdict = decide_implication(scope, premises, conclusions, generic=args.generic)
@@ -214,6 +220,7 @@ def _cmd_implies(args) -> None:
 
 def _cmd_axioms(args) -> None:
     wd = _load_weighted(args.dag, args.weights)
+    check_node_bound(wd.g.n)  # before maxoid() builds its 2^n-set tables
     m = maxoid(wd)
     data = {
         "compositional_graphoid": _violations_json(check_compositional_graphoid(m)),

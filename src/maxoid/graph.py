@@ -1,16 +1,18 @@
 """Directed acyclic graphs on dense integer nodes 1..n.
 
-Provides exhaustive, memoized directed-path enumeration and the purely
-combinatorial transitive closure.  Path enumeration is exponential in the
-edge count in the worst case; all intended workloads have at most a handful
-of nodes.
+Provides exhaustive, memoized directed-path enumeration, the purely
+combinatorial transitive closure, and the graph family of the census and
+global implication: the transitively closed DAGs with upward edges, one
+edge mask each, kept when every path u -> v -> w has the edge u -> w.
+Path enumeration is exponential in the edge count in the worst case; all
+intended workloads have at most a handful of nodes.
 """
 
 from __future__ import annotations
 
 import json
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 Edge = tuple[int, int]
 Path = tuple[int, ...]
@@ -159,52 +161,20 @@ def transitive_closure(g: Dag) -> Dag:
     return Dag(g.n, edges)
 
 
-def add_reach(reach: tuple[int, ...], u: int, v: int) -> tuple[int, ...] | None:
-    """Reachability after adding the edge u->v, or None when it closes a
-    cycle.  reach[x] is the int bitmask (bit y for node y) of the nodes
-    reachable from x by a nonempty path; index 0 is unused."""
-    if reach[v] >> u & 1:
-        return None
-    gain = 1 << v | reach[v]
-    return tuple(r | gain if x == u or r >> u & 1 else r for x, r in enumerate(reach))
-
-
-def acyclic_edge_sets(n: int, pairs: Sequence[Edge]
-                      ) -> Iterator[tuple[tuple[Edge, ...], tuple[Edge, ...]]]:
-    """Every acyclic subset of pairs, as (its edges, its transitive
-    closure's edges), both in sorted order when pairs is sorted.
-
-    Subsets come in increasing order of their bitmask, bit k standing for
-    pairs[k]: a depth-first walk decides the bits from the highest down,
-    absent before present, and carries the reachability bitmasks of
-    add_reach, so an edge that would close a cycle is pruned together with
-    every subset below it.
-    """
-    successors = [tuple(y for y in range(n + 1) if mask >> y & 1)
-                  for mask in range(1 << (n + 1))]
-    stack: list[tuple[int, tuple[int, ...], tuple[Edge, ...]]] = [
-        (len(pairs), (0,) * (n + 1), ())]
-    while stack:
-        k, reach, edges = stack.pop()
-        if not k:
-            yield edges, tuple((x, y) for x in range(1, n + 1) for y in successors[reach[x]])
-            continue
-        k -= 1
-        u, v = pairs[k]
-        grown = add_reach(reach, u, v)
-        if grown is not None:
-            stack.append((k, grown, (pairs[k],) + edges))
-        stack.append((k, reach, edges))
-
-
 def top_ordered_closed_dags(n: int) -> Iterator[Dag]:
     """Every transitively closed DAG on 1..n whose edges all point from a
-    smaller to a larger label, disconnected ones included, in the order of
-    acyclic_edge_sets.  Every transitively closed DAG on 1..n is a
-    relabeling of one of them."""
+    smaller to a larger label, disconnected ones included, in increasing
+    order of their edge mask over the pairs i < j in lexicographic order.
+    Every transitively closed DAG on 1..n is a relabeling of one of them.
+    Forward edges close no cycle, so each mask is a DAG, kept when every
+    path u -> v -> w in it comes with the edge u -> w."""
     pairs = list(combinations(range(1, n + 1), 2))
-    return (Dag(n, edges) for edges, closure in acyclic_edge_sets(n, pairs)
-            if len(edges) == len(closure))
+    bit = {e: 1 << k for k, e in enumerate(pairs)}
+    triples = [(bit[u, v] | bit[v, w], bit[u, w])
+               for u, v, w in combinations(range(1, n + 1), 3)]
+    for mask in range(1 << len(pairs)):
+        if all(mask & both != both or mask & closing for both, closing in triples):
+            yield Dag(n, [e for e in pairs if mask & bit[e]])
 
 
 def linear_extensions(g: Dag) -> Iterator[tuple[int, ...]]:

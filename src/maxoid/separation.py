@@ -375,28 +375,8 @@ def critical_dag(wd: WeightedDag, L: Iterable[int]) -> Dag:
 
 def c_star_separated(wd: WeightedDag, s: CiStatement) -> bool:
     """Whether the statement's endpoints are separated given s.L in (G, C):
-    the engine's formulas for the one set s.L, on its critical edges whose
-    tail lies outside s.L."""
-    n, L = wd.g.n, node_mask(s.L)
-    children = [0] * (n + 1)
-    parents = [0] * (n + 1)
-    for (k, l), b in _blocker_sets(wd).items():
-        if not (b | 1 << k) & L:
-            children[k] |= 1 << l
-            parents[l] |= 1 << k
-
-    def colliders(v: int) -> int:
-        # R_vl for this L: the nodes of L below v or below a parent of v
-        below = children[v]
-        for p in range(1, n + 1):
-            if parents[v] >> p & 1:
-                below |= children[p]
-        return below & L
-
-    i, j = s.i, s.j
-    return not ((children[i] >> j | children[j] >> i) & 1  # (a)
-                or parents[i] & parents[j]  # (b)
-                or colliders(i) & colliders(j))  # (c), (d), (e)
+    whether s lies in maxoid(wd).  ValueError when s leaves 1..n."""
+    return Maxoid(wd.g.n, [s]).bits & maxoid(wd).bits != 0
 
 
 def maxoid(wd: WeightedDag) -> Maxoid:

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import maxoid
+from maxoid import separation
 from maxoid.cli import build_parser, run
 
 DATA = Path(__file__).parent / "data"
@@ -166,6 +167,30 @@ def test_fan_guard_allows_complete_6_and_adjacency_at_13_edges(files, capsys, mo
     assert invoke(capsys, "fan", "--adjacency", str(dag))[0] == 0
 
 
+@pytest.mark.parametrize("argv", [["fan"], ["fan", "--adjacency"], ["polytope"],
+                                  ["implies", "1,2|3 => 1,2|", "--graph"]])
+def test_sparse_graphs_on_more_than_12_nodes_are_guarded(files, capsys, monkeypatch, argv):
+    def started(*args, **kwargs):
+        raise RuntimeError("work started")
+
+    monkeypatch.setattr("maxoid.cli.enumerate_maximal_cones", started)
+    monkeypatch.setattr("maxoid.cli.decide_implication", started)
+    dag = files["dir"] / "sparse.json"
+    dag.write_text('{"n": 13, "edges": [[1, 2]]}')
+    code, out = invoke(capsys, *argv, str(dag))
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "usage" and "12 nodes" in error["message"]
+    assert "--unbounded" in error["message"]
+    assert 13 not in separation._subset_tables and 13 not in separation._statement_tables
+    code, out = invoke(capsys, *argv, str(dag), "--unbounded")
+    assert json.loads(out)["error"]["message"] == "work started"
+    # 12 nodes pass the guard
+    dag.write_text('{"n": 12, "edges": [[1, 2]]}')
+    code, out = invoke(capsys, *argv, str(dag))
+    assert json.loads(out)["error"]["message"] == "work started"
+
+
 def test_implies_global_family_includes_the_edgeless_graph(files, capsys):
     # only a disconnected graph separates every pair given the empty set
     code, out = invoke(capsys, "implies", "--nodes", "3", "1,2|; 1,3|; 2,3| =>")
@@ -219,6 +244,19 @@ def test_axioms_command(files, capsys):
     assert code == 0
     assert data["compositional_graphoid"] == []
     assert data["amalgamation"] == []
+
+
+def test_axioms_refuses_more_than_6_nodes_before_the_maxoid(files, capsys):
+    dag = files["dir"] / "edgeless.json"
+    dag.write_text('{"n": 11, "edges": []}')
+    weights = files["dir"] / "none.json"
+    weights.write_text("[]")
+    code, out = invoke(capsys, "axioms", str(dag), str(weights))
+    assert code == 2
+    assert json.loads(out) == {"error": {
+        "type": "ValueError",
+        "message": "exhaustive instantiation over 11 nodes; pass force=True to run anyway"}}
+    assert 11 not in separation._subset_tables
 
 
 def test_parse_errors_exit_nonzero(files, capsys):
