@@ -26,6 +26,8 @@ import hashlib
 import json
 import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -139,6 +141,20 @@ def _worker(args) -> dict:
         raise RuntimeError(f"census failed on graph {graph}: {exc!r}") from exc
 
 
+def _spawned_map(fn, tasks: list, workers: int) -> Iterator:
+    """fn over tasks on that many spawned worker processes, results in task
+    order.  Spawn, not fork: a fork taken while another thread holds a lock
+    copies that lock into the child held, and nobody releases it there.  A
+    worker that dies (killed, out of memory) raises BrokenProcessPool here,
+    where a multiprocessing.Pool loses its task and waits forever; tasks not
+    yet started are cancelled when the caller stops early."""
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+    try:
+        yield from pool.map(fn, tasks)
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def census_structures(family: TdagFamily, include_faces: bool = True,
                       jobs: int = 1) -> tuple[set[Maxoid], set[Maxoid]]:
     """(generic structures, all structures) over the family in one pass.
@@ -173,8 +189,14 @@ def census_structures(family: TdagFamily, include_faces: bool = True,
                     bits ^= low
                 yield out
 
-    def collect(results) -> None:
-        for data, (_, labels) in zip(results, classes):
+    def collect(results: Iterator[dict]) -> None:
+        for (graph_json, _), (_, labels) in zip(tasks, classes):
+            try:
+                data = next(results)
+            except BrokenProcessPool as exc:
+                graph = json.dumps(graph_json, sort_keys=True)
+                raise RuntimeError(f"census worker died; no result for graph {graph} "
+                                   f"and the graphs after it: {exc}") from exc
             cones = [Maxoid.from_json(n, stmts).bits for stmts in data["generic"]]
             generic.update(renamed(cones, labels))
             if include_faces:
@@ -182,13 +204,7 @@ def census_structures(family: TdagFamily, include_faces: bool = True,
                 everything.update(renamed(faces, labels))
 
     workers = min(jobs, len(tasks))
-    if workers > 1:
-        # spawn, not fork: a fork taken while another thread holds a lock
-        # copies that lock into the child held, and nobody releases it there
-        with multiprocessing.get_context("spawn").Pool(workers) as pool:
-            collect(pool.imap(_worker, tasks))
-    else:
-        collect(_worker(t) for t in tasks)
+    collect(_spawned_map(_worker, tasks, workers) if workers > 1 else map(_worker, tasks))
     everything |= generic
     return ({Maxoid.from_bits(n, b) for b in generic},
             {Maxoid.from_bits(n, b) for b in everything})

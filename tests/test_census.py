@@ -1,5 +1,6 @@
 import json
 import os
+from concurrent.futures.process import BrokenProcessPool
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -175,28 +176,28 @@ def test_parallel_census_matches_serial():
 
 
 def test_census_pool_is_capped_at_the_graph_count(monkeypatch):
-    # a fake spawn context records each pool's size and maps serially, so
-    # no process is started
+    # a fake executor on a fake spawn context records each pool's size and
+    # maps serially, so no process is started
     sizes = []
+    spawn = SimpleNamespace()
 
-    class FakePool:
-        def __init__(self, size):
+    class FakeExecutor:
+        def __init__(self, size, mp_context):
+            assert mp_context is spawn
             sizes.append(size)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def imap(self, fn, tasks):
+        def map(self, fn, tasks):
             return (fn(t) for t in tasks)
+
+        def shutdown(self, cancel_futures):
+            pass
 
     def get_context(method):
         assert method == "spawn"
-        return SimpleNamespace(Pool=FakePool)
+        return spawn
 
     monkeypatch.setattr(census.multiprocessing, "get_context", get_context)
+    monkeypatch.setattr(census, "ProcessPoolExecutor", FakeExecutor)
     fam = all_top_ordered_tdags(3)
     serial = all_maxoids(fam, jobs=1)
     assert all_maxoids(fam, jobs=8) == serial
@@ -215,3 +216,21 @@ def test_failing_graph_is_named(tmp_path, monkeypatch, jobs):
     monkeypatch.setenv("MAXOID_CACHE_DIR", str(blocker))
     with pytest.raises(RuntimeError, match=r'census failed on graph \{"edges": \[\['):
         all_maxoids(all_top_ordered_tdags(3), jobs=jobs)
+
+
+def test_dead_worker_fails_the_census_instead_of_waiting():
+    # os._exit(3) ends the worker process that runs it
+    with pytest.raises(BrokenProcessPool):
+        list(census._spawned_map(os._exit, [3, 3], 2))
+
+
+def test_dead_worker_names_the_first_graph_without_a_result(monkeypatch):
+    spawned_map = census._spawned_map
+
+    def dying(fn, tasks, workers):
+        return spawned_map(os._exit, [3] * len(tasks), workers)
+
+    monkeypatch.setattr(census, "_spawned_map", dying)
+    with pytest.raises(RuntimeError, match=r'census worker died; no result for graph '
+                                           r'\{"edges": \[\['):
+        all_maxoids(all_top_ordered_tdags(3), jobs=2)

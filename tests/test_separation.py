@@ -402,7 +402,7 @@ def test_statement_tables_are_not_built_at_import():
             "print(len(s._statement_tables), len(s._subset_tables), len(s._relabelings))")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+                         env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60).stdout
     assert out.split() == ["0", "0", "0"]
 
 
