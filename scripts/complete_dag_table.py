@@ -17,7 +17,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from maxoid.fan import enumerate_maximal_cones, lineality_dimension
 from maxoid.graph import Dag
-from maxoid.linarith import rank_of
 from maxoid.polytope import face_lattice, polytope_vertices
 
 
@@ -39,10 +38,10 @@ def main() -> None:
         g = complete_dag(n)
         entries = enumerate_maximal_cones(g)
         points = [p for _, p in polytope_vertices(g, entries)]
-        base = points[0].coords
-        dim = rank_of([[x - y for x, y in zip(p.coords, base)] for p in points[1:]])
-        row = (f"{n:>3} {len(g.edges):>4} {dim:>4} {len(points):>9} "
-               f"{lineality_dimension(g):>10}")
+        # the fan is the polytope's normal fan: dim P = |E| - lineality
+        lineality = lineality_dimension(g)
+        row = (f"{n:>3} {len(g.edges):>4} {len(g.edges) - lineality:>4} {len(points):>9} "
+               f"{lineality:>10}")
         if args.f_vectors:
             row += f"  {face_lattice(points).f_vector()}"
         print(row + f"   ({time.time() - t0:.1f}s)")

@@ -49,10 +49,11 @@ def _fmt(v) -> str:
 
 
 def check_node_bound(n: int, force: bool = False) -> None:
-    """ValueError past 6 nodes unless forced; callers may check n first."""
+    """ValueError past 6 nodes unless force=True; callers may check n first."""
     if n > _DEFAULT_NODE_BOUND and not force:
         raise ValueError(
-            f"exhaustive instantiation over {n} nodes; pass force=True to run anyway")
+            f"exhaustive instantiation over {n} nodes exceeds the bound of "
+            f"{_DEFAULT_NODE_BOUND} nodes")
 
 
 @lru_cache(maxsize=None)

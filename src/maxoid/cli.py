@@ -123,8 +123,8 @@ def _cmd_fan(args) -> None:
         cones.append({
             "critical_paths": [{"pair": list(pq), "path": list(p)}
                                for pq, p in e.system.choices],
-            "inequalities": [list(row) for row in e.cone.strict],
-            "witness": [str(x) for x in e.witness.point],
+            "inequalities": [list(row) for row in e.inequalities],
+            "witness": [str(x) for x in e.witness],
             "maxoid": e.maxoid.to_json(),
         })
     data = {
@@ -151,7 +151,7 @@ def _cmd_polytope(args) -> None:
     data = {
         "edges": [list(e) for e in g.sorted_edges],
         "dim": dim,
-        "vertices": [list(p.coords) for p in coords],
+        "vertices": [list(p) for p in coords],
         "f_vector": fvec,
         "faces": [{"dim": f.dim, "vertices": sorted(f.vertices)} for f in lattice.faces],
     }

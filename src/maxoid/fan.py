@@ -16,26 +16,22 @@ already satisfies strictly keeps that tableau and solves no LP; any other
 child appends the rows its tableau has not absorbed yet to a copy of it and
 repairs that by dual simplex, so siblings still share the parent's
 tableau.  The point stays in integers over the tableau's denominator during
-the search: only at a leaf is it checked, in integers, against every row of
-the cone's full system, and only then made into the Fractions of the
-entry's witness.  A cone's CI structure is read off its chosen paths, which
-are the critical paths of every weight vector in it.
+the search: only at a leaf does checked_point test it, in integers, against
+every row of the cone's full system, and only then make it into the
+Fractions of the entry's witness.  A cone's CI structure is read off its
+chosen paths, which are the critical paths of every weight vector in it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from operator import mul
 
 from .graph import Dag, Path, enumerate_paths
-from .linarith import StrictTableau, Witness, rank_of
+from .linarith import StrictTableau, checked_point, rank_of
 from .separation import Maxoid, maxoid_from_blockers, node_mask
-from .tropical import WeightedDag, critical_paths, is_generic
-
-
-class NonGenericError(ValueError):
-    """Raised when an operation requires a tie-free weight vector."""
 
 
 @dataclass(frozen=True)
@@ -46,16 +42,6 @@ class CriticalSystem:
 
     choices: tuple[tuple[tuple[int, int], Path], ...]
 
-    @staticmethod
-    def from_dict(d: dict[tuple[int, int], Path]) -> "CriticalSystem":
-        return CriticalSystem(tuple(sorted(d.items())))
-
-    def as_dict(self) -> dict[tuple[int, int], Path]:
-        return dict(self.choices)
-
-    def path(self, i: int, j: int) -> Path:
-        return self.as_dict()[(i, j)]
-
     @cached_property
     def blockers(self) -> dict[tuple[int, int], int]:
         """node_mask of each chosen path's interior: under weights of the
@@ -65,20 +51,15 @@ class CriticalSystem:
 
 
 @dataclass(frozen=True)
-class ConeDescription:
-    """An open cone {c : every row > 0} in R^E; each row is a primitive
-    tuple of ints over the sorted edges."""
-
-    strict: tuple[tuple[int, ...], ...]
-    nvars: int
-
-
-@dataclass(frozen=True)
 class FanEntry:
+    """A maximal cone: its critical system, the minimal rows of its open
+    cone {c : every row > 0} over the sorted edges, its CI structure and an
+    interior point as Fractions, checked against every row."""
+
     system: CriticalSystem
-    cone: ConeDescription
+    inequalities: tuple[tuple[int, ...], ...]
     maxoid: Maxoid
-    witness: Witness
+    witness: tuple[Fraction, ...]
 
 
 def _edge_index(g: Dag) -> dict[tuple[int, int], int]:
@@ -109,29 +90,6 @@ def _connected_pairs(g: Dag) -> list[tuple[int, int]]:
     return [(i, j) for _, i, j in sorted(pairs)]
 
 
-def cone_of(wd: WeightedDag, minimal: bool = False) -> ConeDescription:
-    """Inequality description of the open cone of weight vectors sharing
-    wd's critical paths: one strict row per (pair, non-critical path).
-
-    With minimal=True only comparisons between internally disjoint paths are
-    kept; comparisons through a shared intermediate node are implied by the
-    sub-pair comparisons, so both forms cut out the same open set.
-    """
-    if not is_generic(wd):
-        raise NonGenericError("cone description requires tie-free weights")
-    g = wd.g
-    index = _edge_index(g)
-    rows: list[tuple[int, ...]] = []
-    seen = set()
-    for i, j in _connected_pairs(g):
-        crit = critical_paths(wd, i, j)[0]
-        for row in _pair_rows(g, index, (i, j), crit, minimal):
-            if row not in seen:
-                seen.add(row)
-                rows.append(row)
-    return ConeDescription(tuple(rows), len(index))
-
-
 def _pair_rows(g: Dag, index, key, chosen: Path, minimal: bool) -> list[tuple[int, ...]]:
     """One strict row per key path other than chosen that chosen must beat;
     with minimal=True only the internally disjoint ones."""
@@ -145,7 +103,6 @@ def enumerate_maximal_cones(g: Dag) -> list[FanEntry]:
     structure.  Exactly one entry per nonempty open cone; deterministic
     order."""
     index = _edge_index(g)
-    nvars = len(index)
     pairs = _connected_pairs(g)
     path_lists = {pq: enumerate_paths(g, *pq) for pq in pairs}
     entries: list[FanEntry] = []
@@ -183,15 +140,11 @@ def enumerate_maximal_cones(g: Dag) -> list[FanEntry]:
             tab: StrictTableau):
         if idx == len(pairs):
             # rows is the cone's whole system, the minimal rows among them
-            witness = Witness.checked(tab.point, rows, tab.d)
+            witness = checked_point(tab.point, rows, tab.d)
             minimal = dict.fromkeys(system_rows(choices, pairs, minimal=True))
-            system = CriticalSystem.from_dict(choices)
-            entries.append(FanEntry(
-                system=system,
-                cone=ConeDescription(tuple(minimal), nvars),
-                maxoid=maxoid_from_blockers(g.n, system.blockers),
-                witness=witness,
-            ))
+            system = CriticalSystem(tuple(sorted(choices.items())))
+            entries.append(FanEntry(system, tuple(minimal),
+                                    maxoid_from_blockers(g.n, system.blockers), witness))
             return
         key = pairs[idx]
         if key in choices:
@@ -217,7 +170,7 @@ def enumerate_maximal_cones(g: Dag) -> list[FanEntry]:
             undo(choices, forced)
 
     try:
-        dfs(0, {}, [], set(), StrictTableau(nvars))
+        dfs(0, {}, [], set(), StrictTableau(len(index)))
     finally:
         # dfs refers to itself; breaking that cycle frees the search state
         # on return instead of at the next garbage collection
@@ -228,9 +181,17 @@ def enumerate_maximal_cones(g: Dag) -> list[FanEntry]:
 def lineality_dimension(g: Dag) -> int:
     """Dimension of the common linear subspace of all cones: |E| minus the
     rank of the minimal rows of one maximal cone, the one in which edge k
-    of the sorted edges weighs 2^k.  Two distinct parallel paths have
-    distinct edge sets, so these weights tie nowhere, and all maximal cones
-    of the complete fan share one lineality space."""
+    of the sorted edges weighs 2^k.  There a path weighs its edge bitmask;
+    two distinct parallel paths have distinct edge sets, so these weights
+    tie nowhere and each pair's critical path is its path of largest
+    bitmask.  All maximal cones of the complete fan share one lineality
+    space."""
     index = _edge_index(g)
-    cone = cone_of(WeightedDag(g, {e: 2 ** k for e, k in index.items()}), minimal=True)
-    return len(index) - rank_of(cone.strict)
+
+    def bitmask(path: Path) -> int:
+        return sum(1 << index[e] for e in zip(path, path[1:]))
+
+    rows = [row for i in g.nodes for j in g.descendants(i)
+            for row in _pair_rows(g, index, (i, j),
+                                  max(enumerate_paths(g, i, j), key=bitmask), minimal=True)]
+    return len(index) - rank_of(rows)

@@ -139,7 +139,7 @@ def _structure_batches(graphs: Iterator[Dag], include_faces: bool):
     with include_faces, its faces, built from the fan kept until then."""
     for g in graphs:
         fan = enumerate_maximal_cones(g)
-        yield g, [(e.maxoid, e.witness.point) for e in fan]
+        yield g, [(e.maxoid, e.witness) for e in fan]
         if include_faces:
             yield g, face_structures(g, fan)
 

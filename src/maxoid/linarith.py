@@ -40,7 +40,7 @@ enters.  A leaving row with no negative entry certifies infeasibility, as
 sum(A[r][k] y_k) = A[r][-1] < 0 has no solution y >= 0.
 
 The tableau keeps its point as integer numerators over d and checks
-nothing; a caller re-verifies the point it returns with Witness.checked,
+nothing; a caller re-verifies the point it returns with checked_point,
 which tests every row in integers before Fractions appear in it as
 num_v / d.
 
@@ -51,7 +51,6 @@ integer row, and every echelon row stays primitive, so no Fraction is made.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -66,21 +65,14 @@ def _primitive(vec: Sequence[Fraction | int]) -> tuple[int, ...]:
     return tuple(v // g for v in ints)
 
 
-@dataclass(frozen=True)
-class Witness:
-    """A rational point; construction re-verifies it against its rows."""
-
-    point: tuple[Fraction, ...]
-
-    @classmethod
-    def checked(cls, point: Sequence[Fraction | int], rows: Iterable[Sequence[int]],
-                den: int = 1) -> "Witness":
-        """The witness point / den, for a positive den, after checking in
-        the given arithmetic that every row is positive at point."""
-        for row in rows:
-            if sum(map(mul, row, point)) <= 0:
-                raise AssertionError(f"witness {tuple(point)} / {den} violates {tuple(row)} > 0")
-        return cls(tuple(Fraction(x, den) for x in point))
+def checked_point(point: Sequence[Fraction | int], rows: Iterable[Sequence[int]],
+                  den: int = 1) -> tuple[Fraction, ...]:
+    """point / den as Fractions, for a positive den, after checking in the
+    given arithmetic that every row is positive at point."""
+    for row in rows:
+        if sum(map(mul, row, point)) <= 0:
+            raise AssertionError(f"witness {tuple(point)} / {den} violates {tuple(row)} > 0")
+    return tuple(Fraction(x, den) for x in point)
 
 
 def _pivot(T, basis, cols, d, r, k):

@@ -1,10 +1,11 @@
 """The weight-space polytope of a DAG.
 
-Each maximal cone of the fan contributes one lattice point: the sum over
-connected pairs of the 0/1 edge-indicator of the chosen path.  These points
-are the vertices of a polytope whose (outer) normal fan is the weight-space
-fan, so its face lattice is dual to the fan and relative-interior normal
-vectors of faces realize the CI structures of tied weight vectors.
+Each maximal cone of the fan contributes one lattice point, a tuple of ints
+over the sorted edges: the sum over connected pairs of the 0/1
+edge-indicator of the chosen path.  These points are the vertices of a
+polytope whose (outer) normal fan is the weight-space fan, so its face
+lattice is dual to the fan and relative-interior normal vectors of faces
+realize the CI structures of tied weight vectors.
 
 The convex hull is computed exactly and in integers, with no Fraction
 anywhere: points are projected to the affine hull's pivot columns (from the
@@ -34,14 +35,6 @@ from .graph import Dag
 from .linarith import _primitive, independent_rows, pivot_columns
 from .separation import Maxoid, maxoid_from_blockers
 from .fan import FanEntry, CriticalSystem, enumerate_maximal_cones
-
-
-@dataclass(frozen=True)
-class PolytopePoint:
-    """Integer vector indexed by the lexicographically sorted edges: entry e
-    counts the chosen critical paths through e."""
-
-    coords: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -75,21 +68,21 @@ class FaceLattice:
 
 
 def polytope_vertices(g: Dag, entries: list[FanEntry] | None = None
-                      ) -> list[tuple[CriticalSystem, PolytopePoint]]:
-    """One point per maximal cone; all points are distinct."""
+                      ) -> list[tuple[CriticalSystem, tuple[int, ...]]]:
+    """One point per maximal cone, with its critical system; all points are
+    distinct.  A point is indexed by the sorted edges: entry e counts the
+    chosen critical paths through e."""
     if entries is None:
         entries = enumerate_maximal_cones(g)
-    edges = g.sorted_edges
-    index = {e: k for k, e in enumerate(edges)}
+    index = {e: k for k, e in enumerate(g.sorted_edges)}
     out = []
     for entry in entries:
-        coords = [0] * len(edges)
+        coords = [0] * len(index)
         for _, path in entry.system.choices:
             for e in zip(path, path[1:]):
                 coords[index[e]] += 1
-        out.append((entry.system, PolytopePoint(tuple(coords))))
-    points = [p.coords for _, p in out]
-    if len(set(points)) != len(points):
+        out.append((entry.system, tuple(coords)))
+    if len({p for _, p in out}) != len(out):
         raise AssertionError("critical systems produced coinciding points")
     return out
 
@@ -211,7 +204,7 @@ def _facet_incidences(points: list[tuple[int, ...]]
     return facets
 
 
-def face_lattice(points: list[PolytopePoint]) -> FaceLattice:
+def face_lattice(points: list[tuple[int, ...]]) -> FaceLattice:
     """All faces of conv(points) with their vertex sets, dimensions, normal
     vectors and the covering relation; the polytope itself is included as
     the top face, the empty face is not.
@@ -223,12 +216,11 @@ def face_lattice(points: list[PolytopePoint]) -> FaceLattice:
     is the sum of the outer normals of the facets that contain it: their
     maxima meet exactly on the face.
     """
-    coords = [p.coords for p in points]
-    if not coords:
+    if not points:
         raise ValueError("need at least one point")
-    facets = [(sum(1 << i for i in incident), a) for incident, a in _facet_incidences(coords)]
+    facets = [(sum(1 << i for i in incident), a) for incident, a in _facet_incidences(points)]
     below: dict[int, list[int]] = {}
-    stack = [(1 << len(coords)) - 1]
+    stack = [(1 << len(points)) - 1]
     while stack:
         face = stack.pop()
         if face in below:
@@ -247,7 +239,7 @@ def face_lattice(points: list[PolytopePoint]) -> FaceLattice:
         dims[face] = dims[below[face][0]] + 1 if below[face] else 0
 
     def normal(face: int) -> tuple[int, ...]:
-        total = [0] * len(coords[0])
+        total = [0] * len(points[0])
         for m, a in facets:
             if face & m == face:
                 total = list(map(add, total, a))
@@ -271,10 +263,11 @@ def face_lattice(points: list[PolytopePoint]) -> FaceLattice:
 
 
 def face_maxoid(g: Dag, face: Face, entries: list[FanEntry],
-                points: list[tuple[CriticalSystem, PolytopePoint]] | None = None,
+                points: list[tuple[CriticalSystem, tuple[int, ...]]],
                 memo: dict | None = None) -> Maxoid:
     """CI structure attached to a face: that of its normal vector, which lies
     in the relative interior of the face's normal cone, as a weight vector.
+    points are polytope_vertices(g, entries) for g's fan entries.
 
     The polytope is the Minkowski sum of one path polytope per connected
     pair, so the critical k->l paths under the normal are exactly the paths
@@ -290,10 +283,8 @@ def face_maxoid(g: Dag, face: Face, entries: list[FanEntry],
     """
     if face.normal is None:
         raise ValueError("face has no normal vector; take faces from face_lattice")
-    if points is None:
-        points = polytope_vertices(g, entries)
     normal = face.normal
-    scores = [sum(map(mul, normal, p.coords)) for _, p in points]
+    scores = [sum(map(mul, normal, p)) for _, p in points]
     best = max(scores)
     if frozenset(u for u, v in enumerate(scores) if v == best) != face.vertices:
         raise ValueError("vertex set is not a face of the polytope")
@@ -327,7 +318,7 @@ def graph_structures(g: Dag, include_faces: bool
     no faces are listed.
     """
     entries = enumerate_maximal_cones(g)
-    cones = tuple((e.maxoid, e.witness.point) for e in entries)
+    cones = tuple((e.maxoid, e.witness) for e in entries)
     return cones, face_structures(g, entries) if include_faces else ()
 
 

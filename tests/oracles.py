@@ -18,8 +18,10 @@ formulas over strict path comparisons, polyci_formula, genericity_formula
 and satisfiable on the Fraction simplex, with the local engine
 formula_implication and the global mask-loop scan scan_implication, and
 the replaced per-graph structure scan per_graph_scan_implication, the
-replaced per-graph census loop per_graph_census, and the replaced
-echelon_lineality_dimension over every disjoint path pair) and stays
+replaced per-graph census loop per_graph_census, the replaced
+echelon_lineality_dimension over every disjoint path pair, and the replaced
+cone_of, with its NonGenericError, that read a cone's rows off the
+critical paths of a tie-free weight vector) and stays
 independent of the code paths it cross-checks.
 """
 
@@ -34,7 +36,6 @@ from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from maxoid.fan import (
-    ConeDescription,
     CriticalSystem,
     FanEntry,
     _connected_pairs,
@@ -51,10 +52,18 @@ from maxoid.implication import (
     _counterexample_weights,
     _verify_counterexample,
 )
-from maxoid.linarith import Witness, _primitive, rank_of
-from maxoid.polytope import Face, FaceLattice, PolytopePoint, graph_structures
+from maxoid.linarith import _primitive, checked_point, rank_of
+from maxoid.polytope import Face, FaceLattice, graph_structures
 from maxoid.separation import CiStatement, Maxoid, maxoid_from_blockers, node_mask
-from maxoid.tropical import NEG_INF, TropicalMatrix, WeightedDag, kleene_star, path_weight
+from maxoid.tropical import (
+    NEG_INF,
+    TropicalMatrix,
+    WeightedDag,
+    critical_paths,
+    is_generic,
+    kleene_star,
+    path_weight,
+)
 
 
 def critical_dag_by_paths(wd: WeightedDag, L: frozenset[int]) -> set[tuple[int, int]]:
@@ -319,12 +328,13 @@ def in_open_cone(rows: Iterable[Sequence[int]], point: Sequence[Fraction | int])
     return all(sum(map(mul, row, point)) > 0 for row in rows)
 
 
-def checked_witness(point: Sequence[Fraction | int], system: Iterable[Constraint]) -> Witness:
+def checked_witness(point: Sequence[Fraction | int],
+                    system: Iterable[Constraint]) -> tuple[Fraction, ...]:
     """The witness point after checking every Constraint of system at it."""
     for con in system:
         if not con.holds_at(point):
             raise AssertionError(f"witness {tuple(point)} violates {con}")
-    return Witness(tuple(Fraction(x) for x in point))
+    return tuple(Fraction(x) for x in point)
 
 
 def _full_pivot(T, basis, d, r, j):
@@ -371,7 +381,7 @@ class FullStrictTableau:
         self.rows: tuple[tuple[int, ...], ...] = ()
         self.T, self.basis, self.d = [], [], 1
         self.point = [0] * nvars
-        self.witness = Witness.checked(self.point, ())
+        self.witness = checked_point(self.point, ())
 
     def extended(self, rows: Sequence[Sequence[int]]) -> "FullStrictTableau | None":
         for row in rows:
@@ -413,7 +423,7 @@ class FullStrictTableau:
                 z[b] = T[r][-1]
         new.T, new.basis, new.d = T, basis, d
         new.point = [z[v] - z[self.nvars + v] for v in range(self.nvars)]
-        new.witness = Witness.checked(new.point, new.rows, d)
+        new.witness = checked_point(new.point, new.rows, d)
         return new
 
 
@@ -603,7 +613,7 @@ def _fr_solve_standard(rows, rhs, objective, ncols):
     return "optimal", z
 
 
-def fraction_feasible(system: Sequence[Constraint], nvars: int) -> Witness | None:
+def fraction_feasible(system: Sequence[Constraint], nvars: int) -> tuple[Fraction, ...] | None:
     """Decide a conjunction of strict, non-strict and equality rows over
     nvars free variables: the two-phase Bland's-rule simplex on a Fraction
     tableau, maximizing a shared slack t <= 1 of the strict rows.  Returns a
@@ -656,7 +666,7 @@ def fraction_feasible(system: Sequence[Constraint], nvars: int) -> Witness | Non
 
 
 def fraction_strict_tableau(chunks: Sequence[Sequence[Sequence[int]]],
-                            nvars: int) -> list[Witness | None]:
+                            nvars: int) -> list[tuple[Fraction, ...] | None]:
     """The dual-simplex warm start of the strict LP max t s.t. every row
     minus t >= 0 and t <= 1, on a Fraction tableau with every pivot row
     divided through: linarith.StrictTableau before it became a feasibility
@@ -671,7 +681,7 @@ def fraction_strict_tableau(chunks: Sequence[Sequence[Sequence[int]]],
     basis = [t + 2]
     _fr_pivot(T, cost, basis, 0, t)
     rows: list[Sequence[int]] = []
-    out: list[Witness | None] = []
+    out: list[tuple[Fraction, ...] | None] = []
     for chunk in chunks:
         if out and out[-1] is None:
             out.append(None)
@@ -709,7 +719,7 @@ def fraction_strict_tableau(chunks: Sequence[Sequence[Sequence[int]]],
         z = [Fraction(0)] * (len(cost) - 1)
         for r, b in enumerate(basis):
             z[b] = T[r][-1]
-        out.append(Witness.checked([z[v] - z[nvars + v] for v in range(nvars)], rows))
+        out.append(checked_point([z[v] - z[nvars + v] for v in range(nvars)], rows))
     return out
 
 
@@ -883,7 +893,7 @@ def lp_face_maxoid(g: Dag, face, points) -> Maxoid:
     vertices, larger on all others, slack-maximized) interpreted as a weight
     vector.  points are polytope_vertices(g); raises ValueError when the
     vertex set is not a face."""
-    coords = [p.coords for _, p in points]
+    coords = [p for _, p in points]
     nvars = len(g.sorted_edges)
     members = sorted(face.vertices)
     if not members or any(v >= len(coords) for v in members):
@@ -911,7 +921,7 @@ def lp_face_maxoid(g: Dag, face, points) -> Maxoid:
     y = fraction_feasible(reduced, len(span))
     if y is None:
         raise ValueError("vertex set is not a face of the polytope")
-    c = [sum(y.point[j] * span[j][k] for j in range(len(span))) for k in range(nvars)]
+    c = [sum(y[j] * span[j][k] for j in range(len(span))) for k in range(nvars)]
     score = sum(ci * xi for ci, xi in zip(c, base))
     for u in range(len(coords)):
         val = sum(ci * xi for ci, xi in zip(c, coords[u]))
@@ -921,17 +931,16 @@ def lp_face_maxoid(g: Dag, face, points) -> Maxoid:
     return kleene_maxoid(WeightedDag(g, dict(zip(g.sorted_edges, c))))
 
 
-def pairwise_face_lattice(points: list[PolytopePoint]) -> FaceLattice:
+def pairwise_face_lattice(coords: list[tuple[int, ...]]) -> FaceLattice:
     """The replaced face lattice: every nonempty intersection of facets found
     by a frontier walk over frozensets, one Fraction affine_dimension per face
     and a test of every pair of faces for a cover (one dimension apart, the
     smaller vertex set strictly inside the larger), on the facets of the
     replaced hull, hull_facet_incidences."""
-    coords = [p.coords for p in points]
     if not coords:
         raise ValueError("need at least one point")
     facets = hull_facet_incidences(coords)
-    top = frozenset(range(len(points)))
+    top = frozenset(range(len(coords)))
     sets = {top}
     frontier = {top}
     while frontier:
@@ -971,10 +980,10 @@ def lp_cone_adjacency(entries) -> list[tuple[int, int]]:
     exact LP per pair of cones and flipped row."""
     edges = []
     for a in range(len(entries)):
-        rows_a = entries[a].cone.strict
-        nvars = entries[a].cone.nvars
+        rows_a = entries[a].inequalities
+        nvars = len(entries[a].witness)
         for b in range(a + 1, len(entries)):
-            rows_b = entries[b].cone.strict
+            rows_b = entries[b].inequalities
             for flip in rows_a:
                 system = [as_constraint(flip, "==")]
                 system += [as_constraint(r) for r in rows_a if r != flip]
@@ -1033,8 +1042,8 @@ def cold_lp_maximal_cones(g: Dag) -> list[FanEntry]:
             if witness is None:
                 witness = fraction_feasible([], nvars)
             minimal = dict.fromkeys(system_rows(choices, pairs, minimal=True))
-            system = CriticalSystem.from_dict(choices)
-            entries.append(FanEntry(system, ConeDescription(tuple(minimal), nvars),
+            system = CriticalSystem(tuple(sorted(choices.items())))
+            entries.append(FanEntry(system, tuple(minimal),
                                     maxoid_from_blockers(g.n, system.blockers), witness))
             return
         key = pairs[idx]
@@ -1046,7 +1055,7 @@ def cold_lp_maximal_cones(g: Dag) -> list[FanEntry]:
             if forced is None:
                 continue
             new_rows = [r for r in system_rows(choices, forced, False) if r not in rows]
-            if witness is not None and in_open_cone(new_rows, witness.point):
+            if witness is not None and in_open_cone(new_rows, witness):
                 w = witness
             else:
                 w = fraction_feasible([as_constraint(r) for r in rows + new_rows], nvars)
@@ -1258,13 +1267,13 @@ def genericity_formula(g: Dag) -> Formula:
     return f_and(parts)
 
 
-def satisfiable(f: Formula, nvars: int) -> Witness | None:
+def satisfiable(f: Formula, nvars: int) -> tuple[Fraction, ...] | None:
     """Lazy DNF search over a formula in negation normal form, as negate
     leaves it: OR nodes branched in order, the running conjunction pruned by
     exact feasibility (fraction_feasible) before every branch.  Returns the
     first witness found; deterministic."""
 
-    def search(pending: list[Formula], system: list[Constraint]) -> Witness | None:
+    def search(pending: list[Formula], system: list[Constraint]) -> tuple[Fraction, ...] | None:
         pending = list(pending)
         system = list(system)
         while pending:
@@ -1310,7 +1319,7 @@ def formula_implication(g: Dag, premises, conclusions, generic: bool = False) ->
     w = satisfiable(f_and(parts()), len(g.sorted_edges))
     if w is None:
         return Verdict(True)
-    wd = WeightedDag(g, dict(zip(g.sorted_edges, w.point)))
+    wd = WeightedDag(g, dict(zip(g.sorted_edges, w)))
     _verify_counterexample(wd, premises, conclusions, generic)
     return Verdict(False, wd)
 
@@ -1394,6 +1403,30 @@ def per_graph_census(family: TdagFamily, include_faces: bool
         if include_faces:
             everything.update(Maxoid.from_json(family.n, stmts) for stmts in data["faces"])
     return generic, everything
+
+
+class NonGenericError(ValueError):
+    """Raised when an operation requires a tie-free weight vector."""
+
+
+def cone_of(wd: WeightedDag, minimal: bool = False) -> tuple[tuple[int, ...], ...]:
+    """The replaced second path to a cone's rows: the strict rows of the open
+    cone of weight vectors sharing wd's critical paths, one per (pair,
+    non-critical path), taken from tropical.critical_paths.
+
+    With minimal=True only comparisons between internally disjoint paths are
+    kept; comparisons through a shared intermediate node are implied by the
+    sub-pair comparisons, so both forms cut out the same open set.
+    """
+    if not is_generic(wd):
+        raise NonGenericError("cone description requires tie-free weights")
+    g = wd.g
+    index = _edge_index(g)
+    rows: dict[tuple[int, ...], None] = {}
+    for i, j in _connected_pairs(g):
+        crit = critical_paths(wd, i, j)[0]
+        rows.update(dict.fromkeys(_pair_rows(g, index, (i, j), crit, minimal)))
+    return tuple(rows)
 
 
 def echelon_lineality_dimension(g: Dag) -> int:

@@ -109,7 +109,7 @@ def test_criterion_3_complete_dag_table():
     for n in (3, 4):
         g = complete_dag(n)
         entries = enumerate_maximal_cones(g)
-        coords = [p.coords for _, p in polytope_vertices(g, entries)]
+        coords = [p for _, p in polytope_vertices(g, entries)]
         seen[n] = (affine_dimension(coords)[0], len(coords))
     k4 = complete_dag(4)
     e4 = enumerate_maximal_cones(k4)
@@ -118,7 +118,7 @@ def test_criterion_3_complete_dag_table():
     small_elapsed = time.monotonic() - t0
     g5 = complete_dag(5)
     entries5 = enumerate_maximal_cones(g5)
-    coords5 = [p.coords for _, p in polytope_vertices(g5, entries5)]
+    coords5 = [p for _, p in polytope_vertices(g5, entries5)]
     seen[5] = (affine_dimension(coords5)[0], len(coords5))
     elapsed = time.monotonic() - t0
     assert seen == expected
@@ -306,7 +306,7 @@ def test_criterion_7e_witnesses_reverify_exactly():
     # fan witnesses against their own cones
     for g in (DIAMOND, complete_dag(4)):
         for e in enumerate_maximal_cones(g):
-            assert in_open_cone(e.cone.strict, e.witness.point)
+            assert in_open_cone(e.inequalities, e.witness)
     # implication counterexamples against the statements they must realize
     v = decide_implication(complete_dag(4), [ci("24|13")], [ci("14|3")])
     m = maxoid(v.counterexample)
@@ -322,8 +322,8 @@ def test_criterion_7f_cone_samples_reproduce_structures():
             for denom in (7, 23, 101, 1009, 10007, 100003):
                 for _ in range(4):
                     cand = tuple(x + Fraction(rng.randint(-3, 3), denom)
-                                 for x in e.witness.point)
-                    if in_open_cone(e.cone.strict, cand):
+                                 for x in e.witness)
+                    if in_open_cone(e.inequalities, cand):
                         wd = WeightedDag(g, dict(zip(g.sorted_edges, cand)))
                         assert maxoid(wd) == e.maxoid
                         produced += 1

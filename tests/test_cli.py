@@ -255,7 +255,7 @@ def test_axioms_refuses_more_than_6_nodes_before_the_maxoid(files, capsys):
     assert code == 2
     assert json.loads(out) == {"error": {
         "type": "ValueError",
-        "message": "exhaustive instantiation over 11 nodes; pass force=True to run anyway"}}
+        "message": "exhaustive instantiation over 11 nodes exceeds the bound of 6 nodes"}}
     assert 11 not in separation._subset_tables
 
 

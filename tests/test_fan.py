@@ -6,20 +6,18 @@ from fractions import Fraction
 import pytest
 
 from maxoid.census import all_top_ordered_tdags
-from maxoid.fan import (
-    NonGenericError,
-    cone_of,
-    enumerate_maximal_cones,
-    lineality_dimension,
-)
+from maxoid.fan import enumerate_maximal_cones, lineality_dimension
 from maxoid.graph import Dag, top_ordered_closed_dags
+from maxoid.linarith import rank_of
 from maxoid.polytope import cone_adjacency
 from maxoid.separation import maxoid, parse_ci_statement
 from maxoid.tropical import WeightedDag, critical_paths, weighted_dag_from_list
 from oracles import (
+    NonGenericError,
     as_constraint,
     cold_lp_maximal_cones,
     complete_dag,
+    cone_of,
     echelon_lineality_dimension,
     fraction_feasible,
     in_open_cone,
@@ -38,20 +36,18 @@ def stmts(*texts):
 
 def test_cone_of_diamond_minimal():
     wd = weighted_dag_from_list(DIAMOND, [2, 1, 2, 1])
-    cone = cone_of(wd, minimal=True)
     # c12 + c24 - c13 - c34 > 0 over lexicographic edges
-    assert cone.strict == ((1, -1, 1, -1),)
+    assert cone_of(wd, minimal=True) == ((1, -1, 1, -1),)
 
 
 def test_cone_of_k3():
     wd = weighted_dag_from_list(K3, [1, 1, 1])  # c13 < c12 + c23
-    cone = cone_of(wd)
-    assert cone.strict == ((1, -1, 1),)
+    assert cone_of(wd) == ((1, -1, 1),)
 
 
 def test_cone_of_chain_is_whole_space():
     wd = weighted_dag_from_list(CHAIN, [3, 7])
-    assert cone_of(wd).strict == ()
+    assert cone_of(wd) == ()
 
 
 def test_cone_of_rejects_ties():
@@ -71,12 +67,12 @@ def test_minimal_description_equivalent_to_full():
                 mini = cone_of(wd, minimal=True)
             except NonGenericError:
                 continue
-            assert set(mini.strict) <= set(full.strict)
+            assert set(mini) <= set(full)
             # every full row is implied by the minimal system
-            for row in full.strict:
-                system = [as_constraint(r) for r in mini.strict]
+            for row in full:
+                system = [as_constraint(r) for r in mini]
                 system.append(as_constraint([-c for c in row], ">="))
-                assert fraction_feasible(system, full.nvars) is None
+                assert fraction_feasible(system, len(g.sorted_edges)) is None
 
 
 def test_diamond_fan():
@@ -100,7 +96,7 @@ def test_k3_fan():
 def test_chain_fan_single_cone():
     entries = enumerate_maximal_cones(CHAIN)
     assert len(entries) == 1
-    assert entries[0].cone.strict == ()
+    assert entries[0].inequalities == ()
     assert cone_adjacency(CHAIN, entries) == []
     assert lineality_dimension(CHAIN) == 2
 
@@ -117,7 +113,7 @@ def test_cone_to_maxoid_injective_and_systems_subpath_closed():
         entries = enumerate_maximal_cones(g)
         assert len({e.maxoid for e in entries}) == len(entries)
         for e in entries:
-            choices = e.system.as_dict()
+            choices = dict(e.system.choices)
             for (i, j), path in choices.items():
                 for a in range(len(path)):
                     for b in range(a + 1, len(path)):
@@ -127,19 +123,18 @@ def test_cone_to_maxoid_injective_and_systems_subpath_closed():
 def test_witnesses_lie_in_their_cone_and_reproduce_maxoid():
     for g in (DIAMOND, K3, complete_dag(4)):
         for e in enumerate_maximal_cones(g):
-            assert in_open_cone(e.cone.strict, e.witness.point)
-            wd = WeightedDag(g, dict(zip(g.sorted_edges, e.witness.point)))
+            assert in_open_cone(e.inequalities, e.witness)
+            wd = WeightedDag(g, dict(zip(g.sorted_edges, e.witness)))
             assert maxoid(wd) == e.maxoid
 
 
-def _sample_in_cone(rng, cone, witness):
+def _sample_in_cone(rng, rows, witness):
     """A random rational point of the open cone near its witness."""
-    n = len(witness.point)
     for denom in (7, 23, 101, 1009, 10007):
         cand = tuple(
-            x + Fraction(rng.randint(-3, 3), denom) for x in witness.point
+            x + Fraction(rng.randint(-3, 3), denom) for x in witness
         )
-        if in_open_cone(cone.strict, cand):
+        if in_open_cone(rows, cand):
             return cand
     raise AssertionError("no nearby sample found")
 
@@ -149,7 +144,7 @@ def test_cone_interior_samples_reproduce_maxoid():
     for g in (DIAMOND, K3, complete_dag(4)):
         for e in enumerate_maximal_cones(g):
             for _ in range(10):
-                point = _sample_in_cone(rng, e.cone, e.witness)
+                point = _sample_in_cone(rng, e.inequalities, e.witness)
                 wd = WeightedDag(g, dict(zip(g.sorted_edges, point)))
                 assert maxoid(wd) == e.maxoid
 
@@ -164,7 +159,7 @@ def test_random_generic_vector_lies_in_exactly_one_cone():
             wd = WeightedDag(g, dict(zip(g.sorted_edges, point)))
             inside = [
                 e for e in entries
-                if in_open_cone(e.cone.strict, point)
+                if in_open_cone(e.inequalities, point)
             ]
             from maxoid.tropical import is_generic
 
@@ -239,11 +234,11 @@ def test_warm_started_search_matches_the_cold_lp_search(graphs):
     for g in graphs():
         entries = enumerate_maximal_cones(g)
         expected = cold_lp_maximal_cones(g)
-        assert [(e.system, e.cone, e.maxoid) for e in entries] == \
-            [(e.system, e.cone, e.maxoid) for e in expected]
+        assert [(e.system, e.inequalities, e.maxoid) for e in entries] == \
+            [(e.system, e.inequalities, e.maxoid) for e in expected]
         for e in entries:
-            assert in_open_cone(e.cone.strict, e.witness.point)
-            wd = WeightedDag(g, dict(zip(g.sorted_edges, e.witness.point)))
+            assert in_open_cone(e.inequalities, e.witness)
+            wd = WeightedDag(g, dict(zip(g.sorted_edges, e.witness)))
             assert kleene_maxoid(wd) == e.maxoid
 
 
@@ -257,12 +252,14 @@ def test_every_returned_witness_picks_every_chosen_path(seed):
     entries = enumerate_maximal_cones(g)
     assert len(entries) == 103
     for e in entries:
-        wd = WeightedDag(g, dict(zip(g.sorted_edges, e.witness.point)))
+        wd = WeightedDag(g, dict(zip(g.sorted_edges, e.witness)))
         for pair, path in e.system.choices:
             assert critical_paths(wd, *pair) == [path]
 
 
 def test_lineality_of_one_cone_matches_the_echelon_over_every_path_pair():
+    # the largest-bitmask paths are the critical paths under weights 2^k,
+    # so the integer lineality equals the rank of cone_of's minimal rows
     rng = random.Random(2718)
     graphs = list(top_ordered_closed_dags(5))
     for _ in range(150):
@@ -270,4 +267,7 @@ def test_lineality_of_one_cone_matches_the_echelon_over_every_path_pair():
         label = [0, *rng.sample(g.nodes, g.n)]
         graphs.append(Dag(g.n, [(label[u], label[v]) for u, v in g.edges]))
     for g in graphs:
-        assert lineality_dimension(g) == echelon_lineality_dimension(g), g
+        edges = g.sorted_edges
+        powers = WeightedDag(g, {e: 2 ** k for k, e in enumerate(edges)})
+        replaced = len(edges) - rank_of(cone_of(powers, minimal=True))
+        assert lineality_dimension(g) == echelon_lineality_dimension(g) == replaced, g

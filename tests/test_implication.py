@@ -102,7 +102,7 @@ def test_satisfiable_simple():
     a = atom({0: 1})
     assert satisfiable(f_and([a, negate(a)]), 1) is None
     w = satisfiable(f_or([f_and([a, negate(a)]), atom({0: -1})]), 1)
-    assert w is not None and w.point[0] < 0
+    assert w is not None and w[0] < 0
 
 
 def test_reference_implication_forward_holds_locally():

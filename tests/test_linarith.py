@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from maxoid.linarith import (
     StrictTableau,
-    Witness,
     _echelon,
     _primitive,
+    checked_point,
     pivot_columns,
     rank_of,
 )
@@ -43,7 +43,7 @@ def strict_witness(rows, nvars):
     """The checked StrictTableau witness of dense strict rows, None when
     their open cone is empty."""
     tab = StrictTableau(nvars).extended(rows)
-    return None if tab is None else Witness.checked(tab.point, rows, tab.d)
+    return None if tab is None else checked_point(tab.point, rows, tab.d)
 
 
 def dense(con, nvars):
@@ -54,7 +54,7 @@ def dense(con, nvars):
 
 def test_open_interval():
     w = strict_witness([(1, 0), (-1, 1)], 2)
-    assert w is not None and 0 < w.point[0] < w.point[1]
+    assert w is not None and 0 < w[0] < w[1]
 
 
 def test_contradiction():
@@ -65,7 +65,7 @@ def test_strict_versus_nonstrict_boundary():
     # the oracle simplex, which the formula oracle runs on negated atoms:
     # x >= 0 and -x >= 0 admit only x = 0 ...
     w = fraction_feasible([ge({0: 1}), ge({0: -1})], 1)
-    assert w is not None and w.point[0] == 0
+    assert w is not None and w[0] == 0
     # ... so making one side strict kills it
     assert fraction_feasible([gt({0: 1}), ge({0: -1})], 1) is None
 
@@ -78,29 +78,29 @@ def test_diamond_cone_witness_reproduces_maxoid():
     cone = (1, -1, 1, -1)  # edges (1,2),(1,3),(2,4),(3,4)
     w = strict_witness([cone], 4)
     d = Dag(4, [(1, 2), (1, 3), (2, 4), (3, 4)])
-    wd = WeightedDag(d, dict(zip(d.sorted_edges, w.point)))
+    wd = WeightedDag(d, dict(zip(d.sorted_edges, w)))
     assert maxoid(wd).stmts == {parse_ci_statement(t) for t in ("2,3|1", "1,4|2,3", "1,4|2")}
 
 
 def test_equalities():
     # the oracle simplex's artificial phase
     w = fraction_feasible([eq({0: 1, 1: 1}, -2), ge({0: 1, 1: -1})], 2)
-    assert w.point[0] + w.point[1] == 2 and w.point[0] >= w.point[1]
+    assert w[0] + w[1] == 2 and w[0] >= w[1]
     assert fraction_feasible([eq({0: 1}, -1), eq({0: 1}, -2)], 1) is None
 
 
 def test_empty_system_and_out_of_range():
-    assert strict_witness([], 2).point == (Fraction(0), Fraction(0))
+    assert strict_witness([], 2) == (Fraction(0), Fraction(0))
     with pytest.raises(ValueError):
         strict_witness([(0, 0, 0, 0, 0, 1)], 2)
 
 
 def test_witness_checked_raises_on_violation():
     with pytest.raises(AssertionError):
-        Witness.checked((Fraction(0),), [(1,)])
-    with pytest.raises(AssertionError):
-        Witness.checked((1, -1), [(1, 1)], 3)
-    assert Witness.checked((1, 2), [(-1, 1)], 4).point == (Fraction(1, 4), Fraction(1, 2))
+        checked_point((Fraction(0),), [(1,)])
+    with pytest.raises(AssertionError, match=r"witness \(1, -1\) / 3 violates \(1, 1\) > 0"):
+        checked_point((1, -1), [(1, 1)], 3)
+    assert checked_point((1, 2), [(-1, 1)], 4) == (Fraction(1, 4), Fraction(1, 2))
 
 
 def test_determinism():
@@ -191,7 +191,7 @@ def test_agrees_with_fourier_motzkin(case):
     w = fraction_feasible(system, nvars)
     assert (w is not None) == fm_feasible(system, nvars)
     if w is not None:
-        assert all(con.holds_at(w.point) for con in system)
+        assert all(con.holds_at(w) for con in system)
 
 
 @given(small_systems(rational=True, relations=(">",), homogeneous=True))
@@ -203,7 +203,7 @@ def test_rational_systems_agree_with_the_fraction_simplex(case):
     w = strict_witness([dense(con, nvars) for con in system], nvars)
     assert (w is None) == (fraction_feasible(system, nvars) is None)
     if w is not None:
-        assert all(con.holds_at(w.point) for con in system)
+        assert all(con.holds_at(w) for con in system)
 
 
 @pytest.mark.parametrize("system, nvars", [
@@ -237,10 +237,9 @@ def test_fan_cone_systems_match_the_fraction_simplex():
     # in one batch from the root
     for g in (complete_dag(4), Dag(5, [(1, 2), (1, 3), (1, 5), (2, 4), (2, 5), (3, 4), (4, 5)])):
         for e in enumerate_maximal_cones(g):
-            system = e.cone.strict
-            w = strict_witness(system, e.cone.nvars)
-            assert w is not None
-            assert fraction_feasible([as_constraint(r) for r in system], e.cone.nvars) is not None
+            system, nvars = e.inequalities, len(g.sorted_edges)
+            assert strict_witness(system, nvars) is not None
+            assert fraction_feasible([as_constraint(r) for r in system], nvars) is not None
 
 
 def _random_strict_chunks(rng):
@@ -344,7 +343,7 @@ def test_strict_tableau_in_chunks_matches_the_fraction_simplex(seed):
         for chunk, want in zip(chunks, expected):
             rows += chunk
             tab = tab and tab.extended(chunk)
-            assert (tab and Witness.checked(tab.point, rows, tab.d)) == want
+            assert (tab and checked_point(tab.point, rows, tab.d)) == want
             assert tab is None or len(tab.T) == len(rows)
         assert (tab is None) == (fraction_feasible([as_constraint(r) for r in rows],
                                                    nvars) is None)
@@ -361,7 +360,7 @@ def test_strict_tableau_leaves_the_parent_unchanged():
     assert parent.extended([(0, -1)]) is not None
     assert state == (parent.T, parent.basis, parent.cols, parent.d)
     assert len(left.T) == len(parent.T) + 2
-    Witness.checked(left.point, [(1, -1), (0, 1), (-1, 3)], left.d)
+    checked_point(left.point, [(1, -1), (0, 1), (-1, 3)], left.d)
     assert left.extended([(-1, 1)]) is None
 
 

@@ -9,7 +9,6 @@ from maxoid.graph import Dag
 from maxoid.polytope import (
     Face,
     _facet_incidences,
-    PolytopePoint,
     cone_adjacency,
     face_lattice,
     face_maxoid,
@@ -34,39 +33,39 @@ def stmts(*texts):
 
 
 def test_f_vector_of_standard_shapes():
-    square = [PolytopePoint(p) for p in ((0, 0), (1, 0), (0, 1), (1, 1))]
+    square = [(0, 0), (1, 0), (0, 1), (1, 1)]
     assert face_lattice(square).f_vector() == (4, 4)
-    triangle = [PolytopePoint(p) for p in ((0, 0), (1, 0), (0, 1))]
+    triangle = [(0, 0), (1, 0), (0, 1)]
     assert face_lattice(triangle).f_vector() == (3, 3)
-    segment = [PolytopePoint(p) for p in ((0,), (2,))]
+    segment = [(0,), (2,)]
     assert face_lattice(segment).f_vector() == (2,)
-    cube = [PolytopePoint(p) for p in itertools.product((0, 1), repeat=3)]
+    cube = list(itertools.product((0, 1), repeat=3))
     assert face_lattice(cube).f_vector() == (8, 12, 6)
 
 
 def test_face_lattice_of_segment_and_triangle():
-    segment = [PolytopePoint(p) for p in ((0,), (2,))]
+    segment = [(0,), (2,)]
     lat = face_lattice(segment)
     assert [(f.dim, sorted(f.vertices)) for f in lat.faces] == [
         (0, [0]), (0, [1]), (1, [0, 1])]
     assert set(lat.covers) == {(0, 2), (1, 2)}
-    triangle = [PolytopePoint(p) for p in ((0, 0), (1, 0), (0, 1))]
+    triangle = [(0, 0), (1, 0), (0, 1)]
     lat3 = face_lattice(triangle)
     assert len(lat3.faces) == 7  # 3 vertices + 3 edges + top
     assert len(lat3.covers) == 9  # each vertex under 2 edges, each edge under top
 
 
 def test_single_point_polytope():
-    lat = face_lattice([PolytopePoint((3, 1))])
+    lat = face_lattice([(3, 1)])
     assert len(lat.faces) == 1 and lat.faces[0].dim == 0
-    assert face_lattice([PolytopePoint((3, 1))]).f_vector() == ()
+    assert face_lattice([(3, 1)]).f_vector() == ()
 
 
 def test_vertices_k3():
     g = complete_dag(3)
     pts = polytope_vertices(g)
     assert len(pts) == 2
-    coords = {p.coords for _, p in pts}
+    coords = {p for _, p in pts}
     # the two points differ by indicator(1->3) - indicator(1->2->3)
     a, b = sorted(coords)
     assert tuple(x - y for x, y in zip(b, a)) in {(1, -1, 1), (-1, 1, -1)}
@@ -85,7 +84,7 @@ def test_complete_dag_4_polytope():
     pts = polytope_vertices(g, entries)
     coords = [p for _, p in pts]
     assert len(coords) == 9
-    assert affine_dimension([p.coords for p in coords])[0] == 3
+    assert affine_dimension(coords)[0] == 3
     lat = face_lattice(coords)
     assert lat.f_vector() == (9, 14, 7)
     assert len(lat.faces) == 9 + 14 + 7 + 1
@@ -187,7 +186,7 @@ def test_facet_union_property_on_maximal_cone_walls():
 
 
 def test_hasse_dot_output():
-    lat = face_lattice([PolytopePoint(p) for p in ((0,), (2,))])
+    lat = face_lattice([(0,), (2,)])
     dot = hasse_dot(lat)
     assert dot.startswith("digraph") and "->" in dot
 
@@ -245,16 +244,15 @@ def test_face_lattice_matches_the_pairwise_oracle():
         "octahedron": [tuple(s * int(k == axis) for k in range(3))
                        for axis in range(3) for s in (1, -1)],
     }
-    cases = {name: [PolytopePoint(p) for p in pts] for name, pts in shapes.items()}
+    cases = dict(shapes)
     k5_minus = Dag(5, [e for e in complete_dag(5).edges if e != (3, 4)])
     graphs = [complete_dag(3), complete_dag(4), DIAMOND, complete_dag(5), k5_minus]
     graphs += _random_dags(5, 15, seed=1729)
     for k, g in enumerate(graphs):
         cases[f"graph {k} {g.sorted_edges}"] = [p for _, p in polytope_vertices(g)]
-    for name, pts in cases.items():
-        coords = [p.coords for p in pts]
+    for name, coords in cases.items():
         assert _facet_incidences(coords) == hull_facet_incidences(coords), name
-        assert face_lattice(pts) == pairwise_face_lattice(pts), name
+        assert face_lattice(coords) == pairwise_face_lattice(coords), name
     octahedron = face_lattice(cases["octahedron"])
     assert octahedron.f_vector() == (6, 12, 8)
     facets = [f.vertices for f in octahedron.faces if f.dim == 2]
@@ -270,7 +268,7 @@ def test_facets_of_the_first_13_edge_6_node_graph_match_the_replaced_hull():
     from maxoid.census import all_top_ordered_tdags
 
     g = next(g for g in all_top_ordered_tdags(6).graphs if len(g.edges) == 13)
-    coords = [p.coords for _, p in polytope_vertices(g)]
+    coords = [p for _, p in polytope_vertices(g)]
     facets = _facet_incidences(coords)
     assert len(coords) == 473 and len(facets) == 26
     assert facets == hull_facet_incidences(coords)

@@ -316,7 +316,7 @@ def _cone_and_face_structures(g):
     entries = enumerate_maximal_cones(g)
     pts = polytope_vertices(g, entries)
     for e in entries:
-        yield e.maxoid, kleene_maxoid(weighted_dag_from_list(g, e.witness.point))
+        yield e.maxoid, kleene_maxoid(weighted_dag_from_list(g, e.witness))
     for f in face_lattice([p for _, p in pts]).faces:
         yield (face_maxoid(g, f, entries, pts),
                kleene_maxoid(weighted_dag_from_list(g, f.normal)))
