@@ -8,8 +8,14 @@ structures of generic weights.  Cones are enumerated by a depth-first search
 over per-pair path choices with subpath-consistency and exact feasibility
 pruning, so only realizable systems are ever completed.  A row is a
 path comparison weight(winner) - weight(loser) > 0 as a tuple of ints over
-the sorted edges; its entries are -1, 0 and 1, so it is primitive.  The
-search carries down, next to its rows, a StrictTableau: a feasible compact
+the sorted edges; its entries are -1, 0 and 1, so it is primitive.  Before
+the search, every path of every connected pair gets its table entry once:
+the sub-paths that choosing it forces, with their pairs; its full rows
+against every other path of its pair and its minimal rows against the
+internally disjoint ones; and the node_mask of its interior.  A choice is
+then a path id per pair, checked and forced from these tables, and a pair
+that an earlier choice already forced is skipped in a loop.  The search
+carries down, next to its rows, a StrictTableau: a feasible half-width
 dictionary of {c : every row >= 1}, which is nonempty exactly when the open
 cone of the rows is.  A child node whose new rows its parent's point
 already satisfies strictly keeps that tableau and solves no LP; any other
@@ -104,73 +110,67 @@ def enumerate_maximal_cones(g: Dag) -> list[FanEntry]:
     order."""
     index = _edge_index(g)
     pairs = _connected_pairs(g)
-    path_lists = {pq: enumerate_paths(g, *pq) for pq in pairs}
+    position = {key: i for i, key in enumerate(pairs)}
+    # one table entry per path, by path id: the (pair position, path id) of
+    # each of its sub-paths, the path itself included, which choosing it
+    # forces; its full and minimal rows; its interior's node_mask
+    paths: list[Path] = []
+    pair_paths = []
+    for key in pairs:
+        found = enumerate_paths(g, *key)
+        pair_paths.append(range(len(paths), len(paths) + len(found)))
+        paths += found
+    ids = {path: i for i, path in enumerate(paths)}
+    forces = [[(position[path[a], path[b]], ids[path[a:b + 1]])
+               for a in range(len(path)) for b in range(a + 1, len(path))]
+              for path in paths]
+    full_rows = [_pair_rows(g, index, (p[0], p[-1]), p, minimal=False) for p in paths]
+    minimal_rows = [_pair_rows(g, index, (p[0], p[-1]), p, minimal=True) for p in paths]
+    masks = [node_mask(path[1:-1]) for path in paths]
+    by_key = sorted(range(len(pairs)), key=pairs.__getitem__)
+    chosen: list[int | None] = [None] * len(pairs)
     entries: list[FanEntry] = []
-    row_memo: dict[tuple, list[tuple[int, ...]]] = {}
 
-    def system_rows(choices: dict, keys, minimal: bool) -> list[tuple[int, ...]]:
-        rows = []
-        for key in keys:
-            memo_key = (key, choices[key], minimal)
-            if memo_key not in row_memo:
-                row_memo[memo_key] = _pair_rows(g, index, key, choices[key], minimal)
-            rows.extend(row_memo[memo_key])
-        return rows
-
-    def propagate(choices: dict, key, path: Path):
-        """Assign path to key and force all sub-pair choices; None on clash."""
-        forced = []
-        for a in range(len(path)):
-            for b in range(a + 1, len(path)):
-                sub, subkey = path[a:b + 1], (path[a], path[b])
-                if subkey in choices:
-                    if choices[subkey] != sub:
-                        undo(choices, forced)
-                        return None
-                else:
-                    choices[subkey] = sub
-                    forced.append(subkey)
-        return forced
-
-    def undo(choices: dict, forced):
-        for k in forced:
-            del choices[k]
-
-    def dfs(idx: int, choices: dict, rows: list[tuple[int, ...]], seen: set,
-            tab: StrictTableau):
+    def dfs(idx: int, rows: list[tuple[int, ...]], seen: set, tab: StrictTableau):
+        while idx < len(pairs) and chosen[idx] is not None:
+            idx += 1
         if idx == len(pairs):
             # rows is the cone's whole system, the minimal rows among them
             witness = checked_point(tab.point, rows, tab.d)
-            minimal = dict.fromkeys(system_rows(choices, pairs, minimal=True))
-            system = CriticalSystem(tuple(sorted(choices.items())))
+            minimal = dict.fromkeys(r for pid in chosen for r in minimal_rows[pid])
+            system = CriticalSystem(tuple((pairs[i], paths[chosen[i]]) for i in by_key))
+            blockers = {pairs[i]: masks[chosen[i]] for i in by_key}
             entries.append(FanEntry(system, tuple(minimal),
-                                    maxoid_from_blockers(g.n, system.blockers), witness))
+                                    maxoid_from_blockers(g.n, blockers), witness))
             return
-        key = pairs[idx]
-        if key in choices:
-            dfs(idx + 1, choices, rows, seen, tab)
-            return
-        for path in path_lists[key]:
-            forced = propagate(choices, key, path)
-            if forced is None:
-                continue
-            new_rows = [r for r in system_rows(choices, forced, minimal=False)
-                        if r not in seen]
-            if all(sum(map(mul, r, tab.point)) > 0 for r in new_rows):
-                child = tab  # the parent's point lies strictly inside the child too
-            else:
-                # the tableau has absorbed rows[:len(tab.T)], one row of T each
-                child = tab.extended(rows[len(tab.T):] + new_rows)
-            if child is not None:
-                rows.extend(new_rows)
-                seen.update(new_rows)
-                dfs(idx + 1, choices, rows, seen, child)
-                del rows[len(rows) - len(new_rows):]
-                seen.difference_update(new_rows)
-            undo(choices, forced)
+        for pid in pair_paths[idx]:
+            forced = []
+            for pos, sub in forces[pid]:
+                old = chosen[pos]
+                if old is None:
+                    forced.append((pos, sub))
+                elif old != sub:
+                    break
+            else:  # no sub-pair chose another path: force the unset ones
+                for pos, sub in forced:
+                    chosen[pos] = sub
+                new_rows = [r for _, sub in forced for r in full_rows[sub] if r not in seen]
+                if all(sum(map(mul, r, tab.point)) > 0 for r in new_rows):
+                    child = tab  # the parent's point lies strictly inside the child too
+                else:
+                    # the tableau has absorbed rows[:len(tab.T)], one row of T each
+                    child = tab.extended(rows[len(tab.T):] + new_rows)
+                if child is not None:
+                    rows.extend(new_rows)
+                    seen.update(new_rows)
+                    dfs(idx + 1, rows, seen, child)
+                    del rows[len(rows) - len(new_rows):]
+                    seen.difference_update(new_rows)
+                for pos, _ in forced:
+                    chosen[pos] = None
 
     try:
-        dfs(0, {}, [], set(), StrictTableau(len(index)))
+        dfs(0, [], set(), StrictTableau(len(index)))
     finally:
         # dfs refers to itself; breaking that cycle frees the search state
         # on return instead of at the next garbage collection

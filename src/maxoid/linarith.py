@@ -9,35 +9,49 @@ has no objective.  The simplex uses Bland's rule throughout, so it
 terminates and is deterministic for a fixed input ordering.  It is the
 package's only simplex.
 
-The tableau is a compact dictionary (Avis, "lrs", 2000): it stores only
-the columns of the nonbasic variables, each row over them and the
-right-hand side.  The variables are z+ and z- for x (x_v = z[v] -
-z[nvars + v]) and one slack per absorbed row, so there are always 2*nvars
-nonbasic columns however many rows are absorbed.  The entries are Python
-ints A over one positive common denominator d and stand for the rational
-dictionary A/d.  A pivot on the entry p = A[r][k] replaces every other row
-a by (a*p - a[k]*A[r]) / d and sets d to p, after negating row r if p < 0
-(integer-preserving pivoting: Edmonds 1967; Bareiss 1968).  Exactness
-invariant: every entry is, up to sign, a minor of the starting integer
-tableau and d is the absolute determinant of the current basis, so each
-division is exact and no gcd is ever taken.  Column k then stands for the
-variable that left the basis: with s the sign of p, it holds s*d in row r
-and -s*f in every other row, where f is that row's old entry in column k.
-These are the entries that the leaving variable's column of the full
-tableau, with one column per variable, would hold after the same pivot, so
-the compact dictionary takes the pivots of the full tableau on about half
-as many columns.  Since d > 0, A/d has the signs of A, so the pivots, and
-the point, are those of the same simplex on a Fraction tableau.
+The tableau is a compact dictionary (Avis, "lrs", 2000) of half the
+usual width.  The variables are z+ and z- for x (x_v = z[v] - z[nvars +
+v]) and one slack per absorbed row; the dictionary holds one row per basic
+variable over the nonbasic ones and the right-hand side.  The entries are
+Python ints A over one positive common denominator d and stand for the
+rational dictionary A/d.  The z+_v and z-_v columns of each edge variable
+mirror each other, since x only ever enters as z+ - z-: while both are
+nonbasic their columns are exact negatives, and while one of them is basic
+in row r the other's column is -d in row r and 0 elsewhere (the basis never
+holds both, as their columns are dependent).  So the tableau stores nvars
+slots: one per pair with both z nonbasic, holding the z+ column, and one
+per nonbasic slack, of which there are as many as basic z variables.  This
+is the whole dictionary: any other column is a stored one negated or an
+implicit partner column.
+
+A pivot on the negative entry p of the entering column in row r replaces
+every other row a by (a*|p| + c*T[r]) / d, with c the entering column's
+entry in row a (for z-_v, the slot's entry negated), negates row r and
+sets d to |p| (integer-preserving pivoting: Edmonds 1967; Bareiss 1968).
+Exactness invariant: every entry is, up to sign, a minor of the starting
+integer tableau and d is the absolute determinant of the current basis, so
+each division is exact and no gcd is ever taken.  The slot of the entering
+variable then holds the leaving variable's column, negated when the
+leaving variable is z-_u so that the slot holds z+_u.  When the leaving
+variable is a z, its partner may enter on its implicit entry -d: that
+pivot only negates the row.  These are the pivots, and the entries, of the
+full tableau with one column per variable, on nvars stored columns where
+that tableau has 2*nvars plus one per row.  Since d > 0, A/d has the signs
+of A, so the pivots, and the point, are those of the same simplex on a
+Fraction tableau.
 
 An appended row enters with its own slack basic, and the basic z variables
 are eliminated from it as row*d - sum(row[b_r] * A[r]) over their rows r:
 this is the row the pivots so far would have made of it, over the same d,
-so the exactness invariant holds.  Dual simplex (Lemke 1954) with zero
-costs then repairs the negative right-hand sides by Bland's rule: the basic
+so the exactness invariant holds, and its entry in each implicit partner
+column is 0.  Dual simplex (Lemke 1954) with zero costs then repairs the
+negative right-hand sides by Bland's rule on variable indices: the basic
 variable of smallest index with a negative right-hand side leaves, and the
 nonbasic variable of smallest index with a negative entry in its row
-enters.  A leaving row with no negative entry certifies infeasibility, as
-sum(A[r][k] y_k) = A[r][-1] < 0 has no solution y >= 0.
+enters.  A stored pair slot offers z+_v when its entry is negative and z-_v
+when it is positive; a leaving z always offers its partner.  A leaving
+slack row with no candidate certifies infeasibility, as sum(A[r][k] y_k) =
+A[r][-1] < 0 has no solution y >= 0.
 
 The tableau keeps its point as integer numerators over d and checks
 nothing; a caller re-verifies the point it returns with checked_point,
@@ -69,35 +83,65 @@ def checked_point(point: Sequence[Fraction | int], rows: Iterable[Sequence[int]]
                   den: int = 1) -> tuple[Fraction, ...]:
     """point / den as Fractions, for a positive den, after checking in the
     given arithmetic that every row is positive at point."""
+    if den <= 0:
+        raise ValueError(f"denominator {den} of witness {tuple(point)} is not positive")
     for row in rows:
         if sum(map(mul, row, point)) <= 0:
             raise AssertionError(f"witness {tuple(point)} / {den} violates {tuple(row)} > 0")
+    if den == 1:
+        return tuple(map(Fraction, point))
     return tuple(Fraction(x, den) for x in point)
 
 
-def _pivot(T, basis, cols, d, r, k):
-    """Integer-preserving dual-simplex pivot on the negative entry T[r][k]
-    over the common denominator d.
+def _pivot(T, basis, cols, d, r, k, nvars):
+    """Integer-preserving dual-simplex pivot on row r over the common
+    denominator d; returns the new denominator.
 
-    The pivot row is negated, so the new denominator piv = -T[r][k] is
-    positive; every other row a becomes (a*piv - a[k]*prow) // d, an exact
-    division.  Column k then belongs to the leaving variable, with -d in the
-    pivot row and a[k] in every other row.  Rows are replaced, never
-    changed in place, so tableaus may share them.  Returns piv."""
-    prow = [-x for x in T[r]]
-    piv = prow[k]
+    With k None, the partner of the basic z in row r enters on its implicit
+    entry -d: no other row changes, and row r is negated.  Otherwise the
+    variable of slot k enters, z+_v or a slack on a negative entry a =
+    T[r][k], z-_v on a positive one.  With piv = |a| and m the pivot row
+    times the sign of a, every other row becomes (row*piv - row[k]*m) // d,
+    an exact division, and row r becomes -T[r]; slot k then holds the
+    leaving variable's column, with -d in row r and the entering column's
+    old entry in every other row, negated when z-_u leaves, so that the slot
+    holds z+_u.  Rows are replaced, never changed in place, so tableaus may
+    share them."""
+    prow = T[r]
+    leaving = basis[r]
+    if k is None:
+        basis[r] = leaving + nvars if leaving < nvars else leaving - nvars
+        T[r] = [-x for x in prow]
+        return d
+    a = prow[k]
+    if a < 0:
+        piv, m = -a, [-x for x in prow]
+        basis[r] = cols[k]
+    else:
+        piv, m = a, prow
+        basis[r] = cols[k] + nvars
+    # the slot holds z+_u when z-_u leaves: its column is negated
+    negate = nvars <= leaving < 2 * nvars
+    cols[k] = leaving - nvars if negate else leaving
+    # the entering column is the slot's column times -1 when a > 0
+    flip = negate != (a > 0)
+    # every pivot of the complete-4, -5 and -6 fans has d = piv = 1
+    unit = piv == d == 1
     for i, row in enumerate(T):
         if i != r:
             f = row[k]
             if f:
-                new = [(a * piv - f * b) // d for a, b in zip(row, prow)]
-                new[k] = f
+                if unit:
+                    new = [x - f * b for x, b in zip(row, m)]
+                else:
+                    new = [(x * piv - f * b) // d for x, b in zip(row, m)]
+                new[k] = -f if flip else f
                 T[i] = new
             elif piv != d:
-                T[i] = [a * piv // d for a in row]
-    prow[k] = -d
-    T[r] = prow
-    basis[r], cols[k] = cols[k], basis[r]
+                T[i] = [x * piv // d for x in row]
+    new = [-x for x in prow]
+    new[k] = d if negate else -d
+    T[r] = new
     return piv
 
 
@@ -111,14 +155,19 @@ class StrictTableau:
     (x_v = z[v] - z[nvars + v]); variable 2*nvars + i is the slack of the
     i-th absorbed row.  T holds one row per absorbed row, so len(T) counts
     them: the row of basic variable basis[r], with entry k the coefficient
-    of nonbasic variable cols[k] and the right-hand side last, over the
-    common denominator d.  point holds the integer numerators over d of the
-    tableau's point x.  The root has no rows, every z nonbasic, and the
-    point x = 0.  extended() shares rows with the tableau it extends and
-    never changes it, so a search can hand one tableau to every child.
+    of slot k and the right-hand side last, over the common denominator d.
+    There are nvars slots.  Slot k holds a slack when cols[k] >= 2*nvars,
+    and otherwise the pair v = cols[k] with both z+_v and z-_v nonbasic: the
+    slot's column is z+_v's, and z-_v's is its negative.  A pair with one z
+    basic in row r has no slot: the other z's column is -d in row r and 0
+    elsewhere (see the module docstring).  point holds the integer
+    numerators over d of the tableau's point x.  The root has no rows, every
+    pair in its own slot, and the point x = 0.  extended() shares rows with
+    the tableau it extends and never changes it, so a search can hand one
+    tableau to every child.
 
-    Pivots follow Bland's rule on variable indices, not column positions,
-    and so are the pivots of the full tableau with one column per variable.
+    Pivots follow Bland's rule on variable indices, not slot positions, and
+    so are the pivots of the full tableau with one column per variable.
     The z+ block comes before the whole z- block, rather than interleaved
     as x_v = z[2v] - z[2v+1], on purpose: on a tie, the smallest-index
     rule then prefers any z+ variable to any z- variable, and the
@@ -130,7 +179,7 @@ class StrictTableau:
 
     def __init__(self, nvars: int):
         self.nvars = nvars
-        self.T, self.basis, self.cols, self.d = [], [], list(range(2 * nvars)), 1
+        self.T, self.basis, self.cols, self.d = [], [], list(range(nvars)), 1
         self.point = [0] * nvars
 
     def extended(self, rows: Sequence[Sequence[int]]) -> "StrictTableau | None":
@@ -146,14 +195,14 @@ class StrictTableau:
                 raise ValueError(f"{tuple(row)} is not a row over {nvars} variables")
         T, basis, cols, d = list(self.T), list(self.basis), list(self.cols), self.d
         for row in rows:
-            coef = [-c for c in row]
-            coef += row
-            elim = [coef[v] * d if v < nz else 0 for v in cols]
+            # z+_v has the coefficient -row[v] and z-_v the coefficient row[v]
+            elim = [-row[v] * d if v < nvars else 0 for v in cols]
             elim.append(-d)
             for r, b in enumerate(basis):
-                if b < nz and coef[b]:
-                    f = coef[b]
-                    elim = [a - f * x for a, x in zip(elim, T[r])]
+                if b < nz:
+                    f = -row[b] if b < nvars else row[b - nvars]
+                    if f:
+                        elim = [a - f * x for a, x in zip(elim, T[r])]
             basis.append(nz + len(T))
             T.append(elim)
         while True:
@@ -166,15 +215,23 @@ class StrictTableau:
                     leave = r
             if leave is None:
                 break
-            prow = T[leave]
-            enter = None
+            prow, b = T[leave], basis[leave]
+            enter = slot = None
+            if b < nz:
+                # a leaving z's partner has the entry -d in its row
+                enter = b + nvars if b < nvars else b - nvars
             for k, v in enumerate(cols):
-                if prow[k] < 0 and (enter is None or v < cols[enter]):
-                    enter = k
+                a = prow[k]
+                if a > 0 and v < nvars:
+                    v += nvars  # z-_v, whose column is the slot's negated
+                elif a >= 0:
+                    continue
+                if enter is None or v < enter:
+                    enter, slot = v, k
             if enter is None:
                 # sum(prow[k] y_k) = prow[-1] < 0 has no solution y >= 0
                 return None
-            d = _pivot(T, basis, cols, d, leave, enter)
+            d = _pivot(T, basis, cols, d, leave, slot, nvars)
         z = [0] * nz
         for r, b in enumerate(basis):
             if b < nz:

@@ -11,11 +11,12 @@ hull_facet_incidences (started from one Fraction null line per ray), the
 replaced pairwise face lattice, the replaced edge-mask graph loop, the
 replaced fan search with one cold LP per node, the dual simplex on a
 Fraction tableau, the replaced full-width integer tableau FullStrictTableau
-with one column per variable, the sparse row type Constraint with
-relations '>', '>=' and '==', and the replaced formula engine for
-implication: Boolean
-formulas over strict path comparisons, polyci_formula, genericity_formula
-and satisfiable on the Fraction simplex, with the local engine
+with one column per variable, the replaced compact dictionary
+CompactStrictTableau with one column per nonbasic variable, the sparse
+row type Constraint with relations '>', '>=' and '==', and the replaced
+formula engine for implication: Boolean formulas over strict path
+comparisons, polyci_formula, genericity_formula and satisfiable on the
+Fraction simplex, with the local engine
 formula_implication and the global mask-loop scan scan_implication, and
 the replaced per-graph structure scan per_graph_scan_implication, the
 replaced per-graph census loop per_graph_census, the replaced
@@ -424,6 +425,89 @@ class FullStrictTableau:
         new.T, new.basis, new.d = T, basis, d
         new.point = [z[v] - z[self.nvars + v] for v in range(self.nvars)]
         new.witness = checked_point(new.point, new.rows, d)
+        return new
+
+
+def _compact_pivot(T, basis, cols, d, r, k):
+    """Integer-preserving dual-simplex pivot on the negative entry T[r][k]
+    over the common denominator d.
+
+    The pivot row is negated, so the new denominator piv = -T[r][k] is
+    positive; every other row a becomes (a*piv - a[k]*prow) // d, an exact
+    division.  Column k then belongs to the leaving variable, with -d in the
+    pivot row and a[k] in every other row.  Rows are replaced, never
+    changed in place, so tableaus may share them.  Returns piv."""
+    prow = [-x for x in T[r]]
+    piv = prow[k]
+    for i, row in enumerate(T):
+        if i != r:
+            f = row[k]
+            if f:
+                new = [(a * piv - f * b) // d for a, b in zip(row, prow)]
+                new[k] = f
+                T[i] = new
+            elif piv != d:
+                T[i] = [a * piv // d for a in row]
+    prow[k] = -d
+    T[r] = prow
+    basis[r], cols[k] = cols[k], basis[r]
+    return piv
+
+
+class CompactStrictTableau:
+    """The replaced StrictTableau: a compact dictionary that stores the
+    columns of all 2*nvars nonbasic variables, z+ and z- for x and the
+    nonbasic slacks, so the mirrored z+ and z- columns of each edge
+    variable are both kept.  cols[k] is the variable of column k; T, basis,
+    d and point are as in linarith.StrictTableau, and the pivots are those
+    of the full tableau FullStrictTableau."""
+
+    __slots__ = ("nvars", "T", "basis", "cols", "d", "point")
+
+    def __init__(self, nvars: int):
+        self.nvars = nvars
+        self.T, self.basis, self.cols, self.d = [], [], list(range(2 * nvars)), 1
+        self.point = [0] * nvars
+
+    def extended(self, rows: Sequence[Sequence[int]]) -> "CompactStrictTableau | None":
+        nvars, nz = self.nvars, 2 * self.nvars
+        for row in rows:
+            if len(row) != nvars:
+                raise ValueError(f"{tuple(row)} is not a row over {nvars} variables")
+        T, basis, cols, d = list(self.T), list(self.basis), list(self.cols), self.d
+        for row in rows:
+            coef = [-c for c in row]
+            coef += row
+            elim = [coef[v] * d if v < nz else 0 for v in cols]
+            elim.append(-d)
+            for r, b in enumerate(basis):
+                if b < nz and coef[b]:
+                    f = coef[b]
+                    elim = [a - f * x for a, x in zip(elim, T[r])]
+            basis.append(nz + len(T))
+            T.append(elim)
+        while True:
+            leave = None
+            for r, row in enumerate(T):
+                if row[-1] < 0 and (leave is None or basis[r] < basis[leave]):
+                    leave = r
+            if leave is None:
+                break
+            prow = T[leave]
+            enter = None
+            for k, v in enumerate(cols):
+                if prow[k] < 0 and (enter is None or v < cols[enter]):
+                    enter = k
+            if enter is None:
+                return None
+            d = _compact_pivot(T, basis, cols, d, leave, enter)
+        z = [0] * nz
+        for r, b in enumerate(basis):
+            if b < nz:
+                z[b] = T[r][-1]
+        new = CompactStrictTableau.__new__(CompactStrictTableau)
+        new.nvars, new.T, new.basis, new.cols, new.d = nvars, T, basis, cols, d
+        new.point = [z[v] - z[nvars + v] for v in range(nvars)]
         return new
 
 

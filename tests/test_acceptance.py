@@ -15,6 +15,8 @@ node 1 isolated violates it; test_axioms.py carries this counterexample), so
 whose classical fourth premise (k,l|ijM) is absent.
 """
 
+import hashlib
+import json
 import os
 import random
 import time
@@ -130,8 +132,9 @@ def test_criterion_3_complete_dag_table():
           f"lineality {lin} ({elapsed:.1f}s)")
 
 
-def test_criterion_3_long_complete_dag_6_vertex_count(monkeypatch):
+def test_criterion_3_long_complete_dag_6_vertex_count(monkeypatch, capsys, tmp_path):
     from maxoid import linarith
+    from maxoid.cli import run
 
     pivots = 0
     pivot = linarith._pivot
@@ -142,13 +145,20 @@ def test_criterion_3_long_complete_dag_6_vertex_count(monkeypatch):
         return pivot(*args)
 
     monkeypatch.setattr(linarith, "_pivot", counting_pivot)
-    entries = enumerate_maximal_cones(complete_dag(6))
-    assert len(entries) == 3324
+    dag = tmp_path / "complete6.json"
+    dag.write_text(json.dumps({"n": 6, "edges": [list(e) for e in complete_dag(6).sorted_edges]}))
+    assert run(["fan", str(dag)]) == 0
+    out = capsys.readouterr().out.encode()
+    assert len(json.loads(out)["cones"]) == 3324
     # Bland's rule fixes every pivot, so a change of their number is a
     # change of the simplex
     assert pivots == 9314
+    # the witnesses, rows and structures of the whole search
+    assert len(out) == 6156732
+    assert hashlib.sha256(out).hexdigest() == (
+        "a65911889c38342aa9a9111c44569ab220ac9913daa911cedac06b0d170c04b1")
     print("CRITERION 3 (long) PASS: 3324 maximal cones on the 6-node complete DAG, "
-          "9314 pivots")
+          "9314 pivots, pinned fan output")
 
 
 def test_criterion_4_census_table():

@@ -331,18 +331,25 @@ def test_fan_output_matches_the_golden_files(capsys, name):
     assert out.encode() == (DATA / f"{name}_fan.json").read_bytes()
 
 
-@pytest.mark.parametrize("argv, drop, digest", [
-    (["polytope", "--face-maxoids"], (3, 4),
+@pytest.mark.parametrize("argv, drop, reverse, digest", [
+    (["polytope", "--face-maxoids"], (3, 4), False,
      "cc852fdc8da1e5cf124e42ccef37a042fe6e583263ad1035cbbe121817b265ae"),
-    (["fan", "--adjacency"], None,
+    (["fan", "--adjacency"], None, False,
      "abf220ac5d06537a1f6b42811b2a82b83021dcdeb2a25a4fc063cefe69150b94"),
-], ids=["polytope-complete5-minus-3-4", "fan-adjacency-complete5"])
-def test_five_node_outputs_keep_their_pinned_digests(capsys, tmp_path, argv, drop, digest):
+    (["fan"], None, True,
+     "c3ebab55e91af52d056cb944da6fb7a626656bcbbac12adb252196fde87604dc"),
+], ids=["polytope-complete5-minus-3-4", "fan-adjacency-complete5", "fan-reversed-complete5"])
+def test_five_node_outputs_keep_their_pinned_digests(capsys, tmp_path, argv, drop, reverse,
+                                                     digest):
     # complete-5 minus 3->4 and complete-5, whose polytopes (dimensions 5
     # and 6) run the double description far longer than the golden files'
     # 3-dimensional ones; the digests were taken from the Fraction-echelon
-    # hull
+    # hull.  The fan of complete-5 with every edge reversed (node 5 the
+    # source) pins witnesses that the search reaches in another pair and
+    # path order than under the identity labels
     edges = [[i, j] for i in range(1, 6) for j in range(i + 1, 6) if (i, j) != drop]
+    if reverse:
+        edges = sorted([j, i] for i, j in edges)
     dag = tmp_path / "dag.json"
     dag.write_text(json.dumps({"n": 5, "edges": edges}))
     code, out = invoke(capsys, *argv, str(dag))

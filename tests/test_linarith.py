@@ -15,6 +15,7 @@ from maxoid.linarith import (
     rank_of,
 )
 from oracles import (
+    CompactStrictTableau,
     Constraint,
     FullStrictTableau,
     affine_dimension,
@@ -101,6 +102,14 @@ def test_witness_checked_raises_on_violation():
     with pytest.raises(AssertionError, match=r"witness \(1, -1\) / 3 violates \(1, 1\) > 0"):
         checked_point((1, -1), [(1, 1)], 3)
     assert checked_point((1, 2), [(-1, 1)], 4) == (Fraction(1, 4), Fraction(1, 2))
+
+
+@pytest.mark.parametrize("den", [-1, 0])
+def test_checked_point_refuses_a_nonpositive_denominator(den):
+    # (-1, -2) = (1, 2) / -1 violates both rows, though (1, 2) passes them
+    with pytest.raises(ValueError, match=f"denominator {den} of witness"):
+        checked_point([1, 2], [(1, 0), (0, 1)], den)
+    assert checked_point([1, 2], [(1, 0), (0, 1)]) == (1, 2)
 
 
 def test_determinism():
@@ -256,14 +265,16 @@ def _random_strict_chunks(rng):
 
 @pytest.fixture
 def pivots(monkeypatch):
-    """Pivot counts of the compact tableau and of the full-width oracle,
-    by module: {"compact": ..., "full": ...}."""
+    """Pivot counts of the tableau, of the full-width oracle and of the
+    compact-dictionary oracle: {"compact": ..., "full": ...,
+    "compact_oracle": ...}."""
     import oracles
     from maxoid import linarith
 
-    counts = {"compact": 0, "full": 0}
+    counts = {"compact": 0, "full": 0, "compact_oracle": 0}
     for module, name, key in ((linarith, "_pivot", "compact"),
-                              (oracles, "_full_pivot", "full")):
+                              (oracles, "_full_pivot", "full"),
+                              (oracles, "_compact_pivot", "compact_oracle")):
         def counting(*args, _pivot=getattr(module, name), _key=key):
             counts[_key] += 1
             return _pivot(*args)
@@ -292,6 +303,77 @@ def test_compact_tableau_matches_the_full_width_tableau(seed, pivots):
             assert len(tab.T) == len(full.rows)
         verdicts.add(tab is None)
     assert verdicts == {True, False}
+
+
+def _half_width_dictionary(tab):
+    """The whole dictionary that a half-width tableau stands for: the column
+    of every nonbasic variable, by variable, and the right-hand sides.  A
+    pair slot holds z+_v, and z-_v is its negative; the partner of a basic
+    z is -d in that z's row and 0 elsewhere."""
+    n, T = tab.nvars, tab.T
+    columns = {}
+    for k, v in enumerate(tab.cols):
+        columns[v] = [row[k] for row in T]
+        if v < n:
+            columns[v + n] = [-row[k] for row in T]
+    for r, b in enumerate(tab.basis):
+        if b < 2 * n:
+            columns[b + n if b < n else b - n] = [-tab.d if i == r else 0
+                                                  for i in range(len(T))]
+    return columns, [row[-1] for row in T]
+
+
+def _compact_dictionary(tab):
+    """The same for the compact oracle, which stores every nonbasic column."""
+    return ({v: [row[k] for row in tab.T] for k, v in enumerate(tab.cols)},
+            [row[-1] for row in tab.T])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_half_width_tableau_matches_both_oracles(seed, pivots, monkeypatch):
+    # the half-width tableau against the compact dictionary it replaced and
+    # the full-width tableau, on rows with entries in +-3 over 1 to 6
+    # variables, not made primitive: after every chunk the same verdict,
+    # point, denominator, basis and number of pivots, and the dictionary
+    # the slots stand for is the compact one, entry by entry.  The runs take
+    # pivots with d != 1, which leave the unit regime of the fan searches,
+    # partner swaps, which only negate a row, and a z- leaving on a slot
+    # pivot, whose slot then holds the negated z+ column: that pivot is rare
+    # (58 of about 200000 pivots on random systems), so the first system is
+    # one that takes it
+    from maxoid import linarith
+
+    steps = []
+    counted = linarith._pivot
+
+    def recording(T, basis, cols, d, r, k, nvars):
+        steps.append((d, k is None, k is not None and nvars <= basis[r] < 2 * nvars))
+        return counted(T, basis, cols, d, r, k, nvars)
+
+    monkeypatch.setattr(linarith, "_pivot", recording)
+    rng = random.Random(f"half-width/{seed}")
+    systems = [(4, [[(2, 3, 1, 0), (1, 1, -3, -3), (0, 1, -1, 0)], [(1, -1, 0, 1)]])]
+    for _ in range(100):
+        nvars = rng.randint(1, 6)
+        systems.append((nvars, [[[rng.randint(-3, 3) for _ in range(nvars)]
+                                 for _ in range(rng.randint(1, 4))]
+                                for _ in range(rng.randint(1, 5))]))
+    verdicts = set()
+    for nvars, chunks in systems:
+        tabs = [StrictTableau(nvars), CompactStrictTableau(nvars), FullStrictTableau(nvars)]
+        for chunk in chunks:
+            tabs = [tab.extended(chunk) for tab in tabs]
+            assert pivots["compact"] == pivots["compact_oracle"] == pivots["full"]
+            assert len({tab is None for tab in tabs}) == 1
+            if tabs[0] is None:
+                break
+            assert len({(tuple(tab.point), tab.d, tuple(tab.basis)) for tab in tabs}) == 1
+            assert _half_width_dictionary(tabs[0]) == _compact_dictionary(tabs[1])
+        verdicts.add(tabs[0] is None)
+    assert verdicts == {True, False}
+    assert any(d != 1 for d, _, _ in steps)
+    assert any(swap for _, swap, _ in steps)
+    assert any(z_minus_leaves for _, _, z_minus_leaves in steps)
 
 
 class _BothTableaus:
@@ -373,14 +455,26 @@ def test_strict_tableau_takes_strict_rows_in_range_only():
 
 
 @pytest.mark.parametrize("n, count", [(4, 17), (5, 251)])
-def test_complete_dag_fans_take_the_pinned_pivot_counts(n, count, pivots):
+def test_complete_dag_fans_take_the_pinned_pivot_counts(n, count, pivots, monkeypatch):
     # Bland's rule fixes every pivot, so a change of their number is a
-    # change of the simplex
+    # change of the simplex; each of these pivots has d = 1 and pivot 1,
+    # the regime that _pivot's plain a - f*b rows serve
+    from maxoid import linarith
     from maxoid.fan import enumerate_maximal_cones
     from oracles import complete_dag
 
+    steps = []
+    counted = linarith._pivot
+
+    def recording(T, basis, cols, d, r, k, nvars):
+        piv = counted(T, basis, cols, d, r, k, nvars)
+        steps.append((d, piv))
+        return piv
+
+    monkeypatch.setattr(linarith, "_pivot", recording)
     enumerate_maximal_cones(complete_dag(n))
     assert pivots["compact"] == count
+    assert steps == [(1, 1)] * count
 
 
 def test_rank_and_affine_dimension():
