@@ -30,9 +30,8 @@ chosen paths, which are the critical paths of every weight vector in it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from operator import mul
 
 from .graph import Dag, Path, enumerate_paths
@@ -47,13 +46,10 @@ class CriticalSystem:
     two of its nodes is the choice for that pair."""
 
     choices: tuple[tuple[tuple[int, int], Path], ...]
-
-    @cached_property
-    def blockers(self) -> dict[tuple[int, int], int]:
-        """node_mask of each chosen path's interior: under weights of the
-        open cone the critical k->l path is the chosen one, so these are the
-        blocker sets of separation.maxoid_from_blockers."""
-        return {key: node_mask(path[1:-1]) for key, path in self.choices}
+    # node_mask of each chosen path's interior, keyed like choices: under
+    # weights of the open cone the critical k->l path is the chosen one, so
+    # these are the blocker sets of separation.maxoid_from_blockers
+    blockers: dict[tuple[int, int], int] = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -138,10 +134,10 @@ def enumerate_maximal_cones(g: Dag) -> list[FanEntry]:
             # rows is the cone's whole system, the minimal rows among them
             witness = checked_point(tab.point, rows, tab.d)
             minimal = dict.fromkeys(r for pid in chosen for r in minimal_rows[pid])
-            system = CriticalSystem(tuple((pairs[i], paths[chosen[i]]) for i in by_key))
-            blockers = {pairs[i]: masks[chosen[i]] for i in by_key}
+            system = CriticalSystem(tuple((pairs[i], paths[chosen[i]]) for i in by_key),
+                                    {pairs[i]: masks[chosen[i]] for i in by_key})
             entries.append(FanEntry(system, tuple(minimal),
-                                    maxoid_from_blockers(g.n, blockers), witness))
+                                    maxoid_from_blockers(g.n, system.blockers), witness))
             return
         for pid in pair_paths[idx]:
             forced = []

@@ -88,8 +88,6 @@ def checked_point(point: Sequence[Fraction | int], rows: Iterable[Sequence[int]]
     for row in rows:
         if sum(map(mul, row, point)) <= 0:
             raise AssertionError(f"witness {tuple(point)} / {den} violates {tuple(row)} > 0")
-    if den == 1:
-        return tuple(map(Fraction, point))
     return tuple(Fraction(x, den) for x in point)
 
 
@@ -125,16 +123,11 @@ def _pivot(T, basis, cols, d, r, k, nvars):
     cols[k] = leaving - nvars if negate else leaving
     # the entering column is the slot's column times -1 when a > 0
     flip = negate != (a > 0)
-    # every pivot of the complete-4, -5 and -6 fans has d = piv = 1
-    unit = piv == d == 1
     for i, row in enumerate(T):
         if i != r:
             f = row[k]
             if f:
-                if unit:
-                    new = [x - f * b for x, b in zip(row, m)]
-                else:
-                    new = [(x * piv - f * b) // d for x, b in zip(row, m)]
+                new = [(x * piv - f * b) // d for x, b in zip(row, m)]
                 new[k] = -f if flip else f
                 T[i] = new
             elif piv != d:

@@ -1126,7 +1126,9 @@ def cold_lp_maximal_cones(g: Dag) -> list[FanEntry]:
             if witness is None:
                 witness = fraction_feasible([], nvars)
             minimal = dict.fromkeys(system_rows(choices, pairs, minimal=True))
-            system = CriticalSystem(tuple(sorted(choices.items())))
+            system = CriticalSystem(tuple(sorted(choices.items())),
+                                    {key: node_mask(path[1:-1])
+                                     for key, path in sorted(choices.items())})
             entries.append(FanEntry(system, tuple(minimal),
                                     maxoid_from_blockers(g.n, system.blockers), witness))
             return

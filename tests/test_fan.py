@@ -230,12 +230,15 @@ def test_search_state_is_freed_on_return():
 ])
 def test_warm_started_search_matches_the_cold_lp_search(graphs):
     # the tableau carried down the search finds the same cones in the same
-    # order as one cold LP per node; only the interior witnesses may differ
+    # order as one cold LP per node, with the blockers of the chosen paths
+    # in pair order; only the interior witnesses may differ
     for g in graphs():
         entries = enumerate_maximal_cones(g)
         expected = cold_lp_maximal_cones(g)
-        assert [(e.system, e.inequalities, e.maxoid) for e in entries] == \
-            [(e.system, e.inequalities, e.maxoid) for e in expected]
+        assert [(e.system, list(e.system.blockers.items()), e.inequalities, e.maxoid)
+                for e in entries] == \
+            [(e.system, list(e.system.blockers.items()), e.inequalities, e.maxoid)
+             for e in expected]
         for e in entries:
             assert in_open_cone(e.inequalities, e.witness)
             wd = WeightedDag(g, dict(zip(g.sorted_edges, e.witness)))

@@ -458,7 +458,8 @@ def test_strict_tableau_takes_strict_rows_in_range_only():
 def test_complete_dag_fans_take_the_pinned_pivot_counts(n, count, pivots, monkeypatch):
     # Bland's rule fixes every pivot, so a change of their number is a
     # change of the simplex; each of these pivots has d = 1 and pivot 1,
-    # the regime that _pivot's plain a - f*b rows serve
+    # so a search that leaves that regime, and pays for larger entries,
+    # fails here instead of only running slower
     from maxoid import linarith
     from maxoid.fan import enumerate_maximal_cones
     from oracles import complete_dag
