@@ -14,10 +14,13 @@ five nodes, 238 for the 2792 on six), and renames each structure to every
 member of the class by walking its set bits through that member's bit
 table (separation._relabelings).
 
-Per-graph results can be cached on disk, content-addressed by the graph and
-the cache format version, so large runs are resumable: set MAXOID_CACHE_DIR
-to enable.  The census caches one file per class representative.  An
-unreadable cache file counts as a miss and is rewritten.
+Each representative's Dag goes to a worker, and its structures come back
+as the ints of Maxoid.bits: bit k is the k-th statement in the order a
+maxoid prints them.  These results can be cached on disk, content-addressed
+by the graph and the cache format version, so large runs are resumable:
+set MAXOID_CACHE_DIR to enable.  The census caches one file per class
+representative, holding those ints as JSON integers; an unreadable or
+invalid file counts as a miss and is rewritten.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .separation import Maxoid, _relabelings, _statement_tables
 CACHE_ENV = "MAXOID_CACHE_DIR"
 # Raise whenever what a cache file holds, or how it is computed, changes:
 # files written under another version are then never read.
-CACHE_FORMAT = 2
+CACHE_FORMAT = 3
 
 
 @dataclass
@@ -86,42 +89,38 @@ def _cache_path(g: Dag) -> str | None:
     return os.path.join(root, _graph_key(g) + ".json")
 
 
-def _structure_list(value, n: int) -> bool:
-    """Whether value is a list of structures, each a list of statement
-    strings on 1..n in the canonical form Maxoid.to_json writes."""
-    texts = _statement_tables[n].bit_of_text
-    return isinstance(value, list) and all(
-        isinstance(m, list) and all(isinstance(t, str) and t in texts for t in m)
-        for m in value)
+def _bits_list(value, limit: int) -> bool:
+    """Whether value is a list of ints in [0, limit)."""
+    return isinstance(value, list) and all(type(b) is int and 0 <= b < limit for b in value)
 
 
-def _read_cache(path: str, n: int) -> dict:
-    """The cached record at path, or {} when it is missing, does not parse or
-    is not a record of structures on 1..n: a generic list, and a faces list
-    unless that is absent or null.  A statement string that is not canonical
-    or leaves 1..n makes the record a miss."""
+def _read_cache(path: str, n: int) -> dict | None:
+    """The cached record at path, or None when it is missing, does not parse
+    or is not a record of structures on 1..n: a nonempty generic list, since
+    every fan has a cone, and a faces list unless that is absent or null."""
     try:
         with open(path) as fh:
             data = json.load(fh)
     except (OSError, ValueError):
-        return {}
-    if not (isinstance(data, dict) and _structure_list(data.get("generic"), n)
-            and (data.get("faces") is None or _structure_list(data["faces"], n))):
-        return {}
-    return data
+        return None
+    limit = 1 << len(_statement_tables[n].statements)
+    if not (isinstance(data, dict) and _bits_list(data.get("generic"), limit) and data["generic"]
+            and (data.get("faces") is None or _bits_list(data["faces"], limit))):
+        return None
+    return {"generic": data["generic"], "faces": data.get("faces")}
 
 
-def graph_maxoids(g: Dag, include_faces: bool) -> dict[str, list[list[str]] | None]:
-    """Generic (and optionally face) CI structures of one graph, as sorted
-    statement lists; reads and refreshes the disk cache when enabled."""
+def graph_maxoids(g: Dag, include_faces: bool) -> dict[str, list[int] | None]:
+    """Generic (and optionally face) CI structures of one graph, as
+    {"generic": [bits], "faces": [bits] or None} in fan and lattice order,
+    where bits is Maxoid.bits.  Reads the disk cache when enabled; a miss
+    computes what the call asks for and replaces the record."""
     path = _cache_path(g)
-    data = _read_cache(path, g.n) if path else {}
-    if "generic" not in data or (include_faces and data.get("faces") is None):
-        want_faces = include_faces and data.get("faces") is None
-        cones, faces = graph_structures(g, want_faces)
-        data.setdefault("generic", [m.to_json() for m, _ in cones])
-        if want_faces:
-            data["faces"] = [m.to_json() for m, _ in faces]
+    data = _read_cache(path, g.n) if path else None
+    if data is None or (include_faces and data["faces"] is None):
+        generic, *faces = ([m.bits for m, _ in batch]
+                           for batch in graph_structures(g, include_faces))
+        data = {"generic": generic, "faces": faces[0] if faces else None}
         if path:
             tmp = path + ".tmp"
             with open(tmp, "w") as fh:
@@ -130,15 +129,16 @@ def graph_maxoids(g: Dag, include_faces: bool) -> dict[str, list[list[str]] | No
     return data
 
 
-def _worker(args) -> dict:
-    graph_json, include_faces = args
-    from .graph import dag_from_json
+def _graph_text(g: Dag) -> str:
+    return json.dumps(dag_to_json(g), sort_keys=True)
 
+
+def _worker(args) -> dict:
+    g, include_faces = args
     try:
-        return graph_maxoids(dag_from_json(graph_json), include_faces)
+        return graph_maxoids(g, include_faces)
     except Exception as exc:
-        graph = json.dumps(graph_json, sort_keys=True)
-        raise RuntimeError(f"census failed on graph {graph}: {exc!r}") from exc
+        raise RuntimeError(f"census failed on graph {_graph_text(g)}: {exc!r}") from exc
 
 
 def _spawned_map(fn, tasks: list, workers: int) -> Iterator:
@@ -167,13 +167,13 @@ def census_structures(family: TdagFamily, include_faces: bool = True,
     once, on its representative, and each of its structures is renamed to
     every member of the class through that member's bit table.  Runs the
     representatives on min(jobs, number of classes) worker processes,
-    serially when that is 1.  Each class's statement lists become bits as
-    its result arrives, so no class's strings are held until the end.
+    serially when that is 1.  Each class's bits are renamed as its result
+    arrives.
     """
     n = family.n
     classes = list(isomorphism_classes(family.graphs))
     assert sum(len(labels) for _, labels in classes) == len(family.graphs)
-    tasks = [(dag_to_json(g), include_faces) for g, _ in classes]
+    tasks = [(g, include_faces) for g, _ in classes]
     generic: set[int] = set()
     everything: set[int] = set()
 
@@ -190,18 +190,15 @@ def census_structures(family: TdagFamily, include_faces: bool = True,
                 yield out
 
     def collect(results: Iterator[dict]) -> None:
-        for (graph_json, _), (_, labels) in zip(tasks, classes):
+        for g, labels in classes:
             try:
                 data = next(results)
             except BrokenProcessPool as exc:
-                graph = json.dumps(graph_json, sort_keys=True)
-                raise RuntimeError(f"census worker died; no result for graph {graph} "
+                raise RuntimeError(f"census worker died; no result for graph {_graph_text(g)} "
                                    f"and the graphs after it: {exc}") from exc
-            cones = [Maxoid.from_json(n, stmts).bits for stmts in data["generic"]]
-            generic.update(renamed(cones, labels))
+            generic.update(renamed(data["generic"], labels))
             if include_faces:
-                faces = [Maxoid.from_json(n, stmts).bits for stmts in data["faces"]]
-                everything.update(renamed(faces, labels))
+                everything.update(renamed(data["faces"], labels))
 
     workers = min(jobs, len(tasks))
     collect(_spawned_map(_worker, tasks, workers) if workers > 1 else map(_worker, tasks))

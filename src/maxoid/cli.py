@@ -171,7 +171,7 @@ def _cmd_polytope(args) -> None:
 def _cmd_census(args) -> None:
     if args.jobs < 1:
         raise SystemExit(_error(f"--jobs must be at least 1, got {args.jobs}"))
-    if args.nodes >= 5 and not args.unbounded:
+    if args.nodes >= 6 and not args.unbounded:
         raise SystemExit(_error(f"census on {args.nodes} nodes is long-running; {LONG_RUN_HINT}"))
     family = all_top_ordered_tdags(args.nodes)
     generic, everything = census_structures(family, include_faces=not args.generic_only,
@@ -234,7 +234,7 @@ def _cmd_axioms(args) -> None:
 
 
 def _cmd_tdags(args) -> None:
-    if args.nodes >= 6 and not args.unbounded:
+    if args.nodes >= 7 and not args.unbounded:
         raise SystemExit(_error(f"enumeration on {args.nodes} nodes is long-running; {LONG_RUN_HINT}"))
     family = all_top_ordered_tdags(args.nodes)
     data = {"n": family.n, "count": len(family.graphs),

@@ -28,9 +28,10 @@ order (the class representatives in global modes, the one graph in local
 modes), then each graph's cones in fan order, then its faces of dimension
 at least 1 in lattice order.  A structure is listed once, where the scan
 first meets it: a later copy matches under exactly the labels the first
-one does, so it is never the first match.  The index grows one graph at a
-time and only as far as a scan reaches, and a graph's faces are built only
-when a scan moves past its last cone; until then its fan entries are kept.
+one does, so it is never the first match.  The index chains the batches
+of polytope.graph_structures over its graphs and grows one batch at a time,
+only as far as a scan reaches: a graph's faces are built only when a scan
+moves past its last cone, and until then its fan entries are kept.
 A query becomes one premise and one conclusion mask per relabeling, read
 off a column per statement of the per-label bit tables of
 separation._relabelings, built the first time a query names it.  The
@@ -46,9 +47,8 @@ from dataclasses import dataclass
 from itertools import islice, permutations
 from typing import Iterator, Sequence
 
-from .fan import enumerate_maximal_cones
 from .graph import Dag, isomorphism_classes, top_ordered_closed_dags
-from .polytope import face_structures
+from .polytope import graph_structures
 from .separation import (
     CiStatement,
     _relabelings,
@@ -134,16 +134,6 @@ def decide_implication(scope, premises: Sequence[CiStatement],
     return Verdict(False, wd)
 
 
-def _structure_batches(graphs: Iterator[Dag], include_faces: bool):
-    """(graph, realized structures) in scan order: each graph's cones, then,
-    with include_faces, its faces, built from the fan kept until then."""
-    for g in graphs:
-        fan = enumerate_maximal_cones(g)
-        yield g, [(e.maxoid, e.witness) for e in fan]
-        if include_faces:
-            yield g, face_structures(g, fan)
-
-
 class _Index:
     """The distinct structures of one scope and mode in scan order, as
     (bits, graph, weights), grown a batch at a time by grow, and the
@@ -155,7 +145,8 @@ class _Index:
         self.entries: list[tuple[int, Dag, tuple]] = []
         self.counterexamples: dict[tuple[int, tuple[int, ...]], dict] = {}
         self._seen: set[int] = set()
-        self._batches = _structure_batches(graphs, include_faces)
+        self._batches = ((g, batch) for g in graphs
+                         for batch in graph_structures(g, include_faces))
 
     def grow(self) -> bool:
         """List the structures of the next batch that are not listed yet;

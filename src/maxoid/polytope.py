@@ -23,6 +23,10 @@ CGTA 23, 2002).  The facet normals then answer the fan's questions without
 further LPs: the sum of the normals of the facets containing a face lies in
 the relative interior of the face's normal cone, and two maximal cones are
 adjacent exactly when their vertices span an edge.
+
+graph_structures is the one producer of a graph's structures with the
+weights that realize them, read by the census and by implication: the
+cones' first, then, on demand, the faces'.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm
 from operator import add, mul, or_
+from typing import Iterator
 
 from .graph import Dag
 from .linarith import _primitive, independent_rows, pivot_columns
@@ -41,11 +46,11 @@ from .fan import FanEntry, CriticalSystem, enumerate_maximal_cones
 class Face:
     """A face identified by the set of polytope vertices it contains; normal
     is an integer outer normal vector in the relative interior of its normal
-    cone (zero for the whole polytope), set by face_lattice."""
+    cone (zero for the whole polytope)."""
 
     vertices: frozenset[int]
     dim: int
-    normal: tuple[int, ...] | None = None
+    normal: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -281,10 +286,7 @@ def face_maxoid(g: Dag, face: Face, entries: list[FanEntry],
     a batch of calls and each distinct collection's structure is computed
     once; the normal is still re-verified on every face.
     """
-    if face.normal is None:
-        raise ValueError("face has no normal vector; take faces from face_lattice")
-    normal = face.normal
-    scores = [sum(map(mul, normal, p)) for _, p in points]
+    scores = [sum(map(mul, face.normal, p)) for _, p in points]
     best = max(scores)
     if frozenset(u for u, v in enumerate(scores) if v == best) != face.vertices:
         raise ValueError("vertex set is not a face of the polytope")
@@ -305,31 +307,26 @@ def face_maxoid(g: Dag, face: Face, entries: list[FanEntry],
 Realized = tuple[Maxoid, tuple]
 
 
-def graph_structures(g: Dag, include_faces: bool
-                     ) -> tuple[tuple[Realized, ...], tuple[Realized, ...]]:
+def graph_structures(g: Dag, include_faces: bool) -> Iterator[list[Realized]]:
     """The CI structures of a graph, each with weights over its sorted edges
-    that realize it: (cone structures, face structures).
+    that realize it, as batches: first the cones', then, with include_faces
+    and only once asked for, the faces'.
 
-    Each maximal cone gives its maxoid and its interior witness.  With
-    include_faces, each face of dimension at least 1 also gives its
-    face_maxoid and its integer normal; the dimension-0 faces are the cones
-    again.  The normal fan is complete, so these are all the structures of
-    the graph, and the cones' are its generic ones.  Without include_faces
-    no faces are listed.
+    Each maximal cone gives its maxoid and its interior witness.  Each face
+    of dimension at least 1 gives its face_maxoid and its integer normal, in
+    lattice order, built from the fan entries held until then; the
+    dimension-0 faces are the cones again.  The normal fan is complete, so
+    these are all the structures of the graph, and the cones' are its
+    generic ones.
     """
     entries = enumerate_maximal_cones(g)
-    cones = tuple((e.maxoid, e.witness) for e in entries)
-    return cones, face_structures(g, entries) if include_faces else ()
-
-
-def face_structures(g: Dag, entries: list[FanEntry]) -> tuple[Realized, ...]:
-    """Each face of dimension at least 1 of g's polytope, in lattice order,
-    as its face_maxoid and its integer normal; entries is g's fan."""
-    points = polytope_vertices(g, entries)
-    lattice = face_lattice([p for _, p in points])
-    memo: dict = {}
-    return tuple((face_maxoid(g, f, entries, points, memo), f.normal)
-                 for f in lattice.faces if f.dim >= 1)
+    yield [(e.maxoid, e.witness) for e in entries]
+    if include_faces:
+        points = polytope_vertices(g, entries)
+        lattice = face_lattice([p for _, p in points])
+        memo: dict = {}
+        yield [(face_maxoid(g, f, entries, points, memo), f.normal)
+               for f in lattice.faces if f.dim >= 1]
 
 
 def cone_adjacency(g: Dag, entries: list[FanEntry]) -> list[tuple[int, int]]:

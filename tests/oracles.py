@@ -1423,9 +1423,11 @@ def scan_implication(n: int, premises, conclusions, generic: bool = False,
     return Verdict(True)
 
 
-# per-process memo of each graph's (structure, weights) pairs, keyed by
-# (graph, include_faces)
-_structures = cache(graph_structures)
+@cache
+def _structures(g: Dag, include_faces: bool) -> tuple:
+    """Every (structure, weights) pair of g, its cones' then its faces',
+    memoized per process."""
+    return tuple(pair for batch in graph_structures(g, include_faces) for pair in batch)
 
 
 def per_graph_scan_implication(scope, premises: Sequence[CiStatement],
@@ -1455,8 +1457,7 @@ def per_graph_scan_implication(scope, premises: Sequence[CiStatement],
         queries.append((label, Maxoid(n, (relabeled_statement(p, back) for p in premises)).bits,
                         Maxoid(n, (relabeled_statement(q, back) for q in conclusions)).bits))
     for g in graphs:
-        cones, faces = _structures(g, not generic)
-        for m, weights in cones + faces:
+        for m, weights in _structures(g, not generic):
             bits = m.bits
             for label, prem, conc in queries:
                 if bits & prem == prem and not bits & conc:
@@ -1482,12 +1483,12 @@ def per_graph_census(family: TdagFamily, include_faces: bool
     everything: set[Maxoid] = set()
     for g in family.graphs:
         data = graph_maxoids(g, include_faces)
-        for stmts in data["generic"]:
-            m = Maxoid.from_json(family.n, stmts)
+        for bits in data["generic"]:
+            m = Maxoid.from_bits(family.n, bits)
             generic.add(m)
             everything.add(m)
         if include_faces:
-            everything.update(Maxoid.from_json(family.n, stmts) for stmts in data["faces"])
+            everything.update(Maxoid.from_bits(family.n, bits) for bits in data["faces"])
     return generic, everything
 
 

@@ -10,7 +10,7 @@ from maxoid.axioms import check_amalgamation, check_compositional_graphoid, chec
 from maxoid import census
 from maxoid.census import TdagFamily, all_maxoids, all_top_ordered_tdags, graph_maxoids
 from maxoid.graph import Dag, transitive_closure
-from maxoid.separation import maxoid
+from maxoid.separation import _statement_tables, maxoid
 from maxoid.tropical import WeightedDag
 from fractions import Fraction
 from oracles import mask_loop_dags, per_graph_census
@@ -132,6 +132,56 @@ def test_cache_round_trip(tmp_path, monkeypatch):
     assert first == again
     cached = json.loads(files[0].read_text())
     assert cached["generic"] == first["generic"]
+    assert cached == first and all(type(b) is int for b in first["generic"] + first["faces"])
+
+
+def test_cold_and_warm_cache_runs_return_equal_bits(tmp_path, monkeypatch):
+    family = all_top_ordered_tdags(4)
+    uncached = [graph_maxoids(g, include_faces=True) for g in family.graphs]
+    monkeypatch.setenv("MAXOID_CACHE_DIR", str(tmp_path))
+    for include_faces in (False, True, True):
+        got = [graph_maxoids(g, include_faces) for g in family.graphs]
+        assert [data["generic"] for data in got] == [data["generic"] for data in uncached]
+        if include_faces:
+            assert got == uncached
+
+
+def test_cache_miss_recomputes_what_is_asked_and_replaces_the_record(tmp_path, monkeypatch):
+    monkeypatch.setenv("MAXOID_CACHE_DIR", str(tmp_path))
+    g = Dag(4, [(1, 2), (1, 3), (1, 4), (2, 4), (3, 4)])
+    generic = graph_maxoids(g, include_faces=False)
+    (path,) = tmp_path.iterdir()
+    assert generic["faces"] is None and json.loads(path.read_text()) == generic
+    full = graph_maxoids(g, include_faces=True)
+    assert full["generic"] == generic["generic"] and full["faces"]
+    assert json.loads(path.read_text()) == full
+    # a record with faces answers a generic-only call too
+    assert graph_maxoids(g, include_faces=False) == full
+
+
+def test_cache_record_holding_anything_but_structure_bits_is_rewritten(tmp_path, monkeypatch):
+    monkeypatch.setenv("MAXOID_CACHE_DIR", str(tmp_path))
+    g = Dag(5, [(1, 2), (1, 3), (2, 4), (3, 4), (4, 5)])
+    first = graph_maxoids(g, include_faces=True)
+    assert first["faces"]
+    (path,) = tmp_path.iterdir()
+    top = 1 << len(_statement_tables[5].statements)
+    # a bool, a negative int, an int past the last statement's bit, a
+    # float, a statement string, an empty generic list; in either list
+    for entry in (True, False, -1, top, top + 5, 1.0, 3.0, "1,2|", ["1,2|"]):
+        for record in ({"generic": [entry], "faces": first["faces"]},
+                       {"generic": first["generic"], "faces": [*first["faces"], entry]}):
+            path.write_text(json.dumps(record))
+            assert graph_maxoids(g, include_faces=True) == first
+            assert json.loads(path.read_text()) == first
+    for record in ({"generic": [], "faces": first["faces"]}, {"generic": [], "faces": None}):
+        path.write_text(json.dumps(record))
+        generic = {"generic": first["generic"], "faces": None}
+        assert graph_maxoids(g, include_faces=False) == generic
+        assert json.loads(path.read_text()) == generic
+    # the largest statement set is a valid entry
+    path.write_text(json.dumps({"generic": [top - 1], "faces": None}))
+    assert graph_maxoids(g, include_faces=False) == {"generic": [top - 1], "faces": None}
 
 
 def test_cache_file_that_does_not_parse_is_a_miss(tmp_path, monkeypatch):

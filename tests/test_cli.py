@@ -95,9 +95,15 @@ def test_census_command(files, capsys):
 
 
 def test_census_long_sizes_guarded(files, capsys):
-    code, out = invoke(capsys, "census", "--nodes", "5")
+    code, out = invoke(capsys, "census", "--nodes", "6")
     assert code != 0
     assert "error" in json.loads(out)
+
+
+def test_tdags_long_sizes_guarded(files, capsys):
+    code, out = invoke(capsys, "tdags", "--nodes", "7")
+    assert code == 2
+    assert "--unbounded" in json.loads(out)["error"]["message"]
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2"])

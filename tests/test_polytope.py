@@ -4,14 +4,16 @@ import random
 
 import pytest
 
+from maxoid import polytope
 from maxoid.fan import enumerate_maximal_cones
-from maxoid.graph import Dag
+from maxoid.graph import Dag, isomorphism_classes, top_ordered_closed_dags
 from maxoid.polytope import (
     Face,
     _facet_incidences,
     cone_adjacency,
     face_lattice,
     face_maxoid,
+    graph_structures,
     hasse_dot,
     polytope_vertices,
 )
@@ -140,8 +142,9 @@ def test_face_maxoid_rejects_non_face():
         frozenset(pair) for pair in itertools.combinations(range(9), 2)
         if frozenset(pair) not in vertex_sets
     )
-    with pytest.raises(ValueError):
-        face_maxoid(g, Face(fake, 1), entries, pts)
+    # the top face's zero normal is maximal on every vertex, not on fake's
+    with pytest.raises(ValueError, match="not a face"):
+        face_maxoid(g, Face(fake, 1, lat.faces[-1].normal), entries, pts)
 
 
 def test_face_maxoid_memo_shares_structures_and_still_verifies():
@@ -158,6 +161,39 @@ def test_face_maxoid_memo_shares_structures_and_still_verifies():
                  edge.dim, edge.normal)
     with pytest.raises(ValueError):
         face_maxoid(g, wrong, entries, pts, memo)
+
+
+@pytest.mark.parametrize("graphs, count", [
+    (lambda: top_ordered_closed_dags(4), 40),
+    (lambda: [g for g, _ in isomorphism_classes(top_ordered_closed_dags(5))], 63),
+], ids=["4-all", "5-classes"])
+def test_graph_structures_match_the_fan_and_lattice_built_directly(graphs, count):
+    graphs = list(graphs())
+    assert len(graphs) == count
+    for g in graphs:
+        entries = enumerate_maximal_cones(g)
+        pts = polytope_vertices(g, entries)
+        lat = face_lattice([p for _, p in pts])
+        cones = [(e.maxoid.bits, e.witness) for e in entries]
+        faces = [(face_maxoid(g, f, entries, pts).bits, f.normal)
+                 for f in lat.faces if f.dim >= 1]
+        got = [[(m.bits, w) for m, w in batch] for batch in graph_structures(g, True)]
+        assert got == [cones, faces], g.sorted_edges
+        assert [[(m.bits, w) for m, w in batch]
+                for batch in graph_structures(g, False)] == [cones]
+
+
+def test_graph_structures_build_the_faces_only_when_asked(monkeypatch):
+    lattices = []
+    spied = polytope.face_lattice
+    monkeypatch.setattr(polytope, "face_lattice",
+                        lambda points: lattices.append(points) or spied(points))
+    batches = graph_structures(complete_dag(4), True)
+    assert len(next(batches)) == 9 and lattices == []
+    assert len(next(batches)) > 0 and len(lattices) == 1
+    assert next(batches, None) is None
+    assert len(list(graph_structures(complete_dag(4), False))) == 1
+    assert len(lattices) == 1
 
 
 def test_face_maxoid_monotone_under_inclusion():

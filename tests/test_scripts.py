@@ -41,6 +41,20 @@ def test_scripts_run():
     assert head.startswith("1,4|3  =>  2,4|1,3") and verdict.strip() == "holds"
 
 
+def test_census_report_reads_back_its_cache(tmp_path, monkeypatch):
+    monkeypatch.setenv("MAXOID_CACHE_DIR", str(tmp_path))
+
+    def counts(out: str) -> list[str]:
+        # the lines without their elapsed seconds
+        return [re.sub(r"\s*\(\d+s\)$", "", line) for line in out.splitlines()]
+
+    cold = counts(_run_script("census_report.py", "--nodes", "4"))
+    assert len(list(tmp_path.iterdir())) == 10
+    assert counts(_run_script("census_report.py", "--nodes", "4")) == cold
+    assert cold == ["graphs: 18  isomorphism classes: 10", "generic structures: 40",
+                    "all structures: 41"]
+
+
 def test_readme_quick_start_runs():
     readme = (ROOT / "README.md").read_text()
     section = readme.split("## Library quick start", 1)[1]
