@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 
-from .separation import CiStatement, Maxoid
+from .separation import CiStatement, Maxoid, _statement_tables
 
 _DEFAULT_NODE_BOUND = 6
 
@@ -60,9 +60,8 @@ def check_node_bound(n: int, force: bool = False) -> None:
 def _statement_bits(n: int) -> dict[tuple[int, int, frozenset[int]], int]:
     """(i, j, L) -> the bit of (i, j | L) in a Maxoid on 1..n, with the
     endpoints in either order."""
-    count = n * (n - 1) // 2 << max(n - 2, 0)
     index = {}
-    for k, s in enumerate(Maxoid.from_bits(n, (1 << count) - 1)):
+    for k, s in enumerate(_statement_tables[n].statements):
         index[s.i, s.j, s.L] = index[s.j, s.i, s.L] = k
     return index
 

@@ -36,7 +36,7 @@ from typing import Iterator
 
 from .graph import Dag, dag_to_json, isomorphism_classes, top_ordered_closed_dags
 from .polytope import graph_structures
-from .separation import Maxoid, _relabelings, _statement_tables
+from .separation import Maxoid, _mapped_bits, _relabelings, _statement_tables
 
 CACHE_ENV = "MAXOID_CACHE_DIR"
 # Raise whenever what a cache file holds, or how it is computed, changes:
@@ -182,12 +182,7 @@ def census_structures(family: TdagFamily, include_faces: bool = True,
         for label in labels[1:]:
             table = _relabelings[n, label]
             for bits in structures:
-                out = 0
-                while bits:
-                    low = bits & -bits
-                    out |= 1 << table[low.bit_length() - 1]
-                    bits ^= low
-                yield out
+                yield _mapped_bits(bits, table)
 
     def collect(results: Iterator[dict]) -> None:
         for g, labels in classes:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .graph import Dag, dag_from_json, dag_to_json, to_dot
@@ -320,14 +321,14 @@ def run(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         code = int(exc.code or 0)
-        if code != 0:
-            print(json.dumps({"error": {"type": "usage", "message": "invalid arguments"}},
-                             sort_keys=True, separators=(",", ":")))
-        return code
+        return _error("invalid arguments") if code != 0 else code
     try:
         args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
+    except BrokenPipeError:
+        # a closed stdout cannot take the error object either
+        raise
     except (OSError, json.JSONDecodeError) as exc:
         return _error(str(exc), kind="io")
     except (ValueError, RuntimeError, AssertionError) as exc:
@@ -336,7 +337,15 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early: point it at devnull, so that the
+        # flush at exit raises no second error, and exit nonzero quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

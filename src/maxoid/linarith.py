@@ -58,9 +58,10 @@ nothing; a caller re-verifies the point it returns with checked_point,
 which tests every row in integers before Fractions appear in it as
 num_v / d.
 
-Ranks, independent rows and pivot columns come from one fraction-free row
-echelon form, _echelon: a rational row is first scaled to a primitive
-integer row, and every echelon row stays primitive, so no Fraction is made.
+Ranks, independent rows, pivot columns and the polytope's inverse of a
+nonsingular matrix come from one fraction-free reduced row echelon form,
+_echelon: a rational row is first scaled to a primitive integer row, and
+every echelon row stays primitive, so no Fraction is made.
 """
 
 from __future__ import annotations
@@ -240,33 +241,50 @@ def rank_of(rows: Sequence[Sequence[Fraction | int]]) -> int:
     return len(independent_rows(rows))
 
 
+def _cleared(v, e, p):
+    """e[p]*v - v[p]*e: v with its entry at column p cleared by the row e,
+    whose entry there is positive, as a positive multiple of the Fraction
+    row v - (v[p]/e[p])*e."""
+    f = v[p]
+    if not f:
+        return v
+    ep = e[p]
+    return [ep * a - f * b for a, b in zip(v, e)]
+
+
 def _echelon(rows):
-    """Fraction-free row echelon form, built greedily row by row: (echelon
-    rows, their pivot columns, indices of the input rows that contributed
-    them).
+    """Fraction-free reduced row echelon form (Gauss-Jordan), built
+    greedily row by row: (echelon rows, their pivot columns, indices of the
+    input rows that contributed them).
 
     Each input row is scaled to a primitive integer row (_primitive), and
-    each echelon row is primitive with a positive pivot.  A row v is
-    reduced against an echelon row e with pivot p as e[p]*v - v[p]*e; the
-    earlier pivots stay 0 in it, since e is 0 on them.  The reduced row is
-    a nonzero multiple of the one that Fraction elimination leaves, so the
-    pivot columns and the chosen rows are the same."""
+    each echelon row is primitive with a positive pivot and zeros on every
+    other pivot column.  A new row is cleared by each echelon row in turn
+    (_cleared); when a nonzero row is left, its first nonzero column is the
+    new pivot, and that column is cleared from the rows above.  Each row is
+    a positive multiple of the one that Fraction Gauss-Jordan elimination
+    leaves, so the pivot columns and the chosen rows are those of Fraction
+    elimination, and the rows are the reduced form, which is unique once
+    the chosen rows are fixed."""
     E: list[list[int]] = []
     pivots: list[int] = []
     chosen: list[int] = []
     for idx, row in enumerate(rows):
         v = _primitive(row)
         for erow, p in zip(E, pivots):
-            f = v[p]
-            if f:
-                e = erow[p]
-                v = [e * a - f * b for a, b in zip(v, erow)]
+            v = _cleared(v, erow, p)
         p = next((j for j, x in enumerate(v) if x), None)
         if p is not None:
             g = gcd(*v)
             if v[p] < 0:
                 g = -g
-            E.append([x // g for x in v])
+            v = [x // g for x in v]
+            for k, erow in enumerate(E):
+                if erow[p]:
+                    w = _cleared(erow, v, p)
+                    g = gcd(*w)
+                    E[k] = [x // g for x in w]
+            E.append(v)
             pivots.append(p)
             chosen.append(idx)
     return E, pivots, chosen

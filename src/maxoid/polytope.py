@@ -13,9 +13,10 @@ fraction-free echelon of linarith) and shifted by the centroid scaled by the
 point count m (p becomes m*p - sum of all points), so the origin is
 interior, and the facets are read off as the extreme rays of the cone of
 valid inequalities via the double description method.  It starts from the
-simplicial cone of independent rows, whose rays are the columns of one
-integer Gauss-Jordan inverse, and tests adjacency combinatorially after a
-count of common zero rows.  The face lattice comes from the vertex-facet
+simplicial cone of independent rows, whose rays are the columns of their
+inverse, read off the one reduced echelon of linarith (of the rows beside
+the identity), and tests adjacency combinatorially after a count of common
+zero rows.  The face lattice comes from the vertex-facet
 incidences alone: the faces covered by a face are the inclusion-maximal cuts
 of it with facets, and dimensions are lattice ranks (Kaibel & Pfetsch,
 "Computing the face lattice of a polytope from its vertex-facet incidences",
@@ -32,13 +33,13 @@ cones' first, then, on demand, the faces'.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import lcm
 from operator import add, mul, or_
 from typing import Iterator
 
 from .graph import Dag
-from .linarith import _primitive, independent_rows, pivot_columns
-from .separation import Maxoid, maxoid_from_blockers
+from .linarith import _echelon, _primitive, independent_rows, pivot_columns
+from .separation import Maxoid, _bit_indices, maxoid_from_blockers
 from .fan import FanEntry, CriticalSystem, enumerate_maximal_cones
 
 
@@ -96,25 +97,17 @@ def _simplex_rays(init: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """Extreme rays of {y : row . y >= 0} for a square nonsingular integer
     matrix of rows: the columns of its inverse, each primitive.
 
-    One integer Gauss-Jordan elimination of [rows | I] leaves [D | M] with D
-    diagonal and M = D times the inverse.  Scaling row i by L / D[i][i], for
-    the positive L = lcm of the diagonal, gives L times the inverse, whose
-    column c is positive on row c and zero on the others."""
+    The reduced echelon (linarith._echelon) of [rows | I] has, for each
+    column p, one row [D e_p | M] with D > 0, where M times the rows is
+    D e_p: M / D is row p of the inverse.  Scaling each M by L / D, for the
+    positive L = lcm of the D, gives L times the inverse, whose column c is
+    positive on row c and zero on the others."""
     dim = len(init)
-    aug = [list(row) + [int(i == k) for k in range(dim)] for i, row in enumerate(init)]
-    for j in range(dim):
-        r = next(r for r in range(j, dim) if aug[r][j])
-        aug[j], aug[r] = aug[r], aug[j]
-        prow = aug[j]
-        p = prow[j]
-        for i, row in enumerate(aug):
-            f = row[j]
-            if i != j and f:
-                new = [p * a - f * b for a, b in zip(row, prow)]
-                g = gcd(*new)
-                aug[i] = [x // g for x in new]
-    big = lcm(*(abs(aug[i][i]) for i in range(dim)))
-    scaled = [[x * (big // row[i]) for x in row[dim:]] for i, row in enumerate(aug)]
+    E, pivots, _ = _echelon([list(row) + [int(i == k) for k in range(dim)]
+                             for i, row in enumerate(init)])
+    by_pivot = sorted(zip(pivots, E))
+    big = lcm(*(row[p] for p, row in by_pivot))
+    scaled = [[x * (big // row[p]) for x in row[dim:]] for p, row in by_pivot]
     return [_primitive(col) for col in zip(*scaled)]
 
 
@@ -250,15 +243,7 @@ def face_lattice(points: list[tuple[int, ...]]) -> FaceLattice:
                 total = list(map(add, total, a))
         return tuple(total)
 
-    def vertices(face: int) -> list[int]:
-        out = []
-        while face:
-            low = face & -face
-            out.append(low.bit_length() - 1)
-            face ^= low
-        return out
-
-    members = {face: vertices(face) for face in below}
+    members = {face: list(_bit_indices(face)) for face in below}
     order = sorted(below, key=lambda face: (dims[face], members[face]))
     index = {face: k for k, face in enumerate(order)}
     # each vertex list is dropped once its frozenset is made

@@ -49,13 +49,7 @@ from itertools import combinations
 from typing import Iterable, Iterator, Mapping
 
 from .graph import Dag, Path, enumerate_paths, transitive_closure
-from .tropical import (
-    NEG_INF,
-    WeightedDag,
-    critical_paths,
-    kleene_star,
-    path_weight,
-)
+from .tropical import WeightedDag, critical_paths, kleene_star, path_weight
 
 
 @dataclass(frozen=True)
@@ -130,7 +124,7 @@ class _StatementTable:
     Maxoid's int, so ascending bits walk the statements in that order.
     Built on first use, one per n (see _statement_tables)."""
 
-    __slots__ = ("statements", "texts", "bit", "bit_of_text")
+    __slots__ = ("statements", "texts", "bit")
 
     def __init__(self, n: int):
         statements = [CiStatement(i, j, frozenset(L))
@@ -139,7 +133,6 @@ class _StatementTable:
         self.statements = tuple(statements)
         self.texts = tuple(map(str, statements))
         self.bit = {s: k for k, s in enumerate(statements)}
-        self.bit_of_text = {t: k for k, t in enumerate(self.texts)}
 
 
 class _PerN(dict):
@@ -158,6 +151,22 @@ class _PerN(dict):
 
 
 _statement_tables = _PerN(_StatementTable)
+
+
+def _bit_indices(bits: int) -> Iterator[int]:
+    """The indices of the set bits of bits, ascending."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
+
+
+def _mapped_bits(bits: int, table) -> int:
+    """The int with bit table[k] set for each set bit k of bits."""
+    out = 0
+    for k in _bit_indices(bits):
+        out |= 1 << table[k]
+    return out
 
 
 class Maxoid:
@@ -190,20 +199,13 @@ class Maxoid:
         """The statements as a frozenset."""
         return frozenset(self)
 
-    def _indices(self) -> Iterator[int]:
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            yield low.bit_length() - 1
-            bits ^= low
-
     def __contains__(self, s: CiStatement) -> bool:
         k = _statement_tables[self.n].bit.get(s)
         return k is not None and self.bits >> k & 1 == 1
 
     def __iter__(self) -> Iterator[CiStatement]:
         statements = _statement_tables[self.n].statements
-        return (statements[k] for k in self._indices())
+        return (statements[k] for k in _bit_indices(self.bits))
 
     def __len__(self) -> int:
         return self.bits.bit_count()
@@ -224,18 +226,11 @@ class Maxoid:
 
     def to_json(self) -> list[str]:
         texts = _statement_tables[self.n].texts
-        return [texts[k] for k in self._indices()]
+        return [texts[k] for k in _bit_indices(self.bits)]
 
     @classmethod
     def from_json(cls, n: int, items: Iterable[str]) -> "Maxoid":
-        table = _statement_tables[n]
-        bits = 0
-        for text in items:
-            k = table.bit_of_text.get(text)
-            if k is None:
-                k = table.bit[parse_ci_statement(text, n)]
-            bits |= 1 << k
-        return cls.from_bits(n, bits)
+        return cls(n, (parse_ci_statement(text, n) for text in items))
 
 
 def node_mask(nodes: Iterable[int]) -> int:
@@ -303,20 +298,15 @@ def _relabeling(key: tuple[int, tuple[int, ...]]) -> tuple[int, ...]:
     n, label = key
     tables = _subset_tables[n]
     # moved[node_mask(L) >> 1] = node_mask of L renamed, >> 1
-    moved = [0] * (1 << n)
-    for s in range(1, 1 << n):
-        low = s & -s
-        moved[s] = moved[s ^ low] | 1 << label[low.bit_length()] - 1
+    shift = [label[v] - 1 for v in range(1, n + 1)]
+    moved = [_mapped_bits(s, shift) for s in range(1 << n)]
     place = {(i, j): (first, rank) for i, j, _, first, rank in tables.pairs}
     out = [0] * (len(tables.pairs) << max(n - 2, 0))
     for i, j, outside, first, rank in tables.pairs:
         a, b = label[i], label[j]
         to_first, to_rank = place[(a, b) if a < b else (b, a)]
-        while outside:
-            low = outside & -outside
-            s = low.bit_length() - 1
+        for s in _bit_indices(outside):
             out[first + rank[s]] = to_first + to_rank[moved[s]]
-            outside ^= low
     return tuple(out)
 
 
@@ -355,12 +345,9 @@ def maxoid_from_blockers(n: int, blockers: Mapping[tuple[int, int], int]) -> Max
         for a, b in zip(collide[i], collide[j]):
             joined |= a & b
         separated = outside & ~joined
-        pair_bits = 0
-        while separated:
-            low = separated & -separated
-            pair_bits |= 1 << rank[low.bit_length() - 1]
-            separated ^= low
-        bits |= pair_bits << first
+        # pairs joined given every L, as each edge's ends are, map nothing
+        if separated:
+            bits |= _mapped_bits(separated, rank) << first
     return Maxoid.from_bits(n, bits)
 
 
@@ -402,18 +389,11 @@ def derive_set_statement(m: Maxoid, I: Iterable[int], J: Iterable[int],
 
 def weighted_transitive_reduction(wd: WeightedDag) -> WeightedDag:
     """Keep an edge exactly when it is the unique critical path between its
-    endpoints; weights are restricted to the surviving edges."""
-    a = kleene_star(wd, proper=True)
-    keep = []
-    for (u, v), x in wd.w.items():
-        best_through = max(
-            (a.entry(u, m) + a.entry(m, v) for m in wd.g.nodes if m != u and m != v),
-            default=NEG_INF,
-        )
-        if best_through < x:
-            keep.append((u, v))
-    g2 = Dag(wd.g.n, keep)
-    return WeightedDag(g2, {e: wd.w[e] for e in keep})
+    endpoints, that is when its blocker set is empty; weights are restricted
+    to the surviving edges."""
+    blockers = _blocker_sets(wd)
+    keep = {e: x for e, x in wd.w.items() if not blockers[e]}
+    return WeightedDag(Dag(wd.g.n, keep), keep)
 
 
 def closure_weights(wd: WeightedDag) -> WeightedDag:

@@ -84,7 +84,7 @@ def format_extended_rational(value: ExtRational) -> str:
 class WeightedDag:
     """A Dag together with one exact rational weight per edge."""
 
-    __slots__ = ("g", "w", "_star")
+    __slots__ = ("g", "w")
 
     def __init__(self, g: Dag, w: Mapping[Edge, Fraction]):
         weights = {tuple(e): as_fraction(x) for e, x in w.items()}
@@ -92,7 +92,6 @@ class WeightedDag:
             raise ValueError("weight map must cover exactly the edge set")
         self.g = g
         self.w = weights
-        self._star: dict[bool, TropicalMatrix] = {}
 
     def weight(self, u: int, v: int) -> Fraction:
         return self.w[(u, v)]
@@ -169,9 +168,6 @@ def kleene_star(wd: WeightedDag, proper: bool = False) -> TropicalMatrix:
     proper=True it is NEG_INF (a DAG has no closed walks).  Computed by
     longest-path dynamic programming in topological order, no enumeration.
     """
-    cached = wd._star.get(proper)
-    if cached is not None:
-        return cached
     g = wd.g
     n = g.n
     rows: list[list[ExtRational]] = [[NEG_INF] * n for _ in range(n)]
@@ -191,9 +187,7 @@ def kleene_star(wd: WeightedDag, proper: bool = False) -> TropicalMatrix:
                 rows[s - 1][v - 1] = best
     for i in range(n):
         rows[i][i] = NEG_INF if proper else Fraction(0)
-    result = TropicalMatrix(rows)
-    wd._star[proper] = result
-    return result
+    return TropicalMatrix(rows)
 
 
 def critical_paths(wd: WeightedDag, i: int, j: int) -> list[Path]:

@@ -6,7 +6,10 @@ two-phase Fraction simplex, the replaced per-subset Kleene-star separation,
 the replaced per-subset shape search on blocker bitmasks,
 max-plus matrix products, one exact LP per face or per pair of cones, the
 replaced Fraction echelon fraction_echelon with the nullspace and
-affine_dimension built on it, the replaced vertex hull
+affine_dimension built on it and its Gauss-Jordan form
+reduced_fraction_echelon, the replaced integer Gauss-Jordan inverse
+gauss_jordan_simplex_rays, the replaced Kleene-star maximum
+star_transitive_reduction, the replaced vertex hull
 hull_facet_incidences (started from one Fraction null line per ray), the
 replaced pairwise face lattice, the replaced edge-mask graph loop, the
 replaced fan search with one cold LP per node, the dual simplex on a
@@ -33,6 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import combinations, permutations
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -864,6 +868,59 @@ def fraction_echelon(rows):
             pivots.append(p)
             chosen.append(idx)
     return E, pivots, chosen
+
+
+def reduced_fraction_echelon(rows):
+    """fraction_echelon with each pivot column also cleared from every other
+    echelon row (Gauss-Jordan): the reduced echelon form, unique once the
+    chosen rows are fixed."""
+    E, pivots, chosen = fraction_echelon(rows)
+    for k, p in enumerate(pivots):
+        for i, row in enumerate(E):
+            f = row[p]
+            if i != k and f:
+                E[i] = [a - f * b for a, b in zip(row, E[k])]
+    return E, pivots, chosen
+
+
+def gauss_jordan_simplex_rays(init: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The replaced simplex rays: the columns of the inverse of a square
+    nonsingular integer matrix, each primitive, from its own integer
+    Gauss-Jordan elimination of [rows | I], which leaves [D | M] with D
+    diagonal and M = D times the inverse."""
+    dim = len(init)
+    aug = [list(row) + [int(i == k) for k in range(dim)] for i, row in enumerate(init)]
+    for j in range(dim):
+        r = next(r for r in range(j, dim) if aug[r][j])
+        aug[j], aug[r] = aug[r], aug[j]
+        prow = aug[j]
+        p = prow[j]
+        for i, row in enumerate(aug):
+            f = row[j]
+            if i != j and f:
+                new = [p * a - f * b for a, b in zip(row, prow)]
+                g = gcd(*new)
+                aug[i] = [x // g for x in new]
+    big = lcm(*(abs(aug[i][i]) for i in range(dim)))
+    scaled = [[x * (big // row[i]) for x in row[dim:]] for i, row in enumerate(aug)]
+    return [_primitive(col) for col in zip(*scaled)]
+
+
+def star_transitive_reduction(wd: WeightedDag) -> WeightedDag:
+    """The replaced weighted transitive reduction: keep an edge exactly
+    when its weight beats every path through a third node, the best of
+    which is read off the proper Kleene star."""
+    a = kleene_star(wd, proper=True)
+    keep = []
+    for (u, v), x in wd.w.items():
+        best_through = max(
+            (a.entry(u, m) + a.entry(m, v) for m in wd.g.nodes if m != u and m != v),
+            default=NEG_INF,
+        )
+        if best_through < x:
+            keep.append((u, v))
+    g2 = Dag(wd.g.n, keep)
+    return WeightedDag(g2, {e: wd.w[e] for e in keep})
 
 
 def affine_dimension(points: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[Fraction]]]:

@@ -381,3 +381,19 @@ def test_python_dash_m_prints_what_run_prints(capsys, module):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == expected
     assert json.loads(proc.stdout)["count"] == 3
+
+
+def test_closed_stdout_exits_nonzero_without_a_traceback():
+    src = os.path.dirname(os.path.dirname(maxoid.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    # about 180 kB of output, more than a pipe holds, so the write meets the
+    # closed pipe
+    proc = subprocess.Popen([sys.executable, "-m", "maxoid", "tdags", "--nodes", "6",
+                             "--unbounded"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(10) == b'{"count":2'
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode != 0
+    assert b"Traceback" not in err, err.decode()

@@ -25,6 +25,7 @@ from oracles import (
     fraction_feasible,
     fraction_strict_tableau,
     nullspace,
+    reduced_fraction_echelon,
 )
 
 
@@ -539,13 +540,15 @@ def _random_echelon_input(rng: random.Random) -> list[list]:
 
 @pytest.mark.parametrize("seed", range(4))
 def test_integer_echelon_matches_the_fraction_echelon(seed):
-    # same pivots, chosen rows and rank; each integer echelon row is the
-    # primitive multiple, with a positive pivot, of the Fraction one
+    # same pivots, chosen rows and rank as plain Fraction elimination; each
+    # integer echelon row is the primitive multiple, with a positive pivot,
+    # of the reduced Fraction one
     rng = random.Random(seed)
     for _ in range(100):
         rows = _random_echelon_input(rng)
         E, pivots, chosen = _echelon(rows)
-        F, fpivots, fchosen = fraction_echelon(rows)
+        _, fpivots, fchosen = fraction_echelon(rows)
+        F = reduced_fraction_echelon(rows)[0]
         assert (pivots, chosen) == (fpivots, fchosen), rows
         assert rank_of(rows) == len(fchosen)
         for erow, frow, p in zip(E, F, pivots):

@@ -7,9 +7,11 @@ import pytest
 from maxoid import polytope
 from maxoid.fan import enumerate_maximal_cones
 from maxoid.graph import Dag, isomorphism_classes, top_ordered_closed_dags
+from maxoid.linarith import rank_of
 from maxoid.polytope import (
     Face,
     _facet_incidences,
+    _simplex_rays,
     cone_adjacency,
     face_lattice,
     face_maxoid,
@@ -21,6 +23,7 @@ from maxoid.separation import parse_ci_statement
 from oracles import (
     affine_dimension,
     complete_dag,
+    gauss_jordan_simplex_rays,
     hull_facet_incidences,
     lp_cone_adjacency,
     lp_face_maxoid,
@@ -194,6 +197,27 @@ def test_graph_structures_build_the_faces_only_when_asked(monkeypatch):
     assert next(batches, None) is None
     assert len(list(graph_structures(complete_dag(4), False))) == 1
     assert len(lattices) == 1
+
+
+def test_simplex_rays_match_the_replaced_gauss_jordan_inverse():
+    # random nonsingular integer matrices up to 7 x 7, some with many zeros
+    # so that row swaps are needed
+    rng = random.Random(11)
+    compared = 0
+    for _ in range(3000):
+        dim = rng.randint(1, 7)
+        zeros = rng.random() * 0.6
+        rows = [tuple(0 if rng.random() < zeros else rng.randint(-5, 5) for _ in range(dim))
+                for _ in range(dim)]
+        if rank_of(rows) < dim:
+            continue
+        rays = _simplex_rays(rows)
+        assert rays == gauss_jordan_simplex_rays(rows), rows
+        for c, ray in enumerate(rays):
+            assert [sum(a * b for a, b in zip(row, ray)) > 0 for row in rows] == \
+                [k == c for k in range(dim)]
+        compared += 1
+    assert compared > 2000
 
 
 def test_face_maxoid_monotone_under_inclusion():

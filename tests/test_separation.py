@@ -45,6 +45,7 @@ from oracles import (
     kleene_separated,
     per_subset_maxoid_from_blockers,
     random_weighted_dag,
+    star_transitive_reduction,
 )
 
 LONG = os.environ.get("MAXOID_LONG_TESTS") == "1"
@@ -160,6 +161,14 @@ def test_weighted_transitive_reduction_drops_tied_edge():
     assert reduced.g.edges == {(1, 2), (2, 3)}
     assert maxoid(reduced) == maxoid(wd)  # oracle: both equal {(1,3|2)}
     assert maxoid(wd).stmts == stmts("1,3|2")
+
+
+def test_weighted_transitive_reduction_matches_the_kleene_star_maximum():
+    # random DAGs of up to 6 nodes with small weights, so ties are common
+    rng = random.Random(5)
+    for _ in range(3000):
+        wd = random_weighted_dag(rng, max_n=6, denominators=(1,))
+        assert weighted_transitive_reduction(wd) == star_transitive_reduction(wd), wd
 
 
 def test_closure_weights_fig2():
