@@ -6,8 +6,20 @@ present but whose conclusion is not.  Set-valued statements are evaluated
 through the pairwise reduction (valid for the structures produced here,
 which are closed under composition and decomposition); instantiation is
 exponential in the node count and bounded to 6 nodes unless forced.
-Each statement is looked up as a bit of the Maxoid's int by its (i, j, L)
-triple; CiStatements are built only for the reports.
+
+Every rule family is a lazy generator of instance tuples
+
+    (rule, instance, premises, conclusions, any_premise, any_conclusion),
+
+where premises and conclusions are tuples of statement bits of Maxoid.bits
+(from _statement_bits), in the order the report lists them, and the two
+flags give the rule's shape: all premises imply all conclusions unless a
+flag reads a side as "any".  Weak transitivity forward is all premises =>
+any conclusion, backward any premise => all conclusions; the other six
+rules are all => all.  One evaluator, _violations, reads every family: an
+instance is violated when its premise side holds and its conclusion side
+does not, and its report lists the premises that hold and the conclusions
+that are missing, as CiStatements of _statement_tables.
 """
 
 from __future__ import annotations
@@ -66,93 +78,121 @@ def _statement_bits(n: int) -> dict[tuple[int, int, frozenset[int]], int]:
     return index
 
 
-def _membership(m: Maxoid):
-    """holds(i, j, L): whether (i, j | L) is in m, for a frozenset L."""
-    index, bits = _statement_bits(m.n), m.bits
-
-    def holds(i: int, j: int, L: frozenset[int]) -> bool:
-        return bits >> index[i, j, L] & 1 == 1
-
-    return holds
-
-
-def _pairwise(holds, I: frozenset[int], J: frozenset[int], L: frozenset[int]) -> bool:
-    """Set statement (I, J | L) via the pairwise reduction; empty sides hold."""
-    return all(holds(i, j, L) for i in I for j in J)
+def _violations(m: Maxoid, instances) -> list[ViolationReport]:
+    """A report for every instance tuple (see the module docstring) whose
+    premise side holds in m and whose conclusion side does not."""
+    statements, bits = _statement_tables[m.n].statements, m.bits
+    out = []
+    for rule, inst, premises, conclusions, any_premise, any_conclusion in instances:
+        held = [k for k in premises if bits >> k & 1]
+        if not held or not any_premise and len(held) < len(premises):
+            continue
+        missing = [k for k in conclusions if not bits >> k & 1]
+        if not missing or any_conclusion and len(missing) < len(conclusions):
+            continue
+        out.append(ViolationReport(rule, inst, tuple(statements[k] for k in held),
+                                   tuple(statements[k] for k in missing)))
+    return out
 
 
 def _role_assignments(nodes, roles: int):
     """Partition maps node -> role index (the last role means 'unused')."""
     for assignment in product(range(roles + 1), repeat=len(nodes)):
-        groups = [frozenset(v for v, r in zip(nodes, assignment) if r == k)
-                  for k in range(roles)]
-        yield groups
+        groups = [[] for _ in range(roles + 1)]
+        for v, r in zip(nodes, assignment):
+            groups[r].append(v)
+        yield list(map(frozenset, groups[:roles]))
+
+
+def _subsets(nodes):
+    """Every subset of nodes as a frozenset, by size, then lexicographically."""
+    for size in range(len(nodes) + 1):
+        yield from map(frozenset, combinations(nodes, size))
+
+
+def _graphoid_instances(n: int):
+    """Semigraphoid (both directions of its equivalence), Intersection and
+    Composition over all disjoint sets I, J, K, L with I, J, K nonempty."""
+    index = _statement_bits(n)
+
+    def pairs(I, J, L):  # the bits of (I, J | L), in sort_key order
+        return tuple(sorted(index[i, j, L] for i in I for j in J))
+
+    for I, J, K, L in _role_assignments(list(range(1, n + 1)), 4):
+        if not I or not J or not K:
+            continue
+        inst = (("I", I), ("J", J), ("K", K), ("L", L))
+        ij_l, ik_jl, ijk_l = pairs(I, J, L), pairs(I, K, J | L), pairs(I, J | K, L)
+        yield "semigraphoid-forward", inst, ij_l + ik_jl, ijk_l, False, False
+        yield "semigraphoid-backward", inst, ijk_l, ij_l + ik_jl, False, False
+        if sorted(J) < sorted(K):  # intersection and composition are J/K-symmetric
+            yield "intersection", inst, pairs(I, J, K | L) + ik_jl, ijk_l, False, False
+            yield "composition", inst, ij_l + pairs(I, K, L), ijk_l, False, False
+
+
+def _amalgamation_instances(n: int):
+    """(i,j|KM) and (i,j|LM) imply (i,j|KLM), over disjoint K, L, M."""
+    index = _statement_bits(n)
+    nodes = list(range(1, n + 1))
+    for i, j in combinations(nodes, 2):
+        rest = [v for v in nodes if v != i and v != j]
+        for K, L, M in _role_assignments(rest, 3):
+            if sorted(L) < sorted(K):  # the rule is K/L-symmetric
+                continue
+            yield ("amalgamation", (("i", i), ("j", j), ("K", K), ("L", L), ("M", M)),
+                   (index[i, j, K | M], index[i, j, L | M]), (index[i, j, K | L | M],),
+                   False, False)
+
+
+def _spohn_instances(n: int, original_premise: bool):
+    """Both Spohn rules, the second with its classical fourth premise
+    (k,l|ijM) when original_premise is set (see check_strong_spohn)."""
+    index = _statement_bits(n)
+    nodes = list(range(1, n + 1))
+    for quad in combinations(nodes, 4):
+        for M in _subsets([v for v in nodes if v not in quad]):
+            for k, l in combinations(quad, 2):
+                i, j = (v for v in quad if v != k and v != l)
+                # rule 1: symmetric in i, j
+                yield ("strong-spohn-1", (("i", i), ("j", j), ("k", k), ("l", l), ("M", M)),
+                       (index[i, j, M | {k, l}], index[k, l, M | {i}], index[k, l, M | {j}]),
+                       (index[k, l, M],), False, False)
+                # rule 2: i and j play different parts
+                for a, b in ((i, j), (j, i)):
+                    premises = (index[a, b, M | {k, l}], index[k, l, M | {a}], index[k, l, M])
+                    if original_premise:
+                        premises += (index[k, l, M | {a, b}],)
+                    yield ("strong-spohn-2", (("i", a), ("j", b), ("k", k), ("l", l), ("M", M)),
+                           premises, (index[k, l, M | {b}],), False, False)
+
+
+def _weak_transitivity_instances(n: int):
+    """(i,j|L) and (i,j|kL) versus (i,k|L) or (j,k|L), both directions."""
+    index = _statement_bits(n)
+    nodes = list(range(1, n + 1))
+    for i, j in combinations(nodes, 2):
+        for k in nodes:
+            if k == i or k == j:
+                continue
+            for L in _subsets([v for v in nodes if v not in (i, j, k)]):
+                inst = (("i", i), ("j", j), ("k", k), ("L", L))
+                both = (index[i, j, L], index[i, j, L | {k}])
+                either = (index[i, k, L], index[j, k, L])
+                yield "weak-transitivity-forward", inst, both, either, False, True
+                yield "weak-transitivity-backward", inst, either, both, True, False
 
 
 def check_compositional_graphoid(m: Maxoid, force: bool = False) -> list[ViolationReport]:
     """Semigraphoid (both directions of its equivalence), Intersection and
     Composition, instantiated over all disjoint sets I, J, K, L."""
     check_node_bound(m.n, force)
-    holds = _membership(m)
-    nodes = list(range(1, m.n + 1))
-    out: list[ViolationReport] = []
-    for I, J, K, L in _role_assignments(nodes, 4):
-        if not I or not J or not K:
-            continue
-        inst = (("I", I), ("J", J), ("K", K), ("L", L))
-        ij_l = _pairwise(holds, I, J, L)
-        ik_jl = _pairwise(holds, I, K, J | L)
-        ijk_l = _pairwise(holds, I, J | K, L)
-        ik_l = _pairwise(holds, I, K, L)
-        ij_kl = _pairwise(holds, I, J, K | L)
-        if ij_l and ik_jl and not ijk_l:
-            out.append(_report("semigraphoid-forward", inst, m, I, J, K, L,
-                               premises=_stmts(I, J, L) + _stmts(I, K, J | L),
-                               conclusion=_stmts(I, J | K, L)))
-        if ijk_l and not (ij_l and ik_jl):
-            out.append(_report("semigraphoid-backward", inst, m, I, J, K, L,
-                               premises=_stmts(I, J | K, L),
-                               conclusion=_stmts(I, J, L) + _stmts(I, K, J | L)))
-        if sorted(J) < sorted(K):  # intersection and composition are J/K-symmetric
-            if ij_kl and ik_jl and not ijk_l:
-                out.append(_report("intersection", inst, m, I, J, K, L,
-                                   premises=_stmts(I, J, K | L) + _stmts(I, K, J | L),
-                                   conclusion=_stmts(I, J | K, L)))
-            if ij_l and ik_l and not ijk_l:
-                out.append(_report("composition", inst, m, I, J, K, L,
-                                   premises=_stmts(I, J, L) + _stmts(I, K, L),
-                                   conclusion=_stmts(I, J | K, L)))
-    return out
-
-
-def _stmts(I, J, L) -> tuple[CiStatement, ...]:
-    return tuple(sorted((CiStatement(i, j, L) for i in I for j in J),
-                        key=lambda s: s.sort_key))
-
-
-def _report(rule, inst, m, I, J, K, L, premises, conclusion) -> ViolationReport:
-    missing = tuple(s for s in conclusion if s not in m)
-    return ViolationReport(rule, inst, premises, missing)
+    return _violations(m, _graphoid_instances(m.n))
 
 
 def check_amalgamation(m: Maxoid, force: bool = False) -> list[ViolationReport]:
     """(i,j|KM) and (i,j|LM) imply (i,j|KLM), over disjoint K, L, M."""
     check_node_bound(m.n, force)
-    holds = _membership(m)
-    nodes = list(range(1, m.n + 1))
-    out = []
-    for i, j in combinations(nodes, 2):
-        rest = [v for v in nodes if v != i and v != j]
-        for K, L, M in _role_assignments(rest, 3):
-            if sorted(L) < sorted(K):  # the rule is K/L-symmetric
-                continue
-            if holds(i, j, K | M) and holds(i, j, L | M) and not holds(i, j, K | L | M):
-                out.append(ViolationReport(
-                    "amalgamation",
-                    (("i", i), ("j", j), ("K", K), ("L", L), ("M", M)),
-                    (CiStatement(i, j, K | M), CiStatement(i, j, L | M)),
-                    (CiStatement(i, j, K | L | M),)))
-    return out
+    return _violations(m, _amalgamation_instances(m.n))
 
 
 def check_strong_spohn(m: Maxoid, force: bool = False,
@@ -170,72 +210,11 @@ def check_strong_spohn(m: Maxoid, force: bool = False,
     sound property.
     """
     check_node_bound(m.n, force)
-    holds = _membership(m)
-    nodes = list(range(1, m.n + 1))
-    out = []
-    for quad in combinations(nodes, 4):
-        rest = [v for v in nodes if v not in quad]
-        for size in range(len(rest) + 1):
-            for M_tuple in combinations(rest, size):
-                M = frozenset(M_tuple)
-                for k, l in combinations(quad, 2):
-                    ij = [v for v in quad if v != k and v != l]
-                    # rule 1: symmetric in i, j
-                    i, j = ij
-                    p1 = (i, j, M | {k, l})
-                    p2 = (k, l, M | {i})
-                    p3 = (k, l, M | {j})
-                    c = (k, l, M)
-                    if holds(*p1) and holds(*p2) and holds(*p3) and not holds(*c):
-                        out.append(ViolationReport(
-                            "strong-spohn-1",
-                            (("i", i), ("j", j), ("k", k), ("l", l), ("M", M)),
-                            _from_triples(p1, p2, p3), _from_triples(c)))
-                    # rule 2: i and j play different parts
-                    for i, j in ((ij[0], ij[1]), (ij[1], ij[0])):
-                        premises = [(i, j, M | {k, l}), (k, l, M | {i}), (k, l, M)]
-                        if original_premise:
-                            premises.append((k, l, M | {i, j}))
-                        c2 = (k, l, M | {j})
-                        if all(holds(*p) for p in premises) and not holds(*c2):
-                            out.append(ViolationReport(
-                                "strong-spohn-2",
-                                (("i", i), ("j", j), ("k", k), ("l", l), ("M", M)),
-                                _from_triples(*premises), _from_triples(c2)))
-    return out
-
-
-def _from_triples(*triples) -> tuple[CiStatement, ...]:
-    return tuple(CiStatement(*t) for t in triples)
+    return _violations(m, _spohn_instances(m.n, original_premise))
 
 
 def check_weak_transitivity(m: Maxoid, force: bool = False) -> list[ViolationReport]:
     """(i,j|L) and (i,j|kL) versus (i,k|L) or (j,k|L): both directions of the
     equivalence are checked and reported separately."""
     check_node_bound(m.n, force)
-    holds = _membership(m)
-    nodes = list(range(1, m.n + 1))
-    out = []
-    for i, j in combinations(nodes, 2):
-        for k in nodes:
-            if k == i or k == j:
-                continue
-            rest = [v for v in nodes if v not in (i, j, k)]
-            for size in range(len(rest) + 1):
-                for L_tuple in combinations(rest, size):
-                    L = frozenset(L_tuple)
-                    p1, p2 = (i, j, L), (i, j, L | {k})
-                    d1, d2 = (i, k, L), (j, k, L)
-                    h1, h2, g1, g2 = holds(*p1), holds(*p2), holds(*d1), holds(*d2)
-                    inst = (("i", i), ("j", j), ("k", k), ("L", L))
-                    if h1 and h2 and not g1 and not g2:
-                        out.append(ViolationReport(
-                            "weak-transitivity-forward", inst,
-                            _from_triples(p1, p2), _from_triples(d1, d2)))
-                    if (g1 or g2) and not (h1 and h2):
-                        present = [d for d, g in ((d1, g1), (d2, g2)) if g]
-                        absent = [p for p, h in ((p1, h1), (p2, h2)) if not h]
-                        out.append(ViolationReport(
-                            "weak-transitivity-backward", inst,
-                            _from_triples(*present), _from_triples(*absent)))
-    return out
+    return _violations(m, _weak_transitivity_instances(m.n))

@@ -129,10 +129,14 @@ def dag_from_edges(n: int, edges: Iterable[Edge]) -> Dag:
 def enumerate_paths(g: Dag, i: int, j: int) -> list[Path]:
     """All node-simple directed i->j paths, in lexicographic order.
 
-    Empty if j is unreachable from i.  Worst case exponential in |E|.
+    Empty if j is unreachable from i; ValueError unless i and j are
+    distinct nodes of g.  Worst case exponential in |E|.
     """
     if i == j:
         raise ValueError("path endpoints must be distinct")
+    for v in (i, j):
+        if not 1 <= v <= g.n:
+            raise ValueError(f"node {v} out of range 1..{g.n}")
     memo = g._path_memo
 
     def suffixes(u: int) -> tuple[Path, ...]:
@@ -150,7 +154,7 @@ def enumerate_paths(g: Dag, i: int, j: int) -> list[Path]:
         memo[key] = result
         return result
 
-    if i != j and not g.reaches(i, j):
+    if not g.reaches(i, j):
         return []
     return list(suffixes(i))
 

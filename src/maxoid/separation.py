@@ -377,14 +377,15 @@ def derive_set_statement(m: Maxoid, I: Iterable[int], J: Iterable[int],
     """Set-valued statement (I, J | L), reduced to the pairwise statements.
 
     Valid because the structures produced by maxoid() are closed under
-    composition and decomposition.
+    composition and decomposition.  ValueError when a node leaves 1..n.
     """
     Is, Js, Ls = frozenset(I), frozenset(J), frozenset(L)
     if not Is or not Js:
         raise ValueError("I and J must be nonempty")
     if Is & Js or Is & Ls or Js & Ls:
         raise ValueError("I, J, L must be pairwise disjoint")
-    return all(CiStatement(i, j, Ls) in m for i in Is for j in Js)
+    wanted = Maxoid(m.n, (CiStatement(i, j, Ls) for i in Is for j in Js)).bits
+    return m.bits & wanted == wanted
 
 
 def weighted_transitive_reduction(wd: WeightedDag) -> WeightedDag:

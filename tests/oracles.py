@@ -25,7 +25,10 @@ the replaced per-graph structure scan per_graph_scan_implication, the
 replaced per-graph census loop per_graph_census, the replaced
 echelon_lineality_dimension over every disjoint path pair, and the replaced
 cone_of, with its NonGenericError, that read a cone's rows off the
-critical paths of a tie-free weight vector) and stays
+critical paths of a tie-free weight vector, and the replaced closure
+checkers looped_compositional_graphoid, looped_amalgamation,
+looped_strong_spohn and looped_weak_transitivity, one loop body per rule,
+with statements looked up as CiStatements) and stays
 independent of the code paths it cross-checks.
 """
 
@@ -35,11 +38,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from maxoid.axioms import ViolationReport, check_node_bound
 from maxoid.fan import (
     CriticalSystem,
     FanEntry,
@@ -1587,3 +1591,157 @@ def echelon_lineality_dimension(g: Dag) -> int:
     if not normals:
         return len(index)
     return len(index) - rank_of(normals)
+
+
+def _ci_membership(m: Maxoid):
+    """holds(i, j, L): whether (i, j | L) is in m, through CiStatement lookup."""
+    return lambda i, j, L: CiStatement(i, j, L) in m
+
+
+def _pairwise(holds, I, J, L) -> bool:
+    """Set statement (I, J | L) via the pairwise reduction; empty sides hold."""
+    return all(holds(i, j, L) for i in I for j in J)
+
+
+def _role_groups(nodes, roles: int):
+    """Partition maps node -> role index (the last role means 'unused')."""
+    for assignment in product(range(roles + 1), repeat=len(nodes)):
+        yield [frozenset(v for v, r in zip(nodes, assignment) if r == k)
+               for k in range(roles)]
+
+
+def _stmts(I, J, L) -> tuple[CiStatement, ...]:
+    return tuple(sorted((CiStatement(i, j, L) for i in I for j in J),
+                        key=lambda s: s.sort_key))
+
+
+def _report(rule, inst, m, premises, conclusion) -> ViolationReport:
+    missing = tuple(s for s in conclusion if s not in m)
+    return ViolationReport(rule, inst, premises, missing)
+
+
+def _from_triples(*triples) -> tuple[CiStatement, ...]:
+    return tuple(CiStatement(*t) for t in triples)
+
+
+def looped_compositional_graphoid(m: Maxoid, force: bool = False) -> list[ViolationReport]:
+    """The replaced check_compositional_graphoid, one loop body per rule."""
+    check_node_bound(m.n, force)
+    holds = _ci_membership(m)
+    nodes = list(range(1, m.n + 1))
+    out: list[ViolationReport] = []
+    for I, J, K, L in _role_groups(nodes, 4):
+        if not I or not J or not K:
+            continue
+        inst = (("I", I), ("J", J), ("K", K), ("L", L))
+        ij_l = _pairwise(holds, I, J, L)
+        ik_jl = _pairwise(holds, I, K, J | L)
+        ijk_l = _pairwise(holds, I, J | K, L)
+        ik_l = _pairwise(holds, I, K, L)
+        ij_kl = _pairwise(holds, I, J, K | L)
+        if ij_l and ik_jl and not ijk_l:
+            out.append(_report("semigraphoid-forward", inst, m,
+                               premises=_stmts(I, J, L) + _stmts(I, K, J | L),
+                               conclusion=_stmts(I, J | K, L)))
+        if ijk_l and not (ij_l and ik_jl):
+            out.append(_report("semigraphoid-backward", inst, m,
+                               premises=_stmts(I, J | K, L),
+                               conclusion=_stmts(I, J, L) + _stmts(I, K, J | L)))
+        if sorted(J) < sorted(K):
+            if ij_kl and ik_jl and not ijk_l:
+                out.append(_report("intersection", inst, m,
+                                   premises=_stmts(I, J, K | L) + _stmts(I, K, J | L),
+                                   conclusion=_stmts(I, J | K, L)))
+            if ij_l and ik_l and not ijk_l:
+                out.append(_report("composition", inst, m,
+                                   premises=_stmts(I, J, L) + _stmts(I, K, L),
+                                   conclusion=_stmts(I, J | K, L)))
+    return out
+
+
+def looped_amalgamation(m: Maxoid, force: bool = False) -> list[ViolationReport]:
+    """The replaced check_amalgamation."""
+    check_node_bound(m.n, force)
+    holds = _ci_membership(m)
+    nodes = list(range(1, m.n + 1))
+    out = []
+    for i, j in combinations(nodes, 2):
+        rest = [v for v in nodes if v != i and v != j]
+        for K, L, M in _role_groups(rest, 3):
+            if sorted(L) < sorted(K):
+                continue
+            if holds(i, j, K | M) and holds(i, j, L | M) and not holds(i, j, K | L | M):
+                out.append(ViolationReport(
+                    "amalgamation",
+                    (("i", i), ("j", j), ("K", K), ("L", L), ("M", M)),
+                    (CiStatement(i, j, K | M), CiStatement(i, j, L | M)),
+                    (CiStatement(i, j, K | L | M),)))
+    return out
+
+
+def looped_strong_spohn(m: Maxoid, force: bool = False,
+                        original_premise: bool = False) -> list[ViolationReport]:
+    """The replaced check_strong_spohn."""
+    check_node_bound(m.n, force)
+    holds = _ci_membership(m)
+    nodes = list(range(1, m.n + 1))
+    out = []
+    for quad in combinations(nodes, 4):
+        rest = [v for v in nodes if v not in quad]
+        for size in range(len(rest) + 1):
+            for M_tuple in combinations(rest, size):
+                M = frozenset(M_tuple)
+                for k, l in combinations(quad, 2):
+                    ij = [v for v in quad if v != k and v != l]
+                    i, j = ij
+                    p1 = (i, j, M | {k, l})
+                    p2 = (k, l, M | {i})
+                    p3 = (k, l, M | {j})
+                    c = (k, l, M)
+                    if holds(*p1) and holds(*p2) and holds(*p3) and not holds(*c):
+                        out.append(ViolationReport(
+                            "strong-spohn-1",
+                            (("i", i), ("j", j), ("k", k), ("l", l), ("M", M)),
+                            _from_triples(p1, p2, p3), _from_triples(c)))
+                    for i, j in ((ij[0], ij[1]), (ij[1], ij[0])):
+                        premises = [(i, j, M | {k, l}), (k, l, M | {i}), (k, l, M)]
+                        if original_premise:
+                            premises.append((k, l, M | {i, j}))
+                        c2 = (k, l, M | {j})
+                        if all(holds(*p) for p in premises) and not holds(*c2):
+                            out.append(ViolationReport(
+                                "strong-spohn-2",
+                                (("i", i), ("j", j), ("k", k), ("l", l), ("M", M)),
+                                _from_triples(*premises), _from_triples(c2)))
+    return out
+
+
+def looped_weak_transitivity(m: Maxoid, force: bool = False) -> list[ViolationReport]:
+    """The replaced check_weak_transitivity."""
+    check_node_bound(m.n, force)
+    holds = _ci_membership(m)
+    nodes = list(range(1, m.n + 1))
+    out = []
+    for i, j in combinations(nodes, 2):
+        for k in nodes:
+            if k == i or k == j:
+                continue
+            rest = [v for v in nodes if v not in (i, j, k)]
+            for size in range(len(rest) + 1):
+                for L_tuple in combinations(rest, size):
+                    L = frozenset(L_tuple)
+                    p1, p2 = (i, j, L), (i, j, L | {k})
+                    d1, d2 = (i, k, L), (j, k, L)
+                    h1, h2, g1, g2 = holds(*p1), holds(*p2), holds(*d1), holds(*d2)
+                    inst = (("i", i), ("j", j), ("k", k), ("L", L))
+                    if h1 and h2 and not g1 and not g2:
+                        out.append(ViolationReport(
+                            "weak-transitivity-forward", inst,
+                            _from_triples(p1, p2), _from_triples(d1, d2)))
+                    if (g1 or g2) and not (h1 and h2):
+                        present = [d for d, g in ((d1, g1), (d2, g2)) if g]
+                        absent = [p for p, h in ((p1, h1), (p2, h2)) if not h]
+                        out.append(ViolationReport(
+                            "weak-transitivity-backward", inst,
+                            _from_triples(*present), _from_triples(*absent)))
+    return out

@@ -69,6 +69,12 @@ def test_paths_require_distinct_endpoints():
         enumerate_paths(complete_dag(3), 2, 2)
 
 
+@pytest.mark.parametrize("i, j, node", [(7, 1, 7), (0, 2, 0), (1, 7, 7)])
+def test_paths_require_endpoints_in_range(i, j, node):
+    with pytest.raises(ValueError, match=f"node {node} out of range 1..3"):
+        enumerate_paths(complete_dag(3), i, j)
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_complete_dag_path_count(n):
     assert len(enumerate_paths(complete_dag(n), 1, n)) == 2 ** (n - 2)

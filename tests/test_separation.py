@@ -140,6 +140,8 @@ def test_derive_set_statement():
         derive_set_statement(m, {1}, {1}, set())
     with pytest.raises(ValueError):
         derive_set_statement(m, set(), {1}, set())
+    with pytest.raises(ValueError):
+        derive_set_statement(Maxoid(3, []), [1], [9], [])
 
 
 def test_weighted_transitive_reduction_fig2():

@@ -95,6 +95,12 @@ def test_critical_paths_diamond():
     assert critical_paths(wd, 4, 1) == []
 
 
+def test_critical_paths_refuse_a_node_outside_the_graph():
+    wd = weighted_dag_from_list(Dag(3, [(1, 2), (2, 3)]), [1, 1])
+    with pytest.raises(ValueError, match="node 9 out of range 1..3"):
+        critical_paths(wd, 1, 9)
+
+
 def test_critical_paths_fig2():
     assert critical_paths(fig2(), 1, 4) == [(1, 2, 4)]
 
