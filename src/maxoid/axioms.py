@@ -184,7 +184,14 @@ def _weak_transitivity_instances(n: int):
 
 def check_compositional_graphoid(m: Maxoid, force: bool = False) -> list[ViolationReport]:
     """Semigraphoid (both directions of its equivalence), Intersection and
-    Composition, instantiated over all disjoint sets I, J, K, L."""
+    Composition, instantiated over all disjoint sets I, J, K, L.
+
+    Composition, (I,J|L) and (I,K|L) imply (I,J∪K|L), cannot fire: through
+    the pairwise reduction its conclusion's statements (i,j|L) for i in I
+    and j in J∪K are exactly its premises' statements, so no structure
+    violates it.  Its instances are still listed and evaluated; that
+    maxoids are compositional rests on the reduction, not on this check.
+    """
     check_node_bound(m.n, force)
     return _violations(m, _graphoid_instances(m.n))
 

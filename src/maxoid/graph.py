@@ -97,8 +97,15 @@ class Dag:
     def has_edge(self, u: int, v: int) -> bool:
         return (u, v) in self.edges
 
+    def _node(self, v: int) -> int:
+        """v, or ValueError when v is not a node of 1..n."""
+        if not 1 <= v <= self.n:
+            raise ValueError(f"node {v} out of range 1..{self.n}")
+        return v
+
     def descendants(self, v: int) -> frozenset[int]:
-        """All nodes reachable from v by a nonempty directed path."""
+        """All nodes reachable from v by a nonempty directed path;
+        ValueError for a node outside 1..n."""
         if self._desc is None:
             desc: dict[int, set[int]] = {u: set() for u in self.nodes}
             for u in reversed(self._topo):
@@ -106,10 +113,12 @@ class Dag:
                     desc[u].add(c)
                     desc[u] |= desc[c]
             self._desc = {u: frozenset(s) for u, s in desc.items()}
-        return self._desc[v]
+        return self._desc[self._node(v)]
 
     def reaches(self, u: int, v: int) -> bool:
-        return v in self.descendants(u)
+        """Whether a nonempty directed u -> v path exists; ValueError for a
+        node outside 1..n."""
+        return self._node(v) in self.descendants(u)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Dag) and self.n == other.n and self.edges == other.edges
@@ -148,7 +157,7 @@ def enumerate_paths(g: Dag, i: int, j: int) -> list[Path]:
         else:
             acc: list[Path] = []
             for c in g.children(u):
-                if c == j or g.reaches(c, j):
+                if c == j or j in g.descendants(c):
                     acc.extend((u,) + p for p in suffixes(c))
             result = tuple(acc)
         memo[key] = result

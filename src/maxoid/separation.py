@@ -30,9 +30,23 @@ the first two terms are shape (a), the third (b), and R_il & R_jl covers
 (c), (d) and its mirror, and (e), as each side of the collider l is a child
 of i (j) or of a parent of i (j).  The shapes' distinctness conditions need
 no test: i, j and the parents lie outside L and the colliders inside it,
-p = j or q = i would be shape (a), and p = q shape (b).  That is O(n^3)
-operations on 2^n-bit ints per structure; each set bit of a separated
-family then becomes one statement bit through the pair's rank list.
+p = j or q = i would be shape (a), and p = q shape (b).
+
+The families of one node are packed into one word of n blocks of 2^n bits,
+block l (bits (l - 1)·2^n up) holding the family of node l, so that one
+int operation acts on all n at once.  Node k's word holds K_kl in block l.
+The parent term is one step per edge p -> i: K_pi, copied into every block
+by shift-or doubling (log2 n steps), meets p's word blockwise, which gives
+K_pi & K_pl in each block l; OR-ed into i's word over the parents of i, it
+gives the near word, block l = K_il | OR_p K_pi & K_pl.  One AND with the
+packed word of the I_l turns that into the R_il.  For a pair, the AND of
+the R words of i and j holds R_il & R_jl in block l, and log2 n shift-or
+steps, each halving the blocks left, fold their OR into block 1; block j
+of i's near word and block i of j's word add the other three terms.  That
+is O(n^2 log n) operations on words of n·2^n bits per structure, where the
+loop over the blocks one by one took O(n^3) operations on 2^n-bit ints.
+Each set bit of a separated family then becomes one statement bit through
+the pair's rank list.
 
 maxoid reads the blocker sets off the Kleene star once; the fan and the
 polytope pass a cone's chosen paths or the union of a face's vertices'
@@ -164,8 +178,10 @@ def _bit_indices(bits: int) -> Iterator[int]:
 def _mapped_bits(bits: int, table) -> int:
     """The int with bit table[k] set for each set bit k of bits."""
     out = 0
-    for k in _bit_indices(bits):
-        out |= 1 << table[k]
+    while bits:
+        low = bits & -bits
+        out |= 1 << table[low.bit_length() - 1]
+        bits ^= low
     return out
 
 
@@ -243,39 +259,57 @@ def _blocker_sets(wd: WeightedDag) -> dict[tuple[int, int], int]:
     with A_km + A_ml = A_kl, A the proper Kleene star, i.e. the interior
     nodes of the critical k->l paths (the star's -inf diagonal leaves k and
     l out)."""
-    a = kleene_star(wd, proper=True)
+    rows = kleene_star(wd, proper=True).rows
     nodes = wd.g.nodes
     blockers = {}
     for k in nodes:
+        row = rows[k - 1]
         for l in wd.g.descendants(k):
-            akl = a.entry(k, l)
+            akl = row[l - 1]
             blockers[(k, l)] = node_mask(m for m in nodes
-                                         if a.entry(k, m) + a.entry(m, l) == akl)
+                                         if row[m - 1] + rows[m - 1][l - 1] == akl)
     return blockers
 
 
 class _SubsetTables:
     """Tables of the all-subsets engine on 1..n, built on first use, one per
     n (see _subset_tables).  A family of subsets L of 1..n is a 2^n-bit int,
-    with bit node_mask(L) >> 1 standing for L.
+    with bit node_mask(L) >> 1 standing for L.  A packed word holds one
+    family per node l in its block l, bits (l - 1)·2^n to l·2^n - 1.
 
-    member[v]: the sets that contain v (member[0] = 0).
     missing[b >> 1]: the sets that miss the node_mask b.
+    shift[l]: the offset (l - 1)·2^n of block l (shift[0] = 0, unused).
+    member: the packed word whose block l holds the sets that contain l.
+    copies: the shifts 2^n, 2·2^n, 4·2^n, ... that copy a family in block 1
+    into blocks 1..n and beyond by doubling; one multiplication by the
+    block repunit does it too, but is the slower from n = 10 on, a product
+    of 2^n by n·2^n bits per edge.
+    folds: the shifts that halve the blocks left, rounded up, down to one,
+    so that OR-ing in each one leaves the OR of blocks 1..n in block 1.
     pairs: per pair (i, j) in statement order, (i, j, the sets that miss i
     and j, the pair's first statement bit, rank), where (i, j | L) is
     statement rank[node_mask(L) >> 1] of the pair.
     """
 
-    __slots__ = ("member", "missing", "pairs")
+    __slots__ = ("missing", "shift", "member", "copies", "folds", "pairs")
 
     def __init__(self, n: int):
         size = 1 << n
-        member = [0] * (n + 1)
+        shift = [max(l - 1, 0) << n for l in range(n + 1)]
+        sets = [0] * (n + 1)
         for v in range(1, n + 1):
-            member[v] = sum(1 << s for s in range(size) if s >> (v - 1) & 1)
+            sets[v] = sum(1 << s for s in range(size) if s >> (v - 1) & 1)
         missing = [(1 << size) - 1] * size
         for b in range(1, size):
-            missing[b] = missing[b & (b - 1)] & ~member[(b & -b).bit_length()]
+            missing[b] = missing[b & (b - 1)] & ~sets[(b & -b).bit_length()]
+        copies, blocks = [], 1
+        while blocks < n:
+            copies.append(blocks << n)
+            blocks *= 2
+        folds, blocks = [], n
+        while blocks > 1:
+            blocks -= blocks // 2
+            folds.append(blocks << n)
         pairs = []
         for i, j in combinations(range(1, n + 1), 2):
             rank = [0] * size
@@ -283,8 +317,11 @@ class _SubsetTables:
                 rank[node_mask(L) >> 1] = r
             pairs.append((i, j, missing[(1 << i | 1 << j) >> 1],
                           len(pairs) << max(n - 2, 0), rank))
-        self.member = member
         self.missing = missing
+        self.shift = shift
+        self.member = sum(f << s for f, s in zip(sets, shift))
+        self.copies = copies
+        self.folds = folds
         self.pairs = pairs
 
 
@@ -317,34 +354,34 @@ _relabelings = _PerN(_relabeling)
 def maxoid_from_blockers(n: int, blockers: Mapping[tuple[int, int], int]) -> Maxoid:
     """All separation statements on 1..n of the critical DAGs whose edges
     k->l are the keys of blockers, each kept given L exactly when L misses
-    the bitmask blockers[(k, l)]; every L at once, as in the module
-    docstring."""
+    the bitmask blockers[(k, l)]; every L at once, on packed words, as in
+    the module docstring."""
     tables = _subset_tables[n]
-    member, missing = tables.member, tables.missing
-    # kept[k][l] = K_kl: the sets L given which k -> l is a critical edge
-    # with its tail outside L
-    kept = [[0] * (n + 1) for _ in range(n + 1)]
-    children = [[] for _ in range(n + 1)]
+    missing, shift, copies, folds = tables.missing, tables.shift, tables.copies, tables.folds
+    # word[k]: block l holds K_kl, the sets L given which k -> l is a
+    # critical edge with its tail outside L
+    word = [0] * (n + 1)
+    kept = []
     for (k, l), b in blockers.items():
-        kept[k][l] = missing[(b | 1 << k) >> 1]
-        children[k].append(l)
-    # near[i][l] = K_il | OR_p K_pi & K_pl: l is a child of i or of a parent
-    # of i; collide[i][l] = R_il, the sets that also contain l
-    near = [row[:] for row in kept]
-    for p, below in enumerate(children):
-        kp = kept[p]
-        for i in below:
-            kpi = kp[i]
-            row = near[i]
-            for l in below:
-                row[l] |= kpi & kp[l]
-    collide = [[a & b for a, b in zip(member, row)] for row in near]
+        K = missing[(b | 1 << k) >> 1]
+        word[k] |= K << shift[l]
+        kept.append((k, l, K))
+    # near[i]: block l holds K_il | OR_p K_pi & K_pl, l a child of i or of a
+    # parent p of i: K_pi copied into every block meets word[p] blockwise
+    near = word[:]
+    for p, i, K in kept:
+        for s in copies:
+            K |= K << s
+        near[i] |= K & word[p]
+    # collide[i]: block l holds R_il, the sets of near[i]'s block l that hold l
+    collide = [w & tables.member for w in near]
     bits = 0
     for i, j, outside, first, rank in tables.pairs:
-        joined = near[i][j] | kept[j][i]
-        for a, b in zip(collide[i], collide[j]):
-            joined |= a & b
-        separated = outside & ~joined
+        # fold OR_l R_il & R_jl into block 1; outside keeps block 1 only
+        c = collide[i] & collide[j]
+        for s in folds:
+            c |= c >> s
+        separated = outside & ~(c | near[i] >> shift[j] | word[j] >> shift[i])
         # pairs joined given every L, as each edge's ends are, map nothing
         if separated:
             bits |= _mapped_bits(separated, rank) << first
@@ -405,8 +442,8 @@ def closure_weights(wd: WeightedDag) -> WeightedDag:
     new_edges = closure.edges - wd.g.edges
     if not new_edges:
         return WeightedDag(closure, dict(wd.w))
-    a = kleene_star(wd, proper=True)
-    eps = min(a.entry(i, j) for i in wd.g.nodes for j in wd.g.descendants(i))
+    rows = kleene_star(wd, proper=True).rows
+    eps = min(rows[i - 1][j - 1] for i in wd.g.nodes for j in wd.g.descendants(i))
     delta = eps - 1
     w = dict(wd.w)
     for e in new_edges:

@@ -131,7 +131,10 @@ class TropicalMatrix:
         self.rows = tuple(tuple(r) for r in rows)
 
     def entry(self, i: int, j: int) -> ExtRational:
-        """1-based access."""
+        """1-based access; ValueError for a node outside 1..n."""
+        for v in (i, j):
+            if not 1 <= v <= self.n:
+                raise ValueError(f"node {v} out of range 1..{self.n}")
         return self.rows[i - 1][j - 1]
 
     def __eq__(self, other) -> bool:

@@ -3,7 +3,8 @@
 Everything here recomputes results from first principles (definitional path
 enumeration, textbook d-separation, Fourier-Motzkin elimination, the
 two-phase Fraction simplex, the replaced per-subset Kleene-star separation,
-the replaced per-subset shape search on blocker bitmasks,
+the replaced per-subset shape search on blocker bitmasks, the replaced
+looped all-subsets kernel looped_maxoid_from_blockers,
 max-plus matrix products, one exact LP per face or per pair of cones, the
 replaced Fraction echelon fraction_echelon with the nullspace and
 affine_dimension built on it and its Gauss-Jordan form
@@ -243,6 +244,48 @@ def per_subset_maxoid_from_blockers(n: int, blockers: Mapping[tuple[int, int], i
     stmts = []
     for L, statements in _statements_by_subset(n):
         stmts.extend(_separated(n, blockers, L, statements))
+    return Maxoid(n, stmts)
+
+
+def looped_maxoid_from_blockers(n: int, blockers: Mapping[tuple[int, int], int]) -> Maxoid:
+    """The replaced all-subsets kernel of maxoid_from_blockers: the same
+    families as the packed one (see the separation module docstring), one
+    2^n-bit int per ordered pair of nodes, with an O(n^3) loop for the
+    parent term and one AND per collider l; each set bit of a separated
+    family becomes its statement here, without the engine's rank tables."""
+    size = 1 << n
+    member = [0] + [sum(1 << s for s in range(size) if s >> (v - 1) & 1)
+                    for v in range(1, n + 1)]
+
+    def missing(b: int) -> int:
+        out = (1 << size) - 1
+        for v in range(1, n + 1):
+            if b >> v & 1:
+                out &= ~member[v]
+        return out
+
+    kept = [[0] * (n + 1) for _ in range(n + 1)]
+    children = [[] for _ in range(n + 1)]
+    for (k, l), b in blockers.items():
+        kept[k][l] = missing(b | 1 << k)
+        children[k].append(l)
+    near = [row[:] for row in kept]
+    for p, below in enumerate(children):
+        kp = kept[p]
+        for i in below:
+            kpi = kp[i]
+            row = near[i]
+            for l in below:
+                row[l] |= kpi & kp[l]
+    collide = [[a & b for a, b in zip(member, row)] for row in near]
+    stmts = []
+    for i, j in combinations(range(1, n + 1), 2):
+        joined = near[i][j] | kept[j][i]
+        for a, b in zip(collide[i], collide[j]):
+            joined |= a & b
+        separated = missing(1 << i | 1 << j) & ~joined
+        stmts.extend(CiStatement(i, j, frozenset(v for v in range(1, n + 1) if s >> (v - 1) & 1))
+                     for s in range(size) if separated >> s & 1)
     return Maxoid(n, stmts)
 
 

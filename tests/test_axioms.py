@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 from maxoid.axioms import (
+    _graphoid_instances,
     check_amalgamation,
     check_compositional_graphoid,
     check_strong_spohn,
@@ -191,3 +192,14 @@ def test_checkers_match_the_looped_oracle(kind):
         assert fired == {"semigraphoid-forward", "semigraphoid-backward", "intersection",
                          "amalgamation", "strong-spohn-1", "strong-spohn-2",
                          "weak-transitivity-forward", "weak-transitivity-backward"}
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_composition_conclusions_are_exactly_their_premises(n):
+    # through the pairwise reduction (I, J∪K | L) is (I, J | L) and (I, K | L)
+    compositions = [(premises, conclusions)
+                    for rule, _, premises, conclusions, _, _ in _graphoid_instances(n)
+                    if rule == "composition"]
+    assert compositions
+    for premises, conclusions in compositions:
+        assert set(conclusions) == set(premises)

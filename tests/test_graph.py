@@ -75,6 +75,16 @@ def test_paths_require_endpoints_in_range(i, j, node):
         enumerate_paths(complete_dag(3), i, j)
 
 
+@pytest.mark.parametrize("u, v, node", [(1, 9, 9), (9, 1, 9), (0, 1, 0)])
+def test_reachability_refuses_a_node_outside_the_graph(u, v, node):
+    # both sides refuse alike, neither a KeyError nor a silent False
+    g = Dag(3, [(1, 2), (2, 3)])
+    with pytest.raises(ValueError, match=f"node {node} out of range 1..3"):
+        g.reaches(u, v)
+    with pytest.raises(ValueError, match=f"node {node} out of range 1..3"):
+        g.descendants(node)
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_complete_dag_path_count(n):
     assert len(enumerate_paths(complete_dag(n), 1, n)) == 2 ** (n - 2)

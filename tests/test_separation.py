@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from maxoid import separation
 from maxoid.census import all_top_ordered_tdags
 from maxoid.fan import enumerate_maximal_cones
-from maxoid.graph import Dag, enumerate_paths
+from maxoid.graph import Dag, enumerate_paths, isomorphism_classes
 from maxoid.polytope import face_lattice, face_maxoid, polytope_vertices
 from maxoid.separation import (
     CiStatement,
@@ -43,6 +43,7 @@ from oracles import (
     kleene_critical_edges,
     kleene_maxoid,
     kleene_separated,
+    looped_maxoid_from_blockers,
     per_subset_maxoid_from_blockers,
     random_weighted_dag,
     star_transitive_reduction,
@@ -492,3 +493,47 @@ def test_all_subsets_engine_matches_the_per_subset_engine_on_complete_6_cones():
     assert len(cones) == 3324
     for blockers in cones:
         assert maxoid_from_blockers(6, blockers) == per_subset_maxoid_from_blockers(6, blockers)
+
+
+def _random_blockers(rng, n):
+    # edge density from sparse to dense; blocker density 0 for unique
+    # critical edges, high for the wide unions of tied faces
+    edge_rate, blocker_rate = rng.choice((0.1, 0.5, 0.9)), rng.choice((0.0, 0.3, 0.8))
+    return {(k, l): sum(1 << v for v in range(1, n + 1)
+                        if v not in (k, l) and rng.random() < blocker_rate)
+            for k in range(1, n + 1) for l in range(1, n + 1)
+            if k != l and rng.random() < edge_rate}
+
+
+def test_packed_kernel_matches_the_looped_kernel_on_random_blockers():
+    rng = random.Random(24)
+    for n in chain(range(9), (rng.randint(0, 8) for _ in range(300))):
+        blockers = _random_blockers(rng, n)
+        assert maxoid_from_blockers(n, blockers) == looped_maxoid_from_blockers(n, blockers), \
+            (n, blockers)
+    # blockers of tied weights: small integers on random upward DAGs
+    for _ in range(150):
+        wd = random_weighted_dag(rng, max_n=7, denominators=(1,))
+        blockers = separation._blocker_sets(wd)
+        assert (maxoid_from_blockers(wd.g.n, blockers)
+                == looped_maxoid_from_blockers(wd.g.n, blockers)), wd
+
+
+def test_packed_kernel_matches_the_looped_kernel_on_census_cones_and_faces():
+    # every cone's and every face's blocker collection of each 4- and
+    # 5-node census class (10 and 44 classes); a face's is the union of its
+    # vertices', and a vertex's is its cone's
+    collections = []
+    for n in (4, 5):
+        for g, _ in isomorphism_classes(all_top_ordered_tdags(n).graphs):
+            entries = enumerate_maximal_cones(g)
+            points = polytope_vertices(g, entries)
+            memo: dict = {}
+            for f in face_lattice([p for _, p in points]).faces:
+                face_maxoid(g, f, entries, points, memo)
+            every = {frozenset(e.system.blockers.items()) for e in entries}
+            every.update(blockers for _, blockers in memo)
+            for blockers in map(dict, every):
+                assert maxoid_from_blockers(n, blockers) == looped_maxoid_from_blockers(n, blockers)
+            collections.append(len(every))
+    assert sum(collections[:10]) == 30 and sum(collections[10:]) == 592

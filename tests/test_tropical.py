@@ -65,6 +65,14 @@ def test_kleene_star_chain():
     assert star.entry(3, 1) is NEG_INF
 
 
+@pytest.mark.parametrize("i, j, node", [(0, 3, 0), (2, 0, 0), (1, 9, 9)])
+def test_star_entry_refuses_a_node_outside_the_graph(i, j, node):
+    # node 0 must not wrap round to node 3
+    star = kleene_star(weighted_dag_from_list(Dag(3, [(1, 2), (2, 3)]), [1, 5]))
+    with pytest.raises(ValueError, match=f"node {node} out of range 1..3"):
+        star.entry(i, j)
+
+
 def test_kleene_star_fig2_entry_is_brute_force_max():
     wd = fig2()
     # oracle: maximum over the three enumerated 1->4 paths
