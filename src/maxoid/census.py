@@ -41,7 +41,7 @@ from .separation import Maxoid, _mapped_bits, _relabelings, _statement_tables
 CACHE_ENV = "MAXOID_CACHE_DIR"
 # Raise whenever what a cache file holds, or how it is computed, changes:
 # files written under another version are then never read.
-CACHE_FORMAT = 3
+CACHE_FORMAT = 4
 
 
 @dataclass

@@ -19,7 +19,7 @@ from .graph import Dag, dag_from_json, dag_to_json, to_dot
 from .tropical import WeightedDag, kleene_star, weights_from_json, weights_to_list_json
 from .separation import maxoid, parse_ci_statement
 from .fan import enumerate_maximal_cones, lineality_dimension
-from .polytope import cone_adjacency, face_lattice, face_maxoid, hasse_dot, polytope_vertices
+from .polytope import cone_adjacency, face_lattice, face_maxoids, hasse_dot, polytope_vertices
 from .implication import decide_implication
 from .axioms import (
     check_amalgamation,
@@ -33,11 +33,12 @@ from .census import all_top_ordered_tdags, census_structures
 LONG_RUN_HINT = "pass --unbounded to run sizes beyond the quick default"
 # most edges of a graph whose face lattice (polytope, fan --adjacency,
 # implies --graph with ties) or whose fan alone (fan, implies --graph
-# --generic) is computed without --unbounded: `polytope` on a 14-edge 6-node
-# graph took 77 s with the Fraction echelon and takes 8.4 s with the integer
-# one, and complete-6's hull alone takes 154 s (over 23 min before);
-# complete-6's fan (15 edges) takes seconds and complete-7's (21 edges) over
-# 800 s
+# --generic) is computed without --unbounded.  On the first 14-edge 6-node
+# graph (1209 vertices, 60359 faces) `polytope` takes 4.2 s at 235 MB peak
+# RSS, `polytope --face-maxoids` 5.0 s at 243 MB and `fan --adjacency`
+# 4.1 s, and complete-6's hull alone takes 66 s.  `fan` on complete-6
+# (15 edges) takes 0.8 s; complete-7's (21 edges) search alone took 236 s
+# when last measured.  Single runs on a 2-core host, Python 3.11.
 LATTICE_EDGES = 13
 FAN_EDGES = 15
 # most nodes of a graph given to fan, polytope or implies --graph without
@@ -157,10 +158,9 @@ def _cmd_polytope(args) -> None:
         "faces": [{"dim": f.dim, "vertices": sorted(f.vertices)} for f in lattice.faces],
     }
     if args.face_maxoids:
-        memo: dict = {}
-        data["face_maxoids"] = [
-            face_maxoid(g, f, entries, points, memo).to_json() for f in lattice.faces
-        ]
+        structures = face_maxoids(g, lattice, points)
+        texts = {m: m.to_json() for m in set(structures)}
+        data["face_maxoids"] = [texts[m] for m in structures]
     if args.hasse_dot:
         with open(args.hasse_dot, "w") as fh:
             fh.write(hasse_dot(lattice))

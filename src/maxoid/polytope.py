@@ -25,6 +25,15 @@ further LPs: the sum of the normals of the facets containing a face lies in
 the relative interior of the face's normal cone, and two maximal cones are
 adjacent exactly when their vertices span an edge.
 
+Faces are certified through their facets, not against every vertex.
+face_lattice checks each facet once against every vertex: its normal is
+maximal exactly on the facet's vertices.  A sum of such normals is then
+maximal exactly on the meet of their facets, so a face whose containing
+facets meet in it, and whose normal is their sum, is certified by a few
+mask ANDs and vector sums.  face_maxoids reads every face's structure off
+the lattice in one batch this way; face_maxoid, which accepts any Face,
+keeps the scan of every vertex and is the batch's oracle.
+
 graph_structures is the one producer of a graph's structures with the
 weights that realize them, read by the census and by implication: the
 cones' first, then, on demand, the faces'.
@@ -32,10 +41,11 @@ cones' first, then, on demand, the faces'.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import reduce
 from math import lcm
 from operator import add, mul, or_
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .graph import Dag
 from .linarith import _echelon, _primitive, independent_rows, pivot_columns
@@ -54,10 +64,17 @@ class Face:
     normal: tuple[int, ...]
 
 
+# a facet as (vertex bitmask, integer outer normal)
+Facet = tuple[int, tuple[int, ...]]
+
+
 @dataclass(frozen=True)
 class FaceLattice:
     faces: tuple[Face, ...]
     covers: tuple[tuple[int, int], ...]  # (smaller face index, larger face index)
+    # the facets face_lattice checked, which certify every face for
+    # face_maxoids; None when the lattice was built some other way
+    facets: tuple[Facet, ...] | None = field(default=None, compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -207,6 +224,11 @@ def face_lattice(points: list[tuple[int, ...]]) -> FaceLattice:
     vectors and the covering relation; the polytope itself is included as
     the top face, the empty face is not.
 
+    Each facet is checked once against every point: its outer normal a
+    scores every point at most its level t, the largest score, and exactly
+    t on the facet's vertices; AssertionError otherwise.  The lattice keeps
+    these checked facets, through which face_maxoids certifies every face.
+
     Faces are int bitmasks of vertex indices, walked down from the top.  The
     faces a face covers are the inclusion-maximal nonempty cuts face & facet
     other than the face itself, and a face's dimension is its rank: 0 with
@@ -216,9 +238,17 @@ def face_lattice(points: list[tuple[int, ...]]) -> FaceLattice:
     """
     if not points:
         raise ValueError("need at least one point")
-    facets = [(sum(1 << i for i in incident), a) for incident, a in _facet_incidences(points)]
+    facets = []
+    for incident, a in _facet_incidences(points):
+        scores = [sum(map(mul, a, p)) for p in points]
+        level = max(scores)
+        mask = sum(1 << i for i, x in enumerate(scores) if x == level)
+        if mask != sum(1 << i for i in incident):
+            raise AssertionError("facet normal is not maximal exactly on the facet's vertices")
+        facets.append((mask, a))
+    top = (1 << len(points)) - 1
     below: dict[int, list[int]] = {}
-    stack = [(1 << len(points)) - 1]
+    stack = [top]
     while stack:
         face = stack.pop()
         if face in below:
@@ -235,21 +265,47 @@ def face_lattice(points: list[tuple[int, ...]]) -> FaceLattice:
     # a face below another has fewer vertices, so its rank is set first
     for face in sorted(below, key=int.bit_count):
         dims[face] = dims[below[face][0]] + 1 if below[face] else 0
-
-    def normal(face: int) -> tuple[int, ...]:
-        total = [0] * len(points[0])
-        for m, a in facets:
-            if face & m == face:
-                total = list(map(add, total, a))
-        return tuple(total)
-
     members = {face: list(_bit_indices(face)) for face in below}
     order = sorted(below, key=lambda face: (dims[face], members[face]))
     index = {face: k for k, face in enumerate(order)}
+    width = len(points[0])
     # each vertex list is dropped once its frozenset is made
-    faces = tuple(Face(frozenset(members.pop(face)), dims[face], normal(face)) for face in order)
+    faces = tuple(Face(frozenset(members.pop(face)), dims[face],
+                       _facet_meet(facets, face, top, width)[1]) for face in order)
     covers = sorted((index[k], index[face]) for face in order for k in below[face])
-    return FaceLattice(faces, tuple(covers))
+    return FaceLattice(faces, tuple(covers), tuple(facets))
+
+
+def _facet_meet(facets: Iterable[Facet], face: int, top: int, width: int
+                ) -> tuple[int, tuple[int, ...]]:
+    """The meet of the vertex masks of the facets that contain the vertex
+    mask face (top, every vertex, when none does), and the sum of their
+    normals, of length width."""
+    meet, total = top, [0] * width
+    for m, a in facets:
+        if face & m == face:
+            meet &= m
+            total = list(map(add, total, a))
+    return meet, tuple(total)
+
+
+def _packed_blockers(system: CriticalSystem, n: int) -> int:
+    """The system's blocker masks in one int, n + 1 bits per pair in the
+    order of its blockers; a union of systems is the OR of theirs."""
+    return sum(b << k * (n + 1) for k, b in enumerate(system.blockers.values()))
+
+
+def _union_maxoid(n: int, pairs: tuple, words: Iterable[int], memo: dict) -> Maxoid:
+    """The structure of the union of the blocker collections packed in words
+    by _packed_blockers over pairs, memoised in memo on the packed union."""
+    union = reduce(or_, words)
+    key = (n, pairs, union)
+    m = memo.get(key)
+    if m is None:
+        full = (1 << n + 1) - 1
+        m = memo[key] = maxoid_from_blockers(
+            n, {pq: union >> k * (n + 1) & full for k, pq in enumerate(pairs)})
+    return m
 
 
 def face_maxoid(g: Dag, face: Face, entries: list[FanEntry],
@@ -263,29 +319,63 @@ def face_maxoid(g: Dag, face: Face, entries: list[FanEntry],
     pair, so the critical k->l paths under the normal are exactly the paths
     the face's vertices choose for (k, l): the blocker sets are the unions of
     the vertices' ones.  Valid for tied weights, since separation needs no
-    genericity.  The normal is re-verified exactly (equal on the face's
-    vertices, smaller on all others); raises when it fails or the face
-    carries no normal.
+    genericity.  The normal is re-verified exactly against every vertex
+    (equal on the face's vertices, smaller on all others), so any Face is
+    accepted, a lattice's or not; raises when it fails or the face carries
+    no normal.  face_maxoids gives a whole lattice's structures in one batch
+    and certifies each face through the lattice's checked facets instead,
+    with no scan of the vertices.
 
-    Many faces share one blocker collection.  Pass the same dict as memo to
-    a batch of calls and each distinct collection's structure is computed
-    once; the normal is still re-verified on every face.
+    Many faces share one blocker union.  Pass the same dict as memo to a
+    batch of calls and each distinct union's structure is computed once; the
+    normal is still re-verified on every face.
     """
     scores = [sum(map(mul, face.normal, p)) for _, p in points]
     best = max(scores)
     if frozenset(u for u, v in enumerate(scores) if v == best) != face.vertices:
         raise ValueError("vertex set is not a face of the polytope")
     # every vertex's blockers are keyed by the same pairs in the same order
-    systems = [points[u][0].blockers for u in face.vertices]
-    union = [0] * len(systems[0])
-    for masks in systems:
-        union = list(map(or_, union, masks.values()))
-    blockers = dict(zip(systems[0], union))
-    memo = {} if memo is None else memo
-    key = (g.n, frozenset(blockers.items()))
-    if key not in memo:
-        memo[key] = maxoid_from_blockers(g.n, blockers)
-    return memo[key]
+    pairs = tuple(points[0][0].blockers)
+    words = (_packed_blockers(points[u][0], g.n) for u in face.vertices)
+    return _union_maxoid(g.n, pairs, words, {} if memo is None else memo)
+
+
+def face_maxoids(g: Dag, lattice: FaceLattice,
+                 points: list[tuple[CriticalSystem, tuple[int, ...]]]) -> list[Maxoid]:
+    """face_maxoid of every face of lattice, in lattice order, where lattice
+    is face_lattice of the coordinates of points = polytope_vertices(g).
+
+    Each face is certified through the lattice's checked facets, with no
+    scan of the vertices.  face_lattice checked that each facet G's normal
+    a_G scores every vertex p at most t_G, with equality exactly on G's
+    vertex mask m_G.  For a face F let S be the facets whose masks contain
+    F, and nu the sum of their normals.  Then at every vertex
+    nu.p = sum over S of a_G.p <= sum over S of t_G, with equality exactly
+    when p lies on every facet of S, that is on the meet of their masks
+    (every vertex when S is empty).  So nu is maximal exactly on F, which
+    puts it in the relative interior of F's normal cone, as soon as that
+    meet is F and the face's normal is nu: a few mask ANDs and vector sums
+    per face.  Raises ValueError when the lattice carries no checked facets
+    or a face fails the check.
+
+    Each vertex's blocker masks are packed into one int, so a face's
+    blocker union is one OR per vertex, and the structures are memoised on
+    the packed union: each distinct one is computed once.
+    """
+    if lattice.facets is None:
+        raise ValueError("face lattice carries no checked facets")
+    top, width = (1 << len(points)) - 1, len(points[0][1])
+    # every vertex's blockers are keyed by the same pairs in the same order
+    pairs = tuple(points[0][0].blockers)
+    words = [_packed_blockers(system, g.n) for system, _ in points]
+    memo: dict = {}
+    out = []
+    for f in lattice.faces:
+        face = sum(1 << v for v in f.vertices)
+        if not face or _facet_meet(lattice.facets, face, top, width) != (face, f.normal):
+            raise ValueError("face normal is not maximal exactly on the face")
+        out.append(_union_maxoid(g.n, pairs, (words[v] for v in f.vertices), memo))
+    return out
 
 
 # a structure with weights over the sorted edges that realize it
@@ -309,9 +399,8 @@ def graph_structures(g: Dag, include_faces: bool) -> Iterator[list[Realized]]:
     if include_faces:
         points = polytope_vertices(g, entries)
         lattice = face_lattice([p for _, p in points])
-        memo: dict = {}
-        yield [(face_maxoid(g, f, entries, points, memo), f.normal)
-               for f in lattice.faces if f.dim >= 1]
+        yield [(m, f.normal) for m, f in zip(face_maxoids(g, lattice, points), lattice.faces)
+               if f.dim >= 1]
 
 
 def cone_adjacency(g: Dag, entries: list[FanEntry]) -> list[tuple[int, int]]:

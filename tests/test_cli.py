@@ -327,6 +327,18 @@ def test_polytope_output_matches_the_golden_files(capsys, tmp_path, name):
     assert dot.read_bytes() == (DATA / f"{name}_hasse.dot").read_bytes()
 
 
+def test_polytope_renders_each_distinct_face_maxoid_once(capsys, monkeypatch):
+    rendered = []
+    to_json = separation.Maxoid.to_json
+    monkeypatch.setattr(separation.Maxoid, "to_json",
+                        lambda m: rendered.append(m.bits) or to_json(m))
+    code, out = invoke(capsys, "polytope", str(DATA / "complete4.json"), "--face-maxoids")
+    assert code == 0
+    structures = json.loads(out)["face_maxoids"]
+    assert len(structures) == 31 and len(rendered) == len(set(rendered))
+    assert len(rendered) == len({tuple(m) for m in structures})
+
+
 @pytest.mark.parametrize("name", ["complete4", "diamond"])
 def test_fan_output_matches_the_golden_files(capsys, name):
     # pins the inequality rows, the LP witnesses and the adjacency; recorded

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import os
 import random
@@ -15,6 +16,7 @@ from maxoid.polytope import (
     cone_adjacency,
     face_lattice,
     face_maxoid,
+    face_maxoids,
     graph_structures,
     hasse_dot,
     polytope_vertices,
@@ -166,20 +168,30 @@ def test_face_maxoid_memo_shares_structures_and_still_verifies():
         face_maxoid(g, wrong, entries, pts, memo)
 
 
-@pytest.mark.parametrize("graphs, count", [
-    (lambda: top_ordered_closed_dags(4), 40),
-    (lambda: [g for g, _ in isomorphism_classes(top_ordered_closed_dags(5))], 63),
-], ids=["4-all", "5-classes"])
-def test_graph_structures_match_the_fan_and_lattice_built_directly(graphs, count):
+# graphs whose polytope is a single point: one cone each
+SINGLE_VERTEX = [Dag(3, []), Dag(2, [(1, 2)]), Dag(4, [(1, 2), (3, 4)]), Dag(1, [])]
+
+
+@pytest.mark.parametrize("graphs, count, single", [
+    (lambda: top_ordered_closed_dags(4), 40, False),
+    (lambda: [g for g, _ in isomorphism_classes(top_ordered_closed_dags(5))], 63, False),
+    (lambda: _random_dags(5, 15, seed=4711), 15, False),
+    (lambda: SINGLE_VERTEX, 4, True),
+], ids=["4-all", "5-classes", "5-random", "single-vertex"])
+def test_graph_structures_match_the_fan_and_lattice_built_directly(graphs, count, single):
+    # face_maxoids certifies each face through the lattice's facets, and
+    # face_maxoid, its oracle, scores each face's normal against every vertex
     graphs = list(graphs())
     assert len(graphs) == count
     for g in graphs:
         entries = enumerate_maximal_cones(g)
         pts = polytope_vertices(g, entries)
+        assert len(pts) == 1 or not single, g.sorted_edges
         lat = face_lattice([p for _, p in pts])
+        structures = [face_maxoid(g, f, entries, pts) for f in lat.faces]
+        assert face_maxoids(g, lat, pts) == structures, g.sorted_edges
         cones = [(e.maxoid.bits, e.witness) for e in entries]
-        faces = [(face_maxoid(g, f, entries, pts).bits, f.normal)
-                 for f in lat.faces if f.dim >= 1]
+        faces = [(m.bits, f.normal) for m, f in zip(structures, lat.faces) if f.dim >= 1]
         got = [[(m.bits, w) for m, w in batch] for batch in graph_structures(g, True)]
         assert got == [cones, faces], g.sorted_edges
         assert [[(m.bits, w) for m, w in batch]
@@ -197,6 +209,57 @@ def test_graph_structures_build_the_faces_only_when_asked(monkeypatch):
     assert next(batches, None) is None
     assert len(list(graph_structures(complete_dag(4), False))) == 1
     assert len(lattices) == 1
+
+
+@pytest.mark.skipif(os.environ.get("MAXOID_LONG_TESTS") != "1",
+                    reason="long-running size; set MAXOID_LONG_TESTS=1")
+def test_face_maxoids_equal_face_maxoid_on_the_first_13_edge_6_node_graph():
+    from maxoid.census import all_top_ordered_tdags
+
+    g = next(g for g in all_top_ordered_tdags(6).graphs if len(g.edges) == 13)
+    entries = enumerate_maximal_cones(g)
+    pts = polytope_vertices(g, entries)
+    lat = face_lattice([p for _, p in pts])
+    assert len(lat.faces) == 14409
+    memo: dict = {}
+    assert face_maxoids(g, lat, pts) == [face_maxoid(g, f, entries, pts, memo)
+                                         for f in lat.faces]
+
+
+def test_face_maxoids_refuse_faces_the_facets_do_not_certify():
+    g = complete_dag(4)
+    pts = polytope_vertices(g)
+    coords = [p for _, p in pts]
+    lat = face_lattice(coords)
+    assert len(lat.facets) == 7
+    # one bit of one facet mask flipped, each facet and vertex in turn
+    for k, (mask, a) in enumerate(lat.facets):
+        for v in range(len(coords)):
+            facets = lat.facets[:k] + ((mask ^ 1 << v, a),) + lat.facets[k + 1:]
+            with pytest.raises(ValueError, match="not maximal exactly on the face"):
+                face_maxoids(g, dataclasses.replace(lat, facets=facets), pts)
+    # one face normal altered, each face in turn
+    for k, f in enumerate(lat.faces):
+        altered = Face(f.vertices, f.dim, (f.normal[0] + 1,) + f.normal[1:])
+        faces = lat.faces[:k] + (altered,) + lat.faces[k + 1:]
+        with pytest.raises(ValueError, match="not maximal exactly on the face"):
+            face_maxoids(g, dataclasses.replace(lat, faces=faces), pts)
+    # an equal lattice built without checked facets certifies nothing
+    unchecked = pairwise_face_lattice(coords)
+    assert unchecked == lat and unchecked.facets is None
+    with pytest.raises(ValueError, match="no checked facets"):
+        face_maxoids(g, unchecked, pts)
+
+
+def test_face_lattice_checks_each_facet_against_every_vertex(monkeypatch):
+    coords = [p for _, p in polytope_vertices(complete_dag(4))]
+    facets = _facet_incidences(coords)
+    for k, (incident, a) in enumerate(facets):
+        for v in incident:
+            dropped = facets[:k] + [(incident - {v}, a)] + facets[k + 1:]
+            monkeypatch.setattr(polytope, "_facet_incidences", lambda points, d=dropped: d)
+            with pytest.raises(AssertionError, match="not maximal exactly"):
+                face_lattice(coords)
 
 
 def test_simplex_rays_match_the_replaced_gauss_jordan_inverse():

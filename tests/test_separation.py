@@ -4,7 +4,9 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from functools import reduce
 from itertools import chain, combinations
+from operator import or_
 
 import pytest
 from hypothesis import given, settings
@@ -528,11 +530,11 @@ def test_packed_kernel_matches_the_looped_kernel_on_census_cones_and_faces():
         for g, _ in isomorphism_classes(all_top_ordered_tdags(n).graphs):
             entries = enumerate_maximal_cones(g)
             points = polytope_vertices(g, entries)
-            memo: dict = {}
-            for f in face_lattice([p for _, p in points]).faces:
-                face_maxoid(g, f, entries, points, memo)
             every = {frozenset(e.system.blockers.items()) for e in entries}
-            every.update(blockers for _, blockers in memo)
+            for f in face_lattice([p for _, p in points]).faces:
+                systems = [points[u][0].blockers for u in f.vertices]
+                every.add(frozenset((pq, reduce(or_, (b[pq] for b in systems)))
+                                    for pq in systems[0]))
             for blockers in map(dict, every):
                 assert maxoid_from_blockers(n, blockers) == looped_maxoid_from_blockers(n, blockers)
             collections.append(len(every))
