@@ -17,7 +17,7 @@ import sys
 
 from .graph import Dag, dag_from_json, dag_to_json, to_dot
 from .tropical import WeightedDag, kleene_star, weights_from_json, weights_to_list_json
-from .separation import maxoid, parse_ci_statement
+from .separation import _bit_indices, maxoid, parse_ci_statement
 from .fan import enumerate_maximal_cones, lineality_dimension
 from .polytope import cone_adjacency, face_lattice, face_maxoids, hasse_dot, polytope_vertices
 from .implication import decide_implication
@@ -34,8 +34,8 @@ LONG_RUN_HINT = "pass --unbounded to run sizes beyond the quick default"
 # most edges of a graph whose face lattice (polytope, fan --adjacency,
 # implies --graph with ties) or whose fan alone (fan, implies --graph
 # --generic) is computed without --unbounded.  On the first 14-edge 6-node
-# graph (1209 vertices, 60359 faces) `polytope` takes 4.2 s at 235 MB peak
-# RSS, `polytope --face-maxoids` 5.0 s at 243 MB and `fan --adjacency`
+# graph (1209 vertices, 60359 faces) `polytope` takes 4.2 s at 188 MB peak
+# RSS, `polytope --face-maxoids` 4.6 s at 238 MB and `fan --adjacency`
 # 4.1 s, and complete-6's hull alone takes 66 s.  `fan` on complete-6
 # (15 edges) takes 0.8 s; complete-7's (21 edges) search alone took 236 s
 # when last measured.  Single runs on a 2-core host, Python 3.11.
@@ -155,10 +155,11 @@ def _cmd_polytope(args) -> None:
         "dim": dim,
         "vertices": [list(p) for p in coords],
         "f_vector": fvec,
-        "faces": [{"dim": f.dim, "vertices": sorted(f.vertices)} for f in lattice.faces],
+        "faces": [{"dim": f.dim, "vertices": list(_bit_indices(f.mask))}
+                  for f in lattice.faces],
     }
     if args.face_maxoids:
-        structures = face_maxoids(g, lattice, points)
+        structures = face_maxoids(g, lattice.faces, points)
         texts = {m: m.to_json() for m in set(structures)}
         data["face_maxoids"] = [texts[m] for m in structures]
     if args.hasse_dot:

@@ -25,14 +25,15 @@ further LPs: the sum of the normals of the facets containing a face lies in
 the relative interior of the face's normal cone, and two maximal cones are
 adjacent exactly when their vertices span an edge.
 
-Faces are certified through their facets, not against every vertex.
-face_lattice checks each facet once against every vertex: its normal is
-maximal exactly on the facet's vertices.  A sum of such normals is then
-maximal exactly on the meet of their facets, so a face whose containing
-facets meet in it, and whose normal is their sum, is certified by a few
-mask ANDs and vector sums.  face_maxoids reads every face's structure off
-the lattice in one batch this way; face_maxoid, which accepts any Face,
-keeps the scan of every vertex and is the batch's oracle.
+Every face is certified once, in face_lattice, through its facets.  Each
+facet is checked against every vertex: its normal is maximal exactly on
+the facet's vertices.  A sum of such normals is then maximal exactly on
+the meet of their facets, so a face whose containing facets meet in it
+gets their normal sum as a certified normal: a few mask ANDs and vector
+sums per face.  Faces are vertex bitmasks throughout, bit v for vertex v.
+face_maxoids reads the structures of a lattice's faces in one batch with
+no further check; face_maxoid, which accepts any Face, scans every vertex
+and is the batch's oracle.
 
 graph_structures is the one producer of a graph's structures with the
 weights that realize them, read by the census and by implication: the
@@ -41,7 +42,7 @@ cones' first, then, on demand, the faces'.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from math import lcm
 from operator import add, mul, or_
@@ -55,11 +56,11 @@ from .fan import FanEntry, CriticalSystem, enumerate_maximal_cones
 
 @dataclass(frozen=True)
 class Face:
-    """A face identified by the set of polytope vertices it contains; normal
-    is an integer outer normal vector in the relative interior of its normal
-    cone (zero for the whole polytope)."""
+    """A face identified by the bitmask of the polytope vertices it contains
+    (bit v for vertex v); normal is an integer outer normal vector in the
+    relative interior of its normal cone (zero for the whole polytope)."""
 
-    vertices: frozenset[int]
+    mask: int
     dim: int
     normal: tuple[int, ...]
 
@@ -72,9 +73,6 @@ Facet = tuple[int, tuple[int, ...]]
 class FaceLattice:
     faces: tuple[Face, ...]
     covers: tuple[tuple[int, int], ...]  # (smaller face index, larger face index)
-    # the facets face_lattice checked, which certify every face for
-    # face_maxoids; None when the lattice was built some other way
-    facets: tuple[Facet, ...] | None = field(default=None, compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -180,9 +178,8 @@ def _dd_extreme_rays(rows: list[tuple[int, ...]], dim: int) -> list[tuple[int, .
     return rays
 
 
-def _facet_incidences(points: list[tuple[int, ...]]
-                      ) -> list[tuple[frozenset[int], tuple[int, ...]]]:
-    """For each facet, the set of incident point indices and an integer
+def _facet_incidences(points: list[tuple[int, ...]]) -> list[Facet]:
+    """For each facet, the bitmask of incident point indices and an integer
     outer normal in the points' own coordinates (none for a single point).
 
     With m points, each projected point p is shifted to m*p - sum of all
@@ -211,7 +208,7 @@ def _facet_incidences(points: list[tuple[int, ...]]
         if a0 <= 0:
             raise AssertionError("facet inequality with nonpositive offset")
         level = m * a0
-        incident = frozenset(i for i, p in enumerate(shifted) if sum(map(mul, a, p)) == level)
+        incident = sum(1 << i for i, p in enumerate(shifted) if sum(map(mul, a, p)) == level)
         normal = [0] * len(base)
         for c, x in zip(cols, a):
             normal[c] = x
@@ -220,32 +217,34 @@ def _facet_incidences(points: list[tuple[int, ...]]
 
 
 def face_lattice(points: list[tuple[int, ...]]) -> FaceLattice:
-    """All faces of conv(points) with their vertex sets, dimensions, normal
-    vectors and the covering relation; the polytope itself is included as
-    the top face, the empty face is not.
+    """All faces of conv(points) as vertex bitmasks, with their dimensions,
+    certified normal vectors and the covering relation; the polytope itself
+    is included as the top face, the empty face is not.
 
-    Each facet is checked once against every point: its outer normal a
-    scores every point at most its level t, the largest score, and exactly
-    t on the facet's vertices; AssertionError otherwise.  The lattice keeps
-    these checked facets, through which face_maxoids certifies every face.
+    Faces are walked down from the top as int bitmasks of vertex indices.
+    The faces a face covers are the inclusion-maximal nonempty cuts
+    face & facet other than the face itself, and a face's dimension is its
+    rank: 0 with nothing below it, else one more than any face below it.
 
-    Faces are int bitmasks of vertex indices, walked down from the top.  The
-    faces a face covers are the inclusion-maximal nonempty cuts face & facet
-    other than the face itself, and a face's dimension is its rank: 0 with
-    nothing below it, else one more than any face below it.  A face's normal
-    is the sum of the outer normals of the facets that contain it: their
-    maxima meet exactly on the face.
+    Every normal is certified here, once per face; AssertionError when a
+    check fails.  Each facet G is checked against every point: its outer
+    normal a_G scores every point p at most t_G, the largest score, with
+    equality exactly on G's vertex mask m_G.  For a face F let S be the
+    facets whose masks contain F, and nu the sum of their normals.  Then at
+    every point nu.p = sum over S of a_G.p <= sum over S of t_G, with
+    equality exactly when p lies on every facet of S, that is on the meet of
+    their masks (every point when S is empty).  F's normal is nu and the
+    meet is checked to be F, so nu is maximal exactly on F: it lies in the
+    relative interior of F's normal cone.
     """
     if not points:
         raise ValueError("need at least one point")
-    facets = []
-    for incident, a in _facet_incidences(points):
+    facets = _facet_incidences(points)
+    for incident, a in facets:
         scores = [sum(map(mul, a, p)) for p in points]
         level = max(scores)
-        mask = sum(1 << i for i, x in enumerate(scores) if x == level)
-        if mask != sum(1 << i for i in incident):
+        if sum(1 << i for i, x in enumerate(scores) if x == level) != incident:
             raise AssertionError("facet normal is not maximal exactly on the facet's vertices")
-        facets.append((mask, a))
     top = (1 << len(points)) - 1
     below: dict[int, list[int]] = {}
     stack = [top]
@@ -265,15 +264,17 @@ def face_lattice(points: list[tuple[int, ...]]) -> FaceLattice:
     # a face below another has fewer vertices, so its rank is set first
     for face in sorted(below, key=int.bit_count):
         dims[face] = dims[below[face][0]] + 1 if below[face] else 0
-    members = {face: list(_bit_indices(face)) for face in below}
-    order = sorted(below, key=lambda face: (dims[face], members[face]))
+    order = sorted(below, key=lambda face: (dims[face], list(_bit_indices(face))))
     index = {face: k for k, face in enumerate(order)}
     width = len(points[0])
-    # each vertex list is dropped once its frozenset is made
-    faces = tuple(Face(frozenset(members.pop(face)), dims[face],
-                       _facet_meet(facets, face, top, width)[1]) for face in order)
+    faces = []
+    for face in order:
+        meet, normal = _facet_meet(facets, face, top, width)
+        if meet != face:
+            raise AssertionError("facets containing a face do not meet exactly in it")
+        faces.append(Face(face, dims[face], normal))
     covers = sorted((index[k], index[face]) for face in order for k in below[face])
-    return FaceLattice(faces, tuple(covers), tuple(facets))
+    return FaceLattice(tuple(faces), tuple(covers))
 
 
 def _facet_meet(facets: Iterable[Facet], face: int, top: int, width: int
@@ -320,11 +321,10 @@ def face_maxoid(g: Dag, face: Face, entries: list[FanEntry],
     the face's vertices choose for (k, l): the blocker sets are the unions of
     the vertices' ones.  Valid for tied weights, since separation needs no
     genericity.  The normal is re-verified exactly against every vertex
-    (equal on the face's vertices, smaller on all others), so any Face is
-    accepted, a lattice's or not; raises when it fails or the face carries
-    no normal.  face_maxoids gives a whole lattice's structures in one batch
-    and certifies each face through the lattice's checked facets instead,
-    with no scan of the vertices.
+    (maximal exactly on the face's mask), so any Face is accepted, a
+    lattice's or not; raises when it fails.  face_maxoids gives the
+    structures of faces that face_lattice certified in one batch, with no
+    scan of the vertices.
 
     Many faces share one blocker union.  Pass the same dict as memo to a
     batch of calls and each distinct union's structure is computed once; the
@@ -332,50 +332,32 @@ def face_maxoid(g: Dag, face: Face, entries: list[FanEntry],
     """
     scores = [sum(map(mul, face.normal, p)) for _, p in points]
     best = max(scores)
-    if frozenset(u for u, v in enumerate(scores) if v == best) != face.vertices:
+    if sum(1 << u for u, v in enumerate(scores) if v == best) != face.mask:
         raise ValueError("vertex set is not a face of the polytope")
     # every vertex's blockers are keyed by the same pairs in the same order
     pairs = tuple(points[0][0].blockers)
-    words = (_packed_blockers(points[u][0], g.n) for u in face.vertices)
+    words = (_packed_blockers(points[u][0], g.n) for u in _bit_indices(face.mask))
     return _union_maxoid(g.n, pairs, words, {} if memo is None else memo)
 
 
-def face_maxoids(g: Dag, lattice: FaceLattice,
+def face_maxoids(g: Dag, faces: Iterable[Face],
                  points: list[tuple[CriticalSystem, tuple[int, ...]]]) -> list[Maxoid]:
-    """face_maxoid of every face of lattice, in lattice order, where lattice
-    is face_lattice of the coordinates of points = polytope_vertices(g).
+    """face_maxoid of each face, in order, for faces from face_lattice of
+    the coordinates of points = polytope_vertices(g).
 
-    Each face is certified through the lattice's checked facets, with no
-    scan of the vertices.  face_lattice checked that each facet G's normal
-    a_G scores every vertex p at most t_G, with equality exactly on G's
-    vertex mask m_G.  For a face F let S be the facets whose masks contain
-    F, and nu the sum of their normals.  Then at every vertex
-    nu.p = sum over S of a_G.p <= sum over S of t_G, with equality exactly
-    when p lies on every facet of S, that is on the meet of their masks
-    (every vertex when S is empty).  So nu is maximal exactly on F, which
-    puts it in the relative interior of F's normal cone, as soon as that
-    meet is F and the face's normal is nu: a few mask ANDs and vector sums
-    per face.  Raises ValueError when the lattice carries no checked facets
-    or a face fails the check.
+    face_lattice certified each face's normal, once; nothing is checked
+    again here.  A Face built any other way is face_maxoid's to check.
 
     Each vertex's blocker masks are packed into one int, so a face's
     blocker union is one OR per vertex, and the structures are memoised on
     the packed union: each distinct one is computed once.
     """
-    if lattice.facets is None:
-        raise ValueError("face lattice carries no checked facets")
-    top, width = (1 << len(points)) - 1, len(points[0][1])
     # every vertex's blockers are keyed by the same pairs in the same order
     pairs = tuple(points[0][0].blockers)
     words = [_packed_blockers(system, g.n) for system, _ in points]
     memo: dict = {}
-    out = []
-    for f in lattice.faces:
-        face = sum(1 << v for v in f.vertices)
-        if not face or _facet_meet(lattice.facets, face, top, width) != (face, f.normal):
-            raise ValueError("face normal is not maximal exactly on the face")
-        out.append(_union_maxoid(g.n, pairs, (words[v] for v in f.vertices), memo))
-    return out
+    return [_union_maxoid(g.n, pairs, (words[v] for v in _bit_indices(f.mask)), memo)
+            for f in faces]
 
 
 # a structure with weights over the sorted edges that realize it
@@ -389,18 +371,18 @@ def graph_structures(g: Dag, include_faces: bool) -> Iterator[list[Realized]]:
 
     Each maximal cone gives its maxoid and its interior witness.  Each face
     of dimension at least 1 gives its face_maxoid and its integer normal, in
-    lattice order, built from the fan entries held until then; the
-    dimension-0 faces are the cones again.  The normal fan is complete, so
-    these are all the structures of the graph, and the cones' are its
-    generic ones.
+    lattice order, built from the fan entries held until then; face_lattice
+    certified those normals, and only these faces go to face_maxoids.  The
+    dimension-0 faces are the cones again and are skipped.  The normal fan
+    is complete, so these are all the structures of the graph, and the
+    cones' are its generic ones.
     """
     entries = enumerate_maximal_cones(g)
     yield [(e.maxoid, e.witness) for e in entries]
     if include_faces:
         points = polytope_vertices(g, entries)
-        lattice = face_lattice([p for _, p in points])
-        yield [(m, f.normal) for m, f in zip(face_maxoids(g, lattice, points), lattice.faces)
-               if f.dim >= 1]
+        faces = [f for f in face_lattice([p for _, p in points]).faces if f.dim >= 1]
+        yield [(m, f.normal) for m, f in zip(face_maxoids(g, faces, points), faces)]
 
 
 def cone_adjacency(g: Dag, entries: list[FanEntry]) -> list[tuple[int, int]]:
@@ -408,14 +390,14 @@ def cone_adjacency(g: Dag, entries: list[FanEntry]) -> list[tuple[int, int]]:
     order.  The fan is the normal fan of the polytope, so these are the
     vertex pairs of the polytope's edges."""
     lattice = face_lattice([p for _, p in polytope_vertices(g, entries)])
-    return sorted(tuple(sorted(f.vertices)) for f in lattice.faces if f.dim == 1)
+    return sorted(tuple(_bit_indices(f.mask)) for f in lattice.faces if f.dim == 1)
 
 
 def hasse_dot(lattice: FaceLattice, name: str = "faces") -> str:
     """DOT rendering of the face lattice's Hasse diagram."""
     lines = [f"digraph {name} {{", "  rankdir=BT;"]
     for k, f in enumerate(lattice.faces):
-        label = "{" + ",".join(str(v) for v in sorted(f.vertices)) + "}"
+        label = "{" + ",".join(map(str, _bit_indices(f.mask))) + "}"
         lines.append(f'  f{k} [label="{label} d{f.dim}"];')
     lines.extend(f"  f{a} -> f{b};" for a, b in lattice.covers)
     lines.append("}")

@@ -1083,7 +1083,7 @@ def lp_face_maxoid(g: Dag, face, points) -> Maxoid:
     vertex set is not a face."""
     coords = [p for _, p in points]
     nvars = len(g.sorted_edges)
-    members = sorted(face.vertices)
+    members = [v for v in range(face.mask.bit_length()) if face.mask >> v & 1]
     if not members or any(v >= len(coords) for v in members):
         raise ValueError("face references unknown vertices")
     base = coords[members[0]]
@@ -1096,7 +1096,7 @@ def lp_face_maxoid(g: Dag, face, points) -> Maxoid:
     reduced: list[Constraint] = []
     seen = set()
     for u in range(len(coords)):
-        if u in face.vertices:
+        if face.mask >> u & 1:
             continue
         diff = [Fraction(base[k] - coords[u][k]) for k in range(nvars)]
         row = {j: sum(b * d for b, d in zip(vec, diff)) for j, vec in enumerate(span)}
@@ -1113,7 +1113,7 @@ def lp_face_maxoid(g: Dag, face, points) -> Maxoid:
     score = sum(ci * xi for ci, xi in zip(c, base))
     for u in range(len(coords)):
         val = sum(ci * xi for ci, xi in zip(c, coords[u]))
-        ok = val == score if u in face.vertices else val < score
+        ok = val == score if face.mask >> u & 1 else val < score
         if not ok:
             raise AssertionError("normal-cone functional failed exact re-verification")
     return kleene_maxoid(WeightedDag(g, dict(zip(g.sorted_edges, c))))
@@ -1124,7 +1124,8 @@ def pairwise_face_lattice(coords: list[tuple[int, ...]]) -> FaceLattice:
     by a frontier walk over frozensets, one Fraction affine_dimension per face
     and a test of every pair of faces for a cover (one dimension apart, the
     smaller vertex set strictly inside the larger), on the facets of the
-    replaced hull, hull_facet_incidences."""
+    replaced hull, hull_facet_incidences; each face is returned as a vertex
+    mask."""
     if not coords:
         raise ValueError("need at least one point")
     facets = hull_facet_incidences(coords)
@@ -1151,14 +1152,12 @@ def pairwise_face_lattice(coords: list[tuple[int, ...]]) -> FaceLattice:
                 total = [x + y for x, y in zip(total, a)]
         return tuple(total)
 
-    faces = sorted((Face(s, face_dim(s), normal(s)) for s in sets),
-                   key=lambda f: (f.dim, sorted(f.vertices)))
-    covers = []
-    for a, fa in enumerate(faces):
-        for b, fb in enumerate(faces):
-            if fb.dim == fa.dim + 1 and fa.vertices < fb.vertices:
-                covers.append((a, b))
-    return FaceLattice(tuple(faces), tuple(covers))
+    dims = {s: face_dim(s) for s in sets}
+    order = sorted(sets, key=lambda s: (dims[s], sorted(s)))
+    covers = [(a, b) for a, sa in enumerate(order) for b, sb in enumerate(order)
+              if dims[sb] == dims[sa] + 1 and sa < sb]
+    faces = tuple(Face(sum(1 << v for v in s), dims[s], normal(s)) for s in order)
+    return FaceLattice(faces, tuple(covers))
 
 
 def lp_cone_adjacency(entries) -> list[tuple[int, int]]:

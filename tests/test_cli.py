@@ -349,30 +349,53 @@ def test_fan_output_matches_the_golden_files(capsys, name):
     assert out.encode() == (DATA / f"{name}_fan.json").read_bytes()
 
 
-@pytest.mark.parametrize("argv, drop, reverse, digest", [
+@pytest.mark.parametrize("argv, drop, reverse, digest, dot_digest", [
     (["polytope", "--face-maxoids"], (3, 4), False,
-     "cc852fdc8da1e5cf124e42ccef37a042fe6e583263ad1035cbbe121817b265ae"),
+     "cc852fdc8da1e5cf124e42ccef37a042fe6e583263ad1035cbbe121817b265ae",
+     "f3fd2bbd044f6c1a28012979a765588a565dc0b42f9e47dd1230b4450948e6eb"),
     (["fan", "--adjacency"], None, False,
-     "abf220ac5d06537a1f6b42811b2a82b83021dcdeb2a25a4fc063cefe69150b94"),
+     "abf220ac5d06537a1f6b42811b2a82b83021dcdeb2a25a4fc063cefe69150b94", None),
     (["fan"], None, True,
-     "c3ebab55e91af52d056cb944da6fb7a626656bcbbac12adb252196fde87604dc"),
+     "c3ebab55e91af52d056cb944da6fb7a626656bcbbac12adb252196fde87604dc", None),
 ], ids=["polytope-complete5-minus-3-4", "fan-adjacency-complete5", "fan-reversed-complete5"])
 def test_five_node_outputs_keep_their_pinned_digests(capsys, tmp_path, argv, drop, reverse,
-                                                     digest):
+                                                     digest, dot_digest):
     # complete-5 minus 3->4 and complete-5, whose polytopes (dimensions 5
     # and 6) run the double description far longer than the golden files'
     # 3-dimensional ones; the digests were taken from the Fraction-echelon
-    # hull.  The fan of complete-5 with every edge reversed (node 5 the
-    # source) pins witnesses that the search reaches in another pair and
-    # path order than under the identity labels
+    # hull, the Hasse diagram's from the faces held as vertex sets.  The fan
+    # of complete-5 with every edge reversed (node 5 the source) pins
+    # witnesses that the search reaches in another pair and path order than
+    # under the identity labels
     edges = [[i, j] for i in range(1, 6) for j in range(i + 1, 6) if (i, j) != drop]
     if reverse:
         edges = sorted([j, i] for i, j in edges)
     dag = tmp_path / "dag.json"
     dag.write_text(json.dumps({"n": 5, "edges": edges}))
+    dot = tmp_path / "hasse.dot"
+    if dot_digest is not None:
+        argv = argv + ["--hasse-dot", str(dot)]
     code, out = invoke(capsys, *argv, str(dag))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+    if dot_digest is not None:
+        assert hashlib.sha256(dot.read_bytes()).hexdigest() == dot_digest
+
+
+@pytest.mark.skipif(os.environ.get("MAXOID_LONG_TESTS") != "1",
+                    reason="long-running size; set MAXOID_LONG_TESTS=1")
+def test_first_13_edge_6_node_polytope_keeps_its_pinned_digests(capsys, tmp_path):
+    # e13, the first 6-node TDAG with 13 edges (complete-6 minus 4->6 and
+    # 5->6): 473 vertices and 14409 faces, stdout and Hasse diagram pinned
+    # from the faces held as vertex sets
+    edges = [[i, j] for i in range(1, 7) for j in range(i + 1, 7) if (i, j) not in {(4, 6), (5, 6)}]
+    dag = tmp_path / "e13.json"
+    dag.write_text(json.dumps({"n": 6, "edges": edges}))
+    dot = tmp_path / "hasse.dot"
+    code, out = invoke(capsys, "polytope", "--face-maxoids", "--hasse-dot", str(dot), str(dag))
+    assert code == 0
+    assert hashlib.md5(out.encode()).hexdigest() == "c591db1952855f3f70b2c7423f94ae32"
+    assert hashlib.md5(dot.read_bytes()).hexdigest() == "848c3a4c4a85f55c0009c6ba6afc0f06"
 
 
 def test_dot_export(files, capsys, tmp_path):

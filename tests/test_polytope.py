@@ -1,7 +1,9 @@
-import dataclasses
 import itertools
 import os
 import random
+import tracemalloc
+from functools import reduce
+from operator import or_
 
 import pytest
 
@@ -21,7 +23,7 @@ from maxoid.polytope import (
     hasse_dot,
     polytope_vertices,
 )
-from maxoid.separation import parse_ci_statement
+from maxoid.separation import _bit_indices, parse_ci_statement
 from oracles import (
     affine_dimension,
     complete_dag,
@@ -53,8 +55,7 @@ def test_f_vector_of_standard_shapes():
 def test_face_lattice_of_segment_and_triangle():
     segment = [(0,), (2,)]
     lat = face_lattice(segment)
-    assert [(f.dim, sorted(f.vertices)) for f in lat.faces] == [
-        (0, [0]), (0, [1]), (1, [0, 1])]
+    assert [(f.dim, f.mask) for f in lat.faces] == [(0, 0b01), (0, 0b10), (1, 0b11)]
     assert set(lat.covers) == {(0, 2), (1, 2)}
     triangle = [(0, 0), (1, 0), (0, 1)]
     lat3 = face_lattice(triangle)
@@ -133,7 +134,7 @@ def test_face_maxoid_vertex_is_generic_maxoid():
     lat = face_lattice([p for _, p in pts])
     for f in lat.faces:
         if f.dim == 0:
-            (v,) = f.vertices
+            (v,) = _bit_indices(f.mask)
             assert face_maxoid(DIAMOND, f, entries, pts) == entries[v].maxoid
 
 
@@ -142,11 +143,9 @@ def test_face_maxoid_rejects_non_face():
     entries = enumerate_maximal_cones(g)
     pts = polytope_vertices(g, entries)
     lat = face_lattice([p for _, p in pts])
-    vertex_sets = {f.vertices for f in lat.faces}
-    fake = next(
-        frozenset(pair) for pair in itertools.combinations(range(9), 2)
-        if frozenset(pair) not in vertex_sets
-    )
+    masks = {f.mask for f in lat.faces}
+    fake = next(1 << a | 1 << b for a, b in itertools.combinations(range(9), 2)
+                if 1 << a | 1 << b not in masks)
     # the top face's zero normal is maximal on every vertex, not on fake's
     with pytest.raises(ValueError, match="not a face"):
         face_maxoid(g, Face(fake, 1, lat.faces[-1].normal), entries, pts)
@@ -162,8 +161,8 @@ def test_face_maxoid_memo_shares_structures_and_still_verifies():
     assert shared == [face_maxoid(g, f, entries, pts) for f in lat.faces]
     assert len(set(shared)) <= len(memo) < len(lat.faces)
     edge = next(f for f in lat.faces if f.dim == 1)
-    wrong = Face(edge.vertices | {next(iter(lat.faces[-1].vertices - edge.vertices))},
-                 edge.dim, edge.normal)
+    outside = lat.faces[-1].mask & ~edge.mask
+    wrong = Face(edge.mask | outside & -outside, edge.dim, edge.normal)
     with pytest.raises(ValueError):
         face_maxoid(g, wrong, entries, pts, memo)
 
@@ -179,7 +178,7 @@ SINGLE_VERTEX = [Dag(3, []), Dag(2, [(1, 2)]), Dag(4, [(1, 2), (3, 4)]), Dag(1, 
     (lambda: SINGLE_VERTEX, 4, True),
 ], ids=["4-all", "5-classes", "5-random", "single-vertex"])
 def test_graph_structures_match_the_fan_and_lattice_built_directly(graphs, count, single):
-    # face_maxoids certifies each face through the lattice's facets, and
+    # face_maxoids trusts the normals face_lattice certified, and
     # face_maxoid, its oracle, scores each face's normal against every vertex
     graphs = list(graphs())
     assert len(graphs) == count
@@ -189,7 +188,7 @@ def test_graph_structures_match_the_fan_and_lattice_built_directly(graphs, count
         assert len(pts) == 1 or not single, g.sorted_edges
         lat = face_lattice([p for _, p in pts])
         structures = [face_maxoid(g, f, entries, pts) for f in lat.faces]
-        assert face_maxoids(g, lat, pts) == structures, g.sorted_edges
+        assert face_maxoids(g, lat.faces, pts) == structures, g.sorted_edges
         cones = [(e.maxoid.bits, e.witness) for e in entries]
         faces = [(m.bits, f.normal) for m, f in zip(structures, lat.faces) if f.dim >= 1]
         got = [[(m.bits, w) for m, w in batch] for batch in graph_structures(g, True)]
@@ -222,44 +221,78 @@ def test_face_maxoids_equal_face_maxoid_on_the_first_13_edge_6_node_graph():
     lat = face_lattice([p for _, p in pts])
     assert len(lat.faces) == 14409
     memo: dict = {}
-    assert face_maxoids(g, lat, pts) == [face_maxoid(g, f, entries, pts, memo)
-                                         for f in lat.faces]
+    assert face_maxoids(g, lat.faces, pts) == [face_maxoid(g, f, entries, pts, memo)
+                                               for f in lat.faces]
 
 
-def test_face_maxoids_refuse_faces_the_facets_do_not_certify():
-    g = complete_dag(4)
-    pts = polytope_vertices(g)
-    coords = [p for _, p in pts]
-    lat = face_lattice(coords)
-    assert len(lat.facets) == 7
-    # one bit of one facet mask flipped, each facet and vertex in turn
-    for k, (mask, a) in enumerate(lat.facets):
-        for v in range(len(coords)):
-            facets = lat.facets[:k] + ((mask ^ 1 << v, a),) + lat.facets[k + 1:]
-            with pytest.raises(ValueError, match="not maximal exactly on the face"):
-                face_maxoids(g, dataclasses.replace(lat, facets=facets), pts)
-    # one face normal altered, each face in turn
-    for k, f in enumerate(lat.faces):
-        altered = Face(f.vertices, f.dim, (f.normal[0] + 1,) + f.normal[1:])
-        faces = lat.faces[:k] + (altered,) + lat.faces[k + 1:]
-        with pytest.raises(ValueError, match="not maximal exactly on the face"):
-            face_maxoids(g, dataclasses.replace(lat, faces=faces), pts)
-    # an equal lattice built without checked facets certifies nothing
-    unchecked = pairwise_face_lattice(coords)
-    assert unchecked == lat and unchecked.facets is None
-    with pytest.raises(ValueError, match="no checked facets"):
-        face_maxoids(g, unchecked, pts)
+@pytest.mark.skipif(os.environ.get("MAXOID_LONG_TESTS") != "1",
+                    reason="long-running size; set MAXOID_LONG_TESTS=1")
+def test_face_lattice_of_the_first_14_edge_6_node_graph_stays_under_150_mb():
+    # e14 (complete-6 minus 5->6): 60359 faces held as vertex masks; with a
+    # frozenset per face the lattice peaked at 208 MB under tracemalloc
+    g = Dag(6, [e for e in complete_dag(6).edges if e != (5, 6)])
+    coords = [p for _, p in polytope_vertices(g)]
+    tracemalloc.start()
+    try:
+        lat = face_lattice(coords)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(lat.faces) == 60359
+    assert peak < 150e6, peak
 
 
 def test_face_lattice_checks_each_facet_against_every_vertex(monkeypatch):
+    # every facet handed to face_lattice with one vertex cleared from or set
+    # in its incidence mask, each facet and vertex in turn
     coords = [p for _, p in polytope_vertices(complete_dag(4))]
     facets = _facet_incidences(coords)
+    assert len(facets) == 7
     for k, (incident, a) in enumerate(facets):
-        for v in incident:
-            dropped = facets[:k] + [(incident - {v}, a)] + facets[k + 1:]
-            monkeypatch.setattr(polytope, "_facet_incidences", lambda points, d=dropped: d)
+        for v in range(len(coords)):
+            flipped = facets[:k] + [(incident ^ 1 << v, a)] + facets[k + 1:]
+            monkeypatch.setattr(polytope, "_facet_incidences", lambda points, d=flipped: d)
             with pytest.raises(AssertionError, match="not maximal exactly"):
                 face_lattice(coords)
+
+
+def test_face_lattice_certifies_each_face_once_through_its_facets(monkeypatch):
+    # one facet meet per face; a meet that misses a facet, so that the
+    # normal would not be maximal exactly on the face, is refused
+    coords = [p for _, p in polytope_vertices(complete_dag(4))]
+    meets = []
+    spied = polytope._facet_meet
+    monkeypatch.setattr(polytope, "_facet_meet",
+                        lambda facets, *rest: meets.append(rest[0]) or spied(facets, *rest))
+    lat = face_lattice(coords)
+    assert sorted(meets) == sorted(f.mask for f in lat.faces)
+    monkeypatch.setattr(polytope, "_facet_meet",
+                        lambda facets, *rest: spied(facets[1:], *rest))
+    with pytest.raises(AssertionError, match="do not meet exactly"):
+        face_lattice(coords)
+
+
+def test_graph_structures_skip_the_vertex_faces(monkeypatch):
+    # the face batch computes a structure only for the blocker unions of
+    # faces of dimension at least 1, each once; the vertices are the cones
+    g = complete_dag(4)
+    points = polytope_vertices(g)
+    lat = face_lattice([p for _, p in points])
+    unions = set()
+    for f in lat.faces:
+        if f.dim >= 1:
+            systems = [points[u][0].blockers for u in _bit_indices(f.mask)]
+            unions.add(tuple((pq, reduce(or_, (b[pq] for b in systems))) for pq in systems[0]))
+    calls = []
+    spied = polytope.maxoid_from_blockers
+    monkeypatch.setattr(polytope, "maxoid_from_blockers",
+                        lambda n, blockers: calls.append(tuple(blockers.items()))
+                        or spied(n, blockers))
+    batches = graph_structures(g, True)
+    next(batches)
+    assert calls == []
+    assert len(next(batches)) == len(lat.faces) - len(points)
+    assert len(calls) == len(set(calls)) and set(calls) == unions
 
 
 def test_simplex_rays_match_the_replaced_gauss_jordan_inverse():
@@ -302,8 +335,8 @@ def test_facet_union_property_on_maximal_cone_walls():
         pts = polytope_vertices(g, entries)
         lat = face_lattice([p for _, p in pts])
         for f in lat.faces:
-            if f.dim == 1 and len(f.vertices) == 2:
-                a, b = sorted(f.vertices)
+            if f.dim == 1 and f.mask.bit_count() == 2:
+                a, b = _bit_indices(f.mask)
                 assert (face_maxoid(g, f, entries, pts)
                         == entries[a].maxoid | entries[b].maxoid)
 
@@ -348,9 +381,14 @@ def test_face_normals_and_edges_agree_with_the_lp_oracles():
                      for f in itertools.islice(same_dim, per_dim)]
         for f in faces:
             assert face_maxoid(g, f, entries, pts) == lp_face_maxoid(g, f, pts), (
-                g.sorted_edges, sorted(f.vertices))
+                g.sorted_edges, f.mask)
         if per_dim is None:
             assert cone_adjacency(g, entries) == lp_cone_adjacency(entries), g.sorted_edges
+
+
+def _masked(facets):
+    """(vertex mask, normal) for each (vertex set, normal) of the hull oracle."""
+    return [(sum(1 << v for v in incident), a) for incident, a in facets]
 
 
 def test_face_lattice_matches_the_pairwise_oracle():
@@ -374,12 +412,12 @@ def test_face_lattice_matches_the_pairwise_oracle():
     for k, g in enumerate(graphs):
         cases[f"graph {k} {g.sorted_edges}"] = [p for _, p in polytope_vertices(g)]
     for name, coords in cases.items():
-        assert _facet_incidences(coords) == hull_facet_incidences(coords), name
+        assert _facet_incidences(coords) == _masked(hull_facet_incidences(coords)), name
         assert face_lattice(coords) == pairwise_face_lattice(coords), name
     octahedron = face_lattice(cases["octahedron"])
     assert octahedron.f_vector() == (6, 12, 8)
-    facets = [f.vertices for f in octahedron.faces if f.dim == 2]
-    assert all(sum(v in f for f in facets) == 4 for v in range(6))
+    facets = [f.mask for f in octahedron.faces if f.dim == 2]
+    assert all(sum(m >> v & 1 for m in facets) == 4 for v in range(6))
 
 
 @pytest.mark.skipif(os.environ.get("MAXOID_LONG_TESTS") != "1",
@@ -394,5 +432,5 @@ def test_facets_of_the_first_13_edge_6_node_graph_match_the_replaced_hull():
     coords = [p for _, p in polytope_vertices(g)]
     facets = _facet_incidences(coords)
     assert len(coords) == 473 and len(facets) == 26
-    assert facets == hull_facet_incidences(coords)
+    assert facets == _masked(hull_facet_incidences(coords))
 

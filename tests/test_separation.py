@@ -479,7 +479,7 @@ def test_all_subsets_engine_matches_the_per_subset_engine_on_tied_face_blockers(
     unions = set()
     for f in face_lattice([p for _, p in points]).faces:
         union: dict = {}
-        for u in f.vertices:
+        for u in separation._bit_indices(f.mask):
             for key, mask in points[u][0].blockers.items():
                 union[key] = union.get(key, 0) | mask
         unions.add(frozenset(union.items()))
@@ -532,7 +532,7 @@ def test_packed_kernel_matches_the_looped_kernel_on_census_cones_and_faces():
             points = polytope_vertices(g, entries)
             every = {frozenset(e.system.blockers.items()) for e in entries}
             for f in face_lattice([p for _, p in points]).faces:
-                systems = [points[u][0].blockers for u in f.vertices]
+                systems = [points[u][0].blockers for u in separation._bit_indices(f.mask)]
                 every.add(frozenset((pq, reduce(or_, (b[pq] for b in systems)))
                                     for pq in systems[0]))
             for blockers in map(dict, every):
