@@ -34,11 +34,11 @@ LONG_RUN_HINT = "pass --unbounded to run sizes beyond the quick default"
 # most edges of a graph whose face lattice (polytope, fan --adjacency,
 # implies --graph with ties) or whose fan alone (fan, implies --graph
 # --generic) is computed without --unbounded.  On the first 14-edge 6-node
-# graph (1209 vertices, 60359 faces) `polytope` takes 4.2 s at 188 MB peak
-# RSS, `polytope --face-maxoids` 4.6 s at 238 MB and `fan --adjacency`
-# 4.1 s, and complete-6's hull alone takes 66 s.  `fan` on complete-6
-# (15 edges) takes 0.8 s; complete-7's (21 edges) search alone took 236 s
-# when last measured.  Single runs on a 2-core host, Python 3.11.
+# graph (1209 vertices, 60359 faces) `polytope` takes 4.2 s at 157 MB peak
+# RSS, `polytope --face-maxoids` 4.4 s at 157 MB and `fan --adjacency`
+# 3.9 s, and complete-6's hull alone takes 66 s.  `fan` on complete-6
+# (15 edges) takes 0.57 s at 33 MB; complete-7's (21 edges) search alone,
+# keeping no cones, takes 95 s.  Single runs on a 2-core host, Python 3.11.
 LATTICE_EDGES = 13
 FAN_EDGES = 15
 # most nodes of a graph given to fan, polytope or implies --graph without
@@ -47,11 +47,34 @@ FAN_EDGES = 15
 MOST_NODES = 12
 
 
+# the one JSON spelling of machine output: sorted keys, no spaces
+_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def _emit(data, pretty_lines=None, pretty=False) -> None:
     if pretty and pretty_lines is not None:
         print("\n".join(pretty_lines))
     else:
-        print(json.dumps(data, sort_keys=True, separators=(",", ":")))
+        print(_json(data))
+
+
+def _write_document(fields: dict) -> None:
+    """Print the JSON object fields to sys.stdout piece by piece, the bytes
+    that _emit prints for the same data: keys in sorted order, each value a
+    JSON text, or an iterable of element texts that is written as an array
+    one element at a time, so the whole text is never held in memory."""
+    write = sys.stdout.write
+    for k, key in enumerate(sorted(fields)):
+        value = fields[key]
+        write(f'{"," if k else "{"}{_json(key)}:')
+        if isinstance(value, str):
+            write(value)
+        else:
+            write("[")
+            for i, text in enumerate(value):
+                write(f",{text}" if i else text)
+            write("]")
+    write("}\n")
 
 
 def _load_json(path: str):
@@ -119,27 +142,34 @@ def _cmd_fan(args) -> None:
         _check_size(g, LATTICE_EDGES, "fan --adjacency", args)
     _check_size(g, FAN_EDGES, "fan", args)
     entries = enumerate_maximal_cones(g)
-    edges = g.sorted_edges
-    cones = []
-    for e in entries:
-        cones.append({
-            "critical_paths": [{"pair": list(pq), "path": list(p)}
-                               for pq, p in e.system.choices],
-            "inequalities": [list(row) for row in e.inequalities],
-            "witness": [str(x) for x in e.witness],
-            "maxoid": e.maxoid.to_json(),
-        })
-    data = {
-        "edges": [list(e) for e in edges],
-        "lineality_dimension": lineality_dimension(g),
-        "cones": cones,
+    lineality = lineality_dimension(g)
+    adjacency = cone_adjacency(g, entries) if args.adjacency else None
+    if args.pretty:
+        print("\n".join([f"{len(entries)} maximal cones, lineality dimension {lineality}"]
+                        + [f"cone {k}: maxoid {{{'; '.join(e.maxoid.to_json())}}}"
+                           for k, e in enumerate(entries)]))
+        return
+    # neighbouring cones share most critical paths and rows: each distinct
+    # one is encoded once per run (tuples encode as arrays), and every
+    # cone's text is joined from those
+    path_text = functools.cache(lambda c: _json({"pair": c[0], "path": c[1]}))
+    row_text = functools.cache(_json)
+
+    def cone(e) -> str:
+        # the keys in sorted order, as _json spells the cone's dict
+        return (f'{{"critical_paths":[{",".join(map(path_text, e.system.choices))}],'
+                f'"inequalities":[{",".join(map(row_text, e.inequalities))}],'
+                f'"maxoid":{_json(e.maxoid.to_json())},'
+                f'"witness":{_json([str(x) for x in e.witness])}}}')
+
+    fields = {
+        "cones": map(cone, entries),
+        "edges": _json([list(e) for e in g.sorted_edges]),
+        "lineality_dimension": _json(lineality),
     }
-    if args.adjacency:
-        data["adjacency"] = [list(p) for p in cone_adjacency(g, entries)]
-    lines = [f"{len(cones)} maximal cones, lineality dimension {data['lineality_dimension']}"]
-    for k, c in enumerate(cones):
-        lines.append(f"cone {k}: maxoid {{{'; '.join(c['maxoid'])}}}")
-    _emit(data, pretty_lines=lines, pretty=args.pretty)
+    if adjacency is not None:
+        fields["adjacency"] = _json([list(p) for p in adjacency])
+    _write_document(fields)
 
 
 def _cmd_polytope(args) -> None:
@@ -150,24 +180,26 @@ def _cmd_polytope(args) -> None:
     coords = [p for _, p in points]
     lattice = face_lattice(coords)
     dim, fvec = lattice.dim, list(lattice.f_vector())
-    data = {
-        "edges": [list(e) for e in g.sorted_edges],
-        "dim": dim,
-        "vertices": [list(p) for p in coords],
-        "f_vector": fvec,
-        "faces": [{"dim": f.dim, "vertices": list(_bit_indices(f.mask))}
-                  for f in lattice.faces],
-    }
-    if args.face_maxoids:
-        structures = face_maxoids(g, lattice.faces, points)
-        texts = {m: m.to_json() for m in set(structures)}
-        data["face_maxoids"] = [texts[m] for m in structures]
+    structures = face_maxoids(g, lattice.faces, points) if args.face_maxoids else None
     if args.hasse_dot:
         with open(args.hasse_dot, "w") as fh:
             fh.write(hasse_dot(lattice))
-    _emit(data,
-          pretty_lines=[f"dim {dim}, {len(coords)} vertices, f-vector {tuple(fvec)}"],
-          pretty=args.pretty)
+    if args.pretty:
+        print(f"dim {dim}, {len(coords)} vertices, f-vector {tuple(fvec)}")
+        return
+    fields = {
+        "edges": _json([list(e) for e in g.sorted_edges]),
+        "dim": _json(dim),
+        "vertices": _json([list(p) for p in coords]),
+        "f_vector": _json(fvec),
+        # a face's fields are ints, which JSON spells as str() does
+        "faces": (f'{{"dim":{f.dim},"vertices":[{",".join(map(str, _bit_indices(f.mask)))}]}}'
+                  for f in lattice.faces),
+    }
+    if structures is not None:
+        # few distinct structures over many faces: each encoded once
+        fields["face_maxoids"] = map(functools.cache(lambda m: _json(m.to_json())), structures)
+    _write_document(fields)
 
 
 def _cmd_census(args) -> None:
@@ -246,8 +278,7 @@ def _cmd_tdags(args) -> None:
 
 
 def _error(message: str, kind: str = "usage") -> int:
-    print(json.dumps({"error": {"type": kind, "message": message}},
-                     sort_keys=True, separators=(",", ":")))
+    print(_json({"error": {"type": kind, "message": message}}))
     return 2
 
 

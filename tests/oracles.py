@@ -29,12 +29,15 @@ cone_of, with its NonGenericError, that read a cone's rows off the
 critical paths of a tie-free weight vector, and the replaced closure
 checkers looped_compositional_graphoid, looped_amalgamation,
 looped_strong_spohn and looped_weak_transitivity, one loop body per rule,
-with statements looked up as CiStatements) and stays
+with statements looked up as CiStatements, and the replaced output builders
+dict_tree_fan_output and dict_tree_polytope_output, which build the
+whole document as one dict tree for one json.dumps) and stays
 independent of the code paths it cross-checks.
 """
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -64,7 +67,7 @@ from maxoid.implication import (
 )
 from maxoid.linarith import _primitive, checked_point, rank_of
 from maxoid.polytope import Face, FaceLattice, graph_structures
-from maxoid.separation import CiStatement, Maxoid, maxoid_from_blockers, node_mask
+from maxoid.separation import CiStatement, Maxoid, _bit_indices, maxoid_from_blockers, node_mask
 from maxoid.tropical import (
     NEG_INF,
     TropicalMatrix,
@@ -1179,6 +1182,54 @@ def lp_cone_adjacency(entries) -> list[tuple[int, int]]:
                     edges.append((a, b))
                     break
     return edges
+
+
+def dict_tree_fan_output(g: Dag, entries: Sequence[FanEntry], lineality: int,
+                         adjacency: Sequence[tuple[int, int]] | None = None,
+                         pretty: bool = False) -> str:
+    """The replaced `fan` output, stdout text with its final newline: the
+    whole document as one dict tree encoded by one json.dumps, or the
+    --pretty lines; adjacency None leaves the key out."""
+    cones = [{
+        "critical_paths": [{"pair": list(pq), "path": list(p)} for pq, p in e.system.choices],
+        "inequalities": [list(row) for row in e.inequalities],
+        "witness": [str(x) for x in e.witness],
+        "maxoid": e.maxoid.to_json(),
+    } for e in entries]
+    data = {
+        "edges": [list(e) for e in g.sorted_edges],
+        "lineality_dimension": lineality,
+        "cones": cones,
+    }
+    if adjacency is not None:
+        data["adjacency"] = [list(p) for p in adjacency]
+    if pretty:
+        lines = [f"{len(cones)} maximal cones, lineality dimension {lineality}"]
+        lines += [f"cone {k}: maxoid {{{'; '.join(c['maxoid'])}}}" for k, c in enumerate(cones)]
+        return "\n".join(lines) + "\n"
+    return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def dict_tree_polytope_output(g: Dag, coords: Sequence[tuple[int, ...]], lattice: FaceLattice,
+                              structures: Sequence[Maxoid] | None = None,
+                              pretty: bool = False) -> str:
+    """The replaced `polytope` output, stdout text with its final newline:
+    the whole document as one dict tree encoded by one json.dumps, or the
+    --pretty line; structures None leaves face_maxoids out."""
+    fvec = list(lattice.f_vector())
+    if pretty:
+        return f"dim {lattice.dim}, {len(coords)} vertices, f-vector {tuple(fvec)}\n"
+    data = {
+        "edges": [list(e) for e in g.sorted_edges],
+        "dim": lattice.dim,
+        "vertices": [list(p) for p in coords],
+        "f_vector": fvec,
+        "faces": [{"dim": f.dim, "vertices": list(_bit_indices(f.mask))}
+                  for f in lattice.faces],
+    }
+    if structures is not None:
+        data["face_maxoids"] = [m.to_json() for m in structures]
+    return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def mask_loop_dags(n: int, pairs: Sequence[tuple[int, int]],

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,8 +10,13 @@ from pathlib import Path
 import pytest
 
 import maxoid
-from maxoid import separation
+from maxoid import polytope, separation
+from maxoid.census import all_top_ordered_tdags
 from maxoid.cli import build_parser, run
+from maxoid.fan import enumerate_maximal_cones, lineality_dimension
+from maxoid.graph import Dag, dag_to_json, isomorphism_classes, top_ordered_closed_dags
+from maxoid.polytope import cone_adjacency, face_lattice, face_maxoids, polytope_vertices
+from oracles import complete_dag, dict_tree_fan_output, dict_tree_polytope_output
 
 DATA = Path(__file__).parent / "data"
 
@@ -380,6 +387,113 @@ def test_five_node_outputs_keep_their_pinned_digests(capsys, tmp_path, argv, dro
     assert hashlib.sha256(out.encode()).hexdigest() == digest
     if dot_digest is not None:
         assert hashlib.sha256(dot.read_bytes()).hexdigest() == dot_digest
+
+
+def _relabeled(g: Dag, label) -> Dag:
+    """g with node v renamed label[v - 1]."""
+    return Dag(g.n, [(label[u - 1], label[v - 1]) for u, v in g.edges])
+
+
+def _fan_family(name: str) -> list[Dag]:
+    if name == "complete5-relabelings":
+        # edge-reversed, as in the pinned digest, and seeded relabelings
+        k5 = complete_dag(5)
+        rng = random.Random(5)
+        return [_relabeled(k5, (5, 4, 3, 2, 1))] + [
+            _relabeled(k5, rng.sample(range(1, 6), 5)) for _ in range(4)]
+    if name == "5-node-classes":
+        return [g for g, _ in isomorphism_classes(all_top_ordered_tdags(5).graphs)]
+    return list(top_ordered_closed_dags(int(name[0])))
+
+
+@pytest.mark.parametrize("family", ["3-node", "4-node", "5-node-classes",
+                                    "complete5-relabelings"])
+def test_fan_output_matches_the_dict_tree_oracle(capsys, tmp_path, family):
+    graphs = _fan_family(family)
+    assert len(graphs) == {"3-node": 7, "4-node": 40, "5-node-classes": 44}.get(family, 5)
+    dag = tmp_path / "dag.json"
+    for g in graphs:
+        dag.write_text(json.dumps(dag_to_json(g)))
+        entries = enumerate_maximal_cones(g)
+        lineality = lineality_dimension(g)
+        adjacency = cone_adjacency(g, entries)
+        for argv, expected in [
+            (["fan"], dict_tree_fan_output(g, entries, lineality)),
+            (["fan", "--adjacency"], dict_tree_fan_output(g, entries, lineality, adjacency)),
+            (["--pretty", "fan"], dict_tree_fan_output(g, entries, lineality, pretty=True)),
+        ]:
+            code, out = invoke(capsys, *argv, str(dag))
+            assert code == 0 and out == expected, (argv, g.sorted_edges)
+
+
+@pytest.mark.parametrize("family", ["4-node", "complete5-minus-3-4"])
+def test_polytope_output_matches_the_dict_tree_oracle(capsys, tmp_path, family):
+    if family == "4-node":
+        graphs = list(top_ordered_closed_dags(4))
+    else:
+        graphs = [Dag(5, [e for e in complete_dag(5).edges if e != (3, 4)])]
+    dag = tmp_path / "dag.json"
+    for g in graphs:
+        dag.write_text(json.dumps(dag_to_json(g)))
+        points = polytope_vertices(g, enumerate_maximal_cones(g))
+        coords = [p for _, p in points]
+        lattice = face_lattice(coords)
+        structures = face_maxoids(g, lattice.faces, points)
+        for argv, expected in [
+            (["polytope", "--face-maxoids"],
+             dict_tree_polytope_output(g, coords, lattice, structures)),
+            (["polytope"], dict_tree_polytope_output(g, coords, lattice)),
+            (["--pretty", "polytope", "--face-maxoids"],
+             dict_tree_polytope_output(g, coords, lattice, structures, pretty=True)),
+        ]:
+            code, out = invoke(capsys, *argv, str(dag))
+            assert code == 0 and out == expected, (argv, g.sorted_edges)
+
+
+def test_fan_encodes_each_distinct_critical_path_and_row_once(capsys, tmp_path, monkeypatch):
+    # complete-5: 103 cones repeat 26 distinct critical paths 1030 times and
+    # 48 distinct rows 1315 times
+    encoded = []
+    encode = maxoid.cli._json
+
+    def spy(data):
+        encoded.append(encode(data))
+        return encoded[-1]
+
+    monkeypatch.setattr("maxoid.cli._json", spy)
+    dag = tmp_path / "k5.json"
+    dag.write_text(json.dumps(dag_to_json(complete_dag(5))))
+    code, out = invoke(capsys, "fan", str(dag))
+    assert code == 0
+    paths = [t for t in encoded if t.startswith('{"pair"')]
+    rows = [t for t in encoded if re.fullmatch(r"\[-?\d+(,-?\d+)*\]", t)]
+    assert (len(paths), len(rows)) == (26, 48)
+    cones = json.loads(out)["cones"]
+    assert sum(len(c["critical_paths"]) for c in cones) == 1030
+    assert sum(len(c["inequalities"]) for c in cones) == 1315
+
+
+_facet_incidences = polytope._facet_incidences
+
+
+def _negated_normals(points):
+    return [(mask, tuple(-x for x in a)) for mask, a in _facet_incidences(points)]
+
+
+@pytest.mark.parametrize("argv, target, fault", [
+    (["fan"], "maxoid.fan.checked_point", None),
+    (["fan", "--adjacency"], "maxoid.fan.checked_point", None),
+    (["polytope", "--face-maxoids"], "maxoid.polytope._facet_incidences", _negated_normals),
+], ids=["fan-witness-check", "fan-adjacency-witness-check", "polytope-facet-check"])
+def test_a_failed_check_prints_only_the_error_object(capsys, monkeypatch, argv, target, fault):
+    def failing(*args):
+        raise AssertionError("witness fails a row")
+
+    monkeypatch.setattr(target, fault or failing)
+    code, out = invoke(capsys, *argv, str(DATA / "complete4.json"))
+    assert code != 0
+    assert out.count("\n") == 1 and out.endswith("\n")
+    assert json.loads(out)["error"]["type"] == "AssertionError"
 
 
 @pytest.mark.skipif(os.environ.get("MAXOID_LONG_TESTS") != "1",
