@@ -38,8 +38,9 @@ def main() -> None:
         g = complete_dag(n)
         entries = enumerate_maximal_cones(g)
         points = [p for _, p in polytope_vertices(g, entries)]
-        # the fan is the polytope's normal fan: dim P = |E| - lineality
-        lineality = lineality_dimension(g)
+        # the fan is the polytope's normal fan: dim P = |E| - lineality, and
+        # every maximal cone has the fan's lineality space, its rows' null space
+        lineality = lineality_dimension(entries[0])
         row = (f"{n:>3} {len(g.edges):>4} {len(g.edges) - lineality:>4} {len(points):>9} "
                f"{lineality:>10}")
         if args.f_vectors:

@@ -51,18 +51,12 @@ MOST_NODES = 12
 _json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
-def _emit(data, pretty_lines=None, pretty=False) -> None:
-    if pretty and pretty_lines is not None:
-        print("\n".join(pretty_lines))
-    else:
-        print(_json(data))
-
-
 def _write_document(fields: dict) -> None:
     """Print the JSON object fields to sys.stdout piece by piece, the bytes
-    that _emit prints for the same data: keys in sorted order, each value a
-    JSON text, or an iterable of element texts that is written as an array
-    one element at a time, so the whole text is never held in memory."""
+    that print(_json(data)) prints for the same data: keys in sorted order,
+    each value a JSON text, or an iterable of element texts that is written
+    as an array one element at a time, so the whole text is never held in
+    memory."""
     write = sys.stdout.write
     for k, key in enumerate(sorted(fields)):
         value = fields[key]
@@ -114,26 +108,35 @@ def _cmd_maxoid(args) -> None:
         with open(args.dot, "w") as fh:
             fh.write(to_dot(wd.g))
     m = maxoid(wd)
-    _emit(m.to_json(),
-          pretty_lines=[f"{len(m)} statements:"] + [f"  {s}" for s in m],
-          pretty=args.pretty)
+    if args.pretty:
+        print("\n".join([f"{len(m)} statements:"] + [f"  {s}" for s in m]))
+    else:
+        print(_json(m.to_json()))
 
 
 def _cmd_kleene(args) -> None:
     wd = _load_weighted(args.dag, args.weights)
     star = kleene_star(wd, proper=args.proper)
     rows = star.to_json()
-    _emit(rows, pretty_lines=["  ".join(f"{x:>8}" for x in row) for row in rows],
-          pretty=args.pretty)
+    if args.pretty:
+        print("\n".join("  ".join(f"{x:>8}" for x in row) for row in rows))
+    else:
+        print(_json(rows))
+
+
+def _refuse(what: str, args) -> None:
+    """Exit with the usage error that refuses what as long-running, unless
+    --unbounded is given."""
+    if not args.unbounded:
+        raise SystemExit(_error(f"{what} is long-running; {LONG_RUN_HINT}"))
 
 
 def _check_size(g: Dag, most_edges: int, what: str, args) -> None:
-    """Refuse with the usage error when g has more than MOST_NODES nodes or
-    more than most_edges edges and --unbounded is not given."""
+    """Refuse what (see _refuse) when g has more than MOST_NODES nodes or
+    more than most_edges edges."""
     for count, most, unit in ((g.n, MOST_NODES, "nodes"), (len(g.edges), most_edges, "edges")):
-        if count > most and not args.unbounded:
-            raise SystemExit(_error(f"{what} on a graph with more than {most} {unit} "
-                                    f"is long-running; {LONG_RUN_HINT}"))
+        if count > most:
+            _refuse(f"{what} on a graph with more than {most} {unit}", args)
 
 
 def _cmd_fan(args) -> None:
@@ -142,8 +145,7 @@ def _cmd_fan(args) -> None:
         _check_size(g, LATTICE_EDGES, "fan --adjacency", args)
     _check_size(g, FAN_EDGES, "fan", args)
     entries = enumerate_maximal_cones(g)
-    lineality = lineality_dimension(g)
-    adjacency = cone_adjacency(g, entries) if args.adjacency else None
+    lineality = lineality_dimension(entries[0])
     if args.pretty:
         print("\n".join([f"{len(entries)} maximal cones, lineality dimension {lineality}"]
                         + [f"cone {k}: maxoid {{{'; '.join(e.maxoid.to_json())}}}"
@@ -167,8 +169,8 @@ def _cmd_fan(args) -> None:
         "edges": _json([list(e) for e in g.sorted_edges]),
         "lineality_dimension": _json(lineality),
     }
-    if adjacency is not None:
-        fields["adjacency"] = _json([list(p) for p in adjacency])
+    if args.adjacency:
+        fields["adjacency"] = _json([list(p) for p in cone_adjacency(g, entries)])
     _write_document(fields)
 
 
@@ -179,47 +181,46 @@ def _cmd_polytope(args) -> None:
     points = polytope_vertices(g, entries)
     coords = [p for _, p in points]
     lattice = face_lattice(coords)
-    dim, fvec = lattice.dim, list(lattice.f_vector())
-    structures = face_maxoids(g, lattice.faces, points) if args.face_maxoids else None
     if args.hasse_dot:
         with open(args.hasse_dot, "w") as fh:
             fh.write(hasse_dot(lattice))
     if args.pretty:
-        print(f"dim {dim}, {len(coords)} vertices, f-vector {tuple(fvec)}")
+        print(f"dim {lattice.dim}, {len(coords)} vertices, f-vector {lattice.f_vector()}")
         return
     fields = {
         "edges": _json([list(e) for e in g.sorted_edges]),
-        "dim": _json(dim),
+        "dim": _json(lattice.dim),
         "vertices": _json([list(p) for p in coords]),
-        "f_vector": _json(fvec),
+        "f_vector": _json(lattice.f_vector()),
         # a face's fields are ints, which JSON spells as str() does
         "faces": (f'{{"dim":{f.dim},"vertices":[{",".join(map(str, _bit_indices(f.mask)))}]}}'
                   for f in lattice.faces),
     }
-    if structures is not None:
+    if args.face_maxoids:
         # few distinct structures over many faces: each encoded once
-        fields["face_maxoids"] = map(functools.cache(lambda m: _json(m.to_json())), structures)
+        fields["face_maxoids"] = map(functools.cache(lambda m: _json(m.to_json())),
+                                     face_maxoids(g, lattice.faces, points))
     _write_document(fields)
 
 
 def _cmd_census(args) -> None:
     if args.jobs < 1:
         raise SystemExit(_error(f"--jobs must be at least 1, got {args.jobs}"))
-    if args.nodes >= 6 and not args.unbounded:
-        raise SystemExit(_error(f"census on {args.nodes} nodes is long-running; {LONG_RUN_HINT}"))
+    if args.nodes >= 6:
+        _refuse(f"census on {args.nodes} nodes", args)
     family = all_top_ordered_tdags(args.nodes)
     generic, everything = census_structures(family, include_faces=not args.generic_only,
                                             jobs=args.jobs)
     data = {"tdags": len(family.graphs), "generic": len(generic)}
     if not args.generic_only:
         data["maxoids"] = len(everything)
-        if args.dump:
-            data["maxoids_list"] = sorted([m.to_json() for m in everything])
-    elif args.dump:
-        data["maxoids_list"] = sorted([m.to_json() for m in generic])
-    _emit(data,
-          pretty_lines=[f"{k}: {v}" for k, v in sorted(data.items()) if k != "maxoids_list"],
-          pretty=args.pretty)
+    if args.pretty:
+        print("\n".join(f"{k}: {v}" for k, v in sorted(data.items())))
+        return
+    if args.dump:
+        data["maxoids_list"] = sorted(m.to_json()
+                                      for m in (generic if args.generic_only else everything))
+    print(_json(data))
 
 
 def _parse_query(text: str, n: int):
@@ -234,22 +235,23 @@ def _parse_query(text: str, n: int):
 def _cmd_implies(args) -> None:
     if (args.graph is None) == (args.nodes is None):
         raise SystemExit(_error("exactly one of --graph or --nodes is required"))
-    if args.nodes is not None and args.nodes >= 6 and not args.unbounded:
-        raise SystemExit(_error(f"implication over all graphs on {args.nodes} nodes "
-                                f"is long-running; {LONG_RUN_HINT}"))
+    if args.nodes is not None and args.nodes >= 6:
+        _refuse(f"implication over all graphs on {args.nodes} nodes", args)
     scope = dag_from_json(_load_json(args.graph)) if args.graph else args.nodes
     if isinstance(scope, Dag):
         _check_size(scope, FAN_EDGES if args.generic else LATTICE_EDGES, "implication", args)
     n = scope.n if isinstance(scope, Dag) else scope
     premises, conclusions = _parse_query(args.query, n)
     verdict = decide_implication(scope, premises, conclusions, generic=args.generic)
-    data = {"holds": verdict.holds,
-            "counterexample": None if verdict.holds else _witness_json(verdict.counterexample)}
-    lines = ["implication holds" if verdict.holds else "implication fails"]
-    if not verdict.holds:
-        lines.append(f"  graph edges: {sorted(verdict.counterexample.g.edges)}")
-        lines.append(f"  weights: {weights_to_list_json(verdict.counterexample)}")
-    _emit(data, pretty_lines=lines, pretty=args.pretty)
+    if args.pretty:
+        lines = ["implication holds" if verdict.holds else "implication fails"]
+        if not verdict.holds:
+            lines.append(f"  graph edges: {sorted(verdict.counterexample.g.edges)}")
+            lines.append(f"  weights: {weights_to_list_json(verdict.counterexample)}")
+        print("\n".join(lines))
+    else:
+        print(_json({"holds": verdict.holds, "counterexample":
+                     None if verdict.holds else _witness_json(verdict.counterexample)}))
 
 
 def _cmd_axioms(args) -> None:
@@ -262,19 +264,22 @@ def _cmd_axioms(args) -> None:
         "strong_spohn": _violations_json(check_strong_spohn(m)),
         "weak_transitivity": _violations_json(check_weak_transitivity(m)),
     }
-    lines = [f"{rule}: {'ok' if not v else f'{len(v)} violations'}"
-             for rule, v in data.items()]
-    _emit(data, pretty_lines=lines, pretty=args.pretty)
+    if args.pretty:
+        print("\n".join(f"{rule}: {'ok' if not v else f'{len(v)} violations'}"
+                        for rule, v in data.items()))
+    else:
+        print(_json(data))
 
 
 def _cmd_tdags(args) -> None:
-    if args.nodes >= 7 and not args.unbounded:
-        raise SystemExit(_error(f"enumeration on {args.nodes} nodes is long-running; {LONG_RUN_HINT}"))
+    if args.nodes >= 7:
+        _refuse(f"enumeration on {args.nodes} nodes", args)
     family = all_top_ordered_tdags(args.nodes)
-    data = {"n": family.n, "count": len(family.graphs),
-            "graphs": [dag_to_json(g) for g in family.graphs]}
-    _emit(data, pretty_lines=[f"{len(family.graphs)} graphs on {family.n} nodes"],
-          pretty=args.pretty)
+    if args.pretty:
+        print(f"{len(family.graphs)} graphs on {family.n} nodes")
+    else:
+        print(_json({"n": family.n, "count": len(family.graphs),
+                     "graphs": [dag_to_json(g) for g in family.graphs]}))
 
 
 def _error(message: str, kind: str = "usage") -> int:

@@ -26,6 +26,9 @@ the search: only at a leaf does checked_point test it, in integers, against
 every row of the cone's full system, and only then make it into the
 Fractions of the entry's witness.  A cone's CI structure is read off its
 chosen paths, which are the critical paths of every weight vector in it.
+The cones of a complete fan share one lineality space, the null space of
+any one cone's rows, so lineality_dimension reads it off an entry that the
+caller already holds.
 """
 
 from __future__ import annotations
@@ -174,20 +177,10 @@ def enumerate_maximal_cones(g: Dag) -> list[FanEntry]:
     return entries
 
 
-def lineality_dimension(g: Dag) -> int:
-    """Dimension of the common linear subspace of all cones: |E| minus the
-    rank of the minimal rows of one maximal cone, the one in which edge k
-    of the sorted edges weighs 2^k.  There a path weighs its edge bitmask;
-    two distinct parallel paths have distinct edge sets, so these weights
-    tie nowhere and each pair's critical path is its path of largest
-    bitmask.  All maximal cones of the complete fan share one lineality
-    space."""
-    index = _edge_index(g)
-
-    def bitmask(path: Path) -> int:
-        return sum(1 << index[e] for e in zip(path, path[1:]))
-
-    rows = [row for i in g.nodes for j in g.descendants(i)
-            for row in _pair_rows(g, index, (i, j),
-                                  max(enumerate_paths(g, i, j), key=bitmask), minimal=True)]
-    return len(index) - rank_of(rows)
+def lineality_dimension(entry: FanEntry) -> int:
+    """Dimension of the common linear subspace of all cones, read off any
+    one maximal cone: |E|, the length of its witness, minus the rank of its
+    minimal rows.  The closed cone is {c : every row >= 0}, whose lineality
+    space is the null space of its rows, and all maximal cones of the
+    complete fan share one lineality space."""
+    return len(entry.witness) - rank_of(entry.inequalities)

@@ -146,7 +146,7 @@ class _Index:
         self.counterexamples: dict[tuple[int, tuple[int, ...]], dict] = {}
         self._seen: set[int] = set()
         self._batches = ((g, batch) for g in graphs
-                         for batch in graph_structures(g, include_faces))
+                         for batch in islice(graph_structures(g), 2 if include_faces else 1))
 
     def grow(self) -> bool:
         """List the structures of the next batch that are not listed yet;

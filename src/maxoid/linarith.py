@@ -58,8 +58,8 @@ nothing; a caller re-verifies the point it returns with checked_point,
 which tests every row in integers before Fractions appear in it as
 num_v / d.
 
-Ranks, independent rows, pivot columns and the polytope's inverse of a
-nonsingular matrix come from one fraction-free reduced row echelon form,
+Ranks, the polytope's pivot columns and starting rows, and its inverse of
+a nonsingular matrix come from one fraction-free reduced row echelon form,
 _echelon: a rational row is first scaled to a primitive integer row, and
 every echelon row stays primitive, so no Fraction is made.
 """
@@ -238,7 +238,7 @@ class StrictTableau:
 
 def rank_of(rows: Sequence[Sequence[Fraction | int]]) -> int:
     """Exact rank: the size of a maximal linearly independent subset."""
-    return len(independent_rows(rows))
+    return len(_echelon(rows)[2])
 
 
 def _cleared(v, e, p):
@@ -288,13 +288,3 @@ def _echelon(rows):
             pivots.append(p)
             chosen.append(idx)
     return E, pivots, chosen
-
-
-def independent_rows(rows: Sequence[Sequence[Fraction | int]]) -> list[int]:
-    """Indices of a greedily chosen maximal linearly independent subset."""
-    return _echelon(rows)[2]
-
-
-def pivot_columns(rows: Sequence[Sequence[Fraction | int]]) -> list[int]:
-    """Column indices carrying the pivots of the row echelon form."""
-    return _echelon(rows)[1]

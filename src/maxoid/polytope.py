@@ -13,12 +13,14 @@ fraction-free echelon of linarith) and shifted by the centroid scaled by the
 point count m (p becomes m*p - sum of all points), so the origin is
 interior, and the facets are read off as the extreme rays of the cone of
 valid inequalities via the double description method.  It starts from the
-simplicial cone of independent rows, whose rays are the columns of their
-inverse, read off the one reduced echelon of linarith (of the rows beside
-the identity), and tests adjacency combinatorially after a count of common
-zero rows.  The face lattice comes from the vertex-facet
-incidences alone: the faces covered by a face are the inclusion-maximal cuts
-of it with facets, and dimensions are lattice ranks (Kaibel & Pfetsch,
+simplicial cone of the rows of affinely independent points: point 0 and
+those whose differences from it the echelon that found the pivot columns
+chose.  The cone's rays are the columns of the rows' inverse, read off one
+reduced echelon of linarith (of the rows beside the identity), and
+adjacency is tested combinatorially after a count of common zero rows.
+The face lattice comes from the vertex-facet incidences alone: the faces
+covered by a face are the inclusion-maximal cuts of it with facets, and
+dimensions are lattice ranks (Kaibel & Pfetsch,
 "Computing the face lattice of a polytope from its vertex-facet incidences",
 CGTA 23, 2002).  The facet normals then answer the fan's questions without
 further LPs: the sum of the normals of the facets containing a face lies in
@@ -49,7 +51,7 @@ from operator import add, mul, or_
 from typing import Iterable, Iterator
 
 from .graph import Dag
-from .linarith import _echelon, _primitive, independent_rows, pivot_columns
+from .linarith import _echelon, _primitive
 from .separation import Maxoid, _bit_indices, maxoid_from_blockers
 from .fan import FanEntry, CriticalSystem, enumerate_maximal_cones
 
@@ -88,13 +90,11 @@ class FaceLattice:
         return tuple(counts)
 
 
-def polytope_vertices(g: Dag, entries: list[FanEntry] | None = None
+def polytope_vertices(g: Dag, entries: list[FanEntry]
                       ) -> list[tuple[CriticalSystem, tuple[int, ...]]]:
-    """One point per maximal cone, with its critical system; all points are
-    distinct.  A point is indexed by the sorted edges: entry e counts the
-    chosen critical paths through e."""
-    if entries is None:
-        entries = enumerate_maximal_cones(g)
+    """One point per maximal cone of g's fan entries, with its critical
+    system; all points are distinct.  A point is indexed by the sorted
+    edges: entry e counts the chosen critical paths through e."""
     index = {e: k for k, e in enumerate(g.sorted_edges)}
     out = []
     for entry in entries:
@@ -126,21 +126,20 @@ def _simplex_rays(init: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     return [_primitive(col) for col in zip(*scaled)]
 
 
-def _dd_extreme_rays(rows: list[tuple[int, ...]], dim: int) -> list[tuple[int, ...]]:
+def _dd_extreme_rays(rows: list[tuple[int, ...]], init: list[int]) -> list[tuple[int, ...]]:
     """Extreme rays of {y : row . y >= 0 for all rows}; the cone must be
-    pointed and the rows of full rank dim.
+    pointed and init the indices of dim = len(init) linearly independent
+    rows, dim being the rows' length.
 
     Double description (Fukuda & Prodon, "Double description method
-    revisited", 1996) from the simplicial cone of dim independent rows.  A
-    ray's mask has a bit per processed row that is zero on it.  Two rays are
+    revisited", 1996) from the simplicial cone of the init rows.  A ray's
+    mask has a bit per processed row that is zero on it.  Two rays are
     adjacent when no third ray's mask contains their common one; since the
     common zero rows of adjacent rays have rank dim - 2, pairs sharing fewer
     zero rows are skipped first.  The new ray of an adjacent pair (plus,
     minus) is a positive combination of the two, so its processed zero rows
     are their common ones."""
-    init = independent_rows(rows)
-    if len(init) != dim:
-        raise ValueError("row system is not full-dimensional")
+    dim = len(init)
     rays = _simplex_rays([rows[i] for i in init])
     masks = {r: ((1 << dim) - 1) ^ (1 << k) for k, r in enumerate(rays)}
     chosen = set(init)
@@ -189,11 +188,15 @@ def _facet_incidences(points: list[tuple[int, ...]]) -> list[Facet]:
     The normal found in pivot-column coordinates is lifted by zeros off the
     pivot columns; the projection is injective on the affine hull, so the
     lifted vector scores every point exactly as the projected one does.
+
+    The same echelon of the differences starts the double description:
+    point 0 and the points whose differences it chose are affinely
+    independent, which is exactly when their homogenized rows are linearly
+    independent, and there are dim + 1 of them.
     """
     m = len(points)
     base = points[0]
-    diffs = [[x - y for x, y in zip(p, base)] for p in points[1:]]
-    cols = pivot_columns(diffs)
+    _, cols, chosen = _echelon([[x - y for x, y in zip(p, base)] for p in points[1:]])
     dim = len(cols)
     if dim == 0:
         return []
@@ -201,7 +204,7 @@ def _facet_incidences(points: list[tuple[int, ...]]) -> list[Facet]:
     total = [sum(p[k] for p in proj) for k in range(dim)]
     shifted = [tuple(m * x - t for x, t in zip(p, total)) for p in proj]
     rows = [_primitive([m] + [-x for x in p]) for p in shifted]
-    rays = _dd_extreme_rays(rows, dim + 1)
+    rays = _dd_extreme_rays(rows, [0] + [i + 1 for i in chosen])
     facets = []
     for ray in rays:
         a0, a = ray[0], ray[1:]
@@ -343,7 +346,7 @@ def face_maxoid(g: Dag, face: Face, entries: list[FanEntry],
 def face_maxoids(g: Dag, faces: Iterable[Face],
                  points: list[tuple[CriticalSystem, tuple[int, ...]]]) -> list[Maxoid]:
     """face_maxoid of each face, in order, for faces from face_lattice of
-    the coordinates of points = polytope_vertices(g).
+    the coordinates of points = polytope_vertices(g, entries).
 
     face_lattice certified each face's normal, once; nothing is checked
     again here.  A Face built any other way is face_maxoid's to check.
@@ -364,10 +367,11 @@ def face_maxoids(g: Dag, faces: Iterable[Face],
 Realized = tuple[Maxoid, tuple]
 
 
-def graph_structures(g: Dag, include_faces: bool) -> Iterator[list[Realized]]:
+def graph_structures(g: Dag) -> Iterator[list[Realized]]:
     """The CI structures of a graph, each with weights over its sorted edges
-    that realize it, as batches: first the cones', then, with include_faces
-    and only once asked for, the faces'.
+    that realize it, as two batches: first the cones', then, only once
+    asked for, the faces'.  A caller that wants the generic structures
+    alone takes the first batch, and no face is built.
 
     Each maximal cone gives its maxoid and its interior witness.  Each face
     of dimension at least 1 gives its face_maxoid and its integer normal, in
@@ -379,10 +383,9 @@ def graph_structures(g: Dag, include_faces: bool) -> Iterator[list[Realized]]:
     """
     entries = enumerate_maximal_cones(g)
     yield [(e.maxoid, e.witness) for e in entries]
-    if include_faces:
-        points = polytope_vertices(g, entries)
-        faces = [f for f in face_lattice([p for _, p in points]).faces if f.dim >= 1]
-        yield [(m, f.normal) for m, f in zip(face_maxoids(g, faces, points), faces)]
+    points = polytope_vertices(g, entries)
+    faces = [f for f in face_lattice([p for _, p in points]).faces if f.dim >= 1]
+    yield [(m, f.normal) for m, f in zip(face_maxoids(g, faces, points), faces)]
 
 
 def cone_adjacency(g: Dag, entries: list[FanEntry]) -> list[tuple[int, int]]:

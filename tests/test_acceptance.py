@@ -116,7 +116,7 @@ def test_criterion_3_complete_dag_table():
     k4 = complete_dag(4)
     e4 = enumerate_maximal_cones(k4)
     fvec = face_lattice([p for _, p in polytope_vertices(k4, e4)]).f_vector()
-    lin = lineality_dimension(k4)
+    lin = lineality_dimension(e4[0])
     small_elapsed = time.monotonic() - t0
     g5 = complete_dag(5)
     entries5 = enumerate_maximal_cones(g5)

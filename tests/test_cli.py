@@ -13,10 +13,15 @@ import maxoid
 from maxoid import polytope, separation
 from maxoid.census import all_top_ordered_tdags
 from maxoid.cli import build_parser, run
-from maxoid.fan import enumerate_maximal_cones, lineality_dimension
+from maxoid.fan import enumerate_maximal_cones
 from maxoid.graph import Dag, dag_to_json, isomorphism_classes, top_ordered_closed_dags
 from maxoid.polytope import cone_adjacency, face_lattice, face_maxoids, polytope_vertices
-from oracles import complete_dag, dict_tree_fan_output, dict_tree_polytope_output
+from oracles import (
+    complete_dag,
+    dict_tree_fan_output,
+    dict_tree_polytope_output,
+    echelon_lineality_dimension,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -171,7 +176,9 @@ def test_fan_and_polytope_sizes_guarded(files, capsys, monkeypatch, nodes, edges
 
 
 def test_fan_guard_allows_complete_6_and_adjacency_at_13_edges(files, capsys, monkeypatch):
-    monkeypatch.setattr("maxoid.cli.enumerate_maximal_cones", lambda g: [])
+    # a one-cone fan stands in for the search; fan reads its lineality off a cone
+    one_cone = enumerate_maximal_cones(Dag(2, [(1, 2)]))
+    monkeypatch.setattr("maxoid.cli.enumerate_maximal_cones", lambda g: one_cone)
     monkeypatch.setattr("maxoid.cli.cone_adjacency", lambda g, entries: [])
     dag = files["dir"] / "k6.json"
     dag.write_text(json.dumps({"n": 6, "edges": _complete_edges(6)}))
@@ -415,7 +422,7 @@ def test_fan_output_matches_the_dict_tree_oracle(capsys, tmp_path, family):
     for g in graphs:
         dag.write_text(json.dumps(dag_to_json(g)))
         entries = enumerate_maximal_cones(g)
-        lineality = lineality_dimension(g)
+        lineality = echelon_lineality_dimension(g)
         adjacency = cone_adjacency(g, entries)
         for argv, expected in [
             (["fan"], dict_tree_fan_output(g, entries, lineality)),
@@ -448,6 +455,24 @@ def test_polytope_output_matches_the_dict_tree_oracle(capsys, tmp_path, family):
         ]:
             code, out = invoke(capsys, *argv, str(dag))
             assert code == 0 and out == expected, (argv, g.sorted_edges)
+
+
+def test_pretty_fan_and_polytope_compute_nothing_they_do_not_print(capsys, tmp_path,
+                                                                   monkeypatch):
+    # --pretty prints neither the adjacency nor the face structures
+    def unprinted(*args):
+        raise AssertionError("computed but not printed")
+
+    monkeypatch.setattr("maxoid.cli.cone_adjacency", unprinted)
+    monkeypatch.setattr("maxoid.cli.face_maxoids", unprinted)
+    dag = tmp_path / "k5.json"
+    dag.write_text(json.dumps(dag_to_json(complete_dag(5))))
+    code, fan = invoke(capsys, "--pretty", "fan", str(dag))
+    assert code == 0 and hashlib.md5(fan.encode()).hexdigest().startswith("5fc628b9")
+    assert invoke(capsys, "--pretty", "fan", "--adjacency", str(dag)) == (0, fan)
+    line = "dim 6, 103 vertices, f-vector (103, 336, 447, 304, 108, 18)\n"
+    assert invoke(capsys, "--pretty", "polytope", str(dag)) == (0, line)
+    assert invoke(capsys, "--pretty", "polytope", "--face-maxoids", str(dag)) == (0, line)
 
 
 def test_fan_encodes_each_distinct_critical_path_and_row_once(capsys, tmp_path, monkeypatch):

@@ -84,7 +84,7 @@ def test_diamond_fan():
         frozenset(stmts("2,3|1", "1,4|2,3", "1,4|3")),
     }
     assert cone_adjacency(DIAMOND, entries) == [(0, 1)]
-    assert lineality_dimension(DIAMOND) == 3
+    assert [lineality_dimension(e) for e in entries] == [3, 3]
 
 
 def test_k3_fan():
@@ -98,14 +98,14 @@ def test_chain_fan_single_cone():
     assert len(entries) == 1
     assert entries[0].inequalities == ()
     assert cone_adjacency(CHAIN, entries) == []
-    assert lineality_dimension(CHAIN) == 2
+    assert lineality_dimension(entries[0]) == 2
 
 
 def test_complete_dag_4_fan():
     entries = enumerate_maximal_cones(complete_dag(4))
     assert len(entries) == 9
     assert len(cone_adjacency(complete_dag(4), entries)) == 14
-    assert lineality_dimension(complete_dag(4)) == 3
+    assert [lineality_dimension(e) for e in entries] == [3] * 9
 
 
 def test_cone_to_maxoid_injective_and_systems_subpath_closed():
@@ -261,8 +261,10 @@ def test_every_returned_witness_picks_every_chosen_path(seed):
 
 
 def test_lineality_of_one_cone_matches_the_echelon_over_every_path_pair():
-    # the largest-bitmask paths are the critical paths under weights 2^k,
-    # so the integer lineality equals the rank of cone_of's minimal rows
+    # read off any cone, the lineality is that of the replaced readings:
+    # the rank of every disjoint path pair's rows, and that of the minimal
+    # rows of the cone of weights 2^k, whose critical paths are the
+    # largest-bitmask ones
     rng = random.Random(2718)
     graphs = list(top_ordered_closed_dags(5))
     for _ in range(150):
@@ -273,4 +275,5 @@ def test_lineality_of_one_cone_matches_the_echelon_over_every_path_pair():
         edges = g.sorted_edges
         powers = WeightedDag(g, {e: 2 ** k for k, e in enumerate(edges)})
         replaced = len(edges) - rank_of(cone_of(powers, minimal=True))
-        assert lineality_dimension(g) == echelon_lineality_dimension(g) == replaced, g
+        read = {lineality_dimension(e) for e in enumerate_maximal_cones(g)}
+        assert read == {echelon_lineality_dimension(g)} == {replaced}, g

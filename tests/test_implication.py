@@ -351,7 +351,7 @@ def test_generic_counterexample_breaks_the_cone_witness_ties():
     # witness with tied non-critical parallel paths; the counterexample keeps
     # its structure and has no tie
     prem, conc = [ci("24|13")], [ci("14|3")]
-    (cones,) = graph_structures(K4, include_faces=False)
+    cones = next(graph_structures(K4))
     m, witness = next((m, w) for m, w in cones if prem[0] in m and conc[0] not in m)
     raw = WeightedDag(K4, dict(zip(K4.sorted_edges, witness)))
     assert maxoid(raw) == m and not is_generic(raw)

@@ -7,7 +7,7 @@ from operator import or_
 
 import pytest
 
-from maxoid import polytope
+from maxoid import census, implication, polytope
 from maxoid.fan import enumerate_maximal_cones
 from maxoid.graph import Dag, isomorphism_classes, top_ordered_closed_dags
 from maxoid.linarith import rank_of
@@ -71,7 +71,7 @@ def test_single_point_polytope():
 
 def test_vertices_k3():
     g = complete_dag(3)
-    pts = polytope_vertices(g)
+    pts = polytope_vertices(g, enumerate_maximal_cones(g))
     assert len(pts) == 2
     coords = {p for _, p in pts}
     # the two points differ by indicator(1->3) - indicator(1->2->3)
@@ -82,7 +82,7 @@ def test_vertices_k3():
 
 def test_vertices_chain_single_point():
     g = Dag(3, [(1, 2), (2, 3)])
-    pts = polytope_vertices(g)
+    pts = polytope_vertices(g, enumerate_maximal_cones(g))
     assert len(pts) == 1
 
 
@@ -191,10 +191,8 @@ def test_graph_structures_match_the_fan_and_lattice_built_directly(graphs, count
         assert face_maxoids(g, lat.faces, pts) == structures, g.sorted_edges
         cones = [(e.maxoid.bits, e.witness) for e in entries]
         faces = [(m.bits, f.normal) for m, f in zip(structures, lat.faces) if f.dim >= 1]
-        got = [[(m.bits, w) for m, w in batch] for batch in graph_structures(g, True)]
+        got = [[(m.bits, w) for m, w in batch] for batch in graph_structures(g)]
         assert got == [cones, faces], g.sorted_edges
-        assert [[(m.bits, w) for m, w in batch]
-                for batch in graph_structures(g, False)] == [cones]
 
 
 def test_graph_structures_build_the_faces_only_when_asked(monkeypatch):
@@ -202,11 +200,20 @@ def test_graph_structures_build_the_faces_only_when_asked(monkeypatch):
     spied = polytope.face_lattice
     monkeypatch.setattr(polytope, "face_lattice",
                         lambda points: lattices.append(points) or spied(points))
-    batches = graph_structures(complete_dag(4), True)
+    batches = graph_structures(complete_dag(4))
     assert len(next(batches)) == 9 and lattices == []
     assert len(next(batches)) > 0 and len(lattices) == 1
     assert next(batches, None) is None
-    assert len(list(graph_structures(complete_dag(4), False))) == 1
+    # the generic census and generic implication, global and local, take
+    # the cones' batch alone
+    monkeypatch.delenv(census.CACHE_ENV, raising=False)
+    monkeypatch.setattr(implication, "_indexes", {})
+    generic, everything = census.census_structures(census.all_top_ordered_tdags(4),
+                                                   include_faces=False)
+    assert len(generic) == len(everything) == 40
+    query = [parse_ci_statement(s, 4) for s in ("1,2|", "1,3|2")], [parse_ci_statement("1,3|", 4)]
+    assert implication.decide_implication(4, *query, generic=True).holds
+    assert implication.decide_implication(complete_dag(4), *query, generic=True).holds
     assert len(lattices) == 1
 
 
@@ -231,7 +238,7 @@ def test_face_lattice_of_the_first_14_edge_6_node_graph_stays_under_150_mb():
     # e14 (complete-6 minus 5->6): 60359 faces held as vertex masks; with a
     # frozenset per face the lattice peaked at 208 MB under tracemalloc
     g = Dag(6, [e for e in complete_dag(6).edges if e != (5, 6)])
-    coords = [p for _, p in polytope_vertices(g)]
+    coords = [p for _, p in polytope_vertices(g, enumerate_maximal_cones(g))]
     tracemalloc.start()
     try:
         lat = face_lattice(coords)
@@ -245,7 +252,8 @@ def test_face_lattice_of_the_first_14_edge_6_node_graph_stays_under_150_mb():
 def test_face_lattice_checks_each_facet_against_every_vertex(monkeypatch):
     # every facet handed to face_lattice with one vertex cleared from or set
     # in its incidence mask, each facet and vertex in turn
-    coords = [p for _, p in polytope_vertices(complete_dag(4))]
+    g = complete_dag(4)
+    coords = [p for _, p in polytope_vertices(g, enumerate_maximal_cones(g))]
     facets = _facet_incidences(coords)
     assert len(facets) == 7
     for k, (incident, a) in enumerate(facets):
@@ -259,7 +267,8 @@ def test_face_lattice_checks_each_facet_against_every_vertex(monkeypatch):
 def test_face_lattice_certifies_each_face_once_through_its_facets(monkeypatch):
     # one facet meet per face; a meet that misses a facet, so that the
     # normal would not be maximal exactly on the face, is refused
-    coords = [p for _, p in polytope_vertices(complete_dag(4))]
+    g = complete_dag(4)
+    coords = [p for _, p in polytope_vertices(g, enumerate_maximal_cones(g))]
     meets = []
     spied = polytope._facet_meet
     monkeypatch.setattr(polytope, "_facet_meet",
@@ -276,7 +285,7 @@ def test_graph_structures_skip_the_vertex_faces(monkeypatch):
     # the face batch computes a structure only for the blocker unions of
     # faces of dimension at least 1, each once; the vertices are the cones
     g = complete_dag(4)
-    points = polytope_vertices(g)
+    points = polytope_vertices(g, enumerate_maximal_cones(g))
     lat = face_lattice([p for _, p in points])
     unions = set()
     for f in lat.faces:
@@ -288,7 +297,7 @@ def test_graph_structures_skip_the_vertex_faces(monkeypatch):
     monkeypatch.setattr(polytope, "maxoid_from_blockers",
                         lambda n, blockers: calls.append(tuple(blockers.items()))
                         or spied(n, blockers))
-    batches = graph_structures(g, True)
+    batches = graph_structures(g)
     next(batches)
     assert calls == []
     assert len(next(batches)) == len(lat.faces) - len(points)
@@ -395,7 +404,8 @@ def test_face_lattice_matches_the_pairwise_oracle():
     # faces, dimensions, normals and covers all equal the replaced lattice,
     # on standard shapes (the octahedron is not simple: each vertex lies on
     # 4 facets, so cuts of a facet by other facets include non-covers) and
-    # on the polytopes of small and random 5-node graphs
+    # on the polytopes of small and random 5-node graphs and of every closed
+    # 4- and 5-node DAG
     shapes = {
         "point": [(3, 1)],
         "segment": [(0,), (2,)],
@@ -409,8 +419,10 @@ def test_face_lattice_matches_the_pairwise_oracle():
     k5_minus = Dag(5, [e for e in complete_dag(5).edges if e != (3, 4)])
     graphs = [complete_dag(3), complete_dag(4), DIAMOND, complete_dag(5), k5_minus]
     graphs += _random_dags(5, 15, seed=1729)
+    graphs += [*top_ordered_closed_dags(4), *top_ordered_closed_dags(5)]
     for k, g in enumerate(graphs):
-        cases[f"graph {k} {g.sorted_edges}"] = [p for _, p in polytope_vertices(g)]
+        entries = enumerate_maximal_cones(g)
+        cases[f"graph {k} {g.sorted_edges}"] = [p for _, p in polytope_vertices(g, entries)]
     for name, coords in cases.items():
         assert _facet_incidences(coords) == _masked(hull_facet_incidences(coords)), name
         assert face_lattice(coords) == pairwise_face_lattice(coords), name
@@ -429,7 +441,7 @@ def test_facets_of_the_first_13_edge_6_node_graph_match_the_replaced_hull():
     from maxoid.census import all_top_ordered_tdags
 
     g = next(g for g in all_top_ordered_tdags(6).graphs if len(g.edges) == 13)
-    coords = [p for _, p in polytope_vertices(g)]
+    coords = [p for _, p in polytope_vertices(g, enumerate_maximal_cones(g))]
     facets = _facet_incidences(coords)
     assert len(coords) == 473 and len(facets) == 26
     assert facets == _masked(hull_facet_incidences(coords))
