@@ -12,20 +12,24 @@ anywhere: points are projected to the affine hull's pivot columns (from the
 fraction-free echelon of linarith) and shifted by the centroid scaled by the
 point count m (p becomes m*p - sum of all points), so the origin is
 interior, and the facets are read off as the extreme rays of the cone of
-valid inequalities via the double description method.  It starts from the
-simplicial cone of the rows of affinely independent points: point 0 and
-those whose differences from it the echelon that found the pivot columns
-chose.  The cone's rays are the columns of the rows' inverse, read off one
-reduced echelon of linarith (of the rows beside the identity), and
-adjacency is tested combinatorially after a count of common zero rows.
-The face lattice comes from the vertex-facet incidences alone: the faces
-covered by a face are the inclusion-maximal cuts of it with facets, and
-dimensions are lattice ranks (Kaibel & Pfetsch,
-"Computing the face lattice of a polytope from its vertex-facet incidences",
-CGTA 23, 2002).  The facet normals then answer the fan's questions without
-further LPs: the sum of the normals of the facets containing a face lies in
-the relative interior of the face's normal cone, and two maximal cones are
-adjacent exactly when their vertices span an edge.
+valid inequalities via the double description method, each facet's vertex
+mask as its ray's zero set, since row i of that cone is point i's.  It
+starts from the simplicial cone of the rows of affinely independent
+points: point 0 and those whose differences from it the echelon that found
+the pivot columns chose.  The cone's rays are the columns of the rows'
+inverse, read off one reduced echelon of linarith (of the rows beside the
+identity), and adjacency is tested combinatorially after a count of common
+zero rows.
+The face lattice comes from the vertex-facet incidences alone, walked down
+from the top one rank at a time: the faces covered by a face are the
+inclusion-maximal cuts of it with facets, dimensions are depths counted up
+from the last rank, and the last rank must be exactly the single vertices
+(Kaibel & Pfetsch, "Computing the face lattice of a polytope from its
+vertex-facet incidences", CGTA 23, 2002).  The facet normals then answer
+the fan's questions without further LPs: the sum of the normals of the
+facets containing a face lies in the relative interior of the face's
+normal cone, and two maximal cones are adjacent exactly when their
+vertices span an edge.
 
 Every face is certified once, in face_lattice, through its facets.  Each
 facet is checked against every vertex: its normal is maximal exactly on
@@ -78,7 +82,7 @@ class FaceLattice:
 
     @property
     def dim(self) -> int:
-        return max(f.dim for f in self.faces)
+        return self.faces[-1].dim  # the top face's
 
     def f_vector(self) -> tuple[int, ...]:
         """Face counts by dimension 0..dim-1 (proper faces only)."""
@@ -126,43 +130,41 @@ def _simplex_rays(init: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     return [_primitive(col) for col in zip(*scaled)]
 
 
-def _dd_extreme_rays(rows: list[tuple[int, ...]], init: list[int]) -> list[tuple[int, ...]]:
-    """Extreme rays of {y : row . y >= 0 for all rows}; the cone must be
-    pointed and init the indices of dim = len(init) linearly independent
-    rows, dim being the rows' length.
+def _dd_extreme_rays(rows: list[tuple[int, ...]], init: list[int]
+                     ) -> list[tuple[tuple[int, ...], int]]:
+    """Extreme rays of {y : row . y >= 0 for all rows}, each with its mask
+    of the rows zero on it (bit i for row i); the cone must be pointed and
+    init the indices of dim = len(init) linearly independent rows, dim being
+    the rows' length.
 
     Double description (Fukuda & Prodon, "Double description method
     revisited", 1996) from the simplicial cone of the init rows.  A ray's
-    mask has a bit per processed row that is zero on it.  Two rays are
-    adjacent when no third ray's mask contains their common one; since the
-    common zero rows of adjacent rays have rank dim - 2, pairs sharing fewer
-    zero rows are skipped first.  The new ray of an adjacent pair (plus,
-    minus) is a positive combination of the two, so its processed zero rows
-    are their common ones."""
+    mask holds the processed rows zero on it.  Two rays are adjacent when no
+    third ray's mask contains their common one; since the common zero rows
+    of adjacent rays have rank dim - 2, pairs sharing fewer zero rows are
+    skipped first.  The new ray of an adjacent pair (plus, minus) is a
+    positive combination of two rays >= 0 on the processed rows, so its
+    processed zero rows are exactly their common ones."""
     dim = len(init)
-    rays = _simplex_rays([rows[i] for i in init])
-    masks = {r: ((1 << dim) - 1) ^ (1 << k) for k, r in enumerate(rays)}
-    chosen = set(init)
-    nprocessed = dim
-    for row in (row for i, row in enumerate(rows) if i not in chosen):
-        vals = {r: sum(map(mul, row, r)) for r in rays}
-        plus = [r for r in rays if vals[r] > 0]
-        zero = [r for r in rays if vals[r] == 0]
-        minus = [r for r in rays if vals[r] < 0]
-        bit = 1 << nprocessed
-        nprocessed += 1
+    every = sum(1 << i for i in init)
+    masks = {r: every ^ (1 << i) for i, r in zip(init, _simplex_rays([rows[i] for i in init]))}
+    for i, row in ((i, row) for i, row in enumerate(rows) if i not in init):
+        vals = {r: sum(map(mul, row, r)) for r in masks}
+        plus = [r for r in masks if vals[r] > 0]
+        zero = [r for r in masks if vals[r] == 0]
+        minus = [r for r in masks if vals[r] < 0]
+        bit = 1 << i
         kept = {r: masks[r] for r in plus}
         for r in zero:
             kept[r] = masks[r] | bit
         if minus:
-            least = dim - 2
             zero_sets = list(masks.values())
             for rp in plus:
                 mp, vp = masks[rp], vals[rp]
                 for rm in minus:
                     mm = masks[rm]
                     common = mp & mm
-                    if common.bit_count() < least:
+                    if common.bit_count() < dim - 2:
                         continue
                     # adjacency: no third ray's zero set contains the common
                     # one; distinct extreme rays have distinct zero sets
@@ -172,9 +174,8 @@ def _dd_extreme_rays(rows: list[tuple[int, ...]], init: list[int]) -> list[tuple
                     ray = _primitive([vp * b - vm * a for a, b in zip(rp, rm)])
                     if ray not in kept:
                         kept[ray] = common | bit
-        rays = list(kept)
         masks = kept
-    return rays
+    return list(masks.items())
 
 
 def _facet_incidences(points: list[tuple[int, ...]]) -> list[Facet]:
@@ -183,7 +184,9 @@ def _facet_incidences(points: list[tuple[int, ...]]) -> list[Facet]:
 
     With m points, each projected point p is shifted to m*p - sum of all
     points, m times its offset from the centroid, so the shift stays in
-    integers: facet a.(p - centroid) <= a0 reads a.shifted <= m*a0.
+    integers: facet a.(p - centroid) <= a0 reads a.shifted <= m*a0.  Row i
+    of the cone of valid (a0, a) is point i's, so a ray's zero mask is its
+    facet's vertex mask.
 
     The normal found in pivot-column coordinates is lifted by zeros off the
     pivot columns; the projection is injective on the affine hull, so the
@@ -202,20 +205,13 @@ def _facet_incidences(points: list[tuple[int, ...]]) -> list[Facet]:
         return []
     proj = [tuple(p[c] for c in cols) for p in points]
     total = [sum(p[k] for p in proj) for k in range(dim)]
-    shifted = [tuple(m * x - t for x, t in zip(p, total)) for p in proj]
-    rows = [_primitive([m] + [-x for x in p]) for p in shifted]
-    rays = _dd_extreme_rays(rows, [0] + [i + 1 for i in chosen])
+    rows = [_primitive([m] + [t - m * x for x, t in zip(p, total)]) for p in proj]
     facets = []
-    for ray in rays:
-        a0, a = ray[0], ray[1:]
-        if a0 <= 0:
+    for ray, incident in _dd_extreme_rays(rows, [0] + [i + 1 for i in chosen]):
+        if ray[0] <= 0:
             raise AssertionError("facet inequality with nonpositive offset")
-        level = m * a0
-        incident = sum(1 << i for i, p in enumerate(shifted) if sum(map(mul, a, p)) == level)
-        normal = [0] * len(base)
-        for c, x in zip(cols, a):
-            normal[c] = x
-        facets.append((incident, tuple(normal)))
+        lift = dict(zip(cols, ray[1:]))
+        facets.append((incident, tuple(lift.get(c, 0) for c in range(len(base)))))
     return facets
 
 
@@ -224,10 +220,12 @@ def face_lattice(points: list[tuple[int, ...]]) -> FaceLattice:
     certified normal vectors and the covering relation; the polytope itself
     is included as the top face, the empty face is not.
 
-    Faces are walked down from the top as int bitmasks of vertex indices.
-    The faces a face covers are the inclusion-maximal nonempty cuts
-    face & facet other than the face itself, and a face's dimension is its
-    rank: 0 with nothing below it, else one more than any face below it.
+    Faces are walked down from the top as int bitmasks of vertex indices,
+    one rank at a time.  The faces a face covers, in the next rank, are the
+    inclusion-maximal nonempty cuts face & facet other than the face itself:
+    its facets, one dimension lower.  So a face's dimension is its depth
+    counted up from the last rank, which must be exactly the single
+    vertices: a check that a facet list missing one facet fails.
 
     Every normal is certified here, once per face; AssertionError when a
     check fails.  Each facet G is checked against every point: its outer
@@ -238,7 +236,8 @@ def face_lattice(points: list[tuple[int, ...]]) -> FaceLattice:
     equality exactly when p lies on every facet of S, that is on the meet of
     their masks (every point when S is empty).  F's normal is nu and the
     meet is checked to be F, so nu is maximal exactly on F: it lies in the
-    relative interior of F's normal cone.
+    relative interior of F's normal cone.  One pass over the facets per
+    face gives its cuts, the meet and nu.
     """
     if not points:
         raise ValueError("need at least one point")
@@ -249,48 +248,48 @@ def face_lattice(points: list[tuple[int, ...]]) -> FaceLattice:
         if sum(1 << i for i, x in enumerate(scores) if x == level) != incident:
             raise AssertionError("facet normal is not maximal exactly on the facet's vertices")
     top = (1 << len(points)) - 1
-    below: dict[int, list[int]] = {}
-    stack = [top]
-    while stack:
-        face = stack.pop()
-        if face in below:
-            continue
-        # a cut inside a kept one comes after it, having fewer vertices
-        cuts = sorted({face & m for m, _ in facets} - {0, face},
-                      key=int.bit_count, reverse=True)
-        kept = below[face] = []
-        for cut in cuts:
-            if all(cut & k != cut for k in kept):
-                kept.append(cut)
-        stack.extend(kept)
-    dims: dict[int, int] = {}
-    # a face below another has fewer vertices, so its rank is set first
-    for face in sorted(below, key=int.bit_count):
-        dims[face] = dims[below[face][0]] + 1 if below[face] else 0
-    order = sorted(below, key=lambda face: (dims[face], list(_bit_indices(face))))
-    index = {face: k for k, face in enumerate(order)}
-    width = len(points[0])
-    faces = []
-    for face in order:
-        meet, normal = _facet_meet(facets, face, top, width)
-        if meet != face:
-            raise AssertionError("facets containing a face do not meet exactly in it")
-        faces.append(Face(face, dims[face], normal))
-    covers = sorted((index[k], index[face]) for face in order for k in below[face])
+    ranks = []  # per rank from the top, (face, normal, faces it covers)
+    rank = [top]
+    while rank:
+        walked = []
+        for face in rank:
+            cuts, meet, normal = _facet_pass(facets, face, top, len(points[0]))
+            if meet != face:
+                raise AssertionError("facets containing a face do not meet exactly in it")
+            # a cut inside a kept one comes after it, having fewer vertices
+            kept: list[int] = []
+            for cut in sorted(cuts, key=int.bit_count, reverse=True):
+                if all(cut & k != cut for k in kept):
+                    kept.append(cut)
+            walked.append((face, normal, kept))
+        ranks.append(walked)
+        rank = sorted({k for _, _, kept in walked for k in kept},
+                      key=lambda face: list(_bit_indices(face)))
+    if [face for face, _, _ in ranks[-1]] != [1 << v for v in range(len(points))]:
+        raise AssertionError("the face walk does not end in the single vertices")
+    faces = [Face(face, dim, normal) for dim, walked in enumerate(reversed(ranks))
+             for face, normal, _ in walked]
+    index = {f.mask: k for k, f in enumerate(faces)}
+    covers = sorted((index[k], index[face]) for walked in ranks for face, _, kept in walked
+                    for k in kept)
     return FaceLattice(tuple(faces), tuple(covers))
 
 
-def _facet_meet(facets: Iterable[Facet], face: int, top: int, width: int
-                ) -> tuple[int, tuple[int, ...]]:
-    """The meet of the vertex masks of the facets that contain the vertex
-    mask face (top, every vertex, when none does), and the sum of their
+def _facet_pass(facets: Iterable[Facet], face: int, top: int, width: int
+                ) -> tuple[set[int], int, tuple[int, ...]]:
+    """One pass over the facets for the vertex mask face: its nonempty cuts
+    by the facets that do not contain it, the meet of the masks of those
+    that do (top, every vertex, when none does) and the sum of their
     normals, of length width."""
-    meet, total = top, [0] * width
+    cuts, meet, total = set(), top, [0] * width
     for m, a in facets:
-        if face & m == face:
+        cut = face & m
+        if cut == face:
             meet &= m
             total = list(map(add, total, a))
-    return meet, tuple(total)
+        elif cut:
+            cuts.add(cut)
+    return cuts, meet, tuple(total)
 
 
 def _packed_blockers(system: CriticalSystem, n: int) -> int:

@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -7,6 +8,16 @@ import pytest
 
 from maxoid.graph import Dag
 from maxoid.tropical import weighted_dag_from_list
+
+
+def pytest_collection_modifyitems(items):
+    """Skip the tests marked long unless MAXOID_LONG_TESTS=1."""
+    if os.environ.get("MAXOID_LONG_TESTS") == "1":
+        return
+    skip = pytest.mark.skip(reason="long-running size; set MAXOID_LONG_TESTS=1")
+    for item in items:
+        if item.get_closest_marker("long"):
+            item.add_marker(skip)
 
 
 @pytest.fixture

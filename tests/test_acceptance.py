@@ -17,7 +17,6 @@ whose classical fourth premise (k,l|ijM) is absent.
 
 import hashlib
 import json
-import os
 import random
 import time
 from fractions import Fraction
@@ -54,7 +53,6 @@ from oracles import (
     tropical_matmul,
 )
 
-LONG = os.environ.get("MAXOID_LONG_TESTS") == "1"
 
 DIAMOND = Dag(4, [(1, 2), (1, 3), (2, 4), (3, 4)])
 FIG2 = Dag(4, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)])
@@ -175,7 +173,7 @@ def test_criterion_4_census_table():
     print(f"CRITERION 4 PASS: census (3,4,4) and (18,41,40) ({elapsed:.1f}s)")
 
 
-@pytest.mark.skipif(not LONG, reason="long-running size; set MAXOID_LONG_TESTS=1")
+@pytest.mark.long
 def test_criterion_4_long_census_5_nodes():
     fam = all_top_ordered_tdags(5)
     generic = all_maxoids(fam, generic_only=True, jobs=4)
@@ -184,7 +182,7 @@ def test_criterion_4_long_census_5_nodes():
     print("CRITERION 4 (long) PASS: census (181, 987, 892)")
 
 
-@pytest.mark.skipif(not LONG, reason="long-running size; set MAXOID_LONG_TESTS=1")
+@pytest.mark.long
 def test_criterion_4_long_census_6_nodes_generic():
     """The generic 6-node census, computed here and not a value from the
     paper: every complete-6 cone structure is in it, and a seeded sample of

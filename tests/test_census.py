@@ -108,8 +108,7 @@ def test_class_census_matches_the_per_graph_census(family, include_faces):
             == per_graph_census(family, include_faces))
 
 
-@pytest.mark.skipif(os.environ.get("MAXOID_LONG_TESTS") != "1",
-                    reason="long-running size; set MAXOID_LONG_TESTS=1")
+@pytest.mark.long
 def test_class_census_matches_the_per_graph_census_with_faces_on_5_nodes():
     family = all_top_ordered_tdags(5)
     assert census.census_structures(family) == per_graph_census(family, True)

@@ -521,8 +521,7 @@ def test_a_failed_check_prints_only_the_error_object(capsys, monkeypatch, argv, 
     assert json.loads(out)["error"]["type"] == "AssertionError"
 
 
-@pytest.mark.skipif(os.environ.get("MAXOID_LONG_TESTS") != "1",
-                    reason="long-running size; set MAXOID_LONG_TESTS=1")
+@pytest.mark.long
 def test_first_13_edge_6_node_polytope_keeps_its_pinned_digests(capsys, tmp_path):
     # e13, the first 6-node TDAG with 13 edges (complete-6 minus 4->6 and
     # 5->6): 473 vertices and 14409 faces, stdout and Hasse diagram pinned

@@ -1,5 +1,4 @@
 import json
-import os
 import random
 from collections import Counter
 from fractions import Fraction
@@ -314,8 +313,7 @@ def test_lookup_matches_the_formula_oracle():
     assert len(seen) == 8, seen
 
 
-@pytest.mark.skipif(os.environ.get("MAXOID_LONG_TESTS") != "1",
-                    reason="set MAXOID_LONG_TESTS=1 for 5-node differential queries")
+@pytest.mark.long
 def test_lookup_matches_the_formula_oracle_long():
     # global 5-node queries are left out: the mask loop's formula engine
     # takes minutes on one that holds

@@ -1,5 +1,4 @@
 import itertools
-import os
 import random
 import tracemalloc
 from functools import reduce
@@ -217,8 +216,7 @@ def test_graph_structures_build_the_faces_only_when_asked(monkeypatch):
     assert len(lattices) == 1
 
 
-@pytest.mark.skipif(os.environ.get("MAXOID_LONG_TESTS") != "1",
-                    reason="long-running size; set MAXOID_LONG_TESTS=1")
+@pytest.mark.long
 def test_face_maxoids_equal_face_maxoid_on_the_first_13_edge_6_node_graph():
     from maxoid.census import all_top_ordered_tdags
 
@@ -232,8 +230,7 @@ def test_face_maxoids_equal_face_maxoid_on_the_first_13_edge_6_node_graph():
                                                for f in lat.faces]
 
 
-@pytest.mark.skipif(os.environ.get("MAXOID_LONG_TESTS") != "1",
-                    reason="long-running size; set MAXOID_LONG_TESTS=1")
+@pytest.mark.long
 def test_face_lattice_of_the_first_14_edge_6_node_graph_stays_under_150_mb():
     # e14 (complete-6 minus 5->6): 60359 faces held as vertex masks; with a
     # frozenset per face the lattice peaked at 208 MB under tracemalloc
@@ -265,20 +262,37 @@ def test_face_lattice_checks_each_facet_against_every_vertex(monkeypatch):
 
 
 def test_face_lattice_certifies_each_face_once_through_its_facets(monkeypatch):
-    # one facet meet per face; a meet that misses a facet, so that the
-    # normal would not be maximal exactly on the face, is refused
+    # one pass over the facets per face; a pass whose meet misses a facet,
+    # so that the normal would not be maximal exactly on the face, is
+    # refused
     g = complete_dag(4)
     coords = [p for _, p in polytope_vertices(g, enumerate_maximal_cones(g))]
-    meets = []
-    spied = polytope._facet_meet
-    monkeypatch.setattr(polytope, "_facet_meet",
-                        lambda facets, *rest: meets.append(rest[0]) or spied(facets, *rest))
+    passes = []
+    spied = polytope._facet_pass
+    monkeypatch.setattr(polytope, "_facet_pass",
+                        lambda facets, *rest: passes.append(rest[0]) or spied(facets, *rest))
     lat = face_lattice(coords)
-    assert sorted(meets) == sorted(f.mask for f in lat.faces)
-    monkeypatch.setattr(polytope, "_facet_meet",
-                        lambda facets, *rest: spied(facets[1:], *rest))
+    assert sorted(passes) == sorted(f.mask for f in lat.faces)
+    monkeypatch.setattr(polytope, "_facet_pass",
+                        lambda facets, *rest: (spied(facets, *rest)[0],
+                                               *spied(facets[1:], *rest)[1:]))
     with pytest.raises(AssertionError, match="do not meet exactly"):
         face_lattice(coords)
+
+
+@pytest.mark.parametrize("n, count", [(4, 7), (5, 18)])
+def test_face_lattice_refuses_a_facet_list_missing_any_one_facet(monkeypatch, n, count):
+    # every face walked is a meet of facets, so the meet check cannot see a
+    # missing facet; the walk then does not end in the single vertices
+    g = complete_dag(n)
+    coords = [p for _, p in polytope_vertices(g, enumerate_maximal_cones(g))]
+    facets = _facet_incidences(coords)
+    assert len(facets) == count
+    for k in range(count):
+        dropped = facets[:k] + facets[k + 1:]
+        monkeypatch.setattr(polytope, "_facet_incidences", lambda points, d=dropped: d)
+        with pytest.raises(AssertionError, match="does not end in the single vertices"):
+            face_lattice(coords)
 
 
 def test_graph_structures_skip_the_vertex_faces(monkeypatch):
@@ -432,8 +446,7 @@ def test_face_lattice_matches_the_pairwise_oracle():
     assert all(sum(m >> v & 1 for m in facets) == 4 for v in range(6))
 
 
-@pytest.mark.skipif(os.environ.get("MAXOID_LONG_TESTS") != "1",
-                    reason="long-running size; set MAXOID_LONG_TESTS=1")
+@pytest.mark.long
 def test_facets_of_the_first_13_edge_6_node_graph_match_the_replaced_hull():
     # 473 vertices in dimension 8: the double description runs long enough
     # here for the adjacency pre-filter and the start from one inversion to

@@ -51,7 +51,6 @@ from oracles import (
     star_transitive_reduction,
 )
 
-LONG = os.environ.get("MAXOID_LONG_TESTS") == "1"
 
 DIAMOND = Dag(4, [(1, 2), (1, 3), (2, 4), (3, 4)])
 FIG2 = Dag(4, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)])
@@ -489,7 +488,7 @@ def test_all_subsets_engine_matches_the_per_subset_engine_on_tied_face_blockers(
         assert maxoid_from_blockers(5, blockers) == per_subset_maxoid_from_blockers(5, blockers)
 
 
-@pytest.mark.skipif(not LONG, reason="long-running size; set MAXOID_LONG_TESTS=1")
+@pytest.mark.long
 def test_all_subsets_engine_matches_the_per_subset_engine_on_complete_6_cones():
     cones = _cone_blockers(complete_dag(6))
     assert len(cones) == 3324
