@@ -118,7 +118,7 @@ def graph_maxoids(g: Dag, include_faces: bool) -> dict[str, list[int] | None]:
     path = _cache_path(g)
     data = _read_cache(path, g.n) if path else None
     if data is None or (include_faces and data["faces"] is None):
-        batches = ([m.bits for m, _ in batch] for batch in graph_structures(g))
+        batches = ([m.bits for m, _, _ in batch] for batch in graph_structures(g))
         generic = next(batches)
         data = {"generic": generic, "faces": next(batches) if include_faces else None}
         if path:

@@ -14,6 +14,7 @@ import functools
 import json
 import os
 import sys
+from fractions import Fraction
 
 from .graph import Dag, dag_from_json, dag_to_json, to_dot
 from .tropical import WeightedDag, kleene_star, weights_from_json, weights_to_list_json
@@ -37,13 +38,14 @@ LONG_RUN_HINT = "pass --unbounded to run sizes beyond the quick default"
 # graph (1209 vertices, 60359 faces) `polytope` takes 4.2 s at 157 MB peak
 # RSS, `polytope --face-maxoids` 4.4 s at 157 MB and `fan --adjacency`
 # 3.9 s, and complete-6's hull alone takes 66 s.  `fan` on complete-6
-# (15 edges) takes 0.57 s at 33 MB; complete-7's (21 edges) search alone,
+# (15 edges) takes 0.50 s at 31 MB; complete-7's (21 edges) search alone,
 # keeping no cones, takes 95 s.  Single runs on a 2-core host, Python 3.11.
 LATTICE_EDGES = 13
 FAN_EDGES = 15
-# most nodes of a graph given to fan, polytope or implies --graph without
-# --unbounded: the engine's tables grow as 4^n bits, and maxoid() on an
-# edgeless 14-node DAG took 31 s at 475 MB
+# most nodes of a graph given to maxoid, fan, polytope or implies --graph
+# without --unbounded: the engine's tables grow as 4^n bits, and maxoid()
+# on an edgeless 13-node DAG took 7.1 s at 203 MB, on a 14-node one 31 s at
+# 475 MB
 MOST_NODES = 12
 
 
@@ -104,6 +106,7 @@ def _violations_json(reports) -> list[dict]:
 
 def _cmd_maxoid(args) -> None:
     wd = _load_weighted(args.dag, args.weights)
+    _check_size(wd.g, None, "maxoid", args)
     if args.dot:
         with open(args.dot, "w") as fh:
             fh.write(to_dot(wd.g))
@@ -131,11 +134,11 @@ def _refuse(what: str, args) -> None:
         raise SystemExit(_error(f"{what} is long-running; {LONG_RUN_HINT}"))
 
 
-def _check_size(g: Dag, most_edges: int, what: str, args) -> None:
-    """Refuse what (see _refuse) when g has more than MOST_NODES nodes or
-    more than most_edges edges."""
+def _check_size(g: Dag, most_edges: int | None, what: str, args) -> None:
+    """Refuse what (see _refuse) when g has more than MOST_NODES nodes or,
+    unless most_edges is None, more than most_edges edges."""
     for count, most, unit in ((g.n, MOST_NODES, "nodes"), (len(g.edges), most_edges, "edges")):
-        if count > most:
+        if most is not None and count > most:
             _refuse(f"{what} on a graph with more than {most} {unit}", args)
 
 
@@ -158,11 +161,14 @@ def _cmd_fan(args) -> None:
     row_text = functools.cache(_json)
 
     def cone(e) -> str:
-        # the keys in sorted order, as _json spells the cone's dict
+        # the keys in sorted order, as _json spells the cone's dict; the
+        # witness's rational strings need no escaping; over den 1 they are
+        # the numerators
+        witness = ",".join(f'"{x if e.den == 1 else Fraction(x, e.den)}"' for x in e.point)
         return (f'{{"critical_paths":[{",".join(map(path_text, e.system.choices))}],'
                 f'"inequalities":[{",".join(map(row_text, e.inequalities))}],'
                 f'"maxoid":{_json(e.maxoid.to_json())},'
-                f'"witness":{_json([str(x) for x in e.witness])}}}')
+                f'"witness":[{witness}]}}')
 
     fields = {
         "cones": map(cone, entries),
@@ -301,6 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dag")
     p.add_argument("weights")
     p.add_argument("--dot", metavar="FILE", help="also write the DAG in DOT format")
+    p.add_argument("--unbounded", action="store_true", help="allow long-running sizes")
     p.set_defaults(func=_cmd_maxoid)
 
     p = sub.add_parser("kleene", help="matrix of maximum path weights")

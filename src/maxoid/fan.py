@@ -6,28 +6,31 @@ realizable by some generic weight vector spans a full-dimensional open cone;
 the closures of these cones tile R^E and are in bijection with the CI
 structures of generic weights.  Cones are enumerated by a depth-first search
 over per-pair path choices with subpath-consistency and exact feasibility
-pruning, so only realizable systems are ever completed.  A row is a
-path comparison weight(winner) - weight(loser) > 0 as a tuple of ints over
-the sorted edges; its entries are -1, 0 and 1, so it is primitive.  Before
-the search, every path of every connected pair gets its table entry once:
-the sub-paths that choosing it forces, with their pairs; its full rows
-against every other path of its pair and its minimal rows against the
-internally disjoint ones; and the node_mask of its interior.  A choice is
-then a path id per pair, checked and forced from these tables, and a pair
-that an earlier choice already forced is skipped in a loop.  The search
-carries down, next to its rows, a StrictTableau: a feasible half-width
-dictionary of {c : every row >= 1}, which is nonempty exactly when the open
-cone of the rows is.  A child node whose new rows its parent's point
-already satisfies strictly keeps that tableau and solves no LP; any other
-child appends the rows its tableau has not absorbed yet to a copy of it and
-repairs that by dual simplex, so siblings still share the parent's
-tableau.  The point stays in integers over the tableau's denominator during
-the search: only at a leaf does checked_point test it, in integers, against
-every row of the cone's full system, and only then make it into the
-Fractions of the entry's witness.  A cone's CI structure is read off its
-chosen paths, which are the critical paths of every weight vector in it.
-The cones of a complete fan share one lineality space, the null space of
-any one cone's rows, so lineality_dimension reads it off an entry that the
+pruning, so only realizable systems are ever completed.  A row is a path
+comparison weight(winner) - weight(loser) > 0 as a tuple of ints over the
+sorted edges; its entries are -1, 0 and 1, so it is primitive.  Before the
+search, every path of every connected pair gets its table entry once: the
+sub-paths that choosing it forces, with their pairs; the node_mask of its
+interior; its full rows against every other path of its pair and, among
+them, its minimal rows against the internally disjoint ones, all from one
+enumeration of the pair's paths.  A choice is then a path id per pair,
+checked and forced from these tables, and a pair that an earlier choice
+already forced is skipped in a loop.  The search carries down, next to its
+rows, a StrictTableau: a feasible half-width dictionary of
+{c : every row >= 1}, which is nonempty exactly when the open cone of the
+rows is.  A child node whose new rows its parent's point already satisfies
+strictly keeps that tableau and solves no LP; any other child appends the
+rows its tableau has not absorbed yet to a copy of it and repairs that by
+dual simplex, so siblings still share the parent's tableau.  The point stays
+in integers over the tableau's denominator from the search to the printer:
+at a leaf checked_point tests it, in integers, against every row of the
+cone's full system, and the entry keeps those numerators and the
+denominator.  Its witness, the point as Fractions, is made only when a
+caller asks for it; every pivot measured in the search has d = 1, so the
+denominator is 1 on every fan measured.  A cone's CI structure is read off
+its chosen paths, which are the critical paths of every weight vector in it.
+The cones of a complete fan share one lineality space, the null space of any
+one cone's rows, so lineality_dimension reads it off an entry that the
 caller already holds.
 """
 
@@ -59,12 +62,19 @@ class CriticalSystem:
 class FanEntry:
     """A maximal cone: its critical system, the minimal rows of its open
     cone {c : every row > 0} over the sorted edges, its CI structure and an
-    interior point as Fractions, checked against every row."""
+    interior point point / den, with integer numerators and a positive
+    integer den, checked against every row."""
 
     system: CriticalSystem
     inequalities: tuple[tuple[int, ...], ...]
     maxoid: Maxoid
-    witness: tuple[Fraction, ...]
+    point: tuple[int, ...]
+    den: int
+
+    @property
+    def witness(self) -> tuple[Fraction, ...]:
+        """The interior point as Fractions, built on each call."""
+        return tuple(Fraction(x, self.den) for x in self.point)
 
 
 def _edge_index(g: Dag) -> dict[tuple[int, int], int]:
@@ -81,10 +91,6 @@ def _path_comparison(index, winner: Path, loser: Path) -> tuple[int, ...]:
     return tuple(row)
 
 
-def _internally_disjoint(p: Path, q: Path) -> bool:
-    return not (set(p[1:-1]) & set(q[1:-1]))
-
-
 def _connected_pairs(g: Dag) -> list[tuple[int, int]]:
     """Ordered connected pairs, by length of the shortest path then lex."""
     pairs = []
@@ -93,13 +99,6 @@ def _connected_pairs(g: Dag) -> list[tuple[int, int]]:
             shortest = min(len(p) for p in enumerate_paths(g, i, j))
             pairs.append((shortest, i, j))
     return [(i, j) for _, i, j in sorted(pairs)]
-
-
-def _pair_rows(g: Dag, index, key, chosen: Path, minimal: bool) -> list[tuple[int, ...]]:
-    """One strict row per key path other than chosen that chosen must beat;
-    with minimal=True only the internally disjoint ones."""
-    return [_path_comparison(index, chosen, p) for p in enumerate_paths(g, *key)
-            if p != chosen and (not minimal or _internally_disjoint(chosen, p))]
 
 
 def enumerate_maximal_cones(g: Dag) -> list[FanEntry]:
@@ -112,20 +111,34 @@ def enumerate_maximal_cones(g: Dag) -> list[FanEntry]:
     position = {key: i for i, key in enumerate(pairs)}
     # one table entry per path, by path id: the (pair position, path id) of
     # each of its sub-paths, the path itself included, which choosing it
-    # forces; its full and minimal rows; its interior's node_mask
+    # forces; its interior's node_mask; its full rows, against every other
+    # path of its pair in path order, and its minimal rows, the full rows
+    # against the paths whose interior is disjoint from its own
     paths: list[Path] = []
     pair_paths = []
+    masks: list[int] = []
+    full_rows: list[list[tuple[int, ...]]] = []
+    minimal_rows: list[list[tuple[int, ...]]] = []
     for key in pairs:
         found = enumerate_paths(g, *key)
         pair_paths.append(range(len(paths), len(paths) + len(found)))
         paths += found
+        inner = [node_mask(p[1:-1]) for p in found]
+        masks += inner
+        for p, mask in zip(found, inner):
+            full, minimal = [], []
+            for q, other in zip(found, inner):
+                if q != p:
+                    row = _path_comparison(index, p, q)
+                    full.append(row)
+                    if not mask & other:
+                        minimal.append(row)
+            full_rows.append(full)
+            minimal_rows.append(minimal)
     ids = {path: i for i, path in enumerate(paths)}
     forces = [[(position[path[a], path[b]], ids[path[a:b + 1]])
                for a in range(len(path)) for b in range(a + 1, len(path))]
               for path in paths]
-    full_rows = [_pair_rows(g, index, (p[0], p[-1]), p, minimal=False) for p in paths]
-    minimal_rows = [_pair_rows(g, index, (p[0], p[-1]), p, minimal=True) for p in paths]
-    masks = [node_mask(path[1:-1]) for path in paths]
     by_key = sorted(range(len(pairs)), key=pairs.__getitem__)
     chosen: list[int | None] = [None] * len(pairs)
     entries: list[FanEntry] = []
@@ -135,12 +148,13 @@ def enumerate_maximal_cones(g: Dag) -> list[FanEntry]:
             idx += 1
         if idx == len(pairs):
             # rows is the cone's whole system, the minimal rows among them
-            witness = checked_point(tab.point, rows, tab.d)
+            checked_point(tab.point, rows, tab.d)
             minimal = dict.fromkeys(r for pid in chosen for r in minimal_rows[pid])
             system = CriticalSystem(tuple((pairs[i], paths[chosen[i]]) for i in by_key),
                                     {pairs[i]: masks[chosen[i]] for i in by_key})
             entries.append(FanEntry(system, tuple(minimal),
-                                    maxoid_from_blockers(g.n, system.blockers), witness))
+                                    maxoid_from_blockers(g.n, system.blockers),
+                                    tuple(tab.point), tab.d))
             return
         for pid in pair_paths[idx]:
             forced = []
@@ -179,8 +193,8 @@ def enumerate_maximal_cones(g: Dag) -> list[FanEntry]:
 
 def lineality_dimension(entry: FanEntry) -> int:
     """Dimension of the common linear subspace of all cones, read off any
-    one maximal cone: |E|, the length of its witness, minus the rank of its
+    one maximal cone: |E|, the length of its point, minus the rank of its
     minimal rows.  The closed cone is {c : every row >= 0}, whose lineality
     space is the null space of its rows, and all maximal cones of the
     complete fan share one lineality space."""
-    return len(entry.witness) - rank_of(entry.inequalities)
+    return len(entry.point) - rank_of(entry.inequalities)

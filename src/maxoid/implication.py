@@ -23,12 +23,13 @@ same structure of G matches under that label composed with pi, and G comes
 first, so the first match is never at a later member.
 
 Each process keeps one structure index per scope and mode: a list of
-(bits, graph, weights) in scan order, graphs in top_ordered_closed_dags
-order (the class representatives in global modes, the one graph in local
-modes), then each graph's cones in fan order, then its faces of dimension
-at least 1 in lattice order.  A structure is listed once, where the scan
-first meets it: a later copy matches under exactly the labels the first
-one does, so it is never the first match.  The index chains the batches
+(bits, graph, weights, denominator) in scan order, graphs in
+top_ordered_closed_dags order (the class representatives in global modes,
+the one graph in local modes), then each graph's cones in fan order, then
+its faces of dimension at least 1 in lattice order.  A structure is
+listed once, where the scan first meets it: a later copy matches under
+exactly the labels the first one does, so it is never the first match.
+Only the weights of a match become Fractions.  The index chains the batches
 of polytope.graph_structures over its graphs and grows one batch at a time,
 only as far as a scan reaches: a graph's faces are built only when a scan
 moves past its last cone, and until then its fan entries are kept.
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import islice, permutations
 from typing import Iterator, Sequence
 
@@ -126,9 +128,9 @@ def decide_implication(scope, premises: Sequence[CiStatement],
     w = index.counterexamples.get(match)
     if w is None:
         place, label = match
-        _, g, weights = index.entries[place]
+        _, g, weights, den = index.entries[place]
         w = index.counterexamples[match] = _counterexample_weights(
-            g, weights, label, local, generic)
+            g, weights, den, label, local, generic)
     wd = WeightedDag(Dag(n, w), w)
     _verify_counterexample(wd, premises, conclusions, generic)
     return Verdict(False, wd)
@@ -136,13 +138,14 @@ def decide_implication(scope, premises: Sequence[CiStatement],
 
 class _Index:
     """The distinct structures of one scope and mode in scan order, as
-    (bits, graph, weights), grown a batch at a time by grow, and the
-    counterexample weights of the (entry, label) matches met so far."""
+    (bits, graph, weight numerators, denominator), grown a batch at a time
+    by grow, and the counterexample weights of the (entry, label) matches
+    met so far."""
 
     __slots__ = ("entries", "counterexamples", "_seen", "_batches")
 
     def __init__(self, graphs: Iterator[Dag], include_faces: bool):
-        self.entries: list[tuple[int, Dag, tuple]] = []
+        self.entries: list[tuple[int, Dag, tuple[int, ...], int]] = []
         self.counterexamples: dict[tuple[int, tuple[int, ...]], dict] = {}
         self._seen: set[int] = set()
         self._batches = ((g, batch) for g in graphs
@@ -155,10 +158,10 @@ class _Index:
         if batch is None:
             return False
         g, realized = batch
-        for m, weights in realized:
+        for m, weights, den in realized:
             if m.bits not in self._seen:
                 self._seen.add(m.bits)
-                self.entries.append((m.bits, g, weights))
+                self.entries.append((m.bits, g, weights, den))
         return True
 
 
@@ -174,7 +177,7 @@ def _first_match(index: _Index, queries):
     entries = index.entries
     done = 0
     while True:
-        for place, (bits, _, _) in enumerate(islice(entries, done, None), done):
+        for place, (bits, _, _, _) in enumerate(islice(entries, done, None), done):
             for (prem, conc), label in queries:
                 if bits & prem == prem and not bits & conc:
                     return place, label
@@ -229,10 +232,11 @@ def _queries(n: int, premises, conclusions, local: bool):
     return list(first.items())
 
 
-def _counterexample_weights(g: Dag, weights, label, local: bool, generic: bool) -> dict:
-    """The weights on g renamed by label, reduced unless local and
-    tie-broken in generic mode, as an edge -> weight map."""
-    w = {(label[u], label[v]): x for (u, v), x in zip(g.sorted_edges, weights)}
+def _counterexample_weights(g: Dag, weights, den: int, label, local: bool,
+                            generic: bool) -> dict:
+    """The weights weights / den on g renamed by label, reduced unless local
+    and tie-broken in generic mode, as an edge -> weight map."""
+    w = {(label[u], label[v]): Fraction(x, den) for (u, v), x in zip(g.sorted_edges, weights)}
     wd = WeightedDag(Dag(g.n, w), w)
     if not local:
         wd = weighted_transitive_reduction(wd)

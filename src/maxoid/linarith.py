@@ -38,7 +38,9 @@ pivot only negates the row.  These are the pivots, and the entries, of the
 full tableau with one column per variable, on nvars stored columns where
 that tableau has 2*nvars plus one per row.  Since d > 0, A/d has the signs
 of A, so the pivots, and the point, are those of the same simplex on a
-Fraction tableau.
+Fraction tableau.  When d = |p| = 1 the update is a + c*T[r], with
+no multiply and no division; every pivot measured in the fan searches is
+of this kind.
 
 An appended row enters with its own slack basic, and the basic z variables
 are eliminated from it as row*d - sum(row[b_r] * A[r]) over their rows r:
@@ -55,8 +57,7 @@ A[r][-1] < 0 has no solution y >= 0.
 
 The tableau keeps its point as integer numerators over d and checks
 nothing; a caller re-verifies the point it returns with checked_point,
-which tests every row in integers before Fractions appear in it as
-num_v / d.
+which tests every row in integers and makes no Fraction num_v / d.
 
 Ranks, the polytope's pivot columns and starting rows, and its inverse of
 a nonsingular matrix come from one fraction-free reduced row echelon form,
@@ -81,15 +82,15 @@ def _primitive(vec: Sequence[Fraction | int]) -> tuple[int, ...]:
 
 
 def checked_point(point: Sequence[Fraction | int], rows: Iterable[Sequence[int]],
-                  den: int = 1) -> tuple[Fraction, ...]:
-    """point / den as Fractions, for a positive den, after checking in the
-    given arithmetic that every row is positive at point."""
+                  den: int = 1) -> None:
+    """Check that den is positive and, in the arithmetic of point, that
+    every row is positive at point, which for an integer point stands for
+    point / den."""
     if den <= 0:
         raise ValueError(f"denominator {den} of witness {tuple(point)} is not positive")
     for row in rows:
         if sum(map(mul, row, point)) <= 0:
             raise AssertionError(f"witness {tuple(point)} / {den} violates {tuple(row)} > 0")
-    return tuple(Fraction(x, den) for x in point)
 
 
 def _pivot(T, basis, cols, d, r, k, nvars):
@@ -101,11 +102,12 @@ def _pivot(T, basis, cols, d, r, k, nvars):
     variable of slot k enters, z+_v or a slack on a negative entry a =
     T[r][k], z-_v on a positive one.  With piv = |a| and m the pivot row
     times the sign of a, every other row becomes (row*piv - row[k]*m) // d,
-    an exact division, and row r becomes -T[r]; slot k then holds the
-    leaving variable's column, with -d in row r and the entering column's
-    old entry in every other row, negated when z-_u leaves, so that the slot
-    holds z+_u.  Rows are replaced, never changed in place, so tableaus may
-    share them."""
+    an exact division, and row - row[k]*m when piv = d = 1, as at every
+    pivot measured in the fan searches.  Row r becomes -T[r]; slot k then
+    holds the leaving variable's column, with -d in row r and the entering
+    column's old entry in every other row, negated when z-_u leaves, so
+    that the slot holds z+_u.  Rows are replaced, never changed in place,
+    so tableaus may share them."""
     prow = T[r]
     leaving = basis[r]
     if k is None:
@@ -128,7 +130,10 @@ def _pivot(T, basis, cols, d, r, k, nvars):
         if i != r:
             f = row[k]
             if f:
-                new = [(x * piv - f * b) // d for x, b in zip(row, m)]
+                if piv == d == 1:
+                    new = [x - f * b for x, b in zip(row, m)]
+                else:
+                    new = [(x * piv - f * b) // d for x, b in zip(row, m)]
                 new[k] = -f if flip else f
                 T[i] = new
             elif piv != d:

@@ -362,29 +362,32 @@ def face_maxoids(g: Dag, faces: Iterable[Face],
             for f in faces]
 
 
-# a structure with weights over the sorted edges that realize it
-Realized = tuple[Maxoid, tuple]
+# a structure with weights over the sorted edges that realize it, as
+# integer numerators and their positive common denominator
+Realized = tuple[Maxoid, tuple[int, ...], int]
 
 
 def graph_structures(g: Dag) -> Iterator[list[Realized]]:
     """The CI structures of a graph, each with weights over its sorted edges
     that realize it, as two batches: first the cones', then, only once
     asked for, the faces'.  A caller that wants the generic structures
-    alone takes the first batch, and no face is built.
+    alone takes the first batch, and no face is built.  The weights are
+    integer numerators over a denominator, so a caller that reads only the
+    structures, or converts only the weights it uses, makes no Fraction.
 
-    Each maximal cone gives its maxoid and its interior witness.  Each face
-    of dimension at least 1 gives its face_maxoid and its integer normal, in
-    lattice order, built from the fan entries held until then; face_lattice
-    certified those normals, and only these faces go to face_maxoids.  The
-    dimension-0 faces are the cones again and are skipped.  The normal fan
-    is complete, so these are all the structures of the graph, and the
-    cones' are its generic ones.
+    Each maximal cone gives its maxoid and its interior point, point / den.
+    Each face of dimension at least 1 gives its face_maxoid and its
+    integer normal over 1, in lattice order, built from the fan entries
+    held until then; face_lattice certified those normals, and only
+    these faces go to face_maxoids.  The dimension-0 faces are the cones
+    again and are skipped.  The normal fan is complete, so these are all
+    the structures of the graph, and the cones' are its generic ones.
     """
     entries = enumerate_maximal_cones(g)
-    yield [(e.maxoid, e.witness) for e in entries]
+    yield [(e.maxoid, e.point, e.den) for e in entries]
     points = polytope_vertices(g, entries)
     faces = [f for f in face_lattice([p for _, p in points]).faces if f.dim >= 1]
-    yield [(m, f.normal) for m, f in zip(face_maxoids(g, faces, points), faces)]
+    yield [(m, f.normal, 1) for m, f in zip(face_maxoids(g, faces, points), faces)]
 
 
 def cone_adjacency(g: Dag, entries: list[FanEntry]) -> list[tuple[int, int]]:

@@ -53,11 +53,16 @@ from maxoid.fan import (
     FanEntry,
     _connected_pairs,
     _edge_index,
-    _internally_disjoint,
-    _pair_rows,
     _path_comparison,
 )
-from maxoid.graph import Dag, Edge, enumerate_paths, top_ordered_closed_dags, transitive_closure
+from maxoid.graph import (
+    Dag,
+    Edge,
+    Path,
+    enumerate_paths,
+    top_ordered_closed_dags,
+    transitive_closure,
+)
 from maxoid.census import TdagFamily, graph_maxoids
 from maxoid.implication import (
     Verdict,
@@ -436,7 +441,8 @@ class FullStrictTableau:
         self.rows: tuple[tuple[int, ...], ...] = ()
         self.T, self.basis, self.d = [], [], 1
         self.point = [0] * nvars
-        self.witness = checked_point(self.point, ())
+        checked_point(self.point, ())
+        self.witness = tuple(map(Fraction, self.point))
 
     def extended(self, rows: Sequence[Sequence[int]]) -> "FullStrictTableau | None":
         for row in rows:
@@ -478,7 +484,8 @@ class FullStrictTableau:
                 z[b] = T[r][-1]
         new.T, new.basis, new.d = T, basis, d
         new.point = [z[v] - z[self.nvars + v] for v in range(self.nvars)]
-        new.witness = checked_point(new.point, new.rows, d)
+        checked_point(new.point, new.rows, d)
+        new.witness = tuple(Fraction(x, d) for x in new.point)
         return new
 
 
@@ -857,7 +864,9 @@ def fraction_strict_tableau(chunks: Sequence[Sequence[Sequence[int]]],
         z = [Fraction(0)] * (len(cost) - 1)
         for r, b in enumerate(basis):
             z[b] = T[r][-1]
-        out.append(checked_point([z[v] - z[nvars + v] for v in range(nvars)], rows))
+        point = tuple(z[v] - z[nvars + v] for v in range(nvars))
+        checked_point(point, rows)
+        out.append(point)
     return out
 
 
@@ -1246,6 +1255,24 @@ def mask_loop_dags(n: int, pairs: Sequence[tuple[int, int]],
             yield g
 
 
+def _internally_disjoint(p: Path, q: Path) -> bool:
+    return not (set(p[1:-1]) & set(q[1:-1]))
+
+
+def _pair_rows(g: Dag, index, key, chosen: Path, minimal: bool) -> list[tuple[int, ...]]:
+    """The replaced per-path row builder: one strict row per key path other
+    than chosen that chosen must beat, from a fresh enumeration of the
+    pair's paths; with minimal=True only the internally disjoint ones."""
+    return [_path_comparison(index, chosen, p) for p in enumerate_paths(g, *key)
+            if p != chosen and (not minimal or _internally_disjoint(chosen, p))]
+
+
+def over_common_denominator(point: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    """(numerators, den) with den the least common denominator of point."""
+    den = lcm(*(x.denominator for x in point))
+    return tuple(x.numerator * (den // x.denominator) for x in point), den
+
+
 def cold_lp_maximal_cones(g: Dag) -> list[FanEntry]:
     """The replaced fan search: the same depth-first search over per-pair
     path choices, where a child whose new rows the parent's witness fails
@@ -1284,7 +1311,8 @@ def cold_lp_maximal_cones(g: Dag) -> list[FanEntry]:
                                     {key: node_mask(path[1:-1])
                                      for key, path in sorted(choices.items())})
             entries.append(FanEntry(system, tuple(minimal),
-                                    maxoid_from_blockers(g.n, system.blockers), witness))
+                                    maxoid_from_blockers(g.n, system.blockers),
+                                    *over_common_denominator(witness)))
             return
         key = pairs[idx]
         if key in choices:
@@ -1579,8 +1607,8 @@ def scan_implication(n: int, premises, conclusions, generic: bool = False,
 
 @cache
 def _structures(g: Dag, include_faces: bool) -> tuple:
-    """Every (structure, weights) pair of g, its cones' then its faces',
-    memoized per process."""
+    """Every (structure, weight numerators, denominator) of g, its cones'
+    then its faces', memoized per process."""
     return tuple(pair for batch in islice(graph_structures(g), 2 if include_faces else 1)
                  for pair in batch)
 
@@ -1612,11 +1640,11 @@ def per_graph_scan_implication(scope, premises: Sequence[CiStatement],
         queries.append((label, Maxoid(n, (relabeled_statement(p, back) for p in premises)).bits,
                         Maxoid(n, (relabeled_statement(q, back) for q in conclusions)).bits))
     for g in graphs:
-        for m, weights in _structures(g, not generic):
+        for m, weights, den in _structures(g, not generic):
             bits = m.bits
             for label, prem, conc in queries:
                 if bits & prem == prem and not bits & conc:
-                    w = _counterexample_weights(g, weights, label, isinstance(scope, Dag),
+                    w = _counterexample_weights(g, weights, den, label, isinstance(scope, Dag),
                                                 generic)
                     wd = WeightedDag(Dag(n, w), w)
                     _verify_counterexample(wd, premises, conclusions, generic)

@@ -134,29 +134,35 @@ def test_criterion_3_long_complete_dag_6_vertex_count(monkeypatch, capsys, tmp_p
     from maxoid import linarith
     from maxoid.cli import run
 
-    pivots = 0
-    pivot = linarith._pivot
+    pivots = calls = 0
+    pivot, extended = linarith._pivot, linarith.StrictTableau.extended
 
     def counting_pivot(*args):
         nonlocal pivots
         pivots += 1
         return pivot(*args)
 
+    def counting_extended(*args):
+        nonlocal calls
+        calls += 1
+        return extended(*args)
+
     monkeypatch.setattr(linarith, "_pivot", counting_pivot)
+    monkeypatch.setattr(linarith.StrictTableau, "extended", counting_extended)
     dag = tmp_path / "complete6.json"
     dag.write_text(json.dumps({"n": 6, "edges": [list(e) for e in complete_dag(6).sorted_edges]}))
     assert run(["fan", str(dag)]) == 0
     out = capsys.readouterr().out.encode()
     assert len(json.loads(out)["cones"]) == 3324
     # Bland's rule fixes every pivot, so a change of their number is a
-    # change of the simplex
-    assert pivots == 9314
+    # change of the simplex, and a change of the LP count one of the search
+    assert (calls, pivots) == (4990, 9314)
     # the witnesses, rows and structures of the whole search
     assert len(out) == 6156732
     assert hashlib.sha256(out).hexdigest() == (
         "a65911889c38342aa9a9111c44569ab220ac9913daa911cedac06b0d170c04b1")
     print("CRITERION 3 (long) PASS: 3324 maximal cones on the 6-node complete DAG, "
-          "9314 pivots, pinned fan output")
+          "4990 LPs, 9314 pivots, pinned fan output")
 
 
 def test_criterion_4_census_table():

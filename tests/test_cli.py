@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -106,6 +107,21 @@ def test_census_command(files, capsys):
     assert json.loads(out) == {"tdags": 18, "maxoids": 41, "generic": 40}
 
 
+def test_census_and_fan_make_no_fraction_in_the_fan(files, capsys, monkeypatch):
+    # the cones stay integer from the search through the census and the
+    # fan printer: neither reads a witness as Fractions
+    def refused(*args):
+        raise AssertionError("Fraction made")
+
+    monkeypatch.delenv("MAXOID_CACHE_DIR", raising=False)
+    monkeypatch.setattr("maxoid.fan.Fraction", refused)
+    code, out = invoke(capsys, "census", "--nodes", "4")
+    assert code == 0
+    assert json.loads(out) == {"tdags": 18, "maxoids": 41, "generic": 40}
+    code, out = invoke(capsys, "fan", str(DATA / "complete4.json"))
+    assert code == 0 and len(json.loads(out)["cones"]) == 9
+
+
 def test_census_long_sizes_guarded(files, capsys):
     code, out = invoke(capsys, "census", "--nodes", "6")
     assert code != 0
@@ -208,6 +224,32 @@ def test_sparse_graphs_on_more_than_12_nodes_are_guarded(files, capsys, monkeypa
     # 12 nodes pass the guard
     dag.write_text('{"n": 12, "edges": [[1, 2]]}')
     code, out = invoke(capsys, *argv, str(dag))
+    assert json.loads(out)["error"]["message"] == "work started"
+
+
+def test_maxoid_on_more_than_12_nodes_is_refused_before_the_maxoid(files, capsys,
+                                                                   monkeypatch):
+    def started(*args, **kwargs):
+        raise RuntimeError("work started")
+
+    monkeypatch.setattr("maxoid.cli.maxoid", started)
+    dag = files["dir"] / "edgeless.json"
+    dag.write_text('{"n": 13, "edges": []}')
+    weights = files["dir"] / "none.json"
+    weights.write_text("[]")
+    dot = files["dir"] / "edgeless.dot"
+    code, out = invoke(capsys, "maxoid", str(dag), str(weights), "--dot", str(dot))
+    assert code == 2
+    assert json.loads(out) == {"error": {"type": "usage", "message": (
+        "maxoid on a graph with more than 12 nodes is long-running; "
+        "pass --unbounded to run sizes beyond the quick default")}}
+    assert not dot.exists()
+    assert 13 not in separation._subset_tables and 13 not in separation._statement_tables
+    code, out = invoke(capsys, "maxoid", str(dag), str(weights), "--unbounded")
+    assert json.loads(out)["error"]["message"] == "work started"
+    # 12 nodes pass the guard
+    dag.write_text('{"n": 12, "edges": []}')
+    code, out = invoke(capsys, "maxoid", str(dag), str(weights))
     assert json.loads(out)["error"]["message"] == "work started"
 
 
@@ -431,6 +473,28 @@ def test_fan_output_matches_the_dict_tree_oracle(capsys, tmp_path, family):
         ]:
             code, out = invoke(capsys, *argv, str(dag))
             assert code == 0 and out == expected, (argv, g.sorted_edges)
+
+
+def test_fan_prints_witnesses_over_any_denominator_as_fractions_do(capsys, monkeypatch):
+    # every fan measured has den 1, so the oracle differential above never
+    # reaches a reduced fraction; here the complete-4 cones carry points
+    # over dens 2, 6 and 7 with negative, zero and divisible numerators
+    g = complete_dag(4)
+    rng = random.Random(7)
+    entries = []
+    for k, e in enumerate(enumerate_maximal_cones(g)):
+        den = (2, 6, 7)[k % 3]
+        point = [rng.randint(-3, 3) * rng.choice((1, den)) + rng.choice((0, 1))
+                 for _ in e.point]
+        entries.append(dataclasses.replace(e, point=tuple(point), den=den))
+    texts = {str(x) for e in entries for x in e.witness}
+    assert "0" in texts and any("/" in t and t.startswith("-") for t in texts)
+    assert any(x and x % e.den == 0 for e in entries for x in e.point)
+    assert any("/" in t and not t.endswith(("/2", "/6", "/7")) for t in texts)
+    monkeypatch.setattr("maxoid.cli.enumerate_maximal_cones", lambda _: entries)
+    code, out = invoke(capsys, "fan", str(DATA / "complete4.json"))
+    assert code == 0
+    assert out == dict_tree_fan_output(g, entries, echelon_lineality_dimension(g))
 
 
 @pytest.mark.parametrize("family", ["4-node", "complete5-minus-3-4"])

@@ -277,3 +277,30 @@ def test_lineality_of_one_cone_matches_the_echelon_over_every_path_pair():
         replaced = len(edges) - rank_of(cone_of(powers, minimal=True))
         read = {lineality_dimension(e) for e in enumerate_maximal_cones(g)}
         assert read == {echelon_lineality_dimension(g)} == {replaced}, g
+
+
+@pytest.mark.parametrize("n, calls, pivots", [(4, 13, 17), (5, 156, 251)])
+def test_lp_work_of_complete_fans_is_pinned(n, calls, pivots, monkeypatch):
+    # Bland's rule fixes every pivot, so a change of these counts is a
+    # change of the search or of the simplex; every pivot is a unit pivot,
+    # d = 1 and pivot entry +-1, so every witness has denominator 1
+    from maxoid import linarith
+
+    seen = {"calls": 0, "pivots": []}
+    extended, pivot = linarith.StrictTableau.extended, linarith._pivot
+
+    def counting_extended(self, rows):
+        seen["calls"] += 1
+        return extended(self, rows)
+
+    def counting_pivot(T, basis, cols, d, r, k, nvars):
+        seen["pivots"].append((d, None if k is None else abs(T[r][k])))
+        return pivot(T, basis, cols, d, r, k, nvars)
+
+    monkeypatch.setattr(linarith.StrictTableau, "extended", counting_extended)
+    monkeypatch.setattr(linarith, "_pivot", counting_pivot)
+    entries = enumerate_maximal_cones(complete_dag(n))
+    assert (seen["calls"], len(seen["pivots"])) == (calls, pivots)
+    assert set(seen["pivots"]) <= {(1, 1), (1, None)}
+    assert {e.den for e in entries} == {1}
+

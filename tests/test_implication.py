@@ -350,8 +350,8 @@ def test_generic_counterexample_breaks_the_cone_witness_ties():
     # its structure and has no tie
     prem, conc = [ci("24|13")], [ci("14|3")]
     cones = next(graph_structures(K4))
-    m, witness = next((m, w) for m, w in cones if prem[0] in m and conc[0] not in m)
-    raw = WeightedDag(K4, dict(zip(K4.sorted_edges, witness)))
+    m, point, den = next(c for c in cones if prem[0] in c[0] and conc[0] not in c[0])
+    raw = WeightedDag(K4, {e: Fraction(x, den) for e, x in zip(K4.sorted_edges, point)})
     assert maxoid(raw) == m and not is_generic(raw)
     v = decide_implication(K4, prem, conc, generic=True)
     assert not v.holds

@@ -40,11 +40,18 @@ def eq(coeffs, const=0):
     return Constraint.build(coeffs, "==", const)
 
 
+def tableau_witness(tab, rows):
+    """The point of tab as Fractions, after checked_point tests every row
+    against its integer numerators."""
+    checked_point(tab.point, rows, tab.d)
+    return tuple(Fraction(x, tab.d) for x in tab.point)
+
+
 def strict_witness(rows, nvars):
     """The checked StrictTableau witness of dense strict rows, None when
     their open cone is empty."""
     tab = StrictTableau(nvars).extended(rows)
-    return None if tab is None else checked_point(tab.point, rows, tab.d)
+    return None if tab is None else tableau_witness(tab, rows)
 
 
 def dense(con, nvars):
@@ -101,7 +108,7 @@ def test_witness_checked_raises_on_violation():
         checked_point((Fraction(0),), [(1,)])
     with pytest.raises(AssertionError, match=r"witness \(1, -1\) / 3 violates \(1, 1\) > 0"):
         checked_point((1, -1), [(1, 1)], 3)
-    assert checked_point((1, 2), [(-1, 1)], 4) == (Fraction(1, 4), Fraction(1, 2))
+    assert checked_point((1, 2), [(-1, 1)], 4) is None
 
 
 @pytest.mark.parametrize("den", [-1, 0])
@@ -109,7 +116,7 @@ def test_checked_point_refuses_a_nonpositive_denominator(den):
     # (-1, -2) = (1, 2) / -1 violates both rows, though (1, 2) passes them
     with pytest.raises(ValueError, match=f"denominator {den} of witness"):
         checked_point([1, 2], [(1, 0), (0, 1)], den)
-    assert checked_point([1, 2], [(1, 0), (0, 1)]) == (1, 2)
+    assert checked_point([1, 2], [(1, 0), (0, 1)]) is None
 
 
 def test_determinism():
@@ -340,14 +347,18 @@ def test_half_width_tableau_matches_both_oracles(seed, pivots, monkeypatch):
     # partner swaps, which only negate a row, and a z- leaving on a slot
     # pivot, whose slot then holds the negated z+ column: that pivot is rare
     # (58 of about 200000 pivots on random systems), so the first system is
-    # one that takes it
+    # one that takes it.  Every seed takes both row updates of a slot pivot:
+    # the general one and the one for |pivot| = d = 1
     from maxoid import linarith
 
     steps = []
+    updates = set()
     counted = linarith._pivot
 
     def recording(T, basis, cols, d, r, k, nvars):
         steps.append((d, k is None, k is not None and nvars <= basis[r] < 2 * nvars))
+        if k is not None:
+            updates.add("unit" if abs(T[r][k]) == d == 1 else "general")
         return counted(T, basis, cols, d, r, k, nvars)
 
     monkeypatch.setattr(linarith, "_pivot", recording)
@@ -374,6 +385,7 @@ def test_half_width_tableau_matches_both_oracles(seed, pivots, monkeypatch):
     assert any(d != 1 for d, _, _ in steps)
     assert any(swap for _, swap, _ in steps)
     assert any(z_minus_leaves for _, _, z_minus_leaves in steps)
+    assert updates == {"general", "unit"}
 
 
 class _BothTableaus:
@@ -425,7 +437,7 @@ def test_strict_tableau_in_chunks_matches_the_fraction_simplex(seed):
         for chunk, want in zip(chunks, expected):
             rows += chunk
             tab = tab and tab.extended(chunk)
-            assert (tab and checked_point(tab.point, rows, tab.d)) == want
+            assert (tab and tableau_witness(tab, rows)) == want
             assert tab is None or len(tab.T) == len(rows)
         assert (tab is None) == (fraction_feasible([as_constraint(r) for r in rows],
                                                    nvars) is None)

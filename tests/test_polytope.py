@@ -188,9 +188,9 @@ def test_graph_structures_match_the_fan_and_lattice_built_directly(graphs, count
         lat = face_lattice([p for _, p in pts])
         structures = [face_maxoid(g, f, entries, pts) for f in lat.faces]
         assert face_maxoids(g, lat.faces, pts) == structures, g.sorted_edges
-        cones = [(e.maxoid.bits, e.witness) for e in entries]
-        faces = [(m.bits, f.normal) for m, f in zip(structures, lat.faces) if f.dim >= 1]
-        got = [[(m.bits, w) for m, w in batch] for batch in graph_structures(g)]
+        cones = [(e.maxoid.bits, e.point, e.den) for e in entries]
+        faces = [(m.bits, f.normal, 1) for m, f in zip(structures, lat.faces) if f.dim >= 1]
+        got = [[(m.bits, w, den) for m, w, den in batch] for batch in graph_structures(g)]
         assert got == [cones, faces], g.sorted_edges
 
 
