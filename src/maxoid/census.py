@@ -16,11 +16,12 @@ table (separation._relabelings).
 
 Each representative's Dag goes to a worker, and its structures come back
 as the ints of Maxoid.bits: bit k is the k-th statement in the order a
-maxoid prints them.  These results can be cached on disk, content-addressed
-by the graph and the cache format version, so large runs are resumable:
-set MAXOID_CACHE_DIR to enable.  The census caches one file per class
-representative, holding those ints as JSON integers; an unreadable or
-invalid file counts as a miss and is rewritten.
+maxoid prints them.  These results can be cached on disk, so large runs are
+resumable: set MAXOID_CACHE_DIR to enable.  The census caches one file per
+class representative, holding those ints as JSON integers, named by a hash
+of the graph and of the package's source, so a file written by other code
+is never read; an unreadable or invalid file counts as a miss and is
+rewritten.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterator
 
 from .graph import Dag, dag_to_json, isomorphism_classes, top_ordered_closed_dags
@@ -39,9 +41,6 @@ from .polytope import graph_structures
 from .separation import Maxoid, _mapped_bits, _relabelings, _statement_tables
 
 CACHE_ENV = "MAXOID_CACHE_DIR"
-# Raise whenever what a cache file holds, or how it is computed, changes:
-# files written under another version are then never read.
-CACHE_FORMAT = 4
 
 
 @dataclass
@@ -75,8 +74,21 @@ def all_top_ordered_tdags(n: int) -> TdagFamily:
     return TdagFamily(n, graphs)
 
 
+@cache
+def _source_digest() -> str:
+    """SHA-256 over the name and content of every module of the package,
+    computed once per process."""
+    package = os.path.dirname(os.path.abspath(__file__))
+    digest = hashlib.sha256()
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), "rb") as fh:
+                digest.update(f"{name}\0{hashlib.sha256(fh.read()).hexdigest()}\n".encode())
+    return digest.hexdigest()
+
+
 def _graph_key(g: Dag) -> str:
-    blob = json.dumps({"dag": dag_to_json(g), "format": CACHE_FORMAT},
+    blob = json.dumps({"dag": dag_to_json(g), "source": _source_digest()},
                       sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
 
@@ -201,12 +213,3 @@ def census_structures(family: TdagFamily, include_faces: bool = True,
     return ({Maxoid.from_bits(n, b) for b in generic},
             {Maxoid.from_bits(n, b) for b in everything})
 
-
-def all_maxoids(family: TdagFamily, generic_only: bool = False,
-                jobs: int = 1) -> set[Maxoid]:
-    """Distinct CI structures over the family: the generic ones from every
-    graph's maximal cones, plus (unless generic_only) all face structures
-    from every graph's polytope."""
-    generic, everything = census_structures(family, include_faces=not generic_only,
-                                            jobs=jobs)
-    return generic if generic_only else everything

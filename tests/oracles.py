@@ -1,38 +1,62 @@
-"""Independent test oracles.
+"""Independent test oracles: the register, one entry per concept.
 
-Everything here recomputes results from first principles (definitional path
-enumeration, textbook d-separation, Fourier-Motzkin elimination, the
-two-phase Fraction simplex, the replaced per-subset Kleene-star separation,
-the replaced per-subset shape search on blocker bitmasks, the replaced
-looped all-subsets kernel looped_maxoid_from_blockers,
-max-plus matrix products, one exact LP per face or per pair of cones, the
-replaced Fraction echelon fraction_echelon with the nullspace and
-affine_dimension built on it and its Gauss-Jordan form
-reduced_fraction_echelon, the replaced integer Gauss-Jordan inverse
-gauss_jordan_simplex_rays, the replaced Kleene-star maximum
-star_transitive_reduction, the replaced vertex hull
-hull_facet_incidences (started from one Fraction null line per ray), the
-replaced pairwise face lattice, the replaced edge-mask graph loop, the
-replaced fan search with one cold LP per node, the dual simplex on a
-Fraction tableau, the replaced full-width integer tableau FullStrictTableau
-with one column per variable, the replaced compact dictionary
-CompactStrictTableau with one column per nonbasic variable, the sparse
-row type Constraint with relations '>', '>=' and '==', and the replaced
-formula engine for implication: Boolean formulas over strict path
-comparisons, polyci_formula, genericity_formula and satisfiable on the
-Fraction simplex, with the local engine
-formula_implication and the global mask-loop scan scan_implication, and
-the replaced per-graph structure scan per_graph_scan_implication, the
-replaced per-graph census loop per_graph_census, the replaced
-echelon_lineality_dimension over every disjoint path pair, and the replaced
-cone_of, with its NonGenericError, that read a cone's rows off the
-critical paths of a tie-free weight vector, and the replaced closure
-checkers looped_compositional_graphoid, looped_amalgamation,
-looped_strong_spohn and looped_weak_transitivity, one loop body per rule,
-with statements looked up as CiStatements, and the replaced output builders
-dict_tree_fan_output and dict_tree_polytope_output, which build the
-whole document as one dict tree for one json.dumps) and stays
-independent of the code paths it cross-checks.
+An oracle recomputes a result from first principles or by an algorithm the
+package replaced, and imports no helper of the function it checks.  It
+goes only when another such oracle checks that function on a superset of
+its inputs and mutations.  Each entry: oracles -> checked function; tests.
+
+- Critical DAG. critical_dag_by_paths (every path), kleene_critical_edges
+  (proper Kleene star) -> separation.critical_dag; test_separation
+  test_critical_dag_matches_*, test_acceptance criterion 7c.
+- Separation. kleene_maxoid (a critical DAG and set-based shape search
+  per conditioning set) -> separation.maxoid and the cone and face
+  structures; test_separation test_cone_and_face_structures_*,
+  test_maxoid_matches_oracle_*, test_fan warm-started search.
+  d_separated (textbook) -> every d-separation lies in the maxoid;
+  test_maxoid_contains_all_d_separations, criterion 8.
+- Kernel. per_subset_maxoid_from_blockers (one bitmask shape search per
+  conditioning set) -> separation.maxoid_from_blockers on any blocker map;
+  test_separation test_all_subsets_engine_*, test_packed_kernel_*.
+- Reduction. star_transitive_reduction -> weighted_transitive_reduction;
+  test_weighted_transitive_reduction_matches_the_kleene_star_maximum.
+- Kleene star. tropical_matmul -> tropical.kleene_star; test_tropical
+  test_star_idempotent_*, criterion 7c.
+- Feasibility. fm_feasible (Fourier-Motzkin), fraction_feasible (two-phase
+  Fraction simplex, witness checked) -> StrictTableau's verdicts and each
+  other; FullStrictTableau (a column per variable) -> its pivots, points,
+  bases and dictionary; test_linarith test_agrees_with_fourier_motzkin,
+  *_fraction_simplex*, *_full_width_tableau*, test_half_width_*.
+- Echelon. fraction_echelon, with nullspace and affine_dimension on it ->
+  linarith._echelon and the ranks read off it, polytope dimensions;
+  test_linarith test_integer_echelon_*, test_nullspace_*, test_rank_*,
+  criterion 3.
+  polytope._simplex_rays is checked from its definition, without one.
+- Fan. cold_lp_maximal_cones (one cold LP per search node) ->
+  enumerate_maximal_cones; test_warm_started_search_matches_the_cold_lp_*
+  on closed TDAGs and relabeled graphs.  cone_of (rows off the critical
+  paths of a tie-free weight) and echelon_lineality_dimension (every
+  disjoint path pair) -> lineality_dimension; test_fan test_cone_of_*,
+  test_lineality_*, test_cli dict-tree tests.  All three take their pair
+  order and rows from shortest_first_pairs and comparison_row.
+- Polytope. hull_facet_incidences (Fraction-started double description)
+  -> _facet_incidences; pairwise_face_lattice -> face_lattice;
+  lp_face_maxoid, lp_cone_adjacency (one LP per face, per cone pair) ->
+  face normals, face_maxoid, cone_adjacency; test_polytope *_pairwise_*,
+  *_replaced_hull, *_lp_oracles.
+- Implication. The formula engine (polyci_formula, genericity_formula,
+  satisfiable; formula_implication per graph, scan_implication over all)
+  -> decide_implication's verdicts; test_implication *_formula_oracle*,
+  *_mask_loop_oracle, test_polyci_*.  per_graph_scan_implication (every
+  graph, every relabeling) -> its counterexamples, which the formula
+  engine does not pin; test_index_scan_*, two index tests.  Both verify
+  a counterexample with kleene_maxoid.
+- Census. per_graph_census (one fan and lattice per graph) ->
+  census_structures; test_class_census_*.  mask_loop_dags (a Dag per
+  edge mask) -> the graph families' order; test_*_mask_loop_order.
+- Closure rules. looped_* (one loop body per rule) -> the axioms
+  checkers; test_checkers_match_the_looped_oracle.
+- Output. dict_tree_fan_output, dict_tree_polytope_output (one json.dumps
+  of one dict tree) -> fan and polytope stdout; test_cli *_dict_tree_*.
 """
 
 from __future__ import annotations
@@ -47,14 +71,8 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from maxoid.axioms import ViolationReport, check_node_bound
-from maxoid.fan import (
-    CriticalSystem,
-    FanEntry,
-    _connected_pairs,
-    _edge_index,
-    _path_comparison,
-)
+from maxoid.axioms import ViolationReport
+from maxoid.fan import CriticalSystem, FanEntry
 from maxoid.graph import (
     Dag,
     Edge,
@@ -63,16 +81,10 @@ from maxoid.graph import (
     top_ordered_closed_dags,
     transitive_closure,
 )
-from maxoid.census import TdagFamily, graph_maxoids
-from maxoid.implication import (
-    Verdict,
-    _check_nodes,
-    _counterexample_weights,
-    _verify_counterexample,
-)
-from maxoid.linarith import _primitive, checked_point, rank_of
+from maxoid.census import TdagFamily
+from maxoid.implication import Verdict
 from maxoid.polytope import Face, FaceLattice, graph_structures
-from maxoid.separation import CiStatement, Maxoid, _bit_indices, maxoid_from_blockers, node_mask
+from maxoid.separation import CiStatement, Maxoid, break_ties
 from maxoid.tropical import (
     NEG_INF,
     TropicalMatrix,
@@ -169,13 +181,6 @@ def _adjacency(n: int, edges: set[tuple[int, int]]):
     return children, parents
 
 
-def kleene_separated(wd: WeightedDag, s: CiStatement) -> bool:
-    """Separation of s's endpoints given s.L by the replaced engine: the
-    critical DAG from kleene_critical_edges, then a set-based shape search."""
-    children, parents = _adjacency(wd.g.n, kleene_critical_edges(wd, s.L))
-    return not _star_connected(children, parents, s.i, s.j, s.L)
-
-
 def kleene_maxoid(wd: WeightedDag) -> Maxoid:
     """The replaced maxoid engine: one Fraction critical DAG per conditioning
     subset L, then the set-based shape search on every pair outside L."""
@@ -202,7 +207,7 @@ def _statements_by_subset(n: int) -> tuple[tuple[int, tuple[CiStatement, ...]], 
         for L in combinations(nodes, size):
             Ls = frozenset(L)
             rest = [v for v in nodes if v not in Ls]
-            table.append((node_mask(L), tuple(CiStatement(i, j, Ls)
+            table.append((sum(1 << v for v in L), tuple(CiStatement(i, j, Ls)
                                               for i, j in combinations(rest, 2))))
     return tuple(table)
 
@@ -246,54 +251,12 @@ def _separated(n: int, blockers, L: int, statements) -> Iterator[CiStatement]:
 
 
 def per_subset_maxoid_from_blockers(n: int, blockers: Mapping[tuple[int, int], int]) -> Maxoid:
-    """The replaced maxoid_from_blockers: all separation statements on 1..n of the critical DAGs whose edges
-    k->l are the keys of blockers, each kept given L exactly when L misses
-    the bitmask blockers[(k, l)]."""
+    """The replaced maxoid_from_blockers: all separation statements on 1..n
+    of the critical DAGs whose edges k->l are the keys of blockers, each
+    kept given L exactly when L misses the bitmask blockers[(k, l)]."""
     stmts = []
     for L, statements in _statements_by_subset(n):
         stmts.extend(_separated(n, blockers, L, statements))
-    return Maxoid(n, stmts)
-
-
-def looped_maxoid_from_blockers(n: int, blockers: Mapping[tuple[int, int], int]) -> Maxoid:
-    """The replaced all-subsets kernel of maxoid_from_blockers: the same
-    families as the packed one (see the separation module docstring), one
-    2^n-bit int per ordered pair of nodes, with an O(n^3) loop for the
-    parent term and one AND per collider l; each set bit of a separated
-    family becomes its statement here, without the engine's rank tables."""
-    size = 1 << n
-    member = [0] + [sum(1 << s for s in range(size) if s >> (v - 1) & 1)
-                    for v in range(1, n + 1)]
-
-    def missing(b: int) -> int:
-        out = (1 << size) - 1
-        for v in range(1, n + 1):
-            if b >> v & 1:
-                out &= ~member[v]
-        return out
-
-    kept = [[0] * (n + 1) for _ in range(n + 1)]
-    children = [[] for _ in range(n + 1)]
-    for (k, l), b in blockers.items():
-        kept[k][l] = missing(b | 1 << k)
-        children[k].append(l)
-    near = [row[:] for row in kept]
-    for p, below in enumerate(children):
-        kp = kept[p]
-        for i in below:
-            kpi = kp[i]
-            row = near[i]
-            for l in below:
-                row[l] |= kpi & kp[l]
-    collide = [[a & b for a, b in zip(member, row)] for row in near]
-    stmts = []
-    for i, j in combinations(range(1, n + 1), 2):
-        joined = near[i][j] | kept[j][i]
-        for a, b in zip(collide[i], collide[j]):
-            joined |= a & b
-        separated = missing(1 << i | 1 << j) & ~joined
-        stmts.extend(CiStatement(i, j, frozenset(v for v in range(1, n + 1) if s >> (v - 1) & 1))
-                     for s in range(size) if separated >> s & 1)
     return Maxoid(n, stmts)
 
 
@@ -333,6 +296,16 @@ def d_separated(g: Dag, i: int, j: int, L: frozenset[int]) -> bool:
     return True
 
 
+def primitive_row(vec: Sequence[Fraction | int]) -> tuple[int, ...]:
+    """The positive multiple of a rational vector whose entries are
+    coprime integers; the zero vector stays zero."""
+    fractions = [Fraction(x) for x in vec]
+    scale = lcm(*(x.denominator for x in fractions))
+    ints = [int(x * scale) for x in fractions]
+    common = gcd(*ints) or 1
+    return tuple(x // common for x in ints)
+
+
 @dataclass(frozen=True)
 class Constraint:
     """sum(c_v * x_v) + const REL 0 with REL one of '>', '>=', '=='.
@@ -352,7 +325,7 @@ class Constraint:
         """The row scaled by the positive factor that makes it primitive, so
         the half-space (or hyperplane) is unchanged."""
         terms = sorted((v, c) for v, c in coeffs.items() if c != 0)
-        *ints, const = _primitive([c for _, c in terms] + [const])
+        *ints, const = primitive_row([c for _, c in terms] + [const])
         return Constraint(tuple((v, a) for (v, _), a in zip(terms, ints)), const, rel)
 
     def holds_at(self, point: Sequence[Fraction | int], den: int = 1) -> bool:
@@ -441,7 +414,6 @@ class FullStrictTableau:
         self.rows: tuple[tuple[int, ...], ...] = ()
         self.T, self.basis, self.d = [], [], 1
         self.point = [0] * nvars
-        checked_point(self.point, ())
         self.witness = tuple(map(Fraction, self.point))
 
     def extended(self, rows: Sequence[Sequence[int]]) -> "FullStrictTableau | None":
@@ -484,91 +456,9 @@ class FullStrictTableau:
                 z[b] = T[r][-1]
         new.T, new.basis, new.d = T, basis, d
         new.point = [z[v] - z[self.nvars + v] for v in range(self.nvars)]
-        checked_point(new.point, new.rows, d)
+        if d <= 0 or not in_open_cone(new.rows, new.point):
+            raise AssertionError(f"point {new.point} / {d} leaves the open cone of {new.rows}")
         new.witness = tuple(Fraction(x, d) for x in new.point)
-        return new
-
-
-def _compact_pivot(T, basis, cols, d, r, k):
-    """Integer-preserving dual-simplex pivot on the negative entry T[r][k]
-    over the common denominator d.
-
-    The pivot row is negated, so the new denominator piv = -T[r][k] is
-    positive; every other row a becomes (a*piv - a[k]*prow) // d, an exact
-    division.  Column k then belongs to the leaving variable, with -d in the
-    pivot row and a[k] in every other row.  Rows are replaced, never
-    changed in place, so tableaus may share them.  Returns piv."""
-    prow = [-x for x in T[r]]
-    piv = prow[k]
-    for i, row in enumerate(T):
-        if i != r:
-            f = row[k]
-            if f:
-                new = [(a * piv - f * b) // d for a, b in zip(row, prow)]
-                new[k] = f
-                T[i] = new
-            elif piv != d:
-                T[i] = [a * piv // d for a in row]
-    prow[k] = -d
-    T[r] = prow
-    basis[r], cols[k] = cols[k], basis[r]
-    return piv
-
-
-class CompactStrictTableau:
-    """The replaced StrictTableau: a compact dictionary that stores the
-    columns of all 2*nvars nonbasic variables, z+ and z- for x and the
-    nonbasic slacks, so the mirrored z+ and z- columns of each edge
-    variable are both kept.  cols[k] is the variable of column k; T, basis,
-    d and point are as in linarith.StrictTableau, and the pivots are those
-    of the full tableau FullStrictTableau."""
-
-    __slots__ = ("nvars", "T", "basis", "cols", "d", "point")
-
-    def __init__(self, nvars: int):
-        self.nvars = nvars
-        self.T, self.basis, self.cols, self.d = [], [], list(range(2 * nvars)), 1
-        self.point = [0] * nvars
-
-    def extended(self, rows: Sequence[Sequence[int]]) -> "CompactStrictTableau | None":
-        nvars, nz = self.nvars, 2 * self.nvars
-        for row in rows:
-            if len(row) != nvars:
-                raise ValueError(f"{tuple(row)} is not a row over {nvars} variables")
-        T, basis, cols, d = list(self.T), list(self.basis), list(self.cols), self.d
-        for row in rows:
-            coef = [-c for c in row]
-            coef += row
-            elim = [coef[v] * d if v < nz else 0 for v in cols]
-            elim.append(-d)
-            for r, b in enumerate(basis):
-                if b < nz and coef[b]:
-                    f = coef[b]
-                    elim = [a - f * x for a, x in zip(elim, T[r])]
-            basis.append(nz + len(T))
-            T.append(elim)
-        while True:
-            leave = None
-            for r, row in enumerate(T):
-                if row[-1] < 0 and (leave is None or basis[r] < basis[leave]):
-                    leave = r
-            if leave is None:
-                break
-            prow = T[leave]
-            enter = None
-            for k, v in enumerate(cols):
-                if prow[k] < 0 and (enter is None or v < cols[enter]):
-                    enter = k
-            if enter is None:
-                return None
-            d = _compact_pivot(T, basis, cols, d, leave, enter)
-        z = [0] * nz
-        for r, b in enumerate(basis):
-            if b < nz:
-                z[b] = T[r][-1]
-        new = CompactStrictTableau.__new__(CompactStrictTableau)
-        new.nvars, new.T, new.basis, new.cols, new.d = nvars, T, basis, cols, d
-        new.point = [z[v] - z[nvars + v] for v in range(nvars)]
         return new
 
 
@@ -810,66 +700,6 @@ def fraction_feasible(system: Sequence[Constraint], nvars: int) -> tuple[Fractio
     return checked_witness(point, system)
 
 
-def fraction_strict_tableau(chunks: Sequence[Sequence[Sequence[int]]],
-                            nvars: int) -> list[tuple[Fraction, ...] | None]:
-    """The dual-simplex warm start of the strict LP max t s.t. every row
-    minus t >= 0 and t <= 1, on a Fraction tableau with every pivot row
-    divided through: linarith.StrictTableau before it became a feasibility
-    tableau.  Its columns are z+, z-, t+, t-, the cap row's slack and one
-    slack per row.  On homogeneous rows it pivots where StrictTableau does
-    while the system stays feasible, so their witnesses agree.  Appends the
-    chunks of dense homogeneous rows one after another and returns the
-    witness after each, None from the first infeasible chunk on."""
-    t = 2 * nvars
-    T = [[Fraction(x) for x in [0] * t + [1, -1, 1, 1]]]
-    cost = [Fraction(x) for x in [0] * t + [-1, 1, 0, 0]]
-    basis = [t + 2]
-    _fr_pivot(T, cost, basis, 0, t)
-    rows: list[Sequence[int]] = []
-    out: list[tuple[Fraction, ...] | None] = []
-    for chunk in chunks:
-        if out and out[-1] is None:
-            out.append(None)
-            continue
-        width = len(cost) - 1
-        pad = [Fraction(0)] * len(chunk)
-        T = [row[:-1] + pad + row[-1:] for row in T]
-        cost = cost[:-1] + pad + cost[-1:]
-        for i, con in enumerate(chunk):
-            row = [Fraction(0)] * (width + len(chunk) + 1)
-            for v, c in enumerate(con):
-                row[v], row[nvars + v] = Fraction(-c), Fraction(c)
-            row[t], row[t + 1], row[width + i] = 1, -1, 1
-            for r, b in enumerate(basis):
-                f = row[b]
-                if f:
-                    row = [a - f * x for a, x in zip(row, T[r])]
-            T.append(row)
-            basis.append(width + i)
-        rows.extend(chunk)
-        feasible_lp = True
-        while True:
-            negative = [r for r, row in enumerate(T) if row[-1] < 0]
-            if not negative:
-                break
-            leave = min(negative, key=lambda r: basis[r])
-            ratios = [(cost[j] / -a, j) for j, a in enumerate(T[leave][:-1]) if a < 0]
-            if not ratios:
-                feasible_lp = False
-                break
-            _fr_pivot(T, cost, basis, leave, min(ratios)[1])
-        if not feasible_lp or cost[-1] <= 0:
-            out.append(None)
-            continue
-        z = [Fraction(0)] * (len(cost) - 1)
-        for r, b in enumerate(basis):
-            z[b] = T[r][-1]
-        point = tuple(z[v] - z[nvars + v] for v in range(nvars))
-        checked_point(point, rows)
-        out.append(point)
-    return out
-
-
 def random_weighted_dag(rng: random.Random, max_n: int = 5,
                         denominators=(1, 1, 2)) -> WeightedDag:
     """A random upper-triangular DAG with small rational weights; small
@@ -929,42 +759,6 @@ def fraction_echelon(rows):
     return E, pivots, chosen
 
 
-def reduced_fraction_echelon(rows):
-    """fraction_echelon with each pivot column also cleared from every other
-    echelon row (Gauss-Jordan): the reduced echelon form, unique once the
-    chosen rows are fixed."""
-    E, pivots, chosen = fraction_echelon(rows)
-    for k, p in enumerate(pivots):
-        for i, row in enumerate(E):
-            f = row[p]
-            if i != k and f:
-                E[i] = [a - f * b for a, b in zip(row, E[k])]
-    return E, pivots, chosen
-
-
-def gauss_jordan_simplex_rays(init: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """The replaced simplex rays: the columns of the inverse of a square
-    nonsingular integer matrix, each primitive, from its own integer
-    Gauss-Jordan elimination of [rows | I], which leaves [D | M] with D
-    diagonal and M = D times the inverse."""
-    dim = len(init)
-    aug = [list(row) + [int(i == k) for k in range(dim)] for i, row in enumerate(init)]
-    for j in range(dim):
-        r = next(r for r in range(j, dim) if aug[r][j])
-        aug[j], aug[r] = aug[r], aug[j]
-        prow = aug[j]
-        p = prow[j]
-        for i, row in enumerate(aug):
-            f = row[j]
-            if i != j and f:
-                new = [p * a - f * b for a, b in zip(row, prow)]
-                g = gcd(*new)
-                aug[i] = [x // g for x in new]
-    big = lcm(*(abs(aug[i][i]) for i in range(dim)))
-    scaled = [[x * (big // row[i]) for x in row[dim:]] for i, row in enumerate(aug)]
-    return [_primitive(col) for col in zip(*scaled)]
-
-
 def star_transitive_reduction(wd: WeightedDag) -> WeightedDag:
     """The replaced weighted transitive reduction: keep an edge exactly
     when its weight beats every path through a third node, the best of
@@ -1021,7 +815,7 @@ def hull_dd_extreme_rays(rows: list[tuple[int, ...]], dim: int) -> list[tuple[in
     rays = []
     for c in init:
         (line,) = nullspace([rows[i] for i in init if i != c], dim)
-        ray = _primitive(line)
+        ray = primitive_row(line)
         if sum(a * b for a, b in zip(rows[c], ray)) < 0:
             ray = tuple(-x for x in ray)
         rays.append(ray)
@@ -1043,7 +837,7 @@ def hull_dd_extreme_rays(rows: list[tuple[int, ...]], dim: int) -> list[tuple[in
                 common = masks[rp] & masks[rm]
                 if any(masks[r] & common == common for r in rays if r != rp and r != rm):
                     continue
-                newly.append(_primitive([vals[rp] * b - vals[rm] * a for a, b in zip(rp, rm)]))
+                newly.append(primitive_row([vals[rp] * b - vals[rm] * a for a, b in zip(rp, rm)]))
         processed.append(row)
         bit = 1 << (len(processed) - 1)
         kept = {r: masks[r] for r in plus}
@@ -1072,7 +866,7 @@ def hull_facet_incidences(points: list[tuple[int, ...]]
     proj = [tuple(p[c] for c in cols) for p in points]
     total = [sum(p[k] for p in proj) for k in range(dim)]
     shifted = [tuple(m * x - t for x, t in zip(p, total)) for p in proj]
-    rays = hull_dd_extreme_rays([_primitive([m] + [-x for x in p]) for p in shifted], dim + 1)
+    rays = hull_dd_extreme_rays([primitive_row([m] + [-x for x in p]) for p in shifted], dim + 1)
     facets = []
     for ray in rays:
         a0, a = ray[0], ray[1:]
@@ -1233,7 +1027,8 @@ def dict_tree_polytope_output(g: Dag, coords: Sequence[tuple[int, ...]], lattice
         "dim": lattice.dim,
         "vertices": [list(p) for p in coords],
         "f_vector": fvec,
-        "faces": [{"dim": f.dim, "vertices": list(_bit_indices(f.mask))}
+        "faces": [{"dim": f.dim, "vertices": [v for v in range(f.mask.bit_length())
+                                               if f.mask >> v & 1]}
                   for f in lattice.faces],
     }
     if structures is not None:
@@ -1255,15 +1050,42 @@ def mask_loop_dags(n: int, pairs: Sequence[tuple[int, int]],
             yield g
 
 
+def comparison_row(edges: Sequence[Edge], winner: Path, loser: Path) -> tuple[int, ...]:
+    """The row of weight(winner) - weight(loser) > 0 over the coordinates
+    edges: +1 on an edge of winner alone, -1 on one of loser alone."""
+    on_winner, on_loser = set(zip(winner, winner[1:])), set(zip(loser, loser[1:]))
+    return tuple((e in on_winner) - (e in on_loser) for e in edges)
+
+
+def shortest_first_pairs(g: Dag) -> list[tuple[int, int]]:
+    """The ordered pairs (i, j) joined by a directed i->j path, by the
+    length of a shortest one, found breadth first, then lexicographically."""
+    pairs = []
+    for i in g.nodes:
+        seen, frontier, length = {i}, [i], 0
+        while frontier:
+            length += 1
+            reached = []
+            for u in frontier:
+                for v in g.children(u):
+                    if v not in seen:
+                        seen.add(v)
+                        reached.append(v)
+            pairs += [(length, i, j) for j in reached]
+            frontier = reached
+    return [(i, j) for _, i, j in sorted(pairs)]
+
+
 def _internally_disjoint(p: Path, q: Path) -> bool:
     return not (set(p[1:-1]) & set(q[1:-1]))
 
 
-def _pair_rows(g: Dag, index, key, chosen: Path, minimal: bool) -> list[tuple[int, ...]]:
+def _pair_rows(g: Dag, key, chosen: Path, minimal: bool) -> list[tuple[int, ...]]:
     """The replaced per-path row builder: one strict row per key path other
     than chosen that chosen must beat, from a fresh enumeration of the
     pair's paths; with minimal=True only the internally disjoint ones."""
-    return [_path_comparison(index, chosen, p) for p in enumerate_paths(g, *key)
+    edges = g.sorted_edges
+    return [comparison_row(edges, chosen, p) for p in enumerate_paths(g, *key)
             if p != chosen and (not minimal or _internally_disjoint(chosen, p))]
 
 
@@ -1277,15 +1099,14 @@ def cold_lp_maximal_cones(g: Dag) -> list[FanEntry]:
     """The replaced fan search: the same depth-first search over per-pair
     path choices, where a child whose new rows the parent's witness fails
     solves its whole system from scratch with the two-phase simplex."""
-    index = _edge_index(g)
-    nvars = len(index)
-    pairs = _connected_pairs(g)
+    nvars = len(g.edges)
+    pairs = shortest_first_pairs(g)
     path_lists = {pq: enumerate_paths(g, *pq) for pq in pairs}
     entries: list[FanEntry] = []
 
     def system_rows(choices, keys, minimal):
         return [row for key in keys
-                for row in _pair_rows(g, index, key, choices[key], minimal)]
+                for row in _pair_rows(g, key, choices[key], minimal)]
 
     def propagate(choices, key, path):
         forced = []
@@ -1308,10 +1129,10 @@ def cold_lp_maximal_cones(g: Dag) -> list[FanEntry]:
                 witness = fraction_feasible([], nvars)
             minimal = dict.fromkeys(system_rows(choices, pairs, minimal=True))
             system = CriticalSystem(tuple(sorted(choices.items())),
-                                    {key: node_mask(path[1:-1])
+                                    {key: sum(1 << v for v in path[1:-1])
                                      for key, path in sorted(choices.items())})
             entries.append(FanEntry(system, tuple(minimal),
-                                    maxoid_from_blockers(g.n, system.blockers),
+                                    per_subset_maxoid_from_blockers(g.n, system.blockers),
                                     *over_common_denominator(witness)))
             return
         key = pairs[idx]
@@ -1451,14 +1272,14 @@ def evaluate(f: Formula, point) -> bool:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _weight_atom(index, winner, loser) -> Formula:
-    row = _path_comparison(index, winner, loser)
+def _weight_atom(edges, winner, loser) -> Formula:
+    row = comparison_row(edges, winner, loser)
     if not any(row):
         return FALSE  # identical weight, never strictly larger
     return Atom(as_constraint(row))
 
 
-def _edge_presence(g: Dag, index, K: frozenset[int], cache: dict, k: int, l: int) -> Formula:
+def _edge_presence(g: Dag, edges, K: frozenset[int], cache: dict, k: int, l: int) -> Formula:
     """Formula for "k->l is an edge of the critical DAG given K"."""
     key = (k, l)
     if key in cache:
@@ -1470,7 +1291,7 @@ def _edge_presence(g: Dag, index, K: frozenset[int], cache: dict, k: int, l: int
         blocked = [p for p in paths if set(p[1:-1]) & K]
         free = [p for p in paths if not set(p[1:-1]) & K]
         result = f_and(
-            f_or(_weight_atom(index, winner, loser) for winner in free)
+            f_or(_weight_atom(edges, winner, loser) for winner in free)
             for loser in blocked
         )
     cache[key] = result
@@ -1483,12 +1304,12 @@ def polyci_formula(g: Dag, s: CiStatement) -> Formula:
     connecting shapes, with structural conditions resolved at build time."""
     if s.j > g.n:
         raise ValueError(f"statement {s} exceeds the graph's node set")
-    index = {e: k for k, e in enumerate(g.sorted_edges)}
+    edges = g.sorted_edges
     K = s.L
     cache: dict = {}
 
     def edge(a: int, b: int) -> Formula:
-        return _edge_presence(g, index, K, cache, a, b)
+        return _edge_presence(g, edges, K, cache, a, b)
 
     def shape(*pairs: Edge) -> Formula:
         return f_and(edge(a, b) for a, b in pairs)
@@ -1521,7 +1342,7 @@ def polyci_formula(g: Dag, s: CiStatement) -> Formula:
 
 def genericity_formula(g: Dag) -> Formula:
     """Tie exclusion: every two distinct parallel paths differ in weight."""
-    index = {e: k for k, e in enumerate(g.sorted_edges)}
+    edges = g.sorted_edges
     parts = []
     for i in g.nodes:
         for j in sorted(g.descendants(i)):
@@ -1529,8 +1350,8 @@ def genericity_formula(g: Dag) -> Formula:
             for a in range(len(paths)):
                 for b in range(a + 1, len(paths)):
                     parts.append(f_or([
-                        _weight_atom(index, paths[a], paths[b]),
-                        _weight_atom(index, paths[b], paths[a]),
+                        _weight_atom(edges, paths[a], paths[b]),
+                        _weight_atom(edges, paths[b], paths[a]),
                     ]))
     return f_and(parts)
 
@@ -1587,8 +1408,18 @@ def formula_implication(g: Dag, premises, conclusions, generic: bool = False) ->
     w = satisfiable(f_and(parts()), len(g.sorted_edges))
     if w is None:
         return Verdict(True)
-    wd = WeightedDag(g, dict(zip(g.sorted_edges, w)))
-    _verify_counterexample(wd, premises, conclusions, generic)
+    return _checked_counterexample(WeightedDag(g, dict(zip(g.sorted_edges, w))),
+                                   premises, conclusions, generic)
+
+
+def _checked_counterexample(wd: WeightedDag, premises, conclusions, generic: bool) -> Verdict:
+    """The failing verdict with counterexample wd, after kleene_maxoid
+    shows that its structure holds every premise and no conclusion, and,
+    in generic mode, that wd has no tie."""
+    m = kleene_maxoid(wd)
+    if (not all(p in m for p in premises) or any(q in m for q in conclusions)
+            or generic and not is_generic(wd)):
+        raise AssertionError(f"{wd} is no counterexample")
     return Verdict(False, wd)
 
 
@@ -1629,7 +1460,9 @@ def per_graph_scan_implication(scope, premises: Sequence[CiStatement],
         n = int(scope)
         graphs = top_ordered_closed_dags(n)
         labels = [(0, *p) for p in permutations(range(1, n + 1))]
-    _check_nodes(n, premises, conclusions)
+    for s in (*premises, *conclusions):
+        if not all(1 <= v <= n for v in (s.i, s.j, *s.L)):
+            raise ValueError(f"statement {s} references nodes outside 1..{n}")
     # under label, the query on the relabeled graph is this query on the
     # graph: its premise and conclusion statements as bitmasks
     queries = []
@@ -1644,11 +1477,16 @@ def per_graph_scan_implication(scope, premises: Sequence[CiStatement],
             bits = m.bits
             for label, prem, conc in queries:
                 if bits & prem == prem and not bits & conc:
-                    w = _counterexample_weights(g, weights, den, label, isinstance(scope, Dag),
-                                                generic)
+                    # the weights renamed by label, reduced in global modes
+                    # and tie-broken in generic mode
+                    w = {(label[u], label[v]): Fraction(x, den)
+                         for (u, v), x in zip(g.sorted_edges, weights)}
                     wd = WeightedDag(Dag(n, w), w)
-                    _verify_counterexample(wd, premises, conclusions, generic)
-                    return Verdict(False, wd)
+                    if not isinstance(scope, Dag):
+                        wd = star_transitive_reduction(wd)
+                    if generic and not is_generic(wd):
+                        wd = break_ties(wd)
+                    return _checked_counterexample(wd, premises, conclusions, generic)
     return Verdict(True)
 
 
@@ -1665,14 +1503,11 @@ def per_graph_census(family: TdagFamily, include_faces: bool
     generic: set[Maxoid] = set()
     everything: set[Maxoid] = set()
     for g in family.graphs:
-        data = graph_maxoids(g, include_faces)
-        for bits in data["generic"]:
-            m = Maxoid.from_bits(family.n, bits)
-            generic.add(m)
-            everything.add(m)
+        batches = graph_structures(g)
+        generic.update(m for m, _, _ in next(batches))
         if include_faces:
-            everything.update(Maxoid.from_bits(family.n, bits) for bits in data["faces"])
-    return generic, everything
+            everything.update(m for m, _, _ in next(batches))
+    return generic, everything | generic
 
 
 class NonGenericError(ValueError):
@@ -1691,28 +1526,25 @@ def cone_of(wd: WeightedDag, minimal: bool = False) -> tuple[tuple[int, ...], ..
     if not is_generic(wd):
         raise NonGenericError("cone description requires tie-free weights")
     g = wd.g
-    index = _edge_index(g)
     rows: dict[tuple[int, ...], None] = {}
-    for i, j in _connected_pairs(g):
+    for i, j in shortest_first_pairs(g):
         crit = critical_paths(wd, i, j)[0]
-        rows.update(dict.fromkeys(_pair_rows(g, index, (i, j), crit, minimal)))
+        rows.update(dict.fromkeys(_pair_rows(g, (i, j), crit, minimal)))
     return tuple(rows)
 
 
 def echelon_lineality_dimension(g: Dag) -> int:
     """The replaced lineality dimension: |E| minus the rank of the
     comparison rows of every internally disjoint pair of parallel paths."""
-    index = _edge_index(g)
+    edges = g.sorted_edges
     normals = []
-    for i, j in _connected_pairs(g):
+    for i, j in shortest_first_pairs(g):
         paths = enumerate_paths(g, i, j)
         for a in range(len(paths)):
             for b in range(a + 1, len(paths)):
                 if _internally_disjoint(paths[a], paths[b]):
-                    normals.append(_path_comparison(index, paths[a], paths[b]))
-    if not normals:
-        return len(index)
-    return len(index) - rank_of(normals)
+                    normals.append(comparison_row(edges, paths[a], paths[b]))
+    return len(edges) - len(fraction_echelon(normals)[2])
 
 
 def _ci_membership(m: Maxoid):
@@ -1746,9 +1578,8 @@ def _from_triples(*triples) -> tuple[CiStatement, ...]:
     return tuple(CiStatement(*t) for t in triples)
 
 
-def looped_compositional_graphoid(m: Maxoid, force: bool = False) -> list[ViolationReport]:
+def looped_compositional_graphoid(m: Maxoid) -> list[ViolationReport]:
     """The replaced check_compositional_graphoid, one loop body per rule."""
-    check_node_bound(m.n, force)
     holds = _ci_membership(m)
     nodes = list(range(1, m.n + 1))
     out: list[ViolationReport] = []
@@ -1781,9 +1612,8 @@ def looped_compositional_graphoid(m: Maxoid, force: bool = False) -> list[Violat
     return out
 
 
-def looped_amalgamation(m: Maxoid, force: bool = False) -> list[ViolationReport]:
+def looped_amalgamation(m: Maxoid) -> list[ViolationReport]:
     """The replaced check_amalgamation."""
-    check_node_bound(m.n, force)
     holds = _ci_membership(m)
     nodes = list(range(1, m.n + 1))
     out = []
@@ -1801,10 +1631,8 @@ def looped_amalgamation(m: Maxoid, force: bool = False) -> list[ViolationReport]
     return out
 
 
-def looped_strong_spohn(m: Maxoid, force: bool = False,
-                        original_premise: bool = False) -> list[ViolationReport]:
+def looped_strong_spohn(m: Maxoid, original_premise: bool = False) -> list[ViolationReport]:
     """The replaced check_strong_spohn."""
-    check_node_bound(m.n, force)
     holds = _ci_membership(m)
     nodes = list(range(1, m.n + 1))
     out = []
@@ -1838,9 +1666,8 @@ def looped_strong_spohn(m: Maxoid, force: bool = False,
     return out
 
 
-def looped_weak_transitivity(m: Maxoid, force: bool = False) -> list[ViolationReport]:
+def looped_weak_transitivity(m: Maxoid) -> list[ViolationReport]:
     """The replaced check_weak_transitivity."""
-    check_node_bound(m.n, force)
     holds = _ci_membership(m)
     nodes = list(range(1, m.n + 1))
     out = []

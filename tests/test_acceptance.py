@@ -30,7 +30,7 @@ from maxoid.axioms import (
     check_strong_spohn,
     check_weak_transitivity,
 )
-from maxoid.census import all_maxoids, all_top_ordered_tdags
+from maxoid.census import all_top_ordered_tdags, census_structures
 from maxoid.fan import enumerate_maximal_cones, lineality_dimension
 from maxoid.graph import Dag
 from maxoid.implication import decide_implication
@@ -168,11 +168,11 @@ def test_criterion_3_long_complete_dag_6_vertex_count(monkeypatch, capsys, tmp_p
 def test_criterion_4_census_table():
     t0 = time.monotonic()
     fam3 = all_top_ordered_tdags(3)
-    assert (len(fam3.graphs), len(all_maxoids(fam3)),
-            len(all_maxoids(fam3, generic_only=True))) == (3, 4, 4)
+    generic3, everything3 = census_structures(fam3)
+    assert (len(fam3.graphs), len(everything3), len(generic3)) == (3, 4, 4)
     fam4 = all_top_ordered_tdags(4)
-    counts4 = (len(fam4.graphs), len(all_maxoids(fam4)),
-               len(all_maxoids(fam4, generic_only=True)))
+    generic4, everything4 = census_structures(fam4)
+    counts4 = (len(fam4.graphs), len(everything4), len(generic4))
     elapsed = time.monotonic() - t0
     assert counts4 == (18, 41, 40)
     assert elapsed < 300.0
@@ -182,8 +182,7 @@ def test_criterion_4_census_table():
 @pytest.mark.long
 def test_criterion_4_long_census_5_nodes():
     fam = all_top_ordered_tdags(5)
-    generic = all_maxoids(fam, generic_only=True, jobs=4)
-    everything = all_maxoids(fam, jobs=4)
+    generic, everything = census_structures(fam, jobs=4)
     assert (len(fam.graphs), len(everything), len(generic)) == (181, 987, 892)
     print("CRITERION 4 (long) PASS: census (181, 987, 892)")
 
@@ -194,7 +193,7 @@ def test_criterion_4_long_census_6_nodes_generic():
     paper: every complete-6 cone structure is in it, and a seeded sample of
     its structures are compositional graphoids."""
     fam = all_top_ordered_tdags(6)
-    generic = all_maxoids(fam, generic_only=True, jobs=2)
+    generic = census_structures(fam, include_faces=False, jobs=2)[0]
     assert (len(fam.graphs), len(generic)) == (2792, 45692)
     cones = {e.maxoid for e in enumerate_maximal_cones(complete_dag(6))}
     assert len(cones) == 3324 and cones <= generic

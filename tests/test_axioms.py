@@ -10,7 +10,7 @@ from maxoid.axioms import (
     check_strong_spohn,
     check_weak_transitivity,
 )
-from maxoid.census import all_maxoids, all_top_ordered_tdags
+from maxoid.census import all_top_ordered_tdags, census_structures
 from maxoid.graph import Dag
 from maxoid.separation import Maxoid, _statement_tables, maxoid, parse_ci_statement
 from maxoid.tropical import weighted_dag_from_list
@@ -165,7 +165,8 @@ def _random_bit_sets(density):
 
 
 STRUCTURES = {
-    "census-4": lambda: sorted(all_maxoids(all_top_ordered_tdags(4)), key=lambda m: m.bits),
+    "census-4": lambda: sorted(census_structures(all_top_ordered_tdags(4))[1],
+                               key=lambda m: m.bits),
     "random-5": lambda: list(_random_five_node_maxoids()),
     "dense": lambda: list(_random_bit_sets(0.85)),
     "sparse": lambda: list(_random_bit_sets(0.3)),

@@ -1,5 +1,8 @@
 import json
 import os
+import shutil
+import subprocess
+import sys
 from concurrent.futures.process import BrokenProcessPool
 from itertools import combinations
 from types import SimpleNamespace
@@ -8,7 +11,7 @@ import pytest
 
 from maxoid.axioms import check_amalgamation, check_compositional_graphoid, check_strong_spohn
 from maxoid import census
-from maxoid.census import TdagFamily, all_maxoids, all_top_ordered_tdags, graph_maxoids
+from maxoid.census import TdagFamily, all_top_ordered_tdags, census_structures, graph_maxoids
 from maxoid.graph import Dag, transitive_closure
 from maxoid.separation import _statement_tables, maxoid
 from maxoid.tropical import WeightedDag
@@ -50,23 +53,20 @@ def test_tdag_family_invariants():
 
 
 def test_census_counts_n3():
-    fam = all_top_ordered_tdags(3)
-    assert len(all_maxoids(fam, generic_only=True)) == 4
-    assert len(all_maxoids(fam)) == 4
+    generic, everything = census_structures(all_top_ordered_tdags(3))
+    assert len(generic) == len(everything) == 4
 
 
 def test_census_counts_n4():
-    fam = all_top_ordered_tdags(4)
-    generic = all_maxoids(fam, generic_only=True)
-    everything = all_maxoids(fam)
+    generic, everything = census_structures(all_top_ordered_tdags(4))
+    assert census_structures(all_top_ordered_tdags(4), include_faces=False) == (generic, generic)
     assert len(generic) == 40
     assert len(everything) == 41
     assert generic <= everything
 
 
 def test_census_structures_satisfy_sound_closure_properties():
-    fam = all_top_ordered_tdags(4)
-    for m in all_maxoids(fam):
+    for m in census_structures(all_top_ordered_tdags(4))[1]:
         assert check_compositional_graphoid(m) == []
         assert check_amalgamation(m) == []
         assert check_strong_spohn(m, original_premise=True) == []
@@ -74,10 +74,9 @@ def test_census_structures_satisfy_sound_closure_properties():
 
 def test_census_equals_brute_force_over_identity_ordered_dags_n3():
     # over all DAGs with edges i<j, sampling one weight vector per cone via
-    # the fan happens inside all_maxoids; brute-force integer grids on every
-    # graph must not produce anything new
-    fam = all_top_ordered_tdags(3)
-    census = all_maxoids(fam)
+    # the fan happens inside census_structures; brute-force integer grids
+    # on every graph must not produce anything new
+    structures = census_structures(all_top_ordered_tdags(3))[1]
     seen = set()
     pairs = [(i, j) for i in range(1, 4) for j in range(1, 4) if i != j]
     for g in mask_loop_dags(3, pairs):
@@ -94,7 +93,7 @@ def test_census_equals_brute_force_over_identity_ordered_dags_n3():
                     weights = [w0, w1, w2][: len(g.edges)]
                     wd = WeightedDag(g, dict(zip(g.sorted_edges, map(Fraction, weights))))
                     seen.add(maxoid(wd))
-    assert seen <= census
+    assert seen <= structures
 
 
 @pytest.mark.parametrize("family, include_faces", [
@@ -116,9 +115,9 @@ def test_class_census_matches_the_per_graph_census_with_faces_on_5_nodes():
 
 def test_cache_holds_one_file_per_class(tmp_path, monkeypatch):
     monkeypatch.setenv("MAXOID_CACHE_DIR", str(tmp_path))
-    everything = all_maxoids(all_top_ordered_tdags(4))
+    structures = census_structures(all_top_ordered_tdags(4))
     assert len(list(tmp_path.iterdir())) == 10
-    assert all_maxoids(all_top_ordered_tdags(4)) == everything
+    assert census_structures(all_top_ordered_tdags(4)) == structures
 
 
 def test_cache_round_trip(tmp_path, monkeypatch):
@@ -210,18 +209,39 @@ def test_cache_record_with_a_statement_not_in_canonical_form_is_rewritten(tmp_pa
         assert json.loads(path.read_text()) == first
 
 
-def test_cache_files_of_another_format_version_are_not_read(tmp_path, monkeypatch):
-    monkeypatch.setenv("MAXOID_CACHE_DIR", str(tmp_path))
+def test_cache_files_of_other_package_source_are_not_read(tmp_path, monkeypatch):
+    # a warm cache whose one record is a valid stand-in, then two copies of
+    # the package, each run in its own process: the unedited copy reads the
+    # stand-in, the copy with one edited module misses and adds its record
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("MAXOID_CACHE_DIR", str(cache))
     g = Dag(3, [(1, 2), (1, 3), (2, 3)])
-    graph_maxoids(g, include_faces=False)
-    monkeypatch.setattr(census, "CACHE_FORMAT", census.CACHE_FORMAT + 1)
-    graph_maxoids(g, include_faces=False)
-    assert len(list(tmp_path.iterdir())) == 2
+    computed = graph_maxoids(g, include_faces=False)
+    (path,) = cache.iterdir()
+    stand_in = {"generic": [1], "faces": None}
+    assert computed != stand_in
+    path.write_text(json.dumps(stand_in))
+    package = os.path.dirname(census.__file__)
+    code = ("import json; from maxoid.census import graph_maxoids; from maxoid.graph import Dag; "
+            "print(json.dumps(graph_maxoids(Dag(3, [(1, 2), (1, 3), (2, 3)]), False)))")
+    for name, edited, expected, files in (("same", False, stand_in, 1),
+                                          ("edited", True, computed, 2)):
+        copy = tmp_path / name / "maxoid"
+        shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
+        if edited:
+            with open(copy / "tropical.py", "a") as fh:
+                fh.write("# edited\n")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, timeout=120,
+                             env={**os.environ, "PYTHONPATH": str(copy.parent),
+                                  "PYTHONDONTWRITEBYTECODE": "1"}).stdout
+        assert json.loads(out) == expected, name
+        assert len(list(cache.iterdir())) == files, name
 
 
 def test_parallel_census_matches_serial():
     fam = all_top_ordered_tdags(3)
-    assert all_maxoids(fam, jobs=2) == all_maxoids(fam, jobs=1)
+    assert census_structures(fam, jobs=2) == census_structures(fam, jobs=1)
 
 
 def test_census_pool_is_capped_at_the_graph_count(monkeypatch):
@@ -248,12 +268,12 @@ def test_census_pool_is_capped_at_the_graph_count(monkeypatch):
     monkeypatch.setattr(census.multiprocessing, "get_context", get_context)
     monkeypatch.setattr(census, "ProcessPoolExecutor", FakeExecutor)
     fam = all_top_ordered_tdags(3)
-    serial = all_maxoids(fam, jobs=1)
-    assert all_maxoids(fam, jobs=8) == serial
-    assert all_maxoids(fam, jobs=2) == serial
+    serial = census_structures(fam, jobs=1)
+    assert census_structures(fam, jobs=8) == serial
+    assert census_structures(fam, jobs=2) == serial
     assert sizes == [3, 2]
     single = TdagFamily(3, fam.graphs[:1])
-    assert all_maxoids(single, jobs=8) == all_maxoids(single, jobs=1)
+    assert census_structures(single, jobs=8) == census_structures(single, jobs=1)
     assert sizes == [3, 2]
 
 
@@ -264,7 +284,7 @@ def test_failing_graph_is_named(tmp_path, monkeypatch, jobs):
     blocker.write_text("")
     monkeypatch.setenv("MAXOID_CACHE_DIR", str(blocker))
     with pytest.raises(RuntimeError, match=r'census failed on graph \{"edges": \[\['):
-        all_maxoids(all_top_ordered_tdags(3), jobs=jobs)
+        census_structures(all_top_ordered_tdags(3), jobs=jobs)
 
 
 def test_dead_worker_fails_the_census_instead_of_waiting():
@@ -282,4 +302,4 @@ def test_dead_worker_names_the_first_graph_without_a_result(monkeypatch):
     monkeypatch.setattr(census, "_spawned_map", dying)
     with pytest.raises(RuntimeError, match=r'census worker died; no result for graph '
                                            r'\{"edges": \[\['):
-        all_maxoids(all_top_ordered_tdags(3), jobs=2)
+        census_structures(all_top_ordered_tdags(3), jobs=2)

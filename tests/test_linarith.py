@@ -14,7 +14,6 @@ from maxoid.linarith import (
     rank_of,
 )
 from oracles import (
-    CompactStrictTableau,
     Constraint,
     FullStrictTableau,
     affine_dimension,
@@ -22,9 +21,7 @@ from oracles import (
     fm_feasible,
     fraction_echelon,
     fraction_feasible,
-    fraction_strict_tableau,
     nullspace,
-    reduced_fraction_echelon,
 )
 
 
@@ -272,16 +269,14 @@ def _random_strict_chunks(rng):
 
 @pytest.fixture
 def pivots(monkeypatch):
-    """Pivot counts of the tableau, of the full-width oracle and of the
-    compact-dictionary oracle: {"compact": ..., "full": ...,
-    "compact_oracle": ...}."""
+    """Pivot counts of the tableau and of the full-width oracle:
+    {"compact": ..., "full": ...}."""
     import oracles
     from maxoid import linarith
 
-    counts = {"compact": 0, "full": 0, "compact_oracle": 0}
+    counts = {"compact": 0, "full": 0}
     for module, name, key in ((linarith, "_pivot", "compact"),
-                              (oracles, "_full_pivot", "full"),
-                              (oracles, "_compact_pivot", "compact_oracle")):
+                              (oracles, "_full_pivot", "full")):
         def counting(*args, _pivot=getattr(module, name), _key=key):
             counts[_key] += 1
             return _pivot(*args)
@@ -294,20 +289,44 @@ def pivots(monkeypatch):
 def test_compact_tableau_matches_the_full_width_tableau(seed, pivots):
     # the compact dictionary against the full-width tableau it replaced:
     # after every chunk the same verdict, point and denominator, reached by
-    # the same number of pivots
+    # the same number of pivots, and one tableau row per row absorbed
     rng = random.Random(f"strict-tableau/{seed}")
     verdicts = set()
     for _ in range(100):
         chunks, nvars = _random_strict_chunks(rng)
-        tab, full = StrictTableau(nvars), FullStrictTableau(nvars)
+        tab, full, rows = StrictTableau(nvars), FullStrictTableau(nvars), []
         for chunk in chunks:
+            rows += chunk
             tab, full = tab.extended(chunk), full.extended(chunk)
             assert (tab is None) == (full is None)
             assert pivots["compact"] == pivots["full"]
             if tab is None:
                 break
             assert (tab.point, tab.d) == (full.point, full.d)
-            assert len(tab.T) == len(full.rows)
+            assert len(tab.T) == len(full.rows) == len(rows)
+        verdicts.add(tab is None)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_strict_tableau_in_chunks_matches_the_fraction_simplex(seed):
+    # the same systems against a cold Fraction simplex after every chunk:
+    # the same verdict, and while feasible a witness that meets every row
+    # absorbed so far strictly, checked in Fractions row by row
+    rng = random.Random(f"strict-tableau/{seed}")
+    verdicts = set()
+    for _ in range(100):
+        chunks, nvars = _random_strict_chunks(rng)
+        tab, rows = StrictTableau(nvars), []
+        for chunk in chunks:
+            rows += chunk
+            tab = tab.extended(chunk)
+            cold = fraction_feasible([as_constraint(r) for r in rows], nvars)
+            assert (tab is None) == (cold is None)
+            if tab is None:
+                break
+            point = [Fraction(x, tab.d) for x in tab.point]
+            assert all(sum(c * x for c, x in zip(row, point)) > 0 for row in rows)
         verdicts.add(tab is None)
     assert verdicts == {True, False}
 
@@ -330,19 +349,21 @@ def _half_width_dictionary(tab):
     return columns, [row[-1] for row in T]
 
 
-def _compact_dictionary(tab):
-    """The same for the compact oracle, which stores every nonbasic column."""
-    return ({v: [row[k] for row in tab.T] for k, v in enumerate(tab.cols)},
-            [row[-1] for row in tab.T])
+def _full_width_dictionary(full):
+    """The same for the full-width oracle, which keeps a column for every
+    variable: the columns of the nonbasic ones."""
+    nonbasic = set(range(2 * full.nvars + len(full.rows))) - set(full.basis)
+    return ({v: [row[v] for row in full.T] for v in nonbasic}, [row[-1] for row in full.T])
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_half_width_tableau_matches_both_oracles(seed, pivots, monkeypatch):
-    # the half-width tableau against the compact dictionary it replaced and
-    # the full-width tableau, on rows with entries in +-3 over 1 to 6
-    # variables, not made primitive: after every chunk the same verdict,
-    # point, denominator, basis and number of pivots, and the dictionary
-    # the slots stand for is the compact one, entry by entry.  The runs take
+    # the half-width tableau against the full-width tableau and, for the
+    # final verdict, the cold Fraction simplex, on rows with entries in +-3
+    # over 1 to 6 variables, not made primitive: after every chunk the same
+    # verdict, point, denominator, basis and number of pivots, and the
+    # dictionary the slots stand for is the full-width tableau's on its
+    # nonbasic columns, variable by variable, entry by entry.  The runs take
     # pivots with d != 1, which leave the unit regime of the fan searches,
     # partner swaps, which only negate a row, and a z- leaving on a slot
     # pivot, whose slot then holds the negated z+ column: that pivot is rare
@@ -371,16 +392,19 @@ def test_half_width_tableau_matches_both_oracles(seed, pivots, monkeypatch):
                                 for _ in range(rng.randint(1, 5))]))
     verdicts = set()
     for nvars, chunks in systems:
-        tabs = [StrictTableau(nvars), CompactStrictTableau(nvars), FullStrictTableau(nvars)]
+        tab, full = StrictTableau(nvars), FullStrictTableau(nvars)
         for chunk in chunks:
-            tabs = [tab.extended(chunk) for tab in tabs]
-            assert pivots["compact"] == pivots["compact_oracle"] == pivots["full"]
-            assert len({tab is None for tab in tabs}) == 1
-            if tabs[0] is None:
+            tab, full = tab.extended(chunk), full.extended(chunk)
+            assert pivots["compact"] == pivots["full"]
+            assert (tab is None) == (full is None)
+            if tab is None:
                 break
-            assert len({(tuple(tab.point), tab.d, tuple(tab.basis)) for tab in tabs}) == 1
-            assert _half_width_dictionary(tabs[0]) == _compact_dictionary(tabs[1])
-        verdicts.add(tabs[0] is None)
+            assert (tab.point, tab.d, tab.basis) == (full.point, full.d, full.basis)
+            assert _half_width_dictionary(tab) == _full_width_dictionary(full)
+        rows = [row for chunk in chunks for row in chunk]
+        assert (tab is None) == (fraction_feasible([as_constraint(r) for r in rows],
+                                                   nvars) is None)
+        verdicts.add(tab is None)
     assert verdicts == {True, False}
     assert any(d != 1 for d, _, _ in steps)
     assert any(swap for _, swap, _ in steps)
@@ -420,29 +444,6 @@ def test_compact_tableau_matches_the_full_width_tableau_on_fans(n, pivots, monke
     monkeypatch.setattr(fan, "StrictTableau", lambda nvars: _BothTableaus(nvars, pivots))
     assert fan.enumerate_maximal_cones(complete_dag(n)) == expected
     assert pivots["compact"] == pivots["full"] > 0
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_strict_tableau_in_chunks_matches_the_fraction_simplex(seed):
-    # the feasibility tableau against the t-capped Fraction simplex it
-    # replaced: on homogeneous rows the two pivot alike while the system is
-    # feasible, so each witness is identical; the final verdict is that of
-    # a cold solve
-    rng = random.Random(f"strict-tableau/{seed}")
-    verdicts = set()
-    for _ in range(100):
-        chunks, nvars = _random_strict_chunks(rng)
-        expected = fraction_strict_tableau(chunks, nvars)
-        tab, rows = StrictTableau(nvars), []
-        for chunk, want in zip(chunks, expected):
-            rows += chunk
-            tab = tab and tab.extended(chunk)
-            assert (tab and tableau_witness(tab, rows)) == want
-            assert tab is None or len(tab.T) == len(rows)
-        assert (tab is None) == (fraction_feasible([as_constraint(r) for r in rows],
-                                                   nvars) is None)
-        verdicts.add(tab is None)
-    assert verdicts == {True, False}
 
 
 def test_strict_tableau_leaves_the_parent_unchanged():
@@ -551,18 +552,20 @@ def _random_echelon_input(rng: random.Random) -> list[list]:
 
 @pytest.mark.parametrize("seed", range(4))
 def test_integer_echelon_matches_the_fraction_echelon(seed):
-    # same pivots, chosen rows and rank as plain Fraction elimination; each
-    # integer echelon row is the primitive multiple, with a positive pivot,
-    # of the reduced Fraction one
+    # same pivots, chosen rows and rank as plain Fraction elimination, and
+    # the rows are the reduced echelon form of the input's row space, which
+    # that space fixes up to a positive factor per row: each row is zero
+    # before its pivot and on every other pivot column, and the rows span
+    # the input's rows; each is primitive with a positive pivot
     rng = random.Random(seed)
     for _ in range(100):
         rows = _random_echelon_input(rng)
         E, pivots, chosen = _echelon(rows)
         _, fpivots, fchosen = fraction_echelon(rows)
-        F = reduced_fraction_echelon(rows)[0]
         assert (pivots, chosen) == (fpivots, fchosen), rows
         assert rank_of(rows) == len(fchosen)
-        for erow, frow, p in zip(E, F, pivots):
+        assert len(fraction_echelon(rows + E)[2]) == len(E)
+        for erow, p in zip(E, pivots):
             assert all(isinstance(x, int) for x in erow)
             assert erow[p] > 0 and gcd(*erow) == 1
-            assert [Fraction(x, erow[p]) for x in erow] == frow
+            assert not any(erow[:p]) and not any(erow[q] for q in pivots if q != p)

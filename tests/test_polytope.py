@@ -2,6 +2,7 @@ import itertools
 import random
 import tracemalloc
 from functools import reduce
+from math import gcd
 from operator import or_
 
 import pytest
@@ -26,7 +27,6 @@ from maxoid.separation import _bit_indices, parse_ci_statement
 from oracles import (
     affine_dimension,
     complete_dag,
-    gauss_jordan_simplex_rays,
     hull_facet_incidences,
     lp_cone_adjacency,
     lp_face_maxoid,
@@ -318,9 +318,10 @@ def test_graph_structures_skip_the_vertex_faces(monkeypatch):
     assert len(calls) == len(set(calls)) and set(calls) == unions
 
 
-def test_simplex_rays_match_the_replaced_gauss_jordan_inverse():
+def test_simplex_rays_are_the_primitive_inverse_columns():
     # random nonsingular integer matrices up to 7 x 7, some with many zeros
-    # so that row swaps are needed
+    # so that row swaps are needed; ray c is fixed by its definition: on
+    # row c positive, on every other row zero, and its entries coprime
     rng = random.Random(11)
     compared = 0
     for _ in range(3000):
@@ -331,10 +332,11 @@ def test_simplex_rays_match_the_replaced_gauss_jordan_inverse():
         if rank_of(rows) < dim:
             continue
         rays = _simplex_rays(rows)
-        assert rays == gauss_jordan_simplex_rays(rows), rows
+        assert len(rays) == dim
         for c, ray in enumerate(rays):
-            assert [sum(a * b for a, b in zip(row, ray)) > 0 for row in rows] == \
-                [k == c for k in range(dim)]
+            products = [sum(a * b for a, b in zip(row, ray)) for row in rows]
+            assert products[c] > 0 and not any(products[:c] + products[c + 1:]), rows
+            assert all(isinstance(x, int) for x in ray) and gcd(*ray) == 1, rows
         compared += 1
     assert compared > 2000
 
@@ -459,3 +461,74 @@ def test_facets_of_the_first_13_edge_6_node_graph_match_the_replaced_hull():
     assert len(coords) == 473 and len(facets) == 26
     assert facets == _masked(hull_facet_incidences(coords))
 
+
+# Laws that need no oracle: identities between the fans and polytopes of
+# two related graphs
+
+
+def _fan_and_polytope(g):
+    entries = enumerate_maximal_cones(g)
+    coords = [p for _, p in polytope_vertices(g, entries)]
+    return entries, coords, face_lattice(coords)
+
+
+def _face_counts(lattice):
+    """Face counts by dimension, the top face included."""
+    counts = [0] * (lattice.dim + 1)
+    for f in lattice.faces:
+        counts[f.dim] += 1
+    return counts
+
+
+def test_reversal_keeps_the_fan_and_the_polytope():
+    # renaming v to n+1-v and reversing every edge maps each k->l path to a
+    # (n+1-l)->(n+1-k) path over the mapped edges, with the same weight, so
+    # the reversed graph has the same cones, and the same vertices once the
+    # coordinates follow the edges
+    rng = random.Random("reversal")
+    graphs = [g for g in top_ordered_closed_dags(4) if g.edges]
+    while len(graphs) < 39 + 27:
+        # 4 to 6 nodes under a random labeling, at most 11 edges
+        n = rng.randint(4, 6)
+        label = [0, *rng.sample(range(1, n + 1), n)]
+        edges = [(label[u], label[v]) for u, v in itertools.combinations(range(1, n + 1), 2)
+                 if rng.random() < 0.6]
+        if len(edges) <= 11:
+            graphs.append(Dag(n, edges))
+    for g in graphs:
+        n = g.n
+        rev = Dag(n, [(n + 1 - v, n + 1 - u) for u, v in g.edges])
+        entries, coords, lattice = _fan_and_polytope(g)
+        rev_entries, rev_coords, rev_lattice = _fan_and_polytope(rev)
+        position = {e: k for k, e in enumerate(rev.sorted_edges)}
+        moved = [position[n + 1 - v, n + 1 - u] for u, v in g.sorted_edges]
+        mapped = set()
+        for p in coords:
+            q = [0] * len(p)
+            for k, x in zip(moved, p):
+                q[k] = x
+            mapped.add(tuple(q))
+        assert len(rev_entries) == len(entries), g
+        assert mapped == set(rev_coords), g
+        assert rev_lattice.f_vector() == lattice.f_vector(), g
+
+
+@pytest.mark.parametrize("a, b", [(3, 3), (3, 4), (4, 3)])
+def test_disjoint_union_of_complete_dags_has_the_product_fan(a, b):
+    # no path joins the parts, so a critical system of the union is one of
+    # each part: the fan is the product of the parts' fans, its cone count
+    # the product of theirs, and its polytope the product polytope, whose
+    # faces are the products of faces, so face counts by dimension
+    # convolve.  At (3, 4) and (4, 3) this is a 7-node fan and face lattice
+    g = Dag(a + b, complete_dag(a).sorted_edges
+            + [(a + u, a + v) for u, v in complete_dag(b).sorted_edges])
+    (left, _, left_lattice), (right, _, right_lattice) = (
+        _fan_and_polytope(complete_dag(k)) for k in (a, b))
+    entries, _, lattice = _fan_and_polytope(g)
+    assert len(entries) == len(left) * len(right)
+    f, h = _face_counts(left_lattice), _face_counts(right_lattice)
+    assert _face_counts(lattice) == [
+        sum(f[i] * h[k - i] for i in range(len(f)) if 0 <= k - i < len(h))
+        for k in range(len(f) + len(h) - 1)]
+    if (a, b) == (3, 4):
+        assert _face_counts(lattice) == [18, 37, 28, 9, 1]
