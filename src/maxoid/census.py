@@ -6,8 +6,16 @@ transitively closed graph, so TDAGs carry a complete census up to vertex
 relabeling.  Generic structures come from the maximal cones of each graph's
 fan; tied (non-generic) ones from the faces of each graph's polytope.
 
+Every TDAG is a subgraph of the complete DAG on its nodes, so its fan is a
+restriction of the complete DAG's (fan.restricted_systems): a census
+searches the complete fan once, on its first graph that the cache does not
+answer, and reads every graph's critical systems off it.  The generic
+structures are the systems' maxoids, the complete DAG's own those of its
+fan entries, and the face structures come from the polytope of the same
+systems (polytope.face_structures).
+
 Separation does not depend on node names, so a graph's structures under a
-relabeling are its structures relabeled.  The census therefore computes one
+relabeling are its structures relabeled.  The census therefore reads one
 fan (and face lattice) per isomorphism class of the family, on the class's
 first member (graph.isomorphism_classes: 44 classes for the 181 TDAGs on
 five nodes, 238 for the 2792 on six), and renames each structure to every
@@ -16,12 +24,14 @@ table (separation._relabelings).
 
 Each representative's Dag goes to a worker, and its structures come back
 as the ints of Maxoid.bits: bit k is the k-th statement in the order a
-maxoid prints them.  These results can be cached on disk, so large runs are
-resumable: set MAXOID_CACHE_DIR to enable.  The census caches one file per
-class representative, holding those ints as JSON integers, named by a hash
-of the graph and of the package's source, so a file written by other code
-is never read; an unreadable or invalid file counts as a miss and is
-rewritten.
+maxoid prints them.  A worker process searches the complete fan itself,
+once, on its first miss.  These results can be cached on disk, so large
+runs are resumable: set MAXOID_CACHE_DIR to enable.  The census caches one
+file per class representative, holding those ints as JSON integers, named
+by a hash of the graph and of the package's source, so a file written by
+other code is never read; an unreadable or invalid file counts as a miss
+and is rewritten.  A census that the cache answers for every class
+searches no fan.
 """
 
 from __future__ import annotations
@@ -33,12 +43,15 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from functools import cache
-from typing import Iterator
+from functools import cache, partial
+from itertools import combinations
+from typing import Callable, Iterator
 
-from .graph import Dag, dag_to_json, isomorphism_classes, top_ordered_closed_dags
-from .polytope import graph_structures
-from .separation import Maxoid, _mapped_bits, _relabelings, _statement_tables
+from .fan import SlicedFan, restricted_systems, sliced_fan
+from .graph import Dag, _closed_edge_lists, dag_to_json, isomorphism_classes
+from .polytope import face_structures
+from .separation import (Maxoid, _mapped_bits, _relabelings, _statement_tables,
+                         maxoid_from_blockers)
 
 CACHE_ENV = "MAXOID_CACHE_DIR"
 
@@ -65,13 +78,14 @@ def _weakly_connected(n: int, edges) -> bool:
 
 def all_top_ordered_tdags(n: int) -> TdagFamily:
     """All transitively closed, weakly connected edge subsets of
-    {(i,j): i<j}, in a fixed enumeration order.  Connectivity subsumes the
-    no-isolated-node requirement and is what the reference counts
-    (3, 18, 181 for n = 3, 4, 5) pin down."""
+    {(i,j): i<j}, in the order of graph.top_ordered_closed_dags.
+    Connectivity subsumes the no-isolated-node requirement and is what the
+    reference counts (3, 18, 181 for n = 3, 4, 5) pin down.  It is tested
+    on the edge lists, so a Dag is built for the connected ones only."""
     if n < 1:
         raise ValueError("need at least one node")
-    graphs = [g for g in top_ordered_closed_dags(n) if _weakly_connected(n, g.edges)]
-    return TdagFamily(n, graphs)
+    return TdagFamily(n, [Dag(n, edges) for edges in _closed_edge_lists(n)
+                          if _weakly_connected(n, edges)])
 
 
 @cache
@@ -122,17 +136,33 @@ def _read_cache(path: str, n: int) -> dict | None:
     return {"generic": data["generic"], "faces": data.get("faces")}
 
 
-def graph_maxoids(g: Dag, include_faces: bool) -> dict[str, list[int] | None]:
-    """Generic (and optionally face) CI structures of one graph, as
-    {"generic": [bits], "faces": [bits] or None} in fan and lattice order,
-    where bits is Maxoid.bits.  Reads the disk cache when enabled; a miss
-    computes what the call asks for and replaces the record."""
+def _complete_fan(n: int) -> SlicedFan:
+    """The sliced fan of the complete DAG on 1..n, edges pointing up."""
+    return sliced_fan(Dag(n, combinations(range(1, n + 1), 2)))
+
+
+def graph_maxoids(g: Dag, include_faces: bool,
+                  fan: Callable[[], SlicedFan] | None = None) -> dict[str, list[int] | None]:
+    """Generic (and optionally face) CI structures of one graph whose edges
+    point up, as {"generic": [bits], "faces": [bits] or None}, where bits is
+    Maxoid.bits: the generic ones in the order of the first cone of the
+    complete fan that gives each system, the faces' in lattice order.
+    Reads the disk cache when enabled; a miss computes what the call asks
+    for and replaces the record.  fan returns the complete DAG's sliced
+    fan and is called on a miss only; without it, a miss searches that fan
+    itself."""
     path = _cache_path(g)
     data = _read_cache(path, g.n) if path else None
     if data is None or (include_faces and data["faces"] is None):
-        batches = ([m.bits for m, _, _ in batch] for batch in graph_structures(g))
-        generic = next(batches)
-        data = {"generic": generic, "faces": next(batches) if include_faces else None}
+        complete = fan() if fan else _complete_fan(g.n)
+        if g.edges == complete.graph.edges:
+            systems = [e.system for e in complete.entries]
+            generic = [e.maxoid.bits for e in complete.entries]
+        else:
+            systems = restricted_systems(g, complete)
+            generic = [maxoid_from_blockers(g.n, s.blockers).bits for s in systems]
+        faces = [m.bits for m, _ in face_structures(g, systems)] if include_faces else None
+        data = {"generic": generic, "faces": faces}
         if path:
             tmp = path + ".tmp"
             with open(tmp, "w") as fh:
@@ -145,22 +175,34 @@ def _graph_text(g: Dag) -> str:
     return json.dumps(dag_to_json(g), sort_keys=True)
 
 
-def _worker(args) -> dict:
+# a spawned worker's complete fan, searched on its first miss; each worker
+# process lives for one census, so it serves one census only
+_worker_fan: Callable[[], SlicedFan] | None = None
+
+
+def _start_worker(n: int) -> None:
+    global _worker_fan
+    _worker_fan = cache(partial(_complete_fan, n))
+
+
+def _worker(args, fan: Callable[[], SlicedFan] | None = None) -> dict:
     g, include_faces = args
     try:
-        return graph_maxoids(g, include_faces)
+        return graph_maxoids(g, include_faces, fan or _worker_fan)
     except Exception as exc:
         raise RuntimeError(f"census failed on graph {_graph_text(g)}: {exc!r}") from exc
 
 
-def _spawned_map(fn, tasks: list, workers: int) -> Iterator:
+def _spawned_map(fn, tasks: list, workers: int, initializer=None, initargs=()) -> Iterator:
     """fn over tasks on that many spawned worker processes, results in task
-    order.  Spawn, not fork: a fork taken while another thread holds a lock
-    copies that lock into the child held, and nobody releases it there.  A
-    worker that dies (killed, out of memory) raises BrokenProcessPool here,
-    where a multiprocessing.Pool loses its task and waits forever; tasks not
-    yet started are cancelled when the caller stops early."""
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+    order, each worker first running initializer(*initargs).  Spawn, not
+    fork: a fork taken while another thread holds a lock copies that lock
+    into the child held, and nobody releases it there.  A worker that dies
+    (killed, out of memory) raises BrokenProcessPool here, where a
+    multiprocessing.Pool loses its task and waits forever; tasks not yet
+    started are cancelled when the caller stops early."""
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"),
+                               initializer=initializer, initargs=initargs)
     try:
         yield from pool.map(fn, tasks)
     finally:
@@ -180,7 +222,9 @@ def census_structures(family: TdagFamily, include_faces: bool = True,
     every member of the class through that member's bit table.  Runs the
     representatives on min(jobs, number of classes) worker processes,
     serially when that is 1.  Each class's bits are renamed as its result
-    arrives.
+    arrives.  The complete DAG's fan is searched at most once per process
+    of the call, on the first class the cache does not answer, and every
+    class's systems are read off it; no fan outlives the call.
     """
     n = family.n
     classes = list(isomorphism_classes(family.graphs))
@@ -208,7 +252,10 @@ def census_structures(family: TdagFamily, include_faces: bool = True,
                 everything.update(renamed(data["faces"], labels))
 
     workers = min(jobs, len(tasks))
-    collect(_spawned_map(_worker, tasks, workers) if workers > 1 else map(_worker, tasks))
+    if workers > 1:
+        collect(_spawned_map(_worker, tasks, workers, _start_worker, (n,)))
+    else:
+        collect(map(partial(_worker, fan=cache(partial(_complete_fan, n))), tasks))
     everything |= generic
     return ({Maxoid.from_bits(n, b) for b in generic},
             {Maxoid.from_bits(n, b) for b in everything})

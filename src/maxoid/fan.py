@@ -32,17 +32,23 @@ its chosen paths, which are the critical paths of every weight vector in it.
 The cones of a complete fan share one lineality space, the null space of any
 one cone's rows, so lineality_dimension reads it off an entry that the
 caller already holds.
+
+A subgraph's fan is a restriction of its graph's: restricted_systems reads
+the critical systems of a subgraph h off the cones of a supergraph's fan,
+with no search of h's own, from a SlicedFan, which holds for each path
+the bitmask of the cones that choose it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
+from functools import reduce
+from operator import mul, or_
 
 from .graph import Dag, Path, enumerate_paths
 from .linarith import StrictTableau, checked_point, rank_of
-from .separation import Maxoid, maxoid_from_blockers, node_mask
+from .separation import Maxoid, _bit_indices, maxoid_from_blockers, node_mask
 
 
 @dataclass(frozen=True)
@@ -198,3 +204,82 @@ def lineality_dimension(entry: FanEntry) -> int:
     space is the null space of its rows, and all maximal cones of the
     complete fan share one lineality space."""
     return len(entry.point) - rank_of(entry.inequalities)
+
+
+@dataclass(frozen=True)
+class SlicedFan:
+    """A graph's fan entries, bit-sliced by path: choosing[p] has bit k set
+    when entries[k] chooses the path p for its pair."""
+
+    graph: Dag
+    entries: list[FanEntry]
+    choosing: dict[Path, int]
+
+
+def sliced_fan(g: Dag) -> SlicedFan:
+    """g's maximal cones, enumerate_maximal_cones(g), with their slices."""
+    entries = enumerate_maximal_cones(g)
+    choosing: dict[Path, int] = {}
+    for k, entry in enumerate(entries):
+        for _, path in entry.system.choices:
+            choosing[path] = choosing.get(path, 0) | 1 << k
+    return SlicedFan(g, entries, choosing)
+
+
+def restricted_systems(h: Dag, fan: SlicedFan) -> list[CriticalSystem]:
+    """The critical systems of h's maximal cones, read off the fan of a
+    supergraph g = fan.graph of h (every edge of h an edge of g): one per
+    distinct restriction, in the order of the first cone of g giving it.
+    ValueError when an edge of h is not in g.
+
+    The restriction of a system of g to h keeps its choices on the pairs
+    connected in h.  h's systems are exactly the restrictions of the cones
+    of g whose chosen paths on those pairs all lie in h, and the point of
+    such a cone, restricted to h's edges, is interior to the restriction's
+    cone of h's fan:
+    - such a cone's chosen path of an h-pair is strictly heavier, at its
+      point, than every other path of g between the same nodes, so than
+      every other path of h: at the restricted point it is h's critical path
+      of the pair, strictly, and the restriction is h's system there;
+    - conversely, take a point interior to the cone of one of h's systems
+      and give every edge outside h a weight below minus the sum of the
+      absolute weights of h's edges.  Then every path that leaves h is
+      lighter than every path of h between the same nodes, so on h's pairs
+      g's critical paths are h's, strictly.  That holds on an open set of
+      g's weight space, which meets the open cone of some maximal cone of g
+      (their closures cover it); that cone chooses h's system on h's pairs.
+    The cones that choose only h-paths on h's pairs are found bit-sliced:
+    the AND over h's pairs of the OR of the slices of the pair's paths in
+    h.  Each restriction's point is checked, with checked_point, against
+    every row of its system in h: its chosen path against every other path
+    of h between the same nodes.
+    """
+    index = _edge_index(fan.graph)
+    missing = h.edges - index.keys()
+    if missing:
+        raise ValueError(f"edges {sorted(missing)} of the subgraph are not edges of the graph")
+    columns = [index[e] for e in h.sorted_edges]
+    h_index = _edge_index(h)
+    pairs = [(i, j) for i in h.nodes for j in h.descendants(i)]
+    # every entry lists its choices in one pair order; h's pairs sit at on_h
+    keys = set(pairs)
+    on_h = [k for k, (key, _) in enumerate(fan.entries[0].system.choices) if key in keys]
+    rows: dict[Path, list[tuple[int, ...]]] = {}
+    compatible = (1 << len(fan.entries)) - 1
+    for key in pairs:
+        found = enumerate_paths(h, *key)
+        compatible &= reduce(or_, (fan.choosing.get(p, 0) for p in found))
+        for p in found:
+            rows[p] = [_path_comparison(h_index, p, q) for q in found if q != p]
+    systems: dict[tuple, CriticalSystem] = {}
+    for k in _bit_indices(compatible):
+        entry = fan.entries[k]
+        choices = tuple(entry.system.choices[i] for i in on_h)
+        if choices not in systems:
+            checked_point([entry.point[c] for c in columns],
+                          (r for _, p in choices for r in rows[p]), entry.den)
+            blockers = entry.system.blockers
+            systems[choices] = CriticalSystem(choices, {key: blockers[key] for key, _ in choices})
+    if not systems:
+        raise AssertionError("no cone of the graph's fan restricts to the subgraph")
+    return list(systems.values())

@@ -181,13 +181,19 @@ def top_ordered_closed_dags(n: int) -> Iterator[Dag]:
     Every transitively closed DAG on 1..n is a relabeling of one of them.
     Forward edges close no cycle, so each mask is a DAG, kept when every
     path u -> v -> w in it comes with the edge u -> w."""
+    return (Dag(n, edges) for edges in _closed_edge_lists(n))
+
+
+def _closed_edge_lists(n: int) -> Iterator[list[Edge]]:
+    """The sorted edge lists of top_ordered_closed_dags(n), in its order,
+    with no Dag built."""
     pairs = list(combinations(range(1, n + 1), 2))
     bit = {e: 1 << k for k, e in enumerate(pairs)}
     triples = [(bit[u, v] | bit[v, w], bit[u, w])
                for u, v, w in combinations(range(1, n + 1), 3)]
     for mask in range(1 << len(pairs)):
         if all(mask & both != both or mask & closing for both, closing in triples):
-            yield Dag(n, [e for e in pairs if mask & bit[e]])
+            yield [e for e in pairs if mask & bit[e]]
 
 
 def linear_extensions(g: Dag) -> Iterator[tuple[int, ...]]:

@@ -41,9 +41,11 @@ face_maxoids reads the structures of a lattice's faces in one batch with
 no further check; face_maxoid, which accepts any Face, scans every vertex
 and is the batch's oracle.
 
-graph_structures is the one producer of a graph's structures with the
-weights that realize them, read by the census and by implication: the
-cones' first, then, on demand, the faces'.
+face_structures is the one batch of the structures of a polytope's faces,
+from the critical systems of the graph's maximal cones, read by
+graph_structures and by the census.  graph_structures is the one producer
+of a graph's structures with the weights that realize them, read by
+implication: the cones' first, then, on demand, the faces'.
 """
 
 from __future__ import annotations
@@ -94,19 +96,22 @@ class FaceLattice:
         return tuple(counts)
 
 
-def polytope_vertices(g: Dag, entries: list[FanEntry]
+def polytope_vertices(g: Dag, systems: Iterable[CriticalSystem | FanEntry]
                       ) -> list[tuple[CriticalSystem, tuple[int, ...]]]:
-    """One point per maximal cone of g's fan entries, with its critical
-    system; all points are distinct.  A point is indexed by the sorted
-    edges: entry e counts the chosen critical paths through e."""
+    """One point per critical system of g's maximal cones, with the system;
+    all points are distinct.  A fan entry stands for its system.  A point
+    is indexed by the sorted edges: entry e counts the chosen critical paths
+    through e."""
     index = {e: k for k, e in enumerate(g.sorted_edges)}
     out = []
-    for entry in entries:
+    for system in systems:
+        if isinstance(system, FanEntry):
+            system = system.system
         coords = [0] * len(index)
-        for _, path in entry.system.choices:
+        for _, path in system.choices:
             for e in zip(path, path[1:]):
                 coords[index[e]] += 1
-        out.append((entry.system, tuple(coords)))
+        out.append((system, tuple(coords)))
     if len({p for _, p in out}) != len(out):
         raise AssertionError("critical systems produced coinciding points")
     return out
@@ -362,6 +367,17 @@ def face_maxoids(g: Dag, faces: Iterable[Face],
             for f in faces]
 
 
+def face_structures(g: Dag, systems: list[CriticalSystem]) -> list[tuple[Maxoid, Face]]:
+    """The structure of every face of dimension at least 1 of the polytope
+    of g's critical systems, the systems of all of g's maximal cones, with
+    the face, in lattice order.  face_lattice certified the faces' normals,
+    and only these faces go to face_maxoids.  The dimension-0 faces are the
+    cones again and are skipped."""
+    points = polytope_vertices(g, systems)
+    faces = [f for f in face_lattice([p for _, p in points]).faces if f.dim >= 1]
+    return list(zip(face_maxoids(g, faces, points), faces))
+
+
 # a structure with weights over the sorted edges that realize it, as
 # integer numerators and their positive common denominator
 Realized = tuple[Maxoid, tuple[int, ...], int]
@@ -376,18 +392,14 @@ def graph_structures(g: Dag) -> Iterator[list[Realized]]:
     structures, or converts only the weights it uses, makes no Fraction.
 
     Each maximal cone gives its maxoid and its interior point, point / den.
-    Each face of dimension at least 1 gives its face_maxoid and its
-    integer normal over 1, in lattice order, built from the fan entries
-    held until then; face_lattice certified those normals, and only
-    these faces go to face_maxoids.  The dimension-0 faces are the cones
-    again and are skipped.  The normal fan is complete, so these are all
-    the structures of the graph, and the cones' are its generic ones.
+    Each face of dimension at least 1 gives its structure and its integer
+    normal over 1, in lattice order, from face_structures of the cones'
+    systems.  The normal fan is complete, so these are all the structures
+    of the graph, and the cones' are its generic ones.
     """
     entries = enumerate_maximal_cones(g)
     yield [(e.maxoid, e.point, e.den) for e in entries]
-    points = polytope_vertices(g, entries)
-    faces = [f for f in face_lattice([p for _, p in points]).faces if f.dim >= 1]
-    yield [(m, f.normal, 1) for m, f in zip(face_maxoids(g, faces, points), faces)]
+    yield [(m, f.normal, 1) for m, f in face_structures(g, [e.system for e in entries])]
 
 
 def cone_adjacency(g: Dag, entries: list[FanEntry]) -> list[tuple[int, int]]:

@@ -51,8 +51,11 @@ its inputs and mutations.  Each entry: oracles -> checked function; tests.
   engine does not pin; test_index_scan_*, two index tests.  Both verify
   a counterexample with kleene_maxoid.
 - Census. per_graph_census (one fan and lattice per graph) ->
-  census_structures; test_class_census_*.  mask_loop_dags (a Dag per
-  edge mask) -> the graph families' order; test_*_mask_loop_order.
+  census_structures, whose systems fan.restricted_systems reads off the
+  complete fan; test_class_census_*.  The subgraph's own
+  enumerate_maximal_cones, checked above -> restricted_systems;
+  test_fan test_restricted_systems_*.  mask_loop_dags (a Dag per edge
+  mask) -> the graph families' order; test_*_mask_loop_order.
 - Closure rules. looped_* (one loop body per rule) -> the axioms
   checkers; test_checkers_match_the_looped_oracle.
 - Output. dict_tree_fan_output, dict_tree_polytope_output (one json.dumps

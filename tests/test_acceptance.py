@@ -30,6 +30,7 @@ from maxoid.axioms import (
     check_strong_spohn,
     check_weak_transitivity,
 )
+from maxoid import cli
 from maxoid.census import all_top_ordered_tdags, census_structures
 from maxoid.fan import enumerate_maximal_cones, lineality_dimension
 from maxoid.graph import Dag
@@ -188,19 +189,27 @@ def test_criterion_4_long_census_5_nodes():
 
 
 @pytest.mark.long
-def test_criterion_4_long_census_6_nodes_generic():
+def test_criterion_4_long_census_6_nodes_generic(capsys):
     """The generic 6-node census, computed here and not a value from the
-    paper: every complete-6 cone structure is in it, and a seeded sample of
-    its structures are compositional graphoids."""
+    paper: --jobs 1 and --jobs 2 print the same dump, every complete-6 cone
+    structure is in it, and a seeded sample of its structures are
+    compositional graphoids."""
     fam = all_top_ordered_tdags(6)
     generic = census_structures(fam, include_faces=False, jobs=2)[0]
     assert (len(fam.graphs), len(generic)) == (2792, 45692)
+    dumps = []
+    for jobs in ("1", "2"):
+        assert cli.run(["census", "--nodes", "6", "--generic-only", "--unbounded",
+                        "--dump", "--jobs", jobs]) == 0
+        dumps.append(capsys.readouterr().out)
+    assert dumps[0] == dumps[1]
+    assert json.loads(dumps[0])["generic"] == 45692
     cones = {e.maxoid for e in enumerate_maximal_cones(complete_dag(6))}
     assert len(cones) == 3324 and cones <= generic
     sample = random.Random(6).sample(sorted(generic, key=lambda m: m.bits), 200)
     assert not [m for m in sample if check_compositional_graphoid(m)]
-    print("CRITERION 4 (long) PASS: generic 6-node census (2792, 45692), "
-          "complete-6 cones included, 200 sampled compositional graphoids")
+    print("CRITERION 4 (long) PASS: generic 6-node census (2792, 45692), equal dumps "
+          "with --jobs 1 and 2, complete-6 cones included, 200 sampled compositional graphoids")
 
 
 def test_criterion_5_implication_suite():

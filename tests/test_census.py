@@ -10,13 +10,13 @@ from types import SimpleNamespace
 import pytest
 
 from maxoid.axioms import check_amalgamation, check_compositional_graphoid, check_strong_spohn
-from maxoid import census
+from maxoid import census, fan
 from maxoid.census import TdagFamily, all_top_ordered_tdags, census_structures, graph_maxoids
 from maxoid.graph import Dag, transitive_closure
 from maxoid.separation import _statement_tables, maxoid
 from maxoid.tropical import WeightedDag
 from fractions import Fraction
-from oracles import mask_loop_dags, per_graph_census
+from oracles import complete_dag, mask_loop_dags, per_graph_census
 
 
 def test_tdag_family_counts():
@@ -35,12 +35,12 @@ def _weakly_connected(g):
     return len(seen) == g.n
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_tdag_family_keeps_the_mask_loop_order(n):
     pairs = list(combinations(range(1, n + 1), 2))
     expected = [g for g in mask_loop_dags(n, pairs, closed_only=True) if _weakly_connected(g)]
     assert all_top_ordered_tdags(n).graphs == expected
-    assert len(expected) == {3: 3, 4: 18, 5: 181}[n]
+    assert len(expected) == {1: 1, 2: 1, 3: 3, 4: 18, 5: 181, 6: 2792}[n]
 
 
 def test_tdag_family_invariants():
@@ -240,20 +240,44 @@ def test_cache_files_of_other_package_source_are_not_read(tmp_path, monkeypatch)
 
 
 def test_parallel_census_matches_serial():
-    fam = all_top_ordered_tdags(3)
+    fam = all_top_ordered_tdags(5)
     assert census_structures(fam, jobs=2) == census_structures(fam, jobs=1)
 
 
+def test_census_searches_the_complete_fan_once_per_call_and_never_when_warm(
+        tmp_path, monkeypatch):
+    searched = []
+    search = fan.enumerate_maximal_cones
+
+    def spy(g):
+        searched.append(g)
+        return search(g)
+
+    monkeypatch.setattr(fan, "enumerate_maximal_cones", spy)
+    family = all_top_ordered_tdags(4)
+    expected = census_structures(family, jobs=1)
+    assert searched == [complete_dag(4)]
+    # nothing is kept from one call to the next
+    assert census_structures(family, jobs=1, include_faces=False)[0] == expected[0]
+    assert len(searched) == 2
+    monkeypatch.setenv("MAXOID_CACHE_DIR", str(tmp_path))
+    assert census_structures(family, jobs=1) == expected
+    assert len(searched) == 3
+    assert census_structures(family, jobs=1) == expected
+    assert len(searched) == 3
+
+
 def test_census_pool_is_capped_at_the_graph_count(monkeypatch):
-    # a fake executor on a fake spawn context records each pool's size and
-    # maps serially, so no process is started
+    # a fake executor on a fake spawn context records each pool's size, runs
+    # the worker initializer and maps serially, so no process is started
     sizes = []
     spawn = SimpleNamespace()
 
     class FakeExecutor:
-        def __init__(self, size, mp_context):
+        def __init__(self, size, mp_context, initializer, initargs):
             assert mp_context is spawn
             sizes.append(size)
+            initializer(*initargs)
 
         def map(self, fn, tasks):
             return (fn(t) for t in tasks)
@@ -267,6 +291,7 @@ def test_census_pool_is_capped_at_the_graph_count(monkeypatch):
 
     monkeypatch.setattr(census.multiprocessing, "get_context", get_context)
     monkeypatch.setattr(census, "ProcessPoolExecutor", FakeExecutor)
+    monkeypatch.setattr(census, "_worker_fan", None)
     fam = all_top_ordered_tdags(3)
     serial = census_structures(fam, jobs=1)
     assert census_structures(fam, jobs=8) == serial
@@ -296,7 +321,7 @@ def test_dead_worker_fails_the_census_instead_of_waiting():
 def test_dead_worker_names_the_first_graph_without_a_result(monkeypatch):
     spawned_map = census._spawned_map
 
-    def dying(fn, tasks, workers):
+    def dying(fn, tasks, workers, initializer, initargs):
         return spawned_map(os._exit, [3] * len(tasks), workers)
 
     monkeypatch.setattr(census, "_spawned_map", dying)

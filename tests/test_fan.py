@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from maxoid.census import all_top_ordered_tdags
-from maxoid.fan import enumerate_maximal_cones, lineality_dimension
-from maxoid.graph import Dag, top_ordered_closed_dags
+from maxoid.fan import enumerate_maximal_cones, lineality_dimension, restricted_systems, sliced_fan
+from maxoid.graph import Dag, isomorphism_classes, top_ordered_closed_dags
 from maxoid.linarith import rank_of
 from maxoid.polytope import cone_adjacency
 from maxoid.separation import maxoid, parse_ci_statement
@@ -313,3 +313,50 @@ def test_lp_work_of_complete_fans_is_pinned(n, calls, pivots, monkeypatch):
     assert set(seen["pivots"]) <= {(1, 1), (1, None)}
     assert {e.den for e in entries} == {1}
 
+
+def _systems(systems):
+    """Each system's choices and its blockers in key order, as a set."""
+    return {(s.choices, tuple(s.blockers.items())) for s in systems}
+
+
+def _assert_restricted_systems_are_the_fan(h, fan):
+    got = restricted_systems(h, fan)
+    assert len(set(got)) == len(got)
+    assert _systems(got) == _systems(e.system for e in enumerate_maximal_cones(h)), h
+
+
+@pytest.mark.parametrize("n, count", [(3, 7), (4, 40), (5, 357)])
+def test_restricted_systems_are_the_systems_of_every_closed_subgraph(n, count):
+    # every closed DAG with upward edges, disconnected ones included, is a
+    # subgraph of complete-n: the systems read off complete-n's cones are
+    # those of its own fan search, each once
+    fan = sliced_fan(complete_dag(n))
+    graphs = list(top_ordered_closed_dags(n))
+    assert len(graphs) == count
+    for h in graphs:
+        _assert_restricted_systems_are_the_fan(h, fan)
+
+
+@pytest.mark.long
+def test_restricted_systems_are_the_systems_of_the_6_node_classes():
+    fan = sliced_fan(complete_dag(6))
+    classes = [g for g, _ in isomorphism_classes(all_top_ordered_tdags(6).graphs)]
+    assert len(classes) == 238
+    for h in classes:
+        _assert_restricted_systems_are_the_fan(h, fan)
+
+
+def test_restricted_systems_of_any_subgraph_of_a_relabeled_graph():
+    # the restriction needs a supergraph, not a complete or closed one
+    rng = random.Random("restricted-subgraphs")
+    for g in _relabeled_random_dags("restricted-graphs", 30):
+        fan = sliced_fan(g)
+        assert restricted_systems(g, fan) == [e.system for e in fan.entries]
+        for _ in range(3):
+            h = Dag(g.n, [e for e in g.sorted_edges if rng.random() < 0.6])
+            _assert_restricted_systems_are_the_fan(h, fan)
+
+
+def test_restricted_systems_refuse_an_edge_outside_the_graph():
+    with pytest.raises(ValueError, match=r"\[\(3, 1\)\]"):
+        restricted_systems(Dag(3, [(1, 2), (3, 1)]), sliced_fan(complete_dag(3)))
