@@ -38,8 +38,9 @@ LONG_RUN_HINT = "pass --unbounded to run sizes beyond the quick default"
 # graph (1209 vertices, 60359 faces) `polytope` takes 4.2 s at 157 MB peak
 # RSS, `polytope --face-maxoids` 4.4 s at 157 MB and `fan --adjacency`
 # 3.9 s, and complete-6's hull alone takes 66 s.  `fan` on complete-6
-# (15 edges) takes 0.50 s at 31 MB; complete-7's (21 edges) search alone,
-# keeping no cones, takes 95 s.  Single runs on a 2-core host, Python 3.11.
+# (15 edges) takes 0.57 s at 31 MB; complete-7's (21 edges) search, keeping
+# every cone, takes 113 s at 1149 MB.  Single runs on a 2-core host, Python
+# 3.11; the fan figures on a host about 1.6 times slower than the others.
 LATTICE_EDGES = 13
 FAN_EDGES = 15
 # most nodes of a graph given to maxoid, fan, polytope or implies --graph
@@ -160,15 +161,22 @@ def _cmd_fan(args) -> None:
     path_text = functools.cache(lambda c: _json({"pair": c[0], "path": c[1]}))
     row_text = functools.cache(_json)
 
+    def strings(texts: list[str]) -> str:
+        # the elements of a JSON array of strings that need no escaping, as
+        # neither statements nor rationals do
+        return '"' + '","'.join(texts) + '"' if texts else ""
+
     def cone(e) -> str:
-        # the keys in sorted order, as _json spells the cone's dict; the
-        # witness's rational strings need no escaping; over den 1 they are
-        # the numerators
-        witness = ",".join(f'"{x if e.den == 1 else Fraction(x, e.den)}"' for x in e.point)
+        # the keys in sorted order, as _json spells the cone's dict; over
+        # den 1, as on every fan measured, the witness is its numerators
+        if e.den == 1:
+            witness = list(map(str, e.point))
+        else:
+            witness = [str(Fraction(x, e.den)) for x in e.point]
         return (f'{{"critical_paths":[{",".join(map(path_text, e.system.choices))}],'
                 f'"inequalities":[{",".join(map(row_text, e.inequalities))}],'
-                f'"maxoid":{_json(e.maxoid.to_json())},'
-                f'"witness":[{witness}]}}')
+                f'"maxoid":[{strings(e.maxoid.to_json())}],'
+                f'"witness":[{strings(witness)}]}}')
 
     fields = {
         "cones": map(cone, entries),

@@ -13,25 +13,28 @@ search, every path of every connected pair gets its table entry once: the
 sub-paths that choosing it forces, with their pairs; the node_mask of its
 interior; its full rows against every other path of its pair and, among
 them, its minimal rows against the internally disjoint ones, all from one
-enumeration of the pair's paths.  A choice is then a path id per pair,
-checked and forced from these tables, and a pair that an earlier choice
-already forced is skipped in a loop.  The search carries down, next to its
-rows, a StrictTableau: a feasible half-width dictionary of
-{c : every row >= 1}, which is nonempty exactly when the open cone of the
-rows is.  A child node whose new rows its parent's point already satisfies
-strictly keeps that tableau and solves no LP; any other child appends the
-rows its tableau has not absorbed yet to a copy of it and repairs that by
-dual simplex, so siblings still share the parent's tableau.  The point stays
-in integers over the tableau's denominator from the search to the printer:
-at a leaf checked_point tests it, in integers, against every row of the
-cone's full system, and the entry keeps those numerators and the
-denominator.  Its witness, the point as Fractions, is made only when a
-caller asks for it; every pivot measured in the search has d = 1, so the
-denominator is 1 on every fan measured.  A cone's CI structure is read off
-its chosen paths, which are the critical paths of every weight vector in it.
-The cones of a complete fan share one lineality space, the null space of any
-one cone's rows, so lineality_dimension reads it off an entry that the
-caller already holds.
+enumeration of the pair's paths.  Each distinct row gets an id once, and the
+tables hold row ids.  A choice is then a path id per pair, checked and
+forced from these tables, and a pair that an earlier choice already forced
+is skipped in a loop.  The rows so far are marked in a bytearray indexed by
+row id; a child's new rows are the unmarked rows of the sub-paths it forces,
+in sub-path order (the rows of a sub-path chosen earlier are all marked).
+The search carries down, next to its rows, a StrictTableau: a feasible
+half-width dictionary of {c : every row >= 1}, which is nonempty exactly
+when the open cone of the rows is.  A child node whose new rows its parent's
+point already satisfies strictly keeps that tableau and solves no LP; any
+other child appends the rows its tableau has not absorbed yet to a copy of
+it and repairs that by dual simplex, so siblings still share the parent's
+tableau.  The point stays in integers over the tableau's denominator from
+the search to the printer: at a leaf checked_point tests it, in integers,
+against every row of the cone's full system, and the entry keeps those
+numerators and the denominator.  Its witness, the point as Fractions, is
+made only when a caller asks for it; every pivot measured in the search has
+d = 1, so the denominator is 1 on every fan measured.  A cone's CI structure
+is read off its chosen paths, which are the critical paths of every weight
+vector in it.  The cones of a complete fan share one lineality space, the
+null space of any one cone's rows, so lineality_dimension reads it off an
+entry that the caller already holds.
 
 A subgraph's fan is a restriction of its graph's: restricted_systems reads
 the critical systems of a subgraph h off the cones of a supergraph's fan,
@@ -117,14 +120,17 @@ def enumerate_maximal_cones(g: Dag) -> list[FanEntry]:
     position = {key: i for i, key in enumerate(pairs)}
     # one table entry per path, by path id: the (pair position, path id) of
     # each of its sub-paths, the path itself included, which choosing it
-    # forces; its interior's node_mask; its full rows, against every other
-    # path of its pair in path order, and its minimal rows, the full rows
-    # against the paths whose interior is disjoint from its own
+    # forces; its interior's node_mask; the row ids of its full rows,
+    # against every other path of its pair in path order, and of its
+    # minimal rows, the full rows against the paths whose interior is
+    # disjoint from its own.  Each distinct row gets its id once: it is
+    # comparison[id]
     paths: list[Path] = []
     pair_paths = []
     masks: list[int] = []
-    full_rows: list[list[tuple[int, ...]]] = []
-    minimal_rows: list[list[tuple[int, ...]]] = []
+    row_ids: dict[tuple[int, ...], int] = {}
+    full_rows: list[list[int]] = []
+    minimal_rows: list[list[int]] = []
     for key in pairs:
         found = enumerate_paths(g, *key)
         pair_paths.append(range(len(paths), len(paths) + len(found)))
@@ -135,30 +141,35 @@ def enumerate_maximal_cones(g: Dag) -> list[FanEntry]:
             full, minimal = [], []
             for q, other in zip(found, inner):
                 if q != p:
-                    row = _path_comparison(index, p, q)
-                    full.append(row)
+                    rid = row_ids.setdefault(_path_comparison(index, p, q), len(row_ids))
+                    full.append(rid)
                     if not mask & other:
-                        minimal.append(row)
+                        minimal.append(rid)
             full_rows.append(full)
             minimal_rows.append(minimal)
+    comparison = list(row_ids)
     ids = {path: i for i, path in enumerate(paths)}
     forces = [[(position[path[a], path[b]], ids[path[a:b + 1]])
                for a in range(len(path)) for b in range(a + 1, len(path))]
               for path in paths]
+    # the ids of the full rows of every sub-path that choosing a path forces
+    sub_rows = [[rid for _, sub in forced for rid in full_rows[sub]] for forced in forces]
     by_key = sorted(range(len(pairs)), key=pairs.__getitem__)
     chosen: list[int | None] = [None] * len(pairs)
+    # seen[id] is 1 while the row comparison[id] is among the rows so far
+    seen = bytearray(len(comparison))
     entries: list[FanEntry] = []
 
-    def dfs(idx: int, rows: list[tuple[int, ...]], seen: set, tab: StrictTableau):
+    def dfs(idx: int, rows: list[tuple[int, ...]], tab: StrictTableau):
         while idx < len(pairs) and chosen[idx] is not None:
             idx += 1
         if idx == len(pairs):
             # rows is the cone's whole system, the minimal rows among them
             checked_point(tab.point, rows, tab.d)
-            minimal = dict.fromkeys(r for pid in chosen for r in minimal_rows[pid])
+            minimal = dict.fromkeys(rid for pid in chosen for rid in minimal_rows[pid])
             system = CriticalSystem(tuple((pairs[i], paths[chosen[i]]) for i in by_key),
                                     {pairs[i]: masks[chosen[i]] for i in by_key})
-            entries.append(FanEntry(system, tuple(minimal),
+            entries.append(FanEntry(system, tuple(map(comparison.__getitem__, minimal)),
                                     maxoid_from_blockers(g.n, system.blockers),
                                     tuple(tab.point), tab.d))
             return
@@ -173,7 +184,9 @@ def enumerate_maximal_cones(g: Dag) -> list[FanEntry]:
             else:  # no sub-pair chose another path: force the unset ones
                 for pos, sub in forced:
                     chosen[pos] = sub
-                new_rows = [r for _, sub in forced for r in full_rows[sub] if r not in seen]
+                # a sub-path chosen before brought all its rows in then
+                new = [rid for rid in sub_rows[pid] if not seen[rid]]
+                new_rows = [comparison[rid] for rid in new]
                 if all(sum(map(mul, r, tab.point)) > 0 for r in new_rows):
                     child = tab  # the parent's point lies strictly inside the child too
                 else:
@@ -181,15 +194,17 @@ def enumerate_maximal_cones(g: Dag) -> list[FanEntry]:
                     child = tab.extended(rows[len(tab.T):] + new_rows)
                 if child is not None:
                     rows.extend(new_rows)
-                    seen.update(new_rows)
-                    dfs(idx + 1, rows, seen, child)
+                    for rid in new:
+                        seen[rid] = 1
+                    dfs(idx + 1, rows, child)
                     del rows[len(rows) - len(new_rows):]
-                    seen.difference_update(new_rows)
+                    for rid in new:
+                        seen[rid] = 0
                 for pos, _ in forced:
                     chosen[pos] = None
 
     try:
-        dfs(0, [], set(), StrictTableau(len(index)))
+        dfs(0, [], StrictTableau(len(index)))
     finally:
         # dfs refers to itself; breaking that cycle frees the search state
         # on return instead of at the next garbage collection

@@ -283,7 +283,11 @@ class _SubsetTables:
     copies: the shifts 2^n, 2·2^n, 4·2^n, ... that copy a family in block 1
     into blocks 1..n and beyond by doubling; one multiplication by the
     block repunit does it too, but is the slower from n = 10 on, a product
-    of 2^n by n·2^n bits per edge.
+    of 2^n by n·2^n bits.
+    spread[m]: missing[m] copied so into every block, filled when its mask
+    m is first met, so that a graph pays only for the masks of its edges
+    (under 2n·4^n bits once every mask is met); 0 until then, which no
+    family is, as each holds the empty set.
     folds: the shifts that halve the blocks left, rounded up, down to one,
     so that OR-ing in each one leaves the OR of blocks 1..n in block 1.
     pairs: per pair (i, j) in statement order, (i, j, the sets that miss i
@@ -291,7 +295,7 @@ class _SubsetTables:
     statement rank[node_mask(L) >> 1] of the pair.
     """
 
-    __slots__ = ("missing", "shift", "member", "copies", "folds", "pairs")
+    __slots__ = ("missing", "shift", "member", "copies", "folds", "pairs", "spread")
 
     def __init__(self, n: int):
         size = 1 << n
@@ -323,6 +327,7 @@ class _SubsetTables:
         self.copies = copies
         self.folds = folds
         self.pairs = pairs
+        self.spread = [0] * size
 
 
 _subset_tables = _PerN(_SubsetTables)
@@ -357,21 +362,25 @@ def maxoid_from_blockers(n: int, blockers: Mapping[tuple[int, int], int]) -> Max
     the bitmask blockers[(k, l)]; every L at once, on packed words, as in
     the module docstring."""
     tables = _subset_tables[n]
-    missing, shift, copies, folds = tables.missing, tables.shift, tables.copies, tables.folds
+    missing, shift, spread, folds = tables.missing, tables.shift, tables.spread, tables.folds
     # word[k]: block l holds K_kl, the sets L given which k -> l is a
     # critical edge with its tail outside L
     word = [0] * (n + 1)
     kept = []
     for (k, l), b in blockers.items():
-        K = missing[(b | 1 << k) >> 1]
-        word[k] |= K << shift[l]
-        kept.append((k, l, K))
+        m = (b | 1 << k) >> 1
+        word[k] |= missing[m] << shift[l]
+        kept.append((k, l, m))
     # near[i]: block l holds K_il | OR_p K_pi & K_pl, l a child of i or of a
     # parent p of i: K_pi copied into every block meets word[p] blockwise
     near = word[:]
-    for p, i, K in kept:
-        for s in copies:
-            K |= K << s
+    for p, i, m in kept:
+        K = spread[m]
+        if not K:
+            K = missing[m]
+            for s in tables.copies:
+                K |= K << s
+            spread[m] = K
         near[i] |= K & word[p]
     # collide[i]: block l holds R_il, the sets of near[i]'s block l that hold l
     collide = [w & tables.member for w in near]

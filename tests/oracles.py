@@ -25,7 +25,8 @@ its inputs and mutations.  Each entry: oracles -> checked function; tests.
   Fraction simplex, witness checked) -> StrictTableau's verdicts and each
   other; FullStrictTableau (a column per variable) -> its pivots, points,
   bases and dictionary; test_linarith test_agrees_with_fourier_motzkin,
-  *_fraction_simplex*, *_full_width_tableau*, test_half_width_*.
+  *_fraction_simplex*, *_full_width_tableau*, test_half_width_*,
+  test_packed_tableau_*.
 - Echelon. fraction_echelon, with nullspace and affine_dimension on it ->
   linarith._echelon and the ranks read off it, polytope dimensions;
   test_linarith test_integer_echelon_*, test_nullspace_*, test_rank_*,

@@ -6,6 +6,8 @@ import random
 import re
 import subprocess
 import sys
+from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,7 @@ from maxoid.cli import build_parser, run
 from maxoid.fan import enumerate_maximal_cones
 from maxoid.graph import Dag, dag_to_json, isomorphism_classes, top_ordered_closed_dags
 from maxoid.polytope import cone_adjacency, face_lattice, face_maxoids, polytope_vertices
+from maxoid.tropical import WeightedDag
 from oracles import (
     complete_dag,
     dict_tree_fan_output,
@@ -473,6 +476,49 @@ def test_fan_output_matches_the_dict_tree_oracle(capsys, tmp_path, family):
         ]:
             code, out = invoke(capsys, *argv, str(dag))
             assert code == 0 and out == expected, (argv, g.sorted_edges)
+
+
+def _renamed_statement(text: str, label) -> str:
+    """A printed statement "i,j|L" with every node v renamed label[v - 1]."""
+    pair, given = text.split("|")
+    i, j = sorted(label[int(v) - 1] for v in pair.split(","))
+    rest = sorted(label[int(v) - 1] for v in given.split(",") if v)
+    return f"{i},{j}|{','.join(map(str, rest))}"
+
+
+def test_fan_of_a_relabeled_dag_is_the_relabeled_fan(capsys, tmp_path):
+    # renaming the nodes renames the fan, with no oracle: on seeded 5- and
+    # 6-node DAGs with upward edges, at most 13, each under a seeded
+    # relabeling, `fan` prints as many cones and the same lineality, the
+    # same multiset of maxoids up to the renaming, and witnesses that each
+    # realize their own printed maxoid, read off their weights by the
+    # Kleene star
+    rng = random.Random("fan-relabeling")
+    dag = tmp_path / "dag.json"
+    cones = 0
+    for trial in range(20):
+        n = 5 if trial < 12 else 6
+        upward = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        g = Dag(n, rng.sample(upward, rng.randint(n, min(len(upward), 13))))
+        label = rng.sample(range(1, n + 1), n)
+        h = _relabeled(g, label)
+        printed = []
+        for graph in (g, h):
+            dag.write_text(json.dumps(dag_to_json(graph)))
+            code, out = invoke(capsys, "fan", str(dag))
+            assert code == 0
+            printed.append(json.loads(out))
+        first, second = printed
+        for cone in second["cones"]:
+            weights = dict(zip(map(tuple, second["edges"]), map(Fraction, cone["witness"])))
+            assert separation.maxoid(WeightedDag(h, weights)).to_json() == cone["maxoid"]
+        assert len(first["cones"]) == len(second["cones"]), g
+        assert first["lineality_dimension"] == second["lineality_dimension"], g
+        renamed = Counter(frozenset(_renamed_statement(t, label) for t in cone["maxoid"])
+                          for cone in first["cones"])
+        assert renamed == Counter(frozenset(cone["maxoid"]) for cone in second["cones"]), g
+        cones += len(first["cones"])
+    assert cones > 500
 
 
 def test_fan_prints_witnesses_over_any_denominator_as_fractions_do(capsys, monkeypatch):

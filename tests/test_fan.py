@@ -302,9 +302,9 @@ def test_lp_work_of_complete_fans_is_pinned(n, calls, pivots, monkeypatch):
         seen["calls"] += 1
         return extended(self, rows)
 
-    def counting_pivot(T, basis, cols, d, r, k, nvars):
-        seen["pivots"].append((d, None if k is None else abs(T[r][k])))
-        return pivot(T, basis, cols, d, r, k, nvars)
+    def counting_pivot(T, basis, cols, d, r, k, a, nvars, W):
+        seen["pivots"].append((d, None if k is None else abs(a)))
+        return pivot(T, basis, cols, d, r, k, a, nvars, W)
 
     monkeypatch.setattr(linarith.StrictTableau, "extended", counting_extended)
     monkeypatch.setattr(linarith, "_pivot", counting_pivot)

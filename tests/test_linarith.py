@@ -331,12 +331,25 @@ def test_strict_tableau_in_chunks_matches_the_fraction_simplex(seed):
     assert verdicts == {True, False}
 
 
+def _unpacked(R, nvars, W):
+    """The fields of a packed tableau row, lowest first: nvars signed W-bit
+    slot entries, then the right-hand side, peeled off one at a time."""
+    out = []
+    for _ in range(nvars):
+        a = R % (1 << W)
+        if a >= 1 << (W - 1):
+            a -= 1 << W
+        out.append(a)
+        R = (R - a) >> W
+    return out + [R]
+
+
 def _half_width_dictionary(tab):
     """The whole dictionary that a half-width tableau stands for: the column
     of every nonbasic variable, by variable, and the right-hand sides.  A
     pair slot holds z+_v, and z-_v is its negative; the partner of a basic
     z is -d in that z's row and 0 elsewhere."""
-    n, T = tab.nvars, tab.T
+    n, T = tab.nvars, [_unpacked(R, tab.nvars, tab.W) for R in tab.T]
     columns = {}
     for k, v in enumerate(tab.cols):
         columns[v] = [row[k] for row in T]
@@ -354,6 +367,33 @@ def _full_width_dictionary(full):
     variable: the columns of the nonbasic ones."""
     nonbasic = set(range(2 * full.nvars + len(full.rows))) - set(full.basis)
     return ({v: [row[v] for row in full.T] for v in nonbasic}, [row[-1] for row in full.T])
+
+
+def _run_against_both_oracles(nvars, chunks, pivots, cold=True):
+    """Extend a packed tableau and the full-width oracle by each chunk in
+    turn, checking after every chunk the same verdict, point, denominator,
+    basis and number of pivots, and every packed field, read back with
+    _unpacked, against the oracle's dictionary; then, with cold, the final
+    verdict against the cold Fraction simplex.  Returns the final tableau
+    (None when infeasible) and how many extensions widened the fields of a
+    tableau that already held rows."""
+    tab, full = StrictTableau(nvars), FullStrictTableau(nvars)
+    widened = 0
+    for chunk in chunks:
+        before = tab
+        tab, full = tab.extended(chunk), full.extended(chunk)
+        assert pivots["compact"] == pivots["full"]
+        assert (tab is None) == (full is None)
+        if tab is None:
+            break
+        widened += bool(before.T) and tab.W > before.W
+        assert (tab.point, tab.d, tab.basis) == (full.point, full.d, full.basis)
+        assert _half_width_dictionary(tab) == _full_width_dictionary(full)
+    if cold:
+        rows = [row for chunk in chunks for row in chunk]
+        assert (tab is None) == (fraction_feasible([as_constraint(r) for r in rows],
+                                                   nvars) is None)
+    return tab, widened
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -376,11 +416,11 @@ def test_half_width_tableau_matches_both_oracles(seed, pivots, monkeypatch):
     updates = set()
     counted = linarith._pivot
 
-    def recording(T, basis, cols, d, r, k, nvars):
+    def recording(T, basis, cols, d, r, k, a, nvars, W):
         steps.append((d, k is None, k is not None and nvars <= basis[r] < 2 * nvars))
         if k is not None:
-            updates.add("unit" if abs(T[r][k]) == d == 1 else "general")
-        return counted(T, basis, cols, d, r, k, nvars)
+            updates.add("unit" if abs(a) == d == 1 else "general")
+        return counted(T, basis, cols, d, r, k, a, nvars, W)
 
     monkeypatch.setattr(linarith, "_pivot", recording)
     rng = random.Random(f"half-width/{seed}")
@@ -392,24 +432,45 @@ def test_half_width_tableau_matches_both_oracles(seed, pivots, monkeypatch):
                                 for _ in range(rng.randint(1, 5))]))
     verdicts = set()
     for nvars, chunks in systems:
-        tab, full = StrictTableau(nvars), FullStrictTableau(nvars)
-        for chunk in chunks:
-            tab, full = tab.extended(chunk), full.extended(chunk)
-            assert pivots["compact"] == pivots["full"]
-            assert (tab is None) == (full is None)
-            if tab is None:
-                break
-            assert (tab.point, tab.d, tab.basis) == (full.point, full.d, full.basis)
-            assert _half_width_dictionary(tab) == _full_width_dictionary(full)
-        rows = [row for chunk in chunks for row in chunk]
-        assert (tab is None) == (fraction_feasible([as_constraint(r) for r in rows],
-                                                   nvars) is None)
+        tab, _ = _run_against_both_oracles(nvars, chunks, pivots)
         verdicts.add(tab is None)
     assert verdicts == {True, False}
     assert any(d != 1 for d, _, _ in steps)
     assert any(swap for _, swap, _ in steps)
     assert any(z_minus_leaves for _, _, z_minus_leaves in steps)
     assert updates == {"general", "unit"}
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_packed_tableau_widens_its_fields_for_larger_rows(seed, pivots):
+    # streams whose first chunk has entries in +-1 and whose later chunks
+    # have entries in +-9: the rows absorbed first sit in fields sized for
+    # +-1 and are packed again, wider, before the larger rows come in
+    rng = random.Random(f"packed-widths/{seed}")
+    verdicts, widened = set(), 0
+    for _ in range(60):
+        nvars = rng.randint(1, 6)
+        chunks = [[[rng.randint(-1, 1) for _ in range(nvars)] for _ in range(rng.randint(1, 4))]]
+        chunks += [[[rng.randint(-9, 9) for _ in range(nvars)] for _ in range(rng.randint(1, 3))]
+                   for _ in range(rng.randint(1, 3))]
+        tab, count = _run_against_both_oracles(nvars, chunks, pivots)
+        verdicts.add(tab is None)
+        widened += count
+    assert verdicts == {True, False}
+    assert widened >= 20
+
+
+def test_packed_tableau_at_the_complete_7_width(pivots):
+    # 21 variables, as many as complete-7 has edges, and +-1 rows as in its
+    # fan: 35 rows in 12 chunks, all feasible, through pivots with d up to
+    # the thousands.  The full-width oracle checks its own point against
+    # every row; the cold Fraction simplex would take most of a second here
+    rng = random.Random("packed-width-21")
+    chunks = [[[rng.choice((-1, 0, 0, 1)) for _ in range(21)] for _ in range(rng.randint(1, 5))]
+              for _ in range(12)]
+    tab, widened = _run_against_both_oracles(21, chunks, pivots, cold=False)
+    assert widened == 0 and len(tab.T) == 35 and tab.d > 1000
+    assert pivots["compact"] > 20
 
 
 class _BothTableaus:
@@ -450,7 +511,7 @@ def test_strict_tableau_leaves_the_parent_unchanged():
     root = StrictTableau(2)
     assert root.point == [0, 0] and root.extended([]).point == root.point
     parent = root.extended([(1, -1)])
-    state = ([row[:] for row in parent.T], parent.basis[:], parent.cols[:], parent.d)
+    state = (parent.T[:], parent.basis[:], parent.cols[:], parent.d)
     left = parent.extended([(0, 1), (-1, 3)])
     assert parent.extended([(0, -1)]) is not None
     assert state == (parent.T, parent.basis, parent.cols, parent.d)
@@ -480,8 +541,8 @@ def test_complete_dag_fans_take_the_pinned_pivot_counts(n, count, pivots, monkey
     steps = []
     counted = linarith._pivot
 
-    def recording(T, basis, cols, d, r, k, nvars):
-        piv = counted(T, basis, cols, d, r, k, nvars)
+    def recording(T, basis, cols, d, r, k, a, nvars, W):
+        piv = counted(T, basis, cols, d, r, k, a, nvars, W)
         steps.append((d, piv))
         return piv
 
