@@ -38,10 +38,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import combinations
@@ -200,7 +197,11 @@ def _spawned_map(fn, tasks: list, workers: int, initializer=None, initargs=()) -
     into the child held, and nobody releases it there.  A worker that dies
     (killed, out of memory) raises BrokenProcessPool here, where a
     multiprocessing.Pool loses its task and waits forever; tasks not yet
-    started are cancelled when the caller stops early."""
+    started are cancelled when the caller stops early.  The pool's modules
+    are imported here, so a serial census never loads them."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"),
                                initializer=initializer, initargs=initargs)
     try:
@@ -240,11 +241,13 @@ def census_structures(family: TdagFamily, include_faces: bool = True,
             for bits in structures:
                 yield _mapped_bits(bits, table)
 
-    def collect(results: Iterator[dict]) -> None:
+    def collect(results: Iterator[dict], broken: type[Exception] | tuple = ()) -> None:
+        # broken: what a dead worker raises from results; the serial path
+        # has no pool, so nothing
         for g, labels in classes:
             try:
                 data = next(results)
-            except BrokenProcessPool as exc:
+            except broken as exc:
                 raise RuntimeError(f"census worker died; no result for graph {_graph_text(g)} "
                                    f"and the graphs after it: {exc}") from exc
             generic.update(renamed(data["generic"], labels))
@@ -253,7 +256,9 @@ def census_structures(family: TdagFamily, include_faces: bool = True,
 
     workers = min(jobs, len(tasks))
     if workers > 1:
-        collect(_spawned_map(_worker, tasks, workers, _start_worker, (n,)))
+        from concurrent.futures.process import BrokenProcessPool
+
+        collect(_spawned_map(_worker, tasks, workers, _start_worker, (n,)), BrokenProcessPool)
     else:
         collect(map(partial(_worker, fan=cache(partial(_complete_fan, n))), tasks))
     everything |= generic

@@ -5,6 +5,14 @@ Machine output is JSON on stdout (byte-identical for identical inputs);
 computation completed (a failed implication still exits 0: the verdict is in
 the JSON); parse and precondition errors exit nonzero with an error object.
 All text formats are documented in FORMATS.md.
+
+Each command loads only the modules it runs.  At module level this file
+imports what the package itself loads (graph, tropical, separation) and the
+fan search (fan, linarith), which fan, polytope, census and implies all
+reach; a leaf module (polytope, implication, axioms, census) is imported by
+the command that uses it, when it runs, and census imports its process pool
+only when --jobs starts one.  A start-up therefore compiles and loads no
+module its command skips.
 """
 
 from __future__ import annotations
@@ -20,16 +28,6 @@ from .graph import Dag, dag_from_json, dag_to_json, to_dot
 from .tropical import WeightedDag, kleene_star, weights_from_json, weights_to_list_json
 from .separation import _bit_indices, maxoid, parse_ci_statement
 from .fan import enumerate_maximal_cones, lineality_dimension
-from .polytope import cone_adjacency, face_lattice, face_maxoids, hasse_dot, polytope_vertices
-from .implication import decide_implication
-from .axioms import (
-    check_amalgamation,
-    check_compositional_graphoid,
-    check_node_bound,
-    check_strong_spohn,
-    check_weak_transitivity,
-)
-from .census import all_top_ordered_tdags, census_structures
 
 LONG_RUN_HINT = "pass --unbounded to run sizes beyond the quick default"
 # most edges of a graph whose face lattice (polytope, fan --adjacency,
@@ -184,11 +182,15 @@ def _cmd_fan(args) -> None:
         "lineality_dimension": _json(lineality),
     }
     if args.adjacency:
+        from .polytope import cone_adjacency
+
         fields["adjacency"] = _json([list(p) for p in cone_adjacency(g, entries)])
     _write_document(fields)
 
 
 def _cmd_polytope(args) -> None:
+    from .polytope import face_lattice, face_maxoids, hasse_dot, polytope_vertices
+
     g = dag_from_json(_load_json(args.dag))
     _check_size(g, LATTICE_EDGES, "polytope", args)
     entries = enumerate_maximal_cones(g)
@@ -218,6 +220,8 @@ def _cmd_polytope(args) -> None:
 
 
 def _cmd_census(args) -> None:
+    from .census import all_top_ordered_tdags, census_structures
+
     if args.jobs < 1:
         raise SystemExit(_error(f"--jobs must be at least 1, got {args.jobs}"))
     if args.nodes >= 6:
@@ -247,6 +251,8 @@ def _parse_query(text: str, n: int):
 
 
 def _cmd_implies(args) -> None:
+    from .implication import decide_implication
+
     if (args.graph is None) == (args.nodes is None):
         raise SystemExit(_error("exactly one of --graph or --nodes is required"))
     if args.nodes is not None and args.nodes >= 6:
@@ -269,6 +275,9 @@ def _cmd_implies(args) -> None:
 
 
 def _cmd_axioms(args) -> None:
+    from .axioms import (check_amalgamation, check_compositional_graphoid, check_node_bound,
+                         check_strong_spohn, check_weak_transitivity)
+
     wd = _load_weighted(args.dag, args.weights)
     check_node_bound(wd.g.n)  # before maxoid() builds its 2^n-set tables
     m = maxoid(wd)
@@ -286,6 +295,8 @@ def _cmd_axioms(args) -> None:
 
 
 def _cmd_tdags(args) -> None:
+    from .census import all_top_ordered_tdags
+
     if args.nodes >= 7:
         _refuse(f"enumeration on {args.nodes} nodes", args)
     family = all_top_ordered_tdags(args.nodes)

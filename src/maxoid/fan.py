@@ -18,7 +18,8 @@ tables hold row ids.  A choice is then a path id per pair, checked and
 forced from these tables, and a pair that an earlier choice already forced
 is skipped in a loop.  The rows so far are marked in a bytearray indexed by
 row id; a child's new rows are the unmarked rows of the sub-paths it forces,
-in sub-path order (the rows of a sub-path chosen earlier are all marked).
+each once, in sub-path order (the rows of a sub-path chosen earlier are all
+marked).
 The search carries down, next to its rows, a StrictTableau: a feasible
 half-width dictionary of {c : every row >= 1}, which is nonempty exactly
 when the open cone of the rows is.  A child node whose new rows its parent's
@@ -152,8 +153,11 @@ def enumerate_maximal_cones(g: Dag) -> list[FanEntry]:
     forces = [[(position[path[a], path[b]], ids[path[a:b + 1]])
                for a in range(len(path)) for b in range(a + 1, len(path))]
               for path in paths]
-    # the ids of the full rows of every sub-path that choosing a path forces
-    sub_rows = [[rid for _, sub in forced for rid in full_rows[sub]] for forced in forces]
+    # the ids of the full rows of every sub-path that choosing a path
+    # forces, each once: two sub-paths can give one row (a->x->b against
+    # a->b is also a->x->b->c against a->b->c), and the LP takes it once
+    sub_rows = [list(dict.fromkeys(rid for _, sub in forced for rid in full_rows[sub]))
+                for forced in forces]
     by_key = sorted(range(len(pairs)), key=pairs.__getitem__)
     chosen: list[int | None] = [None] * len(pairs)
     # seen[id] is 1 while the row comparison[id] is among the rows so far

@@ -289,8 +289,8 @@ def test_census_pool_is_capped_at_the_graph_count(monkeypatch):
         assert method == "spawn"
         return spawn
 
-    monkeypatch.setattr(census.multiprocessing, "get_context", get_context)
-    monkeypatch.setattr(census, "ProcessPoolExecutor", FakeExecutor)
+    monkeypatch.setattr("multiprocessing.get_context", get_context)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakeExecutor)
     monkeypatch.setattr(census, "_worker_fan", None)
     fam = all_top_ordered_tdags(3)
     serial = census_structures(fam, jobs=1)

@@ -198,7 +198,7 @@ def test_fan_guard_allows_complete_6_and_adjacency_at_13_edges(files, capsys, mo
     # a one-cone fan stands in for the search; fan reads its lineality off a cone
     one_cone = enumerate_maximal_cones(Dag(2, [(1, 2)]))
     monkeypatch.setattr("maxoid.cli.enumerate_maximal_cones", lambda g: one_cone)
-    monkeypatch.setattr("maxoid.cli.cone_adjacency", lambda g, entries: [])
+    monkeypatch.setattr("maxoid.polytope.cone_adjacency", lambda g, entries: [])
     dag = files["dir"] / "k6.json"
     dag.write_text(json.dumps({"n": 6, "edges": _complete_edges(6)}))
     assert invoke(capsys, "fan", str(dag))[0] == 0
@@ -213,7 +213,7 @@ def test_sparse_graphs_on_more_than_12_nodes_are_guarded(files, capsys, monkeypa
         raise RuntimeError("work started")
 
     monkeypatch.setattr("maxoid.cli.enumerate_maximal_cones", started)
-    monkeypatch.setattr("maxoid.cli.decide_implication", started)
+    monkeypatch.setattr("maxoid.implication.decide_implication", started)
     dag = files["dir"] / "sparse.json"
     dag.write_text('{"n": 13, "edges": [[1, 2]]}')
     code, out = invoke(capsys, *argv, str(dag))
@@ -573,8 +573,8 @@ def test_pretty_fan_and_polytope_compute_nothing_they_do_not_print(capsys, tmp_p
     def unprinted(*args):
         raise AssertionError("computed but not printed")
 
-    monkeypatch.setattr("maxoid.cli.cone_adjacency", unprinted)
-    monkeypatch.setattr("maxoid.cli.face_maxoids", unprinted)
+    monkeypatch.setattr("maxoid.polytope.cone_adjacency", unprinted)
+    monkeypatch.setattr("maxoid.polytope.face_maxoids", unprinted)
     dag = tmp_path / "k5.json"
     dag.write_text(json.dumps(dag_to_json(complete_dag(5))))
     code, fan = invoke(capsys, "--pretty", "fan", str(dag))
@@ -653,28 +653,82 @@ def test_dot_export(files, capsys, tmp_path):
     assert "1 -> 2;" in dot.read_text()
 
 
+def _fresh_env() -> dict:
+    """The environment of a fresh interpreter that imports this package."""
+    src = os.path.dirname(os.path.dirname(maxoid.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
 @pytest.mark.parametrize("module", ["maxoid", "maxoid.cli"])
 def test_python_dash_m_prints_what_run_prints(capsys, module):
     _, expected = invoke(capsys, "tdags", "--nodes", "3")
-    src = os.path.dirname(os.path.dirname(maxoid.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     proc = subprocess.run([sys.executable, "-m", module, "tdags", "--nodes", "3"],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=_fresh_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == expected
     assert json.loads(proc.stdout)["count"] == 3
 
 
+# each command imports its leaf modules when it runs, which an in-process
+# test cannot check: pytest has already imported every module
+@pytest.mark.parametrize("argv", [
+    ["maxoid", "{dag}", "{weights}"],
+    ["kleene", "{dag}", "{weights}"],
+    ["fan", "{diamond}"],
+    ["fan", "--adjacency", "{diamond}"],
+    ["polytope", "--face-maxoids", "{diamond}"],
+    ["census", "--nodes", "4"],
+    ["implies", "--nodes", "3", "1,2|3 => 1,2|"],
+    ["axioms", "{dag}", "{weights}"],
+    ["tdags", "--nodes", "4"],
+], ids=["maxoid", "kleene", "fan", "fan-adjacency", "polytope-face-maxoids", "census", "implies",
+        "axioms", "tdags"])
+def test_each_command_in_a_fresh_interpreter_prints_what_run_prints(files, capsys, argv):
+    argv = [a.format(**files) for a in argv]
+    code, expected = invoke(capsys, *argv)
+    assert code == 0
+    proc = subprocess.run([sys.executable, "-m", "maxoid", *argv], capture_output=True,
+                          env=_fresh_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == expected.encode()
+
+
+def test_start_up_loads_no_module_its_command_skips():
+    # the modules loaded after `import maxoid.cli`, after a plain fan run and
+    # after a serial census, in one fresh interpreter
+    driver = ("import contextlib, io, json, sys\n"
+              "import maxoid.cli\n"
+              "loaded = [sorted(sys.modules)]\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              "        assert maxoid.cli.run(argv) == 0\n"
+              "    loaded.append(sorted(sys.modules))\n"
+              "print(json.dumps(loaded))\n")
+    runs = [["fan", str(DATA / "complete4.json")], ["census", "--nodes", "4", "--jobs", "1"]]
+    proc = subprocess.run([sys.executable, "-c", driver, json.dumps(runs)], capture_output=True,
+                          text=True, env=_fresh_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    at_import, after_fan, after_census = json.loads(proc.stdout)
+
+    def loaded(modules, names):
+        return {m for m in modules for name in names if m == name or m.startswith(name + ".")}
+
+    pool = ["multiprocessing", "concurrent"]
+    leaves = ["maxoid.polytope", "maxoid.implication", "maxoid.axioms", "maxoid.census"]
+    assert loaded(at_import, leaves + pool) == set()
+    assert loaded(after_fan, leaves + pool) == set()
+    # the driver sees what a command loads: census loads its own modules
+    assert {"maxoid.census", "maxoid.polytope"} <= set(after_census)
+    assert loaded(after_census, pool) == set()
+
+
 def test_closed_stdout_exits_nonzero_without_a_traceback():
-    src = os.path.dirname(os.path.dirname(maxoid.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     # about 180 kB of output, more than a pipe holds, so the write meets the
     # closed pipe
     proc = subprocess.Popen([sys.executable, "-m", "maxoid", "tdags", "--nodes", "6",
                              "--unbounded"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_fresh_env())
     assert proc.stdout.read(10) == b'{"count":2'
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)

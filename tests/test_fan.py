@@ -314,6 +314,32 @@ def test_lp_work_of_complete_fans_is_pinned(n, calls, pivots, monkeypatch):
     assert {e.den for e in entries} == {1}
 
 
+@pytest.mark.parametrize("n, handed", [(4, 26), (5, 419)])
+def test_the_lp_takes_each_comparison_row_once(n, handed, monkeypatch):
+    # two sub-paths that one choice forces can give one row (a->x->b against
+    # a->b is also a->x->b->c against a->b->c): the rows a tableau has
+    # absorbed and those handed to extend it are all distinct
+    from maxoid import linarith
+
+    absorbed = {}  # id(tableau): (tableau, its rows), the tableau kept so ids stay unique
+    extended = linarith.StrictTableau.extended
+    count = 0
+
+    def spy(self, rows):
+        nonlocal count
+        count += len(rows)
+        every = absorbed.get(id(self), (None, []))[1] + list(rows)
+        assert len(set(every)) == len(every)
+        child = extended(self, rows)
+        if child is not None:
+            absorbed[id(child)] = (child, every)
+        return child
+
+    monkeypatch.setattr(linarith.StrictTableau, "extended", spy)
+    enumerate_maximal_cones(complete_dag(n))
+    assert count == handed
+
+
 def _systems(systems):
     """Each system's choices and its blockers in key order, as a set."""
     return {(s.choices, tuple(s.blockers.items())) for s in systems}
