@@ -9,10 +9,13 @@ fan; tied (non-generic) ones from the faces of each graph's polytope.
 Every TDAG is a subgraph of the complete DAG on its nodes, so its fan is a
 restriction of the complete DAG's (fan.restricted_systems): a census
 searches the complete fan once, on its first graph that the cache does not
-answer, and reads every graph's critical systems off it.  The generic
+answer, and reads every graph's critical systems off it, with no path
+search of the graph's own: off the path tables, path slices and packed
+blockers that fan.sliced_fan builds once with the fan.  The generic
 structures are the systems' maxoids, the complete DAG's own those of its
 fan entries, and the face structures come from the polytope of the same
-systems (polytope.face_structures).
+systems (polytope.face_structures, imported only when faces are asked
+for).
 
 Separation does not depend on node names, so a graph's structures under a
 relabeling are its structures relabeled.  The census therefore reads one
@@ -46,7 +49,6 @@ from typing import Callable, Iterator
 
 from .fan import SlicedFan, restricted_systems, sliced_fan
 from .graph import Dag, _closed_edge_lists, dag_to_json, isomorphism_classes
-from .polytope import face_structures
 from .separation import (Maxoid, _mapped_bits, _relabelings, _statement_tables,
                          maxoid_from_blockers)
 
@@ -158,7 +160,11 @@ def graph_maxoids(g: Dag, include_faces: bool,
         else:
             systems = restricted_systems(g, complete)
             generic = [maxoid_from_blockers(g.n, s.blockers).bits for s in systems]
-        faces = [m.bits for m, _ in face_structures(g, systems)] if include_faces else None
+        faces = None
+        if include_faces:
+            from .polytope import face_structures
+
+            faces = [m.bits for m, _ in face_structures(g, systems)]
         data = {"generic": generic, "faces": faces}
         if path:
             tmp = path + ".tmp"
@@ -216,8 +222,9 @@ def census_structures(family: TdagFamily, include_faces: bool = True,
 
     Generic structures come from every graph's maximal cones; the full set
     additionally contains the face structures of every graph's polytope
-    (when include_faces is false, the two sets coincide).  A graph's
-    structures under a relabeling are its structures relabeled, so each
+    (when include_faces is false, the two sets are equal; either way each
+    structure is built once and the full set shares the generic ones).  A
+    graph's structures under a relabeling are its structures relabeled, so each
     isomorphism class of the family (graph.isomorphism_classes) is computed
     once, on its representative, and each of its structures is renamed to
     every member of the class through that member's bit table.  Runs the
@@ -261,7 +268,6 @@ def census_structures(family: TdagFamily, include_faces: bool = True,
         collect(_spawned_map(_worker, tasks, workers, _start_worker, (n,)), BrokenProcessPool)
     else:
         collect(map(partial(_worker, fan=cache(partial(_complete_fan, n))), tasks))
-    everything |= generic
-    return ({Maxoid.from_bits(n, b) for b in generic},
-            {Maxoid.from_bits(n, b) for b in everything})
+    structures = {Maxoid.from_bits(n, b) for b in generic}
+    return structures, structures | {Maxoid.from_bits(n, b) for b in everything - generic}
 

@@ -10,9 +10,9 @@ Each command loads only the modules it runs.  At module level this file
 imports what the package itself loads (graph, tropical, separation) and the
 fan search (fan, linarith), which fan, polytope, census and implies all
 reach; a leaf module (polytope, implication, axioms, census) is imported by
-the command that uses it, when it runs, and census imports its process pool
-only when --jobs starts one.  A start-up therefore compiles and loads no
-module its command skips.
+the command that uses it, when it runs, and census imports polytope only
+when it computes faces and its process pool only when --jobs starts one.
+A start-up therefore compiles and loads no module its command skips.
 """
 
 from __future__ import annotations

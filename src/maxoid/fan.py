@@ -38,9 +38,16 @@ null space of any one cone's rows, so lineality_dimension reads it off an
 entry that the caller already holds.
 
 A subgraph's fan is a restriction of its graph's: restricted_systems reads
-the critical systems of a subgraph h off the cones of a supergraph's fan,
-with no search of h's own, from a SlicedFan, which holds for each path
-the bitmask of the cones that choose it.
+the critical systems of a subgraph h off the cones of a supergraph g's fan,
+with no search and no path enumeration of h's own, from a SlicedFan.  It
+holds, built once, each connected pair's paths, each path's edge mask and
+its rows against the other paths of its pair, the bitmask of the cones
+that choose each path and each cone's blockers packed into one int.  h's
+paths are the table paths whose edge mask lies in h's; a row between two
+of them is zero off h's edges, so it scores g's point as h's row scores
+the point restricted to h; and a DAG path is fixed by its end points and
+its interior, so a cone's packed blockers on h's pairs identify its
+restriction.
 """
 
 from __future__ import annotations
@@ -225,24 +232,49 @@ def lineality_dimension(entry: FanEntry) -> int:
     return len(entry.point) - rank_of(entry.inequalities)
 
 
+def _packed_blockers(system: CriticalSystem, n: int) -> int:
+    """The system's blocker masks in one int, n + 1 bits per pair in the
+    order of its blockers; a union of systems is the OR of theirs."""
+    return sum(b << k * (n + 1) for k, b in enumerate(system.blockers.values()))
+
+
 @dataclass(frozen=True)
 class SlicedFan:
-    """A graph's fan entries, bit-sliced by path: choosing[p] has bit k set
-    when entries[k] chooses the path p for its pair."""
+    """A graph's fan entries, bit-sliced by path, with their path tables:
+    choosing[p] has bit k set when entries[k] chooses the path p for its
+    pair; index is the graph's edge index; paths[key] maps each path of a
+    connected pair, in lexicographic order, to its mask of the bits
+    index[e] of its edges e, the pairs keyed in the order of every entry's
+    choices; rows[p][q] is the row of p against q, another path of its
+    pair; packed[k] is entries[k]'s blockers packed by _packed_blockers."""
 
     graph: Dag
     entries: list[FanEntry]
     choosing: dict[Path, int]
+    index: dict[tuple[int, int], int]
+    paths: dict[tuple[int, int], dict[Path, int]]
+    rows: dict[Path, dict[Path, tuple[int, ...]]]
+    packed: list[int]
 
 
 def sliced_fan(g: Dag) -> SlicedFan:
-    """g's maximal cones, enumerate_maximal_cones(g), with their slices."""
+    """g's maximal cones, enumerate_maximal_cones(g), with their slices and
+    path tables."""
     entries = enumerate_maximal_cones(g)
     choosing: dict[Path, int] = {}
     for k, entry in enumerate(entries):
         for _, path in entry.system.choices:
             choosing[path] = choosing.get(path, 0) | 1 << k
-    return SlicedFan(g, entries, choosing)
+    index = _edge_index(g)
+    paths: dict[tuple[int, int], dict[Path, int]] = {}
+    rows: dict[Path, dict[Path, tuple[int, ...]]] = {}
+    for key, _ in entries[0].system.choices:
+        found = paths[key] = {p: sum(1 << index[e] for e in zip(p, p[1:]))
+                              for p in enumerate_paths(g, *key)}
+        for p in found:
+            rows[p] = {q: _path_comparison(index, p, q) for q in found if q != p}
+    return SlicedFan(g, entries, choosing, index, paths, rows,
+                     [_packed_blockers(e.system, g.n) for e in entries])
 
 
 def restricted_systems(h: Dag, fan: SlicedFan) -> list[CriticalSystem]:
@@ -267,38 +299,47 @@ def restricted_systems(h: Dag, fan: SlicedFan) -> list[CriticalSystem]:
       g's critical paths are h's, strictly.  That holds on an open set of
       g's weight space, which meets the open cone of some maximal cone of g
       (their closures cover it); that cone chooses h's system on h's pairs.
-    The cones that choose only h-paths on h's pairs are found bit-sliced:
-    the AND over h's pairs of the OR of the slices of the pair's paths in
-    h.  Each restriction's point is checked, with checked_point, against
-    every row of its system in h: its chosen path against every other path
-    of h between the same nodes.
+    Everything is read off fan's tables.  h's paths of a pair are the
+    pair's table paths whose edge mask lies in h's.  The cones that choose
+    only h-paths on h's pairs are found bit-sliced: the AND over h's pairs
+    of the OR of the slices of the pair's paths in h.  A DAG path is fixed
+    by its end points and its interior node set, so a cone's blockers on
+    h's pairs, packed[k] AND the bits of h's pairs, identify its
+    restriction: one AND per cone.  Each restriction's point is checked,
+    with checked_point, against every row of its system in h: its chosen
+    path against every other path of h between the same nodes.  That is
+    the table row on g's point: the row of two paths of h is zero off h's
+    edges and h's own row on them, so it scores g's point as h's row
+    scores the point restricted to h.
     """
-    index = _edge_index(fan.graph)
-    missing = h.edges - index.keys()
+    missing = h.edges - fan.index.keys()
     if missing:
         raise ValueError(f"edges {sorted(missing)} of the subgraph are not edges of the graph")
-    columns = [index[e] for e in h.sorted_edges]
-    h_index = _edge_index(h)
-    pairs = [(i, j) for i in h.nodes for j in h.descendants(i)]
-    # every entry lists its choices in one pair order; h's pairs sit at on_h
-    keys = set(pairs)
-    on_h = [k for k, (key, _) in enumerate(fan.entries[0].system.choices) if key in keys]
-    rows: dict[Path, list[tuple[int, ...]]] = {}
+    outside = ~sum(1 << fan.index[e] for e in h.edges)
+    pairs = {(i, j) for i in h.nodes for j in h.descendants(i)}
+    width = fan.graph.n + 1
+    # every entry lists its choices in the order of fan.paths; h's pairs
+    # sit at on_h, and keep has the bits of their blockers in packed
+    on_h: list[int] = []
+    found: dict[tuple[int, int], list[Path]] = {}
     compatible = (1 << len(fan.entries)) - 1
-    for key in pairs:
-        found = enumerate_paths(h, *key)
-        compatible &= reduce(or_, (fan.choosing.get(p, 0) for p in found))
-        for p in found:
-            rows[p] = [_path_comparison(h_index, p, q) for q in found if q != p]
-    systems: dict[tuple, CriticalSystem] = {}
+    keep = 0
+    for k, (key, paths) in enumerate(fan.paths.items()):
+        if key in pairs:
+            on_h.append(k)
+            found[key] = [p for p, mask in paths.items() if not mask & outside]
+            compatible &= reduce(or_, (fan.choosing.get(p, 0) for p in found[key]))
+            keep |= (1 << width) - 1 << k * width
+    systems: dict[int, CriticalSystem] = {}
     for k in _bit_indices(compatible):
-        entry = fan.entries[k]
-        choices = tuple(entry.system.choices[i] for i in on_h)
-        if choices not in systems:
-            checked_point([entry.point[c] for c in columns],
-                          (r for _, p in choices for r in rows[p]), entry.den)
+        code = fan.packed[k] & keep
+        if code not in systems:
+            entry = fan.entries[k]
+            choices = tuple(entry.system.choices[i] for i in on_h)
+            checked_point(entry.point, (fan.rows[p][q] for key, p in choices
+                                        for q in found[key] if q != p), entry.den)
             blockers = entry.system.blockers
-            systems[choices] = CriticalSystem(choices, {key: blockers[key] for key, _ in choices})
+            systems[code] = CriticalSystem(choices, {key: blockers[key] for key, _ in choices})
     if not systems:
         raise AssertionError("no cone of the graph's fan restricts to the subgraph")
     return list(systems.values())

@@ -59,7 +59,7 @@ from typing import Iterable, Iterator
 from .graph import Dag
 from .linarith import _echelon, _primitive
 from .separation import Maxoid, _bit_indices, maxoid_from_blockers
-from .fan import FanEntry, CriticalSystem, enumerate_maximal_cones
+from .fan import FanEntry, CriticalSystem, _packed_blockers, enumerate_maximal_cones
 
 
 @dataclass(frozen=True)
@@ -295,12 +295,6 @@ def _facet_pass(facets: Iterable[Facet], face: int, top: int, width: int
         elif cut:
             cuts.add(cut)
     return cuts, meet, tuple(total)
-
-
-def _packed_blockers(system: CriticalSystem, n: int) -> int:
-    """The system's blocker masks in one int, n + 1 bits per pair in the
-    order of its blockers; a union of systems is the OR of theirs."""
-    return sum(b << k * (n + 1) for k, b in enumerate(system.blockers.values()))
 
 
 def _union_maxoid(n: int, pairs: tuple, words: Iterable[int], memo: dict) -> Maxoid:

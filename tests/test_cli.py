@@ -110,6 +110,21 @@ def test_census_command(files, capsys):
     assert json.loads(out) == {"tdags": 18, "maxoids": 41, "generic": 40}
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (["--nodes", "4"], "3ea0d5ec2bb8011a665c06a91da7817b369aea1c320ecfae9e6c5b9ce9769a96"),
+    (["--nodes", "5", "--generic-only"],
+     "af4f6e4b2440fe68ad872fa4dde7d8bfdbcfe66908b5bf9cbe854979a8ebe48d"),
+], ids=["nodes-4", "nodes-5-generic-only"])
+def test_census_dumps_keep_their_pinned_digests(capsys, monkeypatch, argv, digest):
+    # every structure the census finds, in print order, computed and not
+    # read from a cache; the digests were taken from the census that ran
+    # each class's own path search for its restrictions
+    monkeypatch.delenv("MAXOID_CACHE_DIR", raising=False)
+    code, out = invoke(capsys, "census", *argv, "--dump")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_census_and_fan_make_no_fraction_in_the_fan(files, capsys, monkeypatch):
     # the cones stay integer from the search through the census and the
     # fan printer: neither reads a witness as Fractions
@@ -695,8 +710,9 @@ def test_each_command_in_a_fresh_interpreter_prints_what_run_prints(files, capsy
 
 
 def test_start_up_loads_no_module_its_command_skips():
-    # the modules loaded after `import maxoid.cli`, after a plain fan run and
-    # after a serial census, in one fresh interpreter
+    # the modules loaded after `import maxoid.cli`, after a plain fan run,
+    # after a serial generic census and tdags, and after a serial census
+    # with faces, in one fresh interpreter
     driver = ("import contextlib, io, json, sys\n"
               "import maxoid.cli\n"
               "loaded = [sorted(sys.modules)]\n"
@@ -705,11 +721,13 @@ def test_start_up_loads_no_module_its_command_skips():
               "        assert maxoid.cli.run(argv) == 0\n"
               "    loaded.append(sorted(sys.modules))\n"
               "print(json.dumps(loaded))\n")
-    runs = [["fan", str(DATA / "complete4.json")], ["census", "--nodes", "4", "--jobs", "1"]]
+    runs = [["fan", str(DATA / "complete4.json")],
+            ["census", "--nodes", "4", "--generic-only", "--jobs", "1"], ["tdags", "--nodes", "4"],
+            ["census", "--nodes", "4", "--jobs", "1"]]
     proc = subprocess.run([sys.executable, "-c", driver, json.dumps(runs)], capture_output=True,
                           text=True, env=_fresh_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
-    at_import, after_fan, after_census = json.loads(proc.stdout)
+    at_import, after_fan, after_generic, after_tdags, after_census = json.loads(proc.stdout)
 
     def loaded(modules, names):
         return {m for m in modules for name in names if m == name or m.startswith(name + ".")}
@@ -718,8 +736,11 @@ def test_start_up_loads_no_module_its_command_skips():
     leaves = ["maxoid.polytope", "maxoid.implication", "maxoid.axioms", "maxoid.census"]
     assert loaded(at_import, leaves + pool) == set()
     assert loaded(after_fan, leaves + pool) == set()
-    # the driver sees what a command loads: census loads its own modules
-    assert {"maxoid.census", "maxoid.polytope"} <= set(after_census)
+    # neither a generic census nor tdags builds a face lattice
+    assert "maxoid.census" in after_generic
+    assert loaded(after_tdags, ["maxoid.polytope"] + pool) == set()
+    # the -c script sees what a command loads: a census with faces loads them
+    assert "maxoid.polytope" in after_census
     assert loaded(after_census, pool) == set()
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import random
 import weakref
@@ -6,8 +7,15 @@ from fractions import Fraction
 import pytest
 
 from maxoid.census import all_top_ordered_tdags
-from maxoid.fan import enumerate_maximal_cones, lineality_dimension, restricted_systems, sliced_fan
-from maxoid.graph import Dag, isomorphism_classes, top_ordered_closed_dags
+from maxoid.fan import (
+    _edge_index,
+    _path_comparison,
+    enumerate_maximal_cones,
+    lineality_dimension,
+    restricted_systems,
+    sliced_fan,
+)
+from maxoid.graph import Dag, enumerate_paths, isomorphism_classes, top_ordered_closed_dags
 from maxoid.linarith import rank_of
 from maxoid.polytope import cone_adjacency
 from maxoid.separation import maxoid, parse_ci_statement
@@ -381,6 +389,71 @@ def test_restricted_systems_of_any_subgraph_of_a_relabeled_graph():
         for _ in range(3):
             h = Dag(g.n, [e for e in g.sorted_edges if rng.random() < 0.6])
             _assert_restricted_systems_are_the_fan(h, fan)
+
+
+def test_table_rows_between_paths_of_a_subgraph_are_the_subgraphs_rows():
+    # what lets restricted_systems check a restriction on the graph's own
+    # point: for every closed 5-node DAG h, the table paths inside h are
+    # h's paths, and the table row of two of them is zero off h's edges and
+    # h's own row on them
+    fan = sliced_fan(complete_dag(5))
+    for h in top_ordered_closed_dags(5):
+        inside = sum(1 << fan.index[e] for e in h.edges)
+        h_index = _edge_index(h)
+        off = [fan.index[e] for e in fan.graph.sorted_edges if e not in h.edges]
+        on = [fan.index[e] for e in h.sorted_edges]
+        for i in h.nodes:
+            for j in h.descendants(i):
+                paths = enumerate_paths(h, i, j)
+                inner = [p for p, mask in fan.paths[i, j].items() if mask | inside == inside]
+                assert inner == paths
+                for p in paths:
+                    for q in paths:
+                        if q != p:
+                            row = fan.rows[p][q]
+                            assert all(row[c] == 0 for c in off), (h, p, q)
+                            assert tuple(row[c] for c in on) == _path_comparison(h_index, p, q)
+
+
+def test_packed_codes_identify_the_choices_on_a_subgraphs_pairs():
+    # a DAG path is fixed by its end points and its interior node set, so on
+    # every 5-node class the packed blockers of h's pairs tell apart
+    # exactly the cones whose choices on h's pairs differ
+    fan = sliced_fan(complete_dag(5))
+    keys = [key for key, _ in fan.entries[0].system.choices]
+    width = fan.graph.n + 1
+    for h, _ in isomorphism_classes(all_top_ordered_tdags(5).graphs):
+        pairs = {(i, j) for i in h.nodes for j in h.descendants(i)}
+        keep = sum((1 << width) - 1 << k * width for k, key in enumerate(keys) if key in pairs)
+        seen = {}
+        for packed, entry in zip(fan.packed, fan.entries):
+            choices = tuple(c for c in entry.system.choices if c[0] in pairs)
+            assert seen.setdefault(packed & keep, choices) == choices, h
+        assert len(set(seen.values())) == len(seen), h
+
+
+def test_restricted_systems_check_each_restriction_on_the_graphs_point():
+    # the first cone of complete-4 that restricts to the diamond with one
+    # chord: its point moved off the subgraph's edges still gives the
+    # subgraph's systems, since no checked row reads those coordinates;
+    # moved to zero on them, the check refuses it
+    fan = sliced_fan(complete_dag(4))
+    h = Dag(4, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)])
+    systems = restricted_systems(h, fan)
+    first = set(systems[0].choices)
+    k = next(k for k, e in enumerate(fan.entries) if first <= set(e.system.choices))
+    outside = fan.index[1, 4]
+
+    def moved(point):
+        entries = list(fan.entries)
+        entries[k] = dataclasses.replace(entries[k], point=tuple(point))
+        return dataclasses.replace(fan, entries=entries)
+
+    point = list(fan.entries[k].point)
+    point[outside] = -1000
+    assert restricted_systems(h, moved(point)) == systems
+    with pytest.raises(AssertionError, match="violates"):
+        restricted_systems(h, moved(x if c == outside else 0 for c, x in enumerate(point)))
 
 
 def test_restricted_systems_refuse_an_edge_outside_the_graph():
