@@ -17,13 +17,15 @@ fan entries, and the face structures come from the polytope of the same
 systems (polytope.face_structures, imported only when faces are asked
 for).
 
-Separation does not depend on node names, so a graph's structures under a
-relabeling are its structures relabeled.  The census therefore reads one
-fan (and face lattice) per isomorphism class of the family, on the class's
-first member (graph.isomorphism_classes: 44 classes for the 181 TDAGs on
-five nodes, 238 for the 2792 on six), and renames each structure to every
-member of the class by walking its set bits through that member's bit
-table (separation._relabelings).
+The family is a list of edge masks (graph.closed_dag_masks grows them node
+by node).  Separation does not depend on node names, so a graph's
+structures under a relabeling are its structures relabeled.  The census
+therefore reads one fan (and face lattice) per isomorphism class of the
+family, on the class's first member (graph.mask_classes, found on the
+masks: 44 classes for the 181 TDAGs on five nodes, 238 for the 2792 on
+six), builds a Dag for that member only, and renames each structure to
+every member of the class by walking its set bits through that member's
+bit table (separation._relabelings).
 
 Each representative's Dag goes to a worker, and its structures come back
 as the ints of Maxoid.bits: bit k is the k-th statement in the order a
@@ -43,12 +45,12 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache, cached_property, partial
 from itertools import combinations
 from typing import Callable, Iterator
 
 from .fan import SlicedFan, restricted_systems, sliced_fan
-from .graph import Dag, _closed_edge_lists, dag_to_json, isomorphism_classes
+from .graph import Dag, closed_dag_masks, dag_to_json, mask_classes, mask_dag
 from .separation import (Maxoid, _mapped_bits, _relabelings, _statement_tables,
                          maxoid_from_blockers)
 
@@ -57,34 +59,34 @@ CACHE_ENV = "MAXOID_CACHE_DIR"
 
 @dataclass
 class TdagFamily:
+    """Graphs on 1..n whose edges point from a smaller to a larger label, as
+    edge masks: bit k stands for the k-th pair i < j in lexicographic order,
+    as in graph.closed_dag_masks."""
+
     n: int
-    graphs: list[Dag]
+    masks: list[int]
 
+    @property
+    def graphs(self) -> list[Dag]:
+        """A Dag per mask, in order."""
+        return [mask_dag(self.n, mask) for mask in self.masks]
 
-def _weakly_connected(n: int, edges) -> bool:
-    parent = list(range(n + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in edges:
-        parent[find(u)] = find(v)
-    return len({find(v) for v in range(1, n + 1)}) <= 1
+    @cached_property
+    def classes(self) -> list[tuple[Dag, list[tuple[int, ...]]]]:
+        """graph.mask_classes of the masks, with a Dag for each representative
+        only; ValueError naming an entry that is not a distinct edge mask."""
+        return [(mask_dag(self.n, mask), labels)
+                for mask, labels in mask_classes(self.n, self.masks)]
 
 
 def all_top_ordered_tdags(n: int) -> TdagFamily:
     """All transitively closed, weakly connected edge subsets of
-    {(i,j): i<j}, in the order of graph.top_ordered_closed_dags.
-    Connectivity subsumes the no-isolated-node requirement and is what the
-    reference counts (3, 18, 181 for n = 3, 4, 5) pin down.  It is tested
-    on the edge lists, so a Dag is built for the connected ones only."""
+    {(i,j): i<j}, in the order of graph.closed_dag_masks.  Connectivity
+    subsumes the no-isolated-node requirement and is what the reference
+    counts (3, 18, 181 for n = 3, 4, 5) pin down."""
     if n < 1:
         raise ValueError("need at least one node")
-    return TdagFamily(n, [Dag(n, edges) for edges in _closed_edge_lists(n)
-                          if _weakly_connected(n, edges)])
+    return TdagFamily(n, closed_dag_masks(n, connected=True))
 
 
 @cache
@@ -225,7 +227,7 @@ def census_structures(family: TdagFamily, include_faces: bool = True,
     (when include_faces is false, the two sets are equal; either way each
     structure is built once and the full set shares the generic ones).  A
     graph's structures under a relabeling are its structures relabeled, so each
-    isomorphism class of the family (graph.isomorphism_classes) is computed
+    isomorphism class of the family (TdagFamily.classes) is computed
     once, on its representative, and each of its structures is renamed to
     every member of the class through that member's bit table.  Runs the
     representatives on min(jobs, number of classes) worker processes,
@@ -235,8 +237,7 @@ def census_structures(family: TdagFamily, include_faces: bool = True,
     class's systems are read off it; no fan outlives the call.
     """
     n = family.n
-    classes = list(isomorphism_classes(family.graphs))
-    assert sum(len(labels) for _, labels in classes) == len(family.graphs)
+    classes = family.classes
     tasks = [(g, include_faces) for g, _ in classes]
     generic: set[int] = set()
     everything: set[int] = set()

@@ -229,7 +229,7 @@ def _cmd_census(args) -> None:
     family = all_top_ordered_tdags(args.nodes)
     generic, everything = census_structures(family, include_faces=not args.generic_only,
                                             jobs=args.jobs)
-    data = {"tdags": len(family.graphs), "generic": len(generic)}
+    data = {"tdags": len(family.masks), "generic": len(generic)}
     if not args.generic_only:
         data["maxoids"] = len(everything)
     if args.pretty:
@@ -301,9 +301,9 @@ def _cmd_tdags(args) -> None:
         _refuse(f"enumeration on {args.nodes} nodes", args)
     family = all_top_ordered_tdags(args.nodes)
     if args.pretty:
-        print(f"{len(family.graphs)} graphs on {family.n} nodes")
+        print(f"{len(family.masks)} graphs on {family.n} nodes")
     else:
-        print(_json({"n": family.n, "count": len(family.graphs),
+        print(_json({"n": family.n, "count": len(family.masks),
                      "graphs": [dag_to_json(g) for g in family.graphs]}))
 
 

@@ -2,10 +2,10 @@
 
 Provides exhaustive, memoized directed-path enumeration, the purely
 combinatorial transitive closure, and the graph family of the census and
-global implication: the transitively closed DAGs with upward edges, one
-edge mask each, kept when every path u -> v -> w has the edge u -> w.
-Path enumeration is exponential in the edge count in the worst case; all
-intended workloads have at most a handful of nodes.
+global implication as edge masks: the transitively closed DAGs with upward
+edges, grown node by node, and their isomorphism classes.  Path enumeration
+is exponential in the edge count in the worst case; all intended workloads
+have at most a handful of nodes.
 """
 
 from __future__ import annotations
@@ -174,77 +174,86 @@ def transitive_closure(g: Dag) -> Dag:
     return Dag(g.n, edges)
 
 
-def top_ordered_closed_dags(n: int) -> Iterator[Dag]:
-    """Every transitively closed DAG on 1..n whose edges all point from a
-    smaller to a larger label, disconnected ones included, in increasing
-    order of their edge mask over the pairs i < j in lexicographic order.
-    Every transitively closed DAG on 1..n is a relabeling of one of them.
-    Forward edges close no cycle, so each mask is a DAG, kept when every
-    path u -> v -> w in it comes with the edge u -> w."""
-    return (Dag(n, edges) for edges in _closed_edge_lists(n))
+def mask_dag(n: int, mask: int) -> Dag:
+    """The Dag on 1..n whose edges are the pairs of mask's bits."""
+    return Dag(n, [e for k, e in enumerate(combinations(range(1, n + 1), 2)) if mask >> k & 1])
 
 
-def _closed_edge_lists(n: int) -> Iterator[list[Edge]]:
-    """The sorted edge lists of top_ordered_closed_dags(n), in its order,
-    with no Dag built."""
-    pairs = list(combinations(range(1, n + 1), 2))
-    bit = {e: 1 << k for k, e in enumerate(pairs)}
-    triples = [(bit[u, v] | bit[v, w], bit[u, w])
-               for u, v, w in combinations(range(1, n + 1), 3)]
-    for mask in range(1 << len(pairs)):
-        if all(mask & both != both or mask & closing for both, closing in triples):
-            yield [e for e in pairs if mask & bit[e]]
+def _pair_bits(n: int) -> list[list[int]]:
+    """bit[j][i], the bit of the pair i < j of 1..n in an edge mask."""
+    bit = [[0] * (n + 1) for _ in range(n + 1)]
+    for k, (i, j) in enumerate(combinations(range(1, n + 1), 2)):
+        bit[j][i] = 1 << k
+    return bit
 
 
-def linear_extensions(g: Dag) -> Iterator[tuple[int, ...]]:
-    """Every topological order of g, in lexicographic order."""
-    parents = [0] * (g.n + 1)
-    for u, v in g.edges:
-        parents[v] |= 1 << u
-    every = sum(1 << v for v in g.nodes)
+def closed_dag_masks(n: int, connected: bool = False) -> list[int]:
+    """The edge masks of the transitively closed DAGs on 1..n with upward
+    edges, weakly connected when connected, in increasing order.  Each grows
+    from the graph it induces on 1..m-1 by the parents of m, which hold the
+    parents of their members (Brinkmann and McKay, Order 19, 2002); a graph
+    on 1..n is connected when they meet every component of the rest."""
+    bit = _pair_bits(n)
+    grown = [((), 0)]  # (the parents of each node 1..m as node bitmasks, mask)
+    for m in range(1, n + 1):
+        level = []
+        for parents, mask in grown:
+            components = []
+            for v, ps in enumerate(parents if connected and m == n else (), 1):
+                joined = 1 << v | sum(c for c in components if c & ps)
+                components = [c for c in components if not c & ps] + [joined]
+            down_sets = [(0, mask)]
+            for v, ps in enumerate(parents, 1):
+                down_sets += [(down | 1 << v, edges | bit[m][v])
+                              for down, edges in down_sets if down & ps == ps]
+            level += [(parents + (down,), edges)
+                      for down, edges in down_sets if all(c & down for c in components)]
+        grown = level
+    return sorted(mask for _, mask in grown)
 
-    def extend(placed: int, order: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if placed == every:
-            yield order
-            return
-        for v in g.nodes:
-            if not placed >> v & 1 and parents[v] & placed == parents[v]:
-                yield from extend(placed | 1 << v, order + (v,))
 
-    return extend(0, ())
-
-
-def isomorphism_classes(graphs: Iterable[Dag]
-                        ) -> Iterator[tuple[Dag, list[tuple[int, ...]]]]:
-    """The graphs, DAGs on one node set whose edges point from a smaller to
-    a larger label, grouped by isomorphism: (representative, labels) per
-    class, in input order of the representatives, each the first member of
-    its class.
-
-    A label is a tuple indexed by node, node 0 fixed, and renames node v of
-    the representative to label[v]; labels[0] is the identity.  Renaming the
-    nodes of a topological order to 1, 2, ... in turn gives a graph whose
-    edges point up, and every such graph isomorphic to the representative
-    arises so: the labels are those of its linear extensions that land on an
-    input graph, the first per graph, so every input graph is reached by
-    exactly one label of one class.  Classes are found as they are yielded.
-    """
-    graphs = list(graphs)
-    place = {g.edges: k for k, g in enumerate(graphs)}
-    reached = [False] * len(graphs)
-    for k, g in enumerate(graphs):
+def mask_classes(n: int, masks: list[int]) -> Iterator[tuple[int, list[tuple[int, ...]]]]:
+    """The graphs on 1..n with these edge masks by isomorphism class, as
+    (representative's mask, labels), the representative the class's first
+    member.  A label renames node v to label[v]; the labels are those of
+    the representative's topological orders, in lexicographic order (the
+    identity first), that rename it to an input mask not reached before, so
+    every mask is reached once.  Classes are found as they are yielded,
+    after a ValueError for an entry that is not an edge mask of 1..n or
+    repeats one."""
+    place: dict[int, int] = {}
+    for k, mask in enumerate(masks):
+        if type(mask) is not int or not 0 <= mask < 1 << n * (n - 1) // 2:
+            raise ValueError(f"{mask!r} is not an edge mask of 1..{n}")
+        if place.setdefault(mask, k) != k:
+            raise ValueError(f"{mask_dag(n, mask)!r} is listed twice")
+    bit = _pair_bits(n)
+    reached = [False] * len(masks)
+    label = [0] * (n + 1)
+    for k, mask in enumerate(masks):
         if reached[k]:
             continue
+        parents = [[u for u in range(1, v) if mask & bit[v][u]] for v in range(n + 1)]
+        need = [sum(1 << u for u in ps) for ps in parents]
         labels = []
-        for order in linear_extensions(g):
-            label = [0] * (g.n + 1)
-            for new, v in enumerate(order, 1):
-                label[v] = new
-            member = place.get(frozenset((label[u], label[v]) for u, v in g.edges))
-            if member is not None and not reached[member]:
-                reached[member] = True
-                labels.append(tuple(label))
-        yield g, labels
+
+        def extend(placed: int, at: int, image: int) -> None:
+            # image: the renamed mask of the edges among the placed nodes
+            if at > n:
+                member = place.get(image)
+                if member is not None and not reached[member]:
+                    reached[member] = True
+                    labels.append(tuple(label))
+            for v in range(1, n + 1):
+                if not placed >> v & 1 and need[v] & placed == need[v]:
+                    label[v] = at
+                    row, relabeled = bit[at], image
+                    for u in parents[v]:
+                        relabeled |= row[label[u]]
+                    extend(placed | 1 << v, at + 1, relabeled)
+
+        extend(0, 1, 0)
+        yield mask, labels
 
 
 def to_dot(g: Dag, name: str = "G") -> str:

@@ -16,15 +16,16 @@ stays generic.  Every transitively closed DAG is a relabeling of one whose
 edges point from smaller to larger labels, so the scan covers those,
 disconnected ones included, under all n! relabelings.  It relabels the
 query, not the structures, and so needs one graph per isomorphism class
-(graph.isomorphism_classes: 16 of the 40 such graphs on four nodes, 63 of
-the 357 on five), the first in top_ordered_closed_dags order: if a
-structure of a later member pi(G) of G's class matches under a label, the
-same structure of G matches under that label composed with pi, and G comes
-first, so the first match is never at a later member.
+(graph.mask_classes over the edge masks of graph.closed_dag_masks: 16 of
+the 40 such graphs on four nodes, 63 of the 357 on five, a Dag built for
+each representative only), the first in mask order: if a structure of a
+later member pi(G) of G's class matches under a label, the same structure
+of G matches under that label composed with pi, and G comes first, so the
+first match is never at a later member.
 
 Each process keeps one structure index per scope and mode: a list of
 (bits, graph, weights, denominator) in scan order, graphs in
-top_ordered_closed_dags order (the class representatives in global modes,
+closed_dag_masks order (the class representatives in global modes,
 the one graph in local modes), then each graph's cones in fan order, then
 its faces of dimension at least 1 in lattice order.  A structure is
 listed once, where the scan first meets it: a later copy matches under
@@ -49,7 +50,7 @@ from fractions import Fraction
 from itertools import islice, permutations
 from typing import Iterator, Sequence
 
-from .graph import Dag, isomorphism_classes, top_ordered_closed_dags
+from .graph import Dag, closed_dag_masks, mask_classes, mask_dag
 from .polytope import graph_structures
 from .separation import (
     CiStatement,
@@ -114,7 +115,7 @@ def decide_implication(scope, premises: Sequence[CiStatement],
     index = _indexes.get(key)
     if index is None:
         graphs = iter([scope]) if local else (
-            g for g, _ in isomorphism_classes(top_ordered_closed_dags(n)))
+            mask_dag(n, mask) for mask, _ in mask_classes(n, closed_dag_masks(n)))
         index = _indexes[key] = _Index(graphs, not generic)
     try:
         match = _first_match(index, _queries(n, premises, conclusions, local))

@@ -55,8 +55,14 @@ its inputs and mutations.  Each entry: oracles -> checked function; tests.
   census_structures, whose systems fan.restricted_systems reads off the
   complete fan; test_class_census_*.  The subgraph's own
   enumerate_maximal_cones, checked above -> restricted_systems;
-  test_fan test_restricted_systems_*.  mask_loop_dags (a Dag per edge
-  mask) -> the graph families' order; test_*_mask_loop_order.
+  test_fan test_restricted_systems_*.
+- Graph families. mask_loop_dags (a Dag per edge mask, kept when it is
+  its own transitive closure) -> graph.closed_dag_masks and the families'
+  order; test_*_mask_loop_order.  closed_dags lists that family for other
+  tests.  isomorphism_classes (the replaced class finder: frozensets of
+  edge tuples renamed through each representative's linear_extensions) ->
+  graph.mask_classes; test_graph test_mask_classes_match_the_edge_set_*,
+  test_isomorphism_classes_of_a_sub_family_*.
 - Closure rules. looped_* (one loop body per rule) -> the axioms
   checkers; test_checkers_match_the_looped_oracle.
 - Output. dict_tree_fan_output, dict_tree_polytope_output (one json.dumps
@@ -82,7 +88,6 @@ from maxoid.graph import (
     Edge,
     Path,
     enumerate_paths,
-    top_ordered_closed_dags,
     transitive_closure,
 )
 from maxoid.census import TdagFamily
@@ -1054,6 +1059,55 @@ def mask_loop_dags(n: int, pairs: Sequence[tuple[int, int]],
             yield g
 
 
+def closed_dags(n: int) -> list[Dag]:
+    """Every transitively closed DAG on 1..n with upward edges, in
+    increasing order of its edge mask over the pairs i < j."""
+    return list(mask_loop_dags(n, list(combinations(range(1, n + 1), 2)), closed_only=True))
+
+
+def linear_extensions(g: Dag) -> Iterator[tuple[int, ...]]:
+    """Every topological order of g, in lexicographic order."""
+    parents = [0] * (g.n + 1)
+    for u, v in g.edges:
+        parents[v] |= 1 << u
+    every = sum(1 << v for v in g.nodes)
+
+    def extend(placed: int, order: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        if placed == every:
+            yield order
+            return
+        for v in g.nodes:
+            if not placed >> v & 1 and parents[v] & placed == parents[v]:
+                yield from extend(placed | 1 << v, order + (v,))
+
+    return extend(0, ())
+
+
+def isomorphism_classes(graphs: Iterable[Dag]) -> Iterator[tuple[Dag, list[tuple[int, ...]]]]:
+    """The replaced class finder on Dags: the graphs, with upward edges,
+    grouped by isomorphism as (representative, labels) per class, in input
+    order of the representatives, each the first member of its class.  The
+    labels are those of the representative's linear extensions whose
+    renamed edge set, a frozenset of edge tuples, is an input graph not
+    reached before."""
+    graphs = list(graphs)
+    place = {g.edges: k for k, g in enumerate(graphs)}
+    reached = [False] * len(graphs)
+    for k, g in enumerate(graphs):
+        if reached[k]:
+            continue
+        labels = []
+        for order in linear_extensions(g):
+            label = [0] * (g.n + 1)
+            for new, v in enumerate(order, 1):
+                label[v] = new
+            member = place.get(frozenset((label[u], label[v]) for u, v in g.edges))
+            if member is not None and not reached[member]:
+                reached[member] = True
+                labels.append(tuple(label))
+        yield g, labels
+
+
 def comparison_row(edges: Sequence[Edge], winner: Path, loser: Path) -> tuple[int, ...]:
     """The row of weight(winner) - weight(loser) > 0 over the coordinates
     edges: +1 on an edge of winner alone, -1 on one of loser alone."""
@@ -1462,7 +1516,7 @@ def per_graph_scan_implication(scope, premises: Sequence[CiStatement],
         n, graphs, labels = scope.n, [scope], [tuple(range(scope.n + 1))]
     else:
         n = int(scope)
-        graphs = top_ordered_closed_dags(n)
+        graphs = closed_dags(n)
         labels = [(0, *p) for p in permutations(range(1, n + 1))]
     for s in (*premises, *conclusions):
         if not all(1 <= v <= n for v in (s.i, s.j, *s.L)):

@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
 from itertools import combinations
 from types import SimpleNamespace
@@ -50,6 +51,47 @@ def test_tdag_family_invariants():
         assert transitive_closure(g) == g
         touched = {v for e in g.edges for v in e}
         assert touched == set(range(1, 5))
+
+
+def test_the_family_builds_a_dag_per_class_only(monkeypatch):
+    # a census on 5 nodes reads the 44 class representatives of 181 graphs
+    built = []
+    init = Dag.__init__
+
+    def spy(self, n, edges):
+        built.append(n)
+        init(self, n, edges)
+
+    monkeypatch.setattr(Dag, "__init__", spy)
+    family = all_top_ordered_tdags(5)
+    assert (len(family.masks), len(family.classes), len(built)) == (181, 44, 44)
+
+
+@pytest.mark.long
+def test_seven_node_family_is_62960_graphs_in_1650_classes_under_40_mb():
+    # a Dag per mask, filtered from all 2^21 masks and classed on edge sets,
+    # peaked at 187 MB under tracemalloc
+    tracemalloc.start()
+    try:
+        family = all_top_ordered_tdags(7)
+        counts = len(family.masks), len(family.classes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts == (62960, 1650)
+    assert peak < 40e6, peak
+
+
+@pytest.mark.parametrize("family, message", [
+    (TdagFamily(2, [Dag(2, [(2, 1)])]),
+     r"Dag\(n=2, edges=\[\(2, 1\)\]\) is not an edge mask of 1..2"),
+    (TdagFamily(2, [1, 1]), r"Dag\(n=2, edges=\[\(1, 2\)\]\) is listed twice"),
+    (TdagFamily(2, [2]), "2 is not an edge mask of 1..2"),
+    (TdagFamily(2, [-1]), "-1 is not an edge mask of 1..2"),
+], ids=["downward-edge", "twice", "past-the-pairs", "negative"])
+def test_census_names_a_graph_the_family_cannot_hold(family, message):
+    with pytest.raises(ValueError, match=message):
+        census_structures(family)
 
 
 def test_census_counts_n3():
@@ -100,7 +142,7 @@ def test_census_equals_brute_force_over_identity_ordered_dags_n3():
     (all_top_ordered_tdags(3), True),
     (all_top_ordered_tdags(4), True),
     (all_top_ordered_tdags(5), False),
-    (TdagFamily(5, all_top_ordered_tdags(5).graphs[::5]), True),
+    (TdagFamily(5, all_top_ordered_tdags(5).masks[::5]), True),
 ], ids=["3", "4", "5-generic", "5-strided"])
 def test_class_census_matches_the_per_graph_census(family, include_faces):
     assert (census.census_structures(family, include_faces)
@@ -297,7 +339,7 @@ def test_census_pool_is_capped_at_the_graph_count(monkeypatch):
     assert census_structures(fam, jobs=8) == serial
     assert census_structures(fam, jobs=2) == serial
     assert sizes == [3, 2]
-    single = TdagFamily(3, fam.graphs[:1])
+    single = TdagFamily(3, fam.masks[:1])
     assert census_structures(single, jobs=8) == census_structures(single, jobs=1)
     assert sizes == [3, 2]
 

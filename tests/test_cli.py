@@ -17,10 +17,11 @@ from maxoid import polytope, separation
 from maxoid.census import all_top_ordered_tdags
 from maxoid.cli import build_parser, run
 from maxoid.fan import enumerate_maximal_cones
-from maxoid.graph import Dag, dag_to_json, isomorphism_classes, top_ordered_closed_dags
+from maxoid.graph import Dag, dag_to_json
 from maxoid.polytope import cone_adjacency, face_lattice, face_maxoids, polytope_vertices
 from maxoid.tropical import WeightedDag
 from oracles import (
+    closed_dags,
     complete_dag,
     dict_tree_fan_output,
     dict_tree_polytope_output,
@@ -469,8 +470,8 @@ def _fan_family(name: str) -> list[Dag]:
         return [_relabeled(k5, (5, 4, 3, 2, 1))] + [
             _relabeled(k5, rng.sample(range(1, 6), 5)) for _ in range(4)]
     if name == "5-node-classes":
-        return [g for g, _ in isomorphism_classes(all_top_ordered_tdags(5).graphs)]
-    return list(top_ordered_closed_dags(int(name[0])))
+        return [g for g, _ in all_top_ordered_tdags(5).classes]
+    return closed_dags(int(name[0]))
 
 
 @pytest.mark.parametrize("family", ["3-node", "4-node", "5-node-classes",
@@ -561,7 +562,7 @@ def test_fan_prints_witnesses_over_any_denominator_as_fractions_do(capsys, monke
 @pytest.mark.parametrize("family", ["4-node", "complete5-minus-3-4"])
 def test_polytope_output_matches_the_dict_tree_oracle(capsys, tmp_path, family):
     if family == "4-node":
-        graphs = list(top_ordered_closed_dags(4))
+        graphs = closed_dags(4)
     else:
         graphs = [Dag(5, [e for e in complete_dag(5).edges if e != (3, 4)])]
     dag = tmp_path / "dag.json"

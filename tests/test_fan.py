@@ -15,7 +15,7 @@ from maxoid.fan import (
     restricted_systems,
     sliced_fan,
 )
-from maxoid.graph import Dag, enumerate_paths, isomorphism_classes, top_ordered_closed_dags
+from maxoid.graph import Dag, enumerate_paths
 from maxoid.linarith import rank_of
 from maxoid.polytope import cone_adjacency
 from maxoid.separation import maxoid, parse_ci_statement
@@ -23,6 +23,7 @@ from maxoid.tropical import WeightedDag, critical_paths, weighted_dag_from_list
 from oracles import (
     NonGenericError,
     as_constraint,
+    closed_dags,
     cold_lp_maximal_cones,
     complete_dag,
     cone_of,
@@ -288,7 +289,7 @@ def test_lineality_of_one_cone_matches_the_echelon_over_every_path_pair():
     # the rank of every disjoint path pair's rows, and that of the minimal
     # rows of the cone of weights 2^k, whose critical paths are the
     # largest-bitmask ones
-    for g in list(top_ordered_closed_dags(5)) + _relabeled_random_dags(2718, 150):
+    for g in closed_dags(5) + _relabeled_random_dags(2718, 150):
         edges = g.sorted_edges
         powers = WeightedDag(g, {e: 2 ** k for k, e in enumerate(edges)})
         replaced = len(edges) - rank_of(cone_of(powers, minimal=True))
@@ -365,7 +366,7 @@ def test_restricted_systems_are_the_systems_of_every_closed_subgraph(n, count):
     # subgraph of complete-n: the systems read off complete-n's cones are
     # those of its own fan search, each once
     fan = sliced_fan(complete_dag(n))
-    graphs = list(top_ordered_closed_dags(n))
+    graphs = closed_dags(n)
     assert len(graphs) == count
     for h in graphs:
         _assert_restricted_systems_are_the_fan(h, fan)
@@ -374,7 +375,7 @@ def test_restricted_systems_are_the_systems_of_every_closed_subgraph(n, count):
 @pytest.mark.long
 def test_restricted_systems_are_the_systems_of_the_6_node_classes():
     fan = sliced_fan(complete_dag(6))
-    classes = [g for g, _ in isomorphism_classes(all_top_ordered_tdags(6).graphs)]
+    classes = [g for g, _ in all_top_ordered_tdags(6).classes]
     assert len(classes) == 238
     for h in classes:
         _assert_restricted_systems_are_the_fan(h, fan)
@@ -397,7 +398,7 @@ def test_table_rows_between_paths_of_a_subgraph_are_the_subgraphs_rows():
     # h's paths, and the table row of two of them is zero off h's edges and
     # h's own row on them
     fan = sliced_fan(complete_dag(5))
-    for h in top_ordered_closed_dags(5):
+    for h in closed_dags(5):
         inside = sum(1 << fan.index[e] for e in h.edges)
         h_index = _edge_index(h)
         off = [fan.index[e] for e in fan.graph.sorted_edges if e not in h.edges]
@@ -422,7 +423,7 @@ def test_packed_codes_identify_the_choices_on_a_subgraphs_pairs():
     fan = sliced_fan(complete_dag(5))
     keys = [key for key, _ in fan.entries[0].system.choices]
     width = fan.graph.n + 1
-    for h, _ in isomorphism_classes(all_top_ordered_tdags(5).graphs):
+    for h, _ in all_top_ordered_tdags(5).classes:
         pairs = {(i, j) for i in h.nodes for j in h.descendants(i)}
         keep = sum((1 << width) - 1 << k * width for k, key in enumerate(keys) if key in pairs)
         seen = {}

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,15 +10,15 @@ from maxoid.graph import (
     dag_from_edges,
     dag_from_json,
     dag_to_json,
+    closed_dag_masks,
     enumerate_paths,
-    isomorphism_classes,
-    linear_extensions,
+    mask_classes,
+    mask_dag,
     to_dot,
-    top_ordered_closed_dags,
     transitive_closure,
 )
 from maxoid.census import all_top_ordered_tdags
-from oracles import complete_dag
+from oracles import complete_dag, isomorphism_classes, linear_extensions
 
 
 def test_diamond_construction():
@@ -149,34 +151,57 @@ def test_linear_extensions_of_the_diamond():
     g = Dag(4, [(1, 2), (1, 3), (2, 4), (3, 4)])
     assert list(linear_extensions(g)) == [(1, 2, 3, 4), (1, 3, 2, 4)]
     assert len(list(linear_extensions(Dag(4, [])))) == 24
+    # mask_classes renames through the orders in this order, the first per
+    # graph: the diamond's second order is an automorphism, while the chain
+    # 1 -> 2 beside node 3 (mask 1) reaches 1 -> 3 and 2 -> 3 (masks 2, 4)
+    # by its second and third
+    diamond = _mask(g)
+    assert list(mask_classes(4, [diamond])) == [(diamond, [(0, 1, 2, 3, 4)])]
+    assert list(mask_classes(3, [1, 2, 4])) == [(1, [(0, 1, 2, 3), (0, 1, 3, 2), (0, 2, 3, 1)])]
 
 
-def _check_classes(graphs):
-    classes = list(isomorphism_classes(graphs))
-    place = {g: k for k, g in enumerate(graphs)}
+def _mask(g):
+    pairs = list(combinations(range(1, g.n + 1), 2))
+    return sum(1 << pairs.index(e) for e in g.edges)
+
+
+def _check_classes(n, masks):
+    classes = list(mask_classes(n, masks))
+    place = {mask: k for k, mask in enumerate(masks)}
     reached = []
     for rep, labels in classes:
-        assert labels[0] == tuple(range(rep.n + 1))
+        assert labels[0] == tuple(range(n + 1))
         for label in labels:
-            member = Dag(rep.n, [(label[u], label[v]) for u, v in rep.edges])
+            member = _mask(Dag(n, [(label[u], label[v]) for u, v in mask_dag(n, rep).edges]))
             assert place[member] >= place[rep]
             reached.append(member)
-    assert sorted(map(place.get, reached)) == list(range(len(graphs)))
+    assert sorted(map(place.get, reached)) == list(range(len(masks)))
     return classes
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_isomorphism_classes_are_the_posets(n):
     # OEIS A000112 (posets) and A000608 (connected posets)
-    closed = _check_classes(list(top_ordered_closed_dags(n)))
+    closed = _check_classes(n, closed_dag_masks(n))
     assert len(closed) == [1, 2, 5, 16, 63, 318][n - 1]
-    connected = _check_classes(all_top_ordered_tdags(n).graphs)
+    connected = _check_classes(n, all_top_ordered_tdags(n).masks)
     assert len(connected) == [1, 1, 3, 10, 44, 238][n - 1]
 
 
+def _edge_set_classes(n, masks):
+    return [(_mask(g), labels)
+            for g, labels in isomorphism_classes(mask_dag(n, mask) for mask in masks)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_mask_classes_match_the_edge_set_classes(n):
+    for masks in (closed_dag_masks(n), all_top_ordered_tdags(n).masks):
+        assert list(mask_classes(n, masks)) == _edge_set_classes(n, masks)
+
+
 def test_isomorphism_classes_of_a_sub_family_count_only_its_members():
-    graphs = all_top_ordered_tdags(5).graphs[::7]
-    classes = _check_classes(graphs)
-    assert len(classes) < len(graphs)
-    (rep, labels), = isomorphism_classes(graphs[:1])
-    assert rep == graphs[0] and labels == [tuple(range(6))]
+    masks = all_top_ordered_tdags(5).masks[::7]
+    classes = _check_classes(5, masks)
+    assert len(classes) < len(masks)
+    assert classes == _edge_set_classes(5, masks)
+    assert list(mask_classes(5, masks[:1])) == [(masks[0], [tuple(range(6))])]

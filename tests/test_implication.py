@@ -9,7 +9,7 @@ import pytest
 from maxoid import implication, polytope
 from maxoid.cli import _witness_json
 from maxoid.fan import enumerate_maximal_cones
-from maxoid.graph import Dag, top_ordered_closed_dags, transitive_closure
+from maxoid.graph import Dag, closed_dag_masks, transitive_closure
 from maxoid.implication import (
     _labels,
     _relabeled_bits,
@@ -201,15 +201,17 @@ def test_graph_family_enumeration_counts():
     assert sum(1 for _ in mask_loop_dags(4, pairs)) == 543
     assert sum(1 for _ in mask_loop_dags(4, pairs, closed_only=True)) == 219
     # the family of global implication queries, disconnected graphs included
-    assert ([sum(1 for _ in top_ordered_closed_dags(n)) for n in (3, 4, 5, 6)]
+    assert ([len(closed_dag_masks(n)) for n in (3, 4, 5, 6)]
             == [7, 40, 357, 4824])
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6])
 def test_graph_families_keep_the_mask_loop_order(n):
+    # the masks grown node by node against a Dag per mask of every edge set
     forward = list(combinations(range(1, n + 1), 2))
-    assert (list(top_ordered_closed_dags(n))
-            == list(mask_loop_dags(n, forward, closed_only=True)))
+    graphs = list(mask_loop_dags(n, forward, closed_only=True))
+    assert closed_dag_masks(n) == [sum(1 << forward.index(e) for e in g.edges) for g in graphs]
+    assert len(graphs) == [1, 1, 2, 7, 40, 357, 4824][n]
 
 
 def _lift_to_closure(wd: WeightedDag) -> WeightedDag:

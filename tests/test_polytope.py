@@ -9,7 +9,7 @@ import pytest
 
 from maxoid import census, implication, polytope
 from maxoid.fan import enumerate_maximal_cones
-from maxoid.graph import Dag, isomorphism_classes, top_ordered_closed_dags
+from maxoid.graph import Dag, closed_dag_masks, mask_classes, mask_dag
 from maxoid.linarith import rank_of
 from maxoid.polytope import (
     Face,
@@ -26,6 +26,7 @@ from maxoid.polytope import (
 from maxoid.separation import _bit_indices, parse_ci_statement
 from oracles import (
     affine_dimension,
+    closed_dags,
     complete_dag,
     hull_facet_incidences,
     lp_cone_adjacency,
@@ -171,8 +172,8 @@ SINGLE_VERTEX = [Dag(3, []), Dag(2, [(1, 2)]), Dag(4, [(1, 2), (3, 4)]), Dag(1, 
 
 
 @pytest.mark.parametrize("graphs, count, single", [
-    (lambda: top_ordered_closed_dags(4), 40, False),
-    (lambda: [g for g, _ in isomorphism_classes(top_ordered_closed_dags(5))], 63, False),
+    (lambda: closed_dags(4), 40, False),
+    (lambda: [mask_dag(5, m) for m, _ in mask_classes(5, closed_dag_masks(5))], 63, False),
     (lambda: _random_dags(5, 15, seed=4711), 15, False),
     (lambda: SINGLE_VERTEX, 4, True),
 ], ids=["4-all", "5-classes", "5-random", "single-vertex"])
@@ -435,7 +436,7 @@ def test_face_lattice_matches_the_pairwise_oracle():
     k5_minus = Dag(5, [e for e in complete_dag(5).edges if e != (3, 4)])
     graphs = [complete_dag(3), complete_dag(4), DIAMOND, complete_dag(5), k5_minus]
     graphs += _random_dags(5, 15, seed=1729)
-    graphs += [*top_ordered_closed_dags(4), *top_ordered_closed_dags(5)]
+    graphs += [*closed_dags(4), *closed_dags(5)]
     for k, g in enumerate(graphs):
         entries = enumerate_maximal_cones(g)
         cases[f"graph {k} {g.sorted_edges}"] = [p for _, p in polytope_vertices(g, entries)]
@@ -486,7 +487,7 @@ def test_reversal_keeps_the_fan_and_the_polytope():
     # the reversed graph has the same cones, and the same vertices once the
     # coordinates follow the edges
     rng = random.Random("reversal")
-    graphs = [g for g in top_ordered_closed_dags(4) if g.edges]
+    graphs = [g for g in closed_dags(4) if g.edges]
     while len(graphs) < 39 + 27:
         # 4 to 6 nodes under a random labeling, at most 11 edges
         n = rng.randint(4, 6)

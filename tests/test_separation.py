@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from maxoid import separation
 from maxoid.census import all_top_ordered_tdags
 from maxoid.fan import enumerate_maximal_cones
-from maxoid.graph import Dag, enumerate_paths, isomorphism_classes
+from maxoid.graph import Dag, enumerate_paths
 from maxoid.polytope import face_lattice, face_maxoid, polytope_vertices
 from maxoid.separation import (
     CiStatement,
@@ -522,7 +522,7 @@ def test_packed_kernel_matches_the_per_subset_kernel_on_census_cones_and_faces()
     # vertices', and a vertex's is its cone's
     collections = []
     for n in (4, 5):
-        for g, _ in isomorphism_classes(all_top_ordered_tdags(n).graphs):
+        for g, _ in all_top_ordered_tdags(n).classes:
             entries = enumerate_maximal_cones(g)
             points = polytope_vertices(g, entries)
             every = {frozenset(e.system.blockers.items()) for e in entries}
