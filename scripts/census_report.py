@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Count the distinct CI structures realized over all TDAGs on n nodes.
 
-Set MAXOID_CACHE_DIR to make large runs resumable across invocations.
+Set MAXOID_CACHE_DIR to make large runs resumable across invocations; a
+resumed run with any cache miss still searches the complete fan once.
 
 Usage: python scripts/census_report.py --nodes 4 [--jobs 4] [--dump FILE]
 """

@@ -10,12 +10,11 @@ Every TDAG is a subgraph of the complete DAG on its nodes, so its fan is a
 restriction of the complete DAG's (fan.restricted_systems): a census
 searches the complete fan once, on its first graph that the cache does not
 answer, and reads every graph's critical systems off it, with no path
-search of the graph's own: off the path tables, path slices and packed
-blockers that fan.sliced_fan builds once with the fan.  The generic
-structures are the systems' maxoids, the complete DAG's own those of its
-fan entries, and the face structures come from the polytope of the same
-systems (polytope.face_structures, imported only when faces are asked
-for).
+search of the graph's own: off the one path table that the search built,
+which fan.sliced_fan keeps with the cones.  The generic structures are the
+systems' maxoids, the complete DAG's own those of its fan entries, and the
+face structures come from the polytope of the same systems
+(polytope.face_structures, imported only when faces are asked for).
 
 The family is a list of edge masks (graph.closed_dag_masks grows them node
 by node).  Separation does not depend on node names, so a graph's

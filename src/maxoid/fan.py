@@ -9,14 +9,15 @@ over per-pair path choices with subpath-consistency and exact feasibility
 pruning, so only realizable systems are ever completed.  A row is a path
 comparison weight(winner) - weight(loser) > 0 as a tuple of ints over the
 sorted edges; its entries are -1, 0 and 1, so it is primitive.  Before the
-search, every path of every connected pair gets its table entry once: the
-sub-paths that choosing it forces, with their pairs; the node_mask of its
-interior; its full rows against every other path of its pair and, among
-them, its minimal rows against the internally disjoint ones, all from one
-enumeration of the pair's paths.  Each distinct row gets an id once, and the
-tables hold row ids.  A choice is then a path id per pair, checked and
-forced from these tables, and a pair that an earlier choice already forced
-is skipped in a loop.  The rows so far are marked in a bytearray indexed by
+search, every path of every connected pair gets an id and its table entry
+once: the sub-paths that choosing it forces, with their pairs; the
+node_mask of its interior; its edge mask; its full rows against every
+other path of its pair and, among them, its minimal rows against the
+internally disjoint ones, all from one enumeration of the pair's paths,
+which also gives the search its pair order.  Each distinct row gets an id
+once, and the tables hold row ids.  A choice is then a path id per pair,
+checked and forced from these tables, and a pair that an earlier choice
+already forced is skipped in a loop.  The rows so far are marked in a bytearray indexed by
 row id; a child's new rows are the unmarked rows of the sub-paths it forces,
 each once, in sub-path order (the rows of a sub-path chosen earlier are all
 marked).
@@ -39,22 +40,18 @@ entry that the caller already holds.
 
 A subgraph's fan is a restriction of its graph's: restricted_systems reads
 the critical systems of a subgraph h off the cones of a supergraph g's fan,
-with no search and no path enumeration of h's own, from a SlicedFan.  It
-holds, built once, each connected pair's paths, each path's edge mask and
-its rows against the other paths of its pair, the bitmask of the cones
-that choose each path and each cone's blockers packed into one int.  h's
-paths are the table paths whose edge mask lies in h's; a row between two
-of them is zero off h's edges, so it scores g's point as h's row scores
-the point restricted to h; and a DAG path is fixed by its end points and
-its interior, so a cone's packed blockers on h's pairs identify its
-restriction.
+with no search and no path enumeration of h's own.  sliced_fan returns the
+search's path tables with the cones, in a SlicedFan, so one table serves
+both: h's paths are the table paths whose edge mask lies in h's, each
+restriction is checked on the table rows between them, and a cone's
+packed blockers on h's pairs identify its restriction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from operator import mul, or_
 
 from .graph import Dag, Path, enumerate_paths
@@ -108,36 +105,31 @@ def _path_comparison(index, winner: Path, loser: Path) -> tuple[int, ...]:
     return tuple(row)
 
 
-def _connected_pairs(g: Dag) -> list[tuple[int, int]]:
-    """Ordered connected pairs, by length of the shortest path then lex."""
-    pairs = []
-    for i in g.nodes:
-        for j in sorted(g.descendants(i)):
-            shortest = min(len(p) for p in enumerate_paths(g, i, j))
-            pairs.append((shortest, i, j))
-    return [(i, j) for _, i, j in sorted(pairs)]
-
-
 def enumerate_maximal_cones(g: Dag) -> list[FanEntry]:
     """All maximal cones of the fan, each with its critical system, a minimal
     inequality description, an interior witness and the witness's CI
     structure.  Exactly one entry per nonempty open cone; deterministic
     order."""
+    return _search(g).entries
+
+
+def _search(g: Dag) -> SlicedFan:
+    """enumerate_maximal_cones' search: its entries with its path tables."""
     index = _edge_index(g)
-    pairs = _connected_pairs(g)
-    position = {key: i for i, key in enumerate(pairs)}
-    # one table entry per path, by path id: the (pair position, path id) of
-    # each of its sub-paths, the path itself included, which choosing it
-    # forces; its interior's node_mask; the row ids of its full rows,
+    # one table entry per path, by path id, from one enumeration of each
+    # connected pair's paths: the (pair position, path id) of each of its
+    # sub-paths, the path itself included, which choosing it forces; its
+    # interior's node_mask; its edge mask; the row ids of its full rows,
     # against every other path of its pair in path order, and of its
     # minimal rows, the full rows against the paths whose interior is
     # disjoint from its own.  Each distinct row gets its id once: it is
     # comparison[id]
+    pairs = [(i, j) for i in g.nodes for j in sorted(g.descendants(i))]
+    pair_paths: list[range] = []
     paths: list[Path] = []
-    pair_paths = []
     masks: list[int] = []
     row_ids: dict[tuple[int, ...], int] = {}
-    full_rows: list[list[int]] = []
+    full_rows: list[dict[int, int]] = []
     minimal_rows: list[list[int]] = []
     for key in pairs:
         found = enumerate_paths(g, *key)
@@ -146,45 +138,50 @@ def enumerate_maximal_cones(g: Dag) -> list[FanEntry]:
         inner = [node_mask(p[1:-1]) for p in found]
         masks += inner
         for p, mask in zip(found, inner):
-            full, minimal = [], []
-            for q, other in zip(found, inner):
-                if q != p:
-                    rid = row_ids.setdefault(_path_comparison(index, p, q), len(row_ids))
-                    full.append(rid)
-                    if not mask & other:
+            full, minimal = {}, []
+            for q, other, other_mask in zip(pair_paths[-1], found, inner):
+                if other != p:
+                    rid = row_ids.setdefault(_path_comparison(index, p, other), len(row_ids))
+                    full[q] = rid
+                    if not mask & other_mask:
                         minimal.append(rid)
             full_rows.append(full)
             minimal_rows.append(minimal)
     comparison = list(row_ids)
+    edge_masks = [sum(1 << index[e] for e in zip(p, p[1:])) for p in paths]
     ids = {path: i for i, path in enumerate(paths)}
+    position = {key: i for i, key in enumerate(pairs)}
     forces = [[(position[path[a], path[b]], ids[path[a:b + 1]])
                for a in range(len(path)) for b in range(a + 1, len(path))]
               for path in paths]
     # the ids of the full rows of every sub-path that choosing a path
     # forces, each once: two sub-paths can give one row (a->x->b against
     # a->b is also a->x->b->c against a->b->c), and the LP takes it once
-    sub_rows = [list(dict.fromkeys(rid for _, sub in forced for rid in full_rows[sub]))
+    sub_rows = [list(dict.fromkeys(rid for _, sub in forced for rid in full_rows[sub].values()))
                 for forced in forces]
-    by_key = sorted(range(len(pairs)), key=pairs.__getitem__)
+    # the search takes the pairs by the length of their shortest path, then
+    # lexicographically; chosen[i] is the path id chosen for pairs[i]
+    order = sorted(range(len(pairs)),
+                   key=lambda i: (min(len(paths[p]) for p in pair_paths[i]), pairs[i]))
     chosen: list[int | None] = [None] * len(pairs)
     # seen[id] is 1 while the row comparison[id] is among the rows so far
     seen = bytearray(len(comparison))
     entries: list[FanEntry] = []
 
     def dfs(idx: int, rows: list[tuple[int, ...]], tab: StrictTableau):
-        while idx < len(pairs) and chosen[idx] is not None:
+        while idx < len(order) and chosen[order[idx]] is not None:
             idx += 1
-        if idx == len(pairs):
+        if idx == len(order):
             # rows is the cone's whole system, the minimal rows among them
             checked_point(tab.point, rows, tab.d)
-            minimal = dict.fromkeys(rid for pid in chosen for rid in minimal_rows[pid])
-            system = CriticalSystem(tuple((pairs[i], paths[chosen[i]]) for i in by_key),
-                                    {pairs[i]: masks[chosen[i]] for i in by_key})
+            minimal = dict.fromkeys(rid for i in order for rid in minimal_rows[chosen[i]])
+            system = CriticalSystem(tuple(zip(pairs, map(paths.__getitem__, chosen))),
+                                    dict(zip(pairs, map(masks.__getitem__, chosen))))
             entries.append(FanEntry(system, tuple(map(comparison.__getitem__, minimal)),
                                     maxoid_from_blockers(g.n, system.blockers),
                                     tuple(tab.point), tab.d))
             return
-        for pid in pair_paths[idx]:
+        for pid in pair_paths[order[idx]]:
             forced = []
             for pos, sub in forces[pid]:
                 old = chosen[pos]
@@ -220,7 +217,7 @@ def enumerate_maximal_cones(g: Dag) -> list[FanEntry]:
         # dfs refers to itself; breaking that cycle frees the search state
         # on return instead of at the next garbage collection
         del dfs
-    return entries
+    return SlicedFan(g, entries, index, pairs, pair_paths, ids, edge_masks, full_rows, comparison)
 
 
 def lineality_dimension(entry: FanEntry) -> int:
@@ -240,41 +237,43 @@ def _packed_blockers(system: CriticalSystem, n: int) -> int:
 
 @dataclass(frozen=True)
 class SlicedFan:
-    """A graph's fan entries, bit-sliced by path, with their path tables:
-    choosing[p] has bit k set when entries[k] chooses the path p for its
-    pair; index is the graph's edge index; paths[key] maps each path of a
-    connected pair, in lexicographic order, to its mask of the bits
-    index[e] of its edges e, the pairs keyed in the order of every entry's
-    choices; rows[p][q] is the row of p against q, another path of its
-    pair; packed[k] is entries[k]'s blockers packed by _packed_blockers."""
+    """A graph's fan entries with the path tables of the search that found
+    them.  index is the graph's edge index; pairs are the connected pairs in
+    lexicographic order, as in every entry's choices; pair_paths[i] ranges
+    over the ids of pairs[i]'s paths, in lexicographic order; ids[path] is a
+    path's id, edge_masks[p] path p's mask of the bits index[e] of its edges
+    e, and full_rows[p][q] the id of the row comparison[id] of p against q,
+    another path of its pair.  Built on first read: choosing[p] has bit k
+    set when entries[k] chooses path p; packed[k] is entries[k]'s blockers
+    packed by _packed_blockers."""
 
     graph: Dag
     entries: list[FanEntry]
-    choosing: dict[Path, int]
     index: dict[tuple[int, int], int]
-    paths: dict[tuple[int, int], dict[Path, int]]
-    rows: dict[Path, dict[Path, tuple[int, ...]]]
-    packed: list[int]
+    pairs: list[tuple[int, int]]
+    pair_paths: list[range]
+    ids: dict[Path, int]
+    edge_masks: list[int]
+    full_rows: list[dict[int, int]]
+    comparison: list[tuple[int, ...]]
+
+    @cached_property
+    def choosing(self) -> list[int]:
+        slices = [0] * len(self.ids)
+        for k, entry in enumerate(self.entries):
+            for _, path in entry.system.choices:
+                slices[self.ids[path]] |= 1 << k
+        return slices
+
+    @cached_property
+    def packed(self) -> list[int]:
+        return [_packed_blockers(e.system, self.graph.n) for e in self.entries]
 
 
 def sliced_fan(g: Dag) -> SlicedFan:
-    """g's maximal cones, enumerate_maximal_cones(g), with their slices and
-    path tables."""
-    entries = enumerate_maximal_cones(g)
-    choosing: dict[Path, int] = {}
-    for k, entry in enumerate(entries):
-        for _, path in entry.system.choices:
-            choosing[path] = choosing.get(path, 0) | 1 << k
-    index = _edge_index(g)
-    paths: dict[tuple[int, int], dict[Path, int]] = {}
-    rows: dict[Path, dict[Path, tuple[int, ...]]] = {}
-    for key, _ in entries[0].system.choices:
-        found = paths[key] = {p: sum(1 << index[e] for e in zip(p, p[1:]))
-                              for p in enumerate_paths(g, *key)}
-        for p in found:
-            rows[p] = {q: _path_comparison(index, p, q) for q in found if q != p}
-    return SlicedFan(g, entries, choosing, index, paths, rows,
-                     [_packed_blockers(e.system, g.n) for e in entries])
+    """g's maximal cones, enumerate_maximal_cones(g), with the search's path
+    tables and the cones' slices."""
+    return _search(g)
 
 
 def restricted_systems(h: Dag, fan: SlicedFan) -> list[CriticalSystem]:
@@ -318,17 +317,18 @@ def restricted_systems(h: Dag, fan: SlicedFan) -> list[CriticalSystem]:
     outside = ~sum(1 << fan.index[e] for e in h.edges)
     pairs = {(i, j) for i in h.nodes for j in h.descendants(i)}
     width = fan.graph.n + 1
-    # every entry lists its choices in the order of fan.paths; h's pairs
-    # sit at on_h, and keep has the bits of their blockers in packed
+    ids, edge_masks, full_rows, comparison = fan.ids, fan.edge_masks, fan.full_rows, fan.comparison
+    # h's pairs sit at on_h in fan.pairs, with the ids of their paths in h
+    # in inner, and keep has the bits of their blockers in packed
     on_h: list[int] = []
-    found: dict[tuple[int, int], list[Path]] = {}
+    inner: list[list[int]] = []
     compatible = (1 << len(fan.entries)) - 1
     keep = 0
-    for k, (key, paths) in enumerate(fan.paths.items()):
+    for k, key in enumerate(fan.pairs):
         if key in pairs:
             on_h.append(k)
-            found[key] = [p for p, mask in paths.items() if not mask & outside]
-            compatible &= reduce(or_, (fan.choosing.get(p, 0) for p in found[key]))
+            inner.append([p for p in fan.pair_paths[k] if not edge_masks[p] & outside])
+            compatible &= reduce(or_, map(fan.choosing.__getitem__, inner[-1]))
             keep |= (1 << width) - 1 << k * width
     systems: dict[int, CriticalSystem] = {}
     for k in _bit_indices(compatible):
@@ -336,8 +336,9 @@ def restricted_systems(h: Dag, fan: SlicedFan) -> list[CriticalSystem]:
         if code not in systems:
             entry = fan.entries[k]
             choices = tuple(entry.system.choices[i] for i in on_h)
-            checked_point(entry.point, (fan.rows[p][q] for key, p in choices
-                                        for q in found[key] if q != p), entry.den)
+            full = [full_rows[ids[path]] for _, path in choices]
+            checked_point(entry.point, (comparison[rows[q]] for rows, paths in zip(full, inner)
+                                        for q in paths if q in rows), entry.den)
             blockers = entry.system.blockers
             systems[code] = CriticalSystem(choices, {key: blockers[key] for key, _ in choices})
     if not systems:

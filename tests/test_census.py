@@ -289,13 +289,13 @@ def test_parallel_census_matches_serial():
 def test_census_searches_the_complete_fan_once_per_call_and_never_when_warm(
         tmp_path, monkeypatch):
     searched = []
-    search = fan.enumerate_maximal_cones
+    search = fan._search
 
     def spy(g):
         searched.append(g)
         return search(g)
 
-    monkeypatch.setattr(fan, "enumerate_maximal_cones", spy)
+    monkeypatch.setattr(fan, "_search", spy)
     family = all_top_ordered_tdags(4)
     expected = census_structures(family, jobs=1)
     assert searched == [complete_dag(4)]

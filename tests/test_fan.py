@@ -395,25 +395,53 @@ def test_restricted_systems_of_any_subgraph_of_a_relabeled_graph():
 def test_table_rows_between_paths_of_a_subgraph_are_the_subgraphs_rows():
     # what lets restricted_systems check a restriction on the graph's own
     # point: for every closed 5-node DAG h, the table paths inside h are
-    # h's paths, and the table row of two of them is zero off h's edges and
-    # h's own row on them
+    # h's paths, in lexicographic order (none on a pair h does not connect),
+    # and the table row of two of them is zero off h's edges and h's own
+    # row on them
     fan = sliced_fan(complete_dag(5))
+    paths = list(fan.ids)
     for h in closed_dags(5):
         inside = sum(1 << fan.index[e] for e in h.edges)
         h_index = _edge_index(h)
         off = [fan.index[e] for e in fan.graph.sorted_edges if e not in h.edges]
         on = [fan.index[e] for e in h.sorted_edges]
-        for i in h.nodes:
-            for j in h.descendants(i):
-                paths = enumerate_paths(h, i, j)
-                inner = [p for p, mask in fan.paths[i, j].items() if mask | inside == inside]
-                assert inner == paths
-                for p in paths:
-                    for q in paths:
-                        if q != p:
-                            row = fan.rows[p][q]
-                            assert all(row[c] == 0 for c in off), (h, p, q)
-                            assert tuple(row[c] for c in on) == _path_comparison(h_index, p, q)
+        for key, pids in zip(fan.pairs, fan.pair_paths):
+            inner = [p for p in pids if fan.edge_masks[p] | inside == inside]
+            assert [paths[p] for p in inner] == enumerate_paths(h, *key)
+            for p in inner:
+                for q in inner:
+                    if q != p:
+                        row = fan.comparison[fan.full_rows[p][q]]
+                        assert all(row[c] == 0 for c in off), (h, p, q)
+                        assert tuple(row[c] for c in on) == _path_comparison(h_index, paths[p],
+                                                                             paths[q])
+
+
+@pytest.mark.parametrize("n, enumerations, comparisons", [(4, 6, 16), (5, 10, 86)])
+def test_each_pair_is_enumerated_and_each_row_built_once(n, enumerations, comparisons,
+                                                         monkeypatch):
+    # the search, and the sliced fan that keeps its tables, enumerate each
+    # connected pair's paths once and build each path's row against every
+    # other path of its pair once
+    from maxoid import fan
+
+    calls = {"paths": 0, "rows": 0}
+    enumerate_pair, compare = fan.enumerate_paths, fan._path_comparison
+
+    def counting_paths(g, i, j):
+        calls["paths"] += 1
+        return enumerate_pair(g, i, j)
+
+    def counting_rows(index, winner, loser):
+        calls["rows"] += 1
+        return compare(index, winner, loser)
+
+    monkeypatch.setattr(fan, "enumerate_paths", counting_paths)
+    monkeypatch.setattr(fan, "_path_comparison", counting_rows)
+    for build in (fan.sliced_fan, fan.enumerate_maximal_cones):
+        calls.update(paths=0, rows=0)
+        build(complete_dag(n))
+        assert calls == {"paths": enumerations, "rows": comparisons}, build
 
 
 def test_packed_codes_identify_the_choices_on_a_subgraphs_pairs():
