@@ -11,10 +11,14 @@ restriction of the complete DAG's (fan.restricted_systems): a census
 searches the complete fan once, on its first graph that the cache does not
 answer, and reads every graph's critical systems off it, with no path
 search of the graph's own: off the one path table that the search built,
-which fan.sliced_fan keeps with the cones.  The generic structures are the
-systems' maxoids, the complete DAG's own those of its fan entries, and the
-face structures come from the polytope of the same systems
-(polytope.face_structures, imported only when faces are asked for).
+which fan.sliced_fan keeps with the cones and their chosen path ids.  The
+complete DAG is its own reverse (v -> n+1-v, every edge reversed), so
+sliced_fan searches one cone of each reversal orbit and mirrors the other:
+about half the LPs of the full search, with the same systems in the same
+order.  The generic structures are the systems' maxoids, the complete
+DAG's own those of its fan entries, and the face structures come from the
+polytope of the same systems (polytope.face_structures, imported only when
+faces are asked for).
 
 The family is a list of edge masks (graph.closed_dag_masks grows them node
 by node).  Separation does not depend on node names, so a graph's

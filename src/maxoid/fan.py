@@ -44,7 +44,23 @@ with no search and no path enumeration of h's own.  sliced_fan returns the
 search's path tables with the cones, in a SlicedFan, so one table serves
 both: h's paths are the table paths whose edge mask lies in h's, each
 restriction is checked on the table rows between them, and a cone's
-packed blockers on h's pairs identify its restriction.
+packed blockers on h's pairs identify its restriction.  It keeps each
+cone's chosen path ids, so restrictions read table rows by id.
+
+The reversal rho: v -> n+1-v, with every edge reversed, maps every complete
+DAG to itself, and so its fan: the cone of a system S goes to the cone of
+rho(S), the system of the mirrored paths.  When rho maps g's edges onto
+themselves, sliced_fan searches in symmetric mode (see _search): it takes
+each pair next to its mirror pair, prunes every node whose path-id vector
+is larger than its mirror's (lex-leader symmetry breaking), and emits each
+kept cone's mirror with the kept point's coordinates permuted by rho's edge
+map, checked like any point, and the structure computed from the mirrored
+blockers.  About half the cones are searched: on complete-5 and complete-6
+it makes 82 and 2075 LP calls against the full search's 156 and 4990.
+Sorted into the full search's order, its entries are the full search's but
+for their points, so a restriction or a census read off them does not
+change.  enumerate_maximal_cones, whose points are printed, keeps the full
+search.
 """
 
 from __future__ import annotations
@@ -52,6 +68,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
+from itertools import chain
 from operator import mul, or_
 
 from .graph import Dag, Path, enumerate_paths
@@ -113,8 +130,53 @@ def enumerate_maximal_cones(g: Dag) -> list[FanEntry]:
     return _search(g).entries
 
 
-def _search(g: Dag) -> SlicedFan:
-    """enumerate_maximal_cones' search: its entries with its path tables."""
+def _reversal(g: Dag) -> list[int] | None:
+    """The edge map of the reversal rho: v -> n+1-v with every edge
+    reversed, as positions in g.sorted_edges: rho sends sorted edge k to
+    sorted edge reversal[k].  None when rho does not map g's edges onto
+    themselves."""
+    index = _edge_index(g)
+    n1 = g.n + 1
+    try:
+        return [index[n1 - v, n1 - u] for u, v in g.sorted_edges]
+    except KeyError:
+        return None
+
+
+def _search(g: Dag, reversal: list[int] | None = None) -> SlicedFan:
+    """enumerate_maximal_cones' search: its entries with its path tables.
+
+    With reversal, the edge map _reversal(g), the search runs in
+    symmetric mode and returns the same entries in the same order, but for
+    their points.  rho maps each path p of g from i to j, one to one, to the
+    path rho(p) from n+1-j to n+1-i through the mirrored nodes, and a system
+    S to rho(S), which chooses rho(p) where S chooses p.
+    - rho(S) is subpath-closed when S is: the portion of rho(p) between
+      rho(b) and rho(a) is rho of the portion of p between a and b, which S
+      chooses, so rho(S) chooses it.
+    - rho maps the open cone of S onto that of rho(S): let rho act on
+      weights by (rho c)[rho(e)] = c[e].  Then rho(p) weighs at rho c what p
+      weighs at c, and the paths of the pair rho(i, j) are rho of the paths
+      of (i, j); so at rho c rho(S)'s path of every pair is strictly
+      heavier than the pair's other paths exactly when S's paths are at c.
+      rho is a linear involution, so it maps the one open cone onto the
+      other.
+    So the set of nonempty cones is closed under rho, and a cone's point
+    permuted by the edge map is interior to the mirror cone.  The search
+    takes each pair next to its mirror pair, and prunes a node when its
+    choice vector (the path ids in that order) is lexicographically larger
+    than its mirror's, the ids of rho of the choices of the mirrored pairs
+    in the same order (Crawford, Ginsberg, Luks and Roy, KR 1996): the
+    first position decided on both sides after an equal prefix decides,
+    and no completion of the node can change it.  Of the two systems of an
+    orbit the smaller vector is kept; a system equal to its mirror is kept
+    alone.  Each kept leaf also emits its mirror, whose point checked_point
+    tests against every full row of the mirror system, read from the
+    tables, and whose structure is the kernel on its own blockers.  The
+    full search's DFS order is the lexicographic order of the choice
+    vectors in its pair order (two leaves part at one branching pair, the
+    pairs before it equal), so sorting by that vector restores it.
+    """
     index = _edge_index(g)
     # one table entry per path, by path id, from one enumeration of each
     # connected pair's paths: the (pair position, path id) of each of its
@@ -159,29 +221,77 @@ def _search(g: Dag) -> SlicedFan:
     # a->b is also a->x->b->c against a->b->c), and the LP takes it once
     sub_rows = [list(dict.fromkeys(rid for _, sub in forced for rid in full_rows[sub].values()))
                 for forced in forces]
-    # the search takes the pairs by the length of their shortest path, then
-    # lexicographically; chosen[i] is the path id chosen for pairs[i]
-    order = sorted(range(len(pairs)),
-                   key=lambda i: (min(len(paths[p]) for p in pair_paths[i]), pairs[i]))
+    # the full search takes the pairs by the length of their shortest path,
+    # then lexicographically; chosen[i] is the path id chosen for pairs[i]
+    shortest = [min(len(paths[p]) for p in pair_paths[i]) for i in range(len(pairs))]
+    order = sorted(range(len(pairs)), key=lambda i: (shortest[i], pairs[i]))
+    branch = order
+    if reversal is not None:
+        # rho on path ids and on pair positions; the symmetric search takes
+        # each pair next to its mirror pair, by shortest path, span and label
+        n1 = g.n + 1
+        mirror_ids = [ids[tuple(n1 - v for v in reversed(p))] for p in paths]
+        mirror_pos = [position[n1 - j, n1 - i] for i, j in pairs]
+        branch = []
+        for i in sorted(order, key=lambda i: (shortest[i], pairs[i][1] - pairs[i][0], pairs[i])):
+            if i not in branch:
+                branch += dict.fromkeys((i, mirror_pos[i]))
+        partner = [mirror_pos[i] for i in branch]
+    # a node's lex-leader state lead: its first lead positions of branch are
+    # decided and equal to its mirror's; LESS, its choice vector is smaller
+    # than its mirror's, so its leaves emit their mirrors too.  The full
+    # search starts past LESS, where nothing is tested or mirrored
+    LESS = len(branch) + 1
     chosen: list[int | None] = [None] * len(pairs)
     # seen[id] is 1 while the row comparison[id] is among the rows so far
     seen = bytearray(len(comparison))
     entries: list[FanEntry] = []
+    path_ids: list[bytes | tuple[int, ...]] = []
+    pack = bytes if len(paths) <= 256 else tuple
 
-    def dfs(idx: int, rows: list[tuple[int, ...]], tab: StrictTableau):
-        while idx < len(order) and chosen[order[idx]] is not None:
+    def leader(k: int) -> int:
+        """The lex-leader state after forcing, from state k: -1 when the
+        mirror's vector is smaller, so that its own leaf emits this cone."""
+        while k < len(branch):
+            a, b = chosen[branch[k]], chosen[partner[k]]
+            if a is None or b is None:
+                return k
+            b = mirror_ids[b]
+            if a != b:
+                return LESS if a < b else -1
+            k += 1
+        return k
+
+    def emit(choice: list[int], point: list[int], d: int) -> None:
+        """Append the entry of the cone that chooses the path ids choice,
+        with its interior point point / d."""
+        minimal = dict.fromkeys(chain.from_iterable(
+            map(minimal_rows.__getitem__, map(choice.__getitem__, order))))
+        system = CriticalSystem(tuple(zip(pairs, map(paths.__getitem__, choice))),
+                                dict(zip(pairs, map(masks.__getitem__, choice))))
+        entries.append(FanEntry(system, tuple(map(comparison.__getitem__, minimal)),
+                                maxoid_from_blockers(g.n, system.blockers), tuple(point), d))
+        path_ids.append(pack(choice))
+
+    def dfs(idx: int, rows: list[tuple[int, ...]], tab: StrictTableau, lead: int):
+        while idx < len(branch) and chosen[branch[idx]] is not None:
             idx += 1
-        if idx == len(order):
+        if idx == len(branch):
             # rows is the cone's whole system, the minimal rows among them
             checked_point(tab.point, rows, tab.d)
-            minimal = dict.fromkeys(rid for i in order for rid in minimal_rows[chosen[i]])
-            system = CriticalSystem(tuple(zip(pairs, map(paths.__getitem__, chosen))),
-                                    dict(zip(pairs, map(masks.__getitem__, chosen))))
-            entries.append(FanEntry(system, tuple(map(comparison.__getitem__, minimal)),
-                                    maxoid_from_blockers(g.n, system.blockers),
-                                    tuple(tab.point), tab.d))
+            emit(chosen, tab.point, tab.d)
+            if lead == LESS:  # the mirror is another cone: emit it too
+                mirrored = [mirror_ids[chosen[i]] for i in mirror_pos]
+                # rho is an involution, so the mirror point's coordinate of
+                # edge k is the kept point's of edge reversal[k]; it is
+                # checked against every full row of the mirror system, each
+                # once
+                point = list(map(tab.point.__getitem__, reversal))
+                checked_point(point, map(comparison.__getitem__, dict.fromkeys(chain.from_iterable(
+                    map(dict.values, map(full_rows.__getitem__, mirrored))))), tab.d)
+                emit(mirrored, point, tab.d)
             return
-        for pid in pair_paths[order[idx]]:
+        for pid in pair_paths[branch[idx]]:
             forced = []
             for pos, sub in forces[pid]:
                 old = chosen[pos]
@@ -192,32 +302,41 @@ def _search(g: Dag) -> SlicedFan:
             else:  # no sub-pair chose another path: force the unset ones
                 for pos, sub in forced:
                     chosen[pos] = sub
-                # a sub-path chosen before brought all its rows in then
-                new = [rid for rid in sub_rows[pid] if not seen[rid]]
-                new_rows = [comparison[rid] for rid in new]
-                if all(sum(map(mul, r, tab.point)) > 0 for r in new_rows):
-                    child = tab  # the parent's point lies strictly inside the child too
-                else:
-                    # the tableau has absorbed rows[:len(tab.T)], one row of T each
-                    child = tab.extended(rows[len(tab.T):] + new_rows)
-                if child is not None:
-                    rows.extend(new_rows)
-                    for rid in new:
-                        seen[rid] = 1
-                    dfs(idx + 1, rows, child)
-                    del rows[len(rows) - len(new_rows):]
-                    for rid in new:
-                        seen[rid] = 0
+                now = lead if lead >= LESS else leader(lead)
+                if now >= 0:  # else the mirror's leaf emits this node's cones
+                    # a sub-path chosen before brought all its rows in then
+                    new = [rid for rid in sub_rows[pid] if not seen[rid]]
+                    new_rows = [comparison[rid] for rid in new]
+                    if all(sum(map(mul, r, tab.point)) > 0 for r in new_rows):
+                        child = tab  # the parent's point lies strictly inside the child too
+                    else:
+                        # the tableau has absorbed rows[:len(tab.T)], one row of T each
+                        child = tab.extended(rows[len(tab.T):] + new_rows)
+                    if child is not None:
+                        rows.extend(new_rows)
+                        for rid in new:
+                            seen[rid] = 1
+                        dfs(idx + 1, rows, child, now)
+                        del rows[len(rows) - len(new_rows):]
+                        for rid in new:
+                            seen[rid] = 0
                 for pos, _ in forced:
                     chosen[pos] = None
 
     try:
-        dfs(0, [], StrictTableau(len(index)))
+        dfs(0, [], StrictTableau(len(index)), LESS + 1 if reversal is None else 0)
     finally:
         # dfs refers to itself; breaking that cycle frees the search state
         # on return instead of at the next garbage collection
         del dfs
-    return SlicedFan(g, entries, index, pairs, pair_paths, ids, edge_masks, full_rows, comparison)
+    if reversal is not None:
+        # the full search's order: its choice vectors in its pair order
+        ranks = sorted(range(len(entries)), key=path_ids.__getitem__ if order == sorted(order)
+                       else lambda k: pack(map(path_ids[k].__getitem__, order)))
+        entries = [entries[k] for k in ranks]
+        path_ids = [path_ids[k] for k in ranks]
+    return SlicedFan(g, entries, path_ids, index, pairs, pair_paths, ids, edge_masks, full_rows,
+                     comparison)
 
 
 def lineality_dimension(entry: FanEntry) -> int:
@@ -238,17 +357,20 @@ def _packed_blockers(system: CriticalSystem, n: int) -> int:
 @dataclass(frozen=True)
 class SlicedFan:
     """A graph's fan entries with the path tables of the search that found
-    them.  index is the graph's edge index; pairs are the connected pairs in
-    lexicographic order, as in every entry's choices; pair_paths[i] ranges
-    over the ids of pairs[i]'s paths, in lexicographic order; ids[path] is a
-    path's id, edge_masks[p] path p's mask of the bits index[e] of its edges
-    e, and full_rows[p][q] the id of the row comparison[id] of p against q,
-    another path of its pair.  Built on first read: choosing[p] has bit k
-    set when entries[k] chooses path p; packed[k] is entries[k]'s blockers
-    packed by _packed_blockers."""
+    them.  path_ids[k] holds the ids of entries[k]'s chosen paths in pair
+    order, as bytes when the graph has at most 256 paths; index is the
+    graph's edge index; pairs are the connected pairs in lexicographic
+    order, as in every entry's choices; pair_paths[i] ranges over the ids of
+    pairs[i]'s paths, in lexicographic order; ids[path] is a path's id,
+    edge_masks[p] path p's mask of the bits index[e] of its edges e, and
+    full_rows[p][q] the id of the row comparison[id] of p against q, another
+    path of its pair.  Built on first read: choosing[p] has bit k set when
+    entries[k] chooses path p; packed[k] is entries[k]'s blockers packed by
+    _packed_blockers."""
 
     graph: Dag
     entries: list[FanEntry]
+    path_ids: list[bytes | tuple[int, ...]]
     index: dict[tuple[int, int], int]
     pairs: list[tuple[int, int]]
     pair_paths: list[range]
@@ -260,9 +382,9 @@ class SlicedFan:
     @cached_property
     def choosing(self) -> list[int]:
         slices = [0] * len(self.ids)
-        for k, entry in enumerate(self.entries):
-            for _, path in entry.system.choices:
-                slices[self.ids[path]] |= 1 << k
+        for k, chosen in enumerate(self.path_ids):
+            for p in chosen:
+                slices[p] |= 1 << k
         return slices
 
     @cached_property
@@ -271,9 +393,13 @@ class SlicedFan:
 
 
 def sliced_fan(g: Dag) -> SlicedFan:
-    """g's maximal cones, enumerate_maximal_cones(g), with the search's path
-    tables and the cones' slices."""
-    return _search(g)
+    """g's maximal cones, enumerate_maximal_cones(g) but for their points,
+    with the search's path tables and the cones' slices.  Searched in
+    _search's symmetric mode when the reversal rho maps g's edges onto
+    themselves, as on every complete DAG: then about half the cones are
+    searched and the others mirrored, with other points than the full
+    search's."""
+    return _search(g, _reversal(g))
 
 
 def restricted_systems(h: Dag, fan: SlicedFan) -> list[CriticalSystem]:
@@ -305,11 +431,11 @@ def restricted_systems(h: Dag, fan: SlicedFan) -> list[CriticalSystem]:
     by its end points and its interior node set, so a cone's blockers on
     h's pairs, packed[k] AND the bits of h's pairs, identify its
     restriction: one AND per cone.  Each restriction's point is checked,
-    with checked_point, against every row of its system in h: its chosen
-    path against every other path of h between the same nodes.  That is
-    the table row on g's point: the row of two paths of h is zero off h's
-    edges and h's own row on them, so it scores g's point as h's row
-    scores the point restricted to h.
+    with checked_point, against every row of its system in h, read by the
+    cone's path ids: its chosen path against every other path of h between
+    the same nodes.  That is the table row on g's point: the row of two
+    paths of h is zero off h's edges and h's own row on them, so it scores
+    g's point as h's row scores the point restricted to h.
     """
     missing = h.edges - fan.index.keys()
     if missing:
@@ -317,7 +443,7 @@ def restricted_systems(h: Dag, fan: SlicedFan) -> list[CriticalSystem]:
     outside = ~sum(1 << fan.index[e] for e in h.edges)
     pairs = {(i, j) for i in h.nodes for j in h.descendants(i)}
     width = fan.graph.n + 1
-    ids, edge_masks, full_rows, comparison = fan.ids, fan.edge_masks, fan.full_rows, fan.comparison
+    edge_masks, full_rows, comparison = fan.edge_masks, fan.full_rows, fan.comparison
     # h's pairs sit at on_h in fan.pairs, with the ids of their paths in h
     # in inner, and keep has the bits of their blockers in packed
     on_h: list[int] = []
@@ -334,9 +460,9 @@ def restricted_systems(h: Dag, fan: SlicedFan) -> list[CriticalSystem]:
     for k in _bit_indices(compatible):
         code = fan.packed[k] & keep
         if code not in systems:
-            entry = fan.entries[k]
+            entry, chosen = fan.entries[k], fan.path_ids[k]
             choices = tuple(entry.system.choices[i] for i in on_h)
-            full = [full_rows[ids[path]] for _, path in choices]
+            full = [full_rows[chosen[i]] for i in on_h]
             checked_point(entry.point, (comparison[rows[q]] for rows, paths in zip(full, inner)
                                         for q in paths if q in rows), entry.den)
             blockers = entry.system.blockers

@@ -291,9 +291,9 @@ def test_census_searches_the_complete_fan_once_per_call_and_never_when_warm(
     searched = []
     search = fan._search
 
-    def spy(g):
+    def spy(g, reversal=None):
         searched.append(g)
-        return search(g)
+        return search(g, reversal)
 
     monkeypatch.setattr(fan, "_search", spy)
     family = all_top_ordered_tdags(4)

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import itertools
 import random
 import weakref
 from fractions import Fraction
@@ -18,7 +19,13 @@ from maxoid.fan import (
 from maxoid.graph import Dag, enumerate_paths
 from maxoid.linarith import rank_of
 from maxoid.polytope import cone_adjacency
-from maxoid.separation import maxoid, parse_ci_statement
+from maxoid.separation import (
+    _bit_indices,
+    maxoid,
+    maxoid_from_blockers,
+    node_mask,
+    parse_ci_statement,
+)
 from maxoid.tropical import WeightedDag, critical_paths, weighted_dag_from_list
 from oracles import (
     NonGenericError,
@@ -31,6 +38,7 @@ from oracles import (
     fraction_feasible,
     in_open_cone,
     kleene_maxoid,
+    mask_loop_dags,
     random_weighted_dag,
 )
 
@@ -297,11 +305,20 @@ def test_lineality_of_one_cone_matches_the_echelon_over_every_path_pair():
         assert read == {echelon_lineality_dimension(g)} == {replaced}, g
 
 
-@pytest.mark.parametrize("n, calls, pivots", [(4, 13, 17), (5, 156, 251)])
-def test_lp_work_of_complete_fans_is_pinned(n, calls, pivots, monkeypatch):
+@pytest.mark.parametrize("build, n, calls, pivots", [
+    (enumerate_maximal_cones, 4, 13, 17),
+    (enumerate_maximal_cones, 5, 156, 251),
+    (lambda g: sliced_fan(g).entries, 4, 9, 11),
+    (lambda g: sliced_fan(g).entries, 5, 82, 153),
+    pytest.param(lambda g: sliced_fan(g).entries, 6, 2075, 6056, marks=pytest.mark.long),
+], ids=["4-13-17", "5-156-251", "sliced-4-9-11", "sliced-5-82-153", "sliced-6-2075-6056"])
+def test_lp_work_of_complete_fans_is_pinned(build, n, calls, pivots, monkeypatch):
     # Bland's rule fixes every pivot, so a change of these counts is a
     # change of the search or of the simplex; every pivot is a unit pivot,
-    # d = 1 and pivot entry +-1, so every witness has denominator 1
+    # d = 1 and pivot entry +-1, so every witness has denominator 1.  The
+    # sliced fan searches one cone of each reversal orbit: at most about
+    # half the full search's LP calls (the full search's 4990 on complete-6
+    # are pinned with its stdout in test_acceptance)
     from maxoid import linarith
 
     seen = {"calls": 0, "pivots": []}
@@ -317,7 +334,7 @@ def test_lp_work_of_complete_fans_is_pinned(n, calls, pivots, monkeypatch):
 
     monkeypatch.setattr(linarith.StrictTableau, "extended", counting_extended)
     monkeypatch.setattr(linarith, "_pivot", counting_pivot)
-    entries = enumerate_maximal_cones(complete_dag(n))
+    entries = build(complete_dag(n))
     assert (seen["calls"], len(seen["pivots"])) == (calls, pivots)
     assert set(seen["pivots"]) <= {(1, 1), (1, None)}
     assert {e.den for e in entries} == {1}
@@ -488,3 +505,116 @@ def test_restricted_systems_check_each_restriction_on_the_graphs_point():
 def test_restricted_systems_refuse_an_edge_outside_the_graph():
     with pytest.raises(ValueError, match=r"\[\(3, 1\)\]"):
         restricted_systems(Dag(3, [(1, 2), (3, 1)]), sliced_fan(complete_dag(3)))
+
+
+# The symmetric search: sliced_fan on graphs that the reversal
+# rho: v -> n+1-v, every edge reversed, maps to themselves
+
+
+def _reversed(g):
+    return Dag(g.n, [(g.n + 1 - v, g.n + 1 - u) for u, v in g.edges])
+
+
+def _entries_but_points(entries):
+    return [(e.system, list(e.system.blockers.items()), e.inequalities, e.maxoid)
+            for e in entries]
+
+
+def _assert_sliced_fan_is_the_full_search(g):
+    # the same systems in the same order, blockers in the same order, the
+    # same minimal rows and structures; each point is interior to its cone
+    # and gives its structure under the replaced maxoid engine, and each
+    # cone's path ids are those of its chosen paths
+    fan = sliced_fan(g)
+    assert _entries_but_points(fan.entries) == _entries_but_points(enumerate_maximal_cones(g)), g
+    for e, chosen in zip(fan.entries, fan.path_ids, strict=True):
+        assert in_open_cone(e.inequalities, e.witness), g
+        wd = WeightedDag(g, dict(zip(g.sorted_edges, e.witness)))
+        assert kleene_maxoid(wd) == e.maxoid, g
+        assert list(chosen) == [fan.ids[path] for _, path in e.system.choices]
+    return fan
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_sliced_fan_of_a_complete_dag_is_the_full_search_but_for_points(n):
+    fan = _assert_sliced_fan_is_the_full_search(complete_dag(n))
+    assert isinstance(fan.path_ids[0], bytes)
+
+
+def test_sliced_fan_of_every_reversal_fixed_closed_dag_is_the_full_search():
+    graphs = [g for n in range(1, 6) for g in closed_dags(n) if _reversed(g).edges == g.edges]
+    assert len(graphs) == 1 + 2 + 3 + 12 + 25
+    for g in graphs:
+        _assert_sliced_fan_is_the_full_search(g)
+
+
+def test_sliced_fan_of_every_reversal_fixed_4_node_dag_is_the_full_search():
+    # with upward edges, closed or not: on the diamond 1->2->4, 1->3->4 the
+    # pair (1, 4) has no edge, so the full search takes it last and the
+    # symmetric search's entries are sorted by their vectors in that order
+    graphs = [g for g in mask_loop_dags(4, list(itertools.combinations(range(1, 5), 2)))
+              if _reversed(g).edges == g.edges]
+    assert len(graphs) == 16 and DIAMOND in graphs
+    for g in graphs:
+        _assert_sliced_fan_is_the_full_search(g)
+
+
+@pytest.mark.long
+def test_sliced_fan_of_complete_6_is_the_full_search_but_for_points():
+    _assert_sliced_fan_is_the_full_search(complete_dag(6))
+
+
+def test_sliced_fan_of_a_graph_the_reversal_moves_is_the_full_search():
+    # complete-4 minus 3->4 reverses to complete-4 minus 1->2: not the
+    # same graph, so the full search runs, points included
+    g = Dag(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)])
+    assert _reversed(g).edges != g.edges
+    for h in (g, *_relabeled_random_dags("sliced-moved", 10)):
+        if _reversed(h).edges != h.edges:
+            assert sliced_fan(h).entries == enumerate_maximal_cones(h), h
+
+
+def test_a_mirror_with_its_point_unpermuted_is_refused():
+    # the identity as rho's edge map leaves each mirror with its kept
+    # cone's point, which lies in the kept open cone, not in the mirror's
+    from maxoid import fan
+
+    with pytest.raises(AssertionError, match="violates"):
+        fan._search(complete_dag(4), list(range(6)))
+
+
+def _reverse_class_pairs(n):
+    """The n-node TDAG class representatives h whose reverse lies in
+    another class, each with its reverse."""
+    family = all_top_ordered_tdags(n)
+    members = {}
+    for c, (g, labels) in enumerate(family.classes):
+        for label in labels:
+            members[frozenset((label[u], label[v]) for u, v in g.edges)] = c
+    return [(h, _reversed(h)) for c, (h, _) in enumerate(family.classes)
+            if members[frozenset(_reversed(h).edges)] != c]
+
+
+def _assert_reversed_kernels(n, count):
+    # rho maps h's cones onto rho(h)'s, so the kernels on the mirrored
+    # blockers of h's systems are rho(h)'s generic structures: what lets
+    # the symmetric search take a mirror's structure off its blockers
+    fan = sliced_fan(complete_dag(n))
+    pairs = _reverse_class_pairs(n)
+    assert len(pairs) == count
+    for h, rev in pairs:
+        mirrored = {maxoid_from_blockers(n, {(n + 1 - j, n + 1 - i): node_mask(
+                        [n + 1 - v for v in _bit_indices(b)]) for (i, j), b in s.blockers.items()})
+                    for s in restricted_systems(h, fan)}
+        assert mirrored == {maxoid_from_blockers(n, s.blockers)
+                            for s in restricted_systems(rev, fan)}, h
+
+
+@pytest.mark.parametrize("n, count", [(3, 2), (4, 6), (5, 38)])
+def test_kernels_on_reversed_blockers_are_the_reversed_class_structures(n, count):
+    _assert_reversed_kernels(n, count)
+
+
+@pytest.mark.long
+def test_kernels_on_reversed_blockers_of_the_6_node_classes():
+    _assert_reversed_kernels(6, 210)
