@@ -15,10 +15,12 @@ which fan.sliced_fan keeps with the cones and their chosen path ids.  The
 complete DAG is its own reverse (v -> n+1-v, every edge reversed), so
 sliced_fan searches one cone of each reversal orbit and mirrors the other:
 about half the LPs of the full search, with the same systems in the same
-order.  The generic structures are the systems' maxoids, the complete
-DAG's own those of its fan entries, and the face structures come from the
-polytope of the same systems (polytope.face_structures, imported only when
-faces are asked for).
+order.  The generic structures are the systems' maxoids, from one batch
+call of separation.maxoids_from_blockers per class on its systems'
+blockers (the complete DAG's own are its fan entries', which the fan
+batches likewise), and the face structures come from the polytope of the
+same systems (polytope.face_structures, imported only when faces are
+asked for).
 
 The family is a list of edge masks (graph.closed_dag_masks grows them node
 by node).  Separation does not depend on node names, so a graph's
@@ -55,7 +57,7 @@ from typing import Callable, Iterator
 from .fan import SlicedFan, restricted_systems, sliced_fan
 from .graph import Dag, closed_dag_masks, dag_to_json, mask_classes, mask_dag
 from .separation import (Maxoid, _mapped_bits, _relabelings, _statement_tables,
-                         maxoid_from_blockers)
+                         maxoids_from_blockers)
 
 CACHE_ENV = "MAXOID_CACHE_DIR"
 
@@ -164,7 +166,8 @@ def graph_maxoids(g: Dag, include_faces: bool,
             generic = [e.maxoid.bits for e in complete.entries]
         else:
             systems = restricted_systems(g, complete)
-            generic = [maxoid_from_blockers(g.n, s.blockers).bits for s in systems]
+            generic = maxoids_from_blockers(g.n, systems[0].blockers,
+                                            (s.blockers.values() for s in systems))
         faces = None
         if include_faces:
             from .polytope import face_structures

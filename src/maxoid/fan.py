@@ -34,16 +34,20 @@ numerators and the denominator.  Its witness, the point as Fractions, is
 made only when a caller asks for it; every pivot measured in the search has
 d = 1, so the denominator is 1 on every fan measured.  A cone's CI structure
 is read off its chosen paths, which are the critical paths of every weight
-vector in it.  The cones of a complete fan share one lineality space, the
-null space of any one cone's rows, so lineality_dimension reads it off an
-entry that the caller already holds.
+vector in it: a leaf records only its path ids and point, and after the
+search one batch call of separation.maxoids_from_blockers on the chosen
+paths' interiors gives every cone's structure, so up to 6 nodes the
+kernel's word arithmetic runs once per chunk of cones, not once per cone
+(see separation).  The cones of a complete fan share one lineality space,
+the null space of any one cone's rows, so lineality_dimension reads it off
+an entry that the caller already holds.
 
 A subgraph's fan is a restriction of its graph's: restricted_systems reads
 the critical systems of a subgraph h off the cones of a supergraph g's fan,
 with no search and no path enumeration of h's own.  sliced_fan returns the
 search's path tables with the cones, in a SlicedFan, so one table serves
 both: h's paths are the table paths whose edge mask lies in h's, each
-restriction is checked on the table rows between them, and a cone's
+restriction's point is checked by scoring each of them once, and a cone's
 packed blockers on h's pairs identify its restriction.  It keeps each
 cone's chosen path ids, so restrictions read table rows by id.
 
@@ -73,7 +77,7 @@ from operator import mul, or_
 
 from .graph import Dag, Path, enumerate_paths
 from .linarith import StrictTableau, checked_point, rank_of
-from .separation import Maxoid, _bit_indices, maxoid_from_blockers, node_mask
+from .separation import Maxoid, _bit_indices, maxoids_from_blockers, node_mask
 
 
 @dataclass(frozen=True)
@@ -85,7 +89,8 @@ class CriticalSystem:
     choices: tuple[tuple[tuple[int, int], Path], ...]
     # node_mask of each chosen path's interior, keyed like choices: under
     # weights of the open cone the critical k->l path is the chosen one, so
-    # these are the blocker sets of separation.maxoid_from_blockers
+    # these are the blocker sets of separation.maxoid_from_blockers and
+    # the rows of its batch, maxoids_from_blockers
     blockers: dict[tuple[int, int], int] = field(compare=False, repr=False)
 
 
@@ -172,8 +177,9 @@ def _search(g: Dag, reversal: list[int] | None = None) -> SlicedFan:
     orbit the smaller vector is kept; a system equal to its mirror is kept
     alone.  Each kept leaf also emits its mirror, whose point checked_point
     tests against every full row of the mirror system, read from the
-    tables, and whose structure is the kernel on its own blockers.  The
-    full search's DFS order is the lexicographic order of the choice
+    tables, and whose structure, like every cone's, comes from the batch
+    kernel on its own blockers after the search.  The full search's DFS
+    order is the lexicographic order of the choice
     vectors in its pair order (two leaves part at one branching pair, the
     pairs before it equal), so sorting by that vector restores it.
     """
@@ -245,8 +251,10 @@ def _search(g: Dag, reversal: list[int] | None = None) -> SlicedFan:
     chosen: list[int | None] = [None] * len(pairs)
     # seen[id] is 1 while the row comparison[id] is among the rows so far
     seen = bytearray(len(comparison))
-    entries: list[FanEntry] = []
+    # per leaf, its cone's chosen path ids and its point and denominator;
+    # the entries are built from these after the search
     path_ids: list[bytes | tuple[int, ...]] = []
+    points: list[tuple[tuple[int, ...], int]] = []
     pack = bytes if len(paths) <= 256 else tuple
 
     def leader(k: int) -> int:
@@ -263,15 +271,10 @@ def _search(g: Dag, reversal: list[int] | None = None) -> SlicedFan:
         return k
 
     def emit(choice: list[int], point: list[int], d: int) -> None:
-        """Append the entry of the cone that chooses the path ids choice,
-        with its interior point point / d."""
-        minimal = dict.fromkeys(chain.from_iterable(
-            map(minimal_rows.__getitem__, map(choice.__getitem__, order))))
-        system = CriticalSystem(tuple(zip(pairs, map(paths.__getitem__, choice))),
-                                dict(zip(pairs, map(masks.__getitem__, choice))))
-        entries.append(FanEntry(system, tuple(map(comparison.__getitem__, minimal)),
-                                maxoid_from_blockers(g.n, system.blockers), tuple(point), d))
+        """Record the cone that chooses the path ids choice, with its
+        interior point point / d."""
         path_ids.append(pack(choice))
+        points.append((tuple(point), d))
 
     def dfs(idx: int, rows: list[tuple[int, ...]], tab: StrictTableau, lead: int):
         while idx < len(branch) and chosen[branch[idx]] is not None:
@@ -331,12 +334,22 @@ def _search(g: Dag, reversal: list[int] | None = None) -> SlicedFan:
         del dfs
     if reversal is not None:
         # the full search's order: its choice vectors in its pair order
-        ranks = sorted(range(len(entries)), key=path_ids.__getitem__ if order == sorted(order)
+        ranks = sorted(range(len(path_ids)), key=path_ids.__getitem__ if order == sorted(order)
                        else lambda k: pack(map(path_ids[k].__getitem__, order)))
-        entries = [entries[k] for k in ranks]
         path_ids = [path_ids[k] for k in ranks]
-    return SlicedFan(g, entries, path_ids, index, pairs, pair_paths, ids, edge_masks, full_rows,
-                     comparison)
+        points = [points[k] for k in ranks]
+    # every cone's structure, from its chosen paths' interiors, in batches
+    structures = maxoids_from_blockers(g.n, pairs, (map(masks.__getitem__, choice)
+                                                    for choice in path_ids))
+    entries = []
+    for choice, (point, d), bits in zip(path_ids, points, structures):
+        minimal = dict.fromkeys(chain.from_iterable(
+            map(minimal_rows.__getitem__, map(choice.__getitem__, order))))
+        system = CriticalSystem(tuple(zip(pairs, map(paths.__getitem__, choice))),
+                                dict(zip(pairs, map(masks.__getitem__, choice))))
+        entries.append(FanEntry(system, tuple(map(comparison.__getitem__, minimal)),
+                                Maxoid.from_bits(g.n, bits), point, d))
+    return SlicedFan(g, entries, path_ids, index, pairs, pair_paths, ids, edge_masks)
 
 
 def lineality_dimension(entry: FanEntry) -> int:
@@ -361,11 +374,11 @@ class SlicedFan:
     order, as bytes when the graph has at most 256 paths; index is the
     graph's edge index; pairs are the connected pairs in lexicographic
     order, as in every entry's choices; pair_paths[i] ranges over the ids of
-    pairs[i]'s paths, in lexicographic order; ids[path] is a path's id,
-    edge_masks[p] path p's mask of the bits index[e] of its edges e, and
-    full_rows[p][q] the id of the row comparison[id] of p against q, another
-    path of its pair.  Built on first read: choosing[p] has bit k set when
-    entries[k] chooses path p; packed[k] is entries[k]'s blockers packed by
+    pairs[i]'s paths, in lexicographic order; ids[path] is a path's id and
+    edge_masks[p] path p's mask of the bits index[e] of its edges e.  Built
+    on first read: choosing[p] has bit k set when
+    entries[k] chooses path p; edges[p] lists the index[e] of path p's edges
+    e, in path order; packed[k] is entries[k]'s blockers packed by
     _packed_blockers."""
 
     graph: Dag
@@ -376,8 +389,6 @@ class SlicedFan:
     pair_paths: list[range]
     ids: dict[Path, int]
     edge_masks: list[int]
-    full_rows: list[dict[int, int]]
-    comparison: list[tuple[int, ...]]
 
     @cached_property
     def choosing(self) -> list[int]:
@@ -386,6 +397,11 @@ class SlicedFan:
             for p in chosen:
                 slices[p] |= 1 << k
         return slices
+
+    @cached_property
+    def edges(self) -> list[tuple[int, ...]]:
+        index = self.index
+        return [tuple(index[e] for e in zip(p, p[1:])) for p in self.ids]
 
     @cached_property
     def packed(self) -> list[int]:
@@ -430,12 +446,15 @@ def restricted_systems(h: Dag, fan: SlicedFan) -> list[CriticalSystem]:
     of the OR of the slices of the pair's paths in h.  A DAG path is fixed
     by its end points and its interior node set, so a cone's blockers on
     h's pairs, packed[k] AND the bits of h's pairs, identify its
-    restriction: one AND per cone.  Each restriction's point is checked,
-    with checked_point, against every row of its system in h, read by the
-    cone's path ids: its chosen path against every other path of h between
-    the same nodes.  That is the table row on g's point: the row of two
-    paths of h is zero off h's edges and h's own row on them, so it scores
-    g's point as h's row scores the point restricted to h.
+    restriction: one AND per cone.  Each restriction's point is checked:
+    its den is positive, and at its point each h-pair's chosen path, read
+    by the cone's path ids, scores strictly above every other path of h
+    between the same nodes, each path scored once, as the sum of the
+    point's coordinates on its edges (edges[p]).  That tests the rows of
+    its system in h on the restricted point: the row of two paths of h is
+    zero off h's edges, so it scores g's point as h's row scores the point
+    restricted to h, and it is positive exactly when the first path
+    outscores the second.
     """
     missing = h.edges - fan.index.keys()
     if missing:
@@ -443,7 +462,7 @@ def restricted_systems(h: Dag, fan: SlicedFan) -> list[CriticalSystem]:
     outside = ~sum(1 << fan.index[e] for e in h.edges)
     pairs = {(i, j) for i in h.nodes for j in h.descendants(i)}
     width = fan.graph.n + 1
-    edge_masks, full_rows, comparison = fan.edge_masks, fan.full_rows, fan.comparison
+    edge_masks = fan.edge_masks
     # h's pairs sit at on_h in fan.pairs, with the ids of their paths in h
     # in inner, and keep has the bits of their blockers in packed
     on_h: list[int] = []
@@ -456,15 +475,24 @@ def restricted_systems(h: Dag, fan: SlicedFan) -> list[CriticalSystem]:
             inner.append([p for p in fan.pair_paths[k] if not edge_masks[p] & outside])
             compatible &= reduce(or_, map(fan.choosing.__getitem__, inner[-1]))
             keep |= (1 << width) - 1 << k * width
+    edges = fan.edges
     systems: dict[int, CriticalSystem] = {}
     for k in _bit_indices(compatible):
         code = fan.packed[k] & keep
         if code not in systems:
             entry, chosen = fan.entries[k], fan.path_ids[k]
+            point, den = entry.point, entry.den
+            if den <= 0:
+                raise ValueError(f"denominator {den} of witness {point} is not positive")
+            # the chosen path of each h-pair strictly heaviest in h at point
+            for i, paths in zip(on_h, inner):
+                c = chosen[i]
+                best = sum(map(point.__getitem__, edges[c]))
+                for q in paths:
+                    if q != c and sum(map(point.__getitem__, edges[q])) >= best:
+                        raise AssertionError(f"witness {point} / {den} violates path {c} "
+                                             f"heavier than path {q}")
             choices = tuple(entry.system.choices[i] for i in on_h)
-            full = [full_rows[chosen[i]] for i in on_h]
-            checked_point(entry.point, (comparison[rows[q]] for rows, paths in zip(full, inner)
-                                        for q in paths if q in rows), entry.den)
             blockers = entry.system.blockers
             systems[code] = CriticalSystem(choices, {key: blockers[key] for key, _ in choices})
     if not systems:

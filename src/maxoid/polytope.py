@@ -38,8 +38,9 @@ the meet of their facets, so a face whose containing facets meet in it
 gets their normal sum as a certified normal: a few mask ANDs and vector
 sums per face.  Faces are vertex bitmasks throughout, bit v for vertex v.
 face_maxoids reads the structures of a lattice's faces in one batch with
-no further check; face_maxoid, which accepts any Face, scans every vertex
-and is the batch's oracle.
+no further check, one kernel batch over the lattice's distinct blocker
+unions; face_maxoid, which accepts any Face, scans every vertex and is
+the batch's oracle.
 
 face_structures is the one batch of the structures of a polytope's faces,
 from the critical systems of the graph's maximal cones, read by
@@ -58,7 +59,7 @@ from typing import Iterable, Iterator
 
 from .graph import Dag
 from .linarith import _echelon, _primitive
-from .separation import Maxoid, _bit_indices, maxoid_from_blockers
+from .separation import Maxoid, _bit_indices, maxoid_from_blockers, maxoids_from_blockers
 from .fan import FanEntry, CriticalSystem, _packed_blockers, enumerate_maximal_cones
 
 
@@ -297,6 +298,12 @@ def _facet_pass(facets: Iterable[Facet], face: int, top: int, width: int
     return cuts, meet, tuple(total)
 
 
+def _unpacked(n: int, union: int, count: int) -> list[int]:
+    """The count blocker masks that _packed_blockers packed into union."""
+    full = (1 << n + 1) - 1
+    return [union >> k * (n + 1) & full for k in range(count)]
+
+
 def _union_maxoid(n: int, pairs: tuple, words: Iterable[int], memo: dict) -> Maxoid:
     """The structure of the union of the blocker collections packed in words
     by _packed_blockers over pairs, memoised in memo on the packed union."""
@@ -304,9 +311,7 @@ def _union_maxoid(n: int, pairs: tuple, words: Iterable[int], memo: dict) -> Max
     key = (n, pairs, union)
     m = memo.get(key)
     if m is None:
-        full = (1 << n + 1) - 1
-        m = memo[key] = maxoid_from_blockers(
-            n, {pq: union >> k * (n + 1) & full for k, pq in enumerate(pairs)})
+        m = memo[key] = maxoid_from_blockers(n, dict(zip(pairs, _unpacked(n, union, len(pairs)))))
     return m
 
 
@@ -350,15 +355,19 @@ def face_maxoids(g: Dag, faces: Iterable[Face],
     again here.  A Face built any other way is face_maxoid's to check.
 
     Each vertex's blocker masks are packed into one int, so a face's
-    blocker union is one OR per vertex, and the structures are memoised on
-    the packed union: each distinct one is computed once.
+    blocker union is one OR per vertex.  Faces that share a packed union
+    share its structure: the distinct unions go to one batch call of
+    maxoids_from_blockers, each once.
     """
     # every vertex's blockers are keyed by the same pairs in the same order
     pairs = tuple(points[0][0].blockers)
     words = [_packed_blockers(system, g.n) for system, _ in points]
-    memo: dict = {}
-    return [_union_maxoid(g.n, pairs, (words[v] for v in _bit_indices(f.mask)), memo)
-            for f in faces]
+    unions = [reduce(or_, map(words.__getitem__, _bit_indices(f.mask))) for f in faces]
+    distinct = list(dict.fromkeys(unions))
+    structures = maxoids_from_blockers(g.n, pairs, (_unpacked(g.n, u, len(pairs))
+                                                    for u in distinct))
+    shared = {u: Maxoid.from_bits(g.n, bits) for u, bits in zip(distinct, structures)}
+    return [shared[u] for u in unions]
 
 
 def face_structures(g: Dag, systems: list[CriticalSystem]) -> list[tuple[Maxoid, Face]]:

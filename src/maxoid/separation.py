@@ -48,10 +48,29 @@ loop over the blocks one by one took O(n^3) operations on 2^n-bit ints.
 Each set bit of a separated family then becomes one statement bit through
 the pair's rank list.
 
-maxoid reads the blocker sets off the Kleene star once; the fan and the
-polytope pass a cone's chosen paths or the union of a face's vertices'
-paths.  Everything here is exact and valid for arbitrary (also tied)
-weights.
+maxoids_from_blockers runs that arithmetic once for a batch of blocker
+collections keyed by the same pairs, one row of masks per system.  Each
+system gets one lane of max(2^n, 8) bits, byte-aligned, in every block:
+a block holds one lane per system, a word n such blocks, and each of the
+O(n^2 log n) word operations serves the whole batch (bit-slicing, as in
+Biham, "A fast new DES implementation in software", FSE 1997).  The masks
+become lanes through a bytes table indexed by the raw mask, so a word is
+one join and one from_bytes; the separated families of every pair come
+back in one buffer, out of which each system's lanes are copied by
+strided memoryview slices and scattered once, as one int, through a table
+of every pair's rank list.  A batch runs in chunks of _CHUNK_BITS lane
+bits a block, a measured budget.  A chunk of one row takes the one-lane
+route, maxoid_from_blockers: blocks of 2^n bits, the spread K_pi from a
+cache and one scatter per pair.  So does every row above _BATCH_NODES
+nodes, where scattering a system's statements off one int of all its
+lanes costs more than the batch saves.  Both routes run the one body of
+word arithmetic, _separated.
+
+maxoid reads the blocker sets off the Kleene star once and takes the
+one-lane route.  The fan, the census and the polytope pass batches: every
+cone's chosen paths, each class's restricted systems and the distinct
+unions of a face lattice's vertices' paths.  Everything here is exact and
+valid for arbitrary (also tied) weights.
 """
 
 from __future__ import annotations
@@ -59,7 +78,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterable, Iterator, Mapping
 
 from .graph import Dag, Path, enumerate_paths, transitive_closure
@@ -288,14 +307,17 @@ class _SubsetTables:
     m is first met, so that a graph pays only for the masks of its edges
     (under 2n·4^n bits once every mask is met); 0 until then, which no
     family is, as each holds the empty set.
-    folds: the shifts that halve the blocks left, rounded up, down to one,
-    so that OR-ing in each one leaves the OR of blocks 1..n in block 1.
-    pairs: per pair (i, j) in statement order, (i, j, the sets that miss i
-    and j, the pair's first statement bit, rank), where (i, j | L) is
-    statement rank[node_mask(L) >> 1] of the pair.
+    halves: the block counts that halve the blocks left, rounded up, down
+    to one, so that OR-ing in the shift by each leaves the OR of blocks
+    1..n in block 1; folds: those shifts, halves[t]·2^n.
+    Per pair t = (i, j) in statement order: ends[t] = (i, j); outside[t],
+    the sets that miss i and j; first[t], the pair's first statement bit;
+    rank[t], where (i, j | L) is statement rank[t][node_mask(L) >> 1] of
+    the pair.
     """
 
-    __slots__ = ("missing", "shift", "member", "copies", "folds", "pairs", "spread")
+    __slots__ = ("missing", "shift", "member", "copies", "halves", "folds", "ends", "outside",
+                 "first", "rank", "spread")
 
     def __init__(self, n: int):
         size = 1 << n
@@ -310,23 +332,25 @@ class _SubsetTables:
         while blocks < n:
             copies.append(blocks << n)
             blocks *= 2
-        folds, blocks = [], n
+        halves, blocks = [], n
         while blocks > 1:
             blocks -= blocks // 2
-            folds.append(blocks << n)
-        pairs = []
-        for i, j in combinations(range(1, n + 1), 2):
+            halves.append(blocks)
+        self.ends = list(combinations(range(1, n + 1), 2))
+        self.outside = [missing[(1 << i | 1 << j) >> 1] for i, j in self.ends]
+        self.first = [t << max(n - 2, 0) for t in range(len(self.ends))]
+        self.rank = []
+        for i, j in self.ends:
             rank = [0] * size
             for r, L in enumerate(_pair_subsets(n, i, j)):
                 rank[node_mask(L) >> 1] = r
-            pairs.append((i, j, missing[(1 << i | 1 << j) >> 1],
-                          len(pairs) << max(n - 2, 0), rank))
+            self.rank.append(rank)
         self.missing = missing
         self.shift = shift
         self.member = sum(f << s for f, s in zip(sets, shift))
         self.copies = copies
-        self.folds = folds
-        self.pairs = pairs
+        self.halves = halves
+        self.folds = [h << n for h in halves]
         self.spread = [0] * size
 
 
@@ -342,9 +366,10 @@ def _relabeling(key: tuple[int, tuple[int, ...]]) -> tuple[int, ...]:
     # moved[node_mask(L) >> 1] = node_mask of L renamed, >> 1
     shift = [label[v] - 1 for v in range(1, n + 1)]
     moved = [_mapped_bits(s, shift) for s in range(1 << n)]
-    place = {(i, j): (first, rank) for i, j, _, first, rank in tables.pairs}
-    out = [0] * (len(tables.pairs) << max(n - 2, 0))
-    for i, j, outside, first, rank in tables.pairs:
+    place = dict(zip(tables.ends, zip(tables.first, tables.rank)))
+    out = [0] * (len(tables.ends) << max(n - 2, 0))
+    for (i, j), outside, first, rank in zip(tables.ends, tables.outside, tables.first,
+                                            tables.rank):
         a, b = label[i], label[j]
         to_first, to_rank = place[(a, b) if a < b else (b, a)]
         for s in _bit_indices(outside):
@@ -356,45 +381,190 @@ def _relabeling(key: tuple[int, tuple[int, ...]]) -> tuple[int, ...]:
 _relabelings = _PerN(_relabeling)
 
 
+def _separated(word: list[int], spreads: list[tuple[int, int, int]], member: int,
+               shift: list[int], folds: list[int], ends: list[tuple[int, int]],
+               outside: list[int]) -> list[int]:
+    """The word arithmetic of the module docstring, on blocks of any width:
+    per pair (i, j) of ends, the sets L given which i and j are separated,
+    in block 1.  word[k] holds K_kl in block l; spreads lists each edge p ->
+    i with K_pi copied into every block (its tail may be left out, as
+    word[p] has it); member is the packed word of the I_l; shift[l] is the
+    offset of block l and folds the shifts that fold every block into
+    block 1; outside[t] keeps, in block 1, the sets that miss pair t's
+    ends."""
+    # near[i]: block l holds K_il | OR_p K_pi & K_pl, l a child of i or of a
+    # parent p of i: K_pi copied into every block meets word[p] blockwise
+    near = word[:]
+    for p, i, K in spreads:
+        near[i] |= K & word[p]
+    # collide[i]: block l holds R_il, the sets of near[i]'s block l that hold l
+    collide = [w & member for w in near]
+    separated = []
+    for (i, j), out in zip(ends, outside):
+        # fold OR_l R_il & R_jl into block 1; out keeps block 1 only
+        c = collide[i] & collide[j]
+        for s in folds:
+            c |= c >> s
+        separated.append(out & ~(c | near[i] >> shift[j] | word[j] >> shift[i]))
+    return separated
+
+
 def maxoid_from_blockers(n: int, blockers: Mapping[tuple[int, int], int]) -> Maxoid:
     """All separation statements on 1..n of the critical DAGs whose edges
     k->l are the keys of blockers, each kept given L exactly when L misses
     the bitmask blockers[(k, l)]; every L at once, on packed words, as in
-    the module docstring."""
+    the module docstring.  This is the one-lane route: _separated on blocks
+    of 2^n bits, the K_pi spread from the tables' cache, and each pair's
+    family scattered through its rank list."""
     tables = _subset_tables[n]
-    missing, shift, spread, folds = tables.missing, tables.shift, tables.spread, tables.folds
+    missing, shift, spread = tables.missing, tables.shift, tables.spread
     # word[k]: block l holds K_kl, the sets L given which k -> l is a
     # critical edge with its tail outside L
     word = [0] * (n + 1)
-    kept = []
+    spreads = []
     for (k, l), b in blockers.items():
         m = (b | 1 << k) >> 1
         word[k] |= missing[m] << shift[l]
-        kept.append((k, l, m))
-    # near[i]: block l holds K_il | OR_p K_pi & K_pl, l a child of i or of a
-    # parent p of i: K_pi copied into every block meets word[p] blockwise
-    near = word[:]
-    for p, i, m in kept:
         K = spread[m]
         if not K:
             K = missing[m]
             for s in tables.copies:
                 K |= K << s
             spread[m] = K
-        near[i] |= K & word[p]
-    # collide[i]: block l holds R_il, the sets of near[i]'s block l that hold l
-    collide = [w & tables.member for w in near]
+        spreads.append((k, l, K))
     bits = 0
-    for i, j, outside, first, rank in tables.pairs:
-        # fold OR_l R_il & R_jl into block 1; outside keeps block 1 only
-        c = collide[i] & collide[j]
-        for s in folds:
-            c |= c >> s
-        separated = outside & ~(c | near[i] >> shift[j] | word[j] >> shift[i])
+    for separated, first, rank in zip(
+            _separated(word, spreads, tables.member, shift, tables.folds, tables.ends,
+                       tables.outside), tables.first, tables.rank):
         # pairs joined given every L, as each edge's ends are, map nothing
         if separated:
             bits |= _mapped_bits(separated, rank) << first
     return Maxoid.from_bits(n, bits)
+
+
+class _LaneTables:
+    """Tables of the batched kernel on 1..n, built on first use, one per n
+    (see _lane_tables).  A lane is one system's family of subsets, in
+    size = max(2^n / 8, 1) bytes, little-endian, so lanes are byte-aligned
+    and n <= 2 pads to 8 bits; a batch's block holds one lane per system.
+
+    lane[b]: the lane of missing[b >> 1], indexed by the raw node_mask b of
+    a blocker set (bit 0 never set), so a row's masks index it directly.
+    tail[k]: the lane of the sets that miss k.
+    member[l]: the lane of the sets that contain l.
+    outside[t]: the lane of the sets that miss the ends of pair t.
+    scatter[t·bits + s], bits = 8·size: the statement bit of (i, j | L),
+    pair t = (i, j) and s = node_mask(L) >> 1.
+    unit, per: a lane is per items of the memoryview format unit.
+    """
+
+    __slots__ = ("size", "lane", "tail", "member", "outside", "scatter", "unit", "per")
+
+    def __init__(self, n: int):
+        tables = _subset_tables[n]
+        size = max(1 << n >> 3, 1)
+
+        def lane(family: int) -> bytes:
+            return family.to_bytes(size, "little")
+
+        missing = tables.missing
+        self.size = size
+        self.lane = [lane(missing[b >> 1]) for b in range(2 << n)]
+        self.tail = [lane(missing[1 << k >> 1]) for k in range(n + 1)]
+        block = (1 << (1 << n)) - 1
+        self.member = [lane(tables.member >> s & block) for s in tables.shift]
+        self.outside = [lane(outside) for outside in tables.outside]
+        bits = size << 3
+        scatter = [0] * (len(tables.ends) * bits)
+        for t, (first, rank) in enumerate(zip(tables.first, tables.rank)):
+            scatter[t * bits:t * bits + len(rank)] = [first + r for r in rank]
+        self.scatter = scatter
+        unit = min(size, 8)
+        self.unit = {1: "B", 2: "H", 4: "I", 8: "Q"}[unit]
+        self.per = size // unit
+
+
+_lane_tables = _PerN(_LaneTables)
+
+# The lane bits of one block of a chunk, so _CHUNK_BITS / 2^n rows a chunk
+# (lanes of at least 8 bits).  Per structure on complete-n's cones (those of
+# complete-3 and -4 repeated to about 300), Python 3.11 on a 2-core x86-64
+# host, one call each and then chunks of 2/8/32/128/256/512/1024 rows:
+#   n = 3:  3.8 µs;  8.4/3.1/2.0/1.5/1.4/1.4/1.4 µs
+#   n = 4:  8.1 µs; 13.4/4.9/2.8/2.4/2.3/2.2/2.3 µs
+#   n = 5: 13.4 µs; 19.4/8.2/5.5/4.3/4.3/4.5/4.6 µs
+#   n = 6: 20.4 µs; 29.3/15.7/14.4/9.2/9.3/9.9/10.6 µs
+_CHUNK_BITS = 1 << 14
+# Above this many nodes a chunk is one row, and the batch is the one-lane
+# route row by row: a row's statements are scattered off one int of all its
+# pairs' lanes, which costs each statement a pass over that int, and that
+# outgrew the batch's saving.  On 1500 complete-7 and 400 complete-8
+# structures of random generic weights, 185 and 555 statements each, every
+# chunk size lost (same host and chunk sizes as above):
+#   n = 7:  61 µs; 129/86/79/74/77/87/72 µs
+#   n = 8: 151 µs; 413/348/348/347/356/350/359 µs
+_BATCH_NODES = 6
+
+
+def _chunk_rows(n: int) -> int:
+    """The rows of one chunk on 1..n."""
+    return _CHUNK_BITS >> max(n, 3) if n <= _BATCH_NODES else 1
+
+
+def _lanes(n: int, pairs: tuple[tuple[int, int], ...], rows: list) -> list[int]:
+    """The statement bits of each row of masks keyed by pairs: _separated
+    once, on blocks of one lane per row (see _LaneTables)."""
+    tables, lanes = _subset_tables[n], _lane_tables[n]
+    count = len(rows)
+    size = count * lanes.size  # bytes per block
+    block = size << 3
+    # each pair's lanes, one per row: the rows' masks index the lane table
+    column = dict(zip(pairs, (b"".join(map(lanes.lane.__getitem__, masks))
+                              for masks in zip(*rows))))
+    empty = bytes(size)
+    nodes = range(1, n + 1)
+    word = [0] * (n + 1)
+    for k in {k for k, _ in pairs}:
+        word[k] = (int.from_bytes(b"".join([column.get((k, l), empty) for l in nodes]), "little")
+                   & int.from_bytes(lanes.tail[k] * (n * count), "little"))
+    # word[p] has p's tail, so the spread K_pi can leave it out
+    spreads = [(p, i, int.from_bytes(column[p, i] * n, "little")) for p, i in pairs]
+    member = int.from_bytes(b"".join([lanes.member[l] * count for l in nodes]), "little")
+    separated = _separated(word, spreads, member, [max(l - 1, 0) * block for l in range(n + 1)],
+                           [h * block for h in tables.halves], tables.ends,
+                           [int.from_bytes(out * count, "little") for out in lanes.outside])
+    # one buffer, pair by pair, row by row; row r's lanes are every
+    # count-th lane from its own, copied out unit by unit
+    view = memoryview(b"".join([s.to_bytes(size, "little") for s in separated])).cast(lanes.unit)
+    per, scatter = lanes.per, lanes.scatter
+    stride = count * per
+    out = []
+    for r in range(count):
+        own = bytearray(len(separated) * lanes.size)
+        mine = memoryview(own).cast(lanes.unit)
+        for q in range(per):
+            mine[q::per] = view[r * per + q::stride]
+        out.append(_mapped_bits(int.from_bytes(own, "little"), scatter))
+    return out
+
+
+def maxoids_from_blockers(n: int, pairs: Iterable[tuple[int, int]],
+                          rows: Iterable[Iterable[int]]) -> list[int]:
+    """maxoid_from_blockers(n, dict(zip(pairs, row))).bits for each row of
+    rows, in order: many blocker collections keyed by the same pairs, one
+    row of masks per system.  The word arithmetic runs once per chunk of
+    rows, on words whose every block holds one lane per row (_lanes); a
+    chunk of one takes the one-lane route."""
+    pairs = tuple(pairs)
+    rows = iter(rows)
+    size = _chunk_rows(n)
+    out: list[int] = []
+    while chunk := list(islice(rows, size)):
+        if len(chunk) > 1:
+            out += _lanes(n, pairs, chunk)
+        else:
+            out.append(maxoid_from_blockers(n, dict(zip(pairs, chunk[0]))).bits)
+    return out
 
 
 def critical_dag(wd: WeightedDag, L: Iterable[int]) -> Dag:

@@ -17,6 +17,9 @@ its inputs and mutations.  Each entry: oracles -> checked function; tests.
 - Kernel. per_subset_maxoid_from_blockers (one bitmask shape search per
   conditioning set) -> separation.maxoid_from_blockers on any blocker map;
   test_separation test_all_subsets_engine_*, test_packed_kernel_*.
+  looped_maxoid_from_blockers (one maxoid_from_blockers call per system,
+  which the oracle above checks) -> separation.maxoids_from_blockers, the
+  batches; test_separation test_batched_kernel_*.
 - Reduction. star_transitive_reduction -> weighted_transitive_reduction;
   test_weighted_transitive_reduction_matches_the_kleene_star_maximum.
 - Kleene star. tropical_matmul -> tropical.kleene_star; test_tropical
@@ -93,7 +96,7 @@ from maxoid.graph import (
 from maxoid.census import TdagFamily
 from maxoid.implication import Verdict
 from maxoid.polytope import Face, FaceLattice, graph_structures
-from maxoid.separation import CiStatement, Maxoid, break_ties
+from maxoid.separation import CiStatement, Maxoid, break_ties, maxoid_from_blockers
 from maxoid.tropical import (
     NEG_INF,
     TropicalMatrix,
@@ -267,6 +270,14 @@ def per_subset_maxoid_from_blockers(n: int, blockers: Mapping[tuple[int, int], i
     for L, statements in _statements_by_subset(n):
         stmts.extend(_separated(n, blockers, L, statements))
     return Maxoid(n, stmts)
+
+
+def looped_maxoid_from_blockers(n: int, pairs: Iterable[tuple[int, int]],
+                                rows: Iterable[Iterable[int]]) -> list[int]:
+    """The replaced calls of maxoids_from_blockers: the statement bits of
+    each row of masks keyed by pairs, one maxoid_from_blockers call each."""
+    pairs = tuple(pairs)
+    return [maxoid_from_blockers(n, dict(zip(pairs, row))).bits for row in rows]
 
 
 def _undirected_simple_paths(g: Dag, i: int, j: int):

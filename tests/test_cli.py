@@ -537,6 +537,37 @@ def test_fan_of_a_relabeled_dag_is_the_relabeled_fan(capsys, tmp_path):
     assert cones > 500
 
 
+def test_polytope_of_a_relabeled_dag_is_the_relabeled_polytope(capsys, tmp_path):
+    # renaming the nodes renames the polytope, with no oracle: on seeded
+    # 5-node DAGs and 6-node DAGs of at most 11 edges, with upward edges,
+    # each under a seeded relabeling, `polytope --face-maxoids` prints the
+    # same dimension, vertex count and f-vector, and the same multiset of
+    # face structures up to the renaming
+    rng = random.Random("polytope-relabeling")
+    dag = tmp_path / "dag.json"
+    faces = 0
+    for trial in range(10):
+        n = 5 if trial < 7 else 6
+        upward = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        g = Dag(n, rng.sample(upward, rng.randint(n, min(len(upward), 11))))
+        label = rng.sample(range(1, n + 1), n)
+        printed = []
+        for graph in (g, _relabeled(g, label)):
+            dag.write_text(json.dumps(dag_to_json(graph)))
+            code, out = invoke(capsys, "polytope", "--face-maxoids", str(dag))
+            assert code == 0
+            printed.append(json.loads(out))
+        first, second = printed
+        assert first["dim"] == second["dim"], g
+        assert len(first["vertices"]) == len(second["vertices"]), g
+        assert first["f_vector"] == second["f_vector"], g
+        renamed = Counter(frozenset(_renamed_statement(t, label) for t in m)
+                          for m in first["face_maxoids"])
+        assert renamed == Counter(map(frozenset, second["face_maxoids"])), g
+        faces += len(first["faces"])
+    assert faces > 300
+
+
 def test_fan_prints_witnesses_over_any_denominator_as_fractions_do(capsys, monkeypatch):
     # every fan measured has den 1, so the oracle differential above never
     # reaches a reduced fraction; here the complete-4 cones carry points

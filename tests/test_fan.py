@@ -9,8 +9,6 @@ import pytest
 
 from maxoid.census import all_top_ordered_tdags
 from maxoid.fan import (
-    _edge_index,
-    _path_comparison,
     enumerate_maximal_cones,
     lineality_dimension,
     restricted_systems,
@@ -409,29 +407,23 @@ def test_restricted_systems_of_any_subgraph_of_a_relabeled_graph():
             _assert_restricted_systems_are_the_fan(h, fan)
 
 
-def test_table_rows_between_paths_of_a_subgraph_are_the_subgraphs_rows():
-    # what lets restricted_systems check a restriction on the graph's own
-    # point: for every closed 5-node DAG h, the table paths inside h are
-    # h's paths, in lexicographic order (none on a pair h does not connect),
-    # and the table row of two of them is zero off h's edges and h's own
-    # row on them
+def test_table_paths_inside_a_subgraph_are_the_subgraphs_paths():
+    # what lets restricted_systems read a subgraph's paths and their scores
+    # off the graph's tables: for every closed 5-node DAG h, the table
+    # paths inside h are h's paths, in lexicographic order (none on a pair
+    # h does not connect), and edges[p] holds each path's edges in order,
+    # so a path inside h scores the graph's point as it scores the point
+    # restricted to h
     fan = sliced_fan(complete_dag(5))
     paths = list(fan.ids)
+    edges = fan.graph.sorted_edges
+    assert all([edges[c] for c in fan.edges[p]] == list(zip(path, path[1:]))
+               for p, path in enumerate(paths))
     for h in closed_dags(5):
         inside = sum(1 << fan.index[e] for e in h.edges)
-        h_index = _edge_index(h)
-        off = [fan.index[e] for e in fan.graph.sorted_edges if e not in h.edges]
-        on = [fan.index[e] for e in h.sorted_edges]
         for key, pids in zip(fan.pairs, fan.pair_paths):
             inner = [p for p in pids if fan.edge_masks[p] | inside == inside]
             assert [paths[p] for p in inner] == enumerate_paths(h, *key)
-            for p in inner:
-                for q in inner:
-                    if q != p:
-                        row = fan.comparison[fan.full_rows[p][q]]
-                        assert all(row[c] == 0 for c in off), (h, p, q)
-                        assert tuple(row[c] for c in on) == _path_comparison(h_index, paths[p],
-                                                                             paths[q])
 
 
 @pytest.mark.parametrize("n, enumerations, comparisons", [(4, 6, 16), (5, 10, 86)])
@@ -502,6 +494,23 @@ def test_restricted_systems_check_each_restriction_on_the_graphs_point():
         restricted_systems(h, moved(x if c == outside else 0 for c, x in enumerate(point)))
 
 
+def test_restricted_systems_refuse_every_cone_at_another_cones_point():
+    # each cone of complete-4 given another cone's point: at that point
+    # some chosen path of the cone is not strictly heaviest in its pair,
+    # and the restriction to the whole graph, which checks every cone,
+    # refuses it.  Some of these points lose to a single other path only,
+    # so a check that skipped any one path would accept them
+    fan = sliced_fan(complete_dag(4))
+    g = fan.graph
+    for k, entry in enumerate(fan.entries):
+        for other in fan.entries:
+            if other is not entry:
+                entries = list(fan.entries)
+                entries[k] = dataclasses.replace(entry, point=other.point, den=other.den)
+                with pytest.raises(AssertionError, match="violates"):
+                    restricted_systems(g, dataclasses.replace(fan, entries=entries))
+
+
 def test_restricted_systems_refuse_an_edge_outside_the_graph():
     with pytest.raises(ValueError, match=r"\[\(3, 1\)\]"):
         restricted_systems(Dag(3, [(1, 2), (3, 1)]), sliced_fan(complete_dag(3)))
@@ -513,6 +522,24 @@ def test_restricted_systems_refuse_an_edge_outside_the_graph():
 
 def _reversed(g):
     return Dag(g.n, [(g.n + 1 - v, g.n + 1 - u) for u, v in g.edges])
+
+
+@pytest.mark.parametrize("n, fixed, orbits", [
+    (5, 17, 60), pytest.param(6, 52, 1688, marks=pytest.mark.long)])
+def test_reversal_maps_the_complete_fans_systems_to_themselves(n, fixed, orbits):
+    # on the full search, which the symmetric one assumes this of: rho,
+    # v -> n+1-v with every path reversed, maps the set of complete-n's
+    # critical systems onto itself; the systems it fixes and its orbits
+    # are counted
+    systems = {e.system.choices for e in enumerate_maximal_cones(complete_dag(n))}
+
+    def rho(choices):
+        return tuple(sorted(((n + 1 - j, n + 1 - i), tuple(n + 1 - v for v in reversed(path)))
+                            for (i, j), path in choices))
+
+    assert {rho(c) for c in systems} == systems
+    own = sum(rho(c) == c for c in systems)
+    assert (own, (len(systems) + own) // 2) == (fixed, orbits)
 
 
 def _entries_but_points(entries):

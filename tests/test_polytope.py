@@ -308,10 +308,14 @@ def test_graph_structures_skip_the_vertex_faces(monkeypatch):
             systems = [points[u][0].blockers for u in _bit_indices(f.mask)]
             unions.add(tuple((pq, reduce(or_, (b[pq] for b in systems))) for pq in systems[0]))
     calls = []
-    spied = polytope.maxoid_from_blockers
-    monkeypatch.setattr(polytope, "maxoid_from_blockers",
-                        lambda n, blockers: calls.append(tuple(blockers.items()))
-                        or spied(n, blockers))
+    spied = polytope.maxoids_from_blockers
+
+    def spy(n, pairs, rows):
+        rows = [tuple(zip(pairs, row)) for row in rows]
+        calls.extend(rows)
+        return spied(n, pairs, (dict(row).values() for row in rows))
+
+    monkeypatch.setattr(polytope, "maxoids_from_blockers", spy)
     batches = graph_structures(g)
     next(batches)
     assert calls == []

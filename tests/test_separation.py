@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxoid import separation
-from maxoid.census import all_top_ordered_tdags
-from maxoid.fan import enumerate_maximal_cones
+from maxoid.census import _complete_fan, all_top_ordered_tdags
+from maxoid.fan import enumerate_maximal_cones, restricted_systems
 from maxoid.graph import Dag, enumerate_paths
 from maxoid.polytope import face_lattice, face_maxoid, polytope_vertices
 from maxoid.separation import (
@@ -27,6 +27,7 @@ from maxoid.separation import (
     derive_set_statement,
     maxoid,
     maxoid_from_blockers,
+    maxoids_from_blockers,
     parse_ci_statement,
     perturb_across_facet,
     weighted_transitive_reduction,
@@ -44,6 +45,7 @@ from oracles import (
     d_separated,
     kleene_critical_edges,
     kleene_maxoid,
+    looped_maxoid_from_blockers,
     per_subset_maxoid_from_blockers,
     random_weighted_dag,
     star_transitive_reduction,
@@ -535,3 +537,54 @@ def test_packed_kernel_matches_the_per_subset_kernel_on_census_cones_and_faces()
                         == per_subset_maxoid_from_blockers(n, blockers))
             collections.append(len(every))
     assert sum(collections[:10]) == 30 and sum(collections[10:]) == 592
+
+
+def test_batched_kernel_matches_one_call_per_system_on_random_batches():
+    # n = 0..8, batches of 1 and 2 rows and of one below, at and one above
+    # the chunk size, so that the last chunk is full, short or one row;
+    # each batch's rows share their pairs, drawn sparse to dense, and draw
+    # their masks at densities from unique critical paths to wide unions
+    rng = random.Random(39)
+    batches = 0
+    for n in range(9):
+        chunk = separation._chunk_rows(n)
+        for size in sorted({1, 2, chunk - 1, chunk, chunk + 1} - {0}):
+            pairs = list(_random_blockers(rng, n))
+            rows = [[sum(1 << v for v in range(1, n + 1)
+                         if v not in (k, l) and rng.random() < rate) for k, l in pairs]
+                    for rate in (rng.choice((0.0, 0.3, 0.8)) for _ in range(size))]
+            assert (maxoids_from_blockers(n, pairs, rows)
+                    == looped_maxoid_from_blockers(n, pairs, rows)), (n, size)
+            batches += 1
+    assert batches >= 30
+
+
+def _class_batches(n, faces):
+    """Per census class on n nodes, its systems' blocker rows and, with
+    faces, its polytope's face unions, as (pairs, rows) batches."""
+    fan = _complete_fan(n)
+    for g, _ in all_top_ordered_tdags(n).classes:
+        systems = restricted_systems(g, fan)
+        pairs = tuple(systems[0].blockers)
+        yield pairs, [tuple(s.blockers.values()) for s in systems]
+        if faces and len(systems) > 1:
+            points = polytope_vertices(g, systems)
+            yield pairs, [[reduce(or_, (points[u][0].blockers[pq]
+                                        for u in separation._bit_indices(f.mask)))
+                           for pq in pairs]
+                          for f in face_lattice([p for _, p in points]).faces]
+
+
+@pytest.mark.parametrize("n, faces, rows", [
+    (4, True, 90), (5, True, 3680),
+    pytest.param(6, False, 17572, marks=pytest.mark.long)])
+def test_batched_kernel_matches_one_call_per_system_on_census_classes(n, faces, rows):
+    # every class's systems, and for n <= 5 every face union of its
+    # polytope, each class's as one batch: 10, 44 and 238 classes, the
+    # systems 442 of the rows at n = 5 and all 17572 at n = 6
+    total = 0
+    for pairs, batch in _class_batches(n, faces):
+        assert (maxoids_from_blockers(n, pairs, batch)
+                == looped_maxoid_from_blockers(n, pairs, batch))
+        total += len(batch)
+    assert total == rows
